@@ -36,10 +36,11 @@ int kWrites = 400;
 constexpr int kFragments = 4;
 constexpr int kClients = 4;
 // The crash lands after the load phase even at full scale (batched
-// inserts run to ~450ms/stmt on the replicated machine) and the restart
-// leaves a long tail of the op stream still inside the down window.
+// inserts run to ~130ms/stmt on the replicated machine, three serial disk
+// forces each) and the restart leaves a tail of the op stream still
+// inside the down window.
 constexpr prisma::sim::SimTime kCrashAtNs =
-    5'000 * prisma::sim::kNanosPerMilli;
+    1'600 * prisma::sim::kNanosPerMilli;
 constexpr prisma::sim::SimTime kRestartAtNs =
     kCrashAtNs + 2'000 * prisma::sim::kNanosPerMilli;
 

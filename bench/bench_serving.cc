@@ -13,7 +13,11 @@
 //      byte-identical metrics.
 //   3. Plan cache — the identical read-only workload with the cache on
 //      vs off: the cached run must show hits, a strictly lower p50 and
-//      byte-identical answers.
+//      byte-identical answers. Its p99 must stay below one disk access:
+//      no point read waits behind a transaction-id reservation force.
+//
+// Every point runs on a fault-free machine, so no RPC may be retried and
+// no exchange batch retransmitted.
 //
 // Emits BENCH_serving.json — the latency/saturation trajectory plus the
 // cache contrast — so serving regressions are visible PR-over-PR.
@@ -28,6 +32,7 @@
 #include "core/prisma_db.h"
 #include "serve/dispatcher.h"
 #include "serve/workload.h"
+#include "storage/stable_store.h"
 
 using prisma::StrFormat;
 using prisma::Tuple;
@@ -124,6 +129,14 @@ PointResult RunPoint(uint64_t seed, double offered_qps, size_t cache_capacity,
   // statement shape would otherwise hide inside the failed count).
   PRISMA_CHECK(stats.failed == 0 && stats.unavailable == 0)
       << stats.failed << " failed, " << stats.unavailable << " unavailable";
+  // ...and nothing is repaired: a retransmission here is a timer that
+  // outlived its message (or a dropped batch), not a fault.
+  const uint64_t rpc_retries = db.metrics().CounterTotal("gdh.rpc_retries");
+  const uint64_t retransmits =
+      db.metrics().CounterTotal("exchange.retransmits");
+  PRISMA_CHECK(rpc_retries == 0 && retransmits == 0)
+      << rpc_retries << " gdh.rpc_retries, " << retransmits
+      << " exchange.retransmits on a fault-free machine";
   out.submitted = stats.submitted;
   out.completed = stats.completed;
   out.shed = stats.shed;
@@ -221,6 +234,14 @@ int main(int argc, char** argv) {
   PRISMA_CHECK(cache_on.p50 < cache_off.p50)
       << "plan cache did not lower p50: " << cache_on.p50
       << " !< " << cache_off.p50;
+  // Transaction ids are reserved ahead of need, off the GDH's CPU: a read
+  // never stalls behind a gdh.txnids force.
+  const prisma::sim::SimTime disk_access_ns =
+      prisma::storage::DiskModel().access_ns;
+  PRISMA_CHECK(cache_on.p99 < disk_access_ns && cache_off.p99 < disk_access_ns)
+      << "point-read p99 " << cache_on.p99 << " ns (cache on) / "
+      << cache_off.p99 << " ns (off) reaches a disk access ("
+      << disk_access_ns << " ns): reads wait behind id forces";
   const double hit_rate =
       static_cast<double>(cache_on.cache_hits) /
       static_cast<double>(cache_on.cache_hits + cache_on.cache_misses);

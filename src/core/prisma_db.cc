@@ -103,6 +103,7 @@ PrismaDb::PrismaDb(MachineConfig config)
     memory_.push_back(
         std::make_unique<storage::MemoryTracker>(config_.pe_memory_bytes));
     stable_.push_back(std::make_unique<storage::StableStore>(config_.disk));
+    runtime_->AttachDisk(pe, stable_.back().get());
   }
 
   gdh::GdhProcess::Config gdh_config;
@@ -121,7 +122,7 @@ PrismaDb::PrismaDb(MachineConfig config)
   }
   for (int pe = 0; pe < n; ++pe) {
     gdh_config.resources[pe] = gdh::GdhProcess::PeResources{
-        memory_[pe].get(), stable_[pe].get()};
+        memory_[pe].get()};
   }
   gdh_config.replicate_fragments = config_.replicate_fragments;
   PRISMA_CHECK(!config_.replicate_fragments ||

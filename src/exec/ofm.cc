@@ -55,8 +55,12 @@ Ofm::Ofm(std::string fragment_name, Schema schema, Options options)
       options_(std::move(options)),
       relation_(fragment_name_, std::move(schema), options_.memory) {
   PRISMA_CHECK(options_.type == OfmType::kQueryOnly ||
-               options_.stable != nullptr)
-      << "full OFM " << fragment_name_ << " requires stable storage";
+               options_.disk != nullptr)
+      << "full OFM " << fragment_name_ << " requires a disk";
+}
+
+void Ofm::SubmitToDisk(storage::StableWrite write) {
+  last_write_ = options_.disk->Submit(options_.disk_owner, std::move(write));
 }
 
 void Ofm::ChargeCpu(sim::SimTime ns) {
@@ -135,7 +139,8 @@ Status Ofm::LogRedo(TxnId txn, std::string record) {
   if (options_.type == OfmType::kQueryOnly) return Status::OK();
   if (txn == kAutoCommit) {
     ++wal_records_;
-    ChargeCpu(options_.stable->Append(WalStream(), std::move(record)));
+    SubmitToDisk(
+        storage::StableWrite().Append(WalStream(), std::move(record)));
     return Status::OK();
   }
   open_txns_[txn].pending_redo.push_back(std::move(record));
@@ -145,7 +150,8 @@ Status Ofm::LogRedo(TxnId txn, std::string record) {
 Status Ofm::LogMarker(TxnId txn, uint8_t op) {
   if (options_.type == OfmType::kQueryOnly) return Status::OK();
   ++wal_records_;
-  ChargeCpu(options_.stable->Append(WalStream(), EncodeMarker(op, txn)));
+  SubmitToDisk(
+      storage::StableWrite().Append(WalStream(), EncodeMarker(op, txn)));
   return Status::OK();
 }
 
@@ -259,6 +265,17 @@ StatusOr<size_t> Ofm::UpdateWhere(
 
 // ------------------------------------------------------- Transaction control
 
+void Ofm::FlushRedo(OpenTxn& open, std::string marker) {
+  storage::StableWrite write;
+  for (std::string& record : open.pending_redo) {
+    write.Append(WalStream(), std::move(record));
+  }
+  open.pending_redo.clear();
+  write.Append(WalStream(), std::move(marker));
+  wal_records_ += write.records();
+  SubmitToDisk(std::move(write));
+}
+
 bool Ofm::HasTransaction(TxnId txn) const {
   return open_txns_.contains(txn);
 }
@@ -270,13 +287,8 @@ Status Ofm::Prepare(TxnId txn) {
     return Status::OK();
   }
   if (options_.type == OfmType::kFull) {
-    // Group-commit: force all redo records and the prepare marker as one
-    // physical write.
-    std::vector<std::string> records = std::move(it->second.pending_redo);
-    it->second.pending_redo.clear();
-    records.push_back(EncodeMarker(kWalPrepare, txn));
-    wal_records_ += records.size();
-    ChargeCpu(options_.stable->AppendBatch(WalStream(), std::move(records)));
+    // All redo records and the prepare marker travel as one write.
+    FlushRedo(it->second, EncodeMarker(kWalPrepare, txn));
   }
   it->second.prepared = true;
   return Status::OK();
@@ -286,11 +298,7 @@ Status Ofm::Commit(TxnId txn) {
   auto it = open_txns_.find(txn);
   if (it == open_txns_.end()) return Status::OK();
   if (options_.type == OfmType::kFull) {
-    std::vector<std::string> records = std::move(it->second.pending_redo);
-    it->second.pending_redo.clear();
-    records.push_back(EncodeMarker(kWalCommit, txn));
-    wal_records_ += records.size();
-    ChargeCpu(options_.stable->AppendBatch(WalStream(), std::move(records)));
+    FlushRedo(it->second, EncodeMarker(kWalCommit, txn));
   }
   open_txns_.erase(it);
   return Status::OK();
@@ -444,8 +452,9 @@ Status Ofm::Checkpoint() {
       w.PutU8(0);
     }
   });
-  ChargeCpu(options_.stable->WriteSnapshot(SnapshotName(), w.Take()));
-  options_.stable->TruncateStream(WalStream());
+  SubmitToDisk(storage::StableWrite()
+                   .Snapshot(SnapshotName(), w.Take())
+                   .Truncate(WalStream()));
   return Status::OK();
 }
 
@@ -514,8 +523,11 @@ StatusOr<std::vector<std::string>> Ofm::CommittedWalSince(size_t* cursor) {
   if (options_.type == OfmType::kQueryOnly) {
     return FailedPreconditionError("query-only OFM has no WAL");
   }
-  const auto& wal = options_.stable->ReadStream(WalStream());
-  ChargeCpu(options_.stable->StreamReadNs(WalStream()));
+  // Only landed records are visible; records still in flight are picked
+  // up by a later round.
+  const storage::StableStore& stable = options_.disk->store();
+  const auto& wal = stable.ReadStream(WalStream());
+  ChargeCpu(stable.StreamReadNs(WalStream()));
   // Outcomes are scanned over the whole stream: a record flushed at
   // prepare position p is decided by a marker at some position > p.
   std::set<TxnId> committed;
@@ -630,10 +642,14 @@ Status Ofm::Recover() {
   relation_.Clear();
   open_txns_.clear();
 
+  // Reads at recovery stay synchronous, charged to the CPU: a recovering
+  // process serves nothing until they finish, so there is no other work
+  // for the device to overlap them with.
+  const storage::StableStore& stable = options_.disk->store();
   // Load the checkpoint image, if any.
-  auto snapshot = options_.stable->ReadSnapshot(SnapshotName());
+  auto snapshot = stable.ReadSnapshot(SnapshotName());
   if (snapshot.ok()) {
-    ChargeCpu(options_.stable->SnapshotReadNs(SnapshotName()));
+    ChargeCpu(stable.SnapshotReadNs(SnapshotName()));
     BinaryReader r(*snapshot);
     ASSIGN_OR_RETURN(Schema schema, r.GetSchema());
     if (!(schema == relation_.schema())) {
@@ -653,8 +669,8 @@ Status Ofm::Recover() {
 
   // Scan the WAL once to classify transactions: committed work replays;
   // prepared-but-undecided work is withheld for the coordinator.
-  const auto& wal = options_.stable->ReadStream(WalStream());
-  ChargeCpu(options_.stable->StreamReadNs(WalStream()));
+  const auto& wal = stable.ReadStream(WalStream());
+  ChargeCpu(stable.StreamReadNs(WalStream()));
   std::set<TxnId> committed;
   std::set<TxnId> aborted;
   std::set<TxnId> prepared;

@@ -16,6 +16,7 @@
 #include "common/serialize.h"
 #include "common/tuple.h"
 #include "exec/executor.h"
+#include "pool/disk.h"
 #include "storage/btree_index.h"
 #include "storage/hash_index.h"
 #include "storage/memory_tracker.h"
@@ -54,9 +55,12 @@ class Ofm {
     OfmType type = OfmType::kFull;
     /// Memory budget of the hosting PE (may be null: untracked).
     storage::MemoryTracker* memory = nullptr;
-    /// Stable storage of the hosting (or nearest disk-equipped) PE.
-    /// Required for kFull, ignored for kQueryOnly.
-    storage::StableStore* stable = nullptr;
+    /// Disk of the hosting (or nearest disk-equipped) PE. Required for
+    /// kFull, ignored for kQueryOnly. Log and checkpoint writes are I/O
+    /// requests on it, submitted on behalf of `disk_owner`: they become
+    /// durable when the device completes them, not when the call returns.
+    pool::Disk* disk = nullptr;
+    pool::ProcessId disk_owner = pool::kNoProcess;
     /// Execution options (expression mode, cost model, charge hook).
     ExecOptions exec;
   };
@@ -90,9 +94,10 @@ class Ofm {
 
   // ---------------------------------------------------------- Write path
 
-  /// Transactional writes. With txn == kAutoCommit the operation is
-  /// durable immediately; otherwise it joins `txn`'s undo scope and its
-  /// redo record is buffered until Prepare.
+  /// Transactional writes. With txn == kAutoCommit the operation's redo
+  /// record is written at once (durable when last_write() lands);
+  /// otherwise it joins `txn`'s undo scope and its redo record is
+  /// buffered until Prepare.
   StatusOr<storage::RowId> Insert(TxnId txn, Tuple tuple);
   Status Delete(TxnId txn, storage::RowId row);
   Status Update(TxnId txn, storage::RowId row, Tuple tuple);
@@ -108,13 +113,26 @@ class Ofm {
 
   // -------------------------------------------------- Transaction control
 
-  /// Phase 1 of 2PC: force-logs the transaction's redo records and a
-  /// prepare marker; after OK the OFM guarantees it can commit.
+  /// Phase 1 of 2PC: writes the transaction's redo records and a prepare
+  /// marker as one request; once last_write() is durable the OFM
+  /// guarantees it can commit (a yes-vote may leave only then).
   Status Prepare(TxnId txn);
-  /// Phase 2: logs the commit marker and discards undo state.
+  /// Phase 2: writes the commit marker and discards undo state; the
+  /// commit is acknowledged once last_write() is durable.
   Status Commit(TxnId txn);
-  /// Undoes the transaction's local effects (reverse order).
+  /// Undoes the transaction's local effects (reverse order). A prepared
+  /// transaction's abort marker is written but need not be waited for:
+  /// under presumed abort a lost marker resolves to abort anyway.
   Status Abort(TxnId txn);
+
+  /// Ticket of the most recent write this OFM submitted (0: none). The
+  /// disk lands writes in order, so once it is durable so is every
+  /// earlier one.
+  pool::Disk::Ticket last_write() const { return last_write_; }
+  /// True when every write this OFM submitted has landed.
+  bool WritesDurable() const {
+    return options_.disk == nullptr || options_.disk->Durable(last_write_);
+  }
   /// True if `txn` has touched this fragment and is still open.
   bool HasTransaction(TxnId txn) const;
 
@@ -161,7 +179,10 @@ class Ofm {
 
   // ------------------------------------------------------------ Recovery
 
-  /// Writes a fragment snapshot to stable storage and truncates the WAL.
+  /// Writes a fragment snapshot to stable storage and truncates the WAL,
+  /// as one request: the truncation lands with the snapshot, so a crash
+  /// before last_write() is durable recovers from the old checkpoint plus
+  /// the untruncated log.
   Status Checkpoint();
 
   /// Rebuilds the fragment from the last checkpoint plus the WAL suffix,
@@ -246,12 +267,17 @@ class Ofm {
   std::string WalStream() const { return fragment_name_ + ".wal"; }
   std::string SnapshotName() const { return fragment_name_ + ".ckpt"; }
 
-  /// Appends (or buffers) a redo record; charges disk time when forced.
+  /// Writes (or, inside a transaction, buffers) a redo record.
   Status LogRedo(TxnId txn, std::string record);
   /// Applies one WAL data record during recovery/decision resolution;
   /// `reader` is positioned just past the (op, txn) header.
   Status ApplyWalData(uint8_t op, BinaryReader* reader);
   Status LogMarker(TxnId txn, uint8_t op);
+  /// Writes a transaction's buffered redo records plus `marker` as one
+  /// request.
+  void FlushRedo(OpenTxn& open, std::string marker);
+  /// Submits one write to the disk and remembers its ticket.
+  void SubmitToDisk(storage::StableWrite write);
   void ChargeCpu(sim::SimTime ns);
 
   void IndexInsert(storage::RowId row, const Tuple& tuple);
@@ -270,6 +296,7 @@ class Ofm {
   ExecStats last_exec_stats_;
   uint64_t wal_records_ = 0;
   uint64_t redo_applied_ = 0;
+  pool::Disk::Ticket last_write_ = 0;
 };
 
 }  // namespace prisma::exec

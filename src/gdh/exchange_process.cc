@@ -7,8 +7,17 @@
 
 namespace prisma::gdh {
 
+// Everything a batch needs is built here rather than in OnStart: a batch
+// can be handled before the spawn handler runs, and must find its channel.
 ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      join_(MakeJoin()),
+      build_channels_(std::vector<exec::InboundChannel>(
+          Side(config_.build_side).producers)),
+      probe_channels_(std::vector<exec::InboundChannel>(
+          Side(1 - config_.build_side).moving
+              ? Side(1 - config_.build_side).producers
+              : 0)) {
   PRISMA_CHECK(config_.build_side == 0 || config_.build_side == 1);
   // The build side is fully received before probing starts, so it must be
   // a moving side; a stationary input can always stream into the probe.
@@ -16,9 +25,14 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
   const SideSpec& probe = Side(1 - config_.build_side);
   PRISMA_CHECK(probe.moving || probe.local_plan != nullptr);
   PRISMA_CHECK(!config_.keys.empty());
+  if (config_.metrics != nullptr) {
+    m_batches_received_ = config_.metrics->GetCounter(
+        "exchange.batches_received", {{"fragment", config_.fragment}});
+  }
 }
 
-void ExchangeConsumerProcess::OnStart() {
+std::unique_ptr<exec::PipelinedHashJoin>
+ExchangeConsumerProcess::MakeJoin() {
   exec::PipelinedHashJoin::Options options;
   const bool build_left = config_.build_side == 0;
   options.build_is_left = build_left;
@@ -50,14 +64,7 @@ void ExchangeConsumerProcess::OnStart() {
                  : exec::EvalPredicate(*config_.predicate, tuple);
     };
   }
-  join_ = std::make_unique<exec::PipelinedHashJoin>(std::move(options));
-  build_channels_->resize(Side(config_.build_side).producers);
-  const SideSpec& probe = Side(1 - config_.build_side);
-  if (probe.moving) probe_channels_->resize(probe.producers);
-  if (config_.metrics != nullptr) {
-    m_batches_received_ = config_.metrics->GetCounter(
-        "exchange.batches_received", {{"fragment", config_.fragment}});
-  }
+  return std::make_unique<exec::PipelinedHashJoin>(std::move(options));
 }
 
 // Handler contract (D5): the exchange consumer owns the shuffle data plane.

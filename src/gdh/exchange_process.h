@@ -74,7 +74,6 @@ class ExchangeConsumerProcess : public pool::Process {
 
   explicit ExchangeConsumerProcess(Config config);
 
-  void OnStart() override;
   void OnMail(const pool::Mail& mail) override;
 
   std::string debug_name() const override {
@@ -82,6 +81,9 @@ class ExchangeConsumerProcess : public pool::Process {
   }
 
  private:
+  /// The pipelined join, with the residual predicate compiled; sets
+  /// compiled_predicate_ and predicate_cost_ns_ (declared before join_).
+  std::unique_ptr<exec::PipelinedHashJoin> MakeJoin();
   void HandleBatch(const pool::Mail& mail);
   /// Advances the pipeline: drains in-order build batches into the hash
   /// table, seals the build on EOS, then probes (buffered + streaming
@@ -99,6 +101,11 @@ class ExchangeConsumerProcess : public pool::Process {
   }
 
   Config config_;
+  // Prepared residual predicate (full join predicate re-checked per pair,
+  // as in Executor::RunJoin). Initialized before join_, whose filter uses
+  // them.
+  std::shared_ptr<exec::CompiledExpr> compiled_predicate_;
+  sim::SimTime predicate_cost_ns_ = 0;
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::PipelinedHashJoin> join_;
   pool::Owned<std::vector<exec::InboundChannel>> build_channels_;
@@ -113,11 +120,6 @@ class ExchangeConsumerProcess : public pool::Process {
   bool replied_ = false;
   bool failed_ = false;
   exec::JoinCounters charged_;  // Counter snapshot of the last charge.
-
-  // Prepared residual predicate (full join predicate re-checked per pair,
-  // as in Executor::RunJoin).
-  std::shared_ptr<exec::CompiledExpr> compiled_predicate_;
-  sim::SimTime predicate_cost_ns_ = 0;
 
   obs::Counter* m_batches_received_ = nullptr;
   obs::Counter* m_dup_batches_ = nullptr;  // Lazy: fault paths only.

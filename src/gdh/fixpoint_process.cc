@@ -10,26 +10,17 @@
 
 namespace prisma::gdh {
 
+// Everything a batch needs is built here rather than in OnStart: a batch
+// can be handled before the spawn handler runs, and must find its channel.
 FixpointPeProcess::FixpointPeProcess(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      kernel_(std::make_unique<exec::FixpointPartition>(
+          config_.algorithm, config_.num_pes, config_.index)),
+      known_ofm_(MakeKnownOfm()),
+      edge_channels_(
+          std::vector<exec::InboundChannel>(config_.edge_producers)) {
   PRISMA_CHECK(config_.num_pes > 0);
   PRISMA_CHECK(config_.index < config_.num_pes);
-}
-
-void FixpointPeProcess::OnStart() {
-  kernel_ = std::make_unique<exec::FixpointPartition>(
-      config_.algorithm, config_.num_pes, config_.index);
-  // The known set lives in a recovery-free intermediate-result OFM
-  // (§2.5): no WAL, no checkpointing — a crashed fixpoint is re-run, not
-  // recovered.
-  exec::Ofm::Options ofm_options;
-  ofm_options.type = exec::OfmType::kQueryOnly;
-  ofm_options.exec.costs = config_.costs;
-  ofm_options.exec.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  known_ofm_ = std::make_unique<exec::Ofm>(
-      "fixpoint#" + std::to_string(config_.index), config_.edge_schema,
-      std::move(ofm_options));
-  edge_channels_->resize(config_.edge_producers);
   if (config_.metrics != nullptr) {
     const obs::Labels labels = {{"pe", std::to_string(config_.index)}};
     m_batches_received_ =
@@ -37,6 +28,19 @@ void FixpointPeProcess::OnStart() {
     m_batches_sent_ =
         config_.metrics->GetCounter("fixpoint.batches_sent", labels);
   }
+}
+
+std::unique_ptr<exec::Ofm> FixpointPeProcess::MakeKnownOfm() {
+  // The known set lives in a recovery-free intermediate-result OFM
+  // (§2.5): no WAL, no checkpointing — a crashed fixpoint is re-run, not
+  // recovered.
+  exec::Ofm::Options ofm_options;
+  ofm_options.type = exec::OfmType::kQueryOnly;
+  ofm_options.exec.costs = config_.costs;
+  ofm_options.exec.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
+  return std::make_unique<exec::Ofm>(
+      "fixpoint#" + std::to_string(config_.index), config_.edge_schema,
+      std::move(ofm_options));
 }
 
 // Handler contract (D5): a fixpoint PE consumes the recursive-query data

@@ -77,7 +77,6 @@ class FixpointPeProcess : public pool::Process {
 
   explicit FixpointPeProcess(Config config);
 
-  void OnStart() override;
   void OnMail(const pool::Mail& mail) override;
 
   std::string debug_name() const override {
@@ -102,6 +101,8 @@ class FixpointPeProcess : public pool::Process {
     return 1 + static_cast<int>(round) * 2 + copy;
   }
 
+  /// The known-set OFM, built at construction.
+  std::unique_ptr<exec::Ofm> MakeKnownOfm();
   void HandleStart(const pool::Mail& mail);
   void HandleRound(const pool::Mail& mail);
   void HandleBatch(const pool::Mail& mail);

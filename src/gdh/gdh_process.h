@@ -52,11 +52,15 @@ enum class PlacementPolicy : uint8_t {
 /// 2PC: only commit decisions are forced to the GDH's stable store, so a
 /// restarted GDH (or an inquiring OFM) resolves in-doubt participants
 /// correctly while aborts need no log record at all.
+///
+/// Stable storage is an asynchronous device (pool::Disk): the GDH keeps
+/// handling mail while its writes are in flight, and nothing that depends
+/// on a record — a handed-out transaction id, a commit decision — leaves
+/// before that record is durable (DESIGN.md §8.1).
 class GdhProcess : public pool::Process {
  public:
   struct PeResources {
     storage::MemoryTracker* memory = nullptr;
-    storage::StableStore* stable = nullptr;
   };
   struct Config {
     /// PEs eligible to host fragments (the allocation pool).
@@ -271,6 +275,9 @@ class GdhProcess : public pool::Process {
   void HandleRpcTimeout(const pool::Mail& mail);
   void HandleCoordCheck(const pool::Mail& mail);
   void HandleResyncReply(const pool::Mail& mail);
+  /// Runs a client statement once a durable transaction id is available
+  /// for it (HandleClientStatement parks it until then).
+  void DispatchStatement(const pool::Mail& mail);
 
   void SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
                         pool::ProcessId client);
@@ -295,6 +302,13 @@ class GdhProcess : public pool::Process {
   /// Presumed-abort two-phase commit over `txn`'s involved fragments,
   /// then release + `then(decision_status)`.
   void RunTwoPhaseCommit(exec::TxnId txn, std::function<void(Status)> then);
+  /// Phase 2 of RunTwoPhaseCommit, entered once the outcome is durable
+  /// (commit) or decided (abort): delivers it to `involved`, then releases
+  /// and calls `then(outcome)`.
+  void SendDecision(exec::TxnId txn, bool commit, Status outcome,
+                    const std::vector<std::string>& involved,
+                    sim::SimTime phase1_start,
+                    std::function<void(Status)> then);
   /// Aborts `txn` everywhere, releases locks, then `then`.
   void AbortEverywhere(exec::TxnId txn, std::function<void(Status)> then);
 
@@ -330,14 +344,26 @@ class GdhProcess : public pool::Process {
 
   // ------------------------------------------- Presumed-abort decisions
 
-  storage::StableStore* DecisionStore() const;
-  /// Forces "C <txn>" to the decision log before phase 2 of a commit.
-  void LogCommitDecision(exec::TxnId txn);
-  /// Forces "E <txn>" once every participant acknowledged the commit; the
-  /// decision can then be forgotten.
+  /// Forces "C <txn>" to the decision log and runs `then` once it is
+  /// durable (at once on a diskless PE). The decision exists only from
+  /// then on: until the record lands the transaction stays kPreparing, so
+  /// inquiries about it are deferred and a crash loses it (presumed abort).
+  void LogCommitDecision(exec::TxnId txn, std::function<void()> then);
+  /// Forgets a commit every participant acknowledged and writes "E <txn>"
+  /// lazily — unforced and off the reply path: a lost E only means a
+  /// restarted GDH remembers a decision nobody will ask about.
   void LogCommitEnd(exec::TxnId txn);
   /// Rebuilds committed_ (and next_txn_) from the decision log.
   void ReplayDecisionLog();
+
+  /// True when a durably reserved transaction id is available.
+  bool HasTxnId() const;
+  /// Reserve-ahead: keeps kTxnIdLookahead ids reserved beyond next_txn_ by
+  /// writing a new high-water mark (one chunk at a time) before they are
+  /// needed. Statements take ids only below the durable mark, so in steady
+  /// state they never wait for a reservation; only the first statement of
+  /// an incarnation does.
+  void ReserveTxnIds();
 
   StatusOr<pool::ProcessId> OfmOf(const std::string& fragment) const;
   /// Fragments of `table` possibly matching `where` (pruned via the
@@ -390,6 +416,7 @@ class GdhProcess : public pool::Process {
   /// labeled query.unavailable{pe,table} counter.
   void CountUnavailable(net::NodeId pe, const std::string& table);
 
+  /// Hands out the next durably reserved id; requires HasTxnId().
   exec::TxnId NewTxn(bool explicit_txn);
   void FinishMulticast(uint64_t batch_id, Multicast& batch);
 
@@ -441,10 +468,15 @@ class GdhProcess : public pool::Process {
   obs::Counter* m_resync_wire_bits_ = nullptr;
 
   exec::TxnId next_txn_ = 1;
-  /// Ids below this are covered by a persisted reservation record, so a
+  /// Ids below this are covered by a durable reservation record, so a
   /// restarted GDH never re-hands out an id this incarnation allocated
   /// (aborted and read-only transactions leave no decision record).
   exec::TxnId txn_id_hwm_ = 1;
+  /// Highest reservation mark submitted to the disk (>= txn_id_hwm_).
+  exec::TxnId txn_id_reserved_ = 1;
+  /// Work parked until a durable transaction id is available, in arrival
+  /// order (client statements, resync cutovers).
+  std::deque<std::function<void()>> id_waiters_;
   pool::Owned<std::map<exec::TxnId, TxnState>> txns_;
   /// Commit decisions whose end record has not been logged yet. Aborts
   /// are never recorded (presumed abort).

@@ -48,6 +48,10 @@ inline constexpr char kMailRpcTimeout[] = "rpc_timeout";
 inline constexpr char kMailCoordCheck[] = "coord_check";
 inline constexpr char kMailStmtDoneResend[] = "stmt_done_resend";
 inline constexpr char kMailDecisionRetry[] = "decision_retry";
+// Completion of a stable-storage write on the PE's disk (pool::Disk),
+// delivered to the process that issued it; routed to
+// pool::Process::RunDurable (GDH and OFMs).
+inline constexpr char kMailDiskDone[] = "disk_done";
 // Streaming exchange layer (DESIGN.md §10). A shuffle plan turns an OFM
 // into a batch *producer* for one side of a distributed join; tuple
 // batches flow producer -> consumer under credit-based flow control, acks

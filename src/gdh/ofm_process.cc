@@ -22,6 +22,10 @@ void OfmProcess::OnStart() {
   // The charge hook binds to this process so all OFM work lands on the
   // hosting PE's clock.
   config_.ofm.exec.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
+  // Log and checkpoint writes go to this PE's disk as I/O requests owned
+  // by this process (lost with it if it dies before they land).
+  config_.ofm.disk = disk();
+  config_.ofm.disk_owner = self();
   ofm_ = std::make_unique<exec::Ofm>(config_.fragment_name, config_.schema,
                                      config_.ofm);
   if (config_.metrics != nullptr) {
@@ -109,21 +113,37 @@ bool OfmProcess::ReplayCached(pool::ProcessId from, uint64_t request_id) {
         "ofm.dup_requests", {{"fragment", config_.fragment_name}});
   }
   if (m_dup_requests_ != nullptr) m_dup_requests_->Increment();
+  // The original may still wait for its write to land (say, a duplicate
+  // prepare during the force): answering now would be an early yes. It is
+  // swallowed instead; the original reply leaves on landing.
+  if (disk() != nullptr && !disk()->Durable(it->second.durable_at)) {
+    return true;
+  }
   SendMail(from, it->second.kind, it->second.body, it->second.size_bits);
   return true;
 }
 
 void OfmProcess::Respond(pool::ProcessId to, uint64_t request_id,
-                         const char* kind, std::any body,
-                         int64_t size_bits) {
+                         const char* kind, std::any body, int64_t size_bits,
+                         pool::Disk::Ticket durable_at) {
   EvictExpiredDedupState();
   const auto key = std::make_pair(to, request_id);
-  auto [it, inserted] =
-      replies_->try_emplace(key, CachedReply{kind, body, size_bits});
+  auto [it, inserted] = replies_->try_emplace(
+      key, CachedReply{kind, body, size_bits, durable_at});
   if (inserted) {
     reply_order_.push_back({runtime()->simulator()->now(), key});
   }
-  SendMail(to, kind, std::move(body), size_bits);
+  WhenDurable(durable_at, kMailDiskDone,
+              [this, to, kind, body = std::move(body), size_bits] {
+                SendMail(to, kind, body, size_bits);
+              });
+}
+
+void OfmProcess::RespondDurable(pool::ProcessId to, uint64_t request_id,
+                                const char* kind, std::any body,
+                                int64_t size_bits) {
+  Respond(to, request_id, kind, std::move(body), size_bits,
+          ofm_->last_write());
 }
 
 void OfmProcess::MaybeReplayStalled() {
@@ -140,8 +160,12 @@ void OfmProcess::MaybeReplayStalled() {
 // PRISMA_HANDLES(kMailCreateIndex, kMailShufflePlan, kMailDecisionReply)
 // PRISMA_HANDLES(kMailDecisionRetry, kMailBatchAck, kMailBatchResend)
 // PRISMA_HANDLES(kMailTupleBatch, kMailResync, kMailResyncDelta)
-// PRISMA_HANDLES(kMailResyncDeltaAck, kMailResyncPump)
+// PRISMA_HANDLES(kMailResyncDeltaAck, kMailResyncPump, kMailDiskDone)
 void OfmProcess::OnMail(const pool::Mail& mail) {
+  if (mail.kind == kMailDiskDone) {
+    RunDurable(mail);
+    return;
+  }
   if (mail.kind == kMailDecisionReply) {
     HandleDecisionReply(mail);
     return;
@@ -256,9 +280,10 @@ void OfmProcess::HandleCheckpoint(const pool::Mail& mail) {
   // else: a resync is reading this fragment's WAL (active session, or a
   // bulk-phase cursor awaiting its cutover). Checkpointing now would
   // truncate the log out from under the delta cursor, so acknowledge but
-  // skip; the next checkpoint round picks it up.
-  Respond(mail.from, request->request_id, kMailWriteReply, reply,
-          kControlBits);
+  // skip; the next checkpoint round picks it up. The acknowledgment waits
+  // for the snapshot to land.
+  RespondDurable(mail.from, request->request_id, kMailWriteReply, reply,
+                 kControlBits);
 }
 
 void OfmProcess::HandleCreateIndex(const pool::Mail& mail) {
@@ -629,6 +654,17 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
   if (active_resync_requests_->contains({mail.from, request->request_id})) {
     return;
   }
+  if (!ofm_->WritesDurable()) {
+    // The snapshot and the WAL cursor below must describe the same state,
+    // but the cursor sees only landed records: a commit marker still in
+    // flight would make its transaction look undecided and ship it again
+    // on top of a snapshot that already holds it. Start once every write
+    // of this OFM has landed (re-entering through OnMail keeps the dedup
+    // checks).
+    WhenDurable(ofm_->last_write(), kMailDiskDone,
+                [this, mail] { OnMail(mail); });
+    return;
+  }
   auto fail = [&](Status status) {
     auto reply = std::make_shared<ResyncReply>();
     reply->request_id = request->request_id;
@@ -941,12 +977,17 @@ void OfmProcess::HandleResyncDelta(const pool::Mail& mail) {
     return;
   }
   // seq <= applied falls through: re-acknowledge so a lost ack cannot
-  // wedge the source.
+  // wedge the source. Acks wait for this OFM's writes to land: the final
+  // delta's ack tells the GDH the replica is self-sufficient, which holds
+  // only once its cutover checkpoint is durable.
   auto ack = std::make_shared<ResyncDeltaAck>();
   ack->resync_id = msg->resync_id;
   ack->session_token = msg->session_token;
   ack->ack = resync_delta_applied_;
-  SendMail(mail.from, kMailResyncDeltaAck, std::move(ack), kControlBits);
+  WhenDurable(ofm_->last_write(), kMailDiskDone,
+              [this, to = mail.from, ack = std::move(ack)] {
+                SendMail(to, kMailResyncDeltaAck, ack, kControlBits);
+              });
 }
 
 void OfmProcess::HandleWrite(const pool::Mail& mail) {
@@ -1006,8 +1047,10 @@ void OfmProcess::HandleWrite(const pool::Mail& mail) {
   }
   if (m_writes_ != nullptr && reply->status.ok()) m_writes_->Increment();
   SyncDurabilityMetrics();
-  Respond(mail.from, request->request_id, kMailWriteReply, reply,
-          kControlBits);
+  // An auto-commit write is acknowledged once its redo record landed;
+  // transactional writes only buffer theirs, so this is normally at once.
+  RespondDurable(mail.from, request->request_id, kMailWriteReply, reply,
+                 kControlBits);
 }
 
 void OfmProcess::HandleTxnControl(const pool::Mail& mail) {
@@ -1057,8 +1100,19 @@ void OfmProcess::HandleTxnControl(const pool::Mail& mail) {
     if (request->op == TxnControlRequest::Op::kAbort) m_aborts_->Increment();
   }
   SyncDurabilityMetrics();
-  Respond(mail.from, request->request_id, kMailTxnControlReply, reply,
-          kControlBits);
+  if (request->op == TxnControlRequest::Op::kAbort) {
+    // Presumed abort: the abort marker need not be durable before the
+    // acknowledgment — if it is lost, recovery finds the transaction in
+    // doubt and the coordinator, with no commit record, answers abort.
+    Respond(mail.from, request->request_id, kMailTxnControlReply, reply,
+            kControlBits);
+  } else {
+    // A yes-vote leaves only once the prepare record is durable, a commit
+    // acknowledgment only once the commit marker is (the coordinator
+    // forgets the decision after the last one).
+    RespondDurable(mail.from, request->request_id, kMailTxnControlReply,
+                   reply, kControlBits);
+  }
   MaybeReplayStalled();
 }
 

@@ -127,10 +127,18 @@ class OfmProcess : public pool::Process {
   void NoteFinished(exec::TxnId txn);
   bool Finished(exec::TxnId txn) const { return finished_->contains(txn); }
 
-  /// Caches the reply under (to, request_id) and sends it. Duplicate
-  /// requests replay the cached reply through ReplayCached.
+  /// Caches the reply under (to, request_id) and sends it once disk
+  /// ticket `durable_at` has landed (at once for 0). Duplicate requests
+  /// replay the cached reply through ReplayCached — but only after it was
+  /// sent.
   void Respond(pool::ProcessId to, uint64_t request_id, const char* kind,
-               std::any body, int64_t size_bits);
+               std::any body, int64_t size_bits,
+               pool::Disk::Ticket durable_at = 0);
+  /// Respond after every write this OFM has submitted so far is durable:
+  /// the reply reveals a yes-vote, a commit or a checkpoint, and the disk
+  /// lands writes in order.
+  void RespondDurable(pool::ProcessId to, uint64_t request_id,
+                      const char* kind, std::any body, int64_t size_bits);
   /// Replays the cached reply for a duplicate request; false if the
   /// request was never answered (i.e. it is not a duplicate).
   bool ReplayCached(pool::ProcessId from, uint64_t request_id);
@@ -244,6 +252,8 @@ class OfmProcess : public pool::Process {
     std::string kind;
     std::any body;
     int64_t size_bits = 0;
+    /// The reply leaves (and may be replayed) once this ticket is durable.
+    pool::Disk::Ticket durable_at = 0;
   };
   pool::Owned<std::map<std::pair<pool::ProcessId, uint64_t>, CachedReply>>
       replies_;

@@ -7,14 +7,13 @@
 
 namespace prisma::gdh {
 
+// Everything a batch needs is built here rather than in OnStart: a batch
+// can be handled before the spawn handler runs, and must find its channel.
 OlapMergeProcess::OlapMergeProcess(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      channels_(std::vector<exec::InboundChannel>(config_.producers)) {
   PRISMA_CHECK(config_.merge_plan != nullptr);
   PRISMA_CHECK(config_.producers > 0);
-}
-
-void OlapMergeProcess::OnStart() {
-  channels_->resize(config_.producers);
   if (config_.metrics != nullptr) {
     // Shares the exchange consumer's data-plane counters: the shuffle
     // machinery underneath is the same.

@@ -54,7 +54,6 @@ class OlapMergeProcess : public pool::Process {
 
   explicit OlapMergeProcess(Config config);
 
-  void OnStart() override;
   void OnMail(const pool::Mail& mail) override;
 
   std::string debug_name() const override {

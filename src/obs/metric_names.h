@@ -13,9 +13,15 @@
 
 namespace prisma::obs {
 
-/// Counter series (GetCounter / LazyCounter literals).
+/// Counter and histogram series (GetCounter / GetHistogram / LazyCounter
+/// literals).
 inline constexpr const char* kRegisteredMetricNames[] = {
     // PRISMA_METRICS_BEGIN
+    "disk.busy_ns",
+    "disk.bytes",
+    "disk.queue_wait_ns",
+    "disk.records_per_write",
+    "disk.writes",
     "exchange.batches_received",
     "exchange.batches_sent",
     "exchange.bytes",
@@ -47,6 +53,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "net.delayed_ns",
     "net.dropped",
     "net.duplicated",
+    "net.latency_ns",
     "net.link_bits",
     "net.messages_delivered",
     "net.messages_sent",
@@ -101,6 +108,8 @@ inline constexpr const char* kRegisteredSpanNames[] = {
     // PRISMA_SPANS_BEGIN
     "2pc.decision",
     "2pc.prepare",
+    "disk",
+    "disk.write",
     "gdh",
     "msg",
     "net",

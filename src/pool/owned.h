@@ -152,6 +152,10 @@ template <typename T>
 class OwnedPtr {
  public:
   OwnedPtr() = default;
+  /// Adopts `ptr` without an ownership check, like Owned(T value): a
+  /// process builds its state in its constructor, which may run inside
+  /// the spawning process's handler.
+  explicit OwnedPtr(std::unique_ptr<T> ptr) : ptr_(std::move(ptr)) {}
 
   OwnedPtr(const OwnedPtr&) = delete;
   OwnedPtr& operator=(const OwnedPtr&) = delete;

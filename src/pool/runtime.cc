@@ -40,11 +40,53 @@ void Process::ChargeCpu(sim::SimTime ns) {
   runtime_->handler_charged_ns_ += ns;
 }
 
+Disk* Process::disk() const {
+  PRISMA_CHECK(runtime_ != nullptr) << "process not attached";
+  return runtime_->disk(pe_);
+}
+
+Disk::Ticket Process::WriteStable(storage::StableWrite write) {
+  Disk* device = disk();
+  PRISMA_CHECK(device != nullptr) << "WriteStable on diskless PE " << pe_;
+  return device->Submit(id_, std::move(write));
+}
+
+void Process::WhenDurable(Disk::Ticket ticket, const char* kind,
+                          std::function<void()> then) {
+  Disk* device = disk();
+  if (device == nullptr || device->Durable(ticket)) {
+    then();
+    return;
+  }
+  auto [it, first] = durable_waiters_.try_emplace(ticket);
+  it->second.push_back(std::move(then));
+  if (!first) return;  // The ticket's completion mail is already armed.
+  auto mail = std::make_shared<Mail>();
+  mail->from = id_;
+  mail->to = id_;
+  mail->kind = kind;
+  mail->body = std::make_shared<Disk::Ticket>(ticket);
+  mail->size_bits = 0;
+  Runtime* rt = runtime_;
+  device->WhenDurable(ticket, [rt, mail] { rt->MailArrived(mail); });
+}
+
+void Process::RunDurable(const Mail& mail) {
+  const Disk::Ticket ticket =
+      *std::any_cast<std::shared_ptr<Disk::Ticket>>(mail.body);
+  auto it = durable_waiters_.find(ticket);
+  if (it == durable_waiters_.end()) return;
+  std::vector<std::function<void()>> waiters = std::move(it->second);
+  durable_waiters_.erase(it);
+  for (std::function<void()>& then : waiters) then();
+}
+
 Runtime::Runtime(sim::Simulator* sim, net::Network* network, CostModel costs)
     : sim_(sim),
       network_(network),
       costs_(costs),
       pe_cpu_free_at_(network->topology().num_nodes(), 0),
+      disks_(network->topology().num_nodes()),
       pe_busy_ns_(network->topology().num_nodes(), 0) {
   // All process mail travels as net::Message payloads; one receiver per PE
   // dispatches to the addressed process.
@@ -57,10 +99,20 @@ Runtime::Runtime(sim::Simulator* sim, net::Network* network, CostModel costs)
   }
 }
 
+Disk* Runtime::AttachDisk(net::NodeId pe, storage::StableStore* store) {
+  PRISMA_CHECK(pe >= 0 && pe < network_->topology().num_nodes());
+  disks_[pe] = std::make_unique<Disk>(sim_, store, pe);
+  disks_[pe]->AttachObservability(metrics_, tracer_);
+  return disks_[pe].get();
+}
+
 void Runtime::AttachObservability(obs::MetricsRegistry* metrics,
                                   obs::Tracer* tracer) {
   metrics_ = metrics;
   tracer_ = tracer;
+  for (const std::unique_ptr<Disk>& disk : disks_) {
+    if (disk != nullptr) disk->AttachObservability(metrics, tracer);
+  }
   if (metrics != nullptr) {
     m_handlers_ = metrics->GetCounter("pool.handlers_executed");
     m_dropped_ = metrics->GetCounter("pool.mail_dropped");
@@ -92,7 +144,12 @@ ProcessId Runtime::Spawn(net::NodeId pe, std::unique_ptr<Process> process) {
   return id;
 }
 
-void Runtime::Kill(ProcessId id) { processes_.erase(id); }
+void Runtime::Kill(ProcessId id) {
+  auto it = processes_.find(id);
+  if (it == processes_.end()) return;
+  if (Disk* device = disks_[it->second->pe_].get()) device->DropOwner(id);
+  processes_.erase(it);
+}
 
 size_t Runtime::CrashPe(net::NodeId pe) {
   std::vector<ProcessId> victims;
@@ -100,6 +157,7 @@ size_t Runtime::CrashPe(net::NodeId pe) {
     if (process->pe_ == pe) victims.push_back(id);
   }
   for (const ProcessId id : victims) Kill(id);
+  if (Disk* device = disks_[pe].get()) device->Crash();
   ++pe_crashes_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("pe.crashes", {{"pe", std::to_string(pe)}})

@@ -12,6 +12,7 @@
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pool/disk.h"
 #include "pool/owned.h"
 #include "sim/simulator.h"
 
@@ -110,8 +111,29 @@ class Process {
   /// Consumes `ns` of this PE's CPU inside the current handler.
   void ChargeCpu(sim::SimTime ns);
 
+  /// This PE's disk, or null on a diskless PE.
+  Disk* disk() const;
+
+  /// Queues `write` on this PE's disk (which must exist) as an I/O
+  /// request; the CPU is not charged. The returned ticket becomes durable
+  /// when the I/O completes.
+  Disk::Ticket WriteStable(storage::StableWrite write);
+
+  /// Runs `then` in a handler of this process once `ticket` on this PE's
+  /// disk is durable — at once, inline, if it already is. The completion
+  /// comes back as mail of `kind`, which the subclass's OnMail must route
+  /// to RunDurable; like any mail it is dropped if the process died, and a
+  /// write lost to a crash never completes.
+  void WhenDurable(Disk::Ticket ticket, const char* kind,
+                   std::function<void()> then);
+
+  /// Handler for the completion mail armed by WhenDurable.
+  void RunDurable(const Mail& mail);
+
  private:
   friend class Runtime;
+  /// Continuations waiting for a ticket to land, keyed by ticket.
+  std::map<Disk::Ticket, std::vector<std::function<void()>>> durable_waiters_;
   Runtime* runtime_ = nullptr;
   ProcessId id_ = kNoProcess;
   net::NodeId pe_ = -1;
@@ -135,13 +157,22 @@ class Runtime {
   ProcessId Spawn(net::NodeId pe, std::unique_ptr<Process> process);
 
   /// Destroys a process; mail already in flight to it is dropped on
-  /// arrival. Used by failure-injection tests to crash a component.
+  /// arrival, and its disk writes that have not landed are lost. Used by
+  /// failure-injection tests to crash a component.
   void Kill(ProcessId id);
 
   /// Crashes a whole PE: every process hosted there dies instantly (its
-  /// volatile state is lost; stable storage survives). Counts the crash
-  /// under pe.crashes{pe}. Returns the number of processes killed.
+  /// volatile state is lost, and so is every disk write that has not
+  /// landed; stable storage survives). Counts the crash under
+  /// pe.crashes{pe}. Returns the number of processes killed.
   size_t CrashPe(net::NodeId pe);
+
+  /// Equips PE `pe` with a disk over `store` (paper §3.2: some PEs have
+  /// disks). Returns the device, which the runtime owns.
+  Disk* AttachDisk(net::NodeId pe, storage::StableStore* store);
+
+  /// PE `pe`'s disk, or null if it has none.
+  Disk* disk(net::NodeId pe) const { return disks_[pe].get(); }
 
   /// Total PE crashes injected via CrashPe.
   uint64_t pe_crashes() const { return pe_crashes_; }
@@ -194,6 +225,7 @@ class Runtime {
   std::map<ProcessId, std::unique_ptr<Process>> processes_;
 
   std::vector<sim::SimTime> pe_cpu_free_at_;
+  std::vector<std::unique_ptr<Disk>> disks_;  // Indexed by PE; null = none.
   std::vector<sim::SimTime> pe_busy_ns_;
 
   // State of the handler currently executing (nullptr outside handlers).

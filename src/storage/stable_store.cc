@@ -2,24 +2,41 @@
 
 namespace prisma::storage {
 
-sim::SimTime StableStore::Append(const std::string& stream,
-                                 std::string record) {
-  const size_t bytes = record.size();
-  streams_[stream].push_back(std::move(record));
-  stream_sizes_[stream] += bytes;
-  return model_.IoNs(bytes);
+StableWrite& StableWrite::Append(std::string stream, std::string record) {
+  bytes_ += record.size();
+  ++records_;
+  ops_.push_back({Op::Kind::kAppend, std::move(stream), std::move(record)});
+  return *this;
 }
 
-sim::SimTime StableStore::AppendBatch(const std::string& stream,
-                                      std::vector<std::string> records) {
-  size_t total = 0;
-  auto& target = streams_[stream];
-  for (std::string& record : records) {
-    total += record.size();
-    target.push_back(std::move(record));
+StableWrite& StableWrite::Snapshot(std::string name, std::string bytes) {
+  bytes_ += bytes.size();
+  ++records_;
+  ops_.push_back({Op::Kind::kSnapshot, std::move(name), std::move(bytes)});
+  return *this;
+}
+
+StableWrite& StableWrite::Truncate(std::string stream) {
+  ops_.push_back({Op::Kind::kTruncate, std::move(stream), {}});
+  return *this;
+}
+
+void StableStore::Apply(StableWrite write) {
+  for (StableWrite::Op& op : write.ops_) {
+    switch (op.kind) {
+      case StableWrite::Op::Kind::kAppend:
+        stream_sizes_[op.name] += op.bytes.size();
+        streams_[op.name].push_back(std::move(op.bytes));
+        break;
+      case StableWrite::Op::Kind::kSnapshot:
+        snapshots_[op.name] = std::move(op.bytes);
+        break;
+      case StableWrite::Op::Kind::kTruncate:
+        streams_.erase(op.name);
+        stream_sizes_.erase(op.name);
+        break;
+    }
   }
-  stream_sizes_[stream] += total;
-  return model_.IoNs(total);
 }
 
 const std::vector<std::string>& StableStore::ReadStream(
@@ -33,18 +50,6 @@ const std::vector<std::string>& StableStore::ReadStream(
 
 sim::SimTime StableStore::StreamReadNs(const std::string& stream) const {
   return model_.IoNs(stream_bytes(stream));
-}
-
-void StableStore::TruncateStream(const std::string& stream) {
-  streams_.erase(stream);
-  stream_sizes_.erase(stream);
-}
-
-sim::SimTime StableStore::WriteSnapshot(const std::string& name,
-                                        std::string bytes) {
-  const size_t n = bytes.size();
-  snapshots_[name] = std::move(bytes);
-  return model_.IoNs(n);
 }
 
 StatusOr<std::string> StableStore::ReadSnapshot(const std::string& name) const {

@@ -29,42 +29,59 @@ struct DiskModel {
   sim::SimTime IoNs(size_t bytes) const { return access_ns + TransferNs(bytes); }
 };
 
+/// One logical write to stable storage: operations that land together and
+/// in order — records appended to named streams, a snapshot overwrite, and
+/// the truncation of a stream a snapshot supersedes. Built by the writer
+/// and handed to its PE's disk (pool::Disk), which applies it to the
+/// StableStore only once the modelled I/O has completed.
+class StableWrite {
+ public:
+  StableWrite& Append(std::string stream, std::string record);
+  StableWrite& Snapshot(std::string name, std::string bytes);
+  StableWrite& Truncate(std::string stream);
+
+  /// Payload bytes the disk has to transfer.
+  size_t bytes() const { return bytes_; }
+  /// Records (appends and snapshots) carried.
+  size_t records() const { return records_; }
+  bool empty() const { return ops_.empty(); }
+
+ private:
+  friend class StableStore;
+  struct Op {
+    enum class Kind : uint8_t { kAppend, kSnapshot, kTruncate } kind;
+    std::string name;
+    std::string bytes;
+  };
+  std::vector<Op> ops_;
+  size_t bytes_ = 0;
+  size_t records_ = 0;
+};
+
 /// Crash-surviving storage of one disk-equipped PE: named append-only
 /// streams (write-ahead logs) and named overwritable snapshots
 /// (checkpoints). Contents survive PE process crashes in the simulation —
 /// a "crash" kills the POOL-X processes but not this object, exactly like
 /// a machine losing memory but not its disk.
 ///
-/// Every mutating or reading call returns the simulated I/O duration so
-/// the caller can charge it to its PE's virtual clock; the store itself is
-/// passive and does not touch the simulator.
+/// The store is the passive medium: it holds what has landed. Writes reach
+/// it through the PE's disk device (pool::Disk), which models their
+/// duration on the simulator clock; reads return their simulated duration
+/// so a recovering process can charge it.
 class StableStore {
  public:
   explicit StableStore(DiskModel model = {}) : model_(model) {}
 
   const DiskModel& model() const { return model_; }
 
-  /// Appends a record to the stream, creating it if needed.
-  /// Returns the simulated duration of the synchronous write.
-  sim::SimTime Append(const std::string& stream, std::string record);
-
-  /// Appends several records as one group-committed physical write: a
-  /// single positioning delay plus the combined transfer (how the OFM
-  /// forces a transaction's redo records at prepare time).
-  sim::SimTime AppendBatch(const std::string& stream,
-                           std::vector<std::string> records);
+  /// Lands a write: applies its operations in order.
+  void Apply(StableWrite write);
 
   /// All records of a stream in append order (empty if absent).
   const std::vector<std::string>& ReadStream(const std::string& stream) const;
 
   /// Simulated duration of sequentially reading the whole stream.
   sim::SimTime StreamReadNs(const std::string& stream) const;
-
-  /// Drops all records of a stream (log truncation after checkpoint).
-  void TruncateStream(const std::string& stream);
-
-  /// Overwrites a named snapshot; returns the simulated write duration.
-  sim::SimTime WriteSnapshot(const std::string& name, std::string bytes);
 
   /// Reads a snapshot; kNotFound if absent. Duration via SnapshotReadNs.
   StatusOr<std::string> ReadSnapshot(const std::string& name) const;

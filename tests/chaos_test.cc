@@ -13,7 +13,11 @@
 #include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "exec/transitive_closure.h"
+#include "gdh/messages.h"
+#include "gdh/ofm_process.h"
 #include "gdh/replication.h"
+#include "net/network.h"
+#include "pool/runtime.h"
 #include "serve/dispatcher.h"
 #include "serve/workload.h"
 #include "soak_repro.h"
@@ -959,32 +963,103 @@ TEST(ChaosTest, ServingSameSeedReplayIsByteIdenticalIncludingTraces) {
 
 // ------------------------------------------------- Presumed-abort details
 
+/// Opens a session, BEGINs and inserts one row per id into `t`; returns
+/// the session (its transaction still open).
+PrismaDb::Session OpenTxnWithInserts(PrismaDb* db, int rows) {
+  auto session = db->OpenSession();
+  PRISMA_CHECK(session.Execute("BEGIN").ok());
+  for (int i = 0; i < rows; ++i) {
+    PRISMA_CHECK(
+        session.Execute(StrFormat("INSERT INTO t VALUES (%d, %d)", i, i))
+            .ok());
+  }
+  return session;
+}
+
+void CreateChaosTable(PrismaDb* db) {
+  MustExecute(db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                            "HASH(id) INTO %d FRAGMENTS",
+                            kFragments));
+}
+
+size_t DecisionRecords(PrismaDb& db, char kind) {
+  size_t n = 0;
+  for (const std::string& record : db.stable_store(0).ReadStream("gdh.2pc")) {
+    if (record[0] == kind) ++n;
+  }
+  return n;
+}
+
 TEST(ChaosTest, CommitDecisionIsPersistedBeforePhase2AndRetiredAfter) {
   MachineConfig config;
   config.pes = 4;
   PrismaDb db(config);
-  MustExecute(&db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
-                             "HASH(id) INTO %d FRAGMENTS",
-                             kFragments));
+  CreateChaosTable(&db);
+  auto session = OpenTxnWithInserts(&db, 8);
 
-  auto session = db.OpenSession();
-  ASSERT_TRUE(session.Execute("BEGIN").ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        session.Execute(StrFormat("INSERT INTO t VALUES (%d, %d)", i, i))
-            .ok());
+  // Step COMMIT event by event. The moment the first phase-2 message
+  // (txn_control after the prepares) is sent, the commit decision must
+  // already be durable on the GDH's disk.
+  const uint64_t prepares =
+      db.gdh().dictionary().GetTable("t").value()->fragments.size();
+  auto txn_control_sent = [&db] {
+    return db.metrics().CounterValue("pool.mail_sent",
+                                     {{"kind", "txn_control"}});
+  };
+  const uint64_t before = txn_control_sent();
+  bool replied = false;
+  Status outcome;
+  db.Submit("COMMIT", /*prismalog=*/false, session.txn(),
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              replied = true;
+              outcome = reply.status;
+            });
+  bool phase2_seen = false;
+  while (!replied) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before the reply";
+    if (!phase2_seen && txn_control_sent() > before + prepares) {
+      phase2_seen = true;
+      EXPECT_EQ(DecisionRecords(db, 'C'), 1u)
+          << "phase 2 started before the commit decision was durable";
+    }
   }
-  ASSERT_TRUE(session.Execute("COMMIT").ok());
+  ASSERT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_TRUE(phase2_seen);
 
-  // Presumed abort: the commit decision hit the GDH's stable stream before
-  // phase 2, and the end record retired it once every participant acked —
-  // so the in-memory set is empty again and the log holds the C/E pair.
+  // Presumed abort: every participant acked, so the in-memory decision is
+  // retired; the end record is written lazily and lands once the machine
+  // drains, leaving the C/E pair.
   EXPECT_TRUE(db.gdh().committed_decisions().empty());
+  db.Run();
   const auto& log = db.stable_store(0).ReadStream("gdh.2pc");
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0][0], 'C');
   EXPECT_EQ(log[1][0], 'E');
   EXPECT_EQ(log[0].substr(2), log[1].substr(2));  // Same transaction id.
+}
+
+TEST(ChaosTest, ClientIsAnsweredBeforeTheEndRecordIsDurable) {
+  MachineConfig config;
+  config.pes = 4;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  auto session = OpenTxnWithInserts(&db, 8);
+  size_t c_at_reply = 0;
+  size_t e_at_reply = 0;
+  bool replied = false;
+  db.Submit("COMMIT", /*prismalog=*/false, session.txn(),
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              ASSERT_TRUE(reply.status.ok());
+              replied = true;
+              c_at_reply = DecisionRecords(db, 'C');
+              e_at_reply = DecisionRecords(db, 'E');
+            });
+  db.Run();
+  ASSERT_TRUE(replied);
+  // Lazy E: the reply waited for the C force but not for the E write.
+  EXPECT_EQ(c_at_reply, 1u);
+  EXPECT_EQ(e_at_reply, 0u);
+  EXPECT_EQ(DecisionRecords(db, 'E'), 1u);
 }
 
 TEST(ChaosTest, AbortsAreNeverLogged) {
@@ -1002,6 +1077,230 @@ TEST(ChaosTest, AbortsAreNeverLogged) {
   // An aborted transaction writes no decision record: absence means abort.
   EXPECT_TRUE(db.stable_store(0).ReadStream("gdh.2pc").empty());
   EXPECT_TRUE(db.gdh().committed_decisions().empty());
+}
+
+// ------------------------------------------- Crash points on the disk
+//
+// Stable-storage writes are I/O requests that land later (pool::Disk).
+// Each test below crashes between a write's enqueue and its completion.
+
+/// Spawns a second GDH over PE 0's disk, as a restarted coordinator would
+/// be; its OnStart replays the decision log and the id reservations.
+gdh::GdhProcess* RestartGdh(PrismaDb* db, pool::ProcessId* pid) {
+  gdh::GdhProcess::Config gdh_config;
+  gdh_config.fragment_pes = {1, 2, 3};
+  gdh_config.coordinator_pes = {1, 2, 3};
+  auto restarted = std::make_unique<gdh::GdhProcess>(std::move(gdh_config));
+  gdh::GdhProcess* raw = restarted.get();
+  *pid = db->runtime().Spawn(0, std::move(restarted));
+  db->Run();
+  return raw;
+}
+
+TEST(ChaosTest, GdhCrashDuringTheCommitForceLosesTheDecisionEverywhere) {
+  MachineConfig config;
+  config.pes = 4;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  auto session = OpenTxnWithInserts(&db, 8);
+  const exec::TxnId txn = session.txn();
+  // Copied now: the GDH process (and its dictionary) dies below.
+  const gdh::TableInfo* info = db.gdh().dictionary().GetTable("t").value();
+  const Schema schema = info->schema;
+  const std::vector<gdh::FragmentInfo> frags = info->fragments;
+  bool replied = false;
+  Status outcome;
+  db.Submit("COMMIT", /*prismalog=*/false, txn,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              replied = true;
+              outcome = reply.status;
+            });
+  // Every participant voted yes; the GDH has queued its C record.
+  pool::Disk* gdh_disk = db.runtime().disk(0);
+  while (!gdh_disk->busy()) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before the C force";
+  }
+  ASSERT_EQ(DecisionRecords(db, 'C'), 0u);
+  // The GDH crashes mid-force. (The client endpoint on the same PE models
+  // the host interface and stays up, so it can prove it heard nothing.)
+  db.runtime().Kill(db.gdh().self());
+  db.Run();
+  EXPECT_FALSE(replied && outcome.ok()) << "client told committed";
+  EXPECT_EQ(DecisionRecords(db, 'C'), 0u) << "the lost force landed";
+
+  // Restart: the replayed log has no decision, so it is presumed aborted.
+  pool::ProcessId gdh_pid = pool::kNoProcess;
+  gdh::GdhProcess* restarted = RestartGdh(&db, &gdh_pid);
+  EXPECT_FALSE(restarted->committed_decisions().contains(txn));
+
+  // Every participant is prepared; restarted ones inquire and must all
+  // resolve the same way — abort, with nothing applied.
+  std::vector<gdh::OfmProcess*> participants;
+  for (const gdh::FragmentInfo& frag : frags) {
+    db.runtime().Kill(frag.ofm);
+    gdh::OfmProcess::Config ofm_config;
+    ofm_config.fragment_name = frag.name;
+    ofm_config.schema = schema;
+    ofm_config.recover = true;
+    ofm_config.gdh = gdh_pid;
+    auto ofm = std::make_unique<gdh::OfmProcess>(std::move(ofm_config));
+    participants.push_back(ofm.get());
+    db.runtime().Spawn(frag.pe, std::move(ofm));
+  }
+  db.Run();
+  for (gdh::OfmProcess* participant : participants) {
+    EXPECT_TRUE(participant->ofm().recovered_undecided().empty());
+    EXPECT_EQ(participant->ofm().num_tuples(), 0u);
+  }
+}
+
+TEST(ChaosTest, GdhCrashDuringAnIdReservationNeverReusesAnId) {
+  MachineConfig config;
+  config.pes = 4;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  // A burst of BEGINs, each taking a transaction id. (BEGIN runs in the
+  // GDH itself: no query coordinator outlives the GDH crash below.)
+  for (int i = 0; i < 100; ++i) {
+    db.Submit("BEGIN", /*prismalog=*/false, exec::kAutoCommit,
+              [](const gdh::ClientReply&, sim::SimTime) {});
+  }
+  // Step until a chunk's worth of ids went out and the next reservation
+  // is in flight.
+  pool::Disk* gdh_disk = db.runtime().disk(0);
+  while (!(db.gdh().next_txn() > 64 && gdh_disk->busy())) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before a reservation";
+  }
+  const exec::TxnId handed_out = db.gdh().next_txn() - 1;
+  const std::vector<std::string>& marks =
+      db.stable_store(0).ReadStream("gdh.txnids");
+  ASSERT_FALSE(marks.empty());
+  const size_t landed = marks.size();
+  // Ids are handed out only below the durable mark.
+  EXPECT_LT(handed_out, std::stoll(marks.back()));
+
+  db.runtime().Kill(db.gdh().self());
+  db.Run();
+  EXPECT_EQ(db.stable_store(0).ReadStream("gdh.txnids").size(), landed)
+      << "the reservation in flight should have been lost";
+  pool::ProcessId gdh_pid = pool::kNoProcess;
+  gdh::GdhProcess* restarted = RestartGdh(&db, &gdh_pid);
+  EXPECT_GT(restarted->next_txn(), handed_out);
+}
+
+TEST(ChaosTest, OfmCrashDuringThePrepareForceSendsNoYesAndAborts) {
+  MachineConfig config;
+  config.pes = 4;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  auto session = OpenTxnWithInserts(&db, 8);
+  const std::vector<gdh::FragmentInfo> frags =
+      db.gdh().dictionary().GetTable("t").value()->fragments;
+  auto votes_sent = [&db] {
+    return db.metrics().CounterValue("pool.mail_sent",
+                                     {{"kind", "txn_control_reply"}});
+  };
+  const uint64_t votes_at_commit = votes_sent();
+  bool replied = false;
+  Status outcome;
+  db.Submit("COMMIT", /*prismalog=*/false, session.txn(),
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              replied = true;
+              outcome = reply.status;
+            });
+  // Step until a participant's prepare write is on its PE's disk.
+  int victim = -1;
+  while (victim < 0) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before any prepare";
+    for (size_t i = 0; i < frags.size(); ++i) {
+      if (db.runtime().disk(frags[i].pe)->busy()) victim = static_cast<int>(i);
+    }
+  }
+  const gdh::FragmentInfo& frag = frags[victim];
+  const std::string wal = frag.name + ".wal";
+  const size_t wal_before = db.stable_store(frag.pe).ReadStream(wal).size();
+  // No prepare record has landed anywhere yet, so no vote may have left.
+  EXPECT_EQ(votes_sent(), votes_at_commit) << "a vote left before its force";
+
+  db.CrashPe(frag.pe);
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+
+  // The prepare record never landed, the replacement knows nothing of
+  // the transaction and votes no: the commit aborts everywhere.
+  EXPECT_EQ(db.stable_store(frag.pe).ReadStream(wal).size(), wal_before);
+  ASSERT_TRUE(replied);
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_EQ(DecisionRecords(db, 'C'), 0u);
+  EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 0u);
+}
+
+/// Stand-in coordinator: records every 2PC vote it receives.
+class VoteRecorder : public pool::Process {
+ public:
+  explicit VoteRecorder(
+      std::vector<std::shared_ptr<gdh::TxnControlReply>>* votes)
+      : votes_(votes) {}
+  void OnMail(const pool::Mail& mail) override {
+    if (mail.kind == gdh::kMailTxnControlReply) {
+      votes_->push_back(
+          std::any_cast<std::shared_ptr<gdh::TxnControlReply>>(mail.body));
+    }
+  }
+
+ private:
+  std::vector<std::shared_ptr<gdh::TxnControlReply>>* votes_;
+};
+
+TEST(ChaosTest, DuplicatePrepareDuringTheForceGetsNoEarlyYes) {
+  sim::Simulator sim;
+  net::Network network(&sim, net::Topology::FullyConnected(2));
+  pool::Runtime runtime(&sim, &network);
+  storage::StableStore store;
+  runtime.AttachDisk(1, &store);
+  std::vector<std::shared_ptr<gdh::TxnControlReply>> votes;
+  const pool::ProcessId coordinator =
+      runtime.Spawn(0, std::make_unique<VoteRecorder>(&votes));
+  gdh::OfmProcess::Config ofm_config;
+  ofm_config.fragment_name = "t#0";
+  ofm_config.schema = Schema({{"id", DataType::kInt64}});
+  ofm_config.gdh = coordinator;
+  const pool::ProcessId ofm =
+      runtime.Spawn(1, std::make_unique<gdh::OfmProcess>(ofm_config));
+  sim.Run();
+  auto send = [&](const char* kind, std::any body) {
+    pool::Mail mail;
+    mail.from = coordinator;
+    mail.to = ofm;
+    mail.kind = kind;
+    mail.body = std::move(body);
+    runtime.Send(std::move(mail));
+  };
+  auto write = std::make_shared<gdh::WriteRequest>();
+  write->request_id = 1;
+  write->txn = 5;
+  write->tuple = Tuple({Value::Int(1)});
+  send(gdh::kMailWrite, write);
+  sim.Run();
+
+  auto prepare = std::make_shared<gdh::TxnControlRequest>();
+  prepare->request_id = 2;
+  prepare->txn = 5;
+  send(gdh::kMailTxnControl, prepare);
+  send(gdh::kMailTxnControl, prepare);  // Duplicate: lands mid-force.
+  size_t wal_at_first_vote = 0;
+  while (sim.Step()) {
+    if (!votes.empty() && wal_at_first_vote == 0) {
+      wal_at_first_vote = store.ReadStream("t#0.wal").size();
+    }
+  }
+  ASSERT_EQ(votes.size(), 1u) << "the duplicate was answered mid-force";
+  EXPECT_TRUE(votes[0]->status.ok());
+  EXPECT_EQ(wal_at_first_vote, 2u);  // Redo record + prepare marker.
+  // Once durable, a duplicate is answered from the reply cache.
+  send(gdh::kMailTxnControl, prepare);
+  sim.Run();
+  EXPECT_EQ(votes.size(), 2u);
 }
 
 TEST(ChaosTest, CrashAfterPrepareWithVoteInFlightAbortsInsteadOfLosingWrites) {
@@ -1095,7 +1394,7 @@ TEST(ChaosTest, TxnIdsAreNotReusedAfterCoordinatorRestart) {
   gdh::GdhProcess::Config gdh_config;
   gdh_config.fragment_pes = {1, 2, 3};
   gdh_config.coordinator_pes = {1, 2, 3};
-  gdh_config.resources[0] = {nullptr, &db.stable_store(0)};
+  // It logs to PE 0's disk, the one the first GDH wrote.
   auto restarted = std::make_unique<gdh::GdhProcess>(std::move(gdh_config));
   gdh::GdhProcess* raw = restarted.get();
   db.runtime().Spawn(0, std::move(restarted));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 
 #include "algebra/expr.h"
@@ -12,7 +13,12 @@
 #include "gdh/distributed_plan.h"
 #include "gdh/fragmentation.h"
 #include "gdh/lock_manager.h"
+#include "gdh/messages.h"
+#include "gdh/olap_process.h"
 #include "gdh/optimizer.h"
+#include "net/network.h"
+#include "obs/trace.h"
+#include "pool/runtime.h"
 #include "storage/relation.h"
 
 namespace prisma::gdh {
@@ -729,6 +735,143 @@ TEST_F(SplitTest, CloneWithScanRenamedRetargets) {
   tables.clear();
   CollectScanTables(**select, &tables);
   EXPECT_EQ(tables, (std::vector<std::string>{"emp"}));
+}
+
+// ------------------------------------------- Consumers and spawn order
+
+/// Records every mail it receives, with its arrival instant.
+class RecorderProcess : public pool::Process {
+ public:
+  struct Received {
+    std::string kind;
+    sim::SimTime at = 0;
+    std::any body;
+  };
+  explicit RecorderProcess(std::vector<Received>* log) : log_(log) {}
+  void OnMail(const pool::Mail& mail) override {
+    log_->push_back({mail.kind, runtime()->simulator()->now(), mail.body});
+  }
+
+ private:
+  std::vector<Received>* log_;
+};
+
+/// Keeps its PE's CPU busy for `busy_ns` from spawn on.
+class BusyProcess : public pool::Process {
+ public:
+  explicit BusyProcess(sim::SimTime busy_ns) : busy_ns_(busy_ns) {}
+  void OnStart() override { ChargeCpu(busy_ns_); }
+  void OnMail(const pool::Mail&) override {}
+
+ private:
+  sim::SimTime busy_ns_;
+};
+
+/// A 2-PE machine: PE 0 hosts the consumer under test, PE 1 the producer
+/// side (a recorder standing in for the producing OFM and coordinator).
+struct TwoPeMachine {
+  sim::Simulator sim;
+  net::Network network{&sim, net::Topology::FullyConnected(2)};
+  pool::Runtime runtime{&sim, &network};
+  obs::Tracer tracer;
+  std::vector<RecorderProcess::Received> log;
+  TwoPeMachine() {
+    tracer.set_enabled(true);
+    runtime.AttachObservability(nullptr, &tracer);
+  }
+};
+
+std::shared_ptr<TupleBatchMsg> OneRowBatch() {
+  auto msg = std::make_shared<TupleBatchMsg>();
+  msg->exchange_id = 7;
+  msg->seq = 1;
+  msg->eos = true;
+  msg->tuples = std::make_shared<std::vector<Tuple>>(
+      std::vector<Tuple>{Tuple({Value::Int(42)})});
+  return msg;
+}
+
+pool::Mail BatchMail(pool::ProcessId from, pool::ProcessId to) {
+  pool::Mail mail;
+  mail.from = from;
+  mail.to = to;
+  mail.kind = kMailTupleBatch;
+  mail.body = OneRowBatch();
+  mail.size_bits = OneRowBatch()->WireBits();
+  return mail;
+}
+
+TEST(ConsumerSpawnOrderTest, BatchHandledBeforeTheSpawnHandlerIsAccepted) {
+  // Calibration: when does a batch sent from PE 1 at t=0 reach PE 0?
+  sim::SimTime arrival = 0;
+  {
+    TwoPeMachine m;
+    const pool::ProcessId sink =
+        m.runtime.Spawn(0, std::make_unique<RecorderProcess>(&m.log));
+    const pool::ProcessId source =
+        m.runtime.Spawn(1, std::make_unique<RecorderProcess>(&m.log));
+    m.sim.Run();
+    const sim::SimTime sent = m.sim.now();
+    m.runtime.Send(BatchMail(source, sink));
+    m.sim.Run();
+    ASSERT_EQ(m.log.size(), 1u);
+    arrival = m.log[0].at - sent;
+  }
+  ASSERT_GT(arrival, pool::CostModel().spawn_ns);
+
+  // The consumer's PE is busy at spawn until exactly the instant the
+  // batch arrives. The batch's delivery was scheduled before the spawn
+  // handler's retry, so it runs first: the consumer handles a tuple_batch
+  // before its spawn handler.
+  TwoPeMachine m;
+  const pool::CostModel costs;
+  m.runtime.Spawn(0, std::make_unique<BusyProcess>(arrival - costs.spawn_ns));
+  const pool::ProcessId producer =
+      m.runtime.Spawn(1, std::make_unique<RecorderProcess>(&m.log));
+  OlapMergeProcess::Config config;
+  config.exchange_id = 7;
+  config.coordinator = producer;
+  config.reply_request_id = 99;
+  config.producers = 1;
+  config.input_schema = Schema({{"v", DataType::kInt64}});
+  config.merge_plan = algebra::ScanPlan::Create(OlapInputName(),
+                                                config.input_schema);
+  const pool::ProcessId consumer =
+      m.runtime.Spawn(0, std::make_unique<OlapMergeProcess>(config));
+  m.runtime.Send(BatchMail(producer, consumer));
+  m.sim.Run();
+
+  // Handler order on the consumer: the batch came first.
+  std::vector<std::string> consumer_handlers;
+  const std::string trace = m.tracer.DumpJson();
+  const std::string tid = "\"tid\":" + std::to_string(consumer);
+  for (size_t pos = 0; (pos = trace.find(tid, pos)) != std::string::npos;
+       ++pos) {
+    if (std::isdigit(trace[pos + tid.size()])) continue;
+    const size_t name = trace.rfind("\"name\":\"", pos);
+    const size_t end = trace.find('"', name + 8);
+    consumer_handlers.push_back(trace.substr(name + 8, end - name - 8));
+  }
+  ASSERT_GE(consumer_handlers.size(), 2u);
+  EXPECT_EQ(consumer_handlers[0], kMailTupleBatch);
+  EXPECT_EQ(consumer_handlers[1], "spawn");
+
+  // ...and was accepted: acknowledged at once (no retransmission wait) and
+  // merged into the reply.
+  bool acked = false;
+  std::shared_ptr<ExecPlanReply> reply;
+  for (const RecorderProcess::Received& r : m.log) {
+    if (r.kind == kMailBatchAck) {
+      acked = std::any_cast<std::shared_ptr<BatchAckMsg>>(r.body)->ack == 1;
+    } else if (r.kind == kMailExecPlanReply) {
+      reply = std::any_cast<std::shared_ptr<ExecPlanReply>>(r.body);
+    }
+  }
+  EXPECT_TRUE(acked);
+  ASSERT_NE(reply, nullptr);
+  ASSERT_TRUE(reply->status.ok());
+  ASSERT_EQ(reply->tuples->size(), 1u);
+  EXPECT_EQ(reply->tuples->at(0).at(0), Value::Int(42));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
+#include "storage/stable_store.h"
 
 namespace prisma {
 namespace {
@@ -251,6 +252,29 @@ TEST(ObservabilityEndToEnd, MetricsCoverEveryLayer) {
   EXPECT_NE(text.find("gauge sim.now_ns"), std::string::npos);
   EXPECT_NE(text.find("pe.busy_ns"), std::string::npos);
   EXPECT_NE(text.find("counter net.messages_sent"), std::string::npos);
+}
+
+TEST(ObservabilityEndToEnd, DiskForcesAreTracedAsIoNotHandlerCpu) {
+  core::PrismaDb db(SmallMachine(/*tracing=*/true));
+  LoadEmp(&db);
+  obs::MetricsRegistry& m = db.metrics();
+  // The GDH's disk (PE 0) took id reservations plus a C and an E record
+  // per insert; each physical write is counted and traced.
+  const uint64_t writes = m.CounterValue("disk.writes", {{"pe", "0"}});
+  const auto access_ns =
+      static_cast<uint64_t>(storage::DiskModel().access_ns);
+  EXPECT_GT(writes, 24u);
+  EXPECT_GE(m.CounterValue("disk.busy_ns", {{"pe", "0"}}), writes * access_ns);
+  const obs::Histogram* records =
+      m.FindHistogram("disk.records_per_write", {{"pe", "0"}});
+  ASSERT_NE(records, nullptr);
+  EXPECT_EQ(records->count(), writes);
+  const std::string trace = db.DumpTrace();
+  EXPECT_NE(trace.find("\"name\":\"disk.write\""), std::string::npos);
+  // None of that device time is CPU: PE 0 spent far less than one disk
+  // access per write handling the statements.
+  EXPECT_LT(m.CounterValue("pe.cpu_ns", {{"pe", "0"}}),
+            writes * access_ns / 10);
 }
 
 TEST(ObservabilityEndToEnd, PerQueryScopedMetrics) {

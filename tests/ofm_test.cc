@@ -5,6 +5,8 @@
 #include "algebra/expr.h"
 #include "algebra/plan.h"
 #include "exec/ofm.h"
+#include "pool/disk.h"
+#include "sim/simulator.h"
 #include "storage/stable_store.h"
 
 namespace prisma::exec {
@@ -31,14 +33,19 @@ class OfmTest : public ::testing::Test {
  protected:
   OfmTest() { Reset(OfmType::kFull); }
 
+  /// Crash after every write was acknowledged: the disk completes what is
+  /// in flight, then a fresh OFM replaces the old one over the same store.
   void Reset(OfmType type) {
+    sim_.Run();
     Ofm::Options opts;
     opts.type = type;
-    opts.stable = &stable_;
+    opts.disk = &disk_;
     ofm_ = std::make_unique<Ofm>("acct#0", AcctSchema(), opts);
   }
 
+  sim::Simulator sim_;
   storage::StableStore stable_;
+  pool::Disk disk_{&sim_, &stable_, /*pe=*/0};
   std::unique_ptr<Ofm> ofm_;
 };
 
@@ -53,6 +60,29 @@ TEST_F(OfmTest, AutoCommitInsertIsDurable) {
   EXPECT_EQ(ofm_->num_tuples(), 0u);
   ASSERT_TRUE(ofm_->Recover().ok());
   EXPECT_EQ(ofm_->num_tuples(), 2u);
+}
+
+TEST_F(OfmTest, WritesAreDurableOnlyOnceTheDiskLandsThem) {
+  const TxnId txn = 4;
+  ASSERT_TRUE(ofm_->Insert(txn, Acct(1, "ann", 100)).ok());
+  EXPECT_EQ(ofm_->last_write(), 0u);  // Buffered until prepare.
+  ASSERT_TRUE(ofm_->Prepare(txn).ok());
+  // The prepare write is an I/O request: not yet on the disk.
+  EXPECT_FALSE(ofm_->WritesDurable());
+  EXPECT_EQ(stable_.stream_bytes("acct#0.wal"), 0u);
+  sim_.Run();
+  EXPECT_TRUE(ofm_->WritesDurable());
+  EXPECT_EQ(stable_.ReadStream("acct#0.wal").size(), 2u);  // Redo + marker.
+}
+
+TEST_F(OfmTest, UnacknowledgedWritesAreLostOnCrash) {
+  ASSERT_TRUE(ofm_->Insert(kAutoCommit, Acct(1, "ann", 100)).ok());
+  sim_.Run();
+  ASSERT_TRUE(ofm_->Insert(kAutoCommit, Acct(2, "bob", 200)).ok());
+  disk_.Crash();  // The second record was still in flight.
+  Reset(OfmType::kFull);
+  ASSERT_TRUE(ofm_->Recover().ok());
+  EXPECT_EQ(ofm_->num_tuples(), 1u);
 }
 
 TEST_F(OfmTest, TransactionalCommitSurvivesCrash) {
@@ -152,7 +182,11 @@ TEST_F(OfmTest, CheckpointTruncatesWalAndRecovers) {
     ASSERT_TRUE(ofm_->Insert(kAutoCommit, Acct(i, "user", 100 * i)).ok());
   }
   ASSERT_TRUE(ofm_->Delete(kAutoCommit, 3).ok());
+  sim_.Run();
   ASSERT_TRUE(ofm_->Checkpoint().ok());
+  // The truncation lands with the snapshot, not before.
+  EXPECT_GT(stable_.stream_bytes("acct#0.wal"), 0u);
+  sim_.Run();
   EXPECT_EQ(stable_.stream_bytes("acct#0.wal"), 0u);
 
   // Post-checkpoint activity lands in the (new) WAL; RowIds keep working.

@@ -637,11 +637,12 @@ void CheckStateMachines(const std::vector<PreparedFile>& files,
 
 // ------------------------------------------------------------------ rule D8
 //
-// Metric-name registry. Every literal counter name (GetCounter /
-// LazyCounter) and tracer span/instant category+name must appear in the
-// obs/metric_names.h registry, and every registry entry must be used —
-// so a typo'd name fails the build instead of silently starting a new
-// series, and deleted metrics cannot leave ghost entries behind.
+// Metric-name registry. Every literal counter or histogram name
+// (GetCounter / GetHistogram / LazyCounter) and tracer span/instant
+// category+name must appear in the obs/metric_names.h registry, and every
+// registry entry must be used — so a typo'd name fails the build instead
+// of silently starting a new series, and deleted metrics cannot leave
+// ghost entries behind.
 
 struct RegistryEntry {
   int line = 0;
@@ -700,7 +701,8 @@ void CheckMetricRegistry(const std::vector<PreparedFile>& files,
   // multi-line calls resolve (the name is often on the line after the
   // opening parenthesis).
   static const std::regex kCounter(
-      "\\b(?:GetCounter\\s*\\(|LazyCounter\\s*\\([^\")]*,)\\s*\"([^\"]+)\"");
+      "\\b(?:Get(?:Counter|Histogram)\\s*\\(|LazyCounter\\s*\\([^\")]*,)"
+      "\\s*\"([^\"]+)\"");
   static const std::regex kSpan(
       "\\b(?:Span|Instant)\\s*\\(\\s*\"([^\"]+)\"\\s*,\\s*(\"([^\"]+)\")?");
 
