@@ -11,11 +11,17 @@
 // Every answer is self-checked byte-for-byte against a single-fragment
 // reference machine before any number is reported.
 //
+// Each machine shape also runs q5 with the coordinator pinned to the PE
+// nearest the client and to the PE farthest from it: the spread is what
+// result delivery (DESIGN.md §15.5) costs per hop, and --smoke gates it
+// below one serialization of the result.
+//
 // Emits BENCH_tpch_lite.json — per-PE-count, per-query response times
-// and wire volumes for both strategies — so OLAP regressions are visible
-// PR-over-PR.
+// and wire volumes for both strategies, plus the q5 coordinator spread —
+// so OLAP and delivery regressions are visible PR-over-PR.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/prisma_db.h"
+#include "gdh/messages.h"
 
 using prisma::Rng;
 using prisma::StrFormat;
@@ -174,11 +181,25 @@ struct QueryMeasure {
   uint64_t gather_bits = 0;      ///< Plain fragment-reply bits (gauge).
 };
 
+/// q5 with the coordinator pinned to the PE nearest the client (PE 0
+/// hosts it) and to the PE farthest from it. A store-and-forward reply
+/// pays one full serialization of the result per extra hop; frame trains
+/// and slice forwarding (DESIGN.md §15.5) pipeline those hops.
+struct SpreadMeasure {
+  int near_pe = 0;
+  int far_pe = 0;
+  double near_ms = 0;
+  double far_ms = 0;
+  double serialization_ms = 0;  ///< One hop of the whole result.
+  double spread_ms() const { return far_ms - near_ms; }
+};
+
 struct SweepCell {
   int pes = 0;
   int fragments = 0;
   QueryMeasure olap[kNumQueries];
   QueryMeasure gather[kNumQueries];
+  SpreadMeasure q5_spread;
 };
 
 /// Runs all queries on one machine shape; `lowered` picks the strategy.
@@ -221,6 +242,38 @@ void RunShape(int pes, int fragments, bool lowered,
                        "olap.sample_rows", "exchange.batches_sent",
                        "query.tuples_gathered"});
   }
+}
+
+SpreadMeasure MeasureCoordinatorSpread(int pes, int fragments,
+                                       const std::string& reference) {
+  constexpr size_t kQ5 = 4;
+  SpreadMeasure m;
+  for (int i = 0; i < 2; ++i) {
+    MachineConfig config;
+    config.pes = pes;
+    config.coordinator_pes = {i == 0 ? m.near_pe : m.far_pe};
+    PrismaDb db(config);
+    if (i == 0) {
+      const prisma::net::Topology& topology = db.network().topology();
+      for (int pe = 1; pe < topology.num_nodes(); ++pe) {
+        if (topology.Distance(pe, 0) > topology.Distance(m.far_pe, 0)) {
+          m.far_pe = pe;
+        }
+      }
+    }
+    LoadTpchLite(db, fragments);
+    const QueryResult result = MustExecute(db, kQueries[kQ5].sql);
+    PRISMA_CHECK(Rendered(result) == reference)
+        << "q5 diverged with the coordinator on PE "
+        << config.coordinator_pes[0];
+    const double ms = static_cast<double>(result.response_time_ns) / 1e6;
+    (i == 0 ? m.near_ms : m.far_ms) = ms;
+    prisma::gdh::ClientReply whole;
+    whole.tuples = std::make_shared<std::vector<Tuple>>(result.tuples);
+    m.serialization_ms = static_cast<double>(whole.WireBits()) * 1e3 /
+                         static_cast<double>(config.link.bandwidth_bps);
+  }
+  return m;
 }
 
 }  // namespace
@@ -280,6 +333,21 @@ int main(int argc, char** argv) {
         << "q1 wire bits not below the gather baseline at pes=" << pes;
     PRISMA_CHECK(cell.olap[0].tuples_gathered < cell.gather[0].tuples_gathered)
         << "q1 gathered as many tuples as the baseline at pes=" << pes;
+
+    const SpreadMeasure& spread = sweep.back().q5_spread =
+        MeasureCoordinatorSpread(pes, cell.fragments, reference[4]);
+    std::printf("\nq5 coordinator on PE %d: %.3f ms, on PE %d: %.3f ms; "
+                "spread %.3f ms, one result serialization %.3f ms\n",
+                spread.near_pe, spread.near_ms, spread.far_pe, spread.far_ms,
+                spread.spread_ms(), spread.serialization_ms);
+    if (smoke) {
+      // Gate: the coordinator's hop distance to the client may not cost
+      // a full extra serialization of the result.
+      PRISMA_CHECK(spread.spread_ms() < spread.serialization_ms)
+          << "q5 coordinator spread " << spread.spread_ms()
+          << " ms is not below one result serialization ("
+          << spread.serialization_ms << " ms) at pes=" << pes;
+    }
   }
 
   // JSON trajectory artifact.
@@ -290,8 +358,14 @@ int main(int argc, char** argv) {
       smoke ? "true" : "false", kLineitems, kOrders, kCustomers);
   for (size_t c = 0; c < sweep.size(); ++c) {
     const SweepCell& cell = sweep[c];
-    json += StrFormat("    {\"pes\": %d, \"fragments\": %d, \"queries\": [\n",
-                      cell.pes, cell.fragments);
+    json += StrFormat(
+        "    {\"pes\": %d, \"fragments\": %d, "
+        "\"q5_coordinator_spread_ms\": %.3f, \"q5_near_pe\": %d, "
+        "\"q5_near_ms\": %.3f, \"q5_far_pe\": %d, \"q5_far_ms\": %.3f, "
+        "\"q5_result_serialization_ms\": %.3f, \"queries\": [\n",
+        cell.pes, cell.fragments, cell.q5_spread.spread_ms(),
+        cell.q5_spread.near_pe, cell.q5_spread.near_ms, cell.q5_spread.far_pe,
+        cell.q5_spread.far_ms, cell.q5_spread.serialization_ms);
     for (size_t q = 0; q < kNumQueries; ++q) {
       const QueryMeasure& o = cell.olap[q];
       const QueryMeasure& g = cell.gather[q];

@@ -14,7 +14,10 @@ namespace prisma::core {
 /// outstanding requests by id.
 class PrismaDb::ClientProcess : public pool::Process {
  public:
-  explicit ClientProcess(pool::ProcessId* gdh_pid) : gdh_pid_(gdh_pid) {}
+  ClientProcess(pool::ProcessId* gdh_pid, obs::MetricsRegistry* metrics)
+      : gdh_pid_(gdh_pid),
+        metrics_(metrics),
+        m_frames_(metrics->GetCounter("query.reply_frames")) {}
 
   std::string debug_name() const override { return "client"; }
 
@@ -22,13 +25,44 @@ class PrismaDb::ClientProcess : public pool::Process {
   // PRISMA_HANDLES(kMailClientReply)
   void OnMail(const pool::Mail& mail) override {
     if (mail.kind != gdh::kMailClientReply) return;
-    auto reply = std::any_cast<std::shared_ptr<gdh::ClientReply>>(mail.body);
-    auto it = pending_->find(reply->request_id);
+    auto frame = std::any_cast<std::shared_ptr<gdh::ClientReply>>(mail.body);
+    m_frames_->Increment();
+    auto it = pending_->find(frame->request_id);
+    // Answered already: a late frame of a discarded train, or the GDH's
+    // error for a coordinator whose reply got through first.
     if (it == pending_->end()) return;
+    std::shared_ptr<gdh::ClientReply> reply = frame;
+    if (frame->status.ok() && (frame->frame > 0 || !frame->last)) {
+      // Frame train (DESIGN.md §15.5): reassemble by frame index. Frames
+      // of one coordinator share a route and normally land in order, but
+      // mail a crashed coordinator sent in its final handler may overtake
+      // earlier frames still in transit.
+      std::vector<std::shared_ptr<gdh::ClientReply>>& train =
+          it->second.frames;
+      if (train.size() <= frame->frame) train.resize(frame->frame + 1);
+      train[frame->frame] = frame;
+      ++it->second.received;
+      if (frame->last) it->second.total = frame->frame + 1;
+      if (it->second.received != it->second.total) return;
+      reply = std::make_shared<gdh::ClientReply>(*train[0]);
+      reply->tuples = std::make_shared<std::vector<Tuple>>();
+      for (const auto& f : train) {
+        reply->tuples->insert(reply->tuples->end(), f->tuples->begin(),
+                              f->tuples->end());
+      }
+      reply->last = true;
+    }
+    // Any non-OK reply resolves the request and discards a partial train:
+    // the session sees a typed error, never a truncated result.
     Pending pending = std::move(it->second);
     pending_->erase(it);
-    pending.callback(*reply,
-                     runtime()->simulator()->now() - pending.submitted_at);
+    const sim::SimTime latency =
+        runtime()->simulator()->now() - pending.submitted_at;
+    metrics_
+        ->GetGauge("query.delivered_ns",
+                   {{"query", std::to_string(frame->request_id)}})
+        ->Set(latency);
+    pending.callback(*reply, latency);
   }
 
   /// Called from outside the simulation: registers the request and sends
@@ -36,8 +70,9 @@ class PrismaDb::ClientProcess : public pool::Process {
   /// control plane (no handler active), so the ownership check passes.
   void SubmitNow(uint64_t id, std::shared_ptr<gdh::ClientStatement> statement,
                  ReplyCallback callback) {
-    (*pending_)[id] =
-        Pending{runtime()->simulator()->now(), std::move(callback)};
+    Pending& pending = (*pending_)[id];
+    pending.submitted_at = runtime()->simulator()->now();
+    pending.callback = std::move(callback);
     pool::Mail mail;
     mail.from = self();
     mail.to = *gdh_pid_;
@@ -52,8 +87,15 @@ class PrismaDb::ClientProcess : public pool::Process {
   struct Pending {
     sim::SimTime submitted_at = 0;
     ReplyCallback callback;
+    /// Frames of a multi-frame reply by index; `total` is known once the
+    /// `last` frame is in (0 until then).
+    std::vector<std::shared_ptr<gdh::ClientReply>> frames;
+    size_t received = 0;
+    size_t total = 0;
   };
   pool::ProcessId* gdh_pid_;
+  obs::MetricsRegistry* metrics_;
+  obs::Counter* m_frames_;
   // Process-local state wrapped in the ownership checker (pool/owned.h).
   pool::Owned<std::map<uint64_t, Pending>> pending_;
 };
@@ -166,7 +208,7 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_ = gdh.get();
   gdh_pid_ = runtime_->Spawn(0, std::move(gdh));
 
-  auto client = std::make_unique<ClientProcess>(&gdh_pid_);
+  auto client = std::make_unique<ClientProcess>(&gdh_pid_, &metrics_);
   client_ = client.get();
   client_pid_ = runtime_->Spawn(0, std::move(client));
   if (faults) {

@@ -112,7 +112,12 @@ struct ClientStatement {
 };
 
 /// Reply to a client statement: result rows for queries, affected count
-/// for DML, the new transaction id for BEGIN.
+/// for DML, the new transaction id for BEGIN. A result of more than
+/// `exchange_batch_rows` rows travels as a train of frames (DESIGN.md
+/// §15.5): each frame is a ClientReply with its own header, frame 0
+/// carries the schema, and the client endpoint hands the reassembled
+/// reply to the session when the `last` frame is in. A single-frame reply
+/// is frame 0 with `last` set.
 struct ClientReply {
   uint64_t request_id = 0;
   Status status;
@@ -120,6 +125,8 @@ struct ClientReply {
   std::shared_ptr<std::vector<Tuple>> tuples;
   uint64_t affected_rows = 0;
   exec::TxnId txn = exec::kAutoCommit;
+  uint32_t frame = 0;
+  bool last = true;
 
   int64_t WireBits() const {
     return kControlBits + (tuples ? TuplesBits(*tuples) : 0);

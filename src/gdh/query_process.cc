@@ -283,6 +283,9 @@ void QueryProcess::Reply(Status status, Schema schema,
         ->Increment(completed_);
     config_.metrics->GetGauge("query.response_ns", q)->Set(now - start_time_);
     config_.metrics->GetGauge("query.last_gather_bits")->Set(gather_bits_);
+    if (forward_slices_ && status.ok()) {
+      config_.metrics->GetCounter("query.reply_streamed")->Increment();
+    }
     if (!olap_work_.empty()) {
       // Wire accounting of the multi-stage OLAP path (DESIGN.md §14.4):
       // shuffle = producer -> merge first transmissions, gather = merge
@@ -308,12 +311,19 @@ void QueryProcess::Reply(Status status, Schema schema,
         start_time_, now, pe(), self(), "request",
         std::to_string(config_.statement->request_id));
   }
-  auto reply = std::make_shared<ClientReply>();
-  reply->request_id = config_.statement->request_id;
-  reply->status = std::move(status);
-  reply->schema = std::move(schema);
-  reply->tuples = std::move(tuples);
-  SendMail(config_.client, kMailClientReply, reply, reply->WireBits());
+  if (status.ok() && tuples != nullptr &&
+      (frames_sent_ > 0 || tuples->size() > config_.exchange_batch_rows)) {
+    unframed_.insert(unframed_.end(), std::make_move_iterator(tuples->begin()),
+                     std::make_move_iterator(tuples->end()));
+    SendFrames(schema, /*last=*/true);
+  } else {
+    auto reply = std::make_shared<ClientReply>();
+    reply->request_id = config_.statement->request_id;
+    reply->status = std::move(status);
+    reply->schema = std::move(schema);
+    reply->tuples = std::move(tuples);
+    SendMail(config_.client, kMailClientReply, reply, reply->WireBits());
+  }
   auto done = std::make_shared<StatementDone>();
   done->txn = config_.lock_txn;
   SendMail(config_.gdh, kMailStatementDone, done, kControlBits);
@@ -324,6 +334,49 @@ void QueryProcess::Reply(Status status, Schema schema,
     done_msg_ = done;
     SendSelfAfter(config_.stmt_done_resend_ns, kMailStmtDoneResend);
   }
+}
+
+void QueryProcess::SendFrames(const Schema& schema, bool last) {
+  // Frames need no acks, dedup or retransmission: client traffic models
+  // the host interface and is never faulted, and a crash of this PE is
+  // answered by the GDH's typed error, which discards the partial train.
+  const size_t batch = std::max<uint64_t>(1, config_.exchange_batch_rows);
+  size_t begin = 0;
+  auto send = [&](size_t end, bool is_last) {
+    auto frame = std::make_shared<ClientReply>();
+    frame->request_id = config_.statement->request_id;
+    if (frames_sent_ == 0) frame->schema = schema;
+    frame->tuples = std::make_shared<std::vector<Tuple>>(
+        std::make_move_iterator(unframed_.begin() + begin),
+        std::make_move_iterator(unframed_.begin() + end));
+    frame->frame = frames_sent_++;
+    frame->last = is_last;
+    SendMail(config_.client, kMailClientReply, frame, frame->WireBits());
+    begin = end;
+  };
+  while (unframed_.size() - begin > batch) send(begin + batch, false);
+  if (last) {
+    send(unframed_.size(), true);
+    unframed_.clear();
+  } else {
+    unframed_.erase(unframed_.begin(), unframed_.begin() + begin);
+  }
+}
+
+void QueryProcess::ForwardLandedSlices() {
+  OlapPartWork& state = olap_work_.at(0);
+  while (next_forward_slice_ < state.slices.size() &&
+         state.landed[next_forward_slice_]) {
+    std::vector<Tuple>& slice = state.slices[next_forward_slice_++];
+    // Framing a slice stands in for the global Scan(part:0) the gathered
+    // rows would otherwise pass through.
+    ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
+              config_.costs.tuple_ns);
+    unframed_.insert(unframed_.end(), std::make_move_iterator(slice.begin()),
+                     std::make_move_iterator(slice.end()));
+    slice.clear();
+  }
+  SendFrames(split_->global->schema(), /*last=*/false);
 }
 
 // ------------------------------------------------------------------- SQL
@@ -584,6 +637,15 @@ void QueryProcess::Scatter() {
       }
     }
   }
+  // In-order forwarding (DESIGN.md §15.5): the answer IS the sort part's
+  // slices in consumer order when the global plan merely scans it.
+  forward_slices_ =
+      !is_prismalog_phase_ && !analyze_ && split_->parts.size() == 1 &&
+      split_->parts[0].olap != nullptr &&
+      split_->parts[0].olap->kind == OlapSpec::Kind::kSort &&
+      split_->global->kind() == algebra::PlanKind::kScan &&
+      static_cast<const algebra::ScanPlan&>(*split_->global).table() ==
+          PartName(0);
   next_work_ = 0;
   outstanding_ = 0;
   completed_ = 0;
@@ -716,6 +778,7 @@ size_t QueryProcess::ScatterOlapPart(size_t part_index) {
   const size_t fragments = table.fragments.size();
   OlapPartWork& state = olap_work_[part_index];
   state.slices.assign(fragments, {});
+  state.landed.assign(fragments, false);
 
   if (olap.kind == OlapSpec::Kind::kSort) {
     // Stage 1 (DESIGN.md §14.3): every fragment runs the sorted candidate
@@ -930,17 +993,18 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
              merge != olap_merge_of_.end()) {
     const auto [p, slice] = merge->second;
     olap_merge_of_.erase(merge);
+    auto it_state = olap_work_.find(p);
+    const bool known = it_state != olap_work_.end() &&
+                       slice < it_state->second.slices.size();
     if (reply->tuples != nullptr) {
       ChargeCpu(static_cast<sim::SimTime>(reply->tuples->size()) *
                 config_.costs.tuple_ns);
       tuples_gathered_ += reply->tuples->size();
       olap_gather_bits_ += static_cast<uint64_t>(reply->WireBits());
-      auto it_state = olap_work_.find(p);
-      if (it_state != olap_work_.end() &&
-          slice < it_state->second.slices.size()) {
-        it_state->second.slices[slice] = *reply->tuples;
-      }
+      if (known) it_state->second.slices[slice] = *reply->tuples;
     }
+    if (known) it_state->second.landed[slice] = true;
+    if (forward_slices_) ForwardLandedSlices();
   } else if (reply->tuples != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
     ChargeCpu(static_cast<sim::SimTime>(reply->tuples->size()) *
@@ -967,6 +1031,13 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
 }
 
 void QueryProcess::FinishGather() {
+  if (forward_slices_) {
+    // Every slice has been forwarded; the held-back tail carries `last`.
+    auto tail = std::make_shared<std::vector<Tuple>>();
+    tail->swap(unframed_);
+    Reply(Status::OK(), split_->global->schema(), std::move(tail));
+    return;
+  }
   // Stitch OLAP merge slices into their parts' gather buffers. Sort
   // slices concatenate in consumer order (consumer c holds range slice c
   // of the global order). Group-by slices are disjoint group sets whose

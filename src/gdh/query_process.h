@@ -135,8 +135,20 @@ class QueryProcess : public pool::Process {
   void BroadcastFixpointCtrl();
   void RunFixpointPhase();
   void ReplyFixpointExplain();
+  /// Final answer to the client. An error is one frame (it makes the
+  /// client discard any partial train); a result of more than one
+  /// exchange batch, or the tail of a forwarded train, goes out as frames
+  /// (DESIGN.md §15.5).
   void Reply(Status status, Schema schema,
              std::shared_ptr<std::vector<Tuple>> tuples);
+  /// Sends `unframed_` as client_reply frames of exchange_batch_rows rows.
+  /// Unless `last`, the final (possibly full) frame is held back, so the
+  /// frame that carries the `last` flag always carries rows and a result
+  /// of n rows is max(1, ceil(n / batch)) frames in all.
+  void SendFrames(const Schema& schema, bool last);
+  /// In-order forwarding: frames every landed merge slice of the sort part
+  /// whose predecessors have all landed.
+  void ForwardLandedSlices();
 
   Config config_;
   bool finished_ = false;
@@ -269,6 +281,8 @@ class QueryProcess : public pool::Process {
     /// concatenate in index order into the global order; a group-by
     /// part's slices are disjoint group sets, sorted after the gather.
     std::vector<std::vector<Tuple>> slices;
+    /// Consumer c's reply has landed (an empty slice is still a slice).
+    std::vector<bool> landed;
   };
   std::map<size_t, OlapPartWork> olap_work_;
   /// Sample request id -> (part, fragment index).
@@ -283,6 +297,17 @@ class QueryProcess : public pool::Process {
   /// Bits of plain (non-OLAP) fragment replies gathered at the
   /// coordinator — the gather-baseline figure E14 compares against.
   uint64_t gather_bits_ = 0;
+
+  // Result delivery (DESIGN.md §15.5). `forward_slices_` is set when the
+  // global plan is a bare Scan of one OLAP sort part: merge slice c is
+  // framed to the client as soon as slices 0..c have landed, so the
+  // coordinator -> client transfer overlaps the merge -> coordinator
+  // gather.
+  bool forward_slices_ = false;
+  size_t next_forward_slice_ = 0;
+  /// Result rows not yet framed (a forwarded train's held-back tail).
+  std::vector<Tuple> unframed_;
+  uint32_t frames_sent_ = 0;
 
   // PRISMAlog state: gathered base tables by name.
   std::vector<std::string> plog_tables_;

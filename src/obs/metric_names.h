@@ -13,8 +13,8 @@
 
 namespace prisma::obs {
 
-/// Counter and histogram series (GetCounter / GetHistogram / LazyCounter
-/// literals).
+/// Counter, gauge and histogram series (GetCounter / GetGauge /
+/// GetHistogram / LazyCounter literals).
 inline constexpr const char* kRegisteredMetricNames[] = {
     // PRISMA_METRICS_BEGIN
     "disk.busy_ns",
@@ -25,6 +25,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "exchange.batches_received",
     "exchange.batches_sent",
     "exchange.bytes",
+    "exchange.credit",
     "exchange.dup_batches",
     "exchange.retransmits",
     "exchange.stalls",
@@ -33,7 +34,12 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "fixpoint.batches_sent",
     "fixpoint.delta_tuples",
     "fixpoint.dup_batches",
+    "fixpoint.last_delta_tuples",
+    "fixpoint.last_pairs_derived",
+    "fixpoint.last_rounds",
+    "fixpoint.last_wire_bits",
     "fixpoint.retransmits",
+    "fixpoint.rounds",
     "fixpoint.wire_bits",
     "gdh.2pc_rounds",
     "gdh.coords_reaped",
@@ -49,6 +55,9 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "gdh.txns_committed",
     "gdh.txns_doomed",
     "gdh.write_ops_sent",
+    "lock.deadlocks_detected",
+    "lock.granted",
+    "lock.waits",
     "net.backpressure",
     "net.delayed_ns",
     "net.dropped",
@@ -71,19 +80,27 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "ofm.wal_records",
     "ofm.write_ops",
     "olap.gather_bits",
+    "olap.last_gather_bits",
+    "olap.last_shuffle_bits",
     "olap.parts",
     "olap.sample_rows",
     "olap.shuffle_bits",
+    "pe.busy_ns",
     "pe.cpu_ns",
     "pe.crashes",
     "pool.handlers_executed",
     "pool.mail_bits",
     "pool.mail_dropped",
     "pool.mail_sent",
+    "query.delivered_ns",
     "query.fragments_contacted",
+    "query.last_gather_bits",
     "query.plan_cache.hit",
     "query.plan_cache.invalidate",
     "query.plan_cache.miss",
+    "query.reply_frames",
+    "query.reply_streamed",
+    "query.response_ns",
     "query.tuples_gathered",
     "query.unavailable",
     "replica.failovers",
@@ -98,6 +115,10 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "serve.admitted",
     "serve.completed",
     "serve.shed",
+    "sim.events_cancelled",
+    "sim.events_scheduled",
+    "sim.now_ns",
+    "sim.tombstones_pending",
     // PRISMA_METRICS_END
 };
 

@@ -62,16 +62,8 @@ MetricsRegistry::Entry& MetricsRegistry::GetEntry(std::string_view name,
   Entry& entry = it->second;
   if (inserted) {
     entry.kind = kind;
-    switch (kind) {
-      case Kind::kCounter:
-        entry.counter = std::make_unique<Counter>();
-        break;
-      case Kind::kGauge:
-        entry.gauge = std::make_unique<Gauge>();
-        break;
-      case Kind::kHistogram:
-        entry.histogram = std::make_unique<Histogram>();
-        break;
+    if (kind == Kind::kHistogram) {
+      entry.histogram = std::make_unique<Histogram>();
     }
   }
   PRISMA_CHECK(entry.kind == kind)
@@ -81,11 +73,11 @@ MetricsRegistry::Entry& MetricsRegistry::GetEntry(std::string_view name,
 
 Counter* MetricsRegistry::GetCounter(std::string_view name,
                                      const Labels& labels) {
-  return GetEntry(name, labels, Kind::kCounter).counter.get();
+  return &GetEntry(name, labels, Kind::kCounter).counter;
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name, const Labels& labels) {
-  return GetEntry(name, labels, Kind::kGauge).gauge.get();
+  return &GetEntry(name, labels, Kind::kGauge).gauge;
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
@@ -97,14 +89,14 @@ uint64_t MetricsRegistry::CounterValue(std::string_view name,
                                        const Labels& labels) const {
   auto it = entries_.find(Key(name, labels));
   if (it == entries_.end() || it->second.kind != Kind::kCounter) return 0;
-  return it->second.counter->value();
+  return it->second.counter.value();
 }
 
 int64_t MetricsRegistry::GaugeValue(std::string_view name,
                                     const Labels& labels) const {
   auto it = entries_.find(Key(name, labels));
   if (it == entries_.end() || it->second.kind != Kind::kGauge) return 0;
-  return it->second.gauge->value();
+  return it->second.gauge.value();
 }
 
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name,
@@ -126,7 +118,7 @@ uint64_t MetricsRegistry::CounterTotal(std::string_view name) const {
       continue;
     }
     if (key.size() != name.size() && key[name.size()] != '{') continue;
-    total += entry.counter->value();
+    total += entry.counter.value();
   }
   return total;
 }
@@ -138,11 +130,11 @@ std::string MetricsRegistry::DumpText() const {
       case Kind::kCounter:
         out += StrFormat("counter %s %llu\n", key.c_str(),
                          static_cast<unsigned long long>(
-                             entry.counter->value()));
+                             entry.counter.value()));
         break;
       case Kind::kGauge:
         out += StrFormat("gauge %s %lld\n", key.c_str(),
-                         static_cast<long long>(entry.gauge->value()));
+                         static_cast<long long>(entry.gauge.value()));
         break;
       case Kind::kHistogram: {
         const Histogram& h = *entry.histogram;
@@ -179,11 +171,11 @@ std::string MetricsRegistry::DumpJson() const {
     switch (entry.kind) {
       case Kind::kCounter:
         out += StrFormat("%llu", static_cast<unsigned long long>(
-                                     entry.counter->value()));
+                                     entry.counter.value()));
         break;
       case Kind::kGauge:
         out += StrFormat("%lld",
-                         static_cast<long long>(entry.gauge->value()));
+                         static_cast<long long>(entry.gauge.value()));
         break;
       case Kind::kHistogram: {
         const Histogram& h = *entry.histogram;

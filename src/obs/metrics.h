@@ -109,10 +109,13 @@ class MetricsRegistry {
 
  private:
   enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
+  // Counters and gauges live inline (map nodes never move, so the
+  // pointers Get* hands out stay valid); only the 64-bucket histogram is
+  // allocated separately.
   struct Entry {
     Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
+    Counter counter;
+    Gauge gauge;
     std::unique_ptr<Histogram> histogram;
   };
   Entry& GetEntry(std::string_view name, const Labels& labels, Kind kind);

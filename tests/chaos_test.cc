@@ -961,6 +961,100 @@ TEST(ChaosTest, ServingSameSeedReplayIsByteIdenticalIncludingTraces) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
+// ---------------------------- Result delivery under a crash (§15.5)
+
+struct StreamCrashOutcome {
+  StatusCode code = StatusCode::kOk;
+  size_t rows = 0;
+  uint64_t frames_at_crash = 0;  // Train frames the client held.
+  uint64_t submitted = 0;
+  uint64_t completed = 0;
+  uint64_t shed = 0;
+  std::string metrics;
+  std::string trace;
+};
+
+/// A 1,200-row distributed sort (19 frames) whose coordinator is pinned to
+/// PE 1, next to merge consumer 0: the first slice lands at once and its
+/// frames reach the client while the other slices are still in transit.
+/// The simulator is stepped until the client holds part of the frame
+/// train while the coordinator is still forwarding, then PE 1 crashes. The GDH reaps the coordinator and
+/// answers kUnavailable; the client must discard the partial train.
+StreamCrashOutcome RunStreamCrash(bool trace) {
+  MachineConfig config;
+  config.pes = 8;
+  config.coordinator_pes = {1};
+  config.enable_tracing = trace;
+  // A zero-length placeholder window turns fault mode (coordinator
+  // supervision) on without faulting anything.
+  config.fault_plan.down_windows.push_back({1, 2, 0, 0});
+  PrismaDb db(config);
+  MustExecute(&db, "CREATE TABLE big (id INT, k INT) FRAGMENTED BY "
+                   "HASH(id) INTO 7 FRAGMENTS");
+  for (int i = 0; i < 1200; i += 200) {
+    std::string sql = "INSERT INTO big VALUES ";
+    for (int j = i; j < i + 200; ++j) {
+      if (j > i) sql += ", ";
+      sql += StrFormat("(%d, %d)", j, (j * 37) % 101);
+    }
+    MustExecute(&db, sql);
+  }
+
+  StreamCrashOutcome out;
+  bool answered = false;
+  serve::Dispatcher dispatcher(&db, serve::DispatcherOptions());
+  dispatcher.Submit("SELECT id, k FROM big ORDER BY k DESC, id",
+                    exec::kAutoCommit,
+                    [&](const gdh::ClientReply& reply, sim::SimTime) {
+                      PRISMA_CHECK(!answered) << "answered twice";
+                      answered = true;
+                      out.code = reply.status.code();
+                      out.rows = reply.tuples ? reply.tuples->size() : 0;
+                    });
+  const uint64_t frames0 = db.metrics().CounterValue("query.reply_frames");
+  auto frames = [&] {
+    return db.metrics().CounterValue("query.reply_frames") - frames0;
+  };
+  // query.reply_streamed ticks when the coordinator sends its last frame.
+  while (frames() == 0 ||
+         db.metrics().CounterValue("query.reply_streamed") > 0) {
+    PRISMA_CHECK(!answered && db.simulator().Step())
+        << "the train was never caught in flight";
+  }
+  out.frames_at_crash = frames();
+  db.CrashPe(1);
+  dispatcher.Run();
+  PRISMA_CHECK(answered);
+  const serve::Dispatcher::Stats& stats = dispatcher.stats();
+  out.submitted = stats.submitted;
+  out.completed = stats.completed;
+  out.shed = stats.shed;
+  out.metrics = db.DumpMetrics();
+  if (trace) out.trace = db.DumpTrace();
+  return out;
+}
+
+TEST(ChaosTest, CoordinatorCrashMidTrainIsUnavailableNeverTruncated) {
+  const StreamCrashOutcome out = RunStreamCrash(/*trace=*/false);
+  // The client held part of the train when the coordinator died...
+  EXPECT_GT(out.frames_at_crash, 0u);
+  EXPECT_LT(out.frames_at_crash, 19u);
+  // ...and the session saw a typed error, not the partial rows.
+  EXPECT_EQ(out.code, StatusCode::kUnavailable);
+  EXPECT_EQ(out.rows, 0u);
+  EXPECT_EQ(out.submitted, out.completed + out.shed);
+  EXPECT_EQ(out.submitted, 1u);
+}
+
+TEST(ChaosTest, CoordinatorCrashMidTrainReplaysByteIdenticallyWithTraces) {
+  const StreamCrashOutcome a = RunStreamCrash(/*trace=*/true);
+  const StreamCrashOutcome b = RunStreamCrash(/*trace=*/true);
+  EXPECT_EQ(a.frames_at_crash, b.frames_at_crash);
+  EXPECT_EQ(a.metrics, b.metrics);
+  ASSERT_FALSE(a.trace.empty());
+  EXPECT_EQ(a.trace, b.trace);
+}
+
 // ------------------------------------------------- Presumed-abort details
 
 /// Opens a session, BEGINs and inserts one row per id into `t`; returns

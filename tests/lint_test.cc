@@ -294,6 +294,30 @@ TEST(LintTest, MetricNamesMustComeFromTheRegistry) {
       << diagnostics[0].message;
 }
 
+TEST(LintTest, GaugeNamesMustComeFromTheRegistryToo) {
+  std::vector<SourceFile> files;
+  files.push_back(
+      {"obs/metric_names.h",
+       "inline constexpr const char* kNames[] = {\n"
+       "    // PRISMA_METRICS_BEGIN\n"
+       "    \"app.level\",\n"
+       "    // PRISMA_METRICS_END\n"
+       "};\n"});
+  files.push_back(
+      {"exec/worker.cc",
+       "void* GetGauge(const char* name);\n"
+       "void F() {\n"
+       "  GetGauge(\"app.level\");\n"
+       "  GetGauge(\"app.levl\");\n"
+       "}\n"});
+  std::vector<Diagnostic> diagnostics = AnalyzeSources(files);
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].rule, "D8");
+  EXPECT_EQ(diagnostics[0].line, 4);
+  EXPECT_NE(diagnostics[0].message.find("app.levl"), std::string::npos)
+      << diagnostics[0].message;
+}
+
 TEST(LintTest, AnnotationHygieneFlagsUnknownTags) {
   // The lint lints its own annotation language: a typo'd tag silences
   // nothing, so it must be an error rather than a silent no-op.

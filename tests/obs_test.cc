@@ -294,6 +294,50 @@ TEST(ObservabilityEndToEnd, PerQueryScopedMetrics) {
   EXPECT_GT(db.metrics().GaugeValue("query.response_ns", q), 0);
 }
 
+/// query.response_ns is stamped when the coordinator hands its reply off;
+/// query.delivered_ns when the client endpoint holds the last frame. For
+/// a 1,200-row sort whose coordinator sits 4 hops from the client, the
+/// difference is the delivery the old figure left out.
+TEST(ObservabilityEndToEnd, DeliveryIsStampedAtTheClientOnTheLastFrame) {
+  core::MachineConfig config;
+  config.pes = 8;
+  config.coordinator_pes = {7};
+  core::PrismaDb db(config);
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                         "HASH(id) INTO 7 FRAGMENTS")
+                  .ok());
+  for (int i = 0; i < 1200; i += 200) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int j = i; j < i + 200; ++j) {
+      sql += StrFormat("%s(%d, %d)", j > i ? ", " : "", j, (j * 7) % 50);
+    }
+    ASSERT_TRUE(db.Execute(sql).ok());
+  }
+  const uint64_t frames0 = db.metrics().CounterValue("query.reply_frames");
+  sim::SimTime latency = 0;
+  const uint64_t id = db.Submit(
+      "SELECT id, v FROM t ORDER BY v, id", /*prismalog=*/false,
+      exec::kAutoCommit,
+      [&](const gdh::ClientReply& reply, sim::SimTime ns) {
+        EXPECT_TRUE(reply.status.ok());
+        EXPECT_EQ(reply.tuples->size(), 1200u);
+        latency = ns;
+      });
+  db.Run();
+  ASSERT_GT(latency, 0);
+  const obs::Labels q = {{"query", std::to_string(id)}};
+  // 1,200 rows in 64-row frames, forwarded slice by slice.
+  EXPECT_EQ(db.metrics().CounterValue("query.reply_frames") - frames0, 19u);
+  EXPECT_EQ(db.metrics().CounterValue("query.reply_streamed"), 1u);
+  // The client's figure is the session's submit -> last-frame latency,
+  // and it covers the coordinator's hand-off plus the last frame's 4 hops.
+  EXPECT_EQ(db.metrics().GaugeValue("query.delivered_ns", q), latency);
+  const int64_t handed_off = db.metrics().GaugeValue("query.response_ns", q);
+  const int64_t frame_hop_ns =
+      64 * 2 * 8 * 8 * sim::kNanosPerSecond / config.link.bandwidth_bps;
+  EXPECT_GT(latency, handed_off + 4 * frame_hop_ns);
+}
+
 std::vector<std::string> GoldenStatements() {
   return {
       "CREATE TABLE emp (id INT, dept STRING, salary INT) "

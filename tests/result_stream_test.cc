@@ -1,0 +1,203 @@
+// Result delivery (DESIGN.md §15.5): results of more than one exchange
+// batch reach the client as a train of client_reply frames, and a bare
+// distributed range sort forwards its merge slices to the client as they
+// land. These tests pin the answers (byte-identical to a single-fragment
+// reference in both execution modes, wherever the coordinator runs), the
+// frame arithmetic (max(1, ceil(rows / 64)) frames per result) and the
+// forwarding precondition (plans under LIMIT, and gather-baseline sorts,
+// are not forwarded).
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "common/logging.h"
+#include "common/rng.h"
+#include "common/str_util.h"
+#include "core/prisma_db.h"
+#include "gdh/messages.h"
+
+namespace prisma::core {
+namespace {
+
+constexpr int kRows = 1200;
+constexpr uint64_t kFrameRows = 64;  // MachineConfig's exchange_batch_rows.
+
+constexpr const char* kSortSql =
+    "SELECT id, k, v FROM big ORDER BY k DESC, id";
+
+QueryResult MustExecute(PrismaDb& db, const std::string& sql) {
+  auto result = db.Execute(sql);
+  PRISMA_CHECK(result.ok()) << sql << ": " << result.status().ToString();
+  return std::move(result).value();
+}
+
+/// big(id, k, v): `kRows` rows, k drawn from a small range so the sort key
+/// has many ties (the trailing id pins their order).
+void LoadBig(PrismaDb& db, int fragments) {
+  MustExecute(db, fragments > 1
+                      ? StrFormat("CREATE TABLE big (id INT, k INT, v INT) "
+                                  "FRAGMENTED BY HASH(id) INTO %d FRAGMENTS",
+                                  fragments)
+                      : std::string("CREATE TABLE big (id INT, k INT, v INT)"));
+  Rng rng(0x5eed5);
+  for (int i = 0; i < kRows; i += 200) {
+    std::string sql = "INSERT INTO big VALUES ";
+    for (int j = i; j < i + 200; ++j) {
+      if (j > i) sql += ", ";
+      sql += StrFormat("(%d, %d, %d)", j,
+                       static_cast<int>(rng.UniformInt(0, 40)),
+                       static_cast<int>(rng.UniformInt(-500, 500)));
+    }
+    MustExecute(db, sql);
+  }
+}
+
+std::string Rendered(const QueryResult& result) {
+  std::string out;
+  for (const Tuple& t : result.tuples) {
+    out += t.ToString();
+    out += '\n';
+  }
+  return out;
+}
+
+uint64_t ClientFrames(PrismaDb& db) {
+  return db.metrics().CounterValue("pool.mail_sent",
+                                   {{"kind", "client_reply"}});
+}
+
+uint64_t Streamed(PrismaDb& db) {
+  return db.metrics().CounterValue("query.reply_streamed");
+}
+
+uint64_t ExpectedFrames(size_t rows) {
+  return rows == 0 ? 1 : (rows + kFrameRows - 1) / kFrameRows;
+}
+
+std::string ReferenceSort() {
+  MachineConfig config;
+  config.pes = 2;
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/1);
+  return Rendered(MustExecute(db, kSortSql));
+}
+
+TEST(ResultStreamTest, StreamedSortMatchesTheSingleFragmentReference) {
+  const std::string reference = ReferenceSort();
+  ASSERT_FALSE(reference.empty());
+  for (const int fragments : {1, 3, 7}) {
+    for (const exec::ExecMode mode :
+         {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
+      // The coordinator on the client's PE, and on the PE farthest from
+      // it (slices land in a different order, frames cross 4 hops).
+      for (const int coordinator : {0, 7}) {
+        SCOPED_TRACE(StrFormat(
+            "fragments=%d mode=%s coordinator=PE %d", fragments,
+            mode == exec::ExecMode::kRow ? "row" : "vectorized",
+            coordinator));
+        MachineConfig config;
+        config.pes = 8;
+        config.exec_mode = mode;
+        config.coordinator_pes = {coordinator};
+        PrismaDb db(config);
+        LoadBig(db, fragments);
+        const uint64_t frames0 = ClientFrames(db);
+        const uint64_t streamed0 = Streamed(db);
+        const QueryResult result = MustExecute(db, kSortSql);
+        EXPECT_EQ(Rendered(result), reference);
+        ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kRows));
+        EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
+        // Only a multi-fragment table has a distributed sort to forward.
+        EXPECT_EQ(Streamed(db) - streamed0, fragments > 1 ? 1u : 0u);
+      }
+    }
+  }
+}
+
+TEST(ResultStreamTest, FrameCountIsCeilRowsOverBatchAndSmallResultsStayOne) {
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7);
+  // Row counts around the frame boundaries, all on the forwarding path.
+  for (const int n : {0, 1, 64, 65, 128, 129, 700}) {
+    SCOPED_TRACE(StrFormat("rows=%d", n));
+    const uint64_t frames0 = ClientFrames(db);
+    const uint64_t streamed0 = Streamed(db);
+    const QueryResult result = MustExecute(
+        db, StrFormat("SELECT id, k FROM big WHERE id < %d "
+                      "ORDER BY k DESC, id",
+                      n));
+    ASSERT_EQ(result.tuples.size(), static_cast<size_t>(n));
+    EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(n));
+    EXPECT_EQ(Streamed(db) - streamed0, 1u);
+  }
+  // A DML reply is one frame too.
+  const uint64_t frames0 = ClientFrames(db);
+  MustExecute(db, "UPDATE big SET v = 0 WHERE id = 3");
+  EXPECT_EQ(ClientFrames(db) - frames0, 1u);
+}
+
+TEST(ResultStreamTest, LimitAndGatherBaselineSortsAreNotForwarded) {
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7);
+  // A LIMIT over the distributed sort: the global plan is Limit(Scan),
+  // so the coordinator must see every slice before it can cut.
+  const uint64_t frames0 = ClientFrames(db);
+  const QueryResult top =
+      MustExecute(db, "SELECT id, k FROM big ORDER BY k DESC, id LIMIT 10");
+  EXPECT_EQ(top.tuples.size(), 10u);
+  EXPECT_EQ(ClientFrames(db) - frames0, 1u);
+  EXPECT_EQ(Streamed(db), 0u);
+
+  // EXPLAIN ANALYZE measures the gather decomposition: not forwarded.
+  MustExecute(db, std::string("EXPLAIN ANALYZE ") + kSortSql);
+  EXPECT_EQ(Streamed(db), 0u);
+
+  // Gather baseline: no OLAP part, so no forwarding — but a result this
+  // large still travels as a frame train.
+  MachineConfig base_config;
+  base_config.pes = 8;
+  base_config.rules.distributed_olap = false;
+  PrismaDb base(base_config);
+  LoadBig(base, /*fragments=*/7);
+  const uint64_t base_frames0 = ClientFrames(base);
+  const QueryResult sorted = MustExecute(base, kSortSql);
+  EXPECT_EQ(Rendered(sorted), ReferenceSort());
+  EXPECT_EQ(ClientFrames(base) - base_frames0, ExpectedFrames(kRows));
+  EXPECT_EQ(Streamed(base), 0u);
+}
+
+TEST(ResultStreamTest, FrameTrainsTakeTheHopDistanceOffTheCriticalPath) {
+  // Same query, coordinator pinned next to the client vs 4 hops away on
+  // the 2x4 mesh: a single reply message pays 4 full store-and-forward
+  // serializations of the result; pipelined frames keep the spread below
+  // one.
+  double ms[2] = {0, 0};
+  int64_t result_bits = 0;
+  const int coordinators[2] = {0, 7};
+  for (int i = 0; i < 2; ++i) {
+    MachineConfig config;
+    config.pes = 8;
+    config.coordinator_pes = {coordinators[i]};
+    PrismaDb db(config);
+    LoadBig(db, /*fragments=*/7);
+    const QueryResult result = MustExecute(db, kSortSql);
+    ms[i] = static_cast<double>(result.response_time_ns) / 1e6;
+    gdh::ClientReply whole;
+    whole.tuples = std::make_shared<std::vector<Tuple>>(result.tuples);
+    result_bits = whole.WireBits();
+  }
+  const double one_serialization_ms =
+      static_cast<double>(result_bits) * 1e3 /
+      static_cast<double>(MachineConfig().link.bandwidth_bps);
+  EXPECT_LT(ms[1] - ms[0], one_serialization_ms)
+      << "near " << ms[0] << " ms, far " << ms[1] << " ms";
+}
+
+}  // namespace
+}  // namespace prisma::core

@@ -637,10 +637,10 @@ void CheckStateMachines(const std::vector<PreparedFile>& files,
 
 // ------------------------------------------------------------------ rule D8
 //
-// Metric-name registry. Every literal counter or histogram name
-// (GetCounter / GetHistogram / LazyCounter) and tracer span/instant
-// category+name must appear in the obs/metric_names.h registry, and every
-// registry entry must be used — so a typo'd name fails the build instead
+// Metric-name registry. Every literal counter, gauge or histogram name
+// (GetCounter / GetGauge / GetHistogram / LazyCounter) and tracer
+// span/instant category+name must appear in the obs/metric_names.h
+// registry, and every registry entry must be used — so a typo'd name fails the build instead
 // of silently starting a new series, and deleted metrics cannot leave
 // ghost entries behind.
 
@@ -701,7 +701,7 @@ void CheckMetricRegistry(const std::vector<PreparedFile>& files,
   // multi-line calls resolve (the name is often on the line after the
   // opening parenthesis).
   static const std::regex kCounter(
-      "\\b(?:Get(?:Counter|Histogram)\\s*\\(|LazyCounter\\s*\\([^\")]*,)"
+      "\\b(?:Get(?:Counter|Gauge|Histogram)\\s*\\(|LazyCounter\\s*\\([^\")]*,)"
       "\\s*\"([^\"]+)\"");
   static const std::regex kSpan(
       "\\b(?:Span|Instant)\\s*\\(\\s*\"([^\"]+)\"\\s*,\\s*(\"([^\"]+)\")?");
