@@ -177,28 +177,31 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.placement = config_.placement;
   gdh_config.registry = &registry_;
   gdh_config.plan_cache = &plan_cache_;
-  // Auto timeouts (see MachineConfig): effectively silent when fault-free,
+  // The machine's one retransmission policy (gdh/transport.h). Auto
+  // timeouts (see MachineConfig): effectively silent when fault-free,
   // snappy when messages can actually be lost.
-  gdh_config.rpc_timeout_ns =
+  gdh::RetransmitPolicy& retransmit = gdh_config.retransmit;
+  retransmit.timeout_ns =
       config_.rpc_timeout_ns > 0
           ? config_.rpc_timeout_ns
           : (faults ? 250 * sim::kNanosPerMilli : 10 * sim::kNanosPerSecond);
-  gdh_config.rpc_backoff_cap_ns =
+  retransmit.backoff_cap_ns =
       config_.rpc_backoff_cap_ns > 0
           ? config_.rpc_backoff_cap_ns
           : (faults ? 2 * sim::kNanosPerSecond : 10 * sim::kNanosPerSecond);
-  gdh_config.rpc_attempts = config_.rpc_attempts;
+  retransmit.attempts = config_.rpc_attempts;
   gdh_config.query_timeout_ns = config_.query_timeout_ns;
   gdh_config.exchange_batch_rows = config_.exchange_batch_rows;
   gdh_config.exchange_credit_window = config_.exchange_credit_window;
   gdh_config.distributed_fixpoint = config_.distributed_fixpoint;
   gdh_config.fixpoint_algorithm = config_.fixpoint_algorithm;
   if (faults) {
-    // Under a faulty interconnect the stmt_done report and the
-    // coordinator itself can be lost; the resend and supervision timers
-    // guarantee statements terminate anyway. They stay off in fault-free
-    // runs so behaviour and metrics are unchanged.
-    gdh_config.stmt_done_resend_ns = 200 * sim::kNanosPerMilli;
+    // Under a faulty interconnect the stmt_done report, final replies,
+    // fixpoint directives and the coordinator itself can be lost; the
+    // resend and supervision timers guarantee statements terminate
+    // anyway. They stay off in fault-free runs so behaviour and metrics
+    // are unchanged.
+    retransmit.resend_ns = 200 * sim::kNanosPerMilli;
     gdh_config.coord_check_ns = sim::kNanosPerSecond;
   }
   gdh_config.metrics = &metrics_;

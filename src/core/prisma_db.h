@@ -65,8 +65,9 @@ struct MachineConfig {
   std::vector<int> coordinator_pes;
   storage::DiskModel disk;
   size_t pe_memory_bytes = storage::kDefaultPeMemoryBytes;
-  /// GDH<->OFM request retransmission: first resend delay, backoff cap
-  /// and total attempts before an operation degrades to kUnavailable.
+  /// The machine's retransmission policy (gdh::RetransmitPolicy, used by
+  /// every RPC and batch stream): first resend delay, backoff cap and
+  /// total attempts before an operation degrades to kUnavailable.
   /// 0 = auto: a fault-free machine uses 10 s (WAL and checkpoint flushes
   /// cost tens of virtual milliseconds, so an aggressive timer would
   /// retransmit spuriously; 10 s never fires in practice and preserves

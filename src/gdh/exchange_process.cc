@@ -17,7 +17,12 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
       probe_channels_(std::vector<exec::InboundChannel>(
           Side(1 - config_.build_side).moving
               ? Side(1 - config_.build_side).producers
-              : 0)) {
+              : 0)),
+      in_(this, ShuffleConsumerOptions(config_.index, config_.fragment,
+                                       config_.credit_window, config_.costs,
+                                       config_.metrics)),
+      reply_(this, config_.coordinator, kMailExecPlanReply,
+             kMailExchangeReplyResend, config_.retransmit.resend_ns) {
   PRISMA_CHECK(config_.build_side == 0 || config_.build_side == 1);
   // The build side is fully received before probing starts, so it must be
   // a moving side; a stationary input can always stream into the probe.
@@ -25,10 +30,27 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
   const SideSpec& probe = Side(1 - config_.build_side);
   PRISMA_CHECK(probe.moving || probe.local_plan != nullptr);
   PRISMA_CHECK(!config_.keys.empty());
-  if (config_.metrics != nullptr) {
-    m_batches_received_ = config_.metrics->GetCounter(
-        "exchange.batches_received", {{"fragment", config_.fragment}});
+}
+
+StreamReceiver::Options ShuffleConsumerOptions(size_t index,
+                                               const std::string& fragment,
+                                               uint64_t credit_window,
+                                               const pool::CostModel& costs,
+                                               obs::MetricsRegistry* metrics) {
+  StreamReceiver::Options options;
+  options.consumer = index;
+  options.credit_window = credit_window;
+  // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
+  options.tuple_ns = costs.tuple_ns;
+  if (metrics != nullptr) {
+    options.received = metrics->GetCounter("exchange.batches_received",
+                                           {{"fragment", fragment}});
+    options.dups = [metrics, fragment] {
+      return metrics->GetCounter("exchange.dup_batches",
+                                 {{"fragment", fragment}});
+    };
   }
+  return options;
 }
 
 std::unique_ptr<exec::PipelinedHashJoin>
@@ -75,13 +97,7 @@ void ExchangeConsumerProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   if (mail.kind == kMailExchangeReplyResend) {
-    if (!replied_ || reply_resends_left_ <= 0) return;
-    --reply_resends_left_;
-    SendMail(config_.coordinator, kMailExecPlanReply, *reply_,
-             (*reply_)->WireBits());
-    if (reply_resends_left_ > 0) {
-      SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-    }
+    reply_.OnTimer();
     return;
   }
   // Unknown kinds are ignored (forward compatibility).
@@ -94,29 +110,10 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
   auto& channels = is_build ? build_channels_ : probe_channels_;
   if (msg->producer >= channels->size()) return;
   exec::InboundChannel& channel = (*channels)[msg->producer];
-
-  exec::TupleBatch batch;
-  batch.seq = msg->seq;
-  batch.eos = msg->eos;
-  auto rows_or = TupleBatchRows(*msg);
-  if (!rows_or.ok()) {
-    // A frame that fails to decode can never become deliverable; fail the
-    // query instead of stalling the producer into its retry budget.
-    SendReply(rows_or.status());
+  const Status status = in_.Offer(*msg, channel);
+  if (!status.ok()) {
+    SendReply(status);
     return;
-  }
-  batch.tuples = std::move(rows_or).value();
-  const size_t rows = batch.tuples.size();
-  if (channel.Offer(std::move(batch))) {
-    // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
-    ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
-    if (m_batches_received_ != nullptr) m_batches_received_->Increment();
-  } else if (config_.metrics != nullptr) {
-    if (m_dup_batches_ == nullptr) {
-      m_dup_batches_ = config_.metrics->GetCounter(
-          "exchange.dup_batches", {{"fragment", config_.fragment}});
-    }
-    m_dup_batches_->Increment();
   }
 
   // Advance the pipeline first: TakeReady inside Pump is what moves the
@@ -126,18 +123,11 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
   // retransmission timer).
   Pump();
 
-  // Always (re-)acknowledge, even duplicates: a lost ack would otherwise
-  // stall the producer's credit window forever.
-  auto ack = std::make_shared<BatchAckMsg>();
-  ack->shuffle_token = msg->shuffle_token;
-  ack->consumer = config_.index;
-  ack->ack = channel.ack();
-  ack->credit = config_.credit_window;
-  SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
+  in_.Ack(mail.from, msg->shuffle_token, channel);
 }
 
 void ExchangeConsumerProcess::Pump() {
-  if (replied_) return;
+  if (reply_.sent()) return;
 
   // Build phase: insert in-order build batches into the hash table.
   bool build_channels_done = true;
@@ -180,7 +170,7 @@ void ExchangeConsumerProcess::Pump() {
         const Status status = ProbeTuples(buffered);
         if (!status.ok()) SendReply(status);
       }
-      if (probe_channels_done && !replied_) SendReply(Status::OK());
+      if (probe_channels_done && !reply_.sent()) SendReply(Status::OK());
     }
   } else if (build_done_ && !probe_drained_ && !failed_) {
     probe_drained_ = true;
@@ -219,8 +209,7 @@ void ExchangeConsumerProcess::RunLocalProbe() {
 }
 
 void ExchangeConsumerProcess::SendReply(Status status) {
-  if (replied_) return;
-  replied_ = true;
+  if (reply_.sent()) return;
   failed_ = !status.ok();
   auto reply = std::make_shared<ExecPlanReply>();
   reply->request_id = config_.reply_request_id;
@@ -230,16 +219,7 @@ void ExchangeConsumerProcess::SendReply(Status status) {
     reply->tuples =
         std::make_shared<std::vector<Tuple>>(std::move(*results_));
   }
-  *reply_ = reply;
-  SendMail(config_.coordinator, kMailExecPlanReply, reply,
-           reply->WireBits());
-  // Retransmit until the coordinator kills us at statement completion: the
-  // reply may be lost, and the coordinator's reply-side dedup (SettleRpc)
-  // makes duplicates harmless.
-  if (config_.reply_resend_ns > 0 && config_.reply_resend_attempts > 0) {
-    reply_resends_left_ = config_.reply_resend_attempts;
-    SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-  }
+  reply_.Send(reply, reply->WireBits());
 }
 
 void ExchangeConsumerProcess::ChargeJoinDelta() {

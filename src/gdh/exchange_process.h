@@ -10,6 +10,7 @@
 #include "exec/executor.h"
 #include "gdh/messages.h"
 #include "gdh/pe_registry.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
@@ -24,9 +25,9 @@ namespace prisma::gdh {
 /// and answers the coordinator with a normal ExecPlanReply carrying its
 /// share of the join result.
 ///
-/// Fault tolerance composes from three pieces: inbound batches are
-/// seq-deduplicated per channel (duplicated or re-executed producers are
-/// harmless), every batch is cumulatively acknowledged (lost acks are
+/// Fault tolerance is the transport's (gdh/transport.h): inbound batches
+/// are seq-deduplicated per channel (duplicated or re-executed producers
+/// are harmless), every batch is cumulatively acknowledged (lost acks are
 /// repaired by the producer's retransmission), and the final reply is
 /// retransmitted on a timer until the coordinator kills this process at
 /// statement completion.
@@ -63,12 +64,8 @@ class ExchangeConsumerProcess : public pool::Process {
     pool::CostModel costs;
     const PeLocalRegistry* registry = nullptr;  // Stationary-side scans.
     uint64_t credit_window = 4;
-    /// Reply retransmission period; 0 disables (fault-free runs).
-    sim::SimTime reply_resend_ns = 0;
-    /// Retransmission budget: normally the coordinator kills this process
-    /// long before it runs out; the cap only stops an orphaned consumer
-    /// (crashed coordinator) from ticking forever.
-    int reply_resend_attempts = 240;
+    /// The final reply is resent every retransmit.resend_ns (0: never).
+    RetransmitPolicy retransmit;
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -112,18 +109,23 @@ class ExchangeConsumerProcess : public pool::Process {
   pool::Owned<std::vector<exec::InboundChannel>> probe_channels_;
   pool::Owned<std::vector<Tuple>> probe_buffer_;  // Pre-build-EOS arrivals.
   pool::Owned<std::vector<Tuple>> results_;
-  pool::Owned<std::shared_ptr<ExecPlanReply>> reply_;
+  StreamReceiver in_;
+  Resender reply_;
 
-  int reply_resends_left_ = 0;
   bool build_done_ = false;
   bool probe_drained_ = false;  // Stationary probe executed (if any).
-  bool replied_ = false;
   bool failed_ = false;
   exec::JoinCounters charged_;  // Counter snapshot of the last charge.
-
-  obs::Counter* m_batches_received_ = nullptr;
-  obs::Counter* m_dup_batches_ = nullptr;  // Lazy: fault paths only.
 };
+
+/// Receiver options of a shuffle consumer (exchange join or OLAP merge):
+/// acks stamped with `index` grant `credit_window`, and batches count
+/// under the exchange.* family labelled with the anchor `fragment`.
+StreamReceiver::Options ShuffleConsumerOptions(size_t index,
+                                               const std::string& fragment,
+                                               uint64_t credit_window,
+                                               const pool::CostModel& costs,
+                                               obs::MetricsRegistry* metrics);
 
 }  // namespace prisma::gdh
 

@@ -4,9 +4,7 @@
 #include <any>
 #include <utility>
 
-#include "common/column_batch.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace prisma::gdh {
 
@@ -18,16 +16,65 @@ FixpointPeProcess::FixpointPeProcess(Config config)
           config_.algorithm, config_.num_pes, config_.index)),
       known_ofm_(MakeKnownOfm()),
       edge_channels_(
-          std::vector<exec::InboundChannel>(config_.edge_producers)) {
+          std::vector<exec::InboundChannel>(config_.edge_producers)),
+      out_(this, OutOptions()),
+      in_(this, InOptions()),
+      reply_(this, config_.coordinator, kMailExecPlanReply,
+             kMailExchangeReplyResend, config_.retransmit.resend_ns),
+      vote_(this, config_.coordinator, kMailFixpointVote,
+            kMailFixpointVoteResend, config_.retransmit.resend_ns) {
   PRISMA_CHECK(config_.num_pes > 0);
   PRISMA_CHECK(config_.index < config_.num_pes);
   if (config_.metrics != nullptr) {
-    const obs::Labels labels = {{"pe", std::to_string(config_.index)}};
-    m_batches_received_ =
-        config_.metrics->GetCounter("fixpoint.batches_received", labels);
-    m_batches_sent_ =
-        config_.metrics->GetCounter("fixpoint.batches_sent", labels);
+    m_batches_sent_ = config_.metrics->GetCounter(
+        "fixpoint.batches_sent", {{"pe", std::to_string(config_.index)}});
   }
+}
+
+StreamSender::Options FixpointPeProcess::OutOptions() {
+  StreamSender::Options options;
+  options.resend_kind = kMailFixpointBatchResend;
+  options.policy = config_.retransmit;
+  options.tuple_ns = config_.costs.tuple_ns;
+  options.on_send = [this](const StreamSender::Stream& stream, int64_t bits,
+                           bool first) {
+    if (!first) return;
+    // First transmissions only: the per-round shipping-cost axis must not
+    // vary with fault-plan luck beyond what the seed already fixes.
+    (*wire_bits_by_round_)[stream.tag] += static_cast<uint64_t>(bits);
+    if (m_batches_sent_ != nullptr) m_batches_sent_->Increment();
+  };
+  options.on_exhausted = [this](const StreamSender::Stream& stream) {
+    Fail(UnavailableError(
+        "fixpoint partition " + std::to_string(config_.index) + " round " +
+        std::to_string(stream.tag) +
+        " delta stream made no progress after " +
+        std::to_string(config_.retransmit.attempts) +
+        " retransmission windows"));
+  };
+  if (config_.metrics != nullptr) {
+    options.retransmits = [this] {
+      return config_.metrics->GetCounter(
+          "fixpoint.retransmits", {{"pe", std::to_string(config_.index)}});
+    };
+  }
+  return options;
+}
+
+StreamReceiver::Options FixpointPeProcess::InOptions() {
+  StreamReceiver::Options options;
+  options.consumer = config_.index;
+  options.credit_window = config_.credit_window;
+  options.tuple_ns = config_.costs.tuple_ns;
+  if (config_.metrics != nullptr) {
+    options.received = config_.metrics->GetCounter(
+        "fixpoint.batches_received", {{"pe", std::to_string(config_.index)}});
+    options.dups = [this] {
+      return config_.metrics->GetCounter(
+          "fixpoint.dup_batches", {{"pe", std::to_string(config_.index)}});
+    };
+  }
+  return options;
 }
 
 std::unique_ptr<exec::Ofm> FixpointPeProcess::MakeKnownOfm() {
@@ -58,25 +105,11 @@ void FixpointPeProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailFixpointRound) {
     HandleRound(mail);
   } else if (mail.kind == kMailFixpointBatchResend) {
-    HandleBatchResend(mail);
+    out_.OnTimer(mail);
   } else if (mail.kind == kMailFixpointVoteResend) {
-    if (replied_ || failed_ || *last_vote_ == nullptr ||
-        vote_resends_left_ <= 0) {
-      vote_timer_armed_ = false;
-      return;
-    }
-    --vote_resends_left_;
-    SendMail(config_.coordinator, kMailFixpointVote, *last_vote_,
-             kControlBits);
-    SendSelfAfter(config_.vote_resend_ns, kMailFixpointVoteResend);
+    vote_.OnTimer();
   } else if (mail.kind == kMailExchangeReplyResend) {
-    if (!replied_ || reply_resends_left_ <= 0) return;
-    --reply_resends_left_;
-    SendMail(config_.coordinator, kMailExecPlanReply, *reply_,
-             (*reply_)->WireBits());
-    if (reply_resends_left_ > 0) {
-      SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-    }
+    reply_.OnTimer();
   }
   // Unknown kinds are ignored (forward compatibility).
 }
@@ -94,7 +127,7 @@ void FixpointPeProcess::HandleStart(const pool::Mail& mail) {
 void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
   auto msg = std::any_cast<std::shared_ptr<FixpointRoundMsg>>(mail.body);
   if (msg->fixpoint_id != config_.fixpoint_id) return;
-  if (failed_ || replied_) return;
+  if (failed_ || reply_.sent()) return;
   if (msg->harvest) {
     HandleHarvest();
     return;
@@ -133,91 +166,32 @@ void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
     channel = &round_channels[msg->producer];
   }
 
-  exec::TupleBatch batch;
-  batch.seq = msg->seq;
-  batch.eos = msg->eos;
-  auto rows_or = TupleBatchRows(*msg);
-  if (!rows_or.ok()) {
+  const Status status = in_.Offer(*msg, *channel);
+  if (!status.ok()) {
     // An undecodable frame can never become deliverable; degrade the
     // whole fixpoint instead of stalling the peer's retry budget.
-    Fail(rows_or.status());
+    Fail(status);
     return;
   }
-  batch.tuples = std::move(rows_or).value();
-  const size_t rows = batch.tuples.size();
-  if (channel->Offer(std::move(batch))) {
-    ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
-    if (m_batches_received_ != nullptr) m_batches_received_->Increment();
-  } else if (config_.metrics != nullptr) {
-    if (m_dup_batches_ == nullptr) {
-      // Registered on first duplicate so fault-free dumps are unchanged.
-      m_dup_batches_ = config_.metrics->GetCounter(
-          "fixpoint.dup_batches", {{"pe", std::to_string(config_.index)}});
-    }
-    m_dup_batches_->Increment();
-  }
-
   // Advance first: draining moves the channel's cumulative ack point, so
   // acking afterwards covers this very batch (DESIGN.md §10.2).
   Advance();
   if (failed_) return;  // Advancing may have degraded; stop acking.
-
-  auto ack = std::make_shared<BatchAckMsg>();
-  ack->shuffle_token = msg->shuffle_token;
-  ack->consumer = config_.index;
-  ack->ack = channel->ack();
-  ack->credit = config_.credit_window;
-  SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
+  in_.Ack(mail.from, msg->shuffle_token, *channel);
 }
 
 void FixpointPeProcess::HandleAck(const pool::Mail& mail) {
-  auto msg = std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
-  auto it = outbound_->find(msg->shuffle_token);
-  if (it == outbound_->end()) return;  // Finished stream; stale ack.
-  OutStream& out = it->second;
-  out.channel.set_window(msg->credit);
-  if (out.channel.OnAck(msg->ack)) {
-    // Window progress: the peer is alive, so the retransmission budget
-    // and backoff start over.
-    out.attempts = 0;
-    out.retry_delay = config_.batch_retry_ns;
-  }
-  PumpOut(it->first, out);
-  if (out.channel.done()) outbound_->erase(it);
+  const BatchAckMsg& ack =
+      *std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
+  const StreamSender::Stream* stream = out_.OnAck(ack);
+  if (stream == nullptr) return;  // Closed stream; stale ack.
+  if (stream->done()) out_.Close(ack.shuffle_token);
   // Outbound progress may complete this round's first transmissions.
   MaybeVote();
 }
 
-void FixpointPeProcess::HandleBatchResend(const pool::Mail& mail) {
-  const uint64_t token = *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
-  auto it = outbound_->find(token);
-  if (it == outbound_->end()) return;  // Stream finished; timer is moot.
-  OutStream& out = it->second;
-  if (++out.attempts > config_.batch_attempts) {
-    Fail(UnavailableError(
-        "fixpoint partition " + std::to_string(config_.index) +
-        " round " + std::to_string(out.round) +
-        " delta stream made no progress after " +
-        std::to_string(config_.batch_attempts) + " retransmission windows"));
-    return;
-  }
-  // Retransmit the lowest unacknowledged already-sent batch (repairs both
-  // a lost batch and a lost ack), then pump in case credit is free.
-  const uint64_t seq = out.channel.acked() + 1;
-  if (out.channel.Sent(seq)) {
-    if (const exec::TupleBatch* batch = out.channel.BatchAt(seq)) {
-      SendBatchMsg(token, out, *batch, /*first=*/false);
-    }
-  }
-  PumpOut(token, out);
-  out.retry_delay =
-      std::min(out.retry_delay * 2, config_.batch_backoff_cap_ns);
-  SendSelfAfter(out.retry_delay, kMailFixpointBatchResend,
-                std::make_shared<uint64_t>(token));
-}
-
 void FixpointPeProcess::Advance() {
-  if (failed_ || replied_) return;
+  if (failed_ || reply_.sent()) return;
   DrainEdges();
   if (failed_) return;
   if (started_ && edges_done_ && !seeded_) Seed();
@@ -266,62 +240,21 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
   for (int copy = 0; copy < copies; ++copy) {
     exec::RoutedPairs& parts = copy == 0 ? owner : index;
     for (size_t peer = 0; peer < config_.num_pes; ++peer) {
-      const uint64_t token = next_token_++;
-      auto [it, inserted] = outbound_->emplace(
-          token,
-          OutStream{exec::OutboundChannel(
-                        std::vector<Tuple>(parts[peer].begin(),
-                                           parts[peer].end()),
-                        config_.batch_rows, config_.credit_window),
-                    peers_->at(peer), SideFor(round, copy), round, 0,
-                    config_.batch_retry_ns});
-      PRISMA_CHECK(inserted);
-      PumpOut(token, it->second);
-      SendSelfAfter(config_.batch_retry_ns, kMailFixpointBatchResend,
-                    std::make_shared<uint64_t>(token));
+      StreamSender::Stream stream;
+      stream.exchange_id = config_.fixpoint_id;
+      stream.side = SideFor(round, copy);
+      stream.producer = config_.index;
+      stream.token = next_token_++;
+      stream.channels.push_back(
+          {exec::OutboundChannel(
+               std::vector<Tuple>(parts[peer].begin(), parts[peer].end()),
+               config_.batch_rows, config_.credit_window),
+           peers_->at(peer), nullptr});
+      stream.columnar = config_.columnar;
+      stream.tag = round;
+      out_.Open(std::move(stream));
     }
   }
-}
-
-void FixpointPeProcess::PumpOut(uint64_t token, OutStream& out) {
-  while (const exec::TupleBatch* batch = out.channel.TakeNextToSend()) {
-    SendBatchMsg(token, out, *batch, /*first=*/true);
-  }
-}
-
-void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
-                                     const exec::TupleBatch& batch,
-                                     bool first) {
-  auto msg = std::make_shared<TupleBatchMsg>();
-  msg->exchange_id = config_.fixpoint_id;
-  msg->side = out.side;
-  msg->producer = config_.index;
-  msg->shuffle_token = token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (config_.columnar) {
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
-  } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
-  }
-  const int64_t bits = msg->WireBits();
-  // Marshalling cost, mirroring the receiver's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-            config_.costs.tuple_ns);
-  if (first) {
-    // First transmissions only: the per-round shipping-cost axis must not
-    // vary with fault-plan luck beyond what the seed already fixes.
-    (*wire_bits_by_round_)[out.round] += static_cast<uint64_t>(bits);
-    if (m_batches_sent_ != nullptr) m_batches_sent_->Increment();
-  } else if (config_.metrics != nullptr) {
-    if (m_retransmits_ == nullptr) {
-      m_retransmits_ = config_.metrics->GetCounter(
-          "fixpoint.retransmits", {{"pe", std::to_string(config_.index)}});
-    }
-    m_retransmits_->Increment();
-  }
-  SendMail(out.peer, kMailTupleBatch, std::move(msg), bits);
 }
 
 void FixpointPeProcess::DrainRounds() {
@@ -373,18 +306,18 @@ bool FixpointPeProcess::InboundComplete(uint64_t round) {
 }
 
 bool FixpointPeProcess::OutboundSentComplete(uint64_t round) const {
-  // Streams are erased once fully acked, so anything still present for
-  // this round must at least have first-transmitted every batch (the
-  // vote's wire_bits are complete and the receivers can finish).
-  for (const auto& [token, out] : *outbound_) {
+  // Streams are closed once fully acked, so anything still open for this
+  // round must at least have first-transmitted every batch (the vote's
+  // wire_bits are complete and the receivers can finish).
+  for (const auto& [token, stream] : out_.streams()) {
     (void)token;  // prisma-lint: unused-status - key only identifies the stream.
-    if (out.round == round && out.channel.next_unsent() != 0) return false;
+    if (stream.tag == round && !stream.sent()) return false;
   }
   return true;
 }
 
 void FixpointPeProcess::MaybeVote() {
-  if (failed_ || replied_ || !seeded_) return;
+  if (failed_ || reply_.sent() || !seeded_) return;
   if (voted_round_ >= static_cast<int64_t>(current_round_)) return;
   if (!InboundComplete(current_round_)) return;
   if (!OutboundSentComplete(current_round_)) return;
@@ -399,24 +332,24 @@ void FixpointPeProcess::MaybeVote() {
   auto bits = wire_bits_by_round_->find(current_round_);
   vote->wire_bits = bits == wire_bits_by_round_->end() ? 0 : bits->second;
   voted_round_ = static_cast<int64_t>(current_round_);
-  *last_vote_ = vote;
-  SendMail(config_.coordinator, kMailFixpointVote, vote, kControlBits);
-  if (config_.vote_resend_ns > 0 && !vote_timer_armed_) {
-    vote_timer_armed_ = true;
-    vote_resends_left_ = config_.resend_attempts;
-    SendSelfAfter(config_.vote_resend_ns, kMailFixpointVoteResend);
-  }
+  // Resent until the coordinator advances (the next vote replaces it) or
+  // this partition replies.
+  vote_.Send(vote, kControlBits);
 }
 
 void FixpointPeProcess::HandleHarvest() {
-  if (replied_ || failed_) return;
+  if (reply_.sent() || failed_) return;
   SendReply(Status::OK());
 }
 
 void FixpointPeProcess::SendReply(Status status) {
-  if (replied_) return;
-  replied_ = true;
+  if (reply_.sent()) return;
   failed_ = !status.ok();
+  // Quiet when done: at the harvest every peer already holds every batch
+  // (each voted its inbound complete), and a failing fixpoint is aborted
+  // by the coordinator — no stream timer may outlive this reply.
+  out_.CloseAll();
+  vote_.Stop();
   auto reply = std::make_shared<ExecPlanReply>();
   reply->request_id = config_.reply_request_id;
   reply->status = std::move(status);
@@ -427,21 +360,12 @@ void FixpointPeProcess::SendReply(Status status) {
               config_.costs.tuple_ns);
     reply->tuples = std::make_shared<std::vector<Tuple>>(std::move(slice));
   }
-  *reply_ = reply;
-  SendMail(config_.coordinator, kMailExecPlanReply, reply,
-           reply->WireBits());
-  // Retransmit until the coordinator kills us at statement completion.
-  if (config_.reply_resend_ns > 0 && config_.resend_attempts > 0) {
-    reply_resends_left_ = config_.resend_attempts;
-    SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-  }
+  reply_.Send(reply, reply->WireBits());
 }
 
 void FixpointPeProcess::Fail(Status status) {
   if (failed_) return;
-  if (!replied_) {
-    SendReply(std::move(status));
-  }
+  SendReply(std::move(status));
   failed_ = true;
 }
 

@@ -12,6 +12,7 @@
 #include "exec/fixpoint.h"
 #include "exec/ofm.h"
 #include "gdh/messages.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
@@ -32,13 +33,14 @@ namespace prisma::gdh {
 /// require extensive crash recovery facilities") — intermediate fixpoint
 /// state is rebuilt by re-running the query, never recovered.
 ///
-/// Fault tolerance composes from the exchange layer's guarantees plus
-/// idempotent control handling: inbound delta batches are seq-
-/// deduplicated per round-scoped channel, outbound streams retransmit
-/// under the producer backoff discipline, duplicated round directives
-/// are dropped by the round counter, votes are retransmitted on a timer
-/// until the coordinator advances, and the final reply retransmits until
-/// the coordinator kills this process at statement completion.
+/// Fault tolerance composes from the transport's guarantees
+/// (gdh/transport.h) plus idempotent control handling: inbound delta
+/// batches are seq-deduplicated per round-scoped channel, outbound streams
+/// retransmit under the machine's RetransmitPolicy, duplicated round
+/// directives are dropped by the round counter, votes are retransmitted
+/// on a timer until the coordinator advances, and the final reply
+/// retransmits until the coordinator kills this process at statement
+/// completion. Sending the final reply closes every outbound stream.
 class FixpointPeProcess : public pool::Process {
  public:
   struct Config {
@@ -60,17 +62,9 @@ class FixpointPeProcess : public pool::Process {
     /// (DESIGN.md §12) — set for vectorized statements. The per-round
     /// wire_bits reported on votes then measure the columnar frames.
     bool columnar = false;
-    /// Outbound-stream retransmission discipline (mirrors the OFM
-    /// producer's knobs).
-    sim::SimTime batch_retry_ns = 250'000'000;
-    sim::SimTime batch_backoff_cap_ns = 2'000'000'000;
-    int batch_attempts = 10;
-    /// Vote/reply retransmission period; 0 disables (fault-free runs).
-    sim::SimTime vote_resend_ns = 0;
-    sim::SimTime reply_resend_ns = 0;
-    /// Budget that stops an orphaned process (dead coordinator) from
-    /// ticking forever.
-    int resend_attempts = 240;
+    /// Outbound streams retransmit like OFM shuffles; votes and the final
+    /// reply are resent every resend_ns (0: never, fault-free runs).
+    RetransmitPolicy retransmit;
     pool::CostModel costs;
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -84,17 +78,6 @@ class FixpointPeProcess : public pool::Process {
   }
 
  private:
-  /// One outbound round stream to one peer, keyed by its token so acks
-  /// and resend timers for superseded or finished streams fall through.
-  struct OutStream {
-    exec::OutboundChannel channel;
-    pool::ProcessId peer = pool::kNoProcess;
-    int side = 0;
-    uint64_t round = 0;
-    int attempts = 0;
-    sim::SimTime retry_delay = 0;
-  };
-
   /// Channel side for round `round`'s owner (copy 0) or smart-index
   /// (copy 1) streams; side 0 is reserved for the edge shuffle.
   static int SideFor(uint64_t round, int copy) {
@@ -103,11 +86,12 @@ class FixpointPeProcess : public pool::Process {
 
   /// The known-set OFM, built at construction.
   std::unique_ptr<exec::Ofm> MakeKnownOfm();
+  StreamSender::Options OutOptions();
+  StreamReceiver::Options InOptions();
   void HandleStart(const pool::Mail& mail);
   void HandleRound(const pool::Mail& mail);
   void HandleBatch(const pool::Mail& mail);
   void HandleAck(const pool::Mail& mail);
-  void HandleBatchResend(const pool::Mail& mail);
   void HandleHarvest();
 
   /// Drains whatever became ready (edge channels, current-round delta
@@ -119,9 +103,6 @@ class FixpointPeProcess : public pool::Process {
   void Seed();
   void SendRoundStreams(uint64_t round, exec::RoutedPairs owner,
                         exec::RoutedPairs index);
-  void PumpOut(uint64_t token, OutStream& out);
-  void SendBatchMsg(uint64_t token, OutStream& out,
-                    const exec::TupleBatch& batch, bool first);
   bool InboundComplete(uint64_t round);
   bool OutboundSentComplete(uint64_t round) const;
   void MaybeVote();
@@ -137,31 +118,27 @@ class FixpointPeProcess : public pool::Process {
   pool::Owned<std::vector<exec::InboundChannel>> edge_channels_;
   /// Inter-PE round channels keyed by side, one channel per peer.
   pool::Owned<std::map<int, std::vector<exec::InboundChannel>>> inbound_;
-  pool::Owned<std::map<uint64_t, OutStream>> outbound_;
+  /// Round streams to the peers, one per (round, copy, peer), tagged with
+  /// their round; acks and timers of closed streams fall through.
+  StreamSender out_;
+  StreamReceiver in_;
+  Resender reply_;
+  Resender vote_;  // The latest vote.
   /// First-transmission bits per round (retransmissions excluded), the
   /// shipping-cost axis reported on each vote.
   pool::Owned<std::map<uint64_t, uint64_t>> wire_bits_by_round_;
-  pool::Owned<std::shared_ptr<FixpointVoteMsg>> last_vote_;
-  pool::Owned<std::shared_ptr<ExecPlanReply>> reply_;
 
   bool started_ = false;
   bool edges_done_ = false;
   bool seeded_ = false;
-  bool replied_ = false;
   bool failed_ = false;
   uint64_t current_round_ = 0;  // Valid once seeded_ (round 0 = seed).
   int64_t voted_round_ = -1;
   uint64_t absorbed_new_current_ = 0;  // New owned pairs this round.
   uint64_t round_products_ = 0;        // Join products this round.
   uint64_t next_token_ = 1;
-  bool vote_timer_armed_ = false;
-  int vote_resends_left_ = 0;
-  int reply_resends_left_ = 0;
 
-  obs::Counter* m_batches_received_ = nullptr;
   obs::Counter* m_batches_sent_ = nullptr;
-  obs::Counter* m_dup_batches_ = nullptr;     // Lazy: fault paths only.
-  obs::Counter* m_retransmits_ = nullptr;     // Lazy: fault paths only.
 };
 
 }  // namespace prisma::gdh

@@ -38,7 +38,19 @@ constexpr exec::TxnId kTxnIdLookahead = 4 * kTxnIdChunk;
 
 }  // namespace
 
-GdhProcess::GdhProcess(Config config) : config_(std::move(config)) {
+GdhProcess::GdhProcess(Config config)
+    : config_(std::move(config)),
+      rpcs_(this, config_.retransmit,
+            {[this](const Rpcs::PendingRpc& rpc) {
+               auto ofm = OfmOf(rpc.target);
+               return ofm.ok() ? *ofm : pool::kNoProcess;
+             },
+             [this](uint64_t id, Rpcs::PendingRpc& rpc) {
+               return RetryRpc(id, rpc);
+             },
+             [this](uint64_t id, const Rpcs::PendingRpc& rpc) {
+               RpcExhausted(id, rpc);
+             }}) {
   PRISMA_CHECK(!config_.fragment_pes.empty());
   PRISMA_CHECK(!config_.coordinator_pes.empty());
   // Replication needs a distinct PE for the backup (anti-affinity) and a
@@ -177,30 +189,14 @@ void GdhProcess::SendRpc(uint64_t request_id, uint64_t batch_id,
                          std::any body, int64_t size_bits,
                          int max_attempts) {
   request_batch_[request_id] = batch_id;
-  PendingRpc rpc;
-  rpc.fragment = std::move(fragment);
-  rpc.kind = kind;
-  rpc.body = std::move(body);
-  rpc.size_bits = size_bits;
-  rpc.max_attempts = max_attempts;
-  rpc.delay = config_.rpc_timeout_ns;
-  auto ofm = OfmOf(rpc.fragment);
-  if (ofm.ok() && *ofm != pool::kNoProcess) {
-    SendMail(*ofm, rpc.kind, rpc.body, rpc.size_bits);
-  }
   // An unresolvable target (crashed fragment) is treated like a lost
   // message: the timer keeps retrying, chasing a later respawn.
-  rpc.timer = SendSelfAfter(rpc.delay, kMailRpcTimeout,
-                            std::make_shared<uint64_t>(request_id));
-  rpcs_[request_id] = std::move(rpc);
+  rpcs_.Send(request_id, std::move(fragment), kind, std::move(body),
+             size_bits, max_attempts);
 }
 
 bool GdhProcess::SettleRpc(uint64_t request_id) {
-  auto it = rpcs_.find(request_id);
-  if (it == rpcs_.end()) return false;
-  runtime()->simulator()->Cancel(it->second.timer);
-  rpcs_.erase(it);
-  return true;
+  return rpcs_.Settle(request_id);
 }
 
 void GdhProcess::AccountBatchMember(uint64_t request_id, const Status& status,
@@ -218,80 +214,64 @@ void GdhProcess::AccountBatchMember(uint64_t request_id, const Status& status,
   if (batch.received == batch.expected) FinishMulticast(batch_id, batch);
 }
 
-void GdhProcess::HandleRpcTimeout(const pool::Mail& mail) {
-  const uint64_t request_id =
-      *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
-  auto it = rpcs_.find(request_id);
-  if (it == rpcs_.end()) return;  // Answered in the meantime.
-  PendingRpc& rpc = it->second;
-  if (rpc.attempts >= rpc.max_attempts) {
-    int replica = 0;
-    FragmentInfo* frag = FindFragment(rpc.fragment, &replica);
-    // A replicated fragment with a healthy peer sheds the unanswered
-    // replica instead of failing the operation: the replica is marked
-    // stale (rebuilt by resync before it serves anything again) and this
-    // member settles benignly — the surviving replica alone carries the
-    // write, the prepare vote or the decision.
-    if (frag != nullptr && frag->replicated && rpc.kind != kMailResync &&
-        TryFailover(*frag, replica)) {
-      // A fresh shed sweeps this RPC from inside TryFailover (it was
-      // addressed to the shed replica); an already-shed replica's RPC is
-      // settled here instead. `it` may dangle after the sweep.
-      if (SettleRpc(request_id)) {
-        dual_writes_.erase(request_id);
-        AccountBatchMember(request_id, Status::OK(), 0);
-      }
-      return;
-    }
-    // Budget exhausted: degrade to a typed kUnavailable so the statement
-    // completes instead of hanging. The message names the unreachable
-    // fragment and its PE (degradation reporting).
-    ++stats_.rpc_failures;
-    Inc(LazyCounter(&m_rpc_failures_, "gdh.rpc_failures"));
-    const net::NodeId target_pe =
-        frag != nullptr ? frag->ReplicaPe(replica) : 0;
-    Status failure = UnavailableError(
-        "fragment " + rpc.fragment + " on PE " + std::to_string(target_pe) +
-        " did not answer " + rpc.kind + " after " +
-        std::to_string(rpc.attempts) + " attempts (crashed PE?)");
-    CountUnavailable(target_pe, TableOfFragment(rpc.fragment));
-    // The OFM may have executed the write and only its reply was lost: a
-    // late reply must still feed the row-count statistics.
-    if (rpc.kind == kMailWrite) NoteDegradedWrite(request_id);
-    rpcs_.erase(it);
-    AccountBatchMember(request_id, failure, 0);
-    return;
+bool GdhProcess::ShedRpc(uint64_t request_id, const std::string& target) {
+  int replica = 0;
+  FragmentInfo* frag = FindFragment(target, &replica);
+  if (frag == nullptr || !frag->replicated || !TryFailover(*frag, replica)) {
+    return false;
   }
-  ++rpc.attempts;
+  // A fresh shed sweeps this RPC from inside TryFailover (it was
+  // addressed to the shed replica); an already-shed replica's RPC is
+  // settled here instead.
+  if (SettleRpc(request_id)) {
+    dual_writes_.erase(request_id);
+    AccountBatchMember(request_id, Status::OK(), 0);
+  }
+  return true;
+}
+
+void GdhProcess::RpcExhausted(uint64_t request_id,
+                              const Rpcs::PendingRpc& rpc) {
+  // A replicated fragment with a healthy peer sheds the unanswered
+  // replica instead of failing the operation: the replica is marked
+  // stale (rebuilt by resync before it serves anything again) and this
+  // member settles benignly — the surviving replica alone carries the
+  // write, the prepare vote or the decision.
+  if (rpc.kind != kMailResync && ShedRpc(request_id, rpc.target)) return;
+  // Budget exhausted: degrade to a typed kUnavailable so the statement
+  // completes instead of hanging. The message names the unreachable
+  // fragment and its PE (degradation reporting).
+  int replica = 0;
+  const FragmentInfo* frag = FindFragment(rpc.target, &replica);
+  ++stats_.rpc_failures;
+  Inc(LazyCounter(&m_rpc_failures_, "gdh.rpc_failures"));
+  const net::NodeId target_pe = frag != nullptr ? frag->ReplicaPe(replica) : 0;
+  Status failure = UnavailableError(
+      "fragment " + rpc.target + " on PE " + std::to_string(target_pe) +
+      " did not answer " + rpc.kind + " after " +
+      std::to_string(rpc.attempts) + " attempts (crashed PE?)");
+  CountUnavailable(target_pe, TableOfFragment(rpc.target));
+  // The OFM may have executed the write and only its reply was lost: a
+  // late reply must still feed the row-count statistics.
+  if (rpc.kind == kMailWrite) NoteDegradedWrite(request_id);
+  SettleRpc(request_id);
+  AccountBatchMember(request_id, failure, 0);
+}
+
+bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
   ++stats_.rpc_retries;
   Inc(LazyCounter(&m_rpc_retries_, "gdh.rpc_retries"));
-  // Re-resolve the target: the fragment may have respawned under a new
-  // pid since the last attempt.
-  auto ofm = OfmOf(rpc.fragment);
-  const bool target_dead =
-      !ofm.ok() || *ofm == pool::kNoProcess || !runtime()->IsAlive(*ofm);
-  if (target_dead && rpc.kind != kMailResync) {
-    // The host process is gone, not just slow: a replicated fragment with
-    // a healthy peer sheds the replica on the first retry that notices,
-    // mirroring the scatter-time shed in WriteTargets. Waiting out the
-    // budget would pin decision RPCs (extended budget) for seconds on a
-    // target that cannot answer before its PE restarts.
-    int replica = 0;
-    FragmentInfo* frag = FindFragment(rpc.fragment, &replica);
-    if (frag != nullptr && frag->replicated && TryFailover(*frag, replica)) {
-      if (SettleRpc(request_id)) {
-        dual_writes_.erase(request_id);
-        AccountBatchMember(request_id, Status::OK(), 0);
-      }
-      return;
-    }
+  if (rpc.kind == kMailResync) return true;
+  auto ofm = OfmOf(rpc.target);
+  if (ofm.ok() && *ofm != pool::kNoProcess && runtime()->IsAlive(*ofm)) {
+    return true;
   }
-  if (ofm.ok() && *ofm != pool::kNoProcess) {
-    SendMail(*ofm, rpc.kind, rpc.body, rpc.size_bits);
-  }
-  rpc.delay = std::min(rpc.delay * 2, config_.rpc_backoff_cap_ns);
-  rpc.timer = SendSelfAfter(rpc.delay, kMailRpcTimeout,
-                            std::make_shared<uint64_t>(request_id));
+  // The host process is gone, not just slow: a replicated fragment with a
+  // healthy peer sheds the replica on the first retry that notices,
+  // mirroring the scatter-time shed in WriteTargets. Waiting out the
+  // budget would pin decision RPCs (extended budget) for seconds on a
+  // target that cannot answer before its PE restarts.
+  return !ShedRpc(request_id, rpc.target);
 }
 
 void GdhProcess::NoteDegradedWrite(uint64_t request_id) {
@@ -310,9 +290,9 @@ sim::SimTime GdhProcess::DedupRetentionNs() const {
   // to rpc_attempts + 4 sends, each gap bounded by the larger of the
   // initial timeout and the backoff cap; doubled for delivery jitter and
   // duplicates the network may hold back.
-  const sim::SimTime gap =
-      std::max(config_.rpc_timeout_ns, config_.rpc_backoff_cap_ns);
-  return 2 * static_cast<sim::SimTime>(config_.rpc_attempts + 5) * gap;
+  const RetransmitPolicy& policy = config_.retransmit;
+  const sim::SimTime gap = std::max(policy.timeout_ns, policy.backoff_cap_ns);
+  return 2 * static_cast<sim::SimTime>(policy.attempts + 5) * gap;
 }
 
 void GdhProcess::DoomTxnsInvolving(const std::string& fragment) {
@@ -365,8 +345,8 @@ bool GdhProcess::TryFailover(FragmentInfo& frag, int dead) {
   // operation.
   const std::string shed_name = frag.ReplicaName(dead);
   std::vector<uint64_t> orphaned;
-  for (const auto& [id, rpc] : rpcs_) {
-    if (rpc.fragment == shed_name && rpc.kind != kMailResync) {
+  for (const auto& [id, rpc] : rpcs_.calls()) {
+    if (rpc.target == shed_name && rpc.kind != kMailResync) {
       orphaned.push_back(id);
     }
   }
@@ -689,7 +669,7 @@ void GdhProcess::RunTwoPhaseCommit(exec::TxnId txn,
     request->op = TxnControlRequest::Op::kPrepare;
     request->txn = txn;
     SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.rpc_attempts);
+            request, kControlBits, config_.retransmit.attempts);
   }
 }
 
@@ -759,7 +739,7 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     // Decision delivery gets extra retry headroom: participants must
     // learn the outcome or stay in doubt until they inquire.
     SendRpc(request->request_id, batch2, fragment, kMailTxnControl, request,
-            kControlBits, config_.rpc_attempts + 4);
+            kControlBits, config_.retransmit.attempts + 4);
   }
 }
 
@@ -807,7 +787,7 @@ void GdhProcess::AbortEverywhere(exec::TxnId txn,
     request->op = TxnControlRequest::Op::kAbort;
     request->txn = txn;
     SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.rpc_attempts + 4);
+            request, kControlBits, config_.retransmit.attempts + 4);
   }
 }
 
@@ -834,9 +814,7 @@ pool::ProcessId GdhProcess::SpawnReplicaOfm(const TableInfo& info,
   ofm_config.registry = config_.registry;
   // Shuffle-producer retransmission mirrors the RPC knobs: tight under
   // fault injection, effectively off when the net is reliable.
-  ofm_config.batch_retry_ns = config_.rpc_timeout_ns;
-  ofm_config.batch_backoff_cap_ns = config_.rpc_backoff_cap_ns;
-  ofm_config.batch_attempts = config_.rpc_attempts;
+  ofm_config.retransmit = config_.retransmit;
   ofm_config.indexes = info.indexes;
   ofm_config.metrics = config_.metrics;
   return runtime()->Spawn(pe,
@@ -947,7 +925,7 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
         request->columns = index.columns;
         request->ordered = index.ordered;
         SendRpc(request->request_id, batch_id, target, kMailCreateIndex,
-                request, kControlBits, config_.rpc_attempts);
+                request, kControlBits, config_.retransmit.attempts);
       }
       return;
     }
@@ -1131,7 +1109,7 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
             Inc(m_write_ops_);
             ++members;
             SendRpc(request->request_id, batch_id, target, kMailWrite,
-                    request, request->WireBits(), config_.rpc_attempts);
+                    request, request->WireBits(), config_.retransmit.attempts);
           }
         }
         batch.expected = members;
@@ -1194,10 +1172,7 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   config.statement = stmt;
   config.lock_txn = lock_txn;
   config.timeout_ns = config_.query_timeout_ns;
-  config.rpc_timeout_ns = config_.rpc_timeout_ns;
-  config.rpc_backoff_cap_ns = config_.rpc_backoff_cap_ns;
-  config.rpc_attempts = config_.rpc_attempts;
-  config.stmt_done_resend_ns = config_.stmt_done_resend_ns;
+  config.retransmit = config_.retransmit;
   config.registry = config_.registry;
   config.plan_cache = config_.plan_cache;
   config.exchange_batch_rows = config_.exchange_batch_rows;
@@ -1469,7 +1444,7 @@ void GdhProcess::ExecuteCheckpoint(
     auto request = std::make_shared<CheckpointRequest>();
     request->request_id = next_request_id_++;
     SendRpc(request->request_id, batch_id, fragment, kMailCheckpoint,
-            request, kControlBits, config_.rpc_attempts);
+            request, kControlBits, config_.retransmit.attempts);
   }
 }
 
@@ -1647,7 +1622,7 @@ void GdhProcess::SendResyncPhase(uint64_t resync_id, bool cutover) {
   // The whole phase (bulk stream + delta rounds) runs under one hardened
   // RPC with decision-grade retry headroom.
   SendRpc(request->request_id, batch_id, frag.ReplicaName(source),
-          kMailResync, request, kControlBits, config_.rpc_attempts + 4);
+          kMailResync, request, kControlBits, config_.retransmit.attempts + 4);
 }
 
 void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
@@ -1784,7 +1759,7 @@ void GdhProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailDecisionRequest) {
     HandleDecisionRequest(mail);
   } else if (mail.kind == kMailRpcTimeout) {
-    HandleRpcTimeout(mail);
+    rpcs_.OnTimeout(mail);
   } else if (mail.kind == kMailCoordCheck) {
     HandleCoordCheck(mail);
   } else if (mail.kind == kMailResyncReply) {

@@ -18,6 +18,7 @@
 #include "gdh/optimizer.h"
 #include "gdh/pe_registry.h"
 #include "gdh/plan_cache.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pool/owned.h"
@@ -99,17 +100,12 @@ class GdhProcess : public pool::Process {
     /// distributed fixpoint (DESIGN.md §11), with this join strategy.
     bool distributed_fixpoint = true;
     exec::TcAlgorithm fixpoint_algorithm = exec::TcAlgorithm::kSeminaive;
-    /// First retransmission delay of an unanswered OFM request; doubles
-    /// per attempt up to rpc_backoff_cap_ns.
-    sim::SimTime rpc_timeout_ns = 10 * sim::kNanosPerSecond;
-    sim::SimTime rpc_backoff_cap_ns = 10 * sim::kNanosPerSecond;
-    /// Send attempts (first send included) before an RPC degrades to
-    /// kUnavailable. Decision-phase RPCs get extra headroom on top.
-    int rpc_attempts = 6;
+    /// The machine's retransmission policy, used by the GDH's own OFM
+    /// requests (decision-phase RPCs get 4 extra attempts) and handed to
+    /// every OFM and coordinator it spawns; coordinators retransmit
+    /// stmt_done every resend_ns until reaped.
+    RetransmitPolicy retransmit;
     sim::SimTime query_timeout_ns = 30 * sim::kNanosPerSecond;
-    /// Coordinators retransmit stmt_done at this period until reaped
-    /// (0 disables — the fault-free configuration).
-    sim::SimTime stmt_done_resend_ns = 0;
     /// The GDH probes spawned coordinators at this period and fails their
     /// statement with kUnavailable if the process died (0 disables).
     sim::SimTime coord_check_ns = 0;
@@ -220,19 +216,10 @@ class GdhProcess : public pool::Process {
     std::function<void(Multicast&)> done;
   };
 
-  /// An unanswered request to an OFM, retransmitted on a timer.
-  struct PendingRpc {
-    /// Fragment whose OFM is the target; the pid is re-resolved on every
-    /// retry so retransmissions chase a respawned process.
-    std::string fragment;
-    std::string kind;
-    std::any body;
-    int64_t size_bits = kControlBits;
-    int attempts = 1;
-    int max_attempts = 1;
-    sim::SimTime delay = 0;  // Next retransmission delay.
-    sim::EventId timer = 0;
-  };
+  /// Unanswered requests to OFMs, named by fragment: the pid is
+  /// re-resolved on every retry so retransmissions chase a respawned
+  /// process.
+  using Rpcs = RpcClient<std::string>;
 
   /// A spawned query coordinator being supervised.
   struct CoordWatch {
@@ -272,7 +259,6 @@ class GdhProcess : public pool::Process {
   void HandleWriteReply(const pool::Mail& mail);
   void HandleTxnControlReply(const pool::Mail& mail);
   void HandleDecisionRequest(const pool::Mail& mail);
-  void HandleRpcTimeout(const pool::Mail& mail);
   void HandleCoordCheck(const pool::Mail& mail);
   void HandleResyncReply(const pool::Mail& mail);
   /// Runs a client statement once a durable transaction id is available
@@ -326,6 +312,16 @@ class GdhProcess : public pool::Process {
   /// Cancels the retransmission state of an answered request; false if
   /// the request was already settled (duplicate reply).
   bool SettleRpc(uint64_t request_id);
+  /// Retry hook: counts the retransmission, and sheds a replica whose
+  /// host process is gone instead of resending to it.
+  bool RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc);
+  /// Exhaustion hook: sheds the unanswered replica of a replicated
+  /// fragment, or degrades the request to a typed kUnavailable.
+  void RpcExhausted(uint64_t request_id, const Rpcs::PendingRpc& rpc);
+  /// Sheds `target`, the replica an unanswerable request is addressed
+  /// to, when its peer carries on, and settles the request benignly;
+  /// false if the fragment cannot shed it.
+  bool ShedRpc(uint64_t request_id, const std::string& target);
   /// Feeds one settled member (reply or failure) into its batch.
   void AccountBatchMember(uint64_t request_id, const Status& status,
                           uint64_t affected);
@@ -487,11 +483,11 @@ class GdhProcess : public pool::Process {
   std::map<uint64_t, Multicast> batches_;
   std::map<uint64_t, uint64_t> request_batch_;  // request id -> batch id.
   // Settlement contract (D6): replies settle via SettleRpc, retry-budget
-  // exhaustion via HandleRpcTimeout, and a dead replica's in-flight RPCs
-  // are swept onto the survivor by TryFailover.
-  // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=HandleRpcTimeout,
+  // exhaustion via RpcExhausted, and a dead replica's in-flight RPCs are
+  // swept onto the survivor by TryFailover.
+  // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=RpcExhausted,
   //                shed=TryFailover)
-  std::map<uint64_t, PendingRpc> rpcs_;         // request id -> retry state.
+  RpcClient<std::string> rpcs_;  // By request id.
   /// Write requests settled as kUnavailable whose late reply has not
   /// arrived (FIFO-capped; only row-count statistics depend on it).
   static constexpr size_t kDegradedWriteCap = 1024;

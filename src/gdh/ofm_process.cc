@@ -4,13 +4,58 @@
 #include <optional>
 #include <utility>
 
-#include "common/column_batch.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace prisma::gdh {
 
-OfmProcess::OfmProcess(Config config) : config_(std::move(config)) {}
+OfmProcess::OfmProcess(Config config)
+    : config_(std::move(config)),
+      shuffle_out_(this, ProducerOptions(kMailBatchResend,
+                                         [this](uint64_t token) {
+                                           FinishShuffle(
+                                               token, NoProgress("shuffle"));
+                                         })),
+      resync_out_(this, ProducerOptions(kMailResyncPump,
+                                        [this](uint64_t token) {
+                                          FinishResyncSource(
+                                              token, ResyncStalled());
+                                        })),
+      deltas_(this, config_.retransmit,
+              {[](const RpcClient<pool::ProcessId>::PendingRpc& rpc) {
+                 return rpc.target;
+               },
+               nullptr,
+               [this](uint64_t token,
+                      const RpcClient<pool::ProcessId>::PendingRpc&) {
+                 FinishResyncSource(token, ResyncStalled());
+               }}),
+      // Resync acks keep the credit window the GDH granted the source.
+      resync_acks_(this, StreamReceiver::Options{}) {}
+
+StreamSender::Options OfmProcess::ProducerOptions(
+    const char* resend_kind, std::function<void(uint64_t)> exhausted) {
+  StreamSender::Options options;
+  options.resend_kind = resend_kind;
+  options.policy = config_.retransmit;
+  options.tuple_ns = config_.ofm.exec.costs.tuple_ns;
+  options.on_send = [this](const StreamSender::Stream&, int64_t bits, bool) {
+    if (m_batches_sent_ == nullptr) return;
+    m_batches_sent_->Increment();
+    m_exchange_bytes_->Increment((bits - kControlBits) / 8);
+    m_wire_bits_->Increment(bits);
+  };
+  options.on_exhausted = [exhausted = std::move(exhausted)](
+                             const StreamSender::Stream& stream) {
+    exhausted(stream.token);
+  };
+  if (config_.metrics != nullptr) {
+    options.retransmits = [this] {
+      return config_.metrics->GetCounter(
+          "exchange.retransmits", {{"fragment", config_.fragment_name}});
+    };
+  }
+  return options;
+}
 
 OfmProcess::~OfmProcess() {
   if (config_.registry != nullptr && !ofm_.null()) {
@@ -161,6 +206,7 @@ void OfmProcess::MaybeReplayStalled() {
 // PRISMA_HANDLES(kMailDecisionRetry, kMailBatchAck, kMailBatchResend)
 // PRISMA_HANDLES(kMailTupleBatch, kMailResync, kMailResyncDelta)
 // PRISMA_HANDLES(kMailResyncDeltaAck, kMailResyncPump, kMailDiskDone)
+// PRISMA_HANDLES(kMailRpcTimeout)
 void OfmProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailDiskDone) {
     RunDurable(mail);
@@ -185,7 +231,7 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   if (mail.kind == kMailBatchResend) {
-    HandleBatchResend(mail);
+    shuffle_out_.OnTimer(mail);
     return;
   }
   // Resync data plane (DESIGN.md §13): bulk frames reach an OFM only as a
@@ -204,7 +250,11 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   if (mail.kind == kMailResyncPump) {
-    HandleResyncPump(mail);
+    resync_out_.OnTimer(mail);
+    return;
+  }
+  if (mail.kind == kMailRpcTimeout) {
+    deltas_.OnTimeout(mail);
     return;
   }
   // Everything else is a request carrying a request_id: answer duplicates
@@ -442,16 +492,14 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
 
   RegisterExchangeMetrics();
   const uint64_t token = next_shuffle_token_++;
-  ShuffleState state;
-  state.coordinator = mail.from;
-  state.request_id = request->request_id;
-  state.token = token;
-  state.exchange_id = request->exchange_id;
-  state.side = request->side;
-  state.producer = request->producer;
-  state.columnar = request->exec_mode == exec::ExecMode::kVectorized;
-  state.retry_delay = config_.batch_retry_ns;
-  state.channels.reserve(consumers);
+  StreamSender::Stream stream;
+  stream.exchange_id = request->exchange_id;
+  stream.side = request->side;
+  stream.producer = request->producer;
+  stream.token = token;
+  stream.columnar = request->exec_mode == exec::ExecMode::kVectorized;
+  stream.stalls = m_exchange_stalls_;
+  stream.channels.reserve(consumers);
   for (size_t c = 0; c < consumers; ++c) {
     obs::Gauge* gauge = nullptr;
     if (config_.metrics != nullptr) {
@@ -459,170 +507,45 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
           "exchange.credit", {{"fragment", config_.fragment_name},
                               {"channel", std::to_string(c)}});
     }
-    state.channels.push_back(
+    stream.channels.push_back(
         {exec::OutboundChannel(std::move(partitions[c]), request->batch_rows,
                                request->credit_window),
          request->consumers[c], gauge});
   }
   (*active_shuffles_)[{mail.from, request->request_id}] = token;
-  auto [it, inserted] = shuffles_->emplace(token, std::move(state));
-  PRISMA_CHECK(inserted);
-  PumpShuffle(it->second);
-  it->second.resend_timer =
-      SendSelfAfter(it->second.retry_delay, kMailBatchResend,
-                    std::make_shared<uint64_t>(token));
-}
-
-void OfmProcess::PumpShuffle(ShuffleState& state) {
-  for (ShuffleChannel& sc : state.channels) {
-    bool sent = false;
-    while (const exec::TupleBatch* batch = sc.channel.TakeNextToSend()) {
-      // Only first transmissions count toward the shuffle's modelled
-      // data-plane bits; retransmissions are repair, not payload.
-      state.wire_bits +=
-          static_cast<uint64_t>(SendBatch(state, sc, *batch));
-      sent = true;
-    }
-    // A drain that halted at the window edge (rather than running out of
-    // batches) is one stall event: the pipeline is now waiting on acks.
-    if (sent && sc.channel.Stalled() && m_exchange_stalls_ != nullptr) {
-      m_exchange_stalls_->Increment();
-    }
-    if (sc.credit_gauge != nullptr) {
-      sc.credit_gauge->Set(static_cast<int64_t>(sc.channel.credit()));
-    }
-  }
-}
-
-int64_t OfmProcess::SendBatch(const ShuffleState& state,
-                              const ShuffleChannel& channel,
-                              const exec::TupleBatch& batch) {
-  auto msg = std::make_shared<TupleBatchMsg>();
-  msg->exchange_id = state.exchange_id;
-  msg->side = state.side;
-  msg->producer = state.producer;
-  msg->shuffle_token = state.token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (state.columnar) {
-    // Column-encoded frame (DESIGN.md §12): the serialized byte length is
-    // the modelled payload size, so format savings show up in
-    // exchange.wire_bits / exchange.bytes instead of being assumed.
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
-  } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
-  }
-  const int64_t bits = msg->WireBits();
-  // Marshalling cost, mirroring the consumer's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-            config_.ofm.exec.costs.tuple_ns);
-  if (m_batches_sent_ != nullptr) {
-    m_batches_sent_->Increment();
-    m_exchange_bytes_->Increment((bits - kControlBits) / 8);
-    m_wire_bits_->Increment(bits);
-  }
-  SendMail(channel.consumer, kMailTupleBatch, std::move(msg), bits);
-  return bits;
+  PRISMA_CHECK(shuffles_->emplace(token, ShuffleState{mail.from,
+                                                      request->request_id})
+                   .second);
+  shuffle_out_.Open(std::move(stream));
 }
 
 void OfmProcess::HandleBatchAck(const pool::Mail& mail) {
-  auto msg = std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
-  auto it = shuffles_->find(msg->shuffle_token);
-  if (it == shuffles_->end()) {
-    // Not a shuffle: maybe the bulk stream of a resync this OFM sources
-    // (tokens are drawn from the same sequence, so no collision).
-    auto rs = resync_sources_->find(msg->shuffle_token);
-    if (rs == resync_sources_->end()) return;  // Finished; stale ack.
-    ResyncSource& source = rs->second;
-    if (source.bulk == nullptr) return;
-    source.bulk->set_window(msg->credit);
-    if (source.bulk->OnAck(msg->ack)) {
-      source.attempts = 0;
-      source.retry_delay = config_.batch_retry_ns;
-    }
-    PumpResyncBulk(source);
-    if (source.bulk->done() && !source.bulk_done) {
-      // Snapshot delivered; switch to WAL-delta catch-up rounds.
-      source.bulk_done = true;
-      SendNextResyncDelta(source);
-    }
+  const BatchAckMsg& ack =
+      *std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
+  if (const StreamSender::Stream* stream = shuffle_out_.OnAck(ack)) {
+    if (stream->done()) FinishShuffle(ack.shuffle_token, Status::OK());
     return;
   }
-  ShuffleState& state = it->second;
-  if (msg->consumer >= state.channels.size()) return;
-  ShuffleChannel& channel = state.channels[msg->consumer];
-  channel.channel.set_window(msg->credit);
-  if (channel.channel.OnAck(msg->ack)) {
-    // Window progress: the consumer is alive, so the retransmission
-    // budget and backoff start over.
-    state.attempts = 0;
-    state.retry_delay = config_.batch_retry_ns;
-  }
-  PumpShuffle(state);
-  for (const ShuffleChannel& sc : state.channels) {
-    if (!sc.channel.done()) return;
-  }
-  FinishShuffle(state.token, Status::OK());
-}
-
-void OfmProcess::HandleBatchResend(const pool::Mail& mail) {
-  const uint64_t token = *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
-  auto it = shuffles_->find(token);
-  if (it == shuffles_->end()) return;  // Shuffle finished; timer is moot.
-  ShuffleState& state = it->second;
-  if (++state.attempts > config_.batch_attempts) {
-    FinishShuffle(token,
-                  UnavailableError("shuffle from fragment " +
-                                   config_.fragment_name +
-                                   " made no progress after " +
-                                   std::to_string(config_.batch_attempts) +
-                                   " retransmission windows"));
-    return;
-  }
-  // Retransmit the lowest unacknowledged already-sent batch of every
-  // unfinished channel (repairs both a lost batch and a lost ack — the
-  // consumer re-acks duplicates), then pump in case credit is free.
-  for (ShuffleChannel& sc : state.channels) {
-    if (sc.channel.done()) continue;
-    const uint64_t seq = sc.channel.acked() + 1;
-    if (!sc.channel.Sent(seq)) continue;  // First transmission: Pump's job.
-    const exec::TupleBatch* batch = sc.channel.BatchAt(seq);
-    if (batch == nullptr) continue;
-    if (config_.metrics != nullptr) {
-      if (m_batch_retransmits_ == nullptr) {
-        // Registered on first retransmission so fault-free metric dumps
-        // are unchanged.
-        m_batch_retransmits_ = config_.metrics->GetCounter(
-            "exchange.retransmits", {{"fragment", config_.fragment_name}});
-      }
-      m_batch_retransmits_->Increment();
-    }
-    SendBatch(state, sc, *batch);
-  }
-  PumpShuffle(state);
-  state.retry_delay =
-      std::min(state.retry_delay * 2, config_.batch_backoff_cap_ns);
-  state.resend_timer = SendSelfAfter(state.retry_delay, kMailBatchResend,
-                                     std::make_shared<uint64_t>(token));
+  // Not a shuffle: maybe the bulk stream of a resync this OFM sources. A
+  // delivered snapshot switches the session to WAL-delta catch-up rounds.
+  const StreamSender::Stream* bulk = resync_out_.OnAck(ack);
+  if (bulk == nullptr || !bulk->done()) return;
+  auto it = resync_sources_->find(ack.shuffle_token);
+  PRISMA_CHECK(it != resync_sources_->end());
+  CloseResyncBulk(it->second);
+  SendNextResyncDelta(it->second);
 }
 
 void OfmProcess::FinishShuffle(uint64_t token, Status status) {
   auto it = shuffles_->find(token);
   if (it == shuffles_->end()) return;
-  ShuffleState& state = it->second;
-  // A settled shuffle must not leave its resend timer in the event queue:
-  // the fault-free backoff is seconds-scale, and a pending tombstone-less
-  // event would pad every drain-to-empty makespan measurement by that much.
-  runtime()->simulator()->Cancel(state.resend_timer);
-  for (ShuffleChannel& sc : state.channels) {
-    if (sc.credit_gauge != nullptr) sc.credit_gauge->Set(0);
-  }
+  const ShuffleState state = it->second;
   auto reply = std::make_shared<ExecPlanReply>();
   reply->request_id = state.request_id;
   reply->fragment = config_.fragment_name;
   reply->status = std::move(status);
-  reply->shuffle_wire_bits = state.wire_bits;
+  reply->shuffle_wire_bits = shuffle_out_.Find(token)->first_bits;
+  shuffle_out_.Close(token);
   // Cached, unlike plain plan replies: a shuffle completion is control-
   // sized, and re-running the shuffle for a duplicated request would
   // re-stream every batch at the consumers.
@@ -691,10 +614,8 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
   source.request_id = request->request_id;
   source.resync_id = request->resync_id;
   source.token = token;
-  source.credit_window = request->credit_window;
-  source.columnar = request->columnar;
   source.cutover = request->cutover;
-  source.retry_delay = config_.batch_retry_ns;
+  StreamSender::Stream bulk;
   if (!request->cutover) {
     // A fresh bulk request supersedes the cursor of any earlier attempt
     // on this fragment (the GDH runs at most one resync per fragment).
@@ -722,60 +643,42 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
       for (const Value& v : tuple.values()) values.push_back(v);
       framed.push_back(Tuple(std::move(values)));
     }
-    source.bulk = std::make_unique<exec::OutboundChannel>(
-        std::move(framed), request->batch_rows, request->credit_window);
-  } else {
-    source.bulk_done = true;  // Cutover: straight to the final delta.
+    bulk.exchange_id = request->resync_id;
+    bulk.token = token;
+    bulk.channels.push_back(
+        {exec::OutboundChannel(std::move(framed), request->batch_rows,
+                               request->credit_window),
+         request->target, nullptr});
+    bulk.columnar = request->columnar;
+    bulk.stalls = m_exchange_stalls_;
   }
   (*active_resync_requests_)[{mail.from, request->request_id}] = token;
   auto [it, inserted] = resync_sources_->emplace(token, std::move(source));
   PRISMA_CHECK(inserted);
   if (it->second.cutover) {
-    SendNextResyncDelta(it->second);
+    SendNextResyncDelta(it->second);  // Cutover: straight to the final delta.
   } else {
-    PumpResyncBulk(it->second);
-  }
-  // The session may already be gone (cutover finished in one round only
-  // after its ack, so not yet) — the pump timer tolerates that.
-  SendSelfAfter(config_.batch_retry_ns, kMailResyncPump,
-                std::make_shared<uint64_t>(token));
-}
-
-void OfmProcess::PumpResyncBulk(ResyncSource& source) {
-  if (source.bulk == nullptr) return;
-  bool sent = false;
-  while (const exec::TupleBatch* batch = source.bulk->TakeNextToSend()) {
-    SendResyncBatch(source, *batch);
-    sent = true;
-  }
-  if (sent && source.bulk->Stalled() && m_exchange_stalls_ != nullptr) {
-    m_exchange_stalls_->Increment();
+    resync_out_.Open(std::move(bulk));
   }
 }
 
-void OfmProcess::SendResyncBatch(ResyncSource& source,
-                                 const exec::TupleBatch& batch) {
-  auto msg = std::make_shared<TupleBatchMsg>();
-  msg->exchange_id = source.resync_id;
-  msg->shuffle_token = source.token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (source.columnar) {
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
-  } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
+Status OfmProcess::NoProgress(const char* stream) const {
+  return UnavailableError(std::string(stream) + " from fragment " +
+                          config_.fragment_name + " made no progress after " +
+                          std::to_string(config_.retransmit.attempts) +
+                          " retransmission windows");
+}
+
+Status OfmProcess::ResyncStalled() const {
+  return UnavailableError(NoProgress("resync").message() +
+                          " (crashed target?)");
+}
+
+void OfmProcess::CloseResyncBulk(ResyncSource& source) {
+  if (const StreamSender::Stream* bulk = resync_out_.Find(source.token)) {
+    source.wire_bits += bulk->first_bits;
+    resync_out_.Close(source.token);
   }
-  const int64_t bits = msg->WireBits();
-  source.wire_bits += static_cast<uint64_t>(bits);
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-            config_.ofm.exec.costs.tuple_ns);
-  if (m_batches_sent_ != nullptr) {
-    m_batches_sent_->Increment();
-    m_exchange_bytes_->Increment((bits - kControlBits) / 8);
-    m_wire_bits_->Increment(bits);
-  }
-  SendMail(source.target, kMailTupleBatch, std::move(msg), bits);
 }
 
 void OfmProcess::SendNextResyncDelta(ResyncSource& source) {
@@ -812,8 +715,9 @@ void OfmProcess::SendNextResyncDelta(ResyncSource& source) {
   const int64_t bits = msg->WireBits();
   source.wire_bits += static_cast<uint64_t>(bits);
   if (m_wire_bits_ != nullptr) m_wire_bits_->Increment(bits);
-  source.pending_delta = msg;
-  SendMail(source.target, kMailResyncDelta, std::move(msg), bits);
+  // The budget counts resends, as for streams: attempts + 1 sends.
+  deltas_.Send(source.token, source.target, kMailResyncDelta, std::move(msg),
+               bits, config_.retransmit.attempts + 1);
 }
 
 void OfmProcess::HandleResyncDeltaAck(const pool::Mail& mail) {
@@ -821,10 +725,7 @@ void OfmProcess::HandleResyncDeltaAck(const pool::Mail& mail) {
   auto it = resync_sources_->find(msg->session_token);
   if (it == resync_sources_->end()) return;  // Finished; stale ack.
   ResyncSource& source = it->second;
-  if (source.pending_delta == nullptr || msg->ack != source.delta_seq) return;
-  source.pending_delta = nullptr;
-  source.attempts = 0;
-  source.retry_delay = config_.batch_retry_ns;
+  if (msg->ack != source.delta_seq || !deltas_.Settle(source.token)) return;
   if (source.cutover) {
     // The target applied the final delta and sealed itself (index rebuild
     // + checkpoint); the resync is complete.
@@ -834,51 +735,12 @@ void OfmProcess::HandleResyncDeltaAck(const pool::Mail& mail) {
   }
 }
 
-void OfmProcess::HandleResyncPump(const pool::Mail& mail) {
-  const uint64_t token = *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
-  auto it = resync_sources_->find(token);
-  if (it == resync_sources_->end()) return;  // Session finished; timer moot.
-  ResyncSource& source = it->second;
-  if (++source.attempts > config_.batch_attempts) {
-    FinishResyncSource(
-        token, UnavailableError("resync from fragment " +
-                                config_.fragment_name +
-                                " made no progress after " +
-                                std::to_string(config_.batch_attempts) +
-                                " retransmission windows (crashed target?)"));
-    return;
-  }
-  if (source.bulk != nullptr && !source.bulk->done()) {
-    // Same repair rule as shuffles: retransmit the lowest unacknowledged
-    // already-sent batch, then pump in case credit freed up.
-    const uint64_t seq = source.bulk->acked() + 1;
-    if (source.bulk->Sent(seq)) {
-      if (const exec::TupleBatch* batch = source.bulk->BatchAt(seq)) {
-        if (config_.metrics != nullptr) {
-          if (m_batch_retransmits_ == nullptr) {
-            m_batch_retransmits_ = config_.metrics->GetCounter(
-                "exchange.retransmits", {{"fragment", config_.fragment_name}});
-          }
-          m_batch_retransmits_->Increment();
-        }
-        SendResyncBatch(source, *batch);
-      }
-    }
-    PumpResyncBulk(source);
-  } else if (source.pending_delta != nullptr) {
-    SendMail(source.target, kMailResyncDelta, source.pending_delta,
-             source.pending_delta->WireBits());
-  }
-  source.retry_delay =
-      std::min(source.retry_delay * 2, config_.batch_backoff_cap_ns);
-  SendSelfAfter(source.retry_delay, kMailResyncPump,
-                std::make_shared<uint64_t>(token));
-}
-
 void OfmProcess::FinishResyncSource(uint64_t token, Status status) {
   auto it = resync_sources_->find(token);
   if (it == resync_sources_->end()) return;
   ResyncSource& source = it->second;
+  CloseResyncBulk(source);
+  deltas_.Settle(token);
   // The WAL cursor survives the session only on a successful bulk phase:
   // the cutover resumes from it. Failures drop it (the GDH restarts the
   // resync under a new id), and a successful cutover is done with it.
@@ -932,15 +794,7 @@ void OfmProcess::HandleResyncBatch(const pool::Mail& mail) {
       PRISMA_CHECK_OK(ofm_->ResyncRestoreRow(row, Tuple(std::move(values))));
     }
   }
-  // Always (re-)acknowledge, even duplicates: a lost ack would stall the
-  // source's credit window forever. Credit 0 = keep the window the GDH
-  // granted the source (OutboundChannel::set_window ignores zero).
-  auto ack = std::make_shared<BatchAckMsg>();
-  ack->shuffle_token = resync_token_;
-  ack->consumer = 0;
-  ack->ack = resync_in_->ack();
-  ack->credit = 0;
-  SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
+  resync_acks_.Ack(mail.from, resync_token_, *resync_in_);
 }
 
 void OfmProcess::HandleResyncDelta(const pool::Mail& mail) {

@@ -15,6 +15,7 @@
 #include "gdh/data_dictionary.h"
 #include "gdh/messages.h"
 #include "gdh/pe_registry.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
@@ -66,13 +67,10 @@ class OfmProcess : public pool::Process {
     PeLocalRegistry* registry = nullptr;
     /// Secondary indexes to create at start: (name, columns, ordered).
     std::vector<IndexInfo> indexes;
-    /// Shuffle-producer retransmission: period of the per-shuffle resend
-    /// timer, its exponential-backoff cap, and the attempts budget (an
-    /// attempt is a timer firing with no window progress since the last
-    /// one; exhaustion fails the shuffle with Unavailable).
-    sim::SimTime batch_retry_ns = 250 * sim::kNanosPerMilli;
-    sim::SimTime batch_backoff_cap_ns = 2 * sim::kNanosPerSecond;
-    int batch_attempts = 10;
+    /// Retransmission of shuffle and resync streams (an attempt is a
+    /// timer firing with no window progress since the last one;
+    /// exhaustion fails the stream with Unavailable).
+    RetransmitPolicy retransmit;
     /// Per-fragment counters land here when set (ofm.* metric family).
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -98,7 +96,6 @@ class OfmProcess : public pool::Process {
   void HandleExecPlan(const pool::Mail& mail);
   void HandleShufflePlan(const pool::Mail& mail);
   void HandleBatchAck(const pool::Mail& mail);
-  void HandleBatchResend(const pool::Mail& mail);
   void HandleWrite(const pool::Mail& mail);
   void HandleTxnControl(const pool::Mail& mail);
   void HandleDecisionReply(const pool::Mail& mail);
@@ -155,83 +152,56 @@ class OfmProcess : public pool::Process {
   /// registry counters. Cheap; called at the end of mutating handlers.
   void SyncDurabilityMetrics();
 
-  /// One outbound channel of an active shuffle: the framed partition for
-  /// one consumer, plus its credit gauge.
-  struct ShuffleChannel {
-    exec::OutboundChannel channel;
-    pool::ProcessId consumer = pool::kNoProcess;
-    obs::Gauge* credit_gauge = nullptr;
-  };
-
-  /// One in-flight shuffle this OFM is producing (keyed by token). The
-  /// coordinator sees a shuffle as a plain hardened RPC: the producer
-  /// answers (via Respond, so the reply is cached) once every channel is
-  /// fully acknowledged, or with Unavailable when the attempts budget runs
-  /// out without window progress.
+  /// One in-flight shuffle this OFM is producing, keyed by its stream
+  /// token. The coordinator sees a shuffle as a plain hardened RPC: the
+  /// producer answers (via Respond, so the reply is cached) once the
+  /// stream is fully acknowledged, or with Unavailable when its budget
+  /// runs out without window progress.
   struct ShuffleState {
     pool::ProcessId coordinator = pool::kNoProcess;
     uint64_t request_id = 0;
-    uint64_t token = 0;
-    uint64_t exchange_id = 0;
-    int side = 0;
-    size_t producer = 0;
-    /// Frame batches in the column-encoded wire format (DESIGN.md §12)
-    /// instead of row-encoded tuples (vectorized statements).
-    bool columnar = false;
-    std::vector<ShuffleChannel> channels;
-    int attempts = 0;           // Timer firings without window progress.
-    sim::SimTime retry_delay = 0;
-    /// Pending kMailBatchResend timer; cancelled when the shuffle settles
-    /// so a finished statement leaves no event-queue tail behind.
-    sim::EventId resend_timer = 0;
-    /// First-transmission data-plane bits (retransmissions excluded);
-    /// reported to the coordinator in the settling reply so olap.* wire
-    /// accounting reflects the modelled payload, not retry luck.
-    uint64_t wire_bits = 0;
   };
 
-  /// Transmits every sendable batch on every channel of `state`, counting
-  /// stalls when a channel runs out of credit mid-drain.
-  void PumpShuffle(ShuffleState& state);
-  /// Returns the modelled wire bits of the transmitted batch.
-  int64_t SendBatch(const ShuffleState& state, const ShuffleChannel& channel,
-                    const exec::TupleBatch& batch);
-  /// Answers the coordinator (cached) and discards the shuffle state.
+  /// Answers the coordinator (cached) with the stream's first-transmission
+  /// bits — olap.* wire accounting reflects the modelled payload, not
+  /// retry luck — and discards the shuffle.
   void FinishShuffle(uint64_t token, Status status);
   void RegisterExchangeMetrics();
+  /// Stream-producer options shared by shuffles and resync bulk copies:
+  /// every frame counts under the exchange.* family, and `exhausted`
+  /// fails the stream of the given token.
+  StreamSender::Options ProducerOptions(
+      const char* resend_kind, std::function<void(uint64_t)> exhausted);
 
   /// One resync this OFM is sourcing (keyed by session token): the bulk
-  /// snapshot stream to the target plus the stop-and-wait WAL-delta
-  /// rounds, under the same retransmission discipline as a shuffle.
+  /// snapshot stream to the target (resync_out_'s stream under the same
+  /// token), then stop-and-wait WAL-delta rounds, each an RPC in deltas_
+  /// under the same token that the target's ack settles.
   struct ResyncSource {
     pool::ProcessId gdh = pool::kNoProcess;    // Requester (reply target).
     pool::ProcessId target = pool::kNoProcess;
     uint64_t request_id = 0;
     uint64_t resync_id = 0;
     uint64_t token = 0;
-    uint64_t credit_window = 4;
-    bool columnar = true;
     bool cutover = false;
-    bool bulk_done = false;
-    std::unique_ptr<exec::OutboundChannel> bulk;  // Null in cutover phase.
     uint64_t delta_seq = 0;
-    std::shared_ptr<ResyncDeltaMsg> pending_delta;  // Awaiting its ack.
     // Transfer accounting for the ResyncReply.
     uint64_t bulk_tuples = 0;
     uint64_t delta_records = 0;
     uint64_t delta_rounds = 0;
-    uint64_t wire_bits = 0;
-    int attempts = 0;
-    sim::SimTime retry_delay = 0;
+    uint64_t wire_bits = 0;  // First transmissions of bulk frames + deltas.
   };
 
-  void PumpResyncBulk(ResyncSource& source);
-  void SendResyncBatch(ResyncSource& source, const exec::TupleBatch& batch);
+  /// The answer when a shuffle or resync stream spent its budget without
+  /// progress; a resync's (bulk or delta round) is ResyncStalled.
+  Status NoProgress(const char* stream) const;
+  Status ResyncStalled() const;
+  /// Folds the bulk stream's bits into `source` and closes the stream.
+  void CloseResyncBulk(ResyncSource& source);
   /// Ships the next committed-WAL round (or finishes the phase when the
   /// log is drained); the cutover phase always ships exactly one final
   /// round so the target completes even if nothing changed.
   void SendNextResyncDelta(ResyncSource& source);
-  void HandleResyncPump(const pool::Mail& mail);
   /// Answers the GDH (cached) and discards the source state.
   void FinishResyncSource(uint64_t token, Status status);
 
@@ -279,7 +249,15 @@ class OfmProcess : public pool::Process {
   // Producer-side shuffle state. `active_shuffles_` maps the coordinator's
   // (sender, request_id) onto the running shuffle's token so a
   // retransmitted shuffle plan that races its own in-flight execution is
-  // ignored instead of double-streaming.
+  // ignored instead of double-streaming. Shuffle and resync bulk streams
+  // draw their tokens from one sequence, so an ack finds its sender.
+  StreamSender shuffle_out_;
+  StreamSender resync_out_;
+  // Settlement contract (D6): the target's ack settles a delta round; a
+  // spent budget or a finished session settles through FinishResyncSource.
+  // PRISMA_SETTLES(deltas_: success=HandleResyncDeltaAck,
+  //                exhaustion=FinishResyncSource, shed=FinishResyncSource)
+  RpcClient<pool::ProcessId> deltas_;
   pool::Owned<std::map<uint64_t, ShuffleState>> shuffles_;
   pool::Owned<std::map<std::pair<pool::ProcessId, uint64_t>, uint64_t>>
       active_shuffles_;
@@ -296,9 +274,10 @@ class OfmProcess : public pool::Process {
   pool::Owned<std::map<uint64_t, size_t>> resync_cursors_;
 
   // Resync target state (resync-mode processes only): the inbound bulk
-  // channel, the adopted source session token and the stop-and-wait delta
-  // cursor.
+  // channel and its acks, the adopted source session token and the
+  // stop-and-wait delta cursor.
   pool::Owned<exec::InboundChannel> resync_in_;
+  StreamReceiver resync_acks_;
   uint64_t resync_token_ = 0;
   uint64_t resync_delta_applied_ = 0;
   bool resync_finished_ = false;
@@ -321,7 +300,6 @@ class OfmProcess : public pool::Process {
   obs::Counter* m_exchange_bytes_ = nullptr;
   obs::Counter* m_exchange_stalls_ = nullptr;
   obs::Counter* m_wire_bits_ = nullptr;  // Modelled bits put on the wire.
-  obs::Counter* m_batch_retransmits_ = nullptr;  // Lazy: fault paths only.
   uint64_t wal_synced_ = 0;
   uint64_t redo_synced_ = 0;
 };

@@ -9,6 +9,7 @@
 #include "exec/exchange.h"
 #include "exec/executor.h"
 #include "gdh/messages.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
@@ -25,9 +26,10 @@ namespace prisma::gdh {
 /// (combining aggregation or local sort) over that input, and answers
 /// the coordinator with a normal ExecPlanReply carrying final rows only.
 ///
-/// Fault tolerance is the exchange consumer's recipe: per-channel seq
-/// dedup, cumulative acks on every arrival (even duplicates), and reply
-/// retransmission until the coordinator kills this process.
+/// Fault tolerance is the exchange consumer's, from the same transport
+/// (gdh/transport.h): per-channel seq dedup, cumulative acks on every
+/// arrival (even duplicates), and reply retransmission until the
+/// coordinator kills this process.
 class OlapMergeProcess : public pool::Process {
  public:
   struct Config {
@@ -45,10 +47,8 @@ class OlapMergeProcess : public pool::Process {
     exec::ExecMode exec_mode = exec::ExecMode::kRow;
     pool::CostModel costs;
     uint64_t credit_window = 4;
-    /// Reply retransmission period; 0 disables (fault-free runs).
-    sim::SimTime reply_resend_ns = 0;
-    /// Retransmission budget; only stops an orphaned consumer.
-    int reply_resend_attempts = 240;
+    /// The final reply is resent every retransmit.resend_ns (0: never).
+    RetransmitPolicy retransmit;
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -66,19 +66,16 @@ class OlapMergeProcess : public pool::Process {
   /// channel, runs the merge plan and replies.
   void Pump();
   void RunMerge();
-  void SendReply(Status status);
+  /// Sends the final reply once: the merged rows, or `status` on error.
+  void SendReply(Status status,
+                 std::shared_ptr<std::vector<Tuple>> tuples = nullptr);
 
   Config config_;
   // Process-local state below is wrapped in the ownership checker.
   pool::Owned<std::vector<exec::InboundChannel>> channels_;
   pool::Owned<std::vector<Tuple>> rows_;  // Materialized shuffle input.
-  pool::Owned<std::shared_ptr<ExecPlanReply>> reply_;
-
-  int reply_resends_left_ = 0;
-  bool replied_ = false;
-
-  obs::Counter* m_batches_received_ = nullptr;
-  obs::Counter* m_dup_batches_ = nullptr;  // Lazy: fault paths only.
+  StreamReceiver in_;
+  Resender reply_;
 };
 
 }  // namespace prisma::gdh

@@ -110,6 +110,11 @@ double Optimizer::EstimateRows(const Plan& plan) const {
           static_cast<double>(static_cast<const algebra::LimitPlan&>(plan).limit()));
     case PlanKind::kTransitiveClosure:
       return EstimateRows(*plan.child()) * 4.0 + 1.0;
+    case PlanKind::kExchange:
+    case PlanKind::kFixpoint:
+      // Annotations of already-lowered distributed plans (EXPLAIN output);
+      // the optimizer never costs them.
+      break;
   }
   return kDefaultScanRows;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -62,7 +63,24 @@ std::string PartShapeKey(const algebra::Plan& plan) {
 
 }  // namespace
 
-QueryProcess::QueryProcess(Config config) : config_(std::move(config)) {}
+QueryProcess::QueryProcess(Config config)
+    : config_(std::move(config)),
+      rpcs_(this, config_.retransmit,
+            {[this](const Rpcs::PendingRpc& rpc) {
+               return ResolveTarget(rpc.target);
+             },
+             // Crash failover happens at retransmission time: if the
+             // addressed replica died after scatter, re-aim at the
+             // surviving one first.
+             [this](uint64_t, Rpcs::PendingRpc& rpc) {
+               if (rpc.target != SIZE_MAX) MaybeFailover(rpc.target, rpc);
+               return true;
+             },
+             [this](uint64_t id, const Rpcs::PendingRpc& rpc) {
+               RpcExhausted(id, rpc.target);
+             }}),
+      done_(this, config_.gdh, kMailStatementDone, kMailStmtDoneResend,
+            config_.retransmit.resend_ns, std::numeric_limits<int>::max()) {}
 
 void QueryProcess::OnStart() {
   start_time_ = runtime()->simulator()->now();
@@ -80,28 +98,29 @@ void QueryProcess::OnStart() {
 void QueryProcess::SendRpc(uint64_t request_id, const char* kind,
                            std::any body, int64_t size_bits,
                            size_t work_index) {
-  PendingRpc rpc;
-  rpc.kind = kind;
-  rpc.body = std::move(body);
-  rpc.size_bits = size_bits;
-  rpc.work_index = work_index;
-  rpc.max_attempts = config_.rpc_attempts;
-  rpc.delay = config_.rpc_timeout_ns;
-  const pool::ProcessId target = ResolveTarget(work_index);
-  if (target != pool::kNoProcess) {
-    SendMail(target, rpc.kind, rpc.body, rpc.size_bits);
-  }
-  rpc.timer = SendSelfAfter(rpc.delay, kMailRpcTimeout,
-                            std::make_shared<uint64_t>(request_id));
-  (*rpcs_)[request_id] = std::move(rpc);
+  // GDH-bound RPCs are never abandoned: the GDH lives on PE 0, which no
+  // fault plan crashes, and it answers lock requests only once granted —
+  // so a quiet GDH means a queued lock behind a failover-stalled writer,
+  // not a crash. Keep retransmitting; the query watchdog bounds the wait.
+  const int max_attempts = work_index == SIZE_MAX
+                               ? std::numeric_limits<int>::max()
+                               : config_.retransmit.attempts;
+  rpcs_.Send(request_id, work_index, kind, std::move(body), size_bits,
+             max_attempts);
 }
 
 bool QueryProcess::SettleRpc(uint64_t request_id) {
-  auto it = rpcs_->find(request_id);
-  if (it == rpcs_->end()) return false;
-  runtime()->simulator()->Cancel(it->second.timer);
-  rpcs_->erase(it);
-  return true;
+  return rpcs_.Settle(request_id);
+}
+
+const FragmentInfo* QueryProcess::FindFragment(
+    const std::string& table, const std::string& fragment) const {
+  auto info = config_.dictionary->GetTable(table);
+  if (!info.ok()) return nullptr;
+  for (const FragmentInfo& frag : (*info)->fragments) {
+    if (frag.name == fragment) return &frag;
+  }
+  return nullptr;
 }
 
 pool::ProcessId QueryProcess::ResolveTarget(size_t work_index) const {
@@ -109,12 +128,8 @@ pool::ProcessId QueryProcess::ResolveTarget(size_t work_index) const {
   const FragmentWork& w = (*work_)[work_index];
   // Fragment names are stable across respawns, pids are not: resolve
   // through the dictionary so retransmissions chase a replacement OFM.
-  auto info = config_.dictionary->GetTable(w.table);
-  if (!info.ok()) return w.ofm;
-  for (const FragmentInfo& frag : (*info)->fragments) {
-    if (frag.name == w.fragment) return frag.ReplicaOfm(w.replica);
-  }
-  return w.ofm;
+  const FragmentInfo* frag = FindFragment(w.table, w.fragment);
+  return frag != nullptr ? frag->ReplicaOfm(w.replica) : w.ofm;
 }
 
 int QueryProcess::ChooseReadReplica(const FragmentInfo& frag) const {
@@ -137,14 +152,9 @@ int QueryProcess::ChooseReadReplica(const FragmentInfo& frag) const {
 std::string QueryProcess::DescribeWorkTarget(const FragmentWork& w,
                                              net::NodeId* pe) const {
   std::string name = w.fragment;
-  auto info = config_.dictionary->GetTable(w.table);
-  if (info.ok()) {
-    for (const FragmentInfo& frag : (*info)->fragments) {
-      if (frag.name != w.fragment) continue;
-      name = frag.ReplicaName(w.replica);
-      *pe = frag.ReplicaPe(w.replica);
-      break;
-    }
+  if (const FragmentInfo* frag = FindFragment(w.table, w.fragment)) {
+    name = frag->ReplicaName(w.replica);
+    *pe = frag->ReplicaPe(w.replica);
   }
   return "fragment " + name + " on PE " + std::to_string(*pe);
 }
@@ -159,17 +169,9 @@ void QueryProcess::CountUnavailable(net::NodeId pe, const std::string& table) {
       ->Increment();
 }
 
-void QueryProcess::MaybeFailover(size_t work_index, PendingRpc& rpc) {
+void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
   FragmentWork& w = (*work_)[work_index];
-  auto info = config_.dictionary->GetTable(w.table);
-  if (!info.ok()) return;
-  const FragmentInfo* frag = nullptr;
-  for (const FragmentInfo& f : (*info)->fragments) {
-    if (f.name == w.fragment) {
-      frag = &f;
-      break;
-    }
-  }
+  const FragmentInfo* frag = FindFragment(w.table, w.fragment);
   if (frag == nullptr || !frag->replicated) return;
   const int choice = ChooseReadReplica(*frag);
   if (choice == w.replica) return;
@@ -182,18 +184,14 @@ void QueryProcess::MaybeFailover(size_t work_index, PendingRpc& rpc) {
   const std::string new_name = frag->ReplicaName(choice);
   std::unique_ptr<algebra::Plan> plan =
       CloneWithScanRenamed(*w.plan, old_name, new_name);
-  if (!w.second_fragment.empty()) {
-    auto second = config_.dictionary->GetTable(w.second_table);
-    if (second.ok()) {
-      for (const FragmentInfo& f : (*second)->fragments) {
-        if (f.name != w.second_fragment) continue;
-        // The co-located partner moves with the anchor: aligned
-        // placement puts equal replica slots on equal PEs.
-        plan = CloneWithScanRenamed(*plan, f.ReplicaName(w.replica),
-                                    f.ReplicaName(choice));
-        break;
-      }
-    }
+  if (const FragmentInfo* second =
+          w.second_fragment.empty()
+              ? nullptr
+              : FindFragment(w.second_table, w.second_fragment)) {
+    // The co-located partner moves with the anchor: aligned placement
+    // puts equal replica slots on equal PEs.
+    plan = CloneWithScanRenamed(*plan, second->ReplicaName(w.replica),
+                                second->ReplicaName(choice));
   }
   w.plan = std::shared_ptr<const algebra::Plan>(std::move(plan));
   if (std::string_view(rpc.kind) == kMailShufflePlan && w.shuffle != nullptr) {
@@ -214,46 +212,17 @@ void QueryProcess::MaybeFailover(size_t work_index, PendingRpc& rpc) {
   w.ofm = frag->ReplicaOfm(choice);
 }
 
-void QueryProcess::HandleRpcTimeout(const pool::Mail& mail) {
-  if (finished_) return;
-  const uint64_t request_id =
-      *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
-  auto it = rpcs_->find(request_id);
-  if (it == rpcs_->end()) return;  // Answered in the meantime.
-  PendingRpc& rpc = it->second;
-  // GDH-bound RPCs are never abandoned: the GDH lives on PE 0, which no
-  // fault plan crashes, and it answers lock requests only once granted —
-  // so a quiet GDH means a queued lock behind a failover-stalled writer,
-  // not a crash. Keep retransmitting; the query watchdog bounds the wait.
-  if (rpc.attempts >= rpc.max_attempts && rpc.work_index != SIZE_MAX) {
-    // Degradation report (DESIGN.md §13): name the unreachable replica
-    // and its PE, and count the failure under query.unavailable{pe,table}.
-    std::string target = "the GDH";
-    net::NodeId target_pe = 0;
-    std::string table = "(gdh)";
-    if (rpc.work_index != SIZE_MAX) {
-      const FragmentWork& w = (*work_)[rpc.work_index];
-      table = w.table;
-      target = DescribeWorkTarget(w, &target_pe);
-    }
-    rpcs_->erase(it);
-    CountUnavailable(target_pe, table);
-    Reply(UnavailableError(target + " did not answer after repeated "
-                           "retransmissions (crashed PE?)"),
-          Schema(), nullptr);
-    return;
-  }
-  ++rpc.attempts;
-  // Crash failover happens at retransmission time: if the addressed
-  // replica died after scatter, re-aim at the surviving one first.
-  if (rpc.work_index != SIZE_MAX) MaybeFailover(rpc.work_index, rpc);
-  const pool::ProcessId target = ResolveTarget(rpc.work_index);
-  if (target != pool::kNoProcess) {
-    SendMail(target, rpc.kind, rpc.body, rpc.size_bits);
-  }
-  rpc.delay = std::min(rpc.delay * 2, config_.rpc_backoff_cap_ns);
-  rpc.timer = SendSelfAfter(rpc.delay, kMailRpcTimeout,
-                            std::make_shared<uint64_t>(request_id));
+void QueryProcess::RpcExhausted(uint64_t request_id, size_t work_index) {
+  // Degradation report (DESIGN.md §13): name the unreachable replica and
+  // its PE, and count the failure under query.unavailable{pe,table}.
+  const FragmentWork& w = (*work_)[work_index];
+  net::NodeId target_pe = 0;
+  const std::string target = DescribeWorkTarget(w, &target_pe);
+  SettleRpc(request_id);
+  CountUnavailable(target_pe, w.table);
+  Reply(UnavailableError(target + " did not answer after repeated "
+                         "retransmissions (crashed PE?)"),
+        Schema(), nullptr);
 }
 
 // ------------------------------------------------------------------ Reply
@@ -263,10 +232,7 @@ void QueryProcess::Reply(Status status, Schema schema,
   if (finished_) return;
   finished_ = true;
   runtime()->simulator()->Cancel(timeout_event_);
-  for (auto& [id, rpc] : *rpcs_) {
-    runtime()->simulator()->Cancel(rpc.timer);
-  }
-  rpcs_->clear();
+  rpcs_.SettleAll();
   // Exchange consumers live exactly as long as their statement: killing
   // them here also stops their reply-retransmission timers.
   for (const pool::ProcessId pid : consumer_pids_) {
@@ -326,14 +292,10 @@ void QueryProcess::Reply(Status status, Schema schema,
   }
   auto done = std::make_shared<StatementDone>();
   done->txn = config_.lock_txn;
-  SendMail(config_.gdh, kMailStatementDone, done, kControlBits);
-  if (config_.stmt_done_resend_ns > 0) {
-    // The stmt_done may be dropped by a faulty interconnect, leaving the
-    // GDH holding this statement's locks forever. Retransmit until the
-    // GDH reaps this process (the timer dies with it).
-    done_msg_ = done;
-    SendSelfAfter(config_.stmt_done_resend_ns, kMailStmtDoneResend);
-  }
+  // A faulty interconnect may drop it, leaving the GDH holding this
+  // statement's locks forever: it is resent until the GDH reaps this
+  // process (the timer dies with it).
+  done_.Send(done, kControlBits);
 }
 
 void QueryProcess::SendFrames(const Schema& schema, bool last) {
@@ -722,7 +684,7 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.costs = config_.costs;
     cc.registry = config_.registry;
     cc.credit_window = config_.exchange_credit_window;
-    cc.reply_resend_ns = config_.stmt_done_resend_ns;
+    cc.retransmit = config_.retransmit;
     cc.metrics = config_.metrics;
     request_part_[cc.reply_request_id] = part_index;
     const pool::ProcessId pid = runtime()->Spawn(
@@ -847,7 +809,7 @@ void QueryProcess::LaunchOlapShuffle(
     cc.exec_mode = config_.exec_mode;
     cc.costs = config_.costs;
     cc.credit_window = config_.exchange_credit_window;
-    cc.reply_resend_ns = config_.stmt_done_resend_ns;
+    cc.retransmit = config_.retransmit;
     cc.metrics = config_.metrics;
     request_part_[cc.reply_request_id] = part_index;
     olap_merge_of_[cc.reply_request_id] = {part_index, c};
@@ -1443,8 +1405,7 @@ void QueryProcess::ScatterFixpoint() {
     fc.batch_rows = config_.exchange_batch_rows;
     fc.credit_window = config_.exchange_credit_window;
     fc.columnar = config_.exec_mode == exec::ExecMode::kVectorized;
-    fc.vote_resend_ns = config_.stmt_done_resend_ns;
-    fc.reply_resend_ns = config_.stmt_done_resend_ns;
+    fc.retransmit = config_.retransmit;
     fc.costs = config_.costs;
     fc.metrics = config_.metrics;
     request_part_[fc.reply_request_id] = 0;
@@ -1505,11 +1466,11 @@ void QueryProcess::ScatterFixpoint() {
   } else {
     SendNextFragmentPlan();
   }
-  if (config_.stmt_done_resend_ns > 0) {
+  if (config_.retransmit.resend_ns > 0) {
     // Faulty interconnect: start/round/harvest directives can be lost,
     // so rebroadcast the current ones until the query finishes (every
     // handler at the PEs is idempotent).
-    SendSelfAfter(config_.stmt_done_resend_ns, kMailFixpointCtrlResend);
+    SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
   }
 }
 
@@ -1569,7 +1530,7 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
 }
 
 void QueryProcess::BroadcastFixpointCtrl() {
-  if (finished_ || !is_fixpoint_ || config_.stmt_done_resend_ns <= 0) return;
+  if (finished_ || !is_fixpoint_ || config_.retransmit.resend_ns <= 0) return;
   for (const pool::ProcessId pid : fx_pids_) {
     if (fx_start_msg_ != nullptr) {
       SendMail(pid, kMailFixpointStart, fx_start_msg_, kControlBits);
@@ -1578,7 +1539,7 @@ void QueryProcess::BroadcastFixpointCtrl() {
       SendMail(pid, kMailFixpointRound, fx_round_msg_, kControlBits);
     }
   }
-  SendSelfAfter(config_.stmt_done_resend_ns, kMailFixpointCtrlResend);
+  SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
 }
 
 void QueryProcess::RunFixpointPhase() {
@@ -1655,12 +1616,9 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailFixpointCtrlResend) {
     BroadcastFixpointCtrl();
   } else if (mail.kind == kMailRpcTimeout) {
-    HandleRpcTimeout(mail);
+    rpcs_.OnTimeout(mail);
   } else if (mail.kind == kMailStmtDoneResend) {
-    if (done_msg_ != nullptr) {
-      SendMail(config_.gdh, kMailStatementDone, done_msg_, kControlBits);
-      SendSelfAfter(config_.stmt_done_resend_ns, kMailStmtDoneResend);
-    }
+    done_.OnTimer();
   } else if (mail.kind == kMailQueryTimeout) {
     // Degradation report: name a fragment the gather is still waiting on,
     // if any RPC is outstanding (otherwise the stall is elsewhere, e.g. a
@@ -1668,9 +1626,9 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
     std::string detail = "query timed out (fragment unreachable?)";
     net::NodeId target_pe = 0;
     std::string table = "(unknown)";
-    for (const auto& [id, rpc] : *rpcs_) {
-      if (rpc.work_index == SIZE_MAX) continue;
-      const FragmentWork& w = (*work_)[rpc.work_index];
+    for (const auto& [id, rpc] : rpcs_.calls()) {
+      if (rpc.target == SIZE_MAX) continue;
+      const FragmentWork& w = (*work_)[rpc.target];
       table = w.table;
       detail = "query timed out awaiting " +
                DescribeWorkTarget(w, &target_pe) + " (crashed PE?)";

@@ -18,6 +18,7 @@
 #include "gdh/pe_registry.h"
 #include "gdh/plan_cache.h"
 #include "gdh/stage.h"
+#include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -55,15 +56,11 @@ class QueryProcess : public pool::Process {
     /// a GDH-assigned statement txn released at stmt_done).
     exec::TxnId lock_txn = exec::kAutoCommit;
     sim::SimTime timeout_ns = 30 * sim::kNanosPerSecond;
-    /// Retransmission knobs mirroring GdhProcess::Config: first resend
-    /// delay, backoff cap and total attempts before a request degrades to
-    /// kUnavailable.
-    sim::SimTime rpc_timeout_ns = 10 * sim::kNanosPerSecond;
-    sim::SimTime rpc_backoff_cap_ns = 10 * sim::kNanosPerSecond;
-    int rpc_attempts = 6;
-    /// Retransmit stmt_done to the GDH at this period until this process
-    /// is reaped (0 disables — the fault-free configuration).
-    sim::SimTime stmt_done_resend_ns = 0;
+    /// The machine's retransmission policy (GdhProcess::Config): OFM
+    /// requests retransmit under it, stmt_done is resent every resend_ns
+    /// until this process is reaped, and every consumer process spawned
+    /// here inherits it.
+    RetransmitPolicy retransmit;
     /// Directory of co-located fragments (may be null): exchange consumers
     /// resolve their stationary-side scans through it.
     const PeLocalRegistry* registry = nullptr;
@@ -125,7 +122,13 @@ class QueryProcess : public pool::Process {
   /// already settled (duplicate reply).
   bool SettleRpc(uint64_t request_id);
   pool::ProcessId ResolveTarget(size_t work_index) const;
-  void HandleRpcTimeout(const pool::Mail& mail);
+  /// The dictionary entry of `fragment` (a base name) of `table`; null
+  /// if either is gone.
+  const FragmentInfo* FindFragment(const std::string& table,
+                                   const std::string& fragment) const;
+  /// Exhaustion hook: fails the statement with a typed kUnavailable that
+  /// names the unreachable replica.
+  void RpcExhausted(uint64_t request_id, size_t work_index);
   void FinishGather();
   void RunGlobalPhase();
   void RunPrismalogPhase();
@@ -195,8 +198,10 @@ class QueryProcess : public pool::Process {
   /// Re-aims an unanswered fragment read at the currently chosen replica
   /// (crash failover at retransmission time): rebuilds the request body
   /// with the plan's scans renamed, keeping the request id.
-  struct PendingRpc;
-  void MaybeFailover(size_t work_index, PendingRpc& rpc);
+  /// Outstanding requests, named by the work_ entry whose OFM is the
+  /// target (SIZE_MAX: the GDH).
+  using Rpcs = RpcClient<size_t>;
+  void MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc);
   /// Bumps the labeled query.unavailable{pe,table} counter (registered
   /// lazily so fault-free metric dumps are unchanged).
   void CountUnavailable(net::NodeId pe, const std::string& table);
@@ -240,26 +245,14 @@ class QueryProcess : public pool::Process {
   uint64_t next_request_id_ = 1;
   std::map<uint64_t, size_t> request_part_;  // request id -> part index.
 
-  /// Unanswered requests, retransmitted with capped exponential backoff
-  /// (mirrors GdhProcess::PendingRpc).
-  struct PendingRpc {
-    const char* kind = nullptr;
-    std::any body;
-    int64_t size_bits = kControlBits;
-    size_t work_index = SIZE_MAX;  // SIZE_MAX targets the GDH.
-    int attempts = 1;
-    int max_attempts = 1;
-    sim::SimTime delay = 0;
-    sim::EventId timer = 0;
-  };
   // Settlement contract (D6): replies settle via SettleRpc, retry-budget
-  // exhaustion via HandleRpcTimeout, and Reply clears whatever is still
+  // exhaustion via RpcExhausted, and Reply clears whatever is still
   // outstanding when the statement finishes (sheds the stragglers).
-  // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=HandleRpcTimeout,
+  // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=RpcExhausted,
   //                shed=Reply)
-  pool::Owned<std::map<uint64_t, PendingRpc>> rpcs_;
-  /// stmt_done retransmission (armed in Reply when configured).
-  std::shared_ptr<StatementDone> done_msg_;
+  RpcClient<size_t> rpcs_;
+  /// stmt_done, resent without a budget until the GDH reaps this process.
+  Resender done_;
   pool::Owned<std::vector<std::vector<Tuple>>> gathered_;  // Per part.
   uint64_t tuples_gathered_ = 0;
   // EXPLAIN ANALYZE: per-part profile, fragment replies merged in.

@@ -1,0 +1,193 @@
+#include "gdh/transport.h"
+
+#include "common/column_batch.h"
+#include "common/logging.h"
+#include "common/serialize.h"
+
+namespace prisma::gdh {
+
+bool StreamSender::Stream::done() const {
+  return std::all_of(channels.begin(), channels.end(),
+                     [](const Channel& c) { return c.channel.done(); });
+}
+
+bool StreamSender::Stream::sent() const {
+  return std::all_of(channels.begin(), channels.end(), [](const Channel& c) {
+    return c.channel.next_unsent() == 0;
+  });
+}
+
+const StreamSender::Stream& StreamSender::Open(Stream stream) {
+  const uint64_t token = stream.token;
+  stream.delay = options_.policy.timeout_ns;
+  auto [it, inserted] = streams_.emplace(token, std::move(stream));
+  PRISMA_CHECK(inserted) << "stream token " << token << " reused";
+  Pump(it->second);
+  it->second.timer =
+      owner_->SendSelfAfter(it->second.delay, options_.resend_kind,
+                            std::make_shared<uint64_t>(token));
+  return it->second;
+}
+
+const StreamSender::Stream* StreamSender::OnAck(const BatchAckMsg& ack) {
+  auto it = streams_.find(ack.shuffle_token);
+  if (it == streams_.end()) return nullptr;
+  Stream& stream = it->second;
+  // A single-channel stream takes every ack (fixpoint peers stamp their
+  // own index); a multi-channel one is indexed by consumer.
+  const size_t index = stream.channels.size() == 1 ? 0 : ack.consumer;
+  if (index >= stream.channels.size()) return nullptr;
+  exec::OutboundChannel& channel = stream.channels[index].channel;
+  channel.set_window(ack.credit);
+  if (channel.OnAck(ack.ack)) {
+    // Window progress: the peer is alive, so budget and backoff restart.
+    stream.attempts = 0;
+    stream.delay = options_.policy.timeout_ns;
+  }
+  Pump(stream);
+  // The fault-free backoff is seconds-scale: a live timer would pad every
+  // drain-to-empty makespan by that much.
+  if (stream.done()) Disarm(stream);
+  return &stream;
+}
+
+bool StreamSender::OnTimer(const pool::Mail& mail) {
+  const uint64_t token = *std::any_cast<std::shared_ptr<uint64_t>>(mail.body);
+  auto it = streams_.find(token);
+  if (it == streams_.end()) return false;
+  Stream& stream = it->second;
+  stream.timer = 0;
+  if (++stream.attempts > options_.policy.attempts) {
+    options_.on_exhausted(stream);
+    return true;
+  }
+  for (const Channel& c : stream.channels) {
+    const uint64_t seq = c.channel.acked() + 1;
+    // Batches never sent are Pump's job.
+    if (c.channel.done() || !c.channel.Sent(seq)) continue;
+    if (options_.retransmits != nullptr) {
+      if (m_retransmits_ == nullptr) m_retransmits_ = options_.retransmits();
+      m_retransmits_->Increment();
+    }
+    Transmit(stream, c, *c.channel.BatchAt(seq), /*first=*/false);
+  }
+  Pump(stream);
+  stream.delay = options_.policy.Backoff(stream.delay);
+  stream.timer = owner_->SendSelfAfter(stream.delay, options_.resend_kind,
+                                       std::make_shared<uint64_t>(token));
+  return true;
+}
+
+void StreamSender::Close(uint64_t token) {
+  auto it = streams_.find(token);
+  if (it == streams_.end()) return;
+  Disarm(it->second);
+  for (const Channel& c : it->second.channels) {
+    if (c.credit_gauge != nullptr) c.credit_gauge->Set(0);
+  }
+  streams_.erase(it);
+}
+
+void StreamSender::CloseAll() {
+  while (!streams_.empty()) Close(streams_.begin()->first);
+}
+
+const StreamSender::Stream* StreamSender::Find(uint64_t token) const {
+  auto it = streams_.find(token);
+  return it == streams_.end() ? nullptr : &it->second;
+}
+
+void StreamSender::Pump(Stream& stream) {
+  for (Channel& c : stream.channels) {
+    bool sent = false;
+    while (const exec::TupleBatch* batch = c.channel.TakeNextToSend()) {
+      Transmit(stream, c, *batch, /*first=*/true);
+      sent = true;
+    }
+    // A drain that halted at the window edge (rather than running out of
+    // batches) is one stall event: the pipeline now waits on acks.
+    if (sent && c.channel.Stalled() && stream.stalls != nullptr) {
+      stream.stalls->Increment();
+    }
+    if (c.credit_gauge != nullptr) {
+      c.credit_gauge->Set(static_cast<int64_t>(c.channel.credit()));
+    }
+  }
+}
+
+void StreamSender::Transmit(Stream& stream, const Channel& channel,
+                            const exec::TupleBatch& batch, bool first) {
+  auto msg = std::make_shared<TupleBatchMsg>();
+  msg->exchange_id = stream.exchange_id;
+  msg->side = stream.side;
+  msg->producer = stream.producer;
+  msg->shuffle_token = stream.token;
+  msg->seq = batch.seq;
+  msg->eos = batch.eos;
+  if (stream.columnar) {
+    // The serialized length is the modelled payload size, so format
+    // savings show up in the wire figures instead of being assumed.
+    msg->column_frame = std::make_shared<const std::string>(
+        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
+  } else {
+    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
+  }
+  const int64_t bits = msg->WireBits();
+  owner_->ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
+                    options_.tuple_ns);
+  if (first) stream.first_bits += static_cast<uint64_t>(bits);
+  if (options_.on_send != nullptr) options_.on_send(stream, bits, first);
+  owner_->SendMail(channel.to, kMailTupleBatch, std::move(msg), bits);
+}
+
+void StreamSender::Disarm(Stream& stream) {
+  if (stream.timer == 0) return;
+  owner_->runtime()->simulator()->Cancel(stream.timer);
+  stream.timer = 0;
+}
+
+Status StreamReceiver::Offer(const TupleBatchMsg& msg,
+                             exec::InboundChannel& channel) {
+  auto rows = TupleBatchRows(msg);
+  if (!rows.ok()) return rows.status();
+  const size_t count = rows->size();
+  if (channel.Offer({msg.seq, msg.eos, std::move(rows).value()})) {
+    owner_->ChargeCpu(static_cast<sim::SimTime>(count) * options_.tuple_ns);
+    if (options_.received != nullptr) options_.received->Increment();
+  } else if (options_.dups != nullptr) {
+    if (m_dups_ == nullptr) m_dups_ = options_.dups();
+    m_dups_->Increment();
+  }
+  return Status::OK();
+}
+
+void StreamReceiver::Ack(pool::ProcessId to, uint64_t token,
+                         const exec::InboundChannel& channel) {
+  auto ack = std::make_shared<BatchAckMsg>();
+  ack->shuffle_token = token;
+  ack->consumer = options_.consumer;
+  ack->ack = channel.ack();
+  ack->credit = options_.credit_window;
+  owner_->SendMail(to, kMailBatchAck, std::move(ack), kControlBits);
+}
+
+void Resender::Send(std::any body, int64_t size_bits) {
+  body_ = std::move(body);
+  size_bits_ = size_bits;
+  owner_->SendMail(to_, kind_, body_, size_bits_);
+  if (resend_ns_ > 0 && left_ == 0) {
+    left_ = budget_;
+    owner_->SendSelfAfter(resend_ns_, timer_kind_);
+  }
+}
+
+void Resender::OnTimer() {
+  if (!body_.has_value()) {
+    left_ = 0;
+    return;
+  }
+  owner_->SendMail(to_, kind_, body_, size_bits_);
+  if (--left_ > 0) owner_->SendSelfAfter(resend_ns_, timer_kind_);
+}
+
+}  // namespace prisma::gdh

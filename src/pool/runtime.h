@@ -96,7 +96,9 @@ class Process {
   net::NodeId pe() const { return pe_; }
   Runtime* runtime() const { return runtime_; }
 
- protected:
+  // Messaging is public so that helper objects a process owns (the
+  // gdh/transport.h pieces) can act for it inside its handlers.
+
   /// Sends a message; released onto the network when the current handler's
   /// charged CPU completes.
   void SendMail(ProcessId to, std::string kind, std::any body,
@@ -111,6 +113,7 @@ class Process {
   /// Consumes `ns` of this PE's CPU inside the current handler.
   void ChargeCpu(sim::SimTime ns);
 
+ protected:
   /// This PE's disk, or null on a diskless PE.
   Disk* disk() const;
 

@@ -426,7 +426,9 @@ TEST(ChaosTest, ReplicatedSoakServesEveryReadAcross25Seeds) {
     // Every replica shed during the window rejoined via resync. (Seeds
     // whose window sheds nothing recover in place from WAL; the byte-
     // identical snapshot check inside the soak covers both paths.)
-    if (out.stale_marks > 0) EXPECT_GT(out.resyncs_completed, 0u);
+    if (out.stale_marks > 0) {
+      EXPECT_GT(out.resyncs_completed, 0u);
+    }
     total_audits += out.base.audits;
     total_dropped += out.base.dropped;
     total_failovers += out.failovers;

@@ -284,5 +284,33 @@ TEST(FixpointTerminationTest, DuplicatedVotesDoNotSkewTheBarrier) {
             oracle_stats.pairs_derived);
 }
 
+TEST(FixpointTerminationTest, FinishedStreamsLeaveNoTimerBehind) {
+  // A fault-free closure over a 999-edge random forest on 8 PEs: every
+  // round stream is fully acknowledged before the harvest, so no stream
+  // resend timer may outlive the statement. A live one fires into its
+  // reaped partition and shows up as a dropped mail.
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  ASSERT_TRUE(db.Execute("CREATE TABLE edge (src INT, dst INT) "
+                         "FRAGMENTED BY HASH(src) INTO 8 FRAGMENTS")
+                  .ok());
+  Rng rng(15);
+  std::vector<Edge> forest;
+  for (int node = 1; node < 1000; ++node) {
+    forest.push_back({static_cast<int>(rng.Uniform(node)), node});
+  }
+  ASSERT_TRUE(db.Execute(InsertSql(forest)).ok());
+  db.Run();
+  const uint64_t dropped = db.metrics().CounterValue("pool.mail_dropped");
+
+  auto answered = db.ExecutePrismalog(kTcProgram);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_GT(answered->tuples.size(), forest.size());
+  db.Run();
+  EXPECT_EQ(db.metrics().CounterValue("pool.mail_dropped"), dropped);
+  EXPECT_EQ(db.metrics().CounterTotal("fixpoint.retransmits"), 0u);
+}
+
 }  // namespace
 }  // namespace prisma::core

@@ -53,6 +53,7 @@ TEST(LintTest, GoldenDiagnosticsOverFixtureCorpus) {
       "proto/metrics_bad.cc:10 D8",
       "proto/rpc_bad.cc:12 D6",
       "proto/rpc_bad.cc:17 D6",
+      "proto/rpc_client_bad.cc:15 D6",
       "proto/states_bad.cc:4 D7",
       "proto/states_bad.cc:4 D7",
       "proto/states_bad.cc:4 D7",
@@ -95,7 +96,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
   LintReport report =
       ApplyAllowlist(AnalyzeSources(LoadFixtures()), allowlist);
-  EXPECT_EQ(report.violations, 27u);  // 29 findings - 2 allowlisted.
+  EXPECT_EQ(report.violations, 28u);  // 30 findings - 2 allowlisted.
   ASSERT_EQ(report.unused_allowlist.size(), 1u);
   EXPECT_EQ(report.unused_allowlist[0].needle, "no_such_token");
   EXPECT_FALSE(report.clean());
@@ -112,7 +113,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
 TEST(LintTest, EmptyAllowlistReportsEveryFindingAsViolation) {
   LintReport report = ApplyAllowlist(AnalyzeSources(LoadFixtures()), {});
-  EXPECT_EQ(report.violations, 29u);
+  EXPECT_EQ(report.violations, 30u);
   EXPECT_TRUE(report.unused_allowlist.empty());
   EXPECT_FALSE(report.clean());
 }
@@ -249,6 +250,23 @@ TEST(LintTest, RpcRegistrationWithoutSettlementContractIsFlagged) {
       << diagnostics[0].message;
 }
 
+TEST(LintTest, RpcClientTableStillNeedsAnExhaustionPath) {
+  // The pending-RPC table lives inside the transport's RpcClient; its
+  // owner's contract must still name every settlement role.
+  std::vector<Diagnostic> diagnostics = AnalyzeSources(LoadFixtures());
+  std::vector<const Diagnostic*> d6;
+  for (const Diagnostic& d : diagnostics) {
+    if (d.rule == "D6" && d.path == "proto/rpc_client_bad.cc") {
+      d6.push_back(&d);
+    }
+  }
+  ASSERT_EQ(d6.size(), 1u);
+  EXPECT_NE(d6[0]->message.find("'exhaustion'"), std::string::npos)
+      << d6[0]->message;
+  EXPECT_NE(d6[0]->message.find("calls_"), std::string::npos)
+      << d6[0]->message;
+}
+
 TEST(LintTest, UndeclaredStateTransitionIsFlagged) {
   // An assignment to a tracked enum with no PRISMA_TRANSITION marker.
   std::vector<SourceFile> files;
@@ -339,7 +357,7 @@ TEST(LintTest, ReportToJsonCarriesCountsAndDiagnostics) {
   const std::string json = ReportToJson(report, files.size());
   EXPECT_NE(json.find("\"files_scanned\": " + std::to_string(files.size())),
             std::string::npos);
-  EXPECT_NE(json.find("\"violations\": 29"), std::string::npos);
+  EXPECT_NE(json.find("\"violations\": 30"), std::string::npos);
   EXPECT_NE(json.find("\"clean\": false"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"D5\""), std::string::npos);
   EXPECT_NE(json.find("\"path\": \"bad/discard.cc\""), std::string::npos);

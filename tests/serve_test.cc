@@ -319,7 +319,9 @@ TEST(WorkloadTest, SchedulesAreSortedAndBounded) {
     for (size_t i = 0; i < schedule.size(); ++i) {
       EXPECT_GE(schedule[i].at_ns, 0);
       EXPECT_LT(schedule[i].at_ns, profile.duration_ns);
-      if (i > 0) EXPECT_GE(schedule[i].at_ns, schedule[i - 1].at_ns);
+      if (i > 0) {
+        EXPECT_GE(schedule[i].at_ns, schedule[i - 1].at_ns);
+      }
       EXPECT_FALSE(schedule[i].sql.empty());
     }
   }

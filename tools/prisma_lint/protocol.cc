@@ -188,14 +188,15 @@ void CheckMailTotality(const std::vector<PreparedFile>& files,
 // ------------------------------------------------------------------ rule D6
 //
 // RPC lifecycle. A container of pending RPCs (declared with a PendingRpc
-// value type) buys an obligation: whoever inserts must also settle — on
-// the success path (reply arrived), on retry-budget exhaustion, and on a
-// shed/sweep (target known dead, statement finished). The triad is
-// declared per container:
-//   // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=HandleRpcTimeout,
+// value type, or an RpcClient<...> table) buys an obligation: whoever
+// inserts (or RpcClient::Send()s) must also settle — on the success path
+// (reply arrived), on retry-budget exhaustion, and on a shed/sweep (target
+// known dead, statement finished). The triad is declared per container:
+//   // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=RpcExhausted,
 //   //                shed=TryFailover)
 // and each named function must exist in the header/cc pair and visibly
-// settle (erase/clear the container, or call another declared settler).
+// settle (erase/clear the container — Settle/SettleAll on an RpcClient —
+// or call another declared settler).
 // Scope is the header/cc stem pair, like D2's declaration sharing.
 
 struct SettlesDecl {
@@ -213,7 +214,9 @@ void CheckRpcLifecycle(const std::vector<PreparedFile>& files,
     pairs[files[fi].path.substr(0, files[fi].path.rfind('.'))].push_back(fi);
   }
 
-  static const std::regex kTrackedDecl("PendingRpc\\s*>{1,3}\\s*(\\w+)\\s*[;={(]");
+  static const std::regex kTrackedDecl(
+      "(?:PendingRpc\\s*>{1,3}|\\bRpcClient\\s*<[^;]*>)\\s*(\\w+)\\s*"
+      "[;={(]");
   static const std::set<std::string> kRoles = {"success", "exhaustion",
                                                "shed"};
 
@@ -286,7 +289,7 @@ void CheckRpcLifecycle(const std::vector<PreparedFile>& files,
         const std::regex reg(
             "(\\b" + name + "|\\(\\s*\\*\\s*" + name +
             "\\s*\\))\\s*(\\[[^\\]]*\\]\\s*=[^=]|(\\.|->)\\s*"
-            "(insert|emplace|try_emplace)\\s*\\()");
+            "(insert|emplace|try_emplace|Send)\\s*\\()");
         for (size_t li = 0; li < file.code.size(); ++li) {
           if (std::regex_search(file.code[li], reg)) {
             registrations[name].push_back(
@@ -354,7 +357,7 @@ void CheckRpcLifecycle(const std::vector<PreparedFile>& files,
         // Direct settle: erase/clear on the container...
         const std::regex settle_re(
             "(\\b" + name + "|\\(\\s*\\*\\s*" + name +
-            "\\s*\\))\\s*(\\.|->)\\s*(erase|clear)\\s*\\(");
+            "\\s*\\))\\s*(\\.|->)\\s*(erase|clear|Settle|SettleAll)\\s*\\(");
         // ...or delegation to another declared settle path.
         std::string others;
         for (const auto& [other_role, other_fn] : decl.roles) {
