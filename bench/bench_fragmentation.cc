@@ -195,14 +195,15 @@ int main(int argc, char** argv) {
       "\nreading: key-based strategies let the coordinator prune a point "
       "query to the\none fragment that can hold the key — half the response "
       "time and ~10x less\nnetwork traffic than round-robin's broadcast. "
-      "Point updates are dominated by\nthe forced WAL write (2PC), so "
-      "pruning shows mainly in traffic there. Full\nscans cost the same "
-      "everywhere — fragmentation is a workload decision, which\nis why "
-      "PRISMA gives it to the data allocation manager (§2.2). A join of\n"
-      "co-partitioned tables runs inside the PEs that host both fragments, "
-      "shipping\nonly matches — the payoff of the allocation manager's "
-      "aligned placement.\nWhen co-location is off the streaming exchange "
-      "repartitions one side between\nthe PEs, still far cheaper than "
-      "gathering both inputs at the coordinator.\n");
+      "Point updates are dominated by\ndisk forces, and pruning halves "
+      "them too: a pruned update has one\nparticipant and commits in "
+      "one phase, round-robin's runs 2PC on every\nfragment. Full scans "
+      "cost the same everywhere — fragmentation is a workload\ndecision, "
+      "which is why PRISMA gives it to the data allocation manager\n(§2.2). "
+      "A join of co-partitioned tables runs inside the PEs that host "
+      "both\nfragments, shipping only matches — the payoff of the allocation "
+      "manager's\naligned placement. When co-location is off the streaming "
+      "exchange\nrepartitions one side between the PEs, still far cheaper "
+      "than gathering\nboth inputs at the coordinator.\n");
   return 0;
 }

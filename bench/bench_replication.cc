@@ -179,6 +179,11 @@ AvailabilityOutcome RunAvailability(bool replicated) {
 struct WriteOutcome {
   double total_ms = 0;
   uint64_t wal_records = 0;
+  /// Prepare/commit/abort markers among them (ofm.wal_markers); the rest
+  /// are redo (data) records.
+  uint64_t wal_markers = 0;
+
+  uint64_t redo_records() const { return wal_records - wal_markers; }
 };
 
 WriteOutcome RunWriteWorkload(bool replicated) {
@@ -206,6 +211,7 @@ WriteOutcome RunWriteWorkload(bool replicated) {
   }
   out.total_ms = static_cast<double>(db.simulator().now() - begin) / 1e6;
   out.wal_records = db.metrics().CounterTotal("ofm.wal_records");
+  out.wal_markers = db.metrics().CounterTotal("ofm.wal_markers");
   return out;
 }
 
@@ -286,8 +292,17 @@ int main(int argc, char** argv) {
   PRISMA_CHECK(single.unavailable > 0)
       << "single-copy machine degraded nowhere — the bench is vacuous";
   PRISMA_CHECK(rep.resyncs_completed > 0 && rep.resync_wire_bits > 0);
-  PRISMA_CHECK(wrep.wal_records == 2 * wsingle.wal_records)
+  // Every write is a point write: single-copy it commits in one phase at
+  // its fragment (one C marker); replicated, both replicas prepare and
+  // commit (P and C each).
+  PRISMA_CHECK(wrep.redo_records() == 2 * wsingle.redo_records())
       << "replicated writes must WAL on both replicas";
+  PRISMA_CHECK(wsingle.wal_markers == static_cast<uint64_t>(kWrites))
+      << "single-copy writes must commit in one phase, got "
+      << wsingle.wal_markers << " markers for " << kWrites;
+  PRISMA_CHECK(wrep.wal_markers == 4 * static_cast<uint64_t>(kWrites))
+      << "replicated writes must prepare and commit both replicas, got "
+      << wrep.wal_markers << " markers for " << kWrites;
 
   const std::string json = StrFormat(
       "{\n"

@@ -150,6 +150,7 @@ Status Ofm::LogRedo(TxnId txn, std::string record) {
 Status Ofm::LogMarker(TxnId txn, uint8_t op) {
   if (options_.type == OfmType::kQueryOnly) return Status::OK();
   ++wal_records_;
+  ++wal_markers_;
   SubmitToDisk(
       storage::StableWrite().Append(WalStream(), EncodeMarker(op, txn)));
   return Status::OK();
@@ -273,11 +274,23 @@ void Ofm::FlushRedo(OpenTxn& open, std::string marker) {
   open.pending_redo.clear();
   write.Append(WalStream(), std::move(marker));
   wal_records_ += write.records();
+  ++wal_markers_;
   SubmitToDisk(std::move(write));
 }
 
 bool Ofm::HasTransaction(TxnId txn) const {
   return open_txns_.contains(txn);
+}
+
+bool Ofm::CommitLogged(TxnId txn) {
+  if (options_.type == OfmType::kQueryOnly) return false;
+  const storage::StableStore& stable = options_.disk->store();
+  ChargeCpu(stable.StreamReadNs(WalStream()));
+  const std::string marker = EncodeMarker(kWalCommit, txn);
+  for (const std::string& record : stable.ReadStream(WalStream())) {
+    if (record == marker) return true;
+  }
+  return false;
 }
 
 Status Ofm::Prepare(TxnId txn) {

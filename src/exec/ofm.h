@@ -118,7 +118,9 @@ class Ofm {
   /// guarantees it can commit (a yes-vote may leave only then).
   Status Prepare(TxnId txn);
   /// Phase 2: writes the commit marker and discards undo state; the
-  /// commit is acknowledged once last_write() is durable.
+  /// commit is acknowledged once last_write() is durable. On a transaction
+  /// that was never prepared this is a one-phase commit: its buffered redo
+  /// records and the commit marker travel as one write.
   Status Commit(TxnId txn);
   /// Undoes the transaction's local effects (reverse order). A prepared
   /// transaction's abort marker is written but need not be waited for:
@@ -135,6 +137,10 @@ class Ofm {
   }
   /// True if `txn` has touched this fragment and is still open.
   bool HasTransaction(TxnId txn) const;
+  /// True if a commit marker of `txn` has landed in the WAL since the
+  /// last checkpoint: how a restarted OFM learns the outcome of a
+  /// one-phase commit whose reply its predecessor may not have sent.
+  bool CommitLogged(TxnId txn);
 
   // ------------------------------------------------------------ Querying
 
@@ -245,8 +251,10 @@ class Ofm {
   /// diverge the replicas' RowId assignment (and checkpoint bytes).
   Status FinishResync(uint64_t source_slots);
 
-  /// Number of WAL records written over this OFM's lifetime.
+  /// Number of WAL records written over this OFM's lifetime, and how many
+  /// of them were prepare/commit/abort markers (the rest are redo records).
   uint64_t wal_records() const { return wal_records_; }
+  uint64_t wal_markers() const { return wal_markers_; }
 
   /// Number of WAL data records redone (applied) by Recover and
   /// ResolveRecovered over this OFM's lifetime.
@@ -295,6 +303,7 @@ class Ofm {
   std::vector<TxnId> undecided_order_;
   ExecStats last_exec_stats_;
   uint64_t wal_records_ = 0;
+  uint64_t wal_markers_ = 0;
   uint64_t redo_applied_ = 0;
   pool::Disk::Ticket last_write_ = 0;
 };

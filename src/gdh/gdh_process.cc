@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,7 +20,8 @@ namespace {
 
 /// Stable-store stream holding the presumed-abort decision log: "C <txn>"
 /// when a commit decision is forced, "E <txn>" once every participant
-/// acknowledged it. Aborts are never logged.
+/// acknowledged it (unforced: it lands with the next forced write). Aborts
+/// and one-phase commits are never logged.
 constexpr char kDecisionStream[] = "gdh.2pc";
 
 /// Stable-store stream of transaction-id reservations: each record is a
@@ -35,6 +37,17 @@ constexpr exec::TxnId kTxnIdChunk = 64;
 /// ids — 192 statements, far more than arrive during one 25 ms force at
 /// the serving rates measured here — so statements do not wait for it.
 constexpr exec::TxnId kTxnIdLookahead = 4 * kTxnIdChunk;
+
+/// Retry budget of a one-phase commit request: none. Its participant alone
+/// knows whether the commit landed, so the GDH re-sends the (idempotent)
+/// request until it learns the outcome; it never presumes abort.
+constexpr int kUnboundedAttempts = std::numeric_limits<int>::max();
+
+bool IsOnePhaseCommit(const RpcClient<std::string>::PendingRpc& rpc) {
+  return rpc.kind == kMailTxnControl &&
+         std::any_cast<std::shared_ptr<TxnControlRequest>>(rpc.body)->op ==
+             TxnControlRequest::Op::kCommitOnePhase;
+}
 
 }  // namespace
 
@@ -68,6 +81,7 @@ GdhProcess::GdhProcess(Config config)
     m_deadlock_aborts_ = m.GetCounter("gdh.deadlock_aborts");
     m_write_ops_ = m.GetCounter("gdh.write_ops_sent");
     m_2pc_rounds_ = m.GetCounter("gdh.2pc_rounds");
+    m_one_phase_commits_ = m.GetCounter("gdh.one_phase_commits");
   }
 }
 
@@ -153,7 +167,7 @@ void GdhProcess::ReserveTxnIds() {
   }
   const exec::TxnId mark = txn_id_reserved_;
   const pool::Disk::Ticket ticket = WriteStable(
-      storage::StableWrite().Append(kTxnIdStream, std::to_string(mark)));
+      ForcedWrite().Append(kTxnIdStream, std::to_string(mark)));
   WhenDurable(ticket, kMailDiskDone, [this, mark] {
     txn_id_hwm_ = std::max(txn_id_hwm_, mark);
     while (!id_waiters_.empty() && HasTxnId()) {
@@ -265,6 +279,14 @@ bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
   auto ofm = OfmOf(rpc.target);
   if (ofm.ok() && *ofm != pool::kNoProcess && runtime()->IsAlive(*ofm)) {
     return true;
+  }
+  if (IsOnePhaseCommit(rpc)) {
+    // The participant died after the request left, so its commit write
+    // may have landed. Park the request without a timer; RecoverReplica
+    // re-sends it to the successor, which answers from its WAL.
+    parked_commits_[request_id] = {rpc.target, rpc.body};
+    SettleRpc(request_id);
+    return false;
   }
   // The host process is gone, not just slow: a replicated fragment with a
   // healthy peer sheds the replica on the first retry that notices,
@@ -409,6 +431,20 @@ std::vector<std::string> GdhProcess::ActiveInvolved(const TxnState& state) {
   return out;
 }
 
+std::vector<std::string> GdhProcess::BaseFragments(
+    const std::vector<std::string>& replicas) {
+  std::vector<std::string> out;
+  for (const std::string& name : replicas) {
+    int replica = 0;
+    const FragmentInfo* frag = FindFragment(name, &replica);
+    const std::string& base = frag != nullptr ? frag->name : name;
+    if (std::find(out.begin(), out.end(), base) == out.end()) {
+      out.push_back(base);
+    }
+  }
+  return out;
+}
+
 void GdhProcess::CountUnavailable(net::NodeId pe, const std::string& table) {
   if (config_.metrics == nullptr) return;
   config_.metrics
@@ -431,7 +467,7 @@ void GdhProcess::LogCommitDecision(exec::TxnId txn,
   }
   // Concurrent decisions queue on the busy device and land together as
   // one physical write (group commit).
-  WhenDurable(WriteStable(storage::StableWrite().Append(
+  WhenDurable(WriteStable(ForcedWrite().Append(
                   kDecisionStream, "C " + std::to_string(txn))),
               kMailDiskDone, std::move(decided));
 }
@@ -439,9 +475,17 @@ void GdhProcess::LogCommitDecision(exec::TxnId txn,
 void GdhProcess::LogCommitEnd(exec::TxnId txn) {
   committed_->erase(txn);
   if (disk() == nullptr) return;
-  // Unforced: the ticket is not waited for.
-  WriteStable(storage::StableWrite().Append(kDecisionStream,
-                                            "E " + std::to_string(txn)));
+  // Unforced: the record waits in memory for the next forced write.
+  pending_ends_.push_back("E " + std::to_string(txn));
+}
+
+storage::StableWrite GdhProcess::ForcedWrite() {
+  storage::StableWrite write;
+  for (std::string& end : pending_ends_) {
+    write.Append(kDecisionStream, std::move(end));
+  }
+  pending_ends_.clear();
+  return write;
 }
 
 void GdhProcess::ReplayDecisionLog() {
@@ -567,8 +611,8 @@ void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
 
 // ------------------------------------------------------------------- 2PC
 
-void GdhProcess::RunTwoPhaseCommit(exec::TxnId txn,
-                                   std::function<void(Status)> then) {
+void GdhProcess::RunCommit(exec::TxnId txn,
+                           std::function<void(Status)> then) {
   auto it = txns_->find(txn);
   if (it == txns_->end()) {
     then(NotFoundError("unknown transaction " + std::to_string(txn)));
@@ -604,6 +648,10 @@ void GdhProcess::RunTwoPhaseCommit(exec::TxnId txn,
     then(Status::OK());
     return;
   }
+  if (involved.size() == 1) {
+    CommitOnePhase(txn, involved.front(), std::move(then));
+    return;
+  }
 
   // Phase 1: prepare.
   // PRISMA_TRANSITION(kActive, kPreparing, prepare round fans out)
@@ -625,10 +673,10 @@ void GdhProcess::RunTwoPhaseCommit(exec::TxnId txn,
     const bool commit = m.first_error.ok() && !doomed;
     if (commit) {
       // Presumed abort: the commit decision is forced to stable storage
-      // BEFORE any participant learns it, so a recovering OFM asking
-      // about this transaction always gets the decided answer. Aborts
-      // are never logged — "unknown" means abort. Until the record lands
-      // the transaction stays kPreparing and inquiries are deferred.
+      // BEFORE any participant or the client learns it, so a recovering
+      // OFM asking about this transaction always gets the decided answer.
+      // Aborts are never logged — "unknown" means abort. Until the record
+      // lands the transaction stays kPreparing and inquiries are deferred.
       LogCommitDecision(txn, [this, txn, involved, phase1_start,
                               then = std::move(then)]() mutable {
         auto decided = txns_->find(txn);
@@ -673,6 +721,84 @@ void GdhProcess::RunTwoPhaseCommit(exec::TxnId txn,
   }
 }
 
+void GdhProcess::CommitOnePhase(exec::TxnId txn,
+                                const std::string& participant,
+                                std::function<void(Status)> then) {
+  std::vector<std::string> written = BaseFragments({participant});
+  if (!UnsettledOn(written).empty()) {
+    // A checkpoint round may be truncating the participant's WAL, where a
+    // respawned successor would look the outcome up: commit after it.
+    AfterSettled(written, [this, txn, then = std::move(then)]() mutable {
+      RunCommit(txn, std::move(then));
+    });
+    return;
+  }
+  TxnState& state = txns_->at(txn);
+  auto ofm = OfmOf(participant);
+  if (!ofm.ok() || *ofm == pool::kNoProcess || !runtime()->IsAlive(*ofm)) {
+    // The participant died with the writes before it was asked to commit
+    // them: nothing can have committed, and a successor knows nothing of
+    // the transaction (presumed abort).
+    // PRISMA_TRANSITION(kActive, kAborted, sole participant died first)
+    state.phase = TxnPhase::kAborted;
+    locks_->ReleaseAll(txn);
+    txns_->erase(txn);
+    ++stats_.txns_aborted;
+    Inc(m_txns_aborted_);
+    then(UnavailableError("fragment " + participant + " is down; transaction " +
+                          std::to_string(txn) + " aborted"));
+    return;
+  }
+  // PRISMA_TRANSITION(kActive, kOnePhase, the sole participant decides)
+  state.phase = TxnPhase::kOnePhase;
+  unsettled_[{.id = txn}] = std::move(written);
+  Inc(m_one_phase_commits_);
+  const sim::SimTime start = runtime()->simulator()->now();
+  const uint64_t batch_id = next_batch_id_++;
+  Multicast& batch = batches_[batch_id];
+  batch.expected = 1;
+  batch.done = [this, txn, start, then = std::move(then)](Multicast& m) {
+    const bool committed = m.first_error.ok();
+    auto state_it = txns_->find(txn);
+    if (state_it != txns_->end()) {
+      if (committed) {
+        // PRISMA_TRANSITION(kOnePhase, kCommitted, the commit write landed)
+        state_it->second.phase = TxnPhase::kCommitted;
+      } else {
+        // PRISMA_TRANSITION(kOnePhase, kAborted, the participant lost it)
+        state_it->second.phase = TxnPhase::kAborted;
+      }
+    }
+    locks_->ReleaseAll(txn);
+    txns_->erase(txn);
+    if (committed) {
+      ++stats_.txns_committed;
+      Inc(m_txns_committed_);
+    } else {
+      ++stats_.txns_aborted;
+      Inc(m_txns_aborted_);
+    }
+    // The one-phase round is the decision: the span ends at the OFM's
+    // durable reply, so its commit force counts as 2PC time.
+    if (config_.tracer != nullptr && config_.tracer->enabled()) {
+      config_.tracer->Span("gdh", "2pc.decision", start,
+                           runtime()->simulator()->now(), pe(), self(), "txn",
+                           std::to_string(txn));
+    }
+    Settle({.id = txn});
+    then(committed ? Status::OK()
+                   : AbortedError("transaction " + std::to_string(txn) +
+                                  " aborted at commit: " +
+                                  m.first_error.message()));
+  };
+  auto request = std::make_shared<TxnControlRequest>();
+  request->request_id = next_request_id_++;
+  request->op = TxnControlRequest::Op::kCommitOnePhase;
+  request->txn = txn;
+  SendRpc(request->request_id, batch_id, participant, kMailTxnControl,
+          request, kControlBits, kUnboundedAttempts);
+}
+
 void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
                               const std::vector<std::string>& involved,
                               sim::SimTime phase1_start,
@@ -696,38 +822,34 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
   const uint64_t batch2 = next_batch_id_++;
   Multicast& second = batches_[batch2];
   second.expected = decide.size();
-  second.done = [this, txn, commit, outcome = std::move(outcome),
-                 phase2_start, then = std::move(then)](Multicast& m2) {
+  second.done = [this, txn, commit, outcome, phase2_start,
+                 then](Multicast& m2) {
     if (commit && m2.first_error.ok()) {
       // Every participant acknowledged the commit: the decision can be
       // forgotten. If any ack is missing the record stays, so a later
       // inquiry still learns "commit".
       LogCommitEnd(txn);
     }
-    auto final_it = txns_->find(txn);
-    if (final_it != txns_->end()) {
-      if (commit) {
-        // PRISMA_TRANSITION(kCommitting, kCommitted, decision delivered)
-        final_it->second.phase = TxnPhase::kCommitted;
-      } else {
-        // PRISMA_TRANSITION(kAborting, kAborted, abort round settled)
-        final_it->second.phase = TxnPhase::kAborted;
-      }
-    }
-    locks_->ReleaseAll(txn);
-    txns_->erase(txn);
-    if (outcome.ok()) {
-      ++stats_.txns_committed;
-      Inc(m_txns_committed_);
-    } else {
-      ++stats_.txns_aborted;
-      Inc(m_txns_aborted_);
-    }
     if (config_.tracer != nullptr && config_.tracer->enabled()) {
       config_.tracer->Span("gdh", "2pc.decision", phase2_start,
                            runtime()->simulator()->now(), pe(), self(),
                            "txn", std::to_string(txn));
     }
+    if (commit) {
+      // The client heard at the decision; only the fragments' later work
+      // waited for this.
+      Settle({.id = txn});
+      return;
+    }
+    auto final_it = txns_->find(txn);
+    if (final_it != txns_->end()) {
+      // PRISMA_TRANSITION(kAborting, kAborted, abort round settled)
+      final_it->second.phase = TxnPhase::kAborted;
+    }
+    locks_->ReleaseAll(txn);
+    txns_->erase(txn);
+    ++stats_.txns_aborted;
+    Inc(m_txns_aborted_);
     then(outcome);
   };
   for (const std::string& fragment : decide) {
@@ -741,6 +863,64 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     SendRpc(request->request_id, batch2, fragment, kMailTxnControl, request,
             kControlBits, config_.retransmit.attempts + 4);
   }
+  if (!commit) return;
+  auto decided = txns_->find(txn);
+  // Answer at the decision: the C record is durable, so the commit holds
+  // whatever happens to phase 2, and the writes are already applied in
+  // place at every participant. The locks go now; the fragments' next
+  // writers, checkpoints and resync cutovers wait for phase 2 instead
+  // (AfterSettled), so no OFM opens a writer next to a decided
+  // transaction whose commit marker has not landed.
+  unsettled_[{.id = txn}] = BaseFragments(decide);
+  if (decided != txns_->end()) {
+    // PRISMA_TRANSITION(kCommitting, kCommitted, answered at the decision)
+    decided->second.phase = TxnPhase::kCommitted;
+  }
+  locks_->ReleaseAll(txn);
+  txns_->erase(txn);
+  ++stats_.txns_committed;
+  Inc(m_txns_committed_);
+  then(Status::OK());
+}
+
+std::set<GdhProcess::WorkKey> GdhProcess::UnsettledOn(
+    const std::vector<std::string>& fragments) const {
+  std::set<WorkKey> out;
+  for (const auto& [key, covered] : unsettled_) {
+    for (const std::string& fragment : fragments) {
+      if (std::find(covered.begin(), covered.end(), fragment) !=
+          covered.end()) {
+        out.insert(key);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+void GdhProcess::AfterSettled(const std::vector<std::string>& fragments,
+                              std::function<void()> then) {
+  SettleWaiter waiter{UnsettledOn(fragments), std::move(then)};
+  if (waiter.pending.empty()) {
+    waiter.then();
+    return;
+  }
+  settle_waiters_.push_back(std::move(waiter));
+}
+
+void GdhProcess::Settle(const WorkKey& key) {
+  if (unsettled_.erase(key) == 0) return;
+  std::vector<std::function<void()>> ready;
+  for (auto it = settle_waiters_.begin(); it != settle_waiters_.end();) {
+    it->pending.erase(key);
+    if (it->pending.empty()) {
+      ready.push_back(std::move(it->then));
+      it = settle_waiters_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (const std::function<void()>& fn : ready) fn();
 }
 
 void GdhProcess::AbortEverywhere(exec::TxnId txn,
@@ -1053,8 +1233,8 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
   const uint64_t client_request = stmt->request_id;
   AcquireExclusive(
       txn, resources, 0,
-      [this, txn, implicit, ops, bound, client,
-       client_request](Status lock_status) {
+      [this, txn, implicit, ops, bound, client, client_request,
+       resources](Status lock_status) {
         if (!lock_status.ok()) {
           AbortEverywhere(txn, [this, client, client_request,
                                 lock_status](Status) {
@@ -1062,57 +1242,66 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
           });
           return;
         }
-        // Locks held: scatter the writes.
-        auto& txn_state = (*txns_)[txn];
-        const uint64_t batch_id = next_batch_id_++;
-        Multicast& batch = batches_[batch_id];
-        batch.done = [this, txn, implicit, client,
-                      client_request](Multicast& m) {
-          if (!m.first_error.ok()) {
-            Status error = m.first_error;
-            AbortEverywhere(txn, [this, client, client_request,
-                                  error](Status) {
-              ReplyToClient(client, client_request, error, 0, 0);
-            });
-            return;
+        // Locks held. A commit answered at its decision may still be
+        // delivering its markers to these fragments: the writes wait for
+        // it (and for a checkpoint round there), so no OFM opens this
+        // writer next to a decided transaction whose commit marker has
+        // not landed (DESIGN.md §8.1).
+        AfterSettled(resources, [this, txn, implicit, ops, client,
+                                 client_request] {
+          auto& txn_state = (*txns_)[txn];
+          const uint64_t batch_id = next_batch_id_++;
+          Multicast& batch = batches_[batch_id];
+          batch.done = [this, txn, implicit, client,
+                        client_request](Multicast& m) {
+            if (!m.first_error.ok()) {
+              Status error = m.first_error;
+              AbortEverywhere(txn, [this, client, client_request,
+                                    error](Status) {
+                ReplyToClient(client, client_request, error, 0, 0);
+              });
+              return;
+            }
+            const uint64_t affected = m.affected;
+            if (implicit) {
+              RunCommit(txn, [this, client, client_request,
+                              affected](Status status) {
+                ReplyToClient(client, client_request, status, affected, 0);
+              });
+            } else {
+              ReplyToClient(client, client_request, Status::OK(), affected,
+                            0);
+            }
+          };
+          size_t members = 0;
+          for (Op& op : *ops) {
+            // Each logical op fans out to every in-sync replica of its
+            // fragment; a dual-replica op shares one DualWrite entry so the
+            // affected count and row delta are charged exactly once.
+            std::vector<std::string> targets{op.fragment};
+            int replica = 0;
+            if (FragmentInfo* frag = FindFragment(op.fragment, &replica);
+                frag != nullptr) {
+              targets = WriteTargets(*frag);
+            }
+            std::shared_ptr<DualWrite> dual;
+            if (targets.size() > 1) dual = std::make_shared<DualWrite>();
+            for (const std::string& target : targets) {
+              txn_state.involved.insert(target);
+              auto request = std::make_shared<WriteRequest>(*op.request);
+              request->request_id = next_request_id_++;
+              request->txn = txn;
+              if (dual != nullptr) dual_writes_[request->request_id] = dual;
+              ++stats_.write_ops_sent;
+              Inc(m_write_ops_);
+              ++members;
+              SendRpc(request->request_id, batch_id, target, kMailWrite,
+                      request, request->WireBits(),
+                      config_.retransmit.attempts);
+            }
           }
-          const uint64_t affected = m.affected;
-          if (implicit) {
-            RunTwoPhaseCommit(txn, [this, client, client_request,
-                                    affected](Status status) {
-              ReplyToClient(client, client_request, status, affected, 0);
-            });
-          } else {
-            ReplyToClient(client, client_request, Status::OK(), affected, 0);
-          }
-        };
-        size_t members = 0;
-        for (Op& op : *ops) {
-          // Each logical op fans out to every in-sync replica of its
-          // fragment; a dual-replica op shares one DualWrite entry so the
-          // affected count and row delta are charged exactly once.
-          std::vector<std::string> targets{op.fragment};
-          int replica = 0;
-          if (FragmentInfo* frag = FindFragment(op.fragment, &replica);
-              frag != nullptr) {
-            targets = WriteTargets(*frag);
-          }
-          std::shared_ptr<DualWrite> dual;
-          if (targets.size() > 1) dual = std::make_shared<DualWrite>();
-          for (const std::string& target : targets) {
-            txn_state.involved.insert(target);
-            auto request = std::make_shared<WriteRequest>(*op.request);
-            request->request_id = next_request_id_++;
-            request->txn = txn;
-            if (dual != nullptr) dual_writes_[request->request_id] = dual;
-            ++stats_.write_ops_sent;
-            Inc(m_write_ops_);
-            ++members;
-            SendRpc(request->request_id, batch_id, target, kMailWrite,
-                    request, request->WireBits(), config_.retransmit.attempts);
-          }
-        }
-        batch.expected = members;
+          batch.expected = members;
+        });
       });
 }
 
@@ -1131,10 +1320,9 @@ void GdhProcess::ExecuteTxnControl(const BoundStatement& bound,
     }
     case sql::TxnControl::kCommit: {
       const uint64_t request_id = stmt->request_id;
-      RunTwoPhaseCommit(stmt->txn,
-                        [this, client, request_id](Status status) {
-                          ReplyToClient(client, request_id, status, 0, 0);
-                        });
+      RunCommit(stmt->txn, [this, client, request_id](Status status) {
+        ReplyToClient(client, request_id, status, 0, 0);
+      });
       return;
     }
     case sql::TxnControl::kAbort: {
@@ -1303,6 +1491,9 @@ void GdhProcess::HandleWriteReply(const pool::Mail& mail) {
 void GdhProcess::HandleTxnControlReply(const pool::Mail& mail) {
   auto reply = std::any_cast<std::shared_ptr<TxnControlReply>>(mail.body);
   SettleRpc(reply->request_id);
+  // A late reply of a participant that died after sending it still
+  // settles a parked one-phase commit: nothing is left to re-send.
+  parked_commits_.erase(reply->request_id);
   if (!request_batch_.contains(reply->request_id)) {
     ++stats_.dup_replies;
     Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
@@ -1415,36 +1606,79 @@ void GdhProcess::DispatchStatement(const pool::Mail& mail) {
 
 void GdhProcess::ExecuteCheckpoint(
     const std::shared_ptr<ClientStatement>& stmt, pool::ProcessId client) {
-  std::vector<std::string> fragments;
+  // One checkpoint round per base fragment, over its in-sync replicas.
+  struct Round {
+    size_t open = 0;  // Fragments not answered yet.
+    Status status;
+    uint64_t affected = 0;
+  };
+  auto round = std::make_shared<Round>();
+  std::vector<std::pair<std::string, std::vector<std::string>>> work;
   for (const std::string& table : dictionary_->TableNames()) {
     auto info = dictionary_->GetTable(table);
     PRISMA_CHECK(info.ok());
-    for (const FragmentInfo& frag : (*info)->fragments) {
+    for (FragmentInfo& frag : (*info)->fragments) {
+      std::vector<std::string> targets;
       for (int r = 0; r < frag.num_replicas(); ++r) {
         // Stale/resyncing replicas skip the checkpoint: their WAL and
         // snapshot are superseded by the resync rebuild anyway.
         if (frag.replica_state(r) != ReplicaState::kInSync) continue;
-        if (frag.ReplicaOfm(r) == pool::kNoProcess) continue;
-        fragments.push_back(frag.ReplicaName(r));
+        const pool::ProcessId ofm = frag.ReplicaOfm(r);
+        if (ofm == pool::kNoProcess) continue;
+        if (!runtime()->IsAlive(ofm)) {
+          // A crashed replica is left out at once: a replicated fragment
+          // sheds it to its healthy peer, anything else is reported
+          // unavailable. Its round would otherwise wait for the commits
+          // parked on it, which settle only after its respawn.
+          if (TryFailover(frag, r)) continue;
+          CountUnavailable(frag.ReplicaPe(r), table);
+          if (round->status.ok()) {
+            round->status = UnavailableError(
+                "fragment " + frag.ReplicaName(r) + " on PE " +
+                std::to_string(frag.ReplicaPe(r)) +
+                " is down; not checkpointed");
+          }
+          continue;
+        }
+        targets.push_back(frag.ReplicaName(r));
       }
+      if (!targets.empty()) work.emplace_back(frag.name, std::move(targets));
     }
   }
-  if (fragments.empty()) {
-    ReplyToClient(client, stmt->request_id, Status::OK(), 0, 0);
+  const uint64_t request_id = stmt->request_id;
+  if (work.empty()) {
+    ReplyToClient(client, request_id, round->status, 0, 0);
     return;
   }
-  const uint64_t batch_id = next_batch_id_++;
-  Multicast& batch = batches_[batch_id];
-  batch.expected = fragments.size();
-  const uint64_t request_id = stmt->request_id;
-  batch.done = [this, client, request_id](Multicast& m) {
-    ReplyToClient(client, request_id, m.first_error, m.affected, 0);
-  };
-  for (const std::string& fragment : fragments) {
-    auto request = std::make_shared<CheckpointRequest>();
-    request->request_id = next_request_id_++;
-    SendRpc(request->request_id, batch_id, fragment, kMailCheckpoint,
-            request, kControlBits, config_.retransmit.attempts);
+  round->open = work.size();
+  for (auto& [base, targets] : work) {
+    // The round truncates the fragment's WAL, where a respawned OFM looks
+    // up one-phase outcomes: it waits for the commits unsettled there
+    // (which also keeps decided transactions from failing it as still
+    // open), and the fragment's later one-phase commits wait for it.
+    const WorkKey key{.checkpoint = true, .id = next_checkpoint_round_++};
+    AfterSettled({base}, [this, key, targets = std::move(targets), round,
+                          client, request_id] {
+      const uint64_t batch_id = next_batch_id_++;
+      Multicast& batch = batches_[batch_id];
+      batch.expected = targets.size();
+      batch.done = [this, key, round, client, request_id](Multicast& m) {
+        Settle(key);
+        if (round->status.ok()) round->status = m.first_error;
+        round->affected += m.affected;
+        if (--round->open == 0) {
+          ReplyToClient(client, request_id, round->status, round->affected,
+                        0);
+        }
+      };
+      for (const std::string& fragment : targets) {
+        auto request = std::make_shared<CheckpointRequest>();
+        request->request_id = next_request_id_++;
+        SendRpc(request->request_id, batch_id, fragment, kMailCheckpoint,
+                request, kControlBits, config_.retransmit.attempts);
+      }
+    });
+    unsettled_[key] = {base};
   }
 }
 
@@ -1492,6 +1726,17 @@ Status GdhProcess::RecoverReplica(const std::string& table, TableInfo* info,
                                frag.ReplicaPe(replica), /*recover=*/true,
                                /*resync_id=*/0));
   DoomTxnsInvolving(frag.ReplicaName(replica));
+  // One-phase commits the dead process was asked to decide: its successor
+  // answers them from the WAL (committed if the commit write landed).
+  for (auto it = parked_commits_.begin(); it != parked_commits_.end();) {
+    if (it->second.replica != frag.ReplicaName(replica)) {
+      ++it;
+      continue;
+    }
+    rpcs_.Send(it->first, it->second.replica, kMailTxnControl,
+               std::move(it->second.body), kControlBits, kUnboundedAttempts);
+    it = parked_commits_.erase(it);
+  }
   // This replica may be the awaited resync source for its stale peer.
   if (frag.replicated) MaybeStartResync(table, fragment);
   return Status::OK();
@@ -1635,8 +1880,8 @@ void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
   }
   if (!cutover) {
     // Caught up (modulo writes still in flight): cut over under an
-    // exclusive lock on the base fragment. Writers hold their fragment
-    // locks until 2PC completes, so once this lock is granted nothing
+    // exclusive lock on the base fragment, once the commits answered at
+    // their decision have delivered their markers there. Then nothing
     // undecided can remain in the source's WAL — the final delta is
     // exact, and the replica re-enters the write set atomically with
     // respect to statements.
@@ -1654,14 +1899,18 @@ void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
     // Writers lock the base fragment name (covering both replicas).
     const std::string base = (*info)->fragments[rs.fragment].name;
     AcquireExclusive(rs.cutover_txn, {base}, 0,
-                     [this, resync_id](Status lock_status) {
+                     [this, resync_id, base](Status lock_status) {
                        auto it2 = resyncs_.find(resync_id);
                        if (it2 == resyncs_.end()) return;
                        if (!lock_status.ok()) {
                          AbortResync(resync_id);
                          return;
                        }
-                       SendResyncPhase(resync_id, /*cutover=*/true);
+                       AfterSettled({base}, [this, resync_id] {
+                         if (resyncs_.contains(resync_id)) {
+                           SendResyncPhase(resync_id, /*cutover=*/true);
+                         }
+                       });
                      });
     return;
   }

@@ -2,6 +2,7 @@
 #define PRISMA_GDH_GDH_PROCESS_H_
 
 #include <any>
+#include <compare>
 #include <deque>
 #include <functional>
 #include <map>
@@ -49,10 +50,14 @@ enum class PlacementPolicy : uint8_t {
 /// GDH<->OFM messaging tolerates a faulty interconnect: every request is
 /// retransmitted with capped exponential backoff until it is answered or
 /// its retry budget runs out, at which point the operation degrades to a
-/// typed kUnavailable instead of hanging. Commits follow presumed-abort
-/// 2PC: only commit decisions are forced to the GDH's stable store, so a
-/// restarted GDH (or an inquiring OFM) resolves in-doubt participants
-/// correctly while aborts need no log record at all.
+/// typed kUnavailable instead of hanging. A transaction with one
+/// participant commits in one phase at that OFM, which forces its redo
+/// records and commit marker as one write and decides the outcome; the
+/// GDH logs nothing. Several participants follow presumed-abort 2PC: only
+/// commit decisions are forced to the GDH's stable store, so a restarted
+/// GDH (or an inquiring OFM) resolves in-doubt participants correctly
+/// while aborts need no log record at all, and the client is answered as
+/// soon as the decision is durable (DESIGN.md §8.1).
 ///
 /// Stable storage is an asynchronous device (pool::Disk): the GDH keeps
 /// handling mail while its writes are in flight, and nothing that depends
@@ -179,14 +184,17 @@ class GdhProcess : public pool::Process {
   /// Transition table (D7): every assignment site carries a matching
   /// PRISMA_TRANSITION annotation; the lint cross-checks both directions.
   /// PRISMA_STATE_MACHINE(TxnPhase: init->kActive, kActive->kPreparing,
-  ///                      kActive->kAborting, kActive->kCommitted,
-  ///                      kActive->kAborted, kPreparing->kCommitting,
-  ///                      kPreparing->kAborting, kCommitting->kCommitted,
-  ///                      kAborting->kAborted)
+  ///                      kActive->kOnePhase, kActive->kAborting,
+  ///                      kActive->kCommitted, kActive->kAborted,
+  ///                      kOnePhase->kCommitted, kOnePhase->kAborted,
+  ///                      kPreparing->kCommitting, kPreparing->kAborting,
+  ///                      kCommitting->kCommitted, kAborting->kAborted)
   enum class TxnPhase : uint8_t {
     kActive,      // Accepting statements; nothing globally decided.
+    kOnePhase,    // One-phase commit in flight at the sole participant.
     kPreparing,   // Phase 1 prepare round in flight.
-    kCommitting,  // Decision logged commit; phase 2 in flight.
+    kCommitting,  // Decision logged commit; the client is answered and
+                  // phase 2 goes on in the background (DESIGN.md §8.1).
     kAborting,    // Abort round in flight (vetoed, doomed, or explicit).
     kCommitted,   // Terminal: outcome surfaced as OK.
     kAborted,     // Terminal: outcome surfaced as an abort.
@@ -285,16 +293,45 @@ class GdhProcess : public pool::Process {
   void AcquireExclusive(exec::TxnId txn, std::vector<std::string> resources,
                         size_t index, std::function<void(Status)> then);
 
-  /// Presumed-abort two-phase commit over `txn`'s involved fragments,
-  /// then release + `then(decision_status)`.
-  void RunTwoPhaseCommit(exec::TxnId txn, std::function<void(Status)> then);
-  /// Phase 2 of RunTwoPhaseCommit, entered once the outcome is durable
-  /// (commit) or decided (abort): delivers it to `involved`, then releases
-  /// and calls `then(outcome)`.
+  /// Commits `txn` over its involved fragments — in one phase when there
+  /// is one, else by presumed-abort 2PC — then releases and calls
+  /// `then(outcome)`.
+  void RunCommit(exec::TxnId txn, std::function<void(Status)> then);
+  /// One-phase commit at `participant`, the transaction's only one: the
+  /// OFM decides, and the GDH waits for its answer however long that
+  /// takes (it never presumes abort here), then releases and calls
+  /// `then(outcome)`.
+  void CommitOnePhase(exec::TxnId txn, const std::string& participant,
+                      std::function<void(Status)> then);
+  /// Phase 2 of RunCommit, entered once the outcome is durable
+  /// (commit) or decided (abort), delivering it to `involved`. A commit
+  /// releases and calls `then(OK)` at once, and phase 2 settles in the
+  /// background; an abort does both once every participant settled.
   void SendDecision(exec::TxnId txn, bool commit, Status outcome,
                     const std::vector<std::string>& involved,
                     sim::SimTime phase1_start,
                     std::function<void(Status)> then);
+  /// Work in flight on base fragments that later work there waits for:
+  /// a commit (keyed by its transaction) or a checkpoint round on one
+  /// fragment (keyed by its round number).
+  struct WorkKey {
+    bool checkpoint = false;
+    int64_t id = 0;  // Transaction id, or checkpoint round number.
+    auto operator<=>(const WorkKey&) const = default;
+  };
+  /// The unsettled work registered on any of the base fragments
+  /// `fragments`.
+  std::set<WorkKey> UnsettledOn(
+      const std::vector<std::string>& fragments) const;
+  /// Runs `then` once the work now unsettled on any of the base fragments
+  /// `fragments` has settled (at once if there is none).
+  void AfterSettled(const std::vector<std::string>& fragments,
+                    std::function<void()> then);
+  /// `key`'s work settled: wakes the work waiting for it.
+  void Settle(const WorkKey& key);
+  /// Base fragment names ("emp#3") of replica names ("emp#3~b").
+  std::vector<std::string> BaseFragments(
+      const std::vector<std::string>& replicas);
   /// Aborts `txn` everywhere, releases locks, then `then`.
   void AbortEverywhere(exec::TxnId txn, std::function<void(Status)> then);
 
@@ -313,7 +350,8 @@ class GdhProcess : public pool::Process {
   /// the request was already settled (duplicate reply).
   bool SettleRpc(uint64_t request_id);
   /// Retry hook: counts the retransmission, and sheds a replica whose
-  /// host process is gone instead of resending to it.
+  /// host process is gone instead of resending to it. A one-phase commit
+  /// whose participant is gone is parked until its respawn instead.
   bool RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc);
   /// Exhaustion hook: sheds the unanswered replica of a replicated
   /// fragment, or degrades the request to a typed kUnavailable.
@@ -345,10 +383,15 @@ class GdhProcess : public pool::Process {
   /// then on: until the record lands the transaction stays kPreparing, so
   /// inquiries about it are deferred and a crash loses it (presumed abort).
   void LogCommitDecision(exec::TxnId txn, std::function<void()> then);
-  /// Forgets a commit every participant acknowledged and writes "E <txn>"
-  /// lazily — unforced and off the reply path: a lost E only means a
-  /// restarted GDH remembers a decision nobody will ask about.
+  /// Forgets a commit every participant acknowledged and logs "E <txn>"
+  /// unforced: the record rides on the GDH's next forced write (a decision
+  /// or an id reservation) instead of costing a disk access of its own. A
+  /// lost E only means a restarted GDH remembers a decision nobody will
+  /// ask about.
   void LogCommitEnd(exec::TxnId txn);
+  /// A new forced write to the GDH's disk, carrying the end records
+  /// logged since the last one.
+  storage::StableWrite ForcedWrite();
   /// Rebuilds committed_ (and next_txn_) from the decision log.
   void ReplayDecisionLog();
 
@@ -444,6 +487,7 @@ class GdhProcess : public pool::Process {
   obs::Counter* m_deadlock_aborts_ = nullptr;
   obs::Counter* m_write_ops_ = nullptr;
   obs::Counter* m_2pc_rounds_ = nullptr;
+  obs::Counter* m_one_phase_commits_ = nullptr;
   // Fault-path counters, registered lazily on first event.
   obs::Counter* m_rpc_retries_ = nullptr;
   obs::Counter* m_rpc_failures_ = nullptr;
@@ -477,6 +521,30 @@ class GdhProcess : public pool::Process {
   /// Commit decisions whose end record has not been logged yet. Aborts
   /// are never recorded (presumed abort).
   pool::Owned<std::set<exec::TxnId>> committed_;
+  /// End records not on disk yet (see LogCommitEnd).
+  std::vector<std::string> pending_ends_;
+
+  /// Work not yet settled, with the base fragments it covers: a one-phase
+  /// commit until its participant answers, a multi-participant commit
+  /// until its phase 2 settles, a checkpoint round until its fragment
+  /// answered. A fragment admits a new writer, a one-phase commit, a
+  /// checkpoint round or a resync cutover only once the work registered
+  /// on it before has settled (DESIGN.md §8.1).
+  std::map<WorkKey, std::vector<std::string>> unsettled_;
+  struct SettleWaiter {
+    std::set<WorkKey> pending;  // Still unsettled.
+    std::function<void()> then;
+  };
+  std::vector<SettleWaiter> settle_waiters_;
+  int64_t next_checkpoint_round_ = 1;
+  /// One-phase commit requests whose participant died before answering,
+  /// by request id: re-sent to the respawned OFM, which answers from its
+  /// WAL, unless a late reply of the dead one settles them first.
+  struct ParkedCommit {
+    std::string replica;
+    std::any body;
+  };
+  std::map<uint64_t, ParkedCommit> parked_commits_;
 
   uint64_t next_request_id_ = 1;
   uint64_t next_batch_id_ = 1;

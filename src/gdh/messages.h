@@ -344,9 +344,13 @@ struct FixpointVoteMsg {
   uint64_t wire_bits = 0;      // First-transmission bits of round streams.
 };
 
-/// GDH -> OFM two-phase-commit control; OFM replies with the same id.
+/// GDH -> OFM commit control; OFM replies with the same id. kPrepare,
+/// kCommit and kAbort are the presumed-abort 2PC steps; kCommitOnePhase
+/// commits a transaction whose only participant is this OFM: it forces
+/// the redo records and the commit marker as one write and answers the
+/// outcome, which it alone decides (DESIGN.md §8.1).
 struct TxnControlRequest {
-  enum class Op : uint8_t { kPrepare, kCommit, kAbort };
+  enum class Op : uint8_t { kPrepare, kCommit, kAbort, kCommitOnePhase };
   uint64_t request_id = 0;
   Op op = Op::kPrepare;
   exec::TxnId txn = exec::kAutoCommit;

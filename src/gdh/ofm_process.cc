@@ -84,6 +84,7 @@ void OfmProcess::OnStart() {
     m_commits_ = config_.metrics->GetCounter("ofm.txn_commits", labels);
     m_aborts_ = config_.metrics->GetCounter("ofm.txn_aborts", labels);
     m_wal_records_ = config_.metrics->GetCounter("ofm.wal_records", labels);
+    m_wal_markers_ = config_.metrics->GetCounter("ofm.wal_markers", labels);
     m_redo_applied_ = config_.metrics->GetCounter("ofm.redo_applied", labels);
     m_recoveries_ = config_.metrics->GetCounter("ofm.recoveries", labels);
   }
@@ -117,10 +118,10 @@ bool OfmProcess::InDoubt(exec::TxnId txn) const {
          undecided.end();
 }
 
-void OfmProcess::NoteFinished(exec::TxnId txn) {
+void OfmProcess::NoteFinished(exec::TxnId txn, bool committed) {
   if (txn == exec::kAutoCommit) return;
   EvictExpiredDedupState();
-  if (!finished_->insert(txn).second) return;
+  if (!finished_->emplace(txn, committed).second) return;
   finished_order_.push_back({runtime()->simulator()->now(), txn});
 }
 
@@ -938,20 +939,28 @@ void OfmProcess::HandleTxnControl(const pool::Mail& mail) {
                           : ofm_->Commit(request->txn);
       // Recorded even when this OFM never saw the transaction: a delayed
       // write of it may still arrive and must find it terminated.
-      NoteFinished(request->txn);
+      NoteFinished(request->txn, /*committed=*/true);
+      seen_txns_->erase(request->txn);
+      break;
+    case TxnControlRequest::Op::kCommitOnePhase:
+      reply->status = CommitOnePhase(request->txn);
+      NoteFinished(request->txn, reply->status.ok());
       seen_txns_->erase(request->txn);
       break;
     case TxnControlRequest::Op::kAbort:
       reply->status = InDoubt(request->txn)
                           ? ofm_->ResolveRecovered(request->txn, false)
                           : ofm_->Abort(request->txn);
-      NoteFinished(request->txn);
+      NoteFinished(request->txn, /*committed=*/false);
       seen_txns_->erase(request->txn);
       break;
   }
   if (reply->status.ok() && m_commits_ != nullptr) {
-    if (request->op == TxnControlRequest::Op::kCommit) m_commits_->Increment();
-    if (request->op == TxnControlRequest::Op::kAbort) m_aborts_->Increment();
+    if (request->op == TxnControlRequest::Op::kAbort) {
+      m_aborts_->Increment();
+    } else if (request->op != TxnControlRequest::Op::kPrepare) {
+      m_commits_->Increment();
+    }
   }
   SyncDurabilityMetrics();
   if (request->op == TxnControlRequest::Op::kAbort) {
@@ -963,11 +972,33 @@ void OfmProcess::HandleTxnControl(const pool::Mail& mail) {
   } else {
     // A yes-vote leaves only once the prepare record is durable, a commit
     // acknowledgment only once the commit marker is (the coordinator
-    // forgets the decision after the last one).
+    // forgets the decision after the last one; a one-phase outcome is
+    // final once its single write lands).
     RespondDurable(mail.from, request->request_id, kMailTxnControlReply,
                    reply, kControlBits);
   }
   MaybeReplayStalled();
+}
+
+Status OfmProcess::CommitOnePhase(exec::TxnId txn) {
+  if (seen_txns_->contains(txn)) {
+    // This OFM alone decides: the buffered redo records and the commit
+    // marker go out as one forced write, and the reply waits for it.
+    return ofm_->Commit(txn);
+  }
+  // A re-sent request whose original this process (or its predecessor,
+  // before a crash) already answered. Never presume abort: the writes may
+  // have committed and only the reply was lost.
+  auto finished = finished_->find(txn);
+  if ((finished != finished_->end() && finished->second) ||
+      (finished == finished_->end() && ofm_->CommitLogged(txn))) {
+    return Status::OK();
+  }
+  // No commit anywhere: the writes died with a crashed predecessor before
+  // the commit write landed, or the transaction was aborted here.
+  return AbortedError("fragment " + config_.fragment_name +
+                      " lost state of transaction " + std::to_string(txn) +
+                      " (crash?)");
 }
 
 void OfmProcess::HandleDecisionReply(const pool::Mail& mail) {
@@ -979,7 +1010,7 @@ void OfmProcess::HandleDecisionReply(const pool::Mail& mail) {
     if (!InDoubt(reply->transactions[i])) continue;
     PRISMA_CHECK_OK(
         ofm_->ResolveRecovered(reply->transactions[i], reply->commit[i]));
-    NoteFinished(reply->transactions[i]);
+    NoteFinished(reply->transactions[i], reply->commit[i]);
   }
   SyncDurabilityMetrics();
   MaybeReplayStalled();
@@ -988,10 +1019,13 @@ void OfmProcess::HandleDecisionReply(const pool::Mail& mail) {
 void OfmProcess::SyncDurabilityMetrics() {
   if (m_wal_records_ == nullptr) return;
   const uint64_t wal = ofm_->wal_records();
+  const uint64_t markers = ofm_->wal_markers();
   const uint64_t redo = ofm_->redo_records_applied();
   m_wal_records_->Increment(wal - wal_synced_);
+  m_wal_markers_->Increment(markers - markers_synced_);
   m_redo_applied_->Increment(redo - redo_synced_);
   wal_synced_ = wal;
+  markers_synced_ = markers;
   redo_synced_ = redo;
 }
 

@@ -23,8 +23,8 @@
 namespace prisma::gdh {
 
 /// POOL-X process hosting one One-Fragment Manager on its PE. Handles
-/// plan execution, write, 2PC and index requests from the GDH and query
-/// coordinators, charging all work to its PE.
+/// plan execution, write, commit (one-phase or 2PC) and index requests
+/// from the GDH and query coordinators, charging all work to its PE.
 ///
 /// The interconnect may drop or duplicate messages (see net::FaultPlan),
 /// so every request is identified by (sender, request_id): a repeated
@@ -116,13 +116,18 @@ class OfmProcess : public pool::Process {
   bool InDoubt(exec::TxnId txn) const;
   void SendDecisionRequest();
 
-  /// Records a transaction this OFM has terminated (commit or abort,
-  /// including control for transactions it never saw). A faulty network
-  /// can reorder an abort before a delayed write of the same transaction;
-  /// without this record the late write would silently re-open the
-  /// transaction and leak uncommitted effects.
-  void NoteFinished(exec::TxnId txn);
+  /// Records a transaction this OFM has terminated and how (commit or
+  /// abort, including control for transactions it never saw). A faulty
+  /// network can reorder an abort before a delayed write of the same
+  /// transaction; without this record the late write would silently
+  /// re-open the transaction and leak uncommitted effects. The outcome
+  /// answers a re-sent one-phase commit.
+  void NoteFinished(exec::TxnId txn, bool committed);
   bool Finished(exec::TxnId txn) const { return finished_->contains(txn); }
+  /// Outcome of a one-phase commit request for `txn`: commits it if this
+  /// incarnation holds its writes, else answers the outcome already
+  /// decided — from the finished set, or from the WAL after a restart.
+  Status CommitOnePhase(exec::TxnId txn);
 
   /// Caches the reply under (to, request_id) and sends it once disk
   /// ticket `durable_at` has landed (at once for 0). Duplicate requests
@@ -235,10 +240,10 @@ class OfmProcess : public pool::Process {
   pool::Owned<std::vector<pool::Mail>> stalled_;
   uint64_t next_request_id_ = 1;
 
-  // Terminated transactions (evicted past the same retention horizon):
-  // late writes for these are refused instead of re-opening the
-  // transaction.
-  pool::Owned<std::set<exec::TxnId>> finished_;
+  // Terminated transactions and whether they committed (evicted past the
+  // same retention horizon): late writes for these are refused instead of
+  // re-opening the transaction.
+  pool::Owned<std::map<exec::TxnId, bool>> finished_;
   std::deque<std::pair<sim::SimTime, exec::TxnId>> finished_order_;
   // Transactions this process incarnation received writes for (erased at
   // commit/abort). A prepare for a transaction absent from this set AND
@@ -291,6 +296,7 @@ class OfmProcess : public pool::Process {
   obs::Counter* m_commits_ = nullptr;
   obs::Counter* m_aborts_ = nullptr;
   obs::Counter* m_wal_records_ = nullptr;
+  obs::Counter* m_wal_markers_ = nullptr;
   obs::Counter* m_redo_applied_ = nullptr;
   obs::Counter* m_recoveries_ = nullptr;
   obs::Counter* m_dup_requests_ = nullptr;
@@ -301,6 +307,7 @@ class OfmProcess : public pool::Process {
   obs::Counter* m_exchange_stalls_ = nullptr;
   obs::Counter* m_wire_bits_ = nullptr;  // Modelled bits put on the wire.
   uint64_t wal_synced_ = 0;
+  uint64_t markers_synced_ = 0;
   uint64_t redo_synced_ = 0;
 };
 

@@ -46,6 +46,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "gdh.deadlock_aborts",
     "gdh.decisions_deferred",
     "gdh.dup_replies",
+    "gdh.one_phase_commits",
     "gdh.rpc_failures",
     "gdh.rpc_retries",
     "gdh.selects_spawned",
@@ -77,6 +78,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "ofm.tuples_scanned",
     "ofm.txn_aborts",
     "ofm.txn_commits",
+    "ofm.wal_markers",
     "ofm.wal_records",
     "ofm.write_ops",
     "olap.gather_bits",

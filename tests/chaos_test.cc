@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -58,7 +59,9 @@ MachineConfig ChaosMachine(uint64_t seed) {
 ///
 /// The driver tracks a model of the committed row set: a statement's
 /// effects enter the model iff its reply is OK, which is exactly the
-/// guarantee the presumed-abort protocol owes the client.
+/// guarantee the commit protocol owes the client. After every OK write or
+/// COMMIT it reads each touched id back through a fresh statement
+/// (read-your-writes): the answer must match the model.
 class ChaosDriver {
  public:
   /// With `reads_must_succeed` every Audit read is REQUIRED to come back
@@ -122,8 +125,12 @@ class ChaosDriver {
       const int64_t id = next_id_++;
       Submit(InsertSql(id), exec::kAutoCommit,
              [this, id](const gdh::ClientReply& reply) {
-               if (reply.status.ok()) model_.insert(id);
-               NextOp();
+               if (!reply.status.ok()) {
+                 NextOp();
+                 return;
+               }
+               model_.insert(id);
+               ReadBack({id});
              });
     } else if (dice < 6) {
       auto it = model_.begin();
@@ -133,8 +140,12 @@ class ChaosDriver {
       Submit(StrFormat("DELETE FROM t WHERE id = %lld",
                        static_cast<long long>(id)),
              exec::kAutoCommit, [this, id](const gdh::ClientReply& reply) {
-               if (reply.status.ok()) model_.erase(id);
-               NextOp();
+               if (!reply.status.ok()) {
+                 NextOp();
+                 return;
+               }
+               model_.erase(id);
+               ReadBack({id});
              });
     } else if (dice < 8) {
       BeginTxn();
@@ -167,6 +178,8 @@ class ChaosDriver {
                // (explicit or forced by the machine) leaves no trace.
                if (commit && reply.status.ok()) {
                  model_.insert(staged.begin(), staged.end());
+                 ReadBack(staged);
+                 return;
                }
                NextOp();
              });
@@ -215,6 +228,44 @@ class ChaosDriver {
              }
              NextOp();
            });
+  }
+
+  /// Read-your-writes: reads `ids` back one fresh statement at a time and
+  /// checks each is present iff the model holds it, then goes on with the
+  /// workload. These reads are checks, not workload: they draw nothing
+  /// from the seeded stream and do not count as failed statements. A read
+  /// may degrade while a PE is down (unless reads must succeed); it must
+  /// never disagree.
+  void ReadBack(std::vector<int64_t> ids) {
+    if (ids.empty()) {
+      NextOp();
+      return;
+    }
+    const int64_t id = ids.back();
+    ids.pop_back();
+    db_->Submit(StrFormat("SELECT id FROM t WHERE id = %lld",
+                          static_cast<long long>(id)),
+                /*prismalog=*/false, exec::kAutoCommit,
+                [this, id, ids = std::move(ids)](
+                    const gdh::ClientReply& reply,
+                    sim::SimTime response_ns) mutable {
+                  PRISMA_CHECK(response_ns <= kWatchdogNs)
+                      << "read-back exceeded the virtual-time watchdog";
+                  if (reads_must_succeed_) {
+                    PRISMA_CHECK(reply.status.ok())
+                        << "replicated read-back degraded: "
+                        << reply.status.ToString();
+                  }
+                  if (reply.status.ok()) {
+                    const bool present =
+                        reply.tuples != nullptr && !reply.tuples->empty();
+                    PRISMA_CHECK(present == model_.contains(id))
+                        << "read-your-writes violated for id " << id
+                        << ": read " << (present ? "present" : "absent")
+                        << ", model " << (present ? "absent" : "present");
+                  }
+                  ReadBack(std::move(ids));
+                });
   }
 
   static std::string InsertSql(int64_t id) {
@@ -1086,12 +1137,14 @@ size_t DecisionRecords(PrismaDb& db, char kind) {
   return n;
 }
 
-TEST(ChaosTest, CommitDecisionIsPersistedBeforePhase2AndRetiredAfter) {
+TEST(ChaosTest, CommitDecisionIsPersistedBeforePhase2AndAnsweredAtIt) {
   MachineConfig config;
-  config.pes = 4;
+  // One fragment per PE, so no prepare queues behind another on a disk.
+  config.pes = kFragments + 1;
   PrismaDb db(config);
   CreateChaosTable(&db);
   auto session = OpenTxnWithInserts(&db, 8);
+  const exec::TxnId txn = session.txn();
 
   // Step COMMIT event by event. The moment the first phase-2 message
   // (txn_control after the prepares) is sent, the commit decision must
@@ -1105,10 +1158,12 @@ TEST(ChaosTest, CommitDecisionIsPersistedBeforePhase2AndRetiredAfter) {
   const uint64_t before = txn_control_sent();
   bool replied = false;
   Status outcome;
-  db.Submit("COMMIT", /*prismalog=*/false, session.txn(),
-            [&](const gdh::ClientReply& reply, sim::SimTime) {
+  sim::SimTime response_ns = 0;
+  db.Submit("COMMIT", /*prismalog=*/false, txn,
+            [&](const gdh::ClientReply& reply, sim::SimTime response) {
               replied = true;
               outcome = reply.status;
+              response_ns = response;
             });
   bool phase2_seen = false;
   while (!replied) {
@@ -1122,40 +1177,162 @@ TEST(ChaosTest, CommitDecisionIsPersistedBeforePhase2AndRetiredAfter) {
   ASSERT_TRUE(outcome.ok()) << outcome.ToString();
   EXPECT_TRUE(phase2_seen);
 
-  // Presumed abort: every participant acked, so the in-memory decision is
-  // retired; the end record is written lazily and lands once the machine
-  // drains, leaving the C/E pair.
-  EXPECT_TRUE(db.gdh().committed_decisions().empty());
+  // Answered at the decision: the client waited for the prepare force and
+  // the C force, not for the participants' commit markers — phase 2 is
+  // still in flight, so the decision is not retired yet.
+  const sim::SimTime access_ns = storage::DiskModel().access_ns;
+  EXPECT_GE(response_ns, 2 * access_ns);
+  EXPECT_LT(response_ns, 3 * access_ns) << "the reply waited for a third force";
+  EXPECT_TRUE(db.gdh().committed_decisions().contains(txn));
+
+  // Presumed abort: once every participant acked, the in-memory decision
+  // is retired. The end record is unforced: it waits for the GDH's next
+  // forced write instead of taking a disk access of its own.
   db.Run();
+  EXPECT_TRUE(db.gdh().committed_decisions().empty());
   const auto& log = db.stable_store(0).ReadStream("gdh.2pc");
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0][0], 'C');
-  EXPECT_EQ(log[1][0], 'E');
-  EXPECT_EQ(log[0].substr(2), log[1].substr(2));  // Same transaction id.
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], "C " + std::to_string(txn));
 }
 
-TEST(ChaosTest, ClientIsAnsweredBeforeTheEndRecordIsDurable) {
+TEST(ChaosTest, EndRecordRidesOnTheNextForcedWrite) {
   MachineConfig config;
   config.pes = 4;
   PrismaDb db(config);
   CreateChaosTable(&db);
+  auto first = OpenTxnWithInserts(&db, 8);
+  const exec::TxnId first_txn = first.txn();
+  ASSERT_TRUE(first.Execute("COMMIT").ok());  // Drains the machine.
+  auto gdh_writes = [&db] {
+    return db.metrics().CounterValue("disk.writes", {{"pe", "0"}});
+  };
+  // Every participant acked, yet no E reached the disk: it is unforced.
+  EXPECT_EQ(DecisionRecords(db, 'C'), 1u);
+  EXPECT_EQ(DecisionRecords(db, 'E'), 0u);
+
+  auto second = OpenTxnWithInserts(&db, 8);
+  const exec::TxnId second_txn = second.txn();
+  const uint64_t writes_before = gdh_writes();
+  ASSERT_TRUE(second.Execute("COMMIT").ok());
+  // The second decision's force carried the first end record: one
+  // physical write on the GDH's disk, log C1, E1, C2.
+  EXPECT_EQ(gdh_writes(), writes_before + 1);
+  const auto& log = db.stable_store(0).ReadStream("gdh.2pc");
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0], "C " + std::to_string(first_txn));
+  EXPECT_EQ(log[1], "E " + std::to_string(first_txn));
+  EXPECT_EQ(log[2], "C " + std::to_string(second_txn));
+}
+
+// ---------------------------------------------------- One-phase commits
+
+/// Fragment (index) of `t` that holds id `id`.
+int FragmentOfId(PrismaDb& db, int64_t id) {
+  auto fragment =
+      db.gdh().dictionary().GetTable("t").value()->fragmenter->FragmentOf(
+          Tuple({Value::Int(id), Value::Int(0)}));
+  PRISMA_CHECK(fragment.ok()) << fragment.status().ToString();
+  return *fragment;
+}
+
+TEST(ChaosTest, SingleFragmentWriteCommitsInOnePhaseWithOneForce) {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  const int target = FragmentOfId(db, 1);
+  ASSERT_GE(target, 0);
+  const gdh::FragmentInfo frag =
+      db.gdh().dictionary().GetTable("t").value()->fragments[target];
+  const std::string wal = frag.name + ".wal";
+  const size_t wal_before = db.stable_store(frag.pe).ReadStream(wal).size();
+  const uint64_t one_phase = db.metrics().CounterValue("gdh.one_phase_commits");
+
+  auto result = db.Execute("INSERT INTO t VALUES (1, 7)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // One force before the reply: the sole participant wrote its redo record
+  // and its commit marker as one write, and the GDH logged nothing.
+  const sim::SimTime access_ns = storage::DiskModel().access_ns;
+  EXPECT_GE(result->response_time_ns, access_ns);
+  EXPECT_LT(result->response_time_ns, 2 * access_ns);
+  EXPECT_EQ(db.stable_store(frag.pe).ReadStream(wal).size(), wal_before + 2);
+  EXPECT_EQ(db.metrics().CounterValue("gdh.one_phase_commits"),
+            one_phase + 1);
+  EXPECT_TRUE(db.stable_store(0).ReadStream("gdh.2pc").empty());
+  EXPECT_EQ(MustExecute(&db, "SELECT v FROM t WHERE id = 1").tuples.size(),
+            1u);
+}
+
+TEST(ChaosTest, ReplicatedPointWriteWaitsForTwoForces) {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  config.replicate_fragments = true;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  auto result = db.Execute("INSERT INTO t VALUES (1, 7)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Two participants (the replicas): prepare force, then the C force; the
+  // commit markers land after the reply.
+  const sim::SimTime access_ns = storage::DiskModel().access_ns;
+  EXPECT_GE(result->response_time_ns, 2 * access_ns);
+  EXPECT_LT(result->response_time_ns, 3 * access_ns);
+  EXPECT_EQ(db.metrics().CounterValue("gdh.one_phase_commits"), 0u);
+  EXPECT_EQ(DecisionRecords(db, 'C'), 1u);
+}
+
+TEST(ChaosTest, ReadAfterTheDecisionSeesTheWriteAndWritersWaitForPhase2) {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
   auto session = OpenTxnWithInserts(&db, 8);
-  size_t c_at_reply = 0;
-  size_t e_at_reply = 0;
-  bool replied = false;
-  db.Submit("COMMIT", /*prismalog=*/false, session.txn(),
+  const exec::TxnId txn = session.txn();
+  auto writes_sent = [&db] {
+    return db.metrics().CounterValue("pool.mail_sent", {{"kind", "write"}});
+  };
+  bool committed = false;
+  db.Submit("COMMIT", /*prismalog=*/false, txn,
             [&](const gdh::ClientReply& reply, sim::SimTime) {
               ASSERT_TRUE(reply.status.ok());
-              replied = true;
-              c_at_reply = DecisionRecords(db, 'C');
-              e_at_reply = DecisionRecords(db, 'E');
+              committed = true;
             });
+  while (!committed) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before the reply";
+  }
+  // The client heard "committed" while the commit markers are still on
+  // their way: a read granted now sees every row (the writes are applied
+  // in place), and a writer of the same fragments waits for phase 2.
+  ASSERT_TRUE(db.gdh().committed_decisions().contains(txn));
+  size_t rows_seen = 0;
+  bool read_done = false;
+  db.Submit("SELECT id FROM t", /*prismalog=*/false, exec::kAutoCommit,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              ASSERT_TRUE(reply.status.ok());
+              rows_seen = reply.tuples != nullptr ? reply.tuples->size() : 0;
+              read_done = true;
+            });
+  const uint64_t writes_before = writes_sent();
+  bool updated = false;
+  db.Submit("UPDATE t SET v = 100 WHERE id = 3", /*prismalog=*/false,
+            exec::kAutoCommit,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              ASSERT_TRUE(reply.status.ok());
+              updated = true;
+            });
+  while (db.gdh().committed_decisions().contains(txn)) {
+    EXPECT_EQ(writes_sent(), writes_before)
+        << "a writer reached a fragment before its commit marker landed";
+    ASSERT_TRUE(db.simulator().Step()) << "drained before phase 2 settled";
+  }
   db.Run();
-  ASSERT_TRUE(replied);
-  // Lazy E: the reply waited for the C force but not for the E write.
-  EXPECT_EQ(c_at_reply, 1u);
-  EXPECT_EQ(e_at_reply, 0u);
-  EXPECT_EQ(DecisionRecords(db, 'E'), 1u);
+  EXPECT_TRUE(read_done);
+  EXPECT_EQ(rows_seen, 8u);
+  EXPECT_TRUE(updated);
+  EXPECT_EQ(MustExecute(&db, "SELECT v FROM t WHERE id = 3")
+                .tuples.at(0)
+                .at(0)
+                .int_value(),
+            100);
 }
 
 TEST(ChaosTest, AbortsAreNeverLogged) {
@@ -1399,6 +1576,66 @@ TEST(ChaosTest, DuplicatePrepareDuringTheForceGetsNoEarlyYes) {
   EXPECT_EQ(votes.size(), 2u);
 }
 
+TEST(ChaosTest, DuplicateOnePhaseRequestDuringTheForceGetsNoEarlyAnswer) {
+  sim::Simulator sim;
+  net::Network network(&sim, net::Topology::FullyConnected(2));
+  pool::Runtime runtime(&sim, &network);
+  storage::StableStore store;
+  runtime.AttachDisk(1, &store);
+  std::vector<std::shared_ptr<gdh::TxnControlReply>> replies;
+  const pool::ProcessId coordinator =
+      runtime.Spawn(0, std::make_unique<VoteRecorder>(&replies));
+  gdh::OfmProcess::Config ofm_config;
+  ofm_config.fragment_name = "t#0";
+  ofm_config.schema = Schema({{"id", DataType::kInt64}});
+  ofm_config.gdh = coordinator;
+  pool::ProcessId ofm =
+      runtime.Spawn(1, std::make_unique<gdh::OfmProcess>(ofm_config));
+  sim.Run();
+  auto send = [&](const char* kind, std::any body) {
+    pool::Mail mail;
+    mail.from = coordinator;
+    mail.to = ofm;
+    mail.kind = kind;
+    mail.body = std::move(body);
+    runtime.Send(std::move(mail));
+  };
+  auto write = std::make_shared<gdh::WriteRequest>();
+  write->request_id = 1;
+  write->txn = 5;
+  write->tuple = Tuple({Value::Int(1)});
+  send(gdh::kMailWrite, write);
+  sim.Run();
+
+  auto commit = std::make_shared<gdh::TxnControlRequest>();
+  commit->request_id = 2;
+  commit->op = gdh::TxnControlRequest::Op::kCommitOnePhase;
+  commit->txn = 5;
+  send(gdh::kMailTxnControl, commit);
+  send(gdh::kMailTxnControl, commit);  // Duplicate: lands mid-force.
+  size_t wal_at_first_reply = 0;
+  while (sim.Step()) {
+    if (!replies.empty() && wal_at_first_reply == 0) {
+      wal_at_first_reply = store.ReadStream("t#0.wal").size();
+    }
+  }
+  ASSERT_EQ(replies.size(), 1u) << "the duplicate was answered mid-force";
+  EXPECT_TRUE(replies[0]->status.ok());
+  EXPECT_EQ(wal_at_first_reply, 2u);  // Redo record + commit marker.
+
+  // A respawned OFM holds no reply cache and never saw the writes; a
+  // retransmission reaching it is answered from its WAL: committed, not
+  // "lost state".
+  runtime.Kill(ofm);
+  ofm_config.recover = true;
+  ofm = runtime.Spawn(1, std::make_unique<gdh::OfmProcess>(ofm_config));
+  sim.Run();
+  send(gdh::kMailTxnControl, commit);
+  sim.Run();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[1]->status.ok()) << replies[1]->status.ToString();
+}
+
 TEST(ChaosTest, CrashAfterPrepareWithVoteInFlightAbortsInsteadOfLosingWrites) {
   MachineConfig config;
   config.pes = 4;
@@ -1462,6 +1699,230 @@ TEST(ChaosTest, CrashAfterPrepareWithVoteInFlightAbortsInsteadOfLosingWrites) {
   EXPECT_TRUE(db.stable_store(0).ReadStream("gdh.2pc").empty());
   EXPECT_TRUE(db.gdh().committed_decisions().empty());
   EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 0u);
+}
+
+// ------------------------------------------ Crash points of one phase
+//
+// A one-phase commit's outcome is decided at its sole participant, by
+// whether the write carrying its redo records and commit marker landed.
+// The GDH never presumes abort for it: it waits for the participant (or
+// its respawned successor) to answer.
+
+/// Submits a one-row insert into `t` (a single-fragment, one-phase
+/// transaction) and steps until the participant's commit force is on its
+/// PE's disk. Returns the participant's fragment.
+gdh::FragmentInfo StepIntoOnePhaseForce(PrismaDb* db, bool* replied,
+                                        Status* outcome) {
+  const int target = FragmentOfId(*db, 1);
+  PRISMA_CHECK(target >= 0);
+  const gdh::FragmentInfo frag =
+      db->gdh().dictionary().GetTable("t").value()->fragments[target];
+  db->Submit("INSERT INTO t VALUES (1, 7)", /*prismalog=*/false,
+             exec::kAutoCommit,
+             [replied, outcome](const gdh::ClientReply& reply, sim::SimTime) {
+               *replied = true;
+               *outcome = reply.status;
+             });
+  // Transactional writes only buffer their redo records, so the first
+  // write on the participant's disk is the one-phase commit.
+  while (!db->runtime().disk(frag.pe)->busy()) {
+    PRISMA_CHECK(db->simulator().Step()) << "drained before the commit force";
+  }
+  return frag;
+}
+
+TEST(ChaosTest, OfmCrashDuringTheOnePhaseForceIsNotCommitted) {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  bool replied = false;
+  Status outcome;
+  const gdh::FragmentInfo frag = StepIntoOnePhaseForce(&db, &replied, &outcome);
+  const std::string wal = frag.name + ".wal";
+  const size_t wal_before = db.stable_store(frag.pe).ReadStream(wal).size();
+
+  db.CrashPe(frag.pe);
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+
+  // The commit write died with the PE: the successor finds no commit in
+  // its WAL and answers that it lost the transaction.
+  EXPECT_EQ(db.stable_store(frag.pe).ReadStream(wal).size(), wal_before);
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(outcome.code(), StatusCode::kAborted) << outcome.ToString();
+  EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 0u);
+}
+
+TEST(ChaosTest, CheckpointWithAParticipantDownStopsNoOtherWriter) {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  bool replied = false;
+  Status outcome;
+  const gdh::FragmentInfo frag = StepIntoOnePhaseForce(&db, &replied, &outcome);
+  int other_id = 2;
+  while (FragmentOfId(db, other_id) == FragmentOfId(db, 1)) ++other_id;
+
+  // The participant's PE goes down mid-force and stays down: the GDH
+  // cannot learn the one-phase outcome, so that commit stays unsettled.
+  db.CrashPe(frag.pe);
+  std::map<std::string, Status> answers;
+  auto record = [&answers](const std::string& name) {
+    return [&answers, name](const gdh::ClientReply& reply, sim::SimTime) {
+      answers[name] = reply.status;
+    };
+  };
+  db.Submit("CHECKPOINT", /*prismalog=*/false, exec::kAutoCommit,
+            record("checkpoint"));
+  db.Submit(StrFormat("INSERT INTO t VALUES (%d, 8)", other_id),
+            /*prismalog=*/false, exec::kAutoCommit, record("write"));
+  db.Run();
+
+  // The checkpoint leaves the dead fragment out and reports it; a
+  // single-fragment write elsewhere commits. Only the parked commit waits.
+  ASSERT_TRUE(answers.contains("checkpoint"));
+  EXPECT_EQ(answers["checkpoint"].code(), StatusCode::kUnavailable)
+      << answers["checkpoint"].ToString();
+  ASSERT_TRUE(answers.contains("write"));
+  EXPECT_TRUE(answers["write"].ok()) << answers["write"].ToString();
+  EXPECT_FALSE(replied);
+
+  // Once the PE is back the parked commit learns its outcome (its write
+  // died in the crash) and a checkpoint covers every fragment again.
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(outcome.code(), StatusCode::kAborted) << outcome.ToString();
+  MustExecute(&db, "CHECKPOINT");
+  EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 1u);
+}
+
+/// A machine whose links can be cut mid-run: direct links only (a cut
+/// between the GDH and a participant has no detour), snappy retry timers,
+/// and fault mode on from the start (its timers are chosen at
+/// construction).
+MachineConfig CuttableMachine() {
+  MachineConfig config;
+  config.pes = kFragments + 1;
+  config.topology = TopologyKind::kFullyConnected;
+  config.rpc_timeout_ns = 50 * sim::kNanosPerMilli;
+  config.rpc_backoff_cap_ns = 400 * sim::kNanosPerMilli;
+  config.fault_plan.down_windows.push_back({1, 2, 0, 0});
+  return config;
+}
+
+/// Cuts the link between the GDH's PE and `pe` for `length` from now.
+void CutGdhLink(PrismaDb* db, net::NodeId pe, sim::SimTime length) {
+  const sim::SimTime from = db->simulator().now();
+  net::FaultPlan outage;
+  outage.down_windows = {{0, pe, from, from + length}};
+  db->network().SetFaultPlan(outage);
+}
+
+TEST(ChaosTest, RespawnedOfmAnswersALostOnePhaseReplyFromItsWal) {
+  PrismaDb db(CuttableMachine());
+  CreateChaosTable(&db);
+  bool replied = false;
+  Status outcome;
+  const gdh::FragmentInfo frag = StepIntoOnePhaseForce(&db, &replied, &outcome);
+  const std::string wal = frag.name + ".wal";
+  const size_t wal_before = db.stable_store(frag.pe).ReadStream(wal).size();
+  // The commit write lands and the reply leaves into a cut link.
+  CutGdhLink(&db, frag.pe, sim::kNanosPerSecond);
+  while (db.network().stats().dropped == 0) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before the reply left";
+  }
+  ASSERT_EQ(db.stable_store(frag.pe).ReadStream(wal).size(), wal_before + 2);
+  // The participant's PE restarts before the link heals: the GDH's next
+  // retransmission reaches a successor with no reply cache and no memory
+  // of the writes, only the WAL.
+  db.CrashPe(frag.pe);
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+
+  // It answers committed. (Presuming abort here would tell the client
+  // "aborted" about a row that is durably there.)
+  ASSERT_TRUE(replied);
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 1u);
+}
+
+TEST(ChaosTest, LinkDownPastTheRetryBudgetStillAnswersTheDurableOutcome) {
+  const MachineConfig config = CuttableMachine();
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  bool replied = false;
+  Status outcome;
+  const gdh::FragmentInfo frag = StepIntoOnePhaseForce(&db, &replied, &outcome);
+  // The request arrived and its force is running; now the link goes down
+  // for far longer than a retry budget lasts (6 attempts: under 2 s), so
+  // the reply is lost and every retransmission with it.
+  CutGdhLink(&db, frag.pe, 10 * sim::kNanosPerSecond);
+  const uint64_t retries_before = db.gdh().stats().rpc_retries;
+  db.Run();
+
+  // The client's answer is the durable outcome: committed.
+  ASSERT_TRUE(replied);
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_GT(db.gdh().stats().rpc_retries - retries_before,
+            static_cast<uint64_t>(config.rpc_attempts));
+  EXPECT_EQ(db.gdh().stats().rpc_failures, 0u);
+  EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 1u);
+}
+
+TEST(ChaosTest, GdhCrashBetweenTheDecisionAndPhase2KeepsTheCommit) {
+  MachineConfig config;
+  config.pes = 4;
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  auto session = OpenTxnWithInserts(&db, 8);
+  const exec::TxnId txn = session.txn();
+  const gdh::TableInfo* info = db.gdh().dictionary().GetTable("t").value();
+  const Schema schema = info->schema;
+  const std::vector<gdh::FragmentInfo> frags = info->fragments;
+  bool replied = false;
+  Status outcome;
+  db.Submit("COMMIT", /*prismalog=*/false, txn,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              replied = true;
+              outcome = reply.status;
+            });
+  // The client hears "committed" at the decision, with phase 2 just sent.
+  while (!replied) {
+    ASSERT_TRUE(db.simulator().Step()) << "drained before the reply";
+  }
+  ASSERT_TRUE(outcome.ok()) << outcome.ToString();
+  ASSERT_EQ(DecisionRecords(db, 'C'), 1u);
+  db.runtime().Kill(db.gdh().self());
+  db.Run();
+
+  // A restarted coordinator still holds the decision (no end record was
+  // logged: the acks went to the dead one), and participants that recover
+  // in doubt learn "commit": every row the client was promised is there.
+  pool::ProcessId gdh_pid = pool::kNoProcess;
+  gdh::GdhProcess* restarted = RestartGdh(&db, &gdh_pid);
+  EXPECT_TRUE(restarted->committed_decisions().contains(txn));
+  std::vector<gdh::OfmProcess*> participants;
+  for (const gdh::FragmentInfo& frag : frags) {
+    db.runtime().Kill(frag.ofm);
+    gdh::OfmProcess::Config ofm_config;
+    ofm_config.fragment_name = frag.name;
+    ofm_config.schema = schema;
+    ofm_config.recover = true;
+    ofm_config.gdh = gdh_pid;
+    auto ofm = std::make_unique<gdh::OfmProcess>(std::move(ofm_config));
+    participants.push_back(ofm.get());
+    db.runtime().Spawn(frag.pe, std::move(ofm));
+  }
+  db.Run();
+  size_t rows = 0;
+  for (gdh::OfmProcess* participant : participants) {
+    EXPECT_TRUE(participant->ofm().recovered_undecided().empty());
+    rows += participant->ofm().num_tuples();
+  }
+  EXPECT_EQ(rows, 8u);
 }
 
 TEST(ChaosTest, TxnIdsAreNotReusedAfterCoordinatorRestart) {

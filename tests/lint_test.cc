@@ -49,6 +49,7 @@ TEST(LintTest, GoldenDiagnosticsOverFixtureCorpus) {
       "proto/bad_tag.cc:9 D5",
       "proto/bad_tag.cc:11 D0",
       "proto/bad_tag.cc:12 D4",
+      "proto/commit_bad.cc:24 D7",
       "proto/messages.h:10 D5",
       "proto/metrics_bad.cc:10 D8",
       "proto/rpc_bad.cc:12 D6",
@@ -96,7 +97,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
   LintReport report =
       ApplyAllowlist(AnalyzeSources(LoadFixtures()), allowlist);
-  EXPECT_EQ(report.violations, 28u);  // 30 findings - 2 allowlisted.
+  EXPECT_EQ(report.violations, 29u);  // 31 findings - 2 allowlisted.
   ASSERT_EQ(report.unused_allowlist.size(), 1u);
   EXPECT_EQ(report.unused_allowlist[0].needle, "no_such_token");
   EXPECT_FALSE(report.clean());
@@ -113,7 +114,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
 TEST(LintTest, EmptyAllowlistReportsEveryFindingAsViolation) {
   LintReport report = ApplyAllowlist(AnalyzeSources(LoadFixtures()), {});
-  EXPECT_EQ(report.violations, 30u);
+  EXPECT_EQ(report.violations, 31u);
   EXPECT_TRUE(report.unused_allowlist.empty());
   EXPECT_FALSE(report.clean());
 }
@@ -287,6 +288,25 @@ TEST(LintTest, UndeclaredStateTransitionIsFlagged) {
   EXPECT_EQ(diagnostics[0].line, 8);
 }
 
+TEST(LintTest, AnsweringBeforeTheDecisionIsAnUndeclaredTransition) {
+  // The commit fixtures: the good lifecycle (one phase, or two phases
+  // answered at the decision) is silent; a prepared transaction answered
+  // before its decision is logged (kPreparing -> kCommitted) fires D7.
+  std::vector<Diagnostic> diagnostics = AnalyzeSources(LoadFixtures());
+  std::vector<const Diagnostic*> commit;
+  for (const Diagnostic& d : diagnostics) {
+    if (d.path == "proto/commit_good.cc" || d.path == "proto/commit_bad.cc") {
+      commit.push_back(&d);
+    }
+  }
+  ASSERT_EQ(commit.size(), 1u);
+  EXPECT_EQ(commit[0]->path, "proto/commit_bad.cc");
+  EXPECT_EQ(commit[0]->rule, "D7");
+  EXPECT_NE(commit[0]->message.find("kPreparing -> kCommitted"),
+            std::string::npos)
+      << commit[0]->message;
+}
+
 TEST(LintTest, MetricNamesMustComeFromTheRegistry) {
   std::vector<SourceFile> files;
   files.push_back(
@@ -357,7 +377,7 @@ TEST(LintTest, ReportToJsonCarriesCountsAndDiagnostics) {
   const std::string json = ReportToJson(report, files.size());
   EXPECT_NE(json.find("\"files_scanned\": " + std::to_string(files.size())),
             std::string::npos);
-  EXPECT_NE(json.find("\"violations\": 30"), std::string::npos);
+  EXPECT_NE(json.find("\"violations\": 31"), std::string::npos);
   EXPECT_NE(json.find("\"clean\": false"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"D5\""), std::string::npos);
   EXPECT_NE(json.find("\"path\": \"bad/discard.cc\""), std::string::npos);

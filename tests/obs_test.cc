@@ -257,9 +257,23 @@ TEST(ObservabilityEndToEnd, MetricsCoverEveryLayer) {
 TEST(ObservabilityEndToEnd, DiskForcesAreTracedAsIoNotHandlerCpu) {
   core::PrismaDb db(SmallMachine(/*tracing=*/true));
   LoadEmp(&db);
+  // Single-fragment inserts commit in one phase at their OFM and log
+  // nothing on the GDH's disk; inserts spanning fragments run 2PC, which
+  // forces a C record there per commit.
+  const uint64_t one_phase = db.metrics().CounterValue("gdh.one_phase_commits");
+  for (int i = 0; i < 24; ++i) {
+    std::string sql = "INSERT INTO emp VALUES ";
+    for (int j = 0; j < 8; ++j) {
+      sql += StrFormat("%s(%d, 'ops', %d)", j > 0 ? ", " : "",
+                       100 + 8 * i + j, j);
+    }
+    ASSERT_TRUE(db.Execute(sql).ok());
+  }
+  ASSERT_EQ(db.metrics().CounterValue("gdh.one_phase_commits"), one_phase);
   obs::MetricsRegistry& m = db.metrics();
-  // The GDH's disk (PE 0) took id reservations plus a C and an E record
-  // per insert; each physical write is counted and traced.
+  // The GDH's disk (PE 0) took id reservations plus a C record per
+  // multi-fragment commit (end records ride along); each physical write
+  // is counted and traced.
   const uint64_t writes = m.CounterValue("disk.writes", {{"pe", "0"}});
   const auto access_ns =
       static_cast<uint64_t>(storage::DiskModel().access_ns);

@@ -97,6 +97,57 @@ TEST_F(OfmTest, TransactionalCommitSurvivesCrash) {
   EXPECT_EQ(ofm_->num_tuples(), 2u);
 }
 
+TEST_F(OfmTest, OnePhaseCommitIsOneWriteAndStaysLoggedAcrossACrash) {
+  const TxnId txn = 9;
+  ASSERT_TRUE(ofm_->Insert(txn, Acct(1, "ann", 100)).ok());
+  // Commit without a prepare: redo record and commit marker as one write.
+  ASSERT_TRUE(ofm_->Commit(txn).ok());
+  EXPECT_EQ(ofm_->wal_records(), 2u);
+  EXPECT_EQ(ofm_->wal_markers(), 1u);
+  EXPECT_FALSE(ofm_->CommitLogged(txn));  // Not landed yet.
+  sim_.Run();
+  EXPECT_TRUE(ofm_->CommitLogged(txn));
+  EXPECT_FALSE(ofm_->CommitLogged(txn + 1));
+
+  // A successor knows the outcome from the WAL alone.
+  Reset(OfmType::kFull);
+  ASSERT_TRUE(ofm_->Recover().ok());
+  EXPECT_EQ(ofm_->num_tuples(), 1u);
+  EXPECT_TRUE(ofm_->CommitLogged(txn));
+  EXPECT_TRUE(ofm_->recovered_undecided().empty());
+}
+
+TEST_F(OfmTest, DecidedTransactionStaysOutsideTheResyncBoundaryUntilMarked) {
+  // A commit answered at its decision: prepared here, its commit marker
+  // not yet delivered. Resync must treat it exactly like a transaction
+  // still preparing: not in the snapshot, and the WAL cursor stops before
+  // its records until the marker lands.
+  auto ann = ofm_->Insert(kAutoCommit, Acct(1, "ann", 100));
+  ASSERT_TRUE(ann.ok());
+  const TxnId txn = 5;
+  ASSERT_TRUE(ofm_->Update(txn, *ann, Acct(1, "ann", 150)).ok());
+  ASSERT_TRUE(ofm_->Insert(txn, Acct(2, "bob", 200)).ok());
+  ASSERT_TRUE(ofm_->Prepare(txn).ok());
+  sim_.Run();
+
+  const std::vector<std::pair<storage::RowId, Tuple>> rows =
+      ofm_->CommittedRows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].second.at(2).int_value(), 100);  // The pre-image.
+  size_t cursor = 0;
+  auto records = ofm_->CommittedWalSince(&cursor);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), 1u);  // The autocommit insert only.
+  EXPECT_EQ(cursor, 1u);           // Stopped at the decided transaction.
+
+  ASSERT_TRUE(ofm_->Commit(txn).ok());
+  sim_.Run();
+  records = ofm_->CommittedWalSince(&cursor);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), 2u);  // Its update and insert, once marked.
+  EXPECT_EQ(ofm_->CommittedRows().size(), 2u);
+}
+
 TEST_F(OfmTest, PreparedButUncommittedRollsBackOnRecovery) {
   ASSERT_TRUE(ofm_->Insert(kAutoCommit, Acct(1, "ann", 100)).ok());
   const TxnId txn = 7;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -331,6 +332,54 @@ TEST(RecoveryTest, CrashDuringResyncNeverServesWrongAnswers) {
   // Second restart completes a fresh resync and converges for real.
   ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
   db.Run();
+  EXPECT_GT(db.metrics().CounterTotal("replica.resyncs_completed"), 0u);
+  EXPECT_EQ(SelectIds(&db), model);
+
+  MustExecute(&db, "CHECKPOINT");
+  ExpectReplicasByteIdentical(&db);
+}
+
+TEST(RecoveryTest, ResyncConvergesWhileAnsweredCommitsDeliverTheirMarkers) {
+  PrismaDb db(ReplicatedMachine());
+  MustExecute(&db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                             "HASH(id) INTO %d FRAGMENTS",
+                             kFragments));
+  std::set<int64_t> model;
+  for (int i = 0; i < 30; ++i) {
+    MustExecute(&db, StrFormat("INSERT INTO t VALUES (%d, %d)", i, i));
+    model.insert(i);
+  }
+  const auto table = db.gdh().dictionary().GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const gdh::FragmentInfo frag = (*table)->fragments[0];
+  ASSERT_GT(db.CrashPe(frag.pe), 0u);
+  for (int i = 100; i < 110; ++i) {
+    MustExecute(&db, StrFormat("INSERT INTO t VALUES (%d, 1)", i));
+    model.insert(i);
+  }
+
+  // Restart the PE while a chain of multi-fragment inserts keeps
+  // committing. Each is answered at its decision, so the resyncs' bulk
+  // snapshots and cutovers keep meeting transactions whose commit
+  // markers are still on their way to the sources.
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  int batch = 0;
+  std::function<void()> next = [&] {
+    if (batch == 60) return;
+    const int base = 1000 + 4 * batch++;
+    db.Submit(StrFormat("INSERT INTO t VALUES (%d, 2), (%d, 2), (%d, 2), "
+                        "(%d, 2)",
+                        base, base + 1, base + 2, base + 3),
+              /*prismalog=*/false, exec::kAutoCommit,
+              [&, base](const gdh::ClientReply& reply, sim::SimTime) {
+                ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+                for (int id = base; id < base + 4; ++id) model.insert(id);
+                next();
+              });
+  };
+  next();
+  db.Run();
+  ASSERT_EQ(batch, 60);
   EXPECT_GT(db.metrics().CounterTotal("replica.resyncs_completed"), 0u);
   EXPECT_EQ(SelectIds(&db), model);
 
