@@ -269,7 +269,7 @@ SpreadMeasure MeasureCoordinatorSpread(int pes, int fragments,
     const double ms = static_cast<double>(result.response_time_ns) / 1e6;
     (i == 0 ? m.near_ms : m.far_ms) = ms;
     prisma::gdh::ClientReply whole;
-    whole.tuples = std::make_shared<std::vector<Tuple>>(result.tuples);
+    whole.rows = prisma::gdh::EncodeRows(result.tuples);
     m.serialization_ms = static_cast<double>(whole.WireBits()) * 1e3 /
                          static_cast<double>(config.link.bandwidth_bps);
   }

@@ -13,7 +13,7 @@ namespace prisma {
 /// A fixed-size run of tuples stored column-wise: per-column typed arrays
 /// plus a row-aligned null vector (DESIGN.md §12). This is the unit of the
 /// vectorized execution path: batch scans, per-batch compiled expression
-/// kernels and the column-encoded `tuple_batch` exchange frame all move
+/// kernels and every row set on the wire (DESIGN.md §12.2) move
 /// ColumnBatches instead of boxed per-row Values.
 ///
 /// Column typing is inferred from the data. A column whose non-null values

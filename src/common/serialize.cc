@@ -412,7 +412,12 @@ std::string SerializeColumnBatch(const ColumnBatch& batch) {
 
 StatusOr<ColumnBatch> DeserializeColumnBatch(std::string_view data) {
   BinaryReader r(data);
-  return r.GetColumnBatch();
+  ASSIGN_OR_RETURN(ColumnBatch batch, r.GetColumnBatch());
+  // A frame is exactly one batch: leftover bytes mean a corrupt header.
+  if (!r.AtEnd()) {
+    return InvalidArgumentError("trailing bytes after column batch");
+  }
+  return batch;
 }
 
 }  // namespace prisma

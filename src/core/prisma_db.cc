@@ -31,26 +31,39 @@ class PrismaDb::ClientProcess : public pool::Process {
     // Answered already: a late frame of a discarded train, or the GDH's
     // error for a coordinator whose reply got through first.
     if (it == pending_->end()) return;
-    std::shared_ptr<gdh::ClientReply> reply = frame;
-    if (frame->status.ok() && (frame->frame > 0 || !frame->last)) {
+    // Rows cross the wire as column frames (DESIGN.md §12.2). A frame
+    // that does not decode fails the request with its typed error.
+    StatusOr<std::vector<Tuple>> rows = gdh::TupleBatchRows(frame->rows);
+    auto reply = std::make_shared<gdh::ClientReply>(*frame);
+    reply->rows = nullptr;
+    if (!rows.ok()) {
+      reply->status = rows.status();
+    } else if (frame->status.ok() && (frame->frame > 0 || !frame->last)) {
       // Frame train (DESIGN.md §15.5): reassemble by frame index. Frames
       // of one coordinator share a route and normally land in order, but
       // mail a crashed coordinator sent in its final handler may overtake
       // earlier frames still in transit.
-      std::vector<std::shared_ptr<gdh::ClientReply>>& train =
-          it->second.frames;
-      if (train.size() <= frame->frame) train.resize(frame->frame + 1);
-      train[frame->frame] = frame;
-      ++it->second.received;
-      if (frame->last) it->second.total = frame->frame + 1;
-      if (it->second.received != it->second.total) return;
-      reply = std::make_shared<gdh::ClientReply>(*train[0]);
-      reply->tuples = std::make_shared<std::vector<Tuple>>();
-      for (const auto& f : train) {
-        reply->tuples->insert(reply->tuples->end(), f->tuples->begin(),
-                              f->tuples->end());
+      Pending& train = it->second;
+      if (train.frames.size() <= frame->frame) {
+        train.frames.resize(frame->frame + 1);
       }
+      train.frames[frame->frame] = std::move(rows).value();
+      if (frame->frame == 0) train.schema = frame->schema;
+      ++train.received;
+      if (frame->last) train.total = frame->frame + 1;
+      if (train.received != train.total) return;
+      reply->schema = train.schema;
+      reply->frame = 0;
       reply->last = true;
+      reply->tuples = std::make_shared<std::vector<Tuple>>();
+      for (std::vector<Tuple>& part : train.frames) {
+        reply->tuples->insert(reply->tuples->end(),
+                              std::make_move_iterator(part.begin()),
+                              std::make_move_iterator(part.end()));
+      }
+    } else if (frame->rows != nullptr) {
+      reply->tuples =
+          std::make_shared<std::vector<Tuple>>(std::move(rows).value());
     }
     // Any non-OK reply resolves the request and discards a partial train:
     // the session sees a typed error, never a truncated result.
@@ -87,9 +100,10 @@ class PrismaDb::ClientProcess : public pool::Process {
   struct Pending {
     sim::SimTime submitted_at = 0;
     ReplyCallback callback;
-    /// Frames of a multi-frame reply by index; `total` is known once the
-    /// `last` frame is in (0 until then).
-    std::vector<std::shared_ptr<gdh::ClientReply>> frames;
+    /// Decoded rows of a multi-frame reply by frame index, and frame 0's
+    /// schema; `total` is known once the `last` frame is in (0 until then).
+    std::vector<std::vector<Tuple>> frames;
+    Schema schema;
     size_t received = 0;
     size_t total = 0;
   };

@@ -216,8 +216,8 @@ void ExchangeConsumerProcess::SendReply(Status status) {
   reply->status = std::move(status);
   reply->fragment = config_.fragment;
   if (!failed_) {
-    reply->tuples =
-        std::make_shared<std::vector<Tuple>>(std::move(*results_));
+    reply->rows = EncodeRows(*results_);
+    results_->clear();
   }
   reply_.Send(reply, reply->WireBits());
 }

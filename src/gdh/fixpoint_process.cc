@@ -250,7 +250,6 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
                std::vector<Tuple>(parts[peer].begin(), parts[peer].end()),
                config_.batch_rows, config_.credit_window),
            peers_->at(peer), nullptr});
-      stream.columnar = config_.columnar;
       stream.tag = round;
       out_.Open(std::move(stream));
     }
@@ -358,7 +357,7 @@ void FixpointPeProcess::SendReply(Status status) {
     std::vector<Tuple> slice = kernel_->OwnedSorted();
     ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
               config_.costs.tuple_ns);
-    reply->tuples = std::make_shared<std::vector<Tuple>>(std::move(slice));
+    reply->rows = EncodeRows(slice);
   }
   reply_.Send(reply, reply->WireBits());
 }

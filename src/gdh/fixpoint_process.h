@@ -58,10 +58,6 @@ class FixpointPeProcess : public pool::Process {
     uint64_t reply_request_id = 0;
     uint64_t batch_rows = 64;
     uint64_t credit_window = 4;
-    /// Frame outbound delta streams in the column-encoded wire format
-    /// (DESIGN.md §12) — set for vectorized statements. The per-round
-    /// wire_bits reported on votes then measure the columnar frames.
-    bool columnar = false;
     /// Outbound streams retransmit like OFM shuffles; votes and the final
     /// reply are resent every resend_ns (0: never, fault-free runs).
     RetransmitPolicy retransmit;

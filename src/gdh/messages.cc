@@ -5,14 +5,19 @@
 
 namespace prisma::gdh {
 
-StatusOr<std::vector<Tuple>> TupleBatchRows(const TupleBatchMsg& msg) {
-  if (msg.column_frame != nullptr) {
-    ASSIGN_OR_RETURN(ColumnBatch batch,
-                     DeserializeColumnBatch(*msg.column_frame));
-    return batch.ToTuples();
-  }
-  if (msg.tuples != nullptr) return *msg.tuples;
-  return std::vector<Tuple>();
+RowFrame EncodeRows(std::span<const Tuple> rows) {
+  return std::make_shared<const std::string>(SerializeColumnBatch(
+      ColumnBatch::FromTuples(rows.data(), rows.size())));
+}
+
+int64_t FrameBits(const RowFrame& frame) {
+  return frame != nullptr ? static_cast<int64_t>(frame->size()) * 8 : 0;
+}
+
+StatusOr<std::vector<Tuple>> TupleBatchRows(const RowFrame& frame) {
+  if (frame == nullptr) return std::vector<Tuple>();
+  ASSIGN_OR_RETURN(ColumnBatch batch, DeserializeColumnBatch(*frame));
+  return batch.ToTuples();
 }
 
 int CompareSortKeyTuples(const Tuple& a, const Tuple& b,
@@ -50,12 +55,6 @@ size_t RangeSliceOf(const Tuple& row, const std::vector<size_t>& columns,
     }
   }
   return lo;
-}
-
-int64_t TuplesBits(const std::vector<Tuple>& tuples) {
-  int64_t bytes = 16;
-  for (const Tuple& t : tuples) bytes += static_cast<int64_t>(t.ByteSize());
-  return bytes * 8;
 }
 
 int64_t ProfileBits(const obs::OperatorProfile& profile) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,13 +90,23 @@ inline constexpr char kMailResyncDelta[] = "resync_delta";
 inline constexpr char kMailResyncDeltaAck[] = "resync_delta_ack";
 inline constexpr char kMailResyncPump[] = "resync_pump";
 
-/// Serialized-size model: tuples count their byte size, plans a fixed
-/// budget per node, expressions per tree node.
+/// Serialized-size model: row sets count their frame's byte length, plans
+/// a fixed budget per node, expressions per tree node.
 constexpr int64_t kPlanNodeBits = 512;
 constexpr int64_t kExprNodeBits = 128;
 constexpr int64_t kControlBits = 256;
 
-int64_t TuplesBits(const std::vector<Tuple>& tuples);
+/// A row set on the wire in every exec mode: one serialized ColumnBatch
+/// (DESIGN.md §12.2) whose actual byte length is its modelled size. Null
+/// means the message carries no rows.
+using RowFrame = std::shared_ptr<const std::string>;
+
+RowFrame EncodeRows(std::span<const Tuple> rows);
+int64_t FrameBits(const RowFrame& frame);  // 0 for none.
+
+/// The one decoder every receiver of rows uses; no frame decodes to no
+/// rows, a corrupt one to kOutOfRange / kInvalidArgument.
+StatusOr<std::vector<Tuple>> TupleBatchRows(const RowFrame& frame);
 
 /// Modelled wire size of a serialized operator-profile tree.
 int64_t ProfileBits(const obs::OperatorProfile& profile);
@@ -122,15 +133,17 @@ struct ClientReply {
   uint64_t request_id = 0;
   Status status;
   Schema schema;
+  /// This frame's rows on the wire.
+  RowFrame rows;
+  /// The decoded result: set only on the reply the client endpoint hands
+  /// to the session, never on the wire.
   std::shared_ptr<std::vector<Tuple>> tuples;
   uint64_t affected_rows = 0;
   exec::TxnId txn = exec::kAutoCommit;
   uint32_t frame = 0;
   bool last = true;
 
-  int64_t WireBits() const {
-    return kControlBits + (tuples ? TuplesBits(*tuples) : 0);
-  }
+  int64_t WireBits() const { return kControlBits + FrameBits(rows); }
 };
 
 /// Coordinator -> OFM: execute a fragment-local plan.
@@ -157,7 +170,8 @@ struct ExecPlanReply {
   uint64_t request_id = 0;
   Status status;
   std::string fragment;
-  std::shared_ptr<std::vector<Tuple>> tuples;
+  /// Result rows; null for a shuffle producer's settlement or an error.
+  RowFrame rows;
   /// Set when the request asked for profiling.
   std::shared_ptr<obs::OperatorProfile> profile;
   /// Shuffle producers: first-transmission data-plane bits of the shuffle
@@ -165,7 +179,7 @@ struct ExecPlanReply {
   uint64_t shuffle_wire_bits = 0;
 
   int64_t WireBits() const {
-    return kControlBits + (tuples ? TuplesBits(*tuples) : 0) +
+    return kControlBits + FrameBits(rows) +
            (profile ? ProfileBits(*profile) : 0);
   }
 };
@@ -229,25 +243,22 @@ struct ShufflePlanRequest {
   bool keep_nulls = false;
   /// Range mode (distributed sort, DESIGN.md §14.3): the sort key —
   /// columns of the plan's output schema with per-key descending flags —
-  /// and `consumers.size() - 1` boundary key-tuples splitting the key
-  /// space into consecutive slices. Row r routes to the number of
+  /// and a frame of `consumers.size() - 1` boundary key-tuples splitting
+  /// the key space into consecutive slices. Row r routes to the number of
   /// boundaries <= r's key (binary search with the query's comparator).
   std::vector<size_t> sort_columns;
   std::vector<bool> sort_desc;
-  std::shared_ptr<const std::vector<Tuple>> boundaries;
+  RowFrame boundaries;
   std::vector<pool::ProcessId> consumers;
   uint64_t batch_rows = 64;     // Max tuples per batch.
   uint64_t credit_window = 4;   // Batches in flight per channel.
-  /// Producer-side execution mode. kVectorized additionally switches the
-  /// tuple-batch frames of this shuffle to the column-encoded wire format
-  /// (DESIGN.md §12), shrinking the modelled wire bits.
+  /// Producer-side execution mode.
   exec::ExecMode exec_mode = exec::ExecMode::kRow;
 
   int64_t WireBits() const {
-    int64_t bits = kControlBits +
-                   static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits;
-    if (boundaries != nullptr) bits += TuplesBits(*boundaries);
-    return bits;
+    return kControlBits +
+           static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits +
+           FrameBits(boundaries);
   }
 };
 
@@ -262,28 +273,10 @@ struct TupleBatchMsg {
   uint64_t shuffle_token = 0;
   uint64_t seq = 0;   // 1-based per-channel sequence number.
   bool eos = false;   // Final batch of this channel.
-  /// Row-encoded payload (exactly one of tuples / column_frame is set on
-  /// a non-empty batch; empty batches may carry neither).
-  std::shared_ptr<std::vector<Tuple>> tuples;
-  /// Column-encoded payload: a serialized ColumnBatch frame (DESIGN.md
-  /// §12). Its *actual byte length* is the modelled wire size, so the
-  /// exchange.wire_bits savings of the columnar format are measured, not
-  /// assumed.
-  std::shared_ptr<const std::string> column_frame;
+  RowFrame rows;
 
-  int64_t WireBits() const {
-    if (column_frame != nullptr) {
-      return kControlBits + static_cast<int64_t>(column_frame->size()) * 8;
-    }
-    return kControlBits + (tuples ? TuplesBits(*tuples) : 0);
-  }
+  int64_t WireBits() const { return kControlBits + FrameBits(rows); }
 };
-
-/// Decodes the payload of a tuple-batch frame into rows, whichever
-/// encoding it carries. Both exchange decode sites (consumer processes
-/// and fixpoint partitions) funnel through this helper so the two wire
-/// formats stay interchangeable.
-StatusOr<std::vector<Tuple>> TupleBatchRows(const TupleBatchMsg& msg);
 
 /// Lexicographic comparison of two already-projected sort-key tuples
 /// under per-key descending flags — exactly the ordering exec::Executor's
@@ -409,8 +402,6 @@ struct ResyncRequest {
   std::string target_fragment;
   uint64_t batch_rows = 64;
   uint64_t credit_window = 4;
-  /// Column-encode the bulk frames (DESIGN.md §12).
-  bool columnar = true;
   bool cutover = false;
 };
 

@@ -392,7 +392,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
       }
       rows = std::move(sample);
     }
-    reply->tuples = std::make_shared<std::vector<Tuple>>(std::move(rows));
+    reply->rows = EncodeRows(rows);
     if (profile.has_value()) {
       reply->profile =
           std::make_shared<obs::OperatorProfile>(std::move(*profile));
@@ -401,7 +401,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
     reply->status = result.status();
   }
   // Not cached: plan execution is an idempotent read, and its reply
-  // carries result tuples — caching it for the full dedup retention
+  // carries result rows — caching it for the full dedup retention
   // window would pin every result set in memory. A duplicated request
   // simply re-executes; the coordinator drops the surplus reply.
   SendMail(mail.from, kMailExecPlanReply, reply, reply->WireBits());
@@ -438,11 +438,15 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
       m_full_scans_->Increment();
     }
   }
-  if (!result.ok()) {
+  // Range routing needs the sort boundaries; a corrupt frame fails the
+  // shuffle like a failed plan.
+  StatusOr<std::vector<Tuple>> boundaries =
+      TupleBatchRows(request->boundaries);
+  if (!result.ok() || !boundaries.ok()) {
     auto reply = std::make_shared<ExecPlanReply>();
     reply->request_id = request->request_id;
     reply->fragment = config_.fragment_name;
-    reply->status = result.status();
+    reply->status = result.ok() ? boundaries.status() : result.status();
     Respond(mail.from, request->request_id, kMailExecPlanReply, reply,
             kControlBits);
     return;
@@ -461,16 +465,13 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
     // the row's sort key over the coordinator's sampled boundaries, with
     // the query's own comparator, so consumer c holds exactly slice c of
     // the global order.
-    static const std::vector<Tuple> kNoBoundaries;
-    const std::vector<Tuple>& boundaries =
-        request->boundaries != nullptr ? *request->boundaries : kNoBoundaries;
     uint64_t probes = 1;
-    for (size_t n = boundaries.size(); n > 0; n /= 2) ++probes;
+    for (size_t n = boundaries->size(); n > 0; n /= 2) ++probes;
     ChargeCpu(static_cast<sim::SimTime>(rows.size()) * probes *
               costs.compare_ns);
     for (Tuple& tuple : rows) {
       const size_t slice = RangeSliceOf(tuple, request->sort_columns,
-                                        request->sort_desc, boundaries);
+                                        request->sort_desc, *boundaries);
       partitions[std::min(slice, consumers - 1)].push_back(std::move(tuple));
     }
   } else {
@@ -498,7 +499,6 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   stream.side = request->side;
   stream.producer = request->producer;
   stream.token = token;
-  stream.columnar = request->exec_mode == exec::ExecMode::kVectorized;
   stream.stalls = m_exchange_stalls_;
   stream.channels.reserve(consumers);
   for (size_t c = 0; c < consumers; ++c) {
@@ -650,7 +650,6 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
         {exec::OutboundChannel(std::move(framed), request->batch_rows,
                                request->credit_window),
          request->target, nullptr});
-    bulk.columnar = request->columnar;
     bulk.stalls = m_exchange_stalls_;
   }
   (*active_resync_requests_)[{mail.from, request->request_id}] = token;
@@ -779,7 +778,7 @@ void OfmProcess::HandleResyncBatch(const pool::Mail& mail) {
     *resync_in_ = exec::InboundChannel();
     ofm_->ResyncReset();
   }
-  auto rows = TupleBatchRows(*msg);
+  auto rows = TupleBatchRows(msg->rows);
   PRISMA_CHECK_OK(rows.status());
   ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
             config_.ofm.exec.costs.tuple_ns);

@@ -95,18 +95,16 @@ void OlapMergeProcess::RunMerge() {
     SendReply(result.status());
     return;
   }
-  SendReply(Status::OK(),
-            std::make_shared<std::vector<Tuple>>(std::move(result).value()));
+  SendReply(Status::OK(), EncodeRows(*result));
 }
 
-void OlapMergeProcess::SendReply(Status status,
-                                 std::shared_ptr<std::vector<Tuple>> tuples) {
+void OlapMergeProcess::SendReply(Status status, RowFrame rows) {
   if (reply_.sent()) return;
   auto reply = std::make_shared<ExecPlanReply>();
   reply->request_id = config_.reply_request_id;
   reply->status = std::move(status);
   reply->fragment = config_.fragment;
-  reply->tuples = std::move(tuples);
+  reply->rows = std::move(rows);
   reply_.Send(reply, reply->WireBits());
 }
 

@@ -67,8 +67,7 @@ class OlapMergeProcess : public pool::Process {
   void Pump();
   void RunMerge();
   /// Sends the final reply once: the merged rows, or `status` on error.
-  void SendReply(Status status,
-                 std::shared_ptr<std::vector<Tuple>> tuples = nullptr);
+  void SendReply(Status status, RowFrame rows = nullptr);
 
   Config config_;
   // Process-local state below is wrapped in the ownership checker.

@@ -287,7 +287,7 @@ void QueryProcess::Reply(Status status, Schema schema,
     reply->request_id = config_.statement->request_id;
     reply->status = std::move(status);
     reply->schema = std::move(schema);
-    reply->tuples = std::move(tuples);
+    if (tuples != nullptr) reply->rows = EncodeRows(*tuples);
     SendMail(config_.client, kMailClientReply, reply, reply->WireBits());
   }
   auto done = std::make_shared<StatementDone>();
@@ -308,9 +308,8 @@ void QueryProcess::SendFrames(const Schema& schema, bool last) {
     auto frame = std::make_shared<ClientReply>();
     frame->request_id = config_.statement->request_id;
     if (frames_sent_ == 0) frame->schema = schema;
-    frame->tuples = std::make_shared<std::vector<Tuple>>(
-        std::make_move_iterator(unframed_.begin() + begin),
-        std::make_move_iterator(unframed_.begin() + end));
+    frame->rows = EncodeRows(
+        std::span<const Tuple>(unframed_).subspan(begin, end - begin));
     frame->frame = frames_sent_++;
     frame->last = is_last;
     SendMail(config_.client, kMailClientReply, frame, frame->WireBits());
@@ -774,9 +773,8 @@ size_t QueryProcess::ScatterOlapPart(size_t part_index) {
   return fragments;
 }
 
-void QueryProcess::LaunchOlapShuffle(
-    size_t part_index, std::shared_ptr<const std::vector<Tuple>> boundaries,
-    bool send_now) {
+void QueryProcess::LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
+                                     bool send_now) {
   const LocalPart& part = split_->parts[part_index];
   const OlapSpec& olap = *part.olap;
   auto info_or = config_.dictionary->GetTable(olap.table);
@@ -866,17 +864,15 @@ void QueryProcess::LaunchOlapShuffle(
 }
 
 void QueryProcess::HandleOlapSample(size_t part_index, size_t slice,
-                                    const ExecPlanReply& reply) {
+                                    const std::vector<Tuple>& rows) {
   auto it = olap_work_.find(part_index);
   if (it == olap_work_.end()) return;
   OlapPartWork& state = it->second;
   const OlapSpec& olap = *split_->parts[part_index].olap;
   if (!state.samples.Vote(1, static_cast<int>(slice))) return;
-  if (reply.tuples != nullptr) {
-    olap_sample_rows_ += reply.tuples->size();
-    for (const Tuple& row : *reply.tuples) {
-      state.sample_keys.push_back(SortKeyOf(row, olap.sort_columns));
-    }
+  olap_sample_rows_ += rows.size();
+  for (const Tuple& row : rows) {
+    state.sample_keys.push_back(SortKeyOf(row, olap.sort_columns));
   }
   if (!state.samples.complete()) return;
 
@@ -891,15 +887,15 @@ void QueryProcess::HandleOlapSample(size_t part_index, size_t slice,
   ChargeCpu(static_cast<sim::SimTime>(state.sample_keys.size()) *
             config_.costs.compare_ns);
   const size_t consumers = state.slices.size();
-  auto bounds = std::make_shared<std::vector<Tuple>>();
+  std::vector<Tuple> bounds;
   if (!state.sample_keys.empty()) {
     for (size_t c = 1; c < consumers; ++c) {
-      bounds->push_back(
+      bounds.push_back(
           state.sample_keys[c * state.sample_keys.size() / consumers]);
     }
   }
   state.sample_keys.clear();
-  LaunchOlapShuffle(part_index, std::move(bounds), /*send_now=*/true);
+  LaunchOlapShuffle(part_index, EncodeRows(bounds), /*send_now=*/true);
 }
 
 void QueryProcess::SendNextFragmentPlan() {
@@ -946,11 +942,18 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     // data-plane bits (retransmissions excluded by the OFM).
     olap_shuffle_bits_ += reply->shuffle_wire_bits;
   }
+  // One decode for every gather: a corrupt frame fails the statement with
+  // its typed error, never a partial result.
+  StatusOr<std::vector<Tuple>> rows = TupleBatchRows(reply->rows);
+  if (!rows.ok()) {
+    Reply(rows.status(), Schema(), nullptr);
+    return;
+  }
   if (auto sample = olap_sample_of_.find(reply->request_id);
       sample != olap_sample_of_.end()) {
     const auto [p, slice] = sample->second;
     olap_sample_of_.erase(sample);
-    HandleOlapSample(p, slice, *reply);
+    HandleOlapSample(p, slice, *rows);
   } else if (auto merge = olap_merge_of_.find(reply->request_id);
              merge != olap_merge_of_.end()) {
     const auto [p, slice] = merge->second;
@@ -958,23 +961,24 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     auto it_state = olap_work_.find(p);
     const bool known = it_state != olap_work_.end() &&
                        slice < it_state->second.slices.size();
-    if (reply->tuples != nullptr) {
-      ChargeCpu(static_cast<sim::SimTime>(reply->tuples->size()) *
+    if (reply->rows != nullptr) {
+      ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
                 config_.costs.tuple_ns);
-      tuples_gathered_ += reply->tuples->size();
+      tuples_gathered_ += rows->size();
       olap_gather_bits_ += static_cast<uint64_t>(reply->WireBits());
-      if (known) it_state->second.slices[slice] = *reply->tuples;
+      if (known) it_state->second.slices[slice] = std::move(rows).value();
     }
     if (known) it_state->second.landed[slice] = true;
     if (forward_slices_) ForwardLandedSlices();
-  } else if (reply->tuples != nullptr) {
+  } else if (reply->rows != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
-    ChargeCpu(static_cast<sim::SimTime>(reply->tuples->size()) *
+    ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
               config_.costs.tuple_ns);
-    tuples_gathered_ += reply->tuples->size();
+    tuples_gathered_ += rows->size();
     gather_bits_ += static_cast<uint64_t>(reply->WireBits());
     auto& sink = (*gathered_)[part];
-    sink.insert(sink.end(), reply->tuples->begin(), reply->tuples->end());
+    sink.insert(sink.end(), std::make_move_iterator(rows->begin()),
+                std::make_move_iterator(rows->end()));
   }
   if (reply->profile != nullptr && part < part_profiles_.size()) {
     if (part_profiles_[part].has_value()) {
@@ -1404,7 +1408,6 @@ void QueryProcess::ScatterFixpoint() {
     fc.reply_request_id = next_request_id_++;
     fc.batch_rows = config_.exchange_batch_rows;
     fc.credit_window = config_.exchange_credit_window;
-    fc.columnar = config_.exec_mode == exec::ExecMode::kVectorized;
     fc.retransmit = config_.retransmit;
     fc.costs = config_.costs;
     fc.metrics = config_.metrics;

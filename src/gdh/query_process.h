@@ -222,14 +222,13 @@ class QueryProcess : public pool::Process {
   /// Folds one sampling reply into the part's stage barrier; on barrier
   /// completion computes the range boundaries and launches stage 2.
   void HandleOlapSample(size_t part_index, size_t slice,
-                        const ExecPlanReply& reply);
+                        const std::vector<Tuple>& rows);
   /// Spawns the merge consumers and appends the shuffle-producer work
   /// entries of an OLAP part (`boundaries` non-null for range sorts).
   /// `send_now` dispatches the new entries immediately (stage-2 launches
   /// after the initial scatter already ran).
-  void LaunchOlapShuffle(
-      size_t part_index,
-      std::shared_ptr<const std::vector<Tuple>> boundaries, bool send_now);
+  void LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
+                         bool send_now);
   // Process-local state below is wrapped in the ownership checker: only
   // this process's handlers (or control-plane code between events) may
   // touch it; see pool/owned.h.

@@ -1,8 +1,6 @@
 #include "gdh/transport.h"
 
-#include "common/column_batch.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace prisma::gdh {
 
@@ -124,14 +122,7 @@ void StreamSender::Transmit(Stream& stream, const Channel& channel,
   msg->shuffle_token = stream.token;
   msg->seq = batch.seq;
   msg->eos = batch.eos;
-  if (stream.columnar) {
-    // The serialized length is the modelled payload size, so format
-    // savings show up in the wire figures instead of being assumed.
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
-  } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
-  }
+  msg->rows = EncodeRows(batch.tuples);
   const int64_t bits = msg->WireBits();
   owner_->ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
                     options_.tuple_ns);
@@ -148,7 +139,7 @@ void StreamSender::Disarm(Stream& stream) {
 
 Status StreamReceiver::Offer(const TupleBatchMsg& msg,
                              exec::InboundChannel& channel) {
-  auto rows = TupleBatchRows(msg);
+  auto rows = TupleBatchRows(msg.rows);
   if (!rows.ok()) return rows.status();
   const size_t count = rows->size();
   if (channel.Offer({msg.seq, msg.eos, std::move(rows).value()})) {

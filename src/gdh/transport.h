@@ -69,8 +69,7 @@ class StreamSender {
     size_t producer = 0;
     uint64_t token = 0;  // Echoed by acks; keys the stream.
     std::vector<Channel> channels;
-    bool columnar = false;  // Column-encoded frames (DESIGN.md §12).
-    uint64_t tag = 0;       // The owner's label (a fixpoint round).
+    uint64_t tag = 0;  // The owner's label (a fixpoint round).
     obs::Counter* stalls = nullptr;  // Drains halted at a window edge.
     // Kept by the sender.
     uint64_t first_bits = 0;  // Retransmissions are repair, not payload.

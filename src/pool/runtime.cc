@@ -218,6 +218,7 @@ void Runtime::MailArrived(std::shared_ptr<Mail> mail) {
     if (m_dropped_ != nullptr) m_dropped_->Increment();
     return;
   }
+  if (tap_ != nullptr) tap_(*mail);
   const net::NodeId pe = it->second->pe_;
   ExecuteHandler(pe, mail->kind, mail->to, [this, mail]() {
     auto it2 = processes_.find(mail->to);

@@ -3,6 +3,7 @@
 
 #include <any>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -190,6 +191,10 @@ class Runtime {
   /// Total messages dropped because the target process was dead.
   uint64_t dropped_mail() const { return dropped_mail_; }
 
+  /// For tests: `tap` sees, and may rewrite, every mail as it reaches its
+  /// destination PE, before the handler runs. Null removes it.
+  void SetMailTap(std::function<void(Mail&)> tap) { tap_ = std::move(tap); }
+
   /// Mirrors runtime activity into the registry (pool.handlers_executed,
   /// pool.mail_sent{kind}, pool.mail_dropped, pe.cpu_ns{pe}) and, when the
   /// tracer is enabled, records one span per executed handler (pid = PE,
@@ -238,6 +243,7 @@ class Runtime {
 
   uint64_t dropped_mail_ = 0;
   uint64_t pe_crashes_ = 0;
+  std::function<void(Mail&)> tap_;
 
   // Cached registry entries (null until AttachObservability).
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -22,6 +22,26 @@ Simulator::Event Simulator::PopNext() {
   return ev;
 }
 
+void Simulator::Cancel(EventId id) {
+  ++cancel_requests_;
+  if (id >= next_seq_) return;
+  cancelled_.insert(id);
+  if (cancelled_.size() < kCompactMinTombstones ||
+      cancelled_.size() * 2 <= queue_.size()) {
+    return;
+  }
+  // Rebuild the heap without the cancelled events; the tombstones left
+  // name events that already ran. (time, seq) is a total order, so the
+  // rebuilt heap pops in the same order.
+  const size_t before = queue_.size();
+  std::erase_if(queue_, [this](const Event& ev) {
+    return cancelled_.contains(ev.seq);
+  });
+  events_cancelled_ += before - queue_.size();
+  cancelled_.clear();
+  std::make_heap(queue_.begin(), queue_.end(), EventLater());
+}
+
 bool Simulator::Step() {
   while (!queue_.empty()) {
     Event ev = PopNext();
@@ -37,6 +57,7 @@ bool Simulator::Step() {
     ev.fn();
     return true;
   }
+  cancelled_.clear();  // Nothing is queued: what is left ran already.
   return false;
 }
 

@@ -48,11 +48,10 @@ class Simulator {
   /// Cancels a pending event; a no-op if it already ran (or never
   /// existed). Cancelled events are skipped without advancing the clock
   /// to their instant when later events exist; an all-cancelled queue
-  /// simply drains.
-  void Cancel(EventId id) {
-    ++cancel_requests_;
-    if (id < next_seq_) cancelled_.insert(id);
-  }
+  /// simply drains. Once tombstones outnumber half the queue, the queue
+  /// is rebuilt without the cancelled events, so long timeouts cancelled
+  /// early do not pile up until their due time.
+  void Cancel(EventId id);
 
   /// Executes the next pending event; returns false if none remain.
   bool Step();
@@ -77,7 +76,8 @@ class Simulator {
   /// Events skipped because they were cancelled before their instant.
   uint64_t events_cancelled() const { return events_cancelled_; }
 
-  /// Cancelled events still sitting in the queue as tombstones.
+  /// Cancelled ids not yet purged (ids of events that had already run
+  /// included, until the next rebuild).
   size_t tombstones_pending() const { return cancelled_.size(); }
 
   /// Number of pending events (cancelled-but-unpurged ones included).
@@ -102,6 +102,9 @@ class Simulator {
   Event PopNext();
   /// Drops cancelled events sitting at the heap front.
   void PurgeCancelledFront();
+
+  /// Fewer tombstones never trigger a rebuild: they cost less than it.
+  static constexpr size_t kCompactMinTombstones = 64;
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;

@@ -597,10 +597,9 @@ TEST(ChaosTest, ExchangeSameSeedReplayIsByteIdentical) {
   EXPECT_NE(a.metrics.find("exchange.batches_sent"), std::string::npos);
 }
 
-/// The vectorized path (column-encoded wire frames, batch kernels) under
-/// the same lossy interconnect: the answer must survive every seed, and
-/// lost/duplicated column frames must flow through the same
-/// retransmission and dedup machinery as row batches.
+/// The vectorized path (batch kernels) under the same lossy interconnect:
+/// the answer must survive every seed, and lost/duplicated frames must
+/// flow through the same retransmission and dedup machinery.
 TEST(ChaosTest, VectorizedExchangeSoakSurvives25Seeds) {
   uint64_t dropped = 0;
   uint64_t duplicated = 0;

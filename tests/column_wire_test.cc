@@ -1,24 +1,34 @@
-// Round-trip fuzz harness for the column-encoded tuple-batch wire format
-// (DESIGN.md §12.2). For seeded random batches over every Value type and
-// NULL pattern — including ragged batches whose row count is not a
-// multiple of the bitmap word — the format must satisfy:
+// Round-trip fuzz harness for the column-encoded wire format every row
+// set crosses the interconnect in (DESIGN.md §12.2). For seeded random
+// batches over every Value type and NULL pattern — including ragged
+// batches whose row count is not a multiple of the bitmap word — the
+// format must satisfy:
 //
 //   1. decode(encode(batch)) reproduces the original tuples exactly;
 //   2. encode(decode(encode(batch))) is byte-stable (canonical encoding);
-//   3. every truncation of a valid frame fails with a typed Status, and
-//      corrupted tag bytes fail with a typed Status — never a crash.
+//   3. every truncation of a valid frame, trailing garbage, and corrupted
+//      tag bytes fail with a typed Status — never a crash;
+//   4. on a running machine, a truncated or tag-corrupted fragment gather
+//      (exec_plan_reply) or client_reply frame fails its statement with
+//      that typed Status — never a crash, never a truncated result.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/column_batch.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/str_util.h"
 #include "common/tuple.h"
 #include "common/value.h"
+#include "core/prisma_db.h"
+#include "gdh/messages.h"
 
 namespace prisma {
 namespace {
@@ -158,6 +168,16 @@ TEST(ColumnWireTest, EveryTruncationFailsWithTypedStatus) {
   }
 }
 
+TEST(ColumnWireTest, TrailingBytesFailWithTypedStatus) {
+  // A frame is exactly one batch: a corrupt row count that leaves bytes
+  // over must not decode as a shorter result.
+  const std::string frame =
+      SerializeColumnBatch(ColumnBatch::FromTuples(RandomBatchTuples(7)));
+  auto result = DeserializeColumnBatch(frame + '\0');
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ColumnWireTest, CorruptedBytesNeverCrash) {
   // Flipping any single byte must yield either a typed error or a clean
   // decode of different content — never a crash or hang. (Payload bytes
@@ -221,6 +241,121 @@ TEST(ColumnWireTest, EmptyAndRaggedBatches) {
     for (Tuple& t : decoded->ToTuples()) reassembled.push_back(std::move(t));
   }
   EXPECT_EQ(Render(reassembled), Render(tuples));
+}
+
+// ------------------------------------------- Frames on a running machine
+
+bool TypedWireError(const Status& status) {
+  return status.code() == StatusCode::kOutOfRange ||
+         status.code() == StatusCode::kInvalidArgument;
+}
+
+/// A 4-PE machine holding t(id, s) in 4 fragments: 200 rows, so the
+/// result reaches the client as a train of four frames.
+class FrameFuzzTest : public ::testing::Test {
+ protected:
+  static constexpr int kTableRows = 200;
+
+  FrameFuzzTest() : db_(Config()) {
+    Must("CREATE TABLE t (id INT, s STRING) "
+         "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 0; i < kTableRows; ++i) {
+      if (i > 0) sql += ", ";
+      const std::string s =
+          i % 5 == 0 ? std::string("NULL") : StrFormat("'s%d'", i % 7);
+      sql += StrFormat("(%d, %s)", i, s.c_str());
+    }
+    Must(sql);
+    reference_ = Answer();
+  }
+
+  static core::MachineConfig Config() {
+    core::MachineConfig config;
+    config.pes = 4;
+    return config;
+  }
+
+  core::QueryResult Must(const std::string& sql) {
+    auto result = db_.Execute(sql);
+    PRISMA_CHECK(result.ok()) << sql << ": " << result.status().ToString();
+    return std::move(result).value();
+  }
+
+  /// The query's rows, sorted: gathers land in arrival order.
+  std::vector<std::string> Answer() {
+    std::vector<std::string> rows;
+    for (const Tuple& t : Must(kQuery).tuples) rows.push_back(t.ToString());
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  /// Runs the query with the `nth` (0-based) mail of `kind` that carries
+  /// rows rewritten by `corrupt`; returns the statement's outcome.
+  template <typename Msg>
+  StatusOr<core::QueryResult> RunCorrupted(
+      const char* kind, int nth,
+      const std::function<std::string(std::string)>& corrupt) {
+    int seen = 0;
+    db_.runtime().SetMailTap([&](pool::Mail& mail) {
+      if (mail.kind != kind) return;
+      auto msg = std::any_cast<std::shared_ptr<Msg>>(mail.body);
+      if (msg->rows == nullptr || seen++ != nth) return;
+      auto copy = std::make_shared<Msg>(*msg);
+      copy->rows = std::make_shared<const std::string>(corrupt(*msg->rows));
+      mail.body = std::move(copy);
+    });
+    auto result = db_.Execute(kQuery);
+    db_.runtime().SetMailTap(nullptr);
+    EXPECT_GT(seen, nth) << "no " << kind << " frame was corrupted";
+    return result;
+  }
+
+  /// Every prefix length of the nth frame, and a bad encoding tag, fail
+  /// the statement with a typed error; the machine then answers in full.
+  template <typename Msg>
+  void FuzzFrames(const char* kind, int nth) {
+    // Untouched, the frame passes; its length bounds the sweep.
+    size_t frame_size = 0;
+    auto untouched = RunCorrupted<Msg>(kind, nth, [&](std::string frame) {
+      frame_size = frame.size();
+      return frame;
+    });
+    ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
+    ASSERT_GT(frame_size, 8u);
+    for (size_t len = 0; len < frame_size; len += 1 + len / 16) {
+      SCOPED_TRACE(StrFormat("%s #%d prefix_len=%zu of %zu", kind, nth, len,
+                             frame_size));
+      auto result = RunCorrupted<Msg>(
+          kind, nth, [len](std::string frame) { return frame.substr(0, len); });
+      ASSERT_FALSE(result.ok()) << result->tuples.size() << " rows";
+      EXPECT_TRUE(TypedWireError(result.status()))
+          << result.status().ToString();
+    }
+    // Byte 8 is column 0's encoding tag (0 = typed, 1 = boxed).
+    auto result = RunCorrupted<Msg>(kind, nth, [](std::string frame) {
+      frame[8] = 7;
+      return frame;
+    });
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(Answer(), reference_);
+  }
+
+  static constexpr char kQuery[] = "SELECT id, s FROM t";
+  core::PrismaDb db_;
+  std::vector<std::string> reference_;
+};
+
+TEST_F(FrameFuzzTest, CorruptGatherFrameFailsTheStatement) {
+  FuzzFrames<gdh::ExecPlanReply>(gdh::kMailExecPlanReply, 0);
+  FuzzFrames<gdh::ExecPlanReply>(gdh::kMailExecPlanReply, 3);
+}
+
+TEST_F(FrameFuzzTest, CorruptClientFrameFailsTheStatement) {
+  // The head frame (it carries the schema) and one in mid-train.
+  FuzzFrames<gdh::ClientReply>(gdh::kMailClientReply, 0);
+  FuzzFrames<gdh::ClientReply>(gdh::kMailClientReply, 2);
 }
 
 }  // namespace

@@ -786,8 +786,7 @@ std::shared_ptr<TupleBatchMsg> OneRowBatch() {
   msg->exchange_id = 7;
   msg->seq = 1;
   msg->eos = true;
-  msg->tuples = std::make_shared<std::vector<Tuple>>(
-      std::vector<Tuple>{Tuple({Value::Int(42)})});
+  msg->rows = EncodeRows(std::vector<Tuple>{Tuple({Value::Int(42)})});
   return msg;
 }
 
@@ -870,8 +869,10 @@ TEST(ConsumerSpawnOrderTest, BatchHandledBeforeTheSpawnHandlerIsAccepted) {
   EXPECT_TRUE(acked);
   ASSERT_NE(reply, nullptr);
   ASSERT_TRUE(reply->status.ok());
-  ASSERT_EQ(reply->tuples->size(), 1u);
-  EXPECT_EQ(reply->tuples->at(0).at(0), Value::Int(42));
+  auto rows = TupleBatchRows(reply->rows);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(rows->at(0).at(0), Value::Int(42));
 }
 
 }  // namespace

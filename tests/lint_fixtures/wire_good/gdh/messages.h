@@ -1,0 +1,23 @@
+// Fixture for D9: rows sized by their frame's byte length stay silent, and
+// so does a single tuple's ByteSize() next to a loop over something else.
+#ifndef WIRE_GOOD_GDH_MESSAGES_H_
+#define WIRE_GOOD_GDH_MESSAGES_H_
+
+struct GatherReply {
+  RowFrame rows;
+
+  int64_t WireBits() const { return 256 + FrameBits(rows); }
+};
+
+struct WriteRequest {
+  Tuple tuple;
+  std::vector<std::shared_ptr<const Expr>> assignments;
+
+  int64_t WireBits() const {
+    int64_t bits = 256 + static_cast<int64_t>(tuple.ByteSize()) * 8;
+    for (const auto& e : assignments) bits += e->TreeSize() * 128;
+    return bits;
+  }
+};
+
+#endif  // WIRE_GOOD_GDH_MESSAGES_H_

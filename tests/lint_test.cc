@@ -60,6 +60,8 @@ TEST(LintTest, GoldenDiagnosticsOverFixtureCorpus) {
       "proto/states_bad.cc:4 D7",
       "proto/states_bad.cc:8 D7",
       "proto/states_bad.cc:13 D7",
+      "wire_bad/gdh/messages.h:11 D9",
+      "wire_bad/gdh/messages.h:22 D9",
   };
   EXPECT_EQ(got, want);
 }
@@ -97,7 +99,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
   LintReport report =
       ApplyAllowlist(AnalyzeSources(LoadFixtures()), allowlist);
-  EXPECT_EQ(report.violations, 29u);  // 31 findings - 2 allowlisted.
+  EXPECT_EQ(report.violations, 31u);  // 33 findings - 2 allowlisted.
   ASSERT_EQ(report.unused_allowlist.size(), 1u);
   EXPECT_EQ(report.unused_allowlist[0].needle, "no_such_token");
   EXPECT_FALSE(report.clean());
@@ -114,7 +116,7 @@ TEST(LintTest, AllowlistSilencesMatchedFindingAndFlagsStaleEntries) {
 
 TEST(LintTest, EmptyAllowlistReportsEveryFindingAsViolation) {
   LintReport report = ApplyAllowlist(AnalyzeSources(LoadFixtures()), {});
-  EXPECT_EQ(report.violations, 31u);
+  EXPECT_EQ(report.violations, 33u);
   EXPECT_TRUE(report.unused_allowlist.empty());
   EXPECT_FALSE(report.clean());
 }
@@ -307,6 +309,24 @@ TEST(LintTest, AnsweringBeforeTheDecisionIsAnUndeclaredTransition) {
       << commit[0]->message;
 }
 
+TEST(LintTest, RowByteSumsInWireBitsAreFlaggedOnlyInTheMessageHeader) {
+  const std::string body =
+      "struct Reply {\n"
+      "  int64_t WireBits() const {\n"
+      "    int64_t bits = kControlBits + FrameBits(rows);\n"
+      "    for (const Tuple& t : extra)\n"
+      "      bits += t.ByteSize() * 8;\n"
+      "    return bits;\n"
+      "  }\n"
+      "};\n";
+  std::vector<Diagnostic> diagnostics =
+      AnalyzeSources({{"gdh/messages.h", body}, {"exec/ofm.h", body}});
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].rule, "D9");
+  EXPECT_EQ(diagnostics[0].path, "gdh/messages.h");
+  EXPECT_EQ(diagnostics[0].line, 5);
+}
+
 TEST(LintTest, MetricNamesMustComeFromTheRegistry) {
   std::vector<SourceFile> files;
   files.push_back(
@@ -377,7 +397,7 @@ TEST(LintTest, ReportToJsonCarriesCountsAndDiagnostics) {
   const std::string json = ReportToJson(report, files.size());
   EXPECT_NE(json.find("\"files_scanned\": " + std::to_string(files.size())),
             std::string::npos);
-  EXPECT_NE(json.find("\"violations\": 31"), std::string::npos);
+  EXPECT_NE(json.find("\"violations\": 33"), std::string::npos);
   EXPECT_NE(json.find("\"clean\": false"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"D5\""), std::string::npos);
   EXPECT_NE(json.find("\"path\": \"bad/discard.cc\""), std::string::npos);

@@ -172,6 +172,36 @@ TEST(ResultStreamTest, LimitAndGatherBaselineSortsAreNotForwarded) {
   EXPECT_EQ(Streamed(base), 0u);
 }
 
+TEST(ResultStreamTest, ClientReplyBitsAreTheFramesByteLengths) {
+  // Every client_reply is one column frame behind a control header: the
+  // pool.mail_bits the train is charged equals its frames' real sizes,
+  // measured on the frames the client receives.
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7);
+  const obs::Labels kind = {{"kind", gdh::kMailClientReply}};
+  const uint64_t bits0 = db.metrics().CounterValue("pool.mail_bits", kind);
+  const uint64_t frames0 = ClientFrames(db);
+  uint64_t frame_bits = 0;
+  uint64_t frames = 0;
+  db.runtime().SetMailTap([&](pool::Mail& mail) {
+    if (mail.kind != gdh::kMailClientReply) return;
+    const auto& reply =
+        *std::any_cast<std::shared_ptr<gdh::ClientReply>>(mail.body);
+    ASSERT_NE(reply.rows, nullptr);
+    frame_bits += gdh::kControlBits + 8 * reply.rows->size();
+    ++frames;
+  });
+  const QueryResult result = MustExecute(db, kSortSql);
+  db.runtime().SetMailTap(nullptr);
+  EXPECT_EQ(Rendered(result), ReferenceSort());
+  EXPECT_EQ(frames, ExpectedFrames(kRows));
+  EXPECT_EQ(ClientFrames(db) - frames0, frames);
+  EXPECT_EQ(db.metrics().CounterValue("pool.mail_bits", kind) - bits0,
+            frame_bits);
+}
+
 TEST(ResultStreamTest, FrameTrainsTakeTheHopDistanceOffTheCriticalPath) {
   // Same query, coordinator pinned next to the client vs 4 hops away on
   // the 2x4 mesh: a single reply message pays 4 full store-and-forward
@@ -189,7 +219,7 @@ TEST(ResultStreamTest, FrameTrainsTakeTheHopDistanceOffTheCriticalPath) {
     const QueryResult result = MustExecute(db, kSortSql);
     ms[i] = static_cast<double>(result.response_time_ns) / 1e6;
     gdh::ClientReply whole;
-    whole.tuples = std::make_shared<std::vector<Tuple>>(result.tuples);
+    whole.rows = gdh::EncodeRows(result.tuples);
     result_bits = whole.WireBits();
   }
   const double one_serialization_ms =

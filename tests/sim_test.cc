@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -177,6 +178,57 @@ TEST(SimulatorTest, DoubleCancelConsumesOneTombstone) {
   sim.Run();
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.events_cancelled(), 1u);
+  EXPECT_EQ(sim.tombstones_pending(), 0u);
+}
+
+TEST(SimulatorTest, MassCancelsCompactTheQueue) {
+  // Long timeouts armed per request and cancelled when the reply lands:
+  // the queue must not hold them until their due time.
+  auto run = [](std::vector<std::pair<SimTime, int>>* fired) {
+    Simulator sim;
+    std::vector<EventId> timeouts;
+    for (int i = 0; i < 1000; ++i) {
+      timeouts.push_back(sim.Schedule(10 * kNanosPerSecond + i, [] {}));
+    }
+    for (int i = 0; i < 20; ++i) {
+      sim.Schedule(i * 3, [fired, &sim, i] {
+        fired->push_back({sim.now(), i});
+      });
+    }
+    EXPECT_EQ(sim.pending(), 1020u);
+    for (int i = 0; i < 900; ++i) sim.Cancel(timeouts[i]);
+    // Compacted well before the due time: neither the queue nor the
+    // tombstone set holds the cancelled timers.
+    EXPECT_LT(sim.pending(), 1020u - 500u);
+    EXPECT_LT(sim.tombstones_pending(), 500u);
+    sim.Run();
+    // Every cancelled event is counted exactly once, compacted or not.
+    EXPECT_EQ(sim.events_cancelled(), 900u);
+    EXPECT_EQ(sim.events_executed(), 120u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.tombstones_pending(), 0u);
+    return sim.now();
+  };
+  std::vector<std::pair<SimTime, int>> first;
+  std::vector<std::pair<SimTime, int>> second;
+  EXPECT_EQ(run(&first), run(&second));
+  EXPECT_EQ(first.size(), 20u);
+  EXPECT_EQ(first, second);
+}
+
+TEST(SimulatorTest, CancelsOfEventsThatRanDoNotAccumulate) {
+  Simulator sim;
+  std::vector<EventId> ran;
+  for (int i = 0; i < 200; ++i) ran.push_back(sim.Schedule(i, [] {}));
+  sim.Run();
+  sim.Schedule(1000, [] {});
+  for (const EventId id : ran) sim.Cancel(id);
+  // The stale ids were dropped by compaction; the live event survived.
+  EXPECT_LT(sim.tombstones_pending(), 200u);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 201u);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
   EXPECT_EQ(sim.tombstones_pending(), 0u);
 }
 

@@ -236,10 +236,15 @@ TEST(StreamSenderTest, CompletionLeavesNoPendingTimer) {
   // The queue drained at the last ack, not at the timer's instant.
   EXPECT_LT(m.sim.now(), kTimeout);
   EXPECT_EQ(m.Retransmits(), 0u);
-  // Three first transmissions of two rows each; nothing was resent.
-  const std::vector<Tuple> two = Rows(2);
-  EXPECT_EQ(stream->first_bits,
-            3 * static_cast<uint64_t>(kControlBits + TuplesBits(two)));
+  // Three first transmissions of two rows each, as column frames;
+  // nothing was resent.
+  const std::vector<Tuple> rows = Rows(6);
+  int64_t frames_bits = 0;
+  for (size_t at = 0; at < rows.size(); at += 2) {
+    frames_bits += kControlBits +
+                   FrameBits(EncodeRows(std::span(rows).subspan(at, 2)));
+  }
+  EXPECT_EQ(stream->first_bits, static_cast<uint64_t>(frames_bits));
 }
 
 // --------------------------------------------------------------- RpcClient

@@ -39,8 +39,11 @@
 //   D8  metric-name registry: every literal GetCounter/LazyCounter name and
 //       tracer span category/name must appear in obs/metric_names.h, and
 //       every registry entry must be used.
+//   D9  one wire format: no WireBits() in gdh/messages.h sums ByteSize()
+//       over rows — a row set's modelled size is its column frame's byte
+//       length (a single tuple's ByteSize(), as in WriteRequest, is fine).
 //
-// D5–D8 are cross-file structural rules implemented in protocol.cc over
+// D5–D9 are structural rules implemented in protocol.cc over
 // the extraction layer in structure.h; the annotation grammar is specified
 // in DESIGN.md §9.
 //
@@ -62,7 +65,7 @@ struct SourceFile {
 struct Diagnostic {
   std::string path;
   int line = 0;  // 1-based.
-  std::string rule;  // "D0".."D8".
+  std::string rule;  // "D0".."D9".
   std::string message;
   std::string snippet;  // Trimmed source line the finding points at.
 

@@ -14,6 +14,7 @@
 //       settlement paths for success, exhaustion and shed.
 //   D7  state-machine conformance against declared transition tables.
 //   D8  metric/span names against the obs/metric_names.h registry.
+//   D9  wire sizing: no WireBits() in gdh/messages.h sums row byte sizes.
 
 namespace prisma::lint {
 
