@@ -55,8 +55,8 @@ const char* kNations[] = {"BRAZIL", "CANADA", "FRANCE", "JAPAN", "KENYA"};
 /// The eight queries: four single-table group-bys (every aggregate,
 /// AVG included so partial SUM+COUNT merge is priced), two distributed
 /// sorts (one under LIMIT), one global aggregate without group keys and
-/// one join + group-by whose group-by stays at the coordinator (the join
-/// output is not a base table) — the mixed-path case.
+/// one join + group-by whose exchange-join consumers pre-aggregate
+/// before the gather (DESIGN.md §10) — the mixed-path case.
 struct Query {
   const char* name;
   const char* sql;
@@ -179,6 +179,15 @@ struct QueryMeasure {
   uint64_t shuffle_bits = 0;     ///< olap.shuffle_bits delta.
   uint64_t olap_gather_bits = 0; ///< olap.gather_bits delta.
   uint64_t gather_bits = 0;      ///< Plain fragment-reply bits (gauge).
+  /// exchange.wire_bits delta: every producer stream batch, join and
+  /// OLAP shuffles alike (so it includes shuffle_bits).
+  uint64_t exchange_bits = 0;
+
+  /// Stream batches plus gathered replies: the statement's bits on the
+  /// wire between PEs.
+  uint64_t wire_bits() const {
+    return exchange_bits + olap_gather_bits + gather_bits;
+  }
 };
 
 /// q5 with the coordinator pinned to the PE nearest the client (PE 0
@@ -221,6 +230,7 @@ void RunShape(int pes, int fragments, bool lowered,
     const uint64_t parts0 = db.metrics().CounterTotal("olap.parts");
     const uint64_t shuffle0 = db.metrics().CounterTotal("olap.shuffle_bits");
     const uint64_t ogather0 = db.metrics().CounterTotal("olap.gather_bits");
+    const uint64_t exchange0 = db.metrics().CounterTotal("exchange.wire_bits");
     const QueryResult result = MustExecute(db, kQueries[q].sql);
     PRISMA_CHECK(Rendered(result) == reference[q])
         << kQueries[q].name << " diverged from the single-node reference "
@@ -235,6 +245,8 @@ void RunShape(int pes, int fragments, bool lowered,
         db.metrics().CounterTotal("olap.gather_bits") - ogather0;
     m.gather_bits = static_cast<uint64_t>(
         db.metrics().GaugeValue("query.last_gather_bits"));
+    m.exchange_bits =
+        db.metrics().CounterTotal("exchange.wire_bits") - exchange0;
   }
   if (lowered) {
     prisma::bench::PrintCounterSeries(
@@ -333,6 +345,17 @@ int main(int argc, char** argv) {
         << "q1 wire bits not below the gather baseline at pes=" << pes;
     PRISMA_CHECK(cell.olap[0].tuples_gathered < cell.gather[0].tuples_gathered)
         << "q1 gathered as many tuples as the baseline at pes=" << pes;
+    // q8's join consumers pre-aggregate: at most one partial row per
+    // segment per consumer reaches the coordinator, and the statement
+    // moves strictly fewer bits than gathering its joined rows.
+    constexpr size_t kQ8 = 7;
+    const uint64_t segments = sizeof(kSegments) / sizeof(kSegments[0]);
+    PRISMA_CHECK(cell.olap[kQ8].tuples_gathered <=
+                 segments * static_cast<uint64_t>(cell.fragments))
+        << "q8 gathered " << cell.olap[kQ8].tuples_gathered
+        << " rows at pes=" << pes;
+    PRISMA_CHECK(cell.olap[kQ8].wire_bits() < cell.gather[kQ8].wire_bits())
+        << "q8 wire bits not below the gather baseline at pes=" << pes;
 
     const SpreadMeasure& spread = sweep.back().q5_spread =
         MeasureCoordinatorSpread(pes, cell.fragments, reference[4]);
@@ -373,15 +396,18 @@ int main(int argc, char** argv) {
           "      {\"name\": \"%s\", \"olap_ms\": %.3f, \"gather_ms\": %.3f, "
           "\"olap_parts\": %llu, \"olap_shuffle_bits\": %llu, "
           "\"olap_gather_bits\": %llu, \"olap_tuples_gathered\": %llu, "
-          "\"baseline_gather_bits\": %llu, "
-          "\"baseline_tuples_gathered\": %llu}%s\n",
+          "\"olap_wire_bits\": %llu, \"baseline_gather_bits\": %llu, "
+          "\"baseline_tuples_gathered\": %llu, "
+          "\"baseline_wire_bits\": %llu}%s\n",
           kQueries[q].name, o.ms, g.ms,
           static_cast<unsigned long long>(o.olap_parts),
           static_cast<unsigned long long>(o.shuffle_bits),
           static_cast<unsigned long long>(o.olap_gather_bits),
           static_cast<unsigned long long>(o.tuples_gathered),
+          static_cast<unsigned long long>(o.wire_bits()),
           static_cast<unsigned long long>(g.gather_bits),
           static_cast<unsigned long long>(g.tuples_gathered),
+          static_cast<unsigned long long>(g.wire_bits()),
           q + 1 < kNumQueries ? "," : "");
     }
     json += StrFormat("    ]}%s\n", c + 1 < sweep.size() ? "," : "");

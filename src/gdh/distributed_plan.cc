@@ -567,6 +567,49 @@ std::unique_ptr<Plan> ReplaceScan(const Plan& plan, const std::string& name,
   return clone;
 }
 
+/// Decomposes Aggregate(Join) when the join lowers to a co-located or
+/// exchange part (DESIGN.md §10.3): the part pre-aggregates its share of
+/// the join output where it lands (each fragment pair's OFM, or each
+/// exchange consumer before its reply) and the global plan combines the
+/// partial rows. Returns null when the join stays global.
+StatusOr<std::unique_ptr<Plan>> TryJoinAggregatePushdown(
+    std::unique_ptr<Plan>& plan, const DataDictionary& dictionary,
+    const OptimizerRules& rules, DistributedPlan* out) {
+  if (plan->child()->kind() != PlanKind::kJoin) return std::unique_ptr<Plan>();
+  std::unique_ptr<Plan> join = plan->TakeChild(0);
+  std::unique_ptr<Plan> lowered;
+  if (rules.colocated_joins) lowered = TryColocatedJoin(join, dictionary, out);
+  if (lowered == nullptr && rules.exchange_joins) {
+    ASSIGN_OR_RETURN(lowered, TryExchangeJoin(join, dictionary, out));
+  }
+  if (lowered == nullptr) {
+    plan->SetChild(0, std::move(join));
+    return std::unique_ptr<Plan>();
+  }
+  const auto& agg = static_cast<const AggregatePlan&>(*plan);
+  LocalPart& part = out->parts.back();
+  ASSIGN_OR_RETURN(
+      PartialAggregate partial,
+      BuildPartialAggregate(
+          agg, ScanPlan::Create(OlapInputName(), part.plan->schema())));
+  const Schema partial_schema = partial.plan->schema();
+  std::unique_ptr<Plan> joined = part.plan->Clone();
+  // Co-located: the OFMs run the partial over their join. Exchange: the
+  // same tree is the EXPLAIN rendering, and consumers run the partial
+  // over their join output.
+  part.plan = std::shared_ptr<const Plan>(
+      ReplaceScan(*partial.plan, OlapInputName(), joined));
+  if (part.exchange != nullptr) {
+    auto spec = std::make_shared<ExchangeJoinSpec>(*part.exchange);
+    spec->post_plan = std::shared_ptr<const Plan>(std::move(partial.plan));
+    part.exchange = std::move(spec);
+  }
+  out->pushed_aggregate = true;
+  return BuildCombineAggregate(
+      agg, partial_schema, partial.combine,
+      ScanPlan::Create(PartName(out->parts.size() - 1), partial_schema));
+}
+
 /// Registers a multi-stage OLAP part and returns its global replacement
 /// scan. The display plan is the merge plan with its input scan replaced
 /// by an Exchange over the producer.
@@ -776,6 +819,9 @@ StatusOr<std::unique_ptr<Plan>> SplitNode(std::unique_ptr<Plan> plan,
     if (rules.aggregate_pushdown) {
       ASSIGN_OR_RETURN(std::unique_ptr<Plan> pushed,
                        TryAggregatePushdown(plan, dictionary, out));
+      if (pushed != nullptr) return pushed;
+      ASSIGN_OR_RETURN(pushed,
+                       TryJoinAggregatePushdown(plan, dictionary, rules, out));
       if (pushed != nullptr) return pushed;
     }
   }

@@ -16,9 +16,10 @@ namespace prisma::gdh {
 /// local part `i`.
 std::string PartName(size_t index);
 
-/// Scan name by which an OLAP merge plan references its shuffled-in rows
-/// (the merge consumer materializes its inbound channels under this name;
-/// DESIGN.md §14).
+/// Scan name by which a plan run over received rows references them: an
+/// OLAP merge plan's shuffled-in rows (DESIGN.md §14), or an exchange
+/// join's post-join plan's share of the join output (§10.3). The
+/// consumer materializes those rows under this name (RunPlanOverRows).
 std::string OlapInputName();
 
 /// How the streaming exchange layer (DESIGN.md §10) executes one
@@ -60,6 +61,10 @@ struct ExchangeJoinSpec {
   Schema schema;  // Join output schema.
   /// Modeled tuples shipped by the chosen strategy (cost/EXPLAIN).
   double moved_rows = 0;
+  /// Plan each consumer runs over its share of the join output (a Scan of
+  /// OlapInputName() with `schema`) before replying: the partial half of
+  /// an aggregate pushed onto the join. Null: reply with the joined rows.
+  std::shared_ptr<const algebra::Plan> post_plan;
 };
 
 /// Everything the coordinator needs to run one exchange-lowered OLAP
@@ -107,9 +112,10 @@ struct OlapSpec {
 /// (tables are co-partitioned on the join key and placement-aligned).
 ///
 /// When `exchange` is set the part is an *exchange join*: `plan` is only
-/// the EXPLAIN rendering (Join over Exchange-marked inputs); execution is
-/// driven by the spec — producers at each moving fragment, pipelined
-/// consumers at the anchor fragments.
+/// the EXPLAIN rendering (Join over Exchange-marked inputs, under the
+/// spec's post-join plan if any); execution is driven by the spec —
+/// producers at each moving fragment, pipelined consumers at the anchor
+/// fragments.
 struct LocalPart {
   std::string table;
   std::string second_table;  // Empty for single-table parts.
@@ -139,9 +145,11 @@ struct DistributedPlan {
 
 /// Splits a logical plan. Maximal subtrees of the form
 /// Select*/Project*/Distinct over a single base-table Scan become local
-/// parts; an Aggregate directly above such a subtree is decomposed into
-/// partial aggregation at the fragments and a combining aggregation in
-/// the global plan (COUNT/SUM/MIN/MAX/AVG). Everything else stays global.
+/// parts; an Aggregate directly above such a subtree, or above a join
+/// that becomes a co-located or exchange part, is decomposed into partial
+/// aggregation where the rows are (fragments, join consumers) and a
+/// combining aggregation in the global plan (COUNT/SUM/MIN/MAX/AVG).
+/// Everything else stays global.
 StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,
     bool colocated_joins = true, bool exchange_joins = true);

@@ -4,6 +4,8 @@
 
 #include "common/logging.h"
 #include "exec/expr_eval.h"
+#include "gdh/distributed_plan.h"
+#include "storage/relation.h"
 
 namespace prisma::gdh {
 
@@ -51,6 +53,29 @@ StreamReceiver::Options ShuffleConsumerOptions(size_t index,
     };
   }
   return options;
+}
+
+StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
+                                             const algebra::Plan& plan,
+                                             const Schema& schema,
+                                             std::vector<Tuple> rows,
+                                             exec::ExprMode expr_mode,
+                                             exec::ExecMode exec_mode,
+                                             const pool::CostModel& costs) {
+  storage::Relation input(OlapInputName(), schema);
+  for (Tuple& tuple : rows) {
+    RETURN_IF_ERROR(input.Insert(std::move(tuple)).status());
+  }
+  rows.clear();
+  exec::MapTableResolver resolver;
+  resolver.Register(OlapInputName(), &input);
+  exec::ExecOptions options;
+  options.expr_mode = expr_mode;
+  options.exec_mode = exec_mode;
+  options.costs = costs;
+  options.charge = [process](sim::SimTime ns) { process->ChargeCpu(ns); };
+  exec::Executor executor(&resolver, std::move(options));
+  return executor.Execute(plan);
 }
 
 std::unique_ptr<exec::PipelinedHashJoin>
@@ -216,8 +241,20 @@ void ExchangeConsumerProcess::SendReply(Status status) {
   reply->status = std::move(status);
   reply->fragment = config_.fragment;
   if (!failed_) {
-    reply->rows = EncodeRows(*results_);
+    std::vector<Tuple> rows = std::move(*results_);
     results_->clear();
+    if (config_.post_plan != nullptr) {
+      StatusOr<std::vector<Tuple>> post = RunPlanOverRows(
+          this, *config_.post_plan, config_.join_schema, std::move(rows),
+          config_.expr_mode, config_.exec_mode, config_.costs);
+      if (post.ok()) {
+        rows = std::move(post).value();
+      } else {
+        failed_ = true;
+        reply->status = post.status();
+      }
+    }
+    if (!failed_) reply->rows = EncodeRows(rows);
   }
   reply_.Send(reply, reply->WireBits());
 }

@@ -22,8 +22,9 @@ namespace prisma::gdh {
 /// of one anchor fragment. It receives flow-controlled tuple batches from
 /// the moving side(s) of an exchange-lowered join, pipelines them into the
 /// build and probe phases of a hash join (no full-input materialization),
-/// and answers the coordinator with a normal ExecPlanReply carrying its
-/// share of the join result.
+/// runs the post-join plan (a partial aggregate) over its share of the
+/// join result if it has one, and answers the coordinator with a normal
+/// ExecPlanReply carrying those rows.
 ///
 /// Fault tolerance is the transport's (gdh/transport.h): inbound batches
 /// are seq-deduplicated per channel (duplicated or re-executed producers
@@ -57,6 +58,11 @@ class ExchangeConsumerProcess : public pool::Process {
     int build_side = 0;
     std::vector<std::pair<size_t, size_t>> keys;
     std::shared_ptr<const algebra::Expr> predicate;
+    /// ExchangeJoinSpec::post_plan, run over this consumer's join output
+    /// (schema `join_schema`) before it replies; null: reply with the
+    /// joined rows.
+    std::shared_ptr<const algebra::Plan> post_plan;
+    Schema join_schema;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
     /// Execution mode for the stationary-side local probe plan; the
     /// moving sides additionally arrive column-framed when vectorized.
@@ -126,6 +132,18 @@ StreamReceiver::Options ShuffleConsumerOptions(size_t index,
                                                uint64_t credit_window,
                                                const pool::CostModel& costs,
                                                obs::MetricsRegistry* metrics);
+
+/// Runs `plan` over `rows` materialized under OlapInputName() with
+/// `schema`, charging `process`'s PE for the operator work: the one way a
+/// shuffle consumer executes a plan over rows it received (an OLAP merge
+/// plan, an exchange join's post-join plan).
+StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
+                                             const algebra::Plan& plan,
+                                             const Schema& schema,
+                                             std::vector<Tuple> rows,
+                                             exec::ExprMode expr_mode,
+                                             exec::ExecMode exec_mode,
+                                             const pool::CostModel& costs);
 
 }  // namespace prisma::gdh
 

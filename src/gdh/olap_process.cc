@@ -3,7 +3,6 @@
 #include <any>
 
 #include "common/logging.h"
-#include "gdh/distributed_plan.h"
 #include "gdh/exchange_process.h"
 
 namespace prisma::gdh {
@@ -71,26 +70,12 @@ void OlapMergeProcess::Pump() {
 }
 
 void OlapMergeProcess::RunMerge() {
-  // Materialize the shuffled-in slice under the sentinel input name and
-  // run the merge plan over it (combining aggregation / slice sort).
-  storage::Relation input(OlapInputName(), config_.input_schema);
-  for (Tuple& tuple : *rows_) {
-    StatusOr<storage::RowId> row = input.Insert(std::move(tuple));
-    if (!row.ok()) {
-      SendReply(row.status());
-      return;
-    }
-  }
+  // The shuffled-in slice is the merge plan's input (combining
+  // aggregation / slice sort).
+  StatusOr<std::vector<Tuple>> result = RunPlanOverRows(
+      this, *config_.merge_plan, config_.input_schema, std::move(*rows_),
+      config_.expr_mode, config_.exec_mode, config_.costs);
   rows_->clear();
-  exec::MapTableResolver resolver;
-  resolver.Register(OlapInputName(), &input);
-  exec::ExecOptions options;
-  options.expr_mode = config_.expr_mode;
-  options.exec_mode = config_.exec_mode;
-  options.costs = config_.costs;
-  options.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  exec::Executor executor(&resolver, std::move(options));
-  StatusOr<std::vector<Tuple>> result = executor.Execute(*config_.merge_plan);
   if (!result.ok()) {
     SendReply(result.status());
     return;

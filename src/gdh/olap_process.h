@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
-#include "storage/relation.h"
 
 namespace prisma::gdh {
 

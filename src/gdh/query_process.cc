@@ -678,6 +678,8 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.build_side = ex.build_side;
     cc.keys = ex.keys;
     cc.predicate = ex.predicate;
+    cc.post_plan = ex.post_plan;
+    cc.join_schema = ex.schema;
     cc.expr_mode = config_.expr_mode;
     cc.exec_mode = config_.exec_mode;
     cc.costs = config_.costs;

@@ -87,7 +87,8 @@ Runtime::Runtime(sim::Simulator* sim, net::Network* network, CostModel costs)
       costs_(costs),
       pe_cpu_free_at_(network->topology().num_nodes(), 0),
       disks_(network->topology().num_nodes()),
-      pe_busy_ns_(network->topology().num_nodes(), 0) {
+      pe_busy_ns_(network->topology().num_nodes(), 0),
+      pe_epoch_(network->topology().num_nodes(), 0) {
   // All process mail travels as net::Message payloads; one receiver per PE
   // dispatches to the addressed process.
   const int n = network_->topology().num_nodes();
@@ -158,6 +159,7 @@ size_t Runtime::CrashPe(net::NodeId pe) {
   }
   for (const ProcessId id : victims) Kill(id);
   if (Disk* device = disks_[pe].get()) device->Crash();
+  ++pe_epoch_[pe];
   ++pe_crashes_;
   if (metrics_ != nullptr) {
     metrics_->GetCounter("pe.crashes", {{"pe", std::to_string(pe)}})
@@ -244,6 +246,7 @@ void Runtime::ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
     return;
   }
   PRISMA_CHECK(!in_handler_) << "nested handler execution";
+  const uint64_t epoch = pe_epoch_[pe];
   in_handler_ = true;
   handler_charged_ns_ = 0;
   deferred_sends_.clear();
@@ -273,7 +276,15 @@ void Runtime::ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
   }
   if (sends.empty()) return;
   auto release = std::make_shared<std::vector<Mail>>(std::move(sends));
-  sim_->Schedule(charged, [this, release]() {
+  sim_->Schedule(charged, [this, pe, epoch, release]() {
+    if (pe_epoch_[pe] != epoch) {
+      // The PE crashed before the handler's charged work completed: its
+      // output never left. (A process that merely killed itself still
+      // sends: only the crash takes the CPU's pending work with it.)
+      dropped_mail_ += release->size();
+      if (m_dropped_ != nullptr) m_dropped_->Increment(release->size());
+      return;
+    }
     for (Mail& m : *release) {
       DispatchMail(std::make_shared<Mail>(std::move(m)));
     }

@@ -167,8 +167,10 @@ class Runtime {
 
   /// Crashes a whole PE: every process hosted there dies instantly (its
   /// volatile state is lost, and so is every disk write that has not
-  /// landed; stable storage survives). Counts the crash under
-  /// pe.crashes{pe}. Returns the number of processes killed.
+  /// landed; stable storage survives). Mail sent by a handler whose
+  /// charged CPU had not completed never leaves (counted as dropped).
+  /// Counts the crash under pe.crashes{pe}. Returns the number of
+  /// processes killed.
   size_t CrashPe(net::NodeId pe);
 
   /// Equips PE `pe` with a disk over `store` (paper §3.2: some PEs have
@@ -235,6 +237,9 @@ class Runtime {
   std::vector<sim::SimTime> pe_cpu_free_at_;
   std::vector<std::unique_ptr<Disk>> disks_;  // Indexed by PE; null = none.
   std::vector<sim::SimTime> pe_busy_ns_;
+  /// Per-PE crash count: a handler's deferred sends are released only if
+  /// its PE has not crashed since the handler started.
+  std::vector<uint64_t> pe_epoch_;
 
   // State of the handler currently executing (nullptr outside handlers).
   bool in_handler_ = false;

@@ -66,13 +66,16 @@ struct OrderItem {
 };
 
 /// SELECT [DISTINCT] items FROM refs [WHERE w] [GROUP BY g,...]
-/// [ORDER BY o,...] [LIMIT n]
+/// [HAVING h] [ORDER BY o,...] [LIMIT n]
 struct SelectStmt {
   bool distinct = false;
   std::vector<SelectItem> items;
   std::vector<TableRef> from;
   std::unique_ptr<SqlExpr> where;
   std::vector<std::unique_ptr<SqlExpr>> group_by;
+  /// Filters the aggregated rows. It names select outputs (by alias or
+  /// derived name); an aggregate call must repeat a select item.
+  std::unique_ptr<SqlExpr> having;
   std::vector<OrderItem> order_by;
   std::optional<uint64_t> limit;
 };

@@ -23,24 +23,47 @@ using algebra::SelectPlan;
 using algebra::SortKey;
 using algebra::SortPlan;
 
+/// Output column name for an item without an explicit alias.
+std::string DeriveName(const SqlExpr& e) {
+  if (e.kind == SqlExpr::Kind::kColumn) {
+    const size_t dot = e.name.rfind('.');
+    return dot == std::string::npos ? e.name : e.name.substr(dot + 1);
+  }
+  if (e.kind == SqlExpr::Kind::kFuncCall) {
+    return e.name + "(" + (e.left ? e.left->ToString() : "*") + ")";
+  }
+  return e.ToString();
+}
+
 /// Lowers a surface expression to an algebra expression. Aggregate calls
-/// are rejected here; the SELECT binder peels them off beforehand.
-StatusOr<std::unique_ptr<Expr>> Lower(const SqlExpr& e) {
+/// are rejected here (the SELECT binder peels them off beforehand), except
+/// in a HAVING predicate over `outputs`: there a call that repeats a
+/// select item names that item's output column.
+StatusOr<std::unique_ptr<Expr>> Lower(const SqlExpr& e,
+                                      const SelectStmt* outputs = nullptr) {
   switch (e.kind) {
     case SqlExpr::Kind::kLiteral:
       return Expr::Literal(e.literal);
     case SqlExpr::Kind::kColumn:
       return Expr::ColumnRef(e.name);
     case SqlExpr::Kind::kUnary: {
-      ASSIGN_OR_RETURN(auto operand, Lower(*e.left));
+      ASSIGN_OR_RETURN(auto operand, Lower(*e.left, outputs));
       return Expr::Unary(e.unary_op, std::move(operand));
     }
     case SqlExpr::Kind::kBinary: {
-      ASSIGN_OR_RETURN(auto l, Lower(*e.left));
-      ASSIGN_OR_RETURN(auto r, Lower(*e.right));
+      ASSIGN_OR_RETURN(auto l, Lower(*e.left, outputs));
+      ASSIGN_OR_RETURN(auto r, Lower(*e.right, outputs));
       return Expr::Binary(e.binary_op, std::move(l), std::move(r));
     }
     case SqlExpr::Kind::kFuncCall:
+      if (outputs != nullptr) {
+        for (const SelectItem& item : outputs->items) {
+          if (!item.star && item.expr->ToString() == e.ToString()) {
+            return Expr::ColumnRef(item.alias.empty() ? DeriveName(*item.expr)
+                                                      : item.alias);
+          }
+        }
+      }
       return InvalidArgumentError(
           "aggregate " + e.name +
           "() is only allowed as a direct select item");
@@ -55,18 +78,6 @@ StatusOr<AggFunc> AggFuncByName(const std::string& name) {
   if (name == "max") return AggFunc::kMax;
   if (name == "avg") return AggFunc::kAvg;
   return InvalidArgumentError("unknown function " + name);
-}
-
-/// Output column name for an item without an explicit alias.
-std::string DeriveName(const SqlExpr& e) {
-  if (e.kind == SqlExpr::Kind::kColumn) {
-    const size_t dot = e.name.rfind('.');
-    return dot == std::string::npos ? e.name : e.name.substr(dot + 1);
-  }
-  if (e.kind == SqlExpr::Kind::kFuncCall) {
-    return e.name + "(" + (e.left ? e.left->ToString() : "*") + ")";
-  }
-  return e.ToString();
 }
 
 /// Builds the FROM subtree: scans qualified by alias, chained with joins.
@@ -180,7 +191,15 @@ StatusOr<std::unique_ptr<Plan>> BindSelect(const SelectStmt& stmt,
     }
     ASSIGN_OR_RETURN(plan, ProjectPlan::Create(std::move(plan),
                                                std::move(proj), names));
+    if (stmt.having != nullptr) {
+      ASSIGN_OR_RETURN(auto predicate, Lower(*stmt.having, &stmt));
+      ASSIGN_OR_RETURN(plan, SelectPlan::Create(std::move(plan),
+                                                std::move(predicate)));
+    }
   } else {
+    if (stmt.having != nullptr) {
+      return InvalidArgumentError("HAVING needs GROUP BY or an aggregate");
+    }
     // Plain projection; star expands the child schema.
     std::vector<std::unique_ptr<Expr>> proj;
     std::vector<std::string> names;

@@ -181,9 +181,10 @@ StatusOr<std::unique_ptr<SelectStmt>> Parser::ParseSelect() {
     ASSIGN_OR_RETURN(ref.table, ExpectIdentifier());
     // Optional alias (an identifier that is not a clause keyword).
     if (Peek().kind == TokenKind::kIdentifier && !Peek().IsKeyword("WHERE") &&
-        !Peek().IsKeyword("GROUP") && !Peek().IsKeyword("ORDER") &&
-        !Peek().IsKeyword("LIMIT") && !Peek().IsKeyword("JOIN") &&
-        !Peek().IsKeyword("INNER") && !Peek().IsKeyword("ON")) {
+        !Peek().IsKeyword("GROUP") && !Peek().IsKeyword("HAVING") &&
+        !Peek().IsKeyword("ORDER") && !Peek().IsKeyword("LIMIT") &&
+        !Peek().IsKeyword("JOIN") && !Peek().IsKeyword("INNER") &&
+        !Peek().IsKeyword("ON")) {
       ASSIGN_OR_RETURN(ref.alias, ExpectIdentifier());
     }
     if (ref.alias.empty()) ref.alias = ref.table;
@@ -218,6 +219,9 @@ StatusOr<std::unique_ptr<SelectStmt>> Parser::ParseSelect() {
       ASSIGN_OR_RETURN(auto g, ParseExpr());
       select->group_by.push_back(std::move(g));
     } while (TrySymbol(","));
+  }
+  if (TryKeyword("HAVING")) {
+    ASSIGN_OR_RETURN(select->having, ParseExpr());
   }
   if (TryKeyword("ORDER")) {
     RETURN_IF_ERROR(ExpectKeyword("BY"));

@@ -430,6 +430,60 @@ TEST_F(PrismaDbTest, ExplainDescribesTheDistributedPlan) {
   EXPECT_FALSE(db_.Execute("EXPLAIN INSERT INTO emp VALUES (1,'x',2)").ok());
 }
 
+TEST_F(PrismaDbTest, ExplainShowsAJoinPartPreAggregating) {
+  // dept_info is fragmented on the join key and emp is not: the join
+  // lowers to an exchange part.
+  auto load = [](PrismaDb& db) {
+    for (const char* sql :
+         {"CREATE TABLE emp (id INT, dept STRING, salary INT) "
+          "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS",
+          "CREATE TABLE dept_info (dept STRING, floor INT) "
+          "FRAGMENTED BY HASH(dept) INTO 2 FRAGMENTS",
+          "INSERT INTO emp VALUES (1, 'eng', 10), (2, 'hr', 20), "
+          "(3, 'eng', 30), (4, 'ops', 40)",
+          "INSERT INTO dept_info VALUES ('eng', 1), ('hr', 2), ('ops', 2)"}) {
+      PRISMA_CHECK(db.Execute(sql).ok()) << sql;
+    }
+  };
+  // The plan's lines, and the first line inside the exchange part.
+  auto explain = [](PrismaDb& db, std::string* part_top) {
+    auto plan = db.Execute(
+        "EXPLAIN SELECT d.floor, COUNT(*) AS n, SUM(e.salary) AS s "
+        "FROM emp e JOIN dept_info d ON e.dept = d.dept GROUP BY d.floor");
+    PRISMA_CHECK(plan.ok()) << plan.status().ToString();
+    std::string text;
+    for (size_t i = 0; i < plan->tuples.size(); ++i) {
+      const std::string& line = plan->tuples[i].at(0).string_value();
+      text += line + "\n";
+      if (line.find("(exchange join emp x dept_info") != std::string::npos &&
+          i + 1 < plan->tuples.size()) {
+        *part_top = plan->tuples[i + 1].at(0).string_value();
+      }
+    }
+    return text;
+  };
+
+  load(db_);
+  std::string part_top;
+  const std::string pushed = explain(db_, &part_top);
+  EXPECT_NE(pushed.find("aggregate pushdown: yes"), std::string::npos)
+      << pushed;
+  EXPECT_NE(pushed.find("exchange joins: 1"), std::string::npos) << pushed;
+  // The partial aggregate runs inside the part, over the join; the
+  // coordinator only combines.
+  EXPECT_EQ(part_top.rfind("  Aggregate", 0), 0u) << pushed;
+
+  // With the rule off, the part is the raw join again.
+  MachineConfig config = SmallMachine();
+  config.rules.aggregate_pushdown = false;
+  PrismaDb raw_db(config);
+  load(raw_db);
+  part_top.clear();
+  const std::string raw = explain(raw_db, &part_top);
+  EXPECT_NE(raw.find("aggregate pushdown: no"), std::string::npos) << raw;
+  EXPECT_EQ(part_top.rfind("  Join", 0), 0u) << raw;
+}
+
 TEST_F(PrismaDbTest, CheckpointTruncatesWalsAndRecoveryStillWorks) {
   MakeEmp(2, 30);
   // WAL bytes exist before the checkpoint...

@@ -6,7 +6,10 @@
 // of tests pins the acceptance criteria of the lowering itself: the
 // canonical group-by gathers zero base tuples, its wire cost stays
 // strictly below the base-tuple gather baseline, and the EXPLAIN output
-// names the chosen stage structure.
+// names the chosen stage structure. A third family checks aggregates
+// pushed onto join parts: every exchange strategy and a co-located join
+// pre-aggregate where the join lands, against the single-fragment
+// reference and the raw-row gather (aggregate_pushdown off).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "gdh/messages.h"
+#include "sim/simulator.h"
 #include "soak_repro.h"
 
 namespace prisma::core {
@@ -167,6 +171,205 @@ TEST(OlapDiffTest, SeededWorkloadsHigh) {
   for (const uint64_t seed : SoakSeeds(35, 50)) {
     PRISMA_SEED_REPRO("OlapDiffTest.SeededWorkloadsHigh", seed);
     CheckSeed(seed);
+  }
+}
+
+// ------------------------------------------- Aggregates over join parts
+
+/// a(id, k, g, v) joins b(k, tag, w) on k. Some a.k are NULL or match
+/// nothing, and some b.tag are NULL (a NULL group). Values stay small and
+/// integral so every SUM/AVG is exact in any combine order.
+std::vector<std::string> JoinInserts(uint64_t seed, int a_rows, int b_rows) {
+  constexpr int kKeys = 12;
+  Rng rng(seed * 0x2545f491u + 7);
+  std::string a = "INSERT INTO a VALUES ";
+  for (int i = 0; i < a_rows; ++i) {
+    if (i > 0) a += ", ";
+    const std::string k = rng.Uniform(10) == 0
+                              ? std::string("NULL")
+                              : std::to_string(rng.Uniform(kKeys + 3));
+    a += StrFormat("(%d, %s, %d, %d)", i, k.c_str(),
+                   static_cast<int>(rng.Uniform(3)),
+                   static_cast<int>(rng.UniformInt(0, 200)));
+  }
+  std::string b = "INSERT INTO b VALUES ";
+  for (int i = 0; i < b_rows; ++i) {
+    if (i > 0) b += ", ";
+    const int tag = rng.Uniform(5) == 0 ? -1
+                                         : static_cast<int>(rng.Uniform(4));
+    const std::string tag_sql =
+        tag < 0 ? std::string("NULL") : StrFormat("'t%d'", tag);
+    b += StrFormat("(%d, %s, %d)", i % kKeys, tag_sql.c_str(),
+                   static_cast<int>(rng.UniformInt(0, 200)));
+  }
+  return {a, b};
+}
+
+/// One way the join can land. Row counts are fixed per shape: the
+/// splitter picks the exchange strategy from dictionary cardinalities.
+struct JoinShape {
+  const char* expect;    // What EXPLAIN names the join part.
+  const char* a_layout;  // FRAGMENTED BY clause of a ("" = one fragment).
+  const char* b_layout;
+  int a_rows;
+  int b_rows;
+  bool b_left;  // FROM b JOIN a instead of FROM a JOIN b.
+};
+constexpr int kJoinFragments = 3;
+const JoinShape kJoinShapes[] = {
+    {"shuffle-left", "HASH(id)", "HASH(k)", 60, 30, false},
+    {"shuffle-right", "HASH(id)", "HASH(k)", 60, 30, true},
+    {"broadcast-right", "HASH(id)", "", 60, 8, false},
+    {"broadcast-left", "HASH(id)", "", 60, 8, true},
+    {"shuffle-both", "HASH(id)", "HASH(w)", 60, 40, false},
+    {"co-located join", "HASH(k)", "HASH(k)", 60, 30, false},
+};
+
+/// Join-aggregate statements; `%s` is the FROM clause. `groups` bounds
+/// the distinct group keys (4 tags + NULL, 3 g values, or one scalar row).
+struct JoinQuery {
+  const char* sql;
+  uint64_t groups;
+};
+const JoinQuery kJoinQueries[] = {
+    {"SELECT b.tag, COUNT(*) AS n, SUM(a.v) AS s, MIN(a.v) AS lo, "
+     "MAX(b.w) AS hi, AVG(a.v) AS mean FROM %s GROUP BY b.tag ORDER BY tag",
+     5},
+    {"SELECT COUNT(*) AS n, SUM(a.v) AS s, MIN(b.w) AS lo, AVG(b.w) AS m "
+     "FROM %s",
+     1},
+    {"SELECT a.g, COUNT(*) AS n, SUM(b.w) AS s FROM %s GROUP BY a.g "
+     "HAVING n > 3 ORDER BY g",
+     3},
+    {"SELECT b.tag, COUNT(*) AS n, MAX(a.v) AS hi FROM %s AND a.v > b.w "
+     "GROUP BY b.tag ORDER BY tag",
+     5},
+    {"SELECT b.tag, COUNT(*) AS n FROM %s WHERE a.v < 0 GROUP BY b.tag "
+     "ORDER BY tag",
+     5},
+    {"SELECT COUNT(*) AS n, SUM(a.v) AS s, AVG(a.v) AS m FROM %s "
+     "WHERE a.v < 0",
+     1},
+};
+
+struct JoinAnswer {
+  std::string rendered;
+  uint64_t gathered = 0;  // query.tuples_gathered of the statement.
+};
+
+/// Runs one statement to its reply, then drains the machine. The event
+/// queue must end empty, and nothing may fire long after the reply: a
+/// timer left armed would go off at its (seconds-long) timeout.
+JoinAnswer RunJoinStatement(PrismaDb& db, const std::string& sql) {
+  const uint64_t gathered0 = db.metrics().CounterTotal("query.tuples_gathered");
+  bool replied = false;
+  Status status;
+  sim::SimTime replied_at = 0;
+  JoinAnswer answer;
+  db.Submit(sql, /*prismalog=*/false, exec::kAutoCommit,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              replied = true;
+              status = reply.status;
+              replied_at = db.simulator().now();
+              if (reply.tuples == nullptr) return;
+              for (const Tuple& t : *reply.tuples) {
+                answer.rendered += t.ToString() + "\n";
+              }
+            });
+  db.Run();
+  PRISMA_CHECK(replied && status.ok()) << sql << ": " << status.ToString();
+  EXPECT_EQ(db.simulator().pending(), 0u) << sql;
+  EXPECT_LT(db.simulator().now() - replied_at, sim::kNanosPerSecond) << sql;
+  answer.gathered =
+      db.metrics().CounterTotal("query.tuples_gathered") - gathered0;
+  return answer;
+}
+
+std::string JoinFrom(const JoinShape& shape) {
+  return shape.b_left ? "b JOIN a ON b.k = a.k" : "a JOIN b ON a.k = b.k";
+}
+
+/// Loads a and b (`fragments` = false: both unfragmented) and runs every
+/// join query on one machine configuration.
+std::vector<JoinAnswer> RunJoinWorkload(uint64_t seed, const JoinShape& shape,
+                                        bool fragments, exec::ExecMode mode,
+                                        bool pushdown) {
+  MachineConfig config;
+  config.pes = 8;
+  config.exec_mode = mode;
+  config.rules.aggregate_pushdown = pushdown;
+  if (!fragments) {
+    // The reference joins and aggregates at the coordinator only.
+    config.rules.colocated_joins = false;
+    config.rules.exchange_joins = false;
+  }
+  PrismaDb db(config);
+  auto layout = [&](const char* clause) {
+    return fragments && clause[0] != '\0'
+               ? StrFormat(" FRAGMENTED BY %s INTO %d FRAGMENTS", clause,
+                           kJoinFragments)
+               : std::string();
+  };
+  MustExecute(db, "CREATE TABLE a (id INT, k INT, g INT, v INT)" +
+                      layout(shape.a_layout));
+  MustExecute(db, "CREATE TABLE b (k INT, tag STRING, w INT)" +
+                      layout(shape.b_layout));
+  for (const std::string& insert :
+       JoinInserts(seed, shape.a_rows, shape.b_rows)) {
+    MustExecute(db, insert);
+  }
+  const std::string from = JoinFrom(shape);
+  if (fragments) {
+    // The join lands where the shape says, and the rule is in force.
+    const QueryResult plan = MustExecute(
+        db, "EXPLAIN " + StrFormat(kJoinQueries[0].sql, from.c_str()));
+    std::string text;
+    for (const Tuple& t : plan.tuples) text += t.ToString() + "\n";
+    EXPECT_NE(text.find(shape.expect), std::string::npos) << text;
+    EXPECT_NE(text.find(pushdown ? "aggregate pushdown: yes"
+                                 : "aggregate pushdown: no"),
+              std::string::npos)
+        << text;
+  }
+  std::vector<JoinAnswer> answers;
+  for (const JoinQuery& q : kJoinQueries) {
+    answers.push_back(RunJoinStatement(db, StrFormat(q.sql, from.c_str())));
+  }
+  return answers;
+}
+
+void CheckJoinSeed(uint64_t seed) {
+  for (const JoinShape& shape : kJoinShapes) {
+    SCOPED_TRACE(shape.expect);
+    const std::vector<JoinAnswer> reference = RunJoinWorkload(
+        seed, shape, /*fragments=*/false, exec::ExecMode::kRow, true);
+    for (const exec::ExecMode mode :
+         {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
+      SCOPED_TRACE(mode == exec::ExecMode::kRow ? "row" : "vectorized");
+      const std::vector<JoinAnswer> pushed =
+          RunJoinWorkload(seed, shape, true, mode, /*pushdown=*/true);
+      const std::vector<JoinAnswer> raw =
+          RunJoinWorkload(seed, shape, true, mode, /*pushdown=*/false);
+      for (size_t q = 0; q < std::size(kJoinQueries); ++q) {
+        SCOPED_TRACE(kJoinQueries[q].sql);
+        EXPECT_EQ(reference[q].rendered, pushed[q].rendered);
+        EXPECT_EQ(reference[q].rendered, raw[q].rendered);
+        // Each consumer (or fragment pair) ships at most one partial row
+        // per group, and a grouped partial never more than its join rows.
+        EXPECT_LE(pushed[q].gathered, kJoinFragments * kJoinQueries[q].groups);
+        if (kJoinQueries[q].groups > 1) {
+          EXPECT_LE(pushed[q].gathered, raw[q].gathered);
+        }
+      }
+    }
+  }
+}
+
+TEST(OlapDiffTest, JoinAggregatesPreAggregateWhereTheJoinLands) {
+  for (const uint64_t seed : SoakSeeds(1, 4)) {
+    PRISMA_SEED_REPRO(
+        "OlapDiffTest.JoinAggregatesPreAggregateWhereTheJoinLands", seed);
+    CheckJoinSeed(seed);
   }
 }
 

@@ -241,6 +241,71 @@ TEST_F(PoolTest, CrashPeKillsEveryProcessOnThatPeOnly) {
   EXPECT_EQ(survivor->kinds.size(), 1u);
 }
 
+/// Charges CPU, then answers the sender; optionally kills itself after
+/// sending. `handled` outlives the process (a crash destroys it).
+class SlowReplier : public Process {
+ public:
+  SlowReplier(bool* handled, bool kill_self)
+      : handled_(handled), kill_self_(kill_self) {}
+  void OnMail(const Mail& mail) override {
+    *handled_ = true;
+    ChargeCpu(5 * sim::kNanosPerMilli);
+    SendMail(mail.from, "done", {}, 256);
+    if (kill_self_) runtime()->Kill(self());
+  }
+
+ private:
+  bool* handled_;
+  bool kill_self_;
+};
+
+/// Sends one "work" request on start and records the answer.
+class Requester : public Process {
+ public:
+  explicit Requester(ProcessId worker) : worker_(worker) {}
+  void OnStart() override { SendMail(worker_, "work", {}, 256); }
+  void OnMail(const Mail& mail) override {
+    if (mail.kind == "done") ++answers;
+  }
+  int answers = 0;
+
+ private:
+  ProcessId worker_;
+};
+
+TEST_F(PoolTest, CrashMidHandlerDropsTheHandlersSends) {
+  bool handled = false;
+  const ProcessId worker = runtime_.Spawn(
+      3, std::make_unique<SlowReplier>(&handled, /*kill_self=*/false));
+  auto requester = std::make_unique<Requester>(worker);
+  Requester* r = requester.get();
+  runtime_.Spawn(0, std::move(requester));
+  while (!handled) ASSERT_TRUE(sim_.Step()) << "the request never arrived";
+  // The handler ran and its 5 ms of charged work is still in progress:
+  // the crash takes that work, and the reply it would have released.
+  const sim::SimTime crashed_at = sim_.now();
+  const uint64_t dropped_before = runtime_.dropped_mail();
+  runtime_.CrashPe(3);
+  sim_.Run();
+  EXPECT_GT(sim_.now(), crashed_at);
+  EXPECT_EQ(r->answers, 0);
+  EXPECT_EQ(runtime_.dropped_mail(), dropped_before + 1);
+}
+
+TEST_F(PoolTest, ProcessThatKillsItselfAfterSendingStillDelivers) {
+  bool handled = false;
+  const ProcessId worker = runtime_.Spawn(
+      3, std::make_unique<SlowReplier>(&handled, /*kill_self=*/true));
+  auto requester = std::make_unique<Requester>(worker);
+  Requester* r = requester.get();
+  runtime_.Spawn(0, std::move(requester));
+  sim_.Run();
+  ASSERT_TRUE(handled);
+  EXPECT_FALSE(runtime_.IsAlive(worker));
+  EXPECT_EQ(r->answers, 1);
+  EXPECT_EQ(runtime_.dropped_mail(), 0u);
+}
+
 // ------------------------------------------------- Ownership checker
 
 /// Captures ownership violations instead of aborting, restoring the

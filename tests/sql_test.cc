@@ -310,6 +310,28 @@ TEST_F(BinderTest, GrandAggregateWithoutGroupBy) {
   EXPECT_EQ(out->front().at(1), Value::Int(900));
 }
 
+TEST_F(BinderTest, HavingFiltersAggregatedRows) {
+  // eng sums 2500, sales 2000; both have 5 rows.
+  auto out = Query(
+      "SELECT dept, SUM(salary) AS total FROM emp GROUP BY dept "
+      "HAVING total > 2200");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ(out->front().at(0), Value::String("eng"));
+  // An aggregate call that repeats a select item names its output.
+  out = Query(
+      "SELECT dept, COUNT(*) FROM emp GROUP BY dept "
+      "HAVING COUNT(*) >= 5 AND dept <> 'eng' ORDER BY dept");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ(out->front().at(0), Value::String("sales"));
+  // Without aggregation, or with an aggregate the select list lacks.
+  EXPECT_FALSE(Query("SELECT id FROM emp HAVING id > 1").ok());
+  EXPECT_FALSE(Query("SELECT dept, COUNT(*) FROM emp GROUP BY dept "
+                     "HAVING SUM(salary) > 1")
+                   .ok());
+}
+
 TEST_F(BinderTest, DistinctAndOrderBy) {
   auto out = Query("SELECT DISTINCT dept FROM emp ORDER BY dept DESC");
   ASSERT_TRUE(out.ok());
