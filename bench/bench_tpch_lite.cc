@@ -4,17 +4,18 @@
 // Harness: a scaled-down TPC-H-shaped schema (lineitem / orders /
 // customer, integral values so every aggregate is exact) on machines of
 // increasing PE count, running eight analytic queries twice per machine
-// shape — once with the multi-stage OLAP lowering (pre-aggregate +
-// shuffle-by-key group-bys, sample-based range-partitioned sorts) and
-// once on the gather baseline (distributed_olap and aggregate_pushdown
-// off: the coordinator pulls base tuples and does everything itself).
+// shape — once with the OLAP lowering (pre-aggregate + shuffle-by-key
+// group-bys, sorts as per-fragment sorted runs merged at the coordinator,
+// Top-N under LIMIT) and once on the gather baseline (distributed_olap
+// and aggregate_pushdown off: the coordinator pulls base tuples and does
+// everything itself).
 // Every answer is self-checked byte-for-byte against a single-fragment
 // reference machine before any number is reported.
 //
 // Each machine shape also runs q5 with the coordinator pinned to the PE
 // nearest the client and to the PE farthest from it: the spread is what
-// result delivery (DESIGN.md §15.5) costs per hop, and --smoke gates it
-// below one serialization of the result.
+// result delivery (DESIGN.md §15.5) costs per hop, gated below one
+// serialization of the result at every PE count.
 //
 // Emits BENCH_tpch_lite.json — per-PE-count, per-query response times
 // and wire volumes for both strategies, plus the q5 coordinator spread —
@@ -193,7 +194,8 @@ struct QueryMeasure {
 /// q5 with the coordinator pinned to the PE nearest the client (PE 0
 /// hosts it) and to the PE farthest from it. A store-and-forward reply
 /// pays one full serialization of the result per extra hop; frame trains
-/// and slice forwarding (DESIGN.md §15.5) pipeline those hops.
+/// fed by the merge of the sorted runs (DESIGN.md §15.5) pipeline those
+/// hops.
 struct SpreadMeasure {
   int near_pe = 0;
   int far_pe = 0;
@@ -213,6 +215,8 @@ struct SweepCell {
 
 /// Runs all queries on one machine shape; `lowered` picks the strategy.
 /// Answers are checked against `reference` (the single-fragment run).
+/// Lowered runs also check the sorts' shape: q5 and q6 (its LIMIT inside
+/// every fragment's run) are lowered to sorted runs.
 void RunShape(int pes, int fragments, bool lowered,
               const std::vector<std::string>& reference,
               QueryMeasure* measures) {
@@ -249,10 +253,21 @@ void RunShape(int pes, int fragments, bool lowered,
         db.metrics().CounterTotal("exchange.wire_bits") - exchange0;
   }
   if (lowered) {
+    for (const size_t q : {size_t{4}, size_t{5}}) {
+      std::string plan;
+      for (const Tuple& t :
+           MustExecute(db, std::string("EXPLAIN ") + kQueries[q].sql).tuples) {
+        plan += t.ToString() + "\n";
+      }
+      PRISMA_CHECK(plan.find("sorted runs over") != std::string::npos &&
+                   (q != 5 || plan.find("Limit 10") != std::string::npos))
+          << kQueries[q].name << " was not lowered to sorted runs at pes="
+          << pes << ":\n"
+          << plan;
+    }
     prisma::bench::PrintCounterSeries(
         db.metrics(), {"olap.parts", "olap.shuffle_bits", "olap.gather_bits",
-                       "olap.sample_rows", "exchange.batches_sent",
-                       "query.tuples_gathered"});
+                       "exchange.batches_sent", "query.tuples_gathered"});
   }
 }
 
@@ -333,13 +348,20 @@ int main(int argc, char** argv) {
     }
     sweep.push_back(cell);
 
-    // Contract: the pure group-bys and sorts (q1..q6) all took the
-    // multi-stage path, and the canonical group-by (q1) moved strictly
-    // fewer wire bits than its base-tuple gather baseline.
+    // Contract: the pure group-bys (q1..q4) took the multi-stage path
+    // and the sorts (q5, q6) were lowered to sorted runs (RunShape checks
+    // their plans), and the canonical group-by (q1) moved strictly fewer
+    // wire bits than its base-tuple gather baseline.
     for (size_t q = 0; q < 6; ++q) {
       PRISMA_CHECK(cell.olap[q].olap_parts > 0)
           << kQueries[q].name << " was not lowered at pes=" << pes;
     }
+    // Top-N: every fragment ships at most q6's LIMIT 10 rows.
+    constexpr size_t kQ6 = 5;
+    PRISMA_CHECK(cell.olap[kQ6].tuples_gathered <=
+                 10 * static_cast<uint64_t>(cell.fragments))
+        << "q6 gathered " << cell.olap[kQ6].tuples_gathered
+        << " rows at pes=" << pes;
     PRISMA_CHECK(cell.olap[0].shuffle_bits + cell.olap[0].olap_gather_bits <
                  cell.gather[0].gather_bits)
         << "q1 wire bits not below the gather baseline at pes=" << pes;
@@ -363,14 +385,12 @@ int main(int argc, char** argv) {
                 "spread %.3f ms, one result serialization %.3f ms\n",
                 spread.near_pe, spread.near_ms, spread.far_pe, spread.far_ms,
                 spread.spread_ms(), spread.serialization_ms);
-    if (smoke) {
-      // Gate: the coordinator's hop distance to the client may not cost
-      // a full extra serialization of the result.
-      PRISMA_CHECK(spread.spread_ms() < spread.serialization_ms)
-          << "q5 coordinator spread " << spread.spread_ms()
-          << " ms is not below one result serialization ("
-          << spread.serialization_ms << " ms) at pes=" << pes;
-    }
+    // Gate: the coordinator's hop distance to the client may not cost a
+    // full extra serialization of the result.
+    PRISMA_CHECK(spread.spread_ms() < spread.serialization_ms)
+        << "q5 coordinator spread " << spread.spread_ms()
+        << " ms is not below one result serialization ("
+        << spread.serialization_ms << " ms) at pes=" << pes;
   }
 
   // JSON trajectory artifact.

@@ -547,8 +547,7 @@ std::unique_ptr<Plan> ExchangePlan::Clone() const {
 
 std::string ExchangePlan::SelfString() const {
   if (mode_ == Mode::kBroadcast) return "Exchange broadcast";
-  std::string out =
-      mode_ == Mode::kRange ? "Exchange range(" : "Exchange hash(";
+  std::string out = "Exchange hash(";
   for (size_t i = 0; i < keys_.size(); ++i) {
     if (i > 0) out += ", ";
     out += schema_.column(keys_[i]).name;

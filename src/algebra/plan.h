@@ -317,17 +317,16 @@ class TransitiveClosurePlan : public Plan {
 /// Exchange: the dataflow repartitioning operator of the streaming
 /// exchange layer (DESIGN.md §10, §14). Marks the point in a distributed
 /// plan where the child's tuple stream leaves its producing PE: hash-
-/// partitioned on key columns across the consumer fragments, broadcast
-/// to all of them, or range-partitioned on sampled key boundaries (the
-/// distributed-sort shuffle of DESIGN.md §14.3). The schema is unchanged
+/// partitioned on key columns across the consumer fragments, or
+/// broadcast to all of them. The schema is unchanged
 /// — Exchange moves tuples, it never transforms them — so local
 /// executors treat it as a pass-through; the actual batching/flow
 /// control happens in the mail layer.
 class ExchangePlan : public Plan {
  public:
-  enum class Mode : uint8_t { kHashPartition, kBroadcast, kRange };
+  enum class Mode : uint8_t { kHashPartition, kBroadcast };
 
-  /// `keys` are columns of the child schema (hash/range modes; empty for
+  /// `keys` are columns of the child schema (hash mode; empty for
   /// broadcast).
   static std::unique_ptr<ExchangePlan> Create(std::unique_ptr<Plan> child,
                                               Mode mode,

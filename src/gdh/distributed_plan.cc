@@ -1,6 +1,7 @@
 #include "gdh/distributed_plan.h"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -610,18 +611,17 @@ StatusOr<std::unique_ptr<Plan>> TryJoinAggregatePushdown(
       ScanPlan::Create(PartName(out->parts.size() - 1), partial_schema));
 }
 
-/// Registers a multi-stage OLAP part and returns its global replacement
-/// scan. The display plan is the merge plan with its input scan replaced
-/// by an Exchange over the producer.
+/// Registers a multi-stage OLAP group-by part and returns its global
+/// replacement scan. The display plan is the merge plan with its input
+/// scan replaced by an Exchange over the producer.
 std::unique_ptr<Plan> MakeOlapPart(std::shared_ptr<OlapSpec> spec,
                                    std::unique_ptr<Plan> producer,
                                    std::unique_ptr<Plan> merge,
-                                   algebra::ExchangePlan::Mode mode,
-                                   std::vector<size_t> exchange_keys,
                                    DistributedPlan* out) {
   spec->schema = merge->schema();
   std::unique_ptr<Plan> marked = algebra::ExchangePlan::Create(
-      producer->Clone(), mode, std::move(exchange_keys));
+      producer->Clone(), algebra::ExchangePlan::Mode::kHashPartition,
+      {spec->partition_column});
   std::unique_ptr<Plan> display =
       ReplaceScan(*merge, OlapInputName(), marked);
   spec->producer_plan = std::shared_ptr<const Plan>(std::move(producer));
@@ -693,7 +693,6 @@ StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
   if (!pre_aggregate && !g0_is_column) pre_aggregate = true;
 
   auto spec = std::make_shared<OlapSpec>();
-  spec->kind = OlapSpec::Kind::kGroupBy;
   spec->table = table;
   spec->pre_aggregate = pre_aggregate;
   spec->est_groups = est_groups;
@@ -733,77 +732,54 @@ StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
             std::move(groups), group_names, std::move(aggs)));
     merge = std::move(merged);
   }
-  std::vector<size_t> route = {spec->partition_column};
   return MakeOlapPart(std::move(spec), std::move(producer), std::move(merge),
-                      algebra::ExchangePlan::Mode::kHashPartition,
-                      std::move(route), out);
+                      out);
 }
 
-/// Lowers Sort(local-candidate) with plain-column keys onto the exchange
-/// layer as a sample-based range-partitioned sort (DESIGN.md §14.3):
-/// stage 1 samples per-fragment quantiles, stage 2 range-shuffles base
-/// rows so consumer c receives exactly slice c of the global order, stage
-/// 3 sorts each slice locally; the coordinator stitches slices in order.
+/// Lowers Sort(local-candidate) with plain-column keys to sorted runs
+/// (DESIGN.md §14.3): every fragment sorts its rows where they live and
+/// streams the run to the coordinator, which merges the runs. A LIMIT n
+/// directly on the sort (`limit`) joins the fragment plan, so each
+/// fragment ships at most its top n; the global plan keeps the Limit.
 /// Returns the replacement part scan or null when the shape does not
 /// apply.
-StatusOr<std::unique_ptr<Plan>> TryOlapSort(std::unique_ptr<Plan>& plan,
-                                            const DataDictionary& dictionary,
-                                            DistributedPlan* out) {
-  auto& sort = static_cast<algebra::SortPlan&>(*plan);
+std::unique_ptr<Plan> TrySortedRuns(std::unique_ptr<Plan>& plan,
+                                    std::optional<uint64_t> limit,
+                                    const DataDictionary& dictionary,
+                                    DistributedPlan* out) {
+  const auto& sort = static_cast<const algebra::SortPlan&>(*plan);
   std::string table;
   bool has_distinct = false;
   if (!IsLocalCandidate(*plan->child(), dictionary, &table, &has_distinct) ||
       has_distinct) {
-    // Distinct deduplicates per fragment only; a range shuffle would
-    // reunite duplicates by key, but proving that for every key shape is
-    // the global Distinct's job — keep it at the coordinator.
-    return std::unique_ptr<Plan>();
+    // Distinct deduplicates per fragment only; the global Distinct above
+    // the merge would have to re-sort, so keep the sort at the
+    // coordinator.
+    return nullptr;
   }
   auto info = dictionary.GetTable(table);
-  if (!info.ok() || (*info)->fragments.size() < 2) {
-    return std::unique_ptr<Plan>();
-  }
-  std::vector<size_t> sort_columns;
-  std::vector<bool> sort_desc;
+  if (!info.ok() || (*info)->fragments.size() < 2) return nullptr;
+  if (sort.keys().empty()) return nullptr;
   for (const algebra::SortKey& key : sort.keys()) {
     if (key.expr->kind() != algebra::ExprKind::kColumnRef ||
         !key.expr->bound()) {
-      return std::unique_ptr<Plan>();  // Computed keys: sort globally.
+      return nullptr;  // Computed keys: sort globally.
     }
-    sort_columns.push_back(key.expr->column_index());
-    sort_desc.push_back(key.descending);
   }
-  if (sort_columns.empty()) return std::unique_ptr<Plan>();
 
-  auto clone_keys = [&sort]() {
-    std::vector<algebra::SortKey> keys;
-    keys.reserve(sort.keys().size());
-    for (const algebra::SortKey& key : sort.keys()) {
-      keys.push_back(key.Clone());
-    }
-    return keys;
-  };
-
-  auto spec = std::make_shared<OlapSpec>();
-  spec->kind = OlapSpec::Kind::kSort;
-  spec->table = table;
-  spec->sort_columns = sort_columns;
-  spec->sort_desc = sort_desc;
-  spec->ordered = true;
-
-  std::unique_ptr<Plan> producer = plan->TakeChild(0);
-  // Sampling stage: the locally *sorted* candidate, so the OFM's evenly
-  // spaced thinning yields per-fragment quantiles.
-  ASSIGN_OR_RETURN(auto sample,
-                   algebra::SortPlan::Create(producer->Clone(), clone_keys()));
-  spec->sample_plan = std::shared_ptr<const Plan>(std::move(sample));
-  ASSIGN_OR_RETURN(
-      auto merge,
-      algebra::SortPlan::Create(
-          ScanPlan::Create(OlapInputName(), producer->schema()),
-          clone_keys()));
-  return MakeOlapPart(std::move(spec), std::move(producer), std::move(merge),
-                      algebra::ExchangePlan::Mode::kRange, sort_columns, out);
+  std::unique_ptr<Plan> local = std::move(plan);
+  if (limit.has_value()) {
+    local = algebra::LimitPlan::Create(std::move(local), *limit);
+  }
+  const size_t index = out->parts.size();
+  const Schema schema = local->schema();
+  LocalPart part;
+  part.table = table;
+  part.plan = std::shared_ptr<const Plan>(std::move(local));
+  part.sorted_runs = true;
+  out->parts.push_back(std::move(part));
+  ++out->olap_parts;
+  return ScanPlan::Create(PartName(index), schema);
 }
 
 StatusOr<std::unique_ptr<Plan>> SplitNode(std::unique_ptr<Plan> plan,
@@ -826,9 +802,22 @@ StatusOr<std::unique_ptr<Plan>> SplitNode(std::unique_ptr<Plan> plan,
     }
   }
   if (plan->kind() == PlanKind::kSort && rules.distributed_olap) {
-    ASSIGN_OR_RETURN(std::unique_ptr<Plan> lowered,
-                     TryOlapSort(plan, dictionary, out));
+    std::unique_ptr<Plan> lowered =
+        TrySortedRuns(plan, std::nullopt, dictionary, out);
     if (lowered != nullptr) return lowered;
+  }
+  if (plan->kind() == PlanKind::kLimit && rules.distributed_olap &&
+      plan->child()->kind() == PlanKind::kSort) {
+    // Top-N: the limit rides into every fragment's run and stays on top
+    // of the merge.
+    const uint64_t n = static_cast<const algebra::LimitPlan&>(*plan).limit();
+    std::unique_ptr<Plan> sort = plan->TakeChild(0);
+    std::unique_ptr<Plan> lowered = TrySortedRuns(sort, n, dictionary, out);
+    if (lowered != nullptr) {
+      plan->SetChild(0, std::move(lowered));
+      return plan;
+    }
+    plan->SetChild(0, std::move(sort));
   }
   if (plan->kind() == PlanKind::kJoin) {
     // Co-located beats exchange: it decomposes with zero shipped tuples.

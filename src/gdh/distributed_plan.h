@@ -67,40 +67,26 @@ struct ExchangeJoinSpec {
   std::shared_ptr<const algebra::Plan> post_plan;
 };
 
-/// Everything the coordinator needs to run one exchange-lowered OLAP
-/// operator (global group-by or ORDER BY, DESIGN.md §14) as a multi-stage
-/// plan: producers at every fragment of `table` run `producer_plan` and
-/// shuffle its rows — by group key (kGroupBy) or by sampled range
-/// boundaries (kSort) — into one merge consumer per fragment; each
-/// consumer materializes its inbound slice under OlapInputName() and runs
-/// `merge_plan` over it, replying with final rows only. The coordinator
-/// never sees a base tuple.
+/// Everything the coordinator needs to run one exchange-lowered global
+/// group-by (DESIGN.md §14.2) as a multi-stage plan: producers at every
+/// fragment of `table` run `producer_plan` and shuffle its rows by group
+/// key into one merge consumer per fragment; each consumer materializes
+/// its inbound slice under OlapInputName() and runs `merge_plan` over it,
+/// replying with final rows only. The coordinator never sees a base tuple.
 struct OlapSpec {
-  enum class Kind : uint8_t { kGroupBy, kSort };
-  Kind kind = Kind::kGroupBy;
   std::string table;
   /// Per-fragment producer plan (its Scan names the base table).
   std::shared_ptr<const algebra::Plan> producer_plan;
   /// Consumer-side merge plan (its Scan names OlapInputName()).
   std::shared_ptr<const algebra::Plan> merge_plan;
-  /// kGroupBy: producers aggregate locally before the shuffle (the
-  /// partial/combine decomposition), vs shipping base rows directly.
+  /// Producers aggregate locally before the shuffle (the partial/combine
+  /// decomposition), vs shipping base rows directly.
   bool pre_aggregate = false;
-  /// kGroupBy: column of the producer output hashed for routing. NULL
-  /// keys route to consumer 0 (a NULL group is still a group).
+  /// Column of the producer output hashed for routing. NULL keys route
+  /// to consumer 0 (a NULL group is still a group).
   size_t partition_column = 0;
-  /// kSort: sort-key columns and per-key descending flags of the
-  /// producer output; also the comparator for boundary routing.
-  std::vector<size_t> sort_columns;
-  std::vector<bool> sort_desc;
-  /// kSort: per-fragment sampling plan (the sorted candidate; the OFM
-  /// thins its result to `ExecPlanRequest::sample_rows` quantiles).
-  std::shared_ptr<const algebra::Plan> sample_plan;
   Schema schema;          // Part output schema (merge plan output).
   double est_groups = 0;  // Cost-model estimate behind the strategy pick.
-  /// kSort: gathered slices, stitched in consumer order, are globally
-  /// ordered — the coordinator must preserve arrival-slice order.
-  bool ordered = false;
 };
 
 /// One fragment-parallel unit of a distributed query: a plan to run at
@@ -121,9 +107,13 @@ struct LocalPart {
   std::string second_table;  // Empty for single-table parts.
   std::shared_ptr<const algebra::Plan> plan;
   std::shared_ptr<const ExchangeJoinSpec> exchange;
-  /// Set for a multi-stage OLAP part (group-by / sort over the exchange
-  /// layer); `plan` is then only the EXPLAIN rendering.
+  /// Set for a multi-stage OLAP group-by part; `plan` is then only the
+  /// EXPLAIN rendering.
   std::shared_ptr<const OlapSpec> olap;
+  /// Set for a sorted-run part: every fragment runs `plan` (its local
+  /// Sort, under a Limit for Top-N) and streams the run to the
+  /// coordinator, which merges the runs on the Sort's keys.
+  bool sorted_runs = false;
 };
 
 /// A SELECT plan split for fragment-parallel execution (§2.2): the local
@@ -139,7 +129,8 @@ struct DistributedPlan {
   int colocated_joins = 0;
   /// Number of joins lowered to streaming exchanges.
   int exchange_joins = 0;
-  /// Number of group-by / sort operators lowered to multi-stage plans.
+  /// Number of group-bys lowered to multi-stage plans plus sorts lowered
+  /// to sorted runs.
   int olap_parts = 0;
 };
 
@@ -154,8 +145,9 @@ StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,
     bool colocated_joins = true, bool exchange_joins = true);
 
-/// Rule-driven overload: additionally lowers global group-by and ORDER BY
-/// onto the exchange layer as multi-stage OLAP parts when
+/// Rule-driven overload: additionally lowers global group-by onto the
+/// exchange layer as a multi-stage OLAP part, and ORDER BY to
+/// per-fragment sorted runs (Top-N under a LIMIT directly on it), when
 /// `rules.distributed_olap` is set (DESIGN.md §14).
 StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,

@@ -154,11 +154,6 @@ struct ExecPlanRequest {
   bool profile = false;
   /// Fragment-local execution mode (row-at-a-time or vectorized).
   exec::ExecMode exec_mode = exec::ExecMode::kRow;
-  /// Non-zero: a *sampling* request (distributed sort, DESIGN.md §14.3).
-  /// The OFM thins the plan's result to at most this many evenly spaced
-  /// rows before replying, so the coordinator sees bounded per-fragment
-  /// quantiles instead of a base-tuple gather.
-  uint64_t sample_rows = 0;
 
   int64_t WireBits() const {
     return kControlBits +
@@ -172,7 +167,8 @@ struct ExecPlanReply {
   std::string fragment;
   /// Result rows; null for a shuffle producer's settlement or an error.
   RowFrame rows;
-  /// Set when the request asked for profiling.
+  /// Set when the request asked for profiling (a shuffle producer's
+  /// settlement carries the profile of its fragment's plan).
   std::shared_ptr<obs::OperatorProfile> profile;
   /// Shuffle producers: first-transmission data-plane bits of the shuffle
   /// this reply settles (feeds olap.shuffle_bits; zero for plain plans).
@@ -217,14 +213,15 @@ struct WriteReply {
 };
 
 /// Coordinator -> OFM: run `plan` against the local fragment and stream
-/// the result — hash-partitioned on `keys[0]` of the output schema, or
-/// replicated (kBroadcast) — to the exchange consumers as flow-controlled
-/// tuple batches. The OFM answers the coordinator with an (empty, control-
-/// sized) ExecPlanReply once every consumer has acknowledged its stream,
-/// so the coordinator's hardened-RPC machinery (retransmit, dedup,
+/// the result — hash-partitioned on `partition_column` of the output
+/// schema, or replicated (kBroadcast; with one consumer, a sorted run to
+/// the coordinator) — to the consumers as flow-controlled tuple batches.
+/// The OFM answers the coordinator with an (empty, control-sized)
+/// ExecPlanReply once every consumer has acknowledged its stream, so the
+/// coordinator's hardened-RPC machinery (retransmit, dedup,
 /// degrade-to-Unavailable) covers shuffles exactly like plain plans.
 struct ShufflePlanRequest {
-  enum class Mode : uint8_t { kHash, kBroadcast, kRange };
+  enum class Mode : uint8_t { kHash, kBroadcast };
   uint64_t request_id = 0;
   /// Identifies the exchange (one per lowered join part) and this
   /// producer's role in it; consumers use these to route batches onto the
@@ -241,24 +238,17 @@ struct ShufflePlanRequest {
   /// equi-join); group-by shuffles must keep them (NULL is a real group,
   /// DESIGN.md §14.2).
   bool keep_nulls = false;
-  /// Range mode (distributed sort, DESIGN.md §14.3): the sort key —
-  /// columns of the plan's output schema with per-key descending flags —
-  /// and a frame of `consumers.size() - 1` boundary key-tuples splitting
-  /// the key space into consecutive slices. Row r routes to the number of
-  /// boundaries <= r's key (binary search with the query's comparator).
-  std::vector<size_t> sort_columns;
-  std::vector<bool> sort_desc;
-  RowFrame boundaries;
   std::vector<pool::ProcessId> consumers;
   uint64_t batch_rows = 64;     // Max tuples per batch.
   uint64_t credit_window = 4;   // Batches in flight per channel.
   /// Producer-side execution mode.
   exec::ExecMode exec_mode = exec::ExecMode::kRow;
+  /// EXPLAIN ANALYZE: the settlement reply carries the plan's profile.
+  bool profile = false;
 
   int64_t WireBits() const {
     return kControlBits +
-           static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits +
-           FrameBits(boundaries);
+           static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits;
   }
 };
 
@@ -277,23 +267,6 @@ struct TupleBatchMsg {
 
   int64_t WireBits() const { return kControlBits + FrameBits(rows); }
 };
-
-/// Lexicographic comparison of two already-projected sort-key tuples
-/// under per-key descending flags — exactly the ordering exec::Executor's
-/// Sort operator uses (Value::Compare per key, sign flipped for DESC), so
-/// range routing, boundary selection and the merged output all agree.
-int CompareSortKeyTuples(const Tuple& a, const Tuple& b,
-                         const std::vector<bool>& desc);
-
-/// Projects `row` onto the sort-key columns.
-Tuple SortKeyOf(const Tuple& row, const std::vector<size_t>& columns);
-
-/// Range-partition routing (DESIGN.md §14.3): the slice index of `row`
-/// among `boundaries.size() + 1` consecutive key slices = the number of
-/// boundary keys <= the row's key (binary search).
-size_t RangeSliceOf(const Tuple& row, const std::vector<size_t>& columns,
-                    const std::vector<bool>& desc,
-                    const std::vector<Tuple>& boundaries);
 
 /// Consumer -> producer: cumulative acknowledgement for one channel.
 /// `ack` is the highest sequence number delivered in order; the producer

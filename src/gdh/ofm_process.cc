@@ -379,20 +379,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
     }
   }
   if (result.ok()) {
-    std::vector<Tuple> rows = std::move(result).value();
-    if (request->sample_rows > 0 && rows.size() > request->sample_rows) {
-      // Sampling request (distributed sort, DESIGN.md §14.3): keep
-      // `sample_rows` evenly spaced rows of the (sorted) local result —
-      // per-fragment quantiles — so the reply stays bounded instead of
-      // gathering the fragment.
-      std::vector<Tuple> sample;
-      sample.reserve(request->sample_rows);
-      for (uint64_t i = 0; i < request->sample_rows; ++i) {
-        sample.push_back(rows[i * rows.size() / request->sample_rows]);
-      }
-      rows = std::move(sample);
-    }
-    reply->rows = EncodeRows(rows);
+    reply->rows = EncodeRows(*result);
     if (profile.has_value()) {
       reply->profile =
           std::make_shared<obs::OperatorProfile>(std::move(*profile));
@@ -426,9 +413,11 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
 
   std::optional<PeLocalResolver> colocated;
   if (config_.registry != nullptr) colocated.emplace(config_.registry, pe());
+  std::shared_ptr<obs::OperatorProfile> profile;
+  if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
   auto result = ofm_->ExecutePlan(
-      *request->plan, colocated.has_value() ? &*colocated : nullptr, nullptr,
-      request->exec_mode);
+      *request->plan, colocated.has_value() ? &*colocated : nullptr,
+      profile.get(), request->exec_mode);
   if (m_plans_executed_ != nullptr) {
     const exec::ExecStats& stats = ofm_->last_exec_stats();
     m_plans_executed_->Increment();
@@ -438,15 +427,11 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
       m_full_scans_->Increment();
     }
   }
-  // Range routing needs the sort boundaries; a corrupt frame fails the
-  // shuffle like a failed plan.
-  StatusOr<std::vector<Tuple>> boundaries =
-      TupleBatchRows(request->boundaries);
-  if (!result.ok() || !boundaries.ok()) {
+  if (!result.ok()) {
     auto reply = std::make_shared<ExecPlanReply>();
     reply->request_id = request->request_id;
     reply->fragment = config_.fragment_name;
-    reply->status = result.ok() ? boundaries.status() : result.status();
+    reply->status = result.status();
     Respond(mail.from, request->request_id, kMailExecPlanReply, reply,
             kControlBits);
     return;
@@ -460,20 +445,6 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   if (request->mode == ShufflePlanRequest::Mode::kBroadcast) {
     for (size_t c = 0; c + 1 < consumers; ++c) partitions[c] = rows;
     partitions[consumers - 1] = std::move(rows);
-  } else if (request->mode == ShufflePlanRequest::Mode::kRange) {
-    // Range routing (distributed sort, DESIGN.md §14.3): binary search of
-    // the row's sort key over the coordinator's sampled boundaries, with
-    // the query's own comparator, so consumer c holds exactly slice c of
-    // the global order.
-    uint64_t probes = 1;
-    for (size_t n = boundaries->size(); n > 0; n /= 2) ++probes;
-    ChargeCpu(static_cast<sim::SimTime>(rows.size()) * probes *
-              costs.compare_ns);
-    for (Tuple& tuple : rows) {
-      const size_t slice = RangeSliceOf(tuple, request->sort_columns,
-                                        request->sort_desc, *boundaries);
-      partitions[std::min(slice, consumers - 1)].push_back(std::move(tuple));
-    }
   } else {
     // Same routing function as the stationary hash fragmenter
     // (Fragmenter::HashFragment), so a shuffled side lands on the
@@ -515,7 +486,8 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   }
   (*active_shuffles_)[{mail.from, request->request_id}] = token;
   PRISMA_CHECK(shuffles_->emplace(token, ShuffleState{mail.from,
-                                                      request->request_id})
+                                                      request->request_id,
+                                                      std::move(profile)})
                    .second);
   shuffle_out_.Open(std::move(stream));
 }
@@ -546,12 +518,14 @@ void OfmProcess::FinishShuffle(uint64_t token, Status status) {
   reply->fragment = config_.fragment_name;
   reply->status = std::move(status);
   reply->shuffle_wire_bits = shuffle_out_.Find(token)->first_bits;
+  reply->profile = state.profile;
   shuffle_out_.Close(token);
   // Cached, unlike plain plan replies: a shuffle completion is control-
-  // sized, and re-running the shuffle for a duplicated request would
-  // re-stream every batch at the consumers.
+  // sized (plus the profile under EXPLAIN ANALYZE), and re-running the
+  // shuffle for a duplicated request would re-stream every batch at the
+  // consumers.
   Respond(state.coordinator, state.request_id, kMailExecPlanReply, reply,
-          kControlBits);
+          reply->WireBits());
   active_shuffles_->erase({state.coordinator, state.request_id});
   shuffles_->erase(it);
 }

@@ -165,6 +165,8 @@ class OfmProcess : public pool::Process {
   struct ShuffleState {
     pool::ProcessId coordinator = pool::kNoProcess;
     uint64_t request_id = 0;
+    /// The plan's profile, when the request asked for one.
+    std::shared_ptr<obs::OperatorProfile> profile;
   };
 
   /// Answers the coordinator (cached) with the stream's first-transmission

@@ -70,8 +70,8 @@ void OlapMergeProcess::Pump() {
 }
 
 void OlapMergeProcess::RunMerge() {
-  // The shuffled-in slice is the merge plan's input (combining
-  // aggregation / slice sort).
+  // The shuffled-in slice is the merge plan's input (the combining
+  // aggregation).
   StatusOr<std::vector<Tuple>> result = RunPlanOverRows(
       this, *config_.merge_plan, config_.input_schema, std::move(*rows_),
       config_.expr_mode, config_.exec_mode, config_.costs);

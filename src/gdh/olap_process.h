@@ -16,14 +16,14 @@
 
 namespace prisma::gdh {
 
-/// Merge consumer of one multi-stage OLAP plan (DESIGN.md §14): a
+/// Merge consumer of one multi-stage OLAP group-by (DESIGN.md §14.2): a
 /// short-lived POOL-X process spawned by the query coordinator, one per
 /// fragment of the anchor table. It receives flow-controlled tuple
 /// batches from every producer fragment — partial aggregates or base rows
-/// routed by group key, or a range slice of the global sort order —
-/// materializes them under OlapInputName(), runs the merge plan
-/// (combining aggregation or local sort) over that input, and answers
-/// the coordinator with a normal ExecPlanReply carrying final rows only.
+/// routed by group key — materializes them under OlapInputName(), runs
+/// the merge plan (the combining aggregation) over that input, and
+/// answers the coordinator with a normal ExecPlanReply carrying final
+/// rows only.
 ///
 /// Fault tolerance is the exchange consumer's, from the same transport
 /// (gdh/transport.h): per-channel seq dedup, cumulative acks on every

@@ -40,10 +40,10 @@ struct OptimizerRules {
   /// plan splitter). Off = the base-tuple gather baseline used by the
   /// OLAP wire-cost comparisons (EXPERIMENTS.md E14).
   bool aggregate_pushdown = true;
-  /// Lower global group-by and ORDER BY onto the exchange layer as
-  /// multi-stage plans (DESIGN.md §14): per-fragment pre-aggregation +
-  /// shuffle-by-group-key into merge consumers, and sample-based range
-  /// partitioning for distributed sort. Off = the gather baseline (the
+  /// Lower global group-by onto the exchange layer as a multi-stage plan
+  /// (per-fragment pre-aggregation + shuffle-by-group-key into merge
+  /// consumers) and ORDER BY to per-fragment sorted runs merged at the
+  /// coordinator (DESIGN.md §14). Off = the gather baseline (the
   /// coordinator merges fragment results itself).
   bool distributed_olap = true;
   /// How a distributed group-by ships rows (consumed by the splitter's
@@ -52,8 +52,6 @@ struct OptimizerRules {
   /// group count decide (kAuto).
   enum class OlapAggStrategy : uint8_t { kAuto, kPreAggregate, kDirect };
   OlapAggStrategy olap_agg_strategy = OlapAggStrategy::kAuto;
-  /// Per-fragment quantile sample size for range-partitioned sorts.
-  uint64_t olap_sample_rows = 16;
 };
 
 struct OptimizerReport {

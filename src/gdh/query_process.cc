@@ -1,6 +1,7 @@
 #include "gdh/query_process.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <limits>
 #include <set>
@@ -249,21 +250,19 @@ void QueryProcess::Reply(Status status, Schema schema,
         ->Increment(completed_);
     config_.metrics->GetGauge("query.response_ns", q)->Set(now - start_time_);
     config_.metrics->GetGauge("query.last_gather_bits")->Set(gather_bits_);
-    if (forward_slices_ && status.ok()) {
+    if (forward_runs_ && status.ok()) {
       config_.metrics->GetCounter("query.reply_streamed")->Increment();
     }
-    if (!olap_work_.empty()) {
-      // Wire accounting of the multi-stage OLAP path (DESIGN.md §14.4):
-      // shuffle = producer -> merge first transmissions, gather = merge
-      // -> coordinator final rows, sample = quantile rows of sort parts.
+    if (!olap_slices_.empty() || !runs_.empty()) {
+      // Wire accounting of the OLAP parts (DESIGN.md §14.4): shuffle =
+      // first transmissions of the producers' streams (group-by shuffles
+      // and sorted runs), gather = merge consumer replies.
       config_.metrics->GetCounter("olap.parts", q)
-          ->Increment(olap_work_.size());
+          ->Increment(olap_slices_.size() + runs_.size());
       config_.metrics->GetCounter("olap.shuffle_bits", q)
           ->Increment(olap_shuffle_bits_);
       config_.metrics->GetCounter("olap.gather_bits", q)
           ->Increment(olap_gather_bits_);
-      config_.metrics->GetCounter("olap.sample_rows", q)
-          ->Increment(olap_sample_rows_);
       // Unlabeled "last query" figures for benches and tests.
       config_.metrics->GetGauge("olap.last_shuffle_bits")
           ->Set(olap_shuffle_bits_);
@@ -324,22 +323,6 @@ void QueryProcess::SendFrames(const Schema& schema, bool last) {
   }
 }
 
-void QueryProcess::ForwardLandedSlices() {
-  OlapPartWork& state = olap_work_.at(0);
-  while (next_forward_slice_ < state.slices.size() &&
-         state.landed[next_forward_slice_]) {
-    std::vector<Tuple>& slice = state.slices[next_forward_slice_++];
-    // Framing a slice stands in for the global Scan(part:0) the gathered
-    // rows would otherwise pass through.
-    ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
-              config_.costs.tuple_ns);
-    unframed_.insert(unframed_.end(), std::make_move_iterator(slice.begin()),
-                     std::make_move_iterator(slice.end()));
-    slice.clear();
-  }
-  SendFrames(split_->global->schema(), /*last=*/false);
-}
-
 // ------------------------------------------------------------------- SQL
 
 void QueryProcess::StartSql() {
@@ -396,15 +379,8 @@ void QueryProcess::StartSql() {
     return;
   }
 
-  OptimizerRules split_rules = config_.rules;
-  if (analyze_) {
-    // EXPLAIN ANALYZE measures per-fragment operator profiles, which only
-    // the plain gather path reports (streamed OLAP stages reply with
-    // final rows, no profile); measure the gather-based decomposition.
-    split_rules.distributed_olap = false;
-  }
   auto split = SplitPlanForFragments(std::move(optimized).value(),
-                                     *config_.dictionary, split_rules);
+                                     *config_.dictionary, config_.rules);
   if (!split.ok()) {
     Reply(split.status(), Schema(), nullptr);
     return;
@@ -514,7 +490,7 @@ void QueryProcess::Scatter() {
   gathered_->assign(
       is_prismalog_phase_ ? plog_tables_.size() : split_->parts.size(), {});
   duplicate_of_.assign(gathered_->size(), SIZE_MAX);
-  part_profiles_.assign(gathered_->size(), std::nullopt);
+  part_profiles_.clear();
   work_->clear();
   size_t consumer_replies = 0;
   if (is_prismalog_phase_) {
@@ -553,6 +529,11 @@ void QueryProcess::Scatter() {
       if (part.olap != nullptr) {
         // OLAP parts bypass CSE for the same reason.
         consumer_replies += ScatterOlapPart(i);
+        continue;
+      }
+      if (part.sorted_runs) {
+        // So do sorted runs: they stream here instead of replying.
+        ScatterRunsPart(i);
         continue;
       }
       if (config_.rules.detect_common_subexpressions) {
@@ -598,12 +579,11 @@ void QueryProcess::Scatter() {
       }
     }
   }
-  // In-order forwarding (DESIGN.md §15.5): the answer IS the sort part's
-  // slices in consumer order when the global plan merely scans it.
-  forward_slices_ =
+  // Forwarding (DESIGN.md §15.5): the answer IS the merge of the sorted
+  // runs when the global plan merely scans them.
+  forward_runs_ =
       !is_prismalog_phase_ && !analyze_ && split_->parts.size() == 1 &&
-      split_->parts[0].olap != nullptr &&
-      split_->parts[0].olap->kind == OlapSpec::Kind::kSort &&
+      split_->parts[0].sorted_runs &&
       split_->global->kind() == algebra::PlanKind::kScan &&
       static_cast<const algebra::ScanPlan&>(*split_->global).table() ==
           PartName(0);
@@ -687,7 +667,7 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.credit_window = config_.exchange_credit_window;
     cc.retransmit = config_.retransmit;
     cc.metrics = config_.metrics;
-    request_part_[cc.reply_request_id] = part_index;
+    request_part_[cc.reply_request_id] = {part_index, 0};
     const pool::ProcessId pid = runtime()->Spawn(
         frag.ReplicaPe(replica),
         std::make_unique<ExchangeConsumerProcess>(std::move(cc)));
@@ -700,33 +680,13 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
   for (int s = 0; s < 2; ++s) {
     if (!ExchangeSideMoves(ex.strategy, s)) continue;
     for (size_t f = 0; f < sides[s]->fragments.size(); ++f) {
-      const FragmentInfo& frag = sides[s]->fragments[f];
-      const int replica = ChooseReadReplica(frag);
-      auto request = std::make_shared<ShufflePlanRequest>();
-      request->request_id = next_request_id_++;
-      request->exchange_id = exchange_id;
-      request->side = s;
-      request->producer = f;
-      request->plan =
-          std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-              *side_plans[s], side_tables[s], frag.ReplicaName(replica)));
-      request->mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
-                                : ShufflePlanRequest::Mode::kHash;
-      request->partition_column =
+      ShufflePlanRequest& request = AddShuffleProducer(
+          part_index, exchange_id, s, f, side_tables[s],
+          sides[s]->fragments[f], *side_plans[s], consumers);
+      request.mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
+                               : ShufflePlanRequest::Mode::kHash;
+      request.partition_column =
           s == 0 ? ex.keys[ex.route_key].first : ex.keys[ex.route_key].second;
-      request->consumers = consumers;
-      request->batch_rows = config_.exchange_batch_rows;
-      request->credit_window = config_.exchange_credit_window;
-      request->exec_mode = config_.exec_mode;
-      FragmentWork w;
-      w.ofm = frag.ReplicaOfm(replica);
-      w.plan = request->plan;
-      w.part = part_index;
-      w.table = side_tables[s];
-      w.fragment = frag.name;
-      w.replica = replica;
-      w.shuffle = request;
-      work_->push_back(std::move(w));
     }
   }
   return consumers.size();
@@ -739,50 +699,7 @@ size_t QueryProcess::ScatterOlapPart(size_t part_index) {
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
   const size_t fragments = table.fragments.size();
-  OlapPartWork& state = olap_work_[part_index];
-  state.slices.assign(fragments, {});
-  state.landed.assign(fragments, false);
-
-  if (olap.kind == OlapSpec::Kind::kSort) {
-    // Stage 1 (DESIGN.md §14.3): every fragment runs the sorted candidate
-    // thinned to `olap_sample_rows` quantiles — plain hardened-RPC reads
-    // whose replies vote the sample barrier instead of joining the
-    // gather buffer. Stage 2 (producers + merges) launches at the
-    // barrier, so the gather waits for 2 * fragments replies beyond the
-    // sampling work entries appended here.
-    state.samples.Begin(1, fragments);
-    for (size_t f = 0; f < fragments; ++f) {
-      const FragmentInfo& frag = table.fragments[f];
-      const int replica = ChooseReadReplica(frag);
-      FragmentWork w;
-      w.ofm = frag.ReplicaOfm(replica);
-      w.plan = std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-          *olap.sample_plan, olap.table, frag.ReplicaName(replica)));
-      w.part = part_index;
-      w.table = olap.table;
-      w.fragment = frag.name;
-      w.replica = replica;
-      w.sample_rows = std::max<uint64_t>(1, config_.rules.olap_sample_rows);
-      w.sample_slice = f;
-      work_->push_back(std::move(w));
-    }
-    return 2 * fragments;
-  }
-  // Group-by: no sampling stage — consumers and producers start at once.
-  // The producers become ordinary work entries (counted by the caller);
-  // only the merge replies are extra.
-  LaunchOlapShuffle(part_index, nullptr, /*send_now=*/false);
-  return fragments;
-}
-
-void QueryProcess::LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
-                                     bool send_now) {
-  const LocalPart& part = split_->parts[part_index];
-  const OlapSpec& olap = *part.olap;
-  auto info_or = config_.dictionary->GetTable(olap.table);
-  PRISMA_CHECK(info_or.ok());
-  const TableInfo& table = **info_or;
-  const size_t fragments = table.fragments.size();
+  olap_slices_[part_index].assign(fragments, {});
   // Statement-unique exchange id, same convention as exchange joins.
   const uint64_t exchange_id = (config_.statement->request_id << 16) |
                                static_cast<uint64_t>(part_index);
@@ -811,7 +728,7 @@ void QueryProcess::LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
     cc.credit_window = config_.exchange_credit_window;
     cc.retransmit = config_.retransmit;
     cc.metrics = config_.metrics;
-    request_part_[cc.reply_request_id] = part_index;
+    request_part_[cc.reply_request_id] = {part_index, 0};
     olap_merge_of_[cc.reply_request_id] = {part_index, c};
     const pool::ProcessId pid = runtime()->Spawn(
         frag.ReplicaPe(replica),
@@ -822,89 +739,155 @@ void QueryProcess::LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
 
   // One shuffle producer per fragment, through the hardened-RPC path.
   for (size_t f = 0; f < fragments; ++f) {
-    const FragmentInfo& frag = table.fragments[f];
-    const int replica = ChooseReadReplica(frag);
-    auto request = std::make_shared<ShufflePlanRequest>();
-    request->request_id = next_request_id_++;
-    request->exchange_id = exchange_id;
-    request->side = 0;
-    request->producer = f;
-    request->plan = std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-        *olap.producer_plan, olap.table, frag.ReplicaName(replica)));
-    if (olap.kind == OlapSpec::Kind::kSort) {
-      request->mode = ShufflePlanRequest::Mode::kRange;
-      request->sort_columns = olap.sort_columns;
-      request->sort_desc = olap.sort_desc;
-      request->boundaries = boundaries;
-    } else {
-      request->mode = ShufflePlanRequest::Mode::kHash;
-      request->partition_column = olap.partition_column;
-      // A NULL group key is still a group (unlike a join key, which can
-      // never match): route NULLs to consumer 0 instead of dropping.
-      request->keep_nulls = true;
-    }
-    request->consumers = consumers;
-    request->batch_rows = config_.exchange_batch_rows;
-    request->credit_window = config_.exchange_credit_window;
-    request->exec_mode = config_.exec_mode;
-    olap_producer_ids_.insert(request->request_id);
-    FragmentWork w;
-    w.ofm = frag.ReplicaOfm(replica);
-    w.plan = request->plan;
-    w.part = part_index;
-    w.table = olap.table;
-    w.fragment = frag.name;
-    w.replica = replica;
-    w.shuffle = request;
-    work_->push_back(std::move(w));
+    ShufflePlanRequest& request =
+        AddShuffleProducer(part_index, exchange_id, 0, f, olap.table,
+                           table.fragments[f], *olap.producer_plan, consumers);
+    request.mode = ShufflePlanRequest::Mode::kHash;
+    request.partition_column = olap.partition_column;
+    // A NULL group key is still a group (unlike a join key, which can
+    // never match): route NULLs to consumer 0 instead of dropping.
+    request.keep_nulls = true;
+    olap_producer_ids_.insert(request.request_id);
   }
-  if (send_now && config_.rules.parallel_fragments) {
-    while (next_work_ < work_->size()) SendNextFragmentPlan();
-  }
-  // Sequential mode picks the new entries up through the reply-driven
-  // cursor in HandlePlanReply.
+  return fragments;
 }
 
-void QueryProcess::HandleOlapSample(size_t part_index, size_t slice,
-                                    const std::vector<Tuple>& rows) {
-  auto it = olap_work_.find(part_index);
-  if (it == olap_work_.end()) return;
-  OlapPartWork& state = it->second;
-  const OlapSpec& olap = *split_->parts[part_index].olap;
-  if (!state.samples.Vote(1, static_cast<int>(slice))) return;
-  olap_sample_rows_ += rows.size();
-  for (const Tuple& row : rows) {
-    state.sample_keys.push_back(SortKeyOf(row, olap.sort_columns));
+void QueryProcess::ScatterRunsPart(size_t part_index) {
+  const LocalPart& part = split_->parts[part_index];
+  auto info_or = config_.dictionary->GetTable(part.table);
+  PRISMA_CHECK(info_or.ok());
+  const TableInfo& table = **info_or;
+  const std::vector<int>& fragments = part_fragments_[part_index];
+  if (!runs_in_.has_value()) {
+    runs_in_.emplace(this, ShuffleConsumerOptions(
+                               0, "coordinator",
+                               config_.exchange_credit_window, config_.costs,
+                               config_.metrics));
   }
-  if (!state.samples.complete()) return;
+  // Statement-unique exchange id, same convention as exchange joins.
+  const uint64_t exchange_id = (config_.statement->request_id << 16) |
+                               static_cast<uint64_t>(part_index);
+  SortedRuns& runs = runs_[exchange_id];
+  runs.part = part_index;
+  runs.channels.assign(fragments.size(), exec::InboundChannel());
+  runs.rows.assign(fragments.size(), {});
+  for (size_t r = 0; r < fragments.size(); ++r) {
+    // Broadcast to one consumer: the run leaves in sorted order, with no
+    // per-row routing.
+    ShufflePlanRequest& request = AddShuffleProducer(
+        part_index, exchange_id, 0, r, part.table,
+        table.fragments[fragments[r]], *part.plan, {self()});
+    request.mode = ShufflePlanRequest::Mode::kBroadcast;
+    olap_producer_ids_.insert(request.request_id);
+  }
+}
 
-  // Stage boundary: pool the per-fragment quantiles into K-1 range
-  // boundaries splitting the key space into roughly equal slices.
-  // Producers route a row to the count of boundaries <= its key, so
-  // consumer c receives exactly slice c of the global order.
-  std::sort(state.sample_keys.begin(), state.sample_keys.end(),
-            [&olap](const Tuple& a, const Tuple& b) {
-              return CompareSortKeyTuples(a, b, olap.sort_desc) < 0;
-            });
-  ChargeCpu(static_cast<sim::SimTime>(state.sample_keys.size()) *
-            config_.costs.compare_ns);
-  const size_t consumers = state.slices.size();
-  std::vector<Tuple> bounds;
-  if (!state.sample_keys.empty()) {
-    for (size_t c = 1; c < consumers; ++c) {
-      bounds.push_back(
-          state.sample_keys[c * state.sample_keys.size() / consumers]);
-    }
+ShufflePlanRequest& QueryProcess::AddShuffleProducer(
+    size_t part_index, uint64_t exchange_id, int side, size_t producer,
+    const std::string& table, const FragmentInfo& frag,
+    const algebra::Plan& plan, std::vector<pool::ProcessId> consumers) {
+  const int replica = ChooseReadReplica(frag);
+  auto request = std::make_shared<ShufflePlanRequest>();
+  request->request_id = next_request_id_++;
+  request->exchange_id = exchange_id;
+  request->side = side;
+  request->producer = producer;
+  request->plan = std::shared_ptr<const algebra::Plan>(
+      CloneWithScanRenamed(plan, table, frag.ReplicaName(replica)));
+  request->consumers = std::move(consumers);
+  request->batch_rows = config_.exchange_batch_rows;
+  request->credit_window = config_.exchange_credit_window;
+  request->exec_mode = config_.exec_mode;
+  request->profile = analyze_;
+  FragmentWork w;
+  w.ofm = frag.ReplicaOfm(replica);
+  w.plan = request->plan;
+  w.part = part_index;
+  w.table = table;
+  w.fragment = frag.name;
+  w.replica = replica;
+  w.shuffle = request;
+  work_->push_back(std::move(w));
+  return *request;
+}
+
+void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
+  if (finished_) return;
+  auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
+  auto it = runs_.find(msg->exchange_id);
+  if (it == runs_.end() || msg->producer >= it->second.channels.size()) {
+    return;
   }
-  state.sample_keys.clear();
-  LaunchOlapShuffle(part_index, EncodeRows(bounds), /*send_now=*/true);
+  SortedRuns& runs = it->second;
+  exec::InboundChannel& channel = runs.channels[msg->producer];
+  if (Status status = runs_in_->Offer(*msg, channel); !status.ok()) {
+    Reply(status, Schema(), nullptr);
+    return;
+  }
+  std::deque<Tuple>& run = runs.rows[msg->producer];
+  for (exec::TupleBatch& batch : channel.TakeReady()) {
+    tuples_gathered_ += batch.tuples.size();
+    run.insert(run.end(), std::make_move_iterator(batch.tuples.begin()),
+               std::make_move_iterator(batch.tuples.end()));
+  }
+  runs_in_->Ack(mail.from, msg->shuffle_token, channel);
+  MergeRuns(runs);
+}
+
+void QueryProcess::MergeRuns(SortedRuns& runs) {
+  // The part's plan is Sort(...) or Limit(n, Sort(...)); its keys are
+  // plain columns (TrySortedRuns lowers no other shape).
+  const algebra::Plan* sort = split_->parts[runs.part].plan.get();
+  if (sort->kind() == algebra::PlanKind::kLimit) sort = sort->child();
+  const std::vector<algebra::SortKey>& keys =
+      static_cast<const algebra::SortPlan&>(*sort).keys();
+  auto before = [&keys](const Tuple& a, const Tuple& b) {
+    // The executor's Sort comparator (Value::Compare per key, flipped for
+    // DESC); ties keep the lower run first.
+    for (const algebra::SortKey& key : keys) {
+      const size_t column = key.expr->column_index();
+      const int c = a.at(column).Compare(b.at(column));
+      if (c != 0) return key.descending ? c > 0 : c < 0;
+    }
+    return false;
+  };
+  std::vector<Tuple>& out =
+      forward_runs_ ? unframed_ : (*gathered_)[runs.part];
+  uint64_t merged = 0;
+  while (true) {
+    // A row may leave only once every unfinished run shows its head: an
+    // empty unfinished run could still deliver a smaller one.
+    size_t next = SIZE_MAX;
+    bool blocked = false;
+    for (size_t r = 0; r < runs.rows.size(); ++r) {
+      if (runs.rows[r].empty()) {
+        blocked = blocked || !runs.channels[r].done();
+      } else if (next == SIZE_MAX ||
+                 before(runs.rows[r].front(), runs.rows[next].front())) {
+        next = r;
+      }
+    }
+    if (blocked || next == SIZE_MAX) break;
+    out.push_back(std::move(runs.rows[next].front()));
+    runs.rows[next].pop_front();
+    ++merged;
+  }
+  // A k-way merge compares log2(k) times per row; emitting the row stands
+  // in for the global plan's Scan(part) it would otherwise pass through.
+  const size_t k = std::max<size_t>(runs.rows.size(), 1);
+  const auto log2_k = static_cast<sim::SimTime>(std::bit_width(k - 1));
+  ChargeCpu(static_cast<sim::SimTime>(merged) *
+            (log2_k * config_.costs.compare_ns + config_.costs.tuple_ns));
+  if (forward_runs_ && merged > 0) {
+    SendFrames(split_->global->schema(), /*last=*/false);
+  }
 }
 
 void QueryProcess::SendNextFragmentPlan() {
   const size_t index = next_work_++;
   const FragmentWork& w = (*work_)[index];
   if (w.shuffle != nullptr) {
-    request_part_[w.shuffle->request_id] = w.part;
+    request_part_[w.shuffle->request_id] = {w.part, w.shuffle->side};
     ++outstanding_;
     SendRpc(w.shuffle->request_id, kMailShufflePlan, w.shuffle,
             w.shuffle->WireBits(), index);
@@ -915,11 +898,7 @@ void QueryProcess::SendNextFragmentPlan() {
   request->plan = w.plan;
   request->profile = analyze_;
   request->exec_mode = config_.exec_mode;
-  request->sample_rows = w.sample_rows;
-  if (w.sample_rows > 0) {
-    olap_sample_of_[request->request_id] = {w.part, w.sample_slice};
-  }
-  request_part_[request->request_id] = w.part;
+  request_part_[request->request_id] = {w.part, 0};
   ++outstanding_;
   SendRpc(request->request_id, kMailExecPlan, request, request->WireBits(),
           index);
@@ -931,7 +910,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   SettleRpc(reply->request_id);
   auto it = request_part_.find(reply->request_id);
   if (it == request_part_.end()) return;  // Stale or duplicate.
-  const size_t part = it->second;
+  const ReplySlot slot = it->second;
   request_part_.erase(it);
   --outstanding_;
   ++completed_;
@@ -940,8 +919,8 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     return;
   }
   if (olap_producer_ids_.erase(reply->request_id) > 0) {
-    // OLAP shuffle producer settled: attribute its first-transmission
-    // data-plane bits (retransmissions excluded by the OFM).
+    // OLAP producer settled: attribute its first-transmission data-plane
+    // bits (retransmissions excluded by the OFM).
     olap_shuffle_bits_ += reply->shuffle_wire_bits;
   }
   // One decode for every gather: a corrupt frame fails the statement with
@@ -951,43 +930,31 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     Reply(rows.status(), Schema(), nullptr);
     return;
   }
-  if (auto sample = olap_sample_of_.find(reply->request_id);
-      sample != olap_sample_of_.end()) {
-    const auto [p, slice] = sample->second;
-    olap_sample_of_.erase(sample);
-    HandleOlapSample(p, slice, *rows);
-  } else if (auto merge = olap_merge_of_.find(reply->request_id);
-             merge != olap_merge_of_.end()) {
+  if (auto merge = olap_merge_of_.find(reply->request_id);
+      merge != olap_merge_of_.end()) {
     const auto [p, slice] = merge->second;
     olap_merge_of_.erase(merge);
-    auto it_state = olap_work_.find(p);
-    const bool known = it_state != olap_work_.end() &&
-                       slice < it_state->second.slices.size();
     if (reply->rows != nullptr) {
       ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
                 config_.costs.tuple_ns);
       tuples_gathered_ += rows->size();
       olap_gather_bits_ += static_cast<uint64_t>(reply->WireBits());
-      if (known) it_state->second.slices[slice] = std::move(rows).value();
+      olap_slices_.at(p).at(slice) = std::move(rows).value();
     }
-    if (known) it_state->second.landed[slice] = true;
-    if (forward_slices_) ForwardLandedSlices();
   } else if (reply->rows != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
     ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
               config_.costs.tuple_ns);
     tuples_gathered_ += rows->size();
     gather_bits_ += static_cast<uint64_t>(reply->WireBits());
-    auto& sink = (*gathered_)[part];
+    auto& sink = (*gathered_)[slot.part];
     sink.insert(sink.end(), std::make_move_iterator(rows->begin()),
                 std::make_move_iterator(rows->end()));
   }
-  if (reply->profile != nullptr && part < part_profiles_.size()) {
-    if (part_profiles_[part].has_value()) {
-      obs::MergeProfile(&*part_profiles_[part], *reply->profile);
-    } else {
-      part_profiles_[part] = *reply->profile;
-    }
+  if (reply->profile != nullptr) {
+    auto [profile, fresh] = part_profiles_.try_emplace(
+        {slot.part, slot.side}, *reply->profile);
+    if (!fresh) obs::MergeProfile(&profile->second, *reply->profile);
   }
   if (completed_ == expected_replies_) {
     FinishGather();
@@ -999,32 +966,37 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
 }
 
 void QueryProcess::FinishGather() {
-  if (forward_slices_) {
-    // Every slice has been forwarded; the held-back tail carries `last`.
+  // Every run producer has settled, so every run is complete here (a
+  // producer settles once this coordinator acked its final batch): merge
+  // what is left.
+  for (auto& [id, runs] : runs_) {
+    (void)id;  // prisma-lint: unused-status - key only identifies the part.
+    MergeRuns(runs);
+    for (const std::deque<Tuple>& run : runs.rows) PRISMA_CHECK(run.empty());
+  }
+  if (forward_runs_) {
+    // Every merged row has been framed; the held-back tail carries `last`.
     auto tail = std::make_shared<std::vector<Tuple>>();
     tail->swap(unframed_);
     Reply(Status::OK(), split_->global->schema(), std::move(tail));
     return;
   }
-  // Stitch OLAP merge slices into their parts' gather buffers. Sort
-  // slices concatenate in consumer order (consumer c holds range slice c
-  // of the global order). Group-by slices are disjoint group sets whose
-  // keys interleave across consumers; sorting the concatenation restores
-  // the single-node aggregate's output order (its group map iterates in
-  // ascending key order, group rows are unique on their leading key
-  // columns, so whole-tuple order IS group-key order).
-  for (auto& [part, state] : olap_work_) {
+  // Stitch OLAP group-by merge slices into their parts' gather buffers.
+  // The slices are disjoint group sets whose keys interleave across
+  // consumers; sorting the concatenation restores the single-node
+  // aggregate's output order (its group map iterates in ascending key
+  // order, group rows are unique on their leading key columns, so
+  // whole-tuple order IS group-key order).
+  for (auto& [part, slices] : olap_slices_) {
     auto& sink = (*gathered_)[part];
-    for (std::vector<Tuple>& slice : state.slices) {
+    for (std::vector<Tuple>& slice : slices) {
       sink.insert(sink.end(), std::make_move_iterator(slice.begin()),
                   std::make_move_iterator(slice.end()));
       slice.clear();
     }
-    if (split_->parts[part].olap->kind == OlapSpec::Kind::kGroupBy) {
-      std::sort(sink.begin(), sink.end());
-      ChargeCpu(static_cast<sim::SimTime>(sink.size()) *
-                config_.costs.compare_ns);
-    }
+    std::sort(sink.begin(), sink.end());
+    ChargeCpu(static_cast<sim::SimTime>(sink.size()) *
+              config_.costs.compare_ns);
   }
   // Materialize shared results for deduplicated parts.
   for (size_t i = 0; i < duplicate_of_.size(); ++i) {
@@ -1108,21 +1080,12 @@ void QueryProcess::ReplyExplain() {
       const OlapSpec& olap = *part.olap;
       auto info = config_.dictionary->GetTable(olap.table);
       const size_t fan = info.ok() ? (*info)->fragments.size() : 0;
-      if (olap.kind == OlapSpec::Kind::kGroupBy) {
-        emit(StrFormat(
-            "part %zu (olap group-by over %s, %s + shuffle-by-key, "
-            "%zu fragment(s), %zu merge consumer(s), ~%.0f group(s)):",
-            i, olap.table.c_str(),
-            olap.pre_aggregate ? "pre-aggregate" : "direct",
-            fan, fan, olap.est_groups));
-      } else {
-        emit(StrFormat(
-            "part %zu (olap sort over %s, sample-based range partition, "
-            "%zu fragment(s), %zu merge consumer(s), %llu sample "
-            "row(s)/fragment):",
-            i, olap.table.c_str(), fan, fan,
-            static_cast<unsigned long long>(config_.rules.olap_sample_rows)));
-      }
+      emit(StrFormat(
+          "part %zu (olap group-by over %s, %s + shuffle-by-key, "
+          "%zu fragment(s), %zu merge consumer(s), ~%.0f group(s)):",
+          i, olap.table.c_str(),
+          olap.pre_aggregate ? "pre-aggregate" : "direct", fan, fan,
+          olap.est_groups));
       for (const std::string& line : Split(part.plan->ToString(), '\n')) {
         if (!line.empty()) emit("  " + line);
       }
@@ -1145,7 +1108,11 @@ void QueryProcess::ReplyExplain() {
     auto info = config_.dictionary->GetTable(part.table);
     const size_t fan_out =
         info.ok() ? PruneFragmentsForPart(**info, *part.plan).size() : 0;
-    if (part.second_table.empty()) {
+    if (part.sorted_runs) {
+      emit(StrFormat("part %zu (sorted runs over %s, %zu fragment(s), "
+                     "merged at the coordinator):",
+                     i, part.table.c_str(), fan_out));
+    } else if (part.second_table.empty()) {
       emit(StrFormat("part %zu (table %s, %zu fragment(s)):", i,
                      part.table.c_str(), fan_out));
     } else {
@@ -1193,26 +1160,41 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      i, part.table.c_str(), duplicate_of_[i]));
       continue;
     }
+    // Fragment profiles of one producer side, merged over its fragments.
+    auto emit_profile = [&](int side, int indent) {
+      auto profile = part_profiles_.find({i, side});
+      if (profile == part_profiles_.end()) {
+        emit(std::string(static_cast<size_t>(indent) * 2, ' ') +
+             "(no fragments executed)");
+        return;
+      }
+      rendered.clear();
+      obs::RenderProfile(profile->second, indent, &rendered);
+      for (const std::string& line : rendered) emit(line);
+    };
     if (part.exchange != nullptr) {
       const ExchangeJoinSpec& ex = *part.exchange;
       emit(StrFormat("part %zu (exchange join %s x %s, %s, %zu "
-                     "consumer(s)): streamed, no fragment profile",
+                     "consumer(s)):",
                      i, ex.left_table.c_str(), ex.right_table.c_str(),
                      ExchangeStrategyName(ex.strategy),
                      part_fragments_[i].size()));
+      for (int side = 0; side < 2; ++side) {
+        if (!ExchangeSideMoves(ex.strategy, side)) continue;
+        emit(StrFormat("  %s producers (%s):", side == 0 ? "left" : "right",
+                       (side == 0 ? ex.left_table : ex.right_table).c_str()));
+        emit_profile(side, 2);
+      }
       continue;
     }
     if (part.olap != nullptr) {
-      const OlapSpec& olap = *part.olap;
-      emit(StrFormat("part %zu (olap %s over %s, %zu merge "
-                     "consumer(s)): streamed, no fragment profile",
-                     i,
-                     olap.kind == OlapSpec::Kind::kGroupBy ? "group-by"
-                                                           : "sort",
-                     olap.table.c_str(), part_fragments_[i].size()));
-      continue;
-    }
-    if (part.second_table.empty()) {
+      emit(StrFormat("part %zu (olap group-by over %s, %zu merge "
+                     "consumer(s)), producers:",
+                     i, part.olap->table.c_str(), part_fragments_[i].size()));
+    } else if (part.sorted_runs) {
+      emit(StrFormat("part %zu (sorted runs over %s, %zu fragment(s)):", i,
+                     part.table.c_str(), part_fragments_[i].size()));
+    } else if (part.second_table.empty()) {
       emit(StrFormat("part %zu (table %s, %zu fragment(s)):", i,
                      part.table.c_str(), part_fragments_[i].size()));
     } else {
@@ -1221,13 +1203,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      i, part.table.c_str(), part.second_table.c_str(),
                      part_fragments_[i].size()));
     }
-    if (part_profiles_[i].has_value()) {
-      rendered.clear();
-      obs::RenderProfile(*part_profiles_[i], 1, &rendered);
-      for (const std::string& line : rendered) emit(line);
-    } else {
-      emit("  (no fragments executed)");
-    }
+    emit_profile(0, 1);
   }
   Schema schema;
   schema.AddColumn("plan", DataType::kString);
@@ -1381,7 +1357,7 @@ void QueryProcess::ScatterFixpoint() {
   fx_num_pes_ = table.fragments.size();
   gathered_->assign(1, {});
   duplicate_of_.assign(1, SIZE_MAX);
-  part_profiles_.assign(1, std::nullopt);
+  part_profiles_.clear();
   work_->clear();
   if (fx_num_pes_ == 0) {
     // Nothing to recurse over; answer from an empty extension.
@@ -1413,7 +1389,7 @@ void QueryProcess::ScatterFixpoint() {
     fc.retransmit = config_.retransmit;
     fc.costs = config_.costs;
     fc.metrics = config_.metrics;
-    request_part_[fc.reply_request_id] = 0;
+    request_part_[fc.reply_request_id] = {0, 0};
     const pool::ProcessId pid = runtime()->Spawn(
         table.fragments[i].pe,
         std::make_unique<FixpointPeProcess>(std::move(fc)));
@@ -1596,8 +1572,10 @@ void QueryProcess::ReplyFixpointExplain() {
 // ------------------------------------------------------------------ Mail
 //
 // Handler contract (D5): a query coordinator consumes replies to the RPCs
-// it fans out (locks, plans, fixpoint votes) plus its own timeout mail.
+// it fans out (locks, plans, fixpoint votes), the sorted runs streamed to
+// it, plus its own timeout mail.
 // PRISMA_HANDLES(kMailLockBatchReply, kMailExecPlanReply, kMailFixpointVote)
+// PRISMA_HANDLES(kMailTupleBatch)
 // PRISMA_HANDLES(kMailFixpointCtrlResend, kMailRpcTimeout)
 // PRISMA_HANDLES(kMailStmtDoneResend, kMailQueryTimeout)
 
@@ -1616,6 +1594,8 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
     }
   } else if (mail.kind == kMailExecPlanReply) {
     HandlePlanReply(mail);
+  } else if (mail.kind == kMailTupleBatch) {
+    HandleRunBatch(mail);
   } else if (mail.kind == kMailFixpointVote) {
     HandleFixpointVote(mail);
   } else if (mail.kind == kMailFixpointCtrlResend) {

@@ -2,6 +2,7 @@
 #define PRISMA_GDH_QUERY_PROCESS_H_
 
 #include <any>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -149,9 +150,6 @@ class QueryProcess : public pool::Process {
   /// frame that carries the `last` flag always carries rows and a result
   /// of n rows is max(1, ceil(n / batch)) frames in all.
   void SendFrames(const Schema& schema, bool last);
-  /// In-order forwarding: frames every landed merge slice of the sort part
-  /// whose predecessors have all landed.
-  void ForwardLandedSlices();
 
   Config config_;
   bool finished_ = false;
@@ -181,14 +179,10 @@ class QueryProcess : public pool::Process {
     /// partner's scan together with the anchor's on read failover.
     std::string second_table;
     std::string second_fragment;
-    /// Set for exchange-join producers: the prebuilt shuffle plan (with a
-    /// pre-assigned request_id) sent instead of a plain ExecPlanRequest.
+    /// Set for shuffle producers (exchange joins, OLAP group-bys, sorted
+    /// runs): the prebuilt shuffle plan (with a pre-assigned request_id)
+    /// sent instead of a plain ExecPlanRequest.
     std::shared_ptr<ShufflePlanRequest> shuffle;
-    /// Set for OLAP sort sampling requests (DESIGN.md §14.3): the OFM
-    /// thins its (sorted) result to this many evenly spaced quantiles.
-    uint64_t sample_rows = 0;
-    /// Fragment index of this sample within its part (barrier voter id).
-    size_t sample_slice = 0;
   };
   /// Read routing (DESIGN.md §13): the replica of `frag` a read should
   /// address — the primary while it is in-sync and alive, else the peer
@@ -212,23 +206,37 @@ class QueryProcess : public pool::Process {
   /// exchange-lowered join part; returns the number of consumer replies
   /// the gather now additionally waits for.
   size_t ScatterExchangePart(size_t part_index);
-  /// Starts one multi-stage OLAP part (DESIGN.md §14): group-by parts
-  /// spawn their merge consumers and shuffle producers immediately; sort
-  /// parts first scatter per-fragment sampling requests (stage 1) and
-  /// cross into the shuffle only at the sample barrier. Returns the
-  /// number of replies the gather waits for beyond the work entries
-  /// appended right now.
+  /// Starts one multi-stage OLAP group-by part (DESIGN.md §14.2): spawns
+  /// its merge consumers and appends its shuffle-producer work entries.
+  /// Returns the number of merge replies the gather waits for beyond
+  /// those entries.
   size_t ScatterOlapPart(size_t part_index);
-  /// Folds one sampling reply into the part's stage barrier; on barrier
-  /// completion computes the range boundaries and launches stage 2.
-  void HandleOlapSample(size_t part_index, size_t slice,
-                        const std::vector<Tuple>& rows);
-  /// Spawns the merge consumers and appends the shuffle-producer work
-  /// entries of an OLAP part (`boundaries` non-null for range sorts).
-  /// `send_now` dispatches the new entries immediately (stage-2 launches
-  /// after the initial scatter already ran).
-  void LaunchOlapShuffle(size_t part_index, RowFrame boundaries,
-                         bool send_now);
+  /// Appends a shuffle-producer work entry for `frag` of `table`: `plan`
+  /// (its Scan naming the table) aimed at the replica that serves reads,
+  /// streaming to `consumers`. The caller sets the routing mode.
+  ShufflePlanRequest& AddShuffleProducer(
+      size_t part_index, uint64_t exchange_id, int side, size_t producer,
+      const std::string& table, const FragmentInfo& frag,
+      const algebra::Plan& plan, std::vector<pool::ProcessId> consumers);
+  /// Appends one sorted-run part's work entries (DESIGN.md §14.3): a
+  /// shuffle producer per fragment, streaming its run to this
+  /// coordinator.
+  void ScatterRunsPart(size_t part_index);
+  /// Sorted runs of one part, by run (the part's fragment list order).
+  struct SortedRuns {
+    size_t part = 0;
+    std::vector<exec::InboundChannel> channels;
+    /// Received rows not merged yet.
+    std::vector<std::deque<Tuple>> rows;
+  };
+  /// Takes one run batch: buffers it, acks on receipt, independent of the
+  /// merge (so a sequential scatter cannot stall a producer on credit),
+  /// then merges.
+  void HandleRunBatch(const pool::Mail& mail);
+  /// K-way merges `runs` as far as every unfinished run has a head row.
+  /// Merged rows join the client's frame train when forwarding, else the
+  /// part's gather buffer.
+  void MergeRuns(SortedRuns& runs);
   // Process-local state below is wrapped in the ownership checker: only
   // this process's handlers (or control-plane code between events) may
   // touch it; see pool/owned.h.
@@ -242,7 +250,13 @@ class QueryProcess : public pool::Process {
   /// Exchange consumers spawned for this statement, killed in Reply().
   std::vector<pool::ProcessId> consumer_pids_;
   uint64_t next_request_id_ = 1;
-  std::map<uint64_t, size_t> request_part_;  // request id -> part index.
+  /// Where a reply lands: its part, and for a shuffle producer its input
+  /// side (EXPLAIN ANALYZE profiles each side of an exchange join).
+  struct ReplySlot {
+    size_t part = 0;
+    int side = 0;
+  };
+  std::map<uint64_t, ReplySlot> request_part_;  // By request id.
 
   // Settlement contract (D6): replies settle via SettleRpc, retry-budget
   // exhaustion via RpcExhausted, and Reply clears whatever is still
@@ -254,8 +268,8 @@ class QueryProcess : public pool::Process {
   Resender done_;
   pool::Owned<std::vector<std::vector<Tuple>>> gathered_;  // Per part.
   uint64_t tuples_gathered_ = 0;
-  // EXPLAIN ANALYZE: per-part profile, fragment replies merged in.
-  std::vector<std::optional<obs::OperatorProfile>> part_profiles_;
+  // EXPLAIN ANALYZE: fragment profiles merged per (part, side).
+  std::map<std::pair<size_t, int>, obs::OperatorProfile> part_profiles_;
   // Pruned fragment indexes per SQL part (see PruneFragmentsForPart).
   std::vector<std::vector<int>> part_fragments_;
   // Common-subexpression elimination across parts: duplicate_of_[i] names
@@ -263,40 +277,32 @@ class QueryProcess : public pool::Process {
   // (SIZE_MAX = unique part, scattered normally).
   std::vector<size_t> duplicate_of_;
 
-  // Multi-stage OLAP state (DESIGN.md §14), keyed by part index.
-  struct OlapPartWork {
-    /// Sort stage 1: one vote per fragment's quantile sample.
-    StageBarrier samples;
-    /// Pooled sample *key* tuples (SortKeyOf-projected).
-    std::vector<Tuple> sample_keys;
-    /// Merge consumer replies by consumer index: a sort part's slices
-    /// concatenate in index order into the global order; a group-by
-    /// part's slices are disjoint group sets, sorted after the gather.
-    std::vector<std::vector<Tuple>> slices;
-    /// Consumer c's reply has landed (an empty slice is still a slice).
-    std::vector<bool> landed;
-  };
-  std::map<size_t, OlapPartWork> olap_work_;
-  /// Sample request id -> (part, fragment index).
-  std::map<uint64_t, std::pair<size_t, size_t>> olap_sample_of_;
+  // Multi-stage OLAP group-by state (DESIGN.md §14.2): merge consumer
+  // replies by part, then consumer index. Their disjoint group sets are
+  // sorted after the gather.
+  std::map<size_t, std::vector<std::vector<Tuple>>> olap_slices_;
   /// Merge-consumer reply id -> (part, consumer index).
   std::map<uint64_t, std::pair<size_t, size_t>> olap_merge_of_;
-  /// Shuffle-producer request ids of OLAP parts (wire-bit attribution).
+  /// Request ids of OLAP stream producers: group-by shuffles and sorted
+  /// runs (wire-bit attribution).
   std::set<uint64_t> olap_producer_ids_;
-  uint64_t olap_shuffle_bits_ = 0;  // First-transmission data-plane bits.
-  uint64_t olap_gather_bits_ = 0;   // Merge reply bits (final rows only).
-  uint64_t olap_sample_rows_ = 0;   // Quantile rows gathered (sorts).
+  uint64_t olap_shuffle_bits_ = 0;  // First-transmission stream bits.
+  uint64_t olap_gather_bits_ = 0;   // Merge consumer reply bits.
   /// Bits of plain (non-OLAP) fragment replies gathered at the
   /// coordinator — the gather-baseline figure E14 compares against.
   uint64_t gather_bits_ = 0;
 
-  // Result delivery (DESIGN.md §15.5). `forward_slices_` is set when the
-  // global plan is a bare Scan of one OLAP sort part: merge slice c is
-  // framed to the client as soon as slices 0..c have landed, so the
-  // coordinator -> client transfer overlaps the merge -> coordinator
-  // gather.
-  bool forward_slices_ = false;
-  size_t next_forward_slice_ = 0;
+  // Sorted-run parts (DESIGN.md §14.3), by exchange id. The receiver is
+  // built with the first such part, so other statements register none of
+  // its series.
+  std::map<uint64_t, SortedRuns> runs_;
+  std::optional<StreamReceiver> runs_in_;
+
+  // Result delivery (DESIGN.md §15.5). `forward_runs_` is set when the
+  // global plan is a bare Scan of one sorted-run part: merged rows are
+  // framed to the client as they come, so the coordinator -> client
+  // transfer overlaps the runs' arrival.
+  bool forward_runs_ = false;
   /// Result rows not yet framed (a forwarded train's held-back tail).
   std::vector<Tuple> unframed_;
   uint32_t frames_sent_ = 0;

@@ -85,7 +85,6 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "olap.last_gather_bits",
     "olap.last_shuffle_bits",
     "olap.parts",
-    "olap.sample_rows",
     "olap.shuffle_bits",
     "pe.busy_ns",
     "pe.cpu_ns",

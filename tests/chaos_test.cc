@@ -638,12 +638,12 @@ struct OlapSoakOutcome {
   std::string metrics;
 };
 
-/// A distributed group-by (pre-aggregate + shuffle-by-key) and a
-/// range-partitioned sort (sample stage + shuffle) under the same seeded
-/// lossy/duplicating/jittery interconnect as the exchange soak. Both are
-/// multi-stage plans (DESIGN.md §14): the stage barrier, the sample and
-/// merge replies, and the shuffle batches all cross the faulty links, and
-/// the exact answer must come back every time.
+/// A distributed group-by (pre-aggregate + shuffle-by-key) and a sort
+/// lowered to sorted runs under the same seeded lossy/duplicating/jittery
+/// interconnect as the exchange soak (DESIGN.md §14): the shuffle
+/// batches, the runs streaming to the coordinator, their acks and the
+/// merge replies all cross the faulty links, and the exact answer must
+/// come back every time.
 OlapSoakOutcome RunOlapChaos(uint64_t seed,
                              exec::ExecMode mode = exec::ExecMode::kRow) {
   MachineConfig config;
@@ -703,8 +703,8 @@ TEST(ChaosTest, OlapSoakSurvives25Seeds) {
   for (const uint64_t seed : SoakSeeds(1, 25)) {
     PRISMA_SEED_REPRO("ChaosTest.OlapSoakSurvives25Seeds", seed);
     const OlapSoakOutcome out = RunOlapChaos(seed);
-    // Both statements really took the multi-stage path (one group-by
-    // part + one sort part).
+    // Both statements really took the OLAP path (one group-by part + one
+    // sorted-run part).
     EXPECT_EQ(out.olap_parts, 2u);
     dropped += out.dropped;
     duplicated += out.duplicated;
@@ -713,7 +713,7 @@ TEST(ChaosTest, OlapSoakSurvives25Seeds) {
   if (SingleSeedMode()) return;
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(duplicated, 0u);
-  // Lost shuffle batches, sample/merge replies or barrier votes forced
+  // Lost shuffle or run batches, acks or merge replies forced
   // retransmissions somewhere — and every answer still came back exact.
   EXPECT_GT(recovered, 0u);
 }
@@ -1027,11 +1027,11 @@ struct StreamCrashOutcome {
 };
 
 /// A 1,200-row distributed sort (19 frames) whose coordinator is pinned to
-/// PE 1, next to merge consumer 0: the first slice lands at once and its
-/// frames reach the client while the other slices are still in transit.
-/// The simulator is stepped until the client holds part of the frame
-/// train while the coordinator is still forwarding, then PE 1 crashes. The GDH reaps the coordinator and
-/// answers kUnavailable; the client must discard the partial train.
+/// PE 1: the merged runs reach the client as frames while the runs are
+/// still streaming in. The simulator is stepped until the client holds
+/// part of the frame train while the coordinator is still forwarding,
+/// then PE 1 crashes. The GDH reaps the coordinator and answers
+/// kUnavailable; the client must discard the partial train.
 StreamCrashOutcome RunStreamCrash(bool trace) {
   MachineConfig config;
   config.pes = 8;
@@ -1102,6 +1102,235 @@ TEST(ChaosTest, CoordinatorCrashMidTrainReplaysByteIdenticallyWithTraces) {
   const StreamCrashOutcome a = RunStreamCrash(/*trace=*/true);
   const StreamCrashOutcome b = RunStreamCrash(/*trace=*/true);
   EXPECT_EQ(a.frames_at_crash, b.frames_at_crash);
+  EXPECT_EQ(a.metrics, b.metrics);
+  ASSERT_FALSE(a.trace.empty());
+  EXPECT_EQ(a.trace, b.trace);
+}
+
+struct SortedRunSoakOutcome {
+  uint64_t dropped = 0;
+  uint64_t retransmits = 0;
+  uint64_t olap_parts = 0;
+  std::string metrics;
+};
+
+/// Sorted runs (DESIGN.md §14.3) under a 4-batch credit window, so every
+/// run has several batches in flight, across seeded drops, duplicates
+/// and jitter: a lost run batch leaves gaps and duplicates at the
+/// coordinator, and the producer must still learn of every batch that
+/// arrived. 200 rows over 4 fragments in 4-row batches give each run
+/// about 13 batches. Both the bare sort and its Top-N form must come
+/// back in exact order.
+SortedRunSoakOutcome RunSortedRunChaos(uint64_t seed) {
+  MachineConfig config;
+  config.pes = 4;
+  config.exchange_batch_rows = 4;
+  config.exchange_credit_window = 4;
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 31);
+  config.fault_plan.seed = seed;
+  config.fault_plan.link.drop_probability = 0.01 + 0.04 * rng.NextDouble();
+  config.fault_plan.link.duplicate_probability = 0.05 * rng.NextDouble();
+  config.fault_plan.link.max_extra_delay_ns = rng.UniformInt(0, 200'000);
+
+  PrismaDb db(config);
+  MustExecute(&db, "CREATE TABLE r (id INT, k INT) "
+                   "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
+  for (int i = 0; i < 200; i += 50) {
+    std::string sql = "INSERT INTO r VALUES ";
+    for (int j = i; j < i + 50; ++j) {
+      if (j > i) sql += ", ";
+      sql += StrFormat("(%d, %d)", j, (j * 37) % 101);
+    }
+    MustExecute(&db, sql);
+  }
+  std::vector<std::pair<int, int>> expected;  // (k, id): k DESC, id.
+  for (int j = 0; j < 200; ++j) expected.emplace_back((j * 37) % 101, j);
+  std::sort(expected.begin(), expected.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  const QueryResult sorted =
+      MustExecute(&db, "SELECT id, k FROM r ORDER BY k DESC, id");
+  PRISMA_CHECK(sorted.tuples.size() == expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    PRISMA_CHECK(sorted.tuples[i].at(0) == Value::Int(expected[i].second))
+        << "rank " << i << " under seed " << seed;
+  }
+  const QueryResult top =
+      MustExecute(&db, "SELECT id, k FROM r ORDER BY k DESC, id LIMIT 30");
+  PRISMA_CHECK(top.tuples.size() == 30);
+  for (size_t i = 0; i < 30; ++i) {
+    PRISMA_CHECK(top.tuples[i].at(0) == Value::Int(expected[i].second))
+        << "top rank " << i << " under seed " << seed;
+  }
+
+  SortedRunSoakOutcome out;
+  out.dropped = db.network().stats().dropped;
+  out.retransmits = db.metrics().CounterTotal("exchange.retransmits");
+  out.olap_parts = db.metrics().CounterTotal("olap.parts");
+  out.metrics = db.DumpMetrics();
+  return out;
+}
+
+TEST(ChaosTest, SortedRunSoakWithAWideCreditWindowSurvives25Seeds) {
+  uint64_t dropped = 0;
+  uint64_t retransmits = 0;
+  for (const uint64_t seed : SoakSeeds(1, 25)) {
+    PRISMA_SEED_REPRO("ChaosTest.SortedRunSoakWithAWideCreditWindowSurvives"
+                      "25Seeds",
+                      seed);
+    const SortedRunSoakOutcome out = RunSortedRunChaos(seed);
+    EXPECT_EQ(out.olap_parts, 2u);  // Both statements streamed runs.
+    dropped += out.dropped;
+    retransmits += out.retransmits;
+  }
+  if (SingleSeedMode()) return;
+  EXPECT_GT(dropped, 0u);
+  // Lost run batches or acks were resent, and every answer stayed exact.
+  EXPECT_GT(retransmits, 0u);
+}
+
+TEST(ChaosTest, SortedRunSameSeedReplayIsByteIdentical) {
+  const SortedRunSoakOutcome a = RunSortedRunChaos(7);
+  const SortedRunSoakOutcome b = RunSortedRunChaos(7);
+  EXPECT_EQ(a.metrics, b.metrics);
+}
+
+// ----------------------------- Sorted runs under a producer crash (§14.3)
+
+struct RunCrashOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::string rendered;  // The answer, one tuple per line.
+  uint64_t frames_at_crash = 0;
+  net::NodeId victim = 0;
+  std::string metrics;
+  std::string trace;
+};
+
+std::string RenderedTuples(const std::vector<Tuple>& tuples) {
+  std::string out;
+  for (const Tuple& t : tuples) out += t.ToString() + "\n";
+  return out;
+}
+
+/// The 1,200-row sort of big(id, k) in its exact order: k DESC, id.
+std::string ExpectedRunOrder() {
+  std::vector<std::pair<int, int>> rows;  // (k, id)
+  for (int j = 0; j < 1200; ++j) rows.emplace_back((j * 37) % 101, j);
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<Tuple> tuples;
+  for (const auto& [k, id] : rows) {
+    tuples.push_back(Tuple({Value::Int(id), Value::Int(k)}));
+  }
+  return RenderedTuples(tuples);
+}
+
+/// A 1,200-row sort over 7 fragments streamed as sorted runs in 4-row
+/// batches under a 4-batch credit window, its coordinator on the
+/// client's PE 0 (which never crashes). Once the client holds part of the frame
+/// train, the PE of a fragment whose run is still streaming crashes;
+/// with `recover` it restarts 5 ms later, and the coordinator's
+/// retransmitted plan makes the respawned OFM stream the run again.
+RunCrashOutcome RunProducerCrash(bool recover, bool trace) {
+  MachineConfig config;
+  config.pes = 8;
+  config.coordinator_pes = {0};
+  config.exchange_batch_rows = 4;
+  config.exchange_credit_window = 4;
+  config.enable_tracing = trace;
+  // A zero-length placeholder window turns fault mode (snappy RPC timers)
+  // on without faulting anything.
+  config.fault_plan.down_windows.push_back({1, 2, 0, 0});
+  PrismaDb db(config);
+  MustExecute(&db, "CREATE TABLE big (id INT, k INT) FRAGMENTED BY "
+                   "HASH(id) INTO 7 FRAGMENTS");
+  for (int i = 0; i < 1200; i += 200) {
+    std::string sql = "INSERT INTO big VALUES ";
+    for (int j = i; j < i + 200; ++j) {
+      if (j > i) sql += ", ";
+      sql += StrFormat("(%d, %d)", j, (j * 37) % 101);
+    }
+    MustExecute(&db, sql);
+  }
+
+  // Runs whose final batch reached the coordinator (run r = fragment r).
+  std::set<size_t> finished;
+  db.runtime().SetMailTap([&finished](pool::Mail& mail) {
+    if (mail.kind != gdh::kMailTupleBatch) return;
+    const auto& msg = *std::any_cast<std::shared_ptr<gdh::TupleBatchMsg>>(
+        mail.body);
+    if (msg.eos) finished.insert(msg.producer);
+  });
+  RunCrashOutcome out;
+  bool answered = false;
+  serve::Dispatcher dispatcher(&db, serve::DispatcherOptions());
+  dispatcher.Submit("SELECT id, k FROM big ORDER BY k DESC, id",
+                    exec::kAutoCommit,
+                    [&](const gdh::ClientReply& reply, sim::SimTime) {
+                      PRISMA_CHECK(!answered) << "answered twice";
+                      answered = true;
+                      out.code = reply.status.code();
+                      if (reply.tuples != nullptr) {
+                        out.rendered = RenderedTuples(*reply.tuples);
+                      }
+                    });
+  const uint64_t frames0 = db.metrics().CounterValue("query.reply_frames");
+  while (db.metrics().CounterValue("query.reply_frames") == frames0) {
+    PRISMA_CHECK(!answered && db.simulator().Step())
+        << "the train was never caught in flight";
+  }
+  out.frames_at_crash =
+      db.metrics().CounterValue("query.reply_frames") - frames0;
+  const auto& fragments =
+      db.gdh().dictionary().GetTable("big").value()->fragments;
+  for (size_t f = 0; f < fragments.size(); ++f) {
+    if (!finished.contains(f) && fragments[f].pe != 0) {
+      out.victim = fragments[f].pe;
+      break;
+    }
+  }
+  PRISMA_CHECK(out.victim != 0) << "every run had finished";
+  db.CrashPe(out.victim);
+  if (recover) {
+    db.simulator().RunUntil(db.simulator().now() + 5 * sim::kNanosPerMilli);
+    PRISMA_CHECK(db.RecoverPe(out.victim).ok());
+  }
+  dispatcher.Run();
+  db.runtime().SetMailTap(nullptr);
+  PRISMA_CHECK(answered);
+  out.metrics = db.DumpMetrics();
+  if (trace) out.trace = db.DumpTrace();
+  return out;
+}
+
+TEST(ChaosTest, ProducerCrashMidRunIsExactOrTypedNeverTruncated) {
+  const std::string expected = ExpectedRunOrder();
+  for (const bool recover : {false, true}) {
+    SCOPED_TRACE(recover ? "PE restarts" : "PE stays down");
+    const RunCrashOutcome out = RunProducerCrash(recover, /*trace=*/false);
+    // The client held part of the train when the producer's PE died.
+    EXPECT_GT(out.frames_at_crash, 0u);
+    if (out.code == StatusCode::kOk) {
+      EXPECT_EQ(out.rendered, expected);  // Exact order, every row.
+    } else {
+      EXPECT_EQ(out.code, StatusCode::kUnavailable);
+      EXPECT_TRUE(out.rendered.empty());  // The partial train is dropped.
+    }
+    // Without the PE the run can never finish; with it back, the
+    // respawned OFM streams the run again and the merge completes.
+    EXPECT_EQ(out.code == StatusCode::kOk, recover);
+  }
+}
+
+TEST(ChaosTest, ProducerCrashMidRunReplaysByteIdenticallyWithTraces) {
+  const RunCrashOutcome a = RunProducerCrash(/*recover=*/true, true);
+  const RunCrashOutcome b = RunProducerCrash(/*recover=*/true, true);
+  EXPECT_EQ(a.victim, b.victim);
+  EXPECT_EQ(a.frames_at_crash, b.frames_at_crash);
+  EXPECT_EQ(a.rendered, b.rendered);
   EXPECT_EQ(a.metrics, b.metrics);
   ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);

@@ -1251,7 +1251,7 @@ TEST_F(VectorizedExecutorTest, InterpretedModeSilentlyStaysRow) {
 // --------------------------------- Distributed OLAP merge edge cases
 
 /// Machine-level edge cases of the partial-aggregate merge and the
-/// range-partitioned sort (DESIGN.md §14): fragments that contribute
+/// merge of sorted runs (DESIGN.md §14): fragments that contribute
 /// nothing, NULL group keys (a group of their own, routed to consumer 0),
 /// extreme group skew, and sorted runs that span exchange batch
 /// boundaries. Each case runs in both execution modes.

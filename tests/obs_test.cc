@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/str_util.h"
@@ -225,6 +227,67 @@ TEST(ObservabilityEndToEnd, ExplainAnalyzeReturnsPerOperatorProfile) {
   EXPECT_EQ(plain_text.find("rows="), std::string::npos);
 }
 
+/// Streamed parts report fragment profiles too: every shuffle producer's
+/// settlement carries its fragment's operator profile under EXPLAIN
+/// ANALYZE — one part of each kind (exchange join, OLAP group-by, sorted
+/// runs) — and without ANALYZE a settlement stays control-sized.
+TEST(ObservabilityEndToEnd, ExplainAnalyzeProfilesStreamedParts) {
+  core::PrismaDb db(SmallMachine());
+  LoadEmp(&db);
+  // Fragmented on a non-key column: the join cannot run co-located.
+  ASSERT_TRUE(db.Execute("CREATE TABLE dept (name STRING, floor INT) "
+                         "FRAGMENTED BY HASH(floor) INTO 2 FRAGMENTS")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO dept VALUES ('sales', 1), ('eng', 2), "
+                         "('hr', 3)")
+                  .ok());
+  auto analyze = [&db](const std::string& sql) {
+    auto result = db.Execute("EXPLAIN ANALYZE " + sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::string all;
+    if (result.ok()) {
+      for (const Tuple& t : result->tuples) {
+        all += t.at(0).string_value();
+        all += '\n';
+      }
+    }
+    EXPECT_EQ(all.find("no fragment profile"), std::string::npos) << all;
+    EXPECT_EQ(all.find("no fragments executed"), std::string::npos) << all;
+    return all;
+  };
+
+  const std::string join = analyze(
+      "SELECT e.id, d.floor FROM emp e JOIN dept d ON e.dept = d.name");
+  EXPECT_NE(join.find("exchange join emp x dept"), std::string::npos) << join;
+  EXPECT_NE(join.find("producers ("), std::string::npos) << join;
+  EXPECT_NE(join.find("Scan("), std::string::npos) << join;
+
+  const std::string grouped =
+      analyze("SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept");
+  EXPECT_NE(grouped.find("olap group-by over emp"), std::string::npos)
+      << grouped;
+  EXPECT_NE(grouped.find("Aggregate"), std::string::npos) << grouped;
+  EXPECT_NE(grouped.find("x4"), std::string::npos) << grouped;
+
+  const std::string sorted =
+      analyze("SELECT id, salary FROM emp ORDER BY salary DESC, id");
+  EXPECT_NE(sorted.find("sorted runs over emp, 4 fragment(s)"),
+            std::string::npos)
+      << sorted;
+  EXPECT_NE(sorted.find("Sort rows=24"), std::string::npos) << sorted;
+  EXPECT_NE(sorted.find("x4"), std::string::npos) << sorted;
+
+  // Without ANALYZE the 4 run producers settle with control-sized replies.
+  const obs::Labels kind = {{"kind", gdh::kMailExecPlanReply}};
+  const uint64_t sent0 = db.metrics().CounterValue("pool.mail_sent", kind);
+  const uint64_t bits0 = db.metrics().CounterValue("pool.mail_bits", kind);
+  ASSERT_TRUE(
+      db.Execute("SELECT id, salary FROM emp ORDER BY salary DESC, id").ok());
+  EXPECT_EQ(db.metrics().CounterValue("pool.mail_sent", kind) - sent0, 4u);
+  EXPECT_EQ(db.metrics().CounterValue("pool.mail_bits", kind) - bits0,
+            4u * gdh::kControlBits);
+}
+
 TEST(ObservabilityEndToEnd, MetricsCoverEveryLayer) {
   core::PrismaDb db(SmallMachine());
   LoadEmp(&db);
@@ -328,6 +391,14 @@ TEST(ObservabilityEndToEnd, DeliveryIsStampedAtTheClientOnTheLastFrame) {
     ASSERT_TRUE(db.Execute(sql).ok());
   }
   const uint64_t frames0 = db.metrics().CounterValue("query.reply_frames");
+  // The wire size of the train's last frame (one column frame).
+  int64_t last_frame_bits = 0;
+  db.runtime().SetMailTap([&](pool::Mail& mail) {
+    if (mail.kind != gdh::kMailClientReply) return;
+    const auto& reply =
+        *std::any_cast<std::shared_ptr<gdh::ClientReply>>(mail.body);
+    if (reply.last) last_frame_bits = reply.WireBits();
+  });
   sim::SimTime latency = 0;
   const uint64_t id = db.Submit(
       "SELECT id, v FROM t ORDER BY v, id", /*prismalog=*/false,
@@ -338,17 +409,31 @@ TEST(ObservabilityEndToEnd, DeliveryIsStampedAtTheClientOnTheLastFrame) {
         latency = ns;
       });
   db.Run();
+  db.runtime().SetMailTap(nullptr);
   ASSERT_GT(latency, 0);
   const obs::Labels q = {{"query", std::to_string(id)}};
-  // 1,200 rows in 64-row frames, forwarded slice by slice.
+  // 1,200 rows in 64-row frames, forwarded as the runs merge.
   EXPECT_EQ(db.metrics().CounterValue("query.reply_frames") - frames0, 19u);
   EXPECT_EQ(db.metrics().CounterValue("query.reply_streamed"), 1u);
   // The client's figure is the session's submit -> last-frame latency,
   // and it covers the coordinator's hand-off plus the last frame's 4 hops.
   EXPECT_EQ(db.metrics().GaugeValue("query.delivered_ns", q), latency);
   const int64_t handed_off = db.metrics().GaugeValue("query.response_ns", q);
+  // The last frame holds the reference order's final 1200 % 64 = 48
+  // rows; its size is computed here, not taken from the tap alone.
+  std::vector<std::pair<int, int>> order;  // (v, id)
+  for (int j = 0; j < 1200; ++j) order.emplace_back((j * 7) % 50, j);
+  std::sort(order.begin(), order.end());
+  std::vector<Tuple> tail;
+  for (size_t r = order.size() - 1200 % 64; r < order.size(); ++r) {
+    tail.push_back(
+        Tuple({Value::Int(order[r].second), Value::Int(order[r].first)}));
+  }
+  const int64_t tail_bits =
+      gdh::kControlBits + gdh::FrameBits(gdh::EncodeRows(tail));
+  EXPECT_EQ(last_frame_bits, tail_bits);
   const int64_t frame_hop_ns =
-      64 * 2 * 8 * 8 * sim::kNanosPerSecond / config.link.bandwidth_bps;
+      tail_bits * sim::kNanosPerSecond / config.link.bandwidth_bps;
   EXPECT_GT(latency, handed_off + 4 * frame_hop_ns);
 }
 

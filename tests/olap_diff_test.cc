@@ -94,8 +94,8 @@ std::string Rendered(const QueryResult& result) {
 
 /// The workload: group-bys over every aggregate (AVG decomposes into
 /// SUM+COUNT partials), a filtered group-by that can leave fragments
-/// empty, and distributed sorts whose trailing key (unique id) pins the
-/// order of ties across partitioning strategies.
+/// empty, and distributed sorts (one Top-N) whose trailing key (unique
+/// id) pins the order of ties across the merged runs.
 const char* kQueries[] = {
     "SELECT region, COUNT(*) AS n, SUM(amount) AS total FROM sales "
     "GROUP BY region ORDER BY region",
@@ -104,6 +104,7 @@ const char* kQueries[] = {
     "SELECT id, amount FROM sales ORDER BY amount, id",
     "SELECT id, amount, qty FROM sales WHERE qty >= 3 "
     "ORDER BY qty DESC, id",
+    "SELECT id, amount FROM sales ORDER BY amount DESC, id LIMIT 7",
     "SELECT region, SUM(qty) AS q FROM sales WHERE amount < 200 "
     "GROUP BY region ORDER BY region",
 };
@@ -504,9 +505,11 @@ TEST(OlapDiffTest, AggStrategiesAgreeAndExplainNamesThem) {
   }
 }
 
-/// Distributed sort: EXPLAIN names the sample-based range partitioning
-/// and the sampled quantile rows are accounted in olap.sample_rows.
-TEST(OlapDiffTest, DistributedSortSamplesRanges) {
+/// Distributed sort: EXPLAIN names the sorted runs, every fragment
+/// streams its run straight to the coordinator (nothing is shuffled
+/// between fragments), and a LIMIT directly on the sort makes each
+/// fragment ship only its top n.
+TEST(OlapDiffTest, DistributedSortMergesSortedRuns) {
   MachineConfig config;
   config.pes = 8;
   PrismaDb db(config);
@@ -515,22 +518,34 @@ TEST(OlapDiffTest, DistributedSortSamplesRanges) {
       db, "EXPLAIN SELECT id, salary FROM emp ORDER BY salary DESC, id");
   std::string text;
   for (const Tuple& t : plan.tuples) text += t.ToString() + "\n";
-  EXPECT_NE(text.find("olap sort over emp"), std::string::npos) << text;
-  EXPECT_NE(text.find("sample-based range partition"), std::string::npos)
+  EXPECT_NE(text.find("sorted runs over emp, 4 fragment(s), merged at the "
+                      "coordinator"),
+            std::string::npos)
       << text;
-  EXPECT_NE(text.find("Exchange range("), std::string::npos) << text;
+  EXPECT_EQ(text.find("Exchange"), std::string::npos) << text;
 
   const QueryResult sorted =
       MustExecute(db, "SELECT id, salary FROM emp ORDER BY salary DESC, id");
   ASSERT_EQ(sorted.tuples.size(), 60u);
   for (size_t i = 1; i < sorted.tuples.size(); ++i) {
-    EXPECT_GE(sorted.tuples[i - 1].at(1).int_value(),
+    EXPECT_GT(sorted.tuples[i - 1].at(1).int_value(),
               sorted.tuples[i].at(1).int_value());
   }
-  // 4 fragments each sampled at min(fragment rows, quantile budget).
-  const uint64_t sampled = db.metrics().CounterTotal("olap.sample_rows");
-  EXPECT_GT(sampled, 0u);
-  EXPECT_LE(sampled, 4 * config.rules.olap_sample_rows);
+  // The runs are the only stream; no merge consumer replies.
+  EXPECT_EQ(db.metrics().CounterTotal("olap.parts"), 1u);
+  EXPECT_GT(db.metrics().CounterTotal("olap.shuffle_bits"), 0u);
+  EXPECT_EQ(db.metrics().CounterTotal("olap.gather_bits"), 0u);
+  EXPECT_EQ(db.metrics().CounterTotal("query.tuples_gathered"), 60u);
+
+  // Top-N: 4 fragments ship at most 5 rows each.
+  const QueryResult top = MustExecute(
+      db, "SELECT id, salary FROM emp ORDER BY salary DESC, id LIMIT 5");
+  ASSERT_EQ(top.tuples.size(), 5u);
+  for (size_t i = 0; i < top.tuples.size(); ++i) {
+    EXPECT_EQ(top.tuples[i].at(0).int_value(), 59 - static_cast<int>(i));
+  }
+  EXPECT_EQ(db.metrics().CounterTotal("olap.parts"), 2u);
+  EXPECT_EQ(db.metrics().CounterTotal("query.tuples_gathered"), 60u + 4 * 5);
 }
 
 /// Disabling the lowering removes every olap part and metric — the knob

@@ -1,11 +1,14 @@
 // Result delivery (DESIGN.md §15.5): results of more than one exchange
 // batch reach the client as a train of client_reply frames, and a bare
-// distributed range sort forwards its merge slices to the client as they
-// land. These tests pin the answers (byte-identical to a single-fragment
-// reference in both execution modes, wherever the coordinator runs), the
-// frame arithmetic (max(1, ceil(rows / 64)) frames per result) and the
-// forwarding precondition (plans under LIMIT, and gather-baseline sorts,
-// are not forwarded).
+// distributed sort frames the merge of its fragments' sorted runs to the
+// client as the runs arrive. These tests pin the answers (byte-identical
+// to a single-fragment reference in both execution modes, wherever the
+// coordinator runs, scattered in parallel or one fragment at a time), the
+// frame arithmetic (max(1, ceil(rows / 64)) frames per result), the
+// pipelining (the train starts before the last run is in), Top-N (a
+// LIMIT n ships at most n rows per fragment) and the forwarding
+// precondition (plans under LIMIT, and gather-baseline sorts, are not
+// forwarded).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "gdh/messages.h"
+#include "sim/simulator.h"
 
 namespace prisma::core {
 namespace {
@@ -76,6 +80,27 @@ uint64_t ExpectedFrames(size_t rows) {
   return rows == 0 ? 1 : (rows + kFrameRows - 1) / kFrameRows;
 }
 
+/// Arrival times, from a mail tap, of the first client frame and of the
+/// last final (eos) tuple batch: the only batches of a lone sort
+/// statement are its runs streaming to the coordinator.
+struct TrainTiming {
+  sim::SimTime first_frame = -1;
+  sim::SimTime last_run_end = -1;
+};
+
+void TapTrain(PrismaDb& db, TrainTiming* timing) {
+  db.runtime().SetMailTap([&db, timing](pool::Mail& mail) {
+    const sim::SimTime now = db.simulator().now();
+    if (mail.kind == gdh::kMailClientReply && timing->first_frame < 0) {
+      timing->first_frame = now;
+    } else if (mail.kind == gdh::kMailTupleBatch &&
+               std::any_cast<std::shared_ptr<gdh::TupleBatchMsg>>(mail.body)
+                   ->eos) {
+      timing->last_run_end = now;
+    }
+  });
+}
+
 std::string ReferenceSort() {
   MachineConfig config;
   config.pes = 2;
@@ -105,14 +130,64 @@ TEST(ResultStreamTest, StreamedSortMatchesTheSingleFragmentReference) {
         LoadBig(db, fragments);
         const uint64_t frames0 = ClientFrames(db);
         const uint64_t streamed0 = Streamed(db);
+        TrainTiming timing;
+        TapTrain(db, &timing);
         const QueryResult result = MustExecute(db, kSortSql);
+        db.runtime().SetMailTap(nullptr);
         EXPECT_EQ(Rendered(result), reference);
         ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kRows));
         EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
         // Only a multi-fragment table has a distributed sort to forward.
         EXPECT_EQ(Streamed(db) - streamed0, fragments > 1 ? 1u : 0u);
+        if (fragments > 1 && coordinator == 0) {
+          // Pipelining: the first frame leaves the coordinator before the
+          // last run has finished arriving, so the merge never waits for
+          // every run. (On the client's PE a frame arrives as it leaves;
+          // the tap sees arrivals.)
+          EXPECT_GE(timing.first_frame, 0);
+          EXPECT_LT(timing.first_frame, timing.last_run_end);
+        }
       }
     }
+  }
+}
+
+TEST(ResultStreamTest, SequentialScatterMergesTheSameAnswer) {
+  // One fragment at a time: the coordinator acks every run batch on
+  // receipt, so a producer never waits on credit for the merge, and the
+  // next fragment starts once the previous run is in.
+  MachineConfig config;
+  config.pes = 8;
+  config.rules.parallel_fragments = false;
+  config.coordinator_pes = {7};
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7);
+  const uint64_t frames0 = ClientFrames(db);
+  const QueryResult result = MustExecute(db, kSortSql);
+  EXPECT_EQ(Rendered(result), ReferenceSort());
+  EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
+  EXPECT_EQ(Streamed(db), 1u);
+}
+
+TEST(ResultStreamTest, TopNShipsAtMostNRowsPerFragment) {
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7);
+  const std::string reference = ReferenceSort();
+  for (const int n : {1, 10, 100}) {
+    SCOPED_TRACE(StrFormat("limit=%d", n));
+    const std::string sql =
+        StrFormat("SELECT id, k, v FROM big ORDER BY k DESC, id LIMIT %d", n);
+    const uint64_t gathered0 =
+        db.metrics().CounterTotal("query.tuples_gathered");
+    const QueryResult top = MustExecute(db, sql);
+    // The reference's first n rows.
+    size_t at = 0;
+    for (int i = 0; i < n; ++i) at = reference.find('\n', at) + 1;
+    EXPECT_EQ(Rendered(top), reference.substr(0, at));
+    EXPECT_LE(db.metrics().CounterTotal("query.tuples_gathered") - gathered0,
+              static_cast<uint64_t>(7 * n));
   }
 }
 
@@ -145,8 +220,8 @@ TEST(ResultStreamTest, LimitAndGatherBaselineSortsAreNotForwarded) {
   config.pes = 8;
   PrismaDb db(config);
   LoadBig(db, /*fragments=*/7);
-  // A LIMIT over the distributed sort: the global plan is Limit(Scan),
-  // so the coordinator must see every slice before it can cut.
+  // A LIMIT over the distributed sort: the global plan Limit(Scan) runs
+  // over the merged runs, so nothing is framed before the cut.
   const uint64_t frames0 = ClientFrames(db);
   const QueryResult top =
       MustExecute(db, "SELECT id, k FROM big ORDER BY k DESC, id LIMIT 10");
@@ -154,7 +229,8 @@ TEST(ResultStreamTest, LimitAndGatherBaselineSortsAreNotForwarded) {
   EXPECT_EQ(ClientFrames(db) - frames0, 1u);
   EXPECT_EQ(Streamed(db), 0u);
 
-  // EXPLAIN ANALYZE measures the gather decomposition: not forwarded.
+  // EXPLAIN ANALYZE answers with the profile, not the rows: not
+  // forwarded.
   MustExecute(db, std::string("EXPLAIN ANALYZE ") + kSortSql);
   EXPECT_EQ(Streamed(db), 0u);
 
