@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/logging.h"
 #include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "net/topology.h"
@@ -48,8 +49,8 @@ void PrintHeader(const char* title) {
               "delivered/PE/s", "avg lat us", "peak util");
 }
 
-void RunPoint(const Topology& topology, TrafficPattern pattern, double offered,
-              bool smoke) {
+TrafficResult RunPoint(const Topology& topology, TrafficPattern pattern,
+                       double offered, bool smoke) {
   TrafficConfig config;
   config.pattern = pattern;
   config.offered_packets_per_sec_per_pe = offered;
@@ -63,6 +64,7 @@ void RunPoint(const Topology& topology, TrafficPattern pattern, double offered,
               topology.name().c_str(), r.offered_packets_per_sec_per_pe,
               r.delivered_packets_per_sec_per_pe, r.average_latency_us,
               r.peak_link_utilization * 100);
+  return r;
 }
 
 /// --loss: commit latency of multi-fragment transactions vs per-hop loss
@@ -175,7 +177,16 @@ int main(int argc, char** argv) {
                                   20'000.0, 30'000.0, 50'000.0};
   PrintHeader("offered-load sweep, uniform random traffic");
   for (const double offered : uniform_sweep) {
-    RunPoint(mesh, TrafficPattern::kUniform, offered, smoke);
+    const TrafficResult r =
+        RunPoint(mesh, TrafficPattern::kUniform, offered, smoke);
+    // Dimension-order routing spreads uniform traffic over the mesh's
+    // links; lowest-id BFS routes load the busiest 4x4 link to about 70%
+    // at this point.
+    if (smoke && offered == 15'000.0) {
+      PRISMA_CHECK(r.peak_link_utilization < 0.60)
+          << mesh.name() << " busiest link at "
+          << r.peak_link_utilization * 100 << "% of capacity";
+    }
   }
   std::printf("\n");
   for (const double offered : uniform_sweep) {

@@ -163,18 +163,16 @@ PrismaDb::PrismaDb(MachineConfig config)
   }
 
   gdh::GdhProcess::Config gdh_config;
-  // The GDH lives on PE 0; fragments prefer the other PEs, coordinators
-  // use every PE ("possibly running at its own processor", §2.2).
+  // The GDH lives on PE 0; fragments prefer the other PEs. Coordinators
+  // run on the client's PE unless the config pins them, so a result's
+  // merge and gather happen where the result must end up (§3.1's
+  // explicit allocation).
   for (int pe = (n > 1 ? 1 : 0); pe < n; ++pe) {
     gdh_config.fragment_pes.push_back(pe);
   }
-  if (config_.coordinator_pes.empty()) {
-    for (int pe = 0; pe < n; ++pe) gdh_config.coordinator_pes.push_back(pe);
-  } else {
-    for (int pe : config_.coordinator_pes) {
-      PRISMA_CHECK(pe >= 0 && pe < n);
-      gdh_config.coordinator_pes.push_back(pe);
-    }
+  for (int pe : config_.coordinator_pes) {
+    PRISMA_CHECK(pe >= 0 && pe < n);
+    gdh_config.coordinator_pes.push_back(pe);
   }
   for (int pe = 0; pe < n; ++pe) {
     gdh_config.resources[pe] = gdh::GdhProcess::PeResources{

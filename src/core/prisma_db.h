@@ -59,9 +59,11 @@ struct MachineConfig {
   /// surviving replica when one PE is down (DESIGN.md §13). Requires at
   /// least two fragment PEs; kFull base OFMs only.
   bool replicate_fragments = false;
-  /// PEs eligible to host query coordinators. Empty = every PE. Pinning
-  /// coordinators to PE 0 (which never crashes) isolates replica-failover
-  /// behaviour from coordinator loss in availability experiments.
+  /// PEs eligible to host query coordinators, used round-robin. Empty =
+  /// each coordinator runs on its client's PE (PE 0), where its result
+  /// must end up. Pinning coordinators to PE 0 (which never crashes)
+  /// isolates replica-failover behaviour from coordinator loss in
+  /// availability experiments; listing every PE spreads them.
   std::vector<int> coordinator_pes;
   storage::DiskModel disk;
   size_t pe_memory_bytes = storage::kDefaultPeMemoryBytes;

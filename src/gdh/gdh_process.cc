@@ -65,7 +65,6 @@ GdhProcess::GdhProcess(Config config)
                RpcExhausted(id, rpc);
              }}) {
   PRISMA_CHECK(!config_.fragment_pes.empty());
-  PRISMA_CHECK(!config_.coordinator_pes.empty());
   // Replication needs a distinct PE for the backup (anti-affinity) and a
   // WAL to resync from.
   PRISMA_CHECK(!config_.replicate_fragments ||
@@ -1369,8 +1368,13 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   config.tc_algorithm = config_.fixpoint_algorithm;
   config.metrics = config_.metrics;
   config.tracer = config_.tracer;
-  const net::NodeId pe = config_.coordinator_pes[coordinator_cursor_++ %
-                                                 config_.coordinator_pes.size()];
+  // The coordinator's merge and gather land on the PE its result must
+  // reach, unless a list pins the placement.
+  const net::NodeId pe =
+      config_.coordinator_pes.empty()
+          ? runtime()->PeOf(client)
+          : config_.coordinator_pes[coordinator_cursor_++ %
+                                    config_.coordinator_pes.size()];
   const pool::ProcessId coordinator =
       runtime()->Spawn(pe, std::make_unique<QueryProcess>(std::move(config)));
   (*txns_)[lock_txn].coordinator = coordinator;

@@ -71,7 +71,8 @@ class GdhProcess : public pool::Process {
   struct Config {
     /// PEs eligible to host fragments (the allocation pool).
     std::vector<net::NodeId> fragment_pes;
-    /// PEs eligible to host per-query coordinators.
+    /// PEs eligible to host per-query coordinators, used round-robin.
+    /// Empty = every coordinator runs on its client's PE.
     std::vector<net::NodeId> coordinator_pes;
     std::map<net::NodeId, PeResources> resources;
     pool::CostModel costs;

@@ -35,14 +35,18 @@ std::vector<std::vector<NodeId>> GridAdjacency(int rows, int cols, bool wrap) {
 
 Topology Topology::Mesh(int rows, int cols) {
   PRISMA_CHECK(rows >= 1 && cols >= 1);
-  return Topology(StrFormat("mesh_%dx%d", rows, cols),
-                  GridAdjacency(rows, cols, /*wrap=*/false));
+  Topology t(StrFormat("mesh_%dx%d", rows, cols),
+             GridAdjacency(rows, cols, /*wrap=*/false));
+  t.RouteDimensionOrder(rows, cols, /*wrap=*/false);
+  return t;
 }
 
 Topology Topology::Torus(int rows, int cols) {
   PRISMA_CHECK(rows >= 1 && cols >= 1);
-  return Topology(StrFormat("torus_%dx%d", rows, cols),
-                  GridAdjacency(rows, cols, /*wrap=*/true));
+  Topology t(StrFormat("torus_%dx%d", rows, cols),
+             GridAdjacency(rows, cols, /*wrap=*/true));
+  t.RouteDimensionOrder(rows, cols, /*wrap=*/true);
+  return t;
 }
 
 Topology Topology::Ring(int nodes) {
@@ -123,6 +127,28 @@ void Topology::BuildRoutes() {
     for (int b = 0; b < n; ++b) {
       PRISMA_CHECK(dist_[a][b] >= 0) << "topology " << name_
                                      << " is disconnected";
+    }
+  }
+}
+
+void Topology::RouteDimensionOrder(int rows, int cols, bool wrap) {
+  // One step from `from` towards `to` within a dimension of `size` nodes.
+  auto step = [wrap](int from, int to, int size) {
+    if (!wrap || size <= 2) return to > from ? from + 1 : from - 1;
+    const int forward = (to - from + size) % size;
+    return forward <= size - forward ? (from + 1) % size
+                                     : (from + size - 1) % size;
+  };
+  for (int src = 0; src < rows * cols; ++src) {
+    const int r = src / cols;
+    const int c = src % cols;
+    for (int dst = 0; dst < rows * cols; ++dst) {
+      if (dst == src) continue;
+      const int hop = dst % cols != c ? r * cols + step(c, dst % cols, cols)
+                                      : step(r, dst / cols, rows) * cols + c;
+      PRISMA_CHECK(std::binary_search(adjacency_[src].begin(),
+                                      adjacency_[src].end(), hop));
+      next_hop_[src][dst] = hop;
     }
   }
 }

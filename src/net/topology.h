@@ -18,8 +18,13 @@ using NodeId = int;
 /// The paper (§3.2) prescribes 4 communication links per PE and a
 /// "mesh-like" topology or "a variant of a chordal ring"; both are
 /// provided, along with a plain ring and a torus for comparison. Routing is
-/// deterministic shortest-path (ties broken by lowest neighbour id), so a
-/// given (src, dst) pair always uses the same path.
+/// deterministic shortest-path, so a given (src, dst) pair always uses the
+/// same path. Meshes and tori route in dimension order: along the row to
+/// the destination column, then along the column (on a torus the shorter
+/// way round each dimension, ties toward increasing index), so traffic
+/// converging on one node arrives over all of its links. The ring,
+/// chordal-ring and fully-connected topologies take the BFS path that
+/// prefers the lowest neighbour id.
 class Topology {
  public:
   /// 2-D mesh without wraparound; interior nodes have 4 links.
@@ -69,6 +74,11 @@ class Topology {
 
   /// BFS from every node filling distance and next-hop tables.
   void BuildRoutes();
+
+  /// Overwrites the next-hop table of a rows x cols grid (node id
+  /// r * cols + c) with X-then-Y dimension-order routes. `wrap` as in
+  /// Torus(): a dimension wraps only when it has more than 2 nodes.
+  void RouteDimensionOrder(int rows, int cols, bool wrap);
 
   std::string name_;
   std::vector<std::vector<NodeId>> adjacency_;

@@ -17,6 +17,8 @@ const char* AdmitStateName(AdmitState state) {
 
 namespace {
 
+// An empty coordinator list runs every coordinator on the client's PE;
+// the cap still counts every PE, so admission does not shrink with it.
 size_t CoordinatorPeCount(const core::PrismaDb& db) {
   const core::MachineConfig& config = db.config();
   if (!config.coordinator_pes.empty()) return config.coordinator_pes.size();

@@ -17,9 +17,11 @@ struct DispatcherOptions {
   /// Bounded FIFO admission queue; an arrival that finds it full is shed
   /// with a typed Overloaded reply (never dropped silently).
   size_t queue_capacity = 256;
-  /// In-flight statements allowed per coordinator PE. The dispatch cap is
-  /// per_pe_concurrency * |coordinator PEs| — the machine-wide number of
-  /// per-query coordinator instances admitted at once.
+  /// In-flight statements allowed per PE. The dispatch cap is the
+  /// machine-wide per_pe_concurrency * |coordinator PEs|, or
+  /// per_pe_concurrency * pes when coordinators run on the client's PE
+  /// (an empty MachineConfig::coordinator_pes): the number of per-query
+  /// coordinator instances admitted at once, wherever they run.
   int per_pe_concurrency = 4;
   /// Backpressure hysteresis over net::Network::TotalBacklog() (the PR-2
   /// backlog-watermark counters): admission flips to shedding at or above

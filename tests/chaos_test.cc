@@ -37,6 +37,9 @@ constexpr sim::SimTime kWatchdogNs = 10 * sim::kNanosPerSecond;
 MachineConfig ChaosMachine(uint64_t seed) {
   MachineConfig config;
   config.pes = 4;
+  // Coordinators round-robin over every PE, so the soaks keep running
+  // them on the PEs they crash (by default they would sit on PE 0).
+  config.coordinator_pes = {0, 1, 2, 3};
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   net::FaultPlan& plan = config.fault_plan;
   plan.seed = seed;

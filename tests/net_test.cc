@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "net/network.h"
 #include "net/topology.h"
@@ -65,6 +67,98 @@ TEST(TopologyTest, NextHopWalksShortestPath) {
         ASSERT_LE(hops, 16) << "routing loop " << src << "->" << dst;
       }
       EXPECT_EQ(hops, t.Distance(src, dst)) << src << "->" << dst;
+    }
+  }
+}
+
+/// Walks every (src, dst) route of a rows x cols grid and checks that each
+/// hop is a real neighbour, that the route changes column before row, and
+/// that its length is the BFS distance.
+void ExpectDimensionOrderRoutes(const Topology& t, int cols) {
+  const int n = t.num_nodes();
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      SCOPED_TRACE(std::to_string(src) + "->" + std::to_string(dst));
+      int node = src;
+      int hops = 0;
+      bool column_reached = src % cols == dst % cols;
+      while (node != dst) {
+        const int next = t.NextHop(node, dst);
+        const auto& nb = t.neighbors(node);
+        ASSERT_NE(std::find(nb.begin(), nb.end(), next), nb.end())
+            << next << " is not a neighbour of " << node;
+        if (!column_reached) {
+          EXPECT_EQ(next / cols, node / cols) << "left the row at " << node;
+        } else {
+          EXPECT_EQ(next % cols, dst % cols) << "left the column at " << node;
+        }
+        column_reached = next % cols == dst % cols;
+        node = next;
+        ASSERT_LE(++hops, n) << "routing loop";
+      }
+      EXPECT_EQ(hops, t.Distance(src, dst));
+    }
+  }
+}
+
+TEST(TopologyTest, MeshRoutesWalkTheRowFirst) {
+  ExpectDimensionOrderRoutes(Topology::Mesh(2, 4), 4);
+  ExpectDimensionOrderRoutes(Topology::Mesh(4, 4), 4);
+  ExpectDimensionOrderRoutes(Topology::Mesh(3, 5), 5);
+}
+
+TEST(TopologyTest, TorusRoutesWalkTheRowFirstTheShortWayRound) {
+  ExpectDimensionOrderRoutes(Topology::Torus(4, 4), 4);
+  ExpectDimensionOrderRoutes(Topology::Torus(3, 5), 5);
+  ExpectDimensionOrderRoutes(Topology::Torus(2, 4), 4);  // No row wrap.
+  const Topology t = Topology::Torus(4, 4);
+  EXPECT_EQ(t.NextHop(0, 3), 3);   // Wrap link: 1 hop, not 3.
+  EXPECT_EQ(t.NextHop(0, 2), 1);   // Tie (2 either way): increasing index.
+  EXPECT_EQ(t.NextHop(3, 1), 0);   // Tie from column 3: wraps to 0.
+  EXPECT_EQ(t.NextHop(0, 8), 4);   // Tie along the column: row 1.
+}
+
+TEST(TopologyTest, MeshSplitsConvergingLoadOverBothCornerLinks) {
+  // The 8-PE machine's 2x4 mesh: a result converging on PE 0 arrives
+  // from row 0 over 1->0 and from row 1 over 4->0.
+  const Topology t = Topology::Mesh(2, 4);
+  for (int pe = 1; pe < 8; ++pe) {
+    int node = pe;
+    while (t.NextHop(node, 0) != 0) node = t.NextHop(node, 0);
+    EXPECT_EQ(node, pe < 4 ? 1 : 4) << "PE " << pe;
+  }
+}
+
+/// First hops of a BFS that prefers the lowest neighbour id.
+std::vector<std::vector<int>> LowestIdBfsHops(const Topology& t) {
+  const int n = t.num_nodes();
+  std::vector<std::vector<int>> hop(n, std::vector<int>(n, -1));
+  for (int src = 0; src < n; ++src) {
+    hop[src][src] = src;
+    std::vector<int> frontier = {src};
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const int u = frontier[i];
+      std::vector<int> nb = t.neighbors(u);
+      std::sort(nb.begin(), nb.end());
+      for (const int v : nb) {
+        if (hop[src][v] != -1) continue;
+        hop[src][v] = u == src ? v : hop[src][u];
+        frontier.push_back(v);
+      }
+    }
+  }
+  return hop;
+}
+
+TEST(TopologyTest, RingAndChordalRingKeepLowestIdBfsRoutes) {
+  for (const Topology& t : {Topology::Ring(10), Topology::ChordalRing(16, 4),
+                            Topology::ChordalRing(32, 5)}) {
+    const auto hops = LowestIdBfsHops(t);
+    for (int src = 0; src < t.num_nodes(); ++src) {
+      for (int dst = 0; dst < t.num_nodes(); ++dst) {
+        EXPECT_EQ(t.NextHop(src, dst), hops[src][dst])
+            << t.name() << " " << src << "->" << dst;
+      }
     }
   }
 }

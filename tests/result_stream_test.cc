@@ -279,17 +279,19 @@ TEST(ResultStreamTest, ClientReplyBitsAreTheFramesByteLengths) {
 }
 
 TEST(ResultStreamTest, FrameTrainsTakeTheHopDistanceOffTheCriticalPath) {
-  // Same query, coordinator pinned next to the client vs 4 hops away on
-  // the 2x4 mesh: a single reply message pays 4 full store-and-forward
-  // serializations of the result; pipelined frames keep the spread below
-  // one.
-  double ms[2] = {0, 0};
+  // Same query, coordinator pinned 1 hop from the client vs 4 hops away
+  // on the 2x4 mesh: a single reply message pays 3 more full
+  // store-and-forward serializations of the result; pipelined frames keep
+  // the spread below one. (A coordinator on the client's PE sends no
+  // train across a link and merges over both of PE 0's inbound links, so
+  // comparing it would measure link count, not hop distance.)
+  double ms[3] = {0, 0, 0};
   int64_t result_bits = 0;
-  const int coordinators[2] = {0, 7};
-  for (int i = 0; i < 2; ++i) {
+  const std::vector<int> coordinators[3] = {{1}, {7}, {}};
+  for (int i = 0; i < 3; ++i) {
     MachineConfig config;
     config.pes = 8;
-    config.coordinator_pes = {coordinators[i]};
+    config.coordinator_pes = coordinators[i];
     PrismaDb db(config);
     LoadBig(db, /*fragments=*/7);
     const QueryResult result = MustExecute(db, kSortSql);
@@ -303,6 +305,10 @@ TEST(ResultStreamTest, FrameTrainsTakeTheHopDistanceOffTheCriticalPath) {
       static_cast<double>(MachineConfig().link.bandwidth_bps);
   EXPECT_LT(ms[1] - ms[0], one_serialization_ms)
       << "near " << ms[0] << " ms, far " << ms[1] << " ms";
+  // The default coordinator runs on the client's PE, where the result
+  // must end up: strictly faster than the 1-hop one.
+  EXPECT_LT(ms[2], ms[0]) << "client's PE " << ms[2] << " ms, PE 1 "
+                          << ms[0] << " ms";
 }
 
 }  // namespace

@@ -244,6 +244,30 @@ TEST(DispatcherTest, ConcurrencyCapIsHonoredAndQueueIsFifo) {
   EXPECT_EQ(completion_order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+TEST(DispatcherTest, DefaultCapCountsEveryPe) {
+  // Coordinators default to the client's PE, but the machine-wide cap
+  // stays per_pe_concurrency x pes: admission does not shrink with them.
+  auto db = MakeServingDb();
+  ASSERT_TRUE(db->config().coordinator_pes.empty());
+  DispatcherOptions options;
+  options.per_pe_concurrency = 2;
+  Dispatcher dispatcher(db.get(), options);
+  int replies = 0;
+  for (int i = 0; i < 12; ++i) {
+    dispatcher.Submit("SELECT grp, COUNT(*) AS n FROM item GROUP BY grp",
+                      exec::kAutoCommit,
+                      [&](const gdh::ClientReply& reply, sim::SimTime) {
+                        EXPECT_TRUE(reply.status.ok());
+                        ++replies;
+                      });
+  }
+  dispatcher.Run();
+  EXPECT_EQ(replies, 12);
+  // Simultaneous arrivals: the first 2 x 4 dispatch, the rest queue.
+  EXPECT_EQ(dispatcher.stats().peak_in_flight, 2u * 4u);
+  EXPECT_EQ(dispatcher.stats().peak_queue, 4u);
+}
+
 TEST(DispatcherTest, InTransactionStatementsBypassShedding) {
   auto db = MakeServingDb();
   auto begun = db->Execute("BEGIN");
