@@ -13,27 +13,30 @@
 
 namespace prisma {
 
-/// Little binary writer used for WAL records, checkpoints and message size
-/// accounting. The format is a private, versionless wire format: a type tag
-/// byte per value, varint-free fixed-width integers (simplicity over
-/// compactness, as in the 1988 prototype).
+/// Little binary writer used for WAL records, checkpoints and the wire.
+/// The format is private and versionless. Values and tuples carry a type
+/// tag byte and fixed-width integers (simplicity over compactness, as in
+/// the 1988 prototype); column frames, every row set on the wire, are
+/// packed to the bit instead, since the links are the scarce resource.
 class BinaryWriter {
  public:
   void PutU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
+  void PutVarint(uint64_t v);  // LEB128: 7 bits a byte, low group first.
   void PutDouble(double v);
   void PutString(std::string_view s);
   void PutValue(const Value& value);
   void PutTuple(const Tuple& tuple);
   void PutSchema(const Schema& schema);
-  /// Column-encoded tuple batch (DESIGN.md §12): per column a null bitmap
-  /// plus a packed payload for the non-null rows only — bit-packed bools,
-  /// frame-of-reference ints (minimal delta width), raw doubles,
-  /// length-prefixed strings; mixed-type columns fall back to tagged
-  /// per-row Values. Deterministic: encode -> decode -> encode is
-  /// byte-stable.
+  /// Column-encoded tuple batch (DESIGN.md §12.2): varint shape, then per
+  /// column an encoding tag, a null bitmap only if a row is NULL, and a
+  /// payload for the non-null rows only — bit-packed bools, bit-packed
+  /// frame-of-reference ints, raw doubles, and strings either plain or as
+  /// a frame-local dictionary plus bit-packed codes, whichever is smaller;
+  /// mixed-type columns fall back to tagged per-row Values.
+  /// Deterministic: encode -> decode -> encode is byte-stable.
   void PutColumnBatch(const ColumnBatch& batch);
 
   const std::string& data() const { return out_; }
@@ -53,6 +56,8 @@ class BinaryReader {
   StatusOr<uint32_t> GetU32();
   StatusOr<uint64_t> GetU64();
   StatusOr<int64_t> GetI64();
+  /// kInvalidArgument past ten bytes or 64 bits.
+  StatusOr<uint64_t> GetVarint();
   StatusOr<double> GetDouble();
   StatusOr<std::string> GetString();
   StatusOr<Value> GetValue();
@@ -65,6 +70,8 @@ class BinaryReader {
 
  private:
   Status Need(size_t n) const;
+  StatusOr<std::string> GetVarintString();  // Varint length + bytes.
+  StatusOr<std::string> GetBytes(uint64_t n);
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -1174,7 +1174,7 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
         }
         auto request = std::make_shared<WriteRequest>();
         request->op = WriteRequest::Op::kInsert;
-        request->tuple = row;
+        request->row = EncodeRows(std::span(&row, 1));
         ops->push_back(Op{info->fragments[*frag_or].name, std::move(request)});
       }
       break;

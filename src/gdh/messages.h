@@ -186,13 +186,13 @@ struct WriteRequest {
   uint64_t request_id = 0;
   Op op = Op::kInsert;
   exec::TxnId txn = exec::kAutoCommit;
-  Tuple tuple;  // kInsert.
+  RowFrame row;  // kInsert: a one-row frame.
   std::shared_ptr<const algebra::Expr> predicate;  // May be null (all rows).
   std::vector<std::pair<size_t, std::shared_ptr<const algebra::Expr>>>
       assignments;  // kUpdateWhere.
 
   int64_t WireBits() const {
-    int64_t bits = kControlBits + static_cast<int64_t>(tuple.ByteSize()) * 8;
+    int64_t bits = kControlBits + FrameBits(row);
     if (predicate) {
       bits += static_cast<int64_t>(predicate->TreeSize()) * kExprNodeBits;
     }

@@ -838,7 +838,15 @@ void OfmProcess::HandleWrite(const pool::Mail& mail) {
   if (request->txn != exec::kAutoCommit) seen_txns_->insert(request->txn);
   switch (request->op) {
     case WriteRequest::Op::kInsert: {
-      auto row = ofm_->Insert(request->txn, request->tuple);
+      auto rows = TupleBatchRows(request->row);
+      if (!rows.ok() || rows->size() != 1) {
+        reply->status = rows.ok() ? InvalidArgumentError(
+                                        "insert frame holds " +
+                                        std::to_string(rows->size()) + " rows")
+                                  : rows.status();
+        break;
+      }
+      auto row = ofm_->Insert(request->txn, rows->front());
       if (row.ok()) {
         reply->affected_rows = 1;
         reply->row_delta = 1;

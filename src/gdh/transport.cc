@@ -21,9 +21,7 @@ const StreamSender::Stream& StreamSender::Open(Stream stream) {
   auto [it, inserted] = streams_.emplace(token, std::move(stream));
   PRISMA_CHECK(inserted) << "stream token " << token << " reused";
   Pump(it->second);
-  it->second.timer =
-      owner_->SendSelfAfter(it->second.delay, options_.resend_kind,
-                            std::make_shared<uint64_t>(token));
+  Arm(it->second);
   return it->second;
 }
 
@@ -37,15 +35,24 @@ const StreamSender::Stream* StreamSender::OnAck(const BatchAckMsg& ack) {
   if (index >= stream.channels.size()) return nullptr;
   exec::OutboundChannel& channel = stream.channels[index].channel;
   channel.set_window(ack.credit);
+  bool rearm = false;
   if (channel.OnAck(ack.ack)) {
     // Window progress: the peer is alive, so budget and backoff restart.
+    // A backed-off timer is pulled in to the base timeout; one never
+    // backed off (every fault-free stream) is left as it is.
+    rearm = stream.delay != options_.policy.timeout_ns;
     stream.attempts = 0;
     stream.delay = options_.policy.timeout_ns;
   }
   Pump(stream);
   // The fault-free backoff is seconds-scale: a live timer would pad every
   // drain-to-empty makespan by that much.
-  if (stream.done()) Disarm(stream);
+  if (stream.done()) {
+    Disarm(stream);
+  } else if (rearm) {
+    Disarm(stream);
+    Arm(stream);
+  }
   return &stream;
 }
 
@@ -71,8 +78,7 @@ bool StreamSender::OnTimer(const pool::Mail& mail) {
   }
   Pump(stream);
   stream.delay = options_.policy.Backoff(stream.delay);
-  stream.timer = owner_->SendSelfAfter(stream.delay, options_.resend_kind,
-                                       std::make_shared<uint64_t>(token));
+  Arm(stream);
   return true;
 }
 
@@ -129,6 +135,11 @@ void StreamSender::Transmit(Stream& stream, const Channel& channel,
   if (first) stream.first_bits += static_cast<uint64_t>(bits);
   if (options_.on_send != nullptr) options_.on_send(stream, bits, first);
   owner_->SendMail(channel.to, kMailTupleBatch, std::move(msg), bits);
+}
+
+void StreamSender::Arm(Stream& stream) {
+  stream.timer = owner_->SendSelfAfter(stream.delay, options_.resend_kind,
+                                       std::make_shared<uint64_t>(stream.token));
 }
 
 void StreamSender::Disarm(Stream& stream) {

@@ -115,6 +115,7 @@ class StreamSender {
   void Pump(Stream& stream);
   void Transmit(Stream& stream, const Channel& channel,
                 const exec::TupleBatch& batch, bool first);
+  void Arm(Stream& stream);  // Resend timer after stream.delay.
   void Disarm(Stream& stream);
 
   pool::Process* owner_;

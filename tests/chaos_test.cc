@@ -1783,7 +1783,7 @@ TEST(ChaosTest, DuplicatePrepareDuringTheForceGetsNoEarlyYes) {
   auto write = std::make_shared<gdh::WriteRequest>();
   write->request_id = 1;
   write->txn = 5;
-  write->tuple = Tuple({Value::Int(1)});
+  write->row = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
   send(gdh::kMailWrite, write);
   sim.Run();
 
@@ -1834,7 +1834,7 @@ TEST(ChaosTest, DuplicateOnePhaseRequestDuringTheForceGetsNoEarlyAnswer) {
   auto write = std::make_shared<gdh::WriteRequest>();
   write->request_id = 1;
   write->txn = 5;
-  write->tuple = Tuple({Value::Int(1)});
+  write->row = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
   send(gdh::kMailWrite, write);
   sim.Run();
 

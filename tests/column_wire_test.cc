@@ -6,8 +6,9 @@
 //
 //   1. decode(encode(batch)) reproduces the original tuples exactly;
 //   2. encode(decode(encode(batch))) is byte-stable (canonical encoding);
-//   3. every truncation of a valid frame, trailing garbage, and corrupted
-//      tag bytes fail with a typed Status — never a crash;
+//   3. every truncation of a valid frame, trailing garbage, corrupted
+//      tag bytes and malformed payloads (dictionary codes, bit widths,
+//      varints) fail with a typed Status — never a crash;
 //   4. on a running machine, a truncated or tag-corrupted fragment gather
 //      (exec_plan_reply) or client_reply frame fails its statement with
 //      that typed Status — never a crash, never a truncated result.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,8 +43,8 @@ Value RandomTypedValue(Rng& rng, DataType type) {
     case DataType::kBool:
       return Value::Bool(rng.Uniform(2) == 1);
     case DataType::kInt64: {
-      // Mix magnitudes so frame-of-reference picks every delta width
-      // (0, 1, 2, 4 and 8 bytes) across seeds.
+      // Mix magnitudes so frame-of-reference picks many delta widths
+      // across seeds (BitWidthsZeroToSixtyFour pins every one).
       switch (rng.Uniform(5)) {
         case 0: return Value::Int(static_cast<int64_t>(rng.Uniform(2)));
         case 1: return Value::Int(rng.UniformInt(-120, 120));
@@ -56,6 +58,11 @@ Value RandomTypedValue(Rng& rng, DataType type) {
       return Value::Double(static_cast<double>(rng.UniformInt(-1000, 1000)) /
                            8.0);
     case DataType::kString: {
+      // Half the values repeat from a small set, so a column's frame
+      // picks the dictionary encoding on some seeds and plain on others.
+      static constexpr const char* kRepeated[] = {"AUTOMOBILE", "BUILDING",
+                                                  ""};
+      if (rng.Uniform(2) == 0) return Value::String(kRepeated[rng.Uniform(3)]);
       std::string s;
       const size_t len = rng.Uniform(12);
       for (size_t i = 0; i < len; ++i) {
@@ -203,17 +210,196 @@ TEST(ColumnWireTest, CorruptedBytesNeverCrash) {
   }
 }
 
-TEST(ColumnWireTest, CorruptColumnEncodingTagFails) {
-  // Frame layout starts: u32 rows, u32 cols, then column 0's u8 enc tag
-  // (0 = typed, 1 = boxed). Any other tag value is a typed error.
-  std::vector<Tuple> tuples;
-  tuples.emplace_back(std::vector<Value>{Value::Int(42)});
-  std::string frame = SerializeColumnBatch(ColumnBatch::FromTuples(tuples));
-  ASSERT_GT(frame.size(), 8u);
-  frame[8] = 7;  // Invalid enc tag.
+/// Offset of column 0's encoding tag: past the varint row and column
+/// counts that open every frame.
+size_t FirstTagOffset(const std::string& frame) {
+  BinaryReader reader(frame);
+  PRISMA_CHECK(reader.GetVarint().ok() && reader.GetVarint().ok());
+  return frame.size() - reader.remaining();
+}
+
+StatusCode DecodeCode(const std::string& frame) {
   auto result = DeserializeColumnBatch(frame);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  return result.ok() ? StatusCode::kOk : result.status().code();
+}
+
+std::string FrameOf(const std::vector<std::vector<Value>>& rows) {
+  std::vector<Tuple> tuples;
+  for (const std::vector<Value>& row : rows) tuples.emplace_back(row);
+  return SerializeColumnBatch(ColumnBatch::FromTuples(tuples));
+}
+
+TEST(ColumnWireTest, CorruptColumnEncodingTagFails) {
+  // Column 0's tag follows the varint shape; 7 names no encoding, and the
+  // bitmap flag on an all-NULL or boxed column is no valid tag either.
+  std::string frame = FrameOf({{Value::Int(42)}});
+  const size_t tag = FirstTagOffset(frame);
+  ASSERT_LT(tag, frame.size());
+  for (const uint8_t bad : {uint8_t{7}, uint8_t{0x08}, uint8_t{0x0e},
+                            uint8_t{0x10}, uint8_t{0xff}}) {
+    SCOPED_TRACE(StrFormat("tag=0x%02x", bad));
+    frame[tag] = static_cast<char>(bad);
+    EXPECT_EQ(DecodeCode(frame), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ColumnWireTest, GoldenFrame) {
+  // Three rows: INT {5, 7, 6}, STRING {'x', NULL, 'x'}, and an all-NULL
+  // column. A change here is a wire format change; make it on purpose.
+  const std::string frame =
+      FrameOf({{Value::Int(5), Value::String("x"), Value::Null()},
+               {Value::Int(7), Value::Null(), Value::Null()},
+               {Value::Int(6), Value::String("x"), Value::Null()}});
+  std::string hex;
+  for (const char c : frame) {
+    hex += StrFormat("%02x ", static_cast<unsigned>(static_cast<uint8_t>(c)));
+  }
+  EXPECT_EQ(hex,
+            // rows 3, cols 3
+            "03 03 "
+            // INT, no bitmap: zigzag base 5, width 2, deltas 0 2 1 packed
+            "02 0a 02 18 "
+            // STRING dictionary + bitmap (row 1 NULL): 1 entry "x", width 0
+            "0d 02 01 01 78 "
+            // all NULL: the tag is the whole column
+            "00 ");
+}
+
+TEST(ColumnWireTest, BitWidthsZeroToSixtyFour) {
+  // Every frame-of-reference width, at both ends of the int64 range and
+  // around zero; width 64 spans INT64_MIN..INT64_MAX.
+  for (unsigned width = 0; width <= 64; ++width) {
+    const uint64_t span =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    for (const int64_t lo : {INT64_MIN, int64_t{-3}, int64_t{0},
+                             static_cast<int64_t>(INT64_MAX - span)}) {
+      if (width == 64 && lo != INT64_MIN) continue;
+      SCOPED_TRACE(StrFormat("width=%u lo=%lld", width,
+                             static_cast<long long>(lo)));
+      const int64_t hi = static_cast<int64_t>(static_cast<uint64_t>(lo) + span);
+      Rng rng(width * 7 + 1);
+      std::vector<std::vector<Value>> rows;
+      for (int r = 0; r < 70; ++r) {  // Spans two 64-bit words and a tail.
+        const uint64_t delta =
+            span == 0 ? 0 : rng.Next() % (span == ~uint64_t{0} ? span : span + 1);
+        const int64_t v =
+            r % 3 == 0 ? (r % 2 == 0 ? lo : hi)
+                       : static_cast<int64_t>(static_cast<uint64_t>(lo) + delta);
+        rows.push_back({Value::Int(v)});
+      }
+      const std::string frame = FrameOf(rows);
+      // tag, zigzag base, then the width byte.
+      BinaryReader reader(frame);
+      ASSERT_TRUE(reader.GetVarint().ok() && reader.GetVarint().ok());
+      ASSERT_EQ(*reader.GetU8(), 2u);  // INT, no bitmap.
+      ASSERT_TRUE(reader.GetVarint().ok());
+      EXPECT_EQ(*reader.GetU8(), width);
+      EXPECT_EQ(reader.remaining(), (70 * width + 7) / 8);
+      auto decoded = DeserializeColumnBatch(frame);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      for (size_t r = 0; r < rows.size(); ++r) {
+        ASSERT_EQ(decoded->GetValue(r, 0).int_value(), rows[r][0].int_value())
+            << "row " << r;
+      }
+      EXPECT_EQ(SerializeColumnBatch(*decoded), frame);
+    }
+  }
+}
+
+TEST(ColumnWireTest, StringsTakeTheSmallerEncodingTiesGoPlain) {
+  auto tag_of = [](const std::vector<const char*>& values) {
+    std::vector<std::vector<Value>> rows;
+    for (const char* v : values) rows.push_back({Value::String(v)});
+    const std::string frame = FrameOf(rows);
+    auto decoded = DeserializeColumnBatch(frame);
+    EXPECT_TRUE(decoded.ok());
+    if (decoded.ok()) {
+      EXPECT_EQ(SerializeColumnBatch(*decoded), frame);
+    }
+    return static_cast<int>(frame[FirstTagOffset(frame)]);
+  };
+  constexpr int kPlain = 4;
+  constexpr int kDict = 5;
+  EXPECT_EQ(tag_of({"AUTOMOBILE", "AUTOMOBILE", "BUILDING"}), kDict);
+  EXPECT_EQ(tag_of({"a", "b", "c"}), kPlain);
+  EXPECT_EQ(tag_of({"only"}), kPlain);  // 5 bytes plain, 6 as a dictionary.
+  // x x y: plain 3 x (1 + 1) = 6; dictionary 1 + 2 x 2 + 1 code byte = 6.
+  EXPECT_EQ(tag_of({"x", "x", "y"}), kPlain);
+  EXPECT_EQ(tag_of({"x", "x", "x"}), kDict);
+}
+
+TEST(ColumnWireTest, NullBitmapShipsOnlyWhenARowIsNull) {
+  // 20 rows of INT 0: width 0, so the column is tag + base + width.
+  std::vector<std::vector<Value>> rows(20, {Value::Int(0)});
+  const size_t dense = FrameOf(rows).size();
+  EXPECT_EQ(dense, 2u + 3u);
+  rows[19] = {Value::Null()};
+  const std::string sparse = FrameOf(rows);
+  EXPECT_EQ(sparse.size(), dense + 3);  // ceil(20 / 8) bitmap bytes.
+  EXPECT_EQ(sparse[FirstTagOffset(sparse)], 0x08 | 2);
+  // All NULL: one tag byte, whatever the row count.
+  const std::string none = FrameOf(
+      std::vector<std::vector<Value>>(20, {Value::Null()}));
+  EXPECT_EQ(none.size(), 3u);
+  auto decoded = DeserializeColumnBatch(none);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->num_rows(), 20u);
+  EXPECT_TRUE(decoded->GetValue(19, 0).is_null());
+}
+
+TEST(ColumnWireTest, MalformedPayloadsFailTyped) {
+  auto frame = [](uint64_t rows, const std::function<void(BinaryWriter&)>&
+                                     column) {
+    BinaryWriter w;
+    w.PutVarint(rows);
+    w.PutVarint(1);
+    column(w);
+    return w.Take();
+  };
+  // Dictionary code 3 of a 3-entry dictionary (2-bit codes 0, 1, 3).
+  EXPECT_EQ(DecodeCode(frame(3, [](BinaryWriter& w) {
+              w.PutU8(5);
+              w.PutVarint(3);
+              for (const char* s : {"a", "b", "c"}) {
+                w.PutVarint(1);
+                w.PutU8(static_cast<uint8_t>(s[0]));
+              }
+              w.PutU8(0b110100);
+            })),
+            StatusCode::kInvalidArgument);
+  // A 2-entry dictionary for one non-NULL row (row 0 is NULL).
+  EXPECT_EQ(DecodeCode(frame(2, [](BinaryWriter& w) {
+              w.PutU8(5 | 0x08);
+              w.PutU8(0b01);
+              w.PutVarint(2);
+              for (const char* s : {"a", "b"}) {
+                w.PutVarint(1);
+                w.PutU8(static_cast<uint8_t>(s[0]));
+              }
+              w.PutU8(0);
+            })),
+            StatusCode::kInvalidArgument);
+  // INT width 65.
+  EXPECT_EQ(DecodeCode(frame(1, [](BinaryWriter& w) {
+              w.PutU8(2);
+              w.PutVarint(0);
+              w.PutU8(65);
+              for (int i = 0; i < 9; ++i) w.PutU8(0);
+            })),
+            StatusCode::kInvalidArgument);
+  // Over-long varints: eleven bytes, and a tenth byte past bit 63.
+  std::string eleven(10, static_cast<char>(0x80));
+  eleven += '\x01';
+  EXPECT_EQ(DecodeCode(eleven + FrameOf({{Value::Int(1)}}).substr(1)),
+            StatusCode::kInvalidArgument);
+  std::string overflow(9, static_cast<char>(0xff));
+  overflow += '\x02';
+  EXPECT_EQ(DecodeCode(overflow + '\x00'), StatusCode::kInvalidArgument);
+  // A shape no frame can have: 2^30 rows of a width-0 column.
+  EXPECT_EQ(DecodeCode(frame(uint64_t{1} << 30, [](BinaryWriter& w) {
+              w.PutU8(0);
+            })),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ColumnWireTest, EmptyAndRaggedBatches) {
@@ -322,7 +508,7 @@ class FrameFuzzTest : public ::testing::Test {
       return frame;
     });
     ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
-    ASSERT_GT(frame_size, 8u);
+    ASSERT_GT(frame_size, 2u);
     for (size_t len = 0; len < frame_size; len += 1 + len / 16) {
       SCOPED_TRACE(StrFormat("%s #%d prefix_len=%zu of %zu", kind, nth, len,
                              frame_size));
@@ -332,9 +518,9 @@ class FrameFuzzTest : public ::testing::Test {
       EXPECT_TRUE(TypedWireError(result.status()))
           << result.status().ToString();
     }
-    // Byte 8 is column 0's encoding tag (0 = typed, 1 = boxed).
+    // Tag 7 names no column encoding.
     auto result = RunCorrupted<Msg>(kind, nth, [](std::string frame) {
-      frame[8] = 7;
+      frame[FirstTagOffset(frame)] = 7;
       return frame;
     });
     ASSERT_FALSE(result.ok());

@@ -1,5 +1,6 @@
-// Fixture for D9: wire messages sized by summing row byte sizes, the
-// boxed-row model the column frame replaced. Both loop forms are flagged.
+// Fixture for D9: wire messages sized by row byte sizes, the boxed-row
+// model the column frame replaced. Both loop forms are flagged, and so is
+// a single row's ByteSize().
 #ifndef WIRE_BAD_GDH_MESSAGES_H_
 #define WIRE_BAD_GDH_MESSAGES_H_
 
@@ -22,6 +23,14 @@ struct BatchFrame {
       bits += static_cast<int64_t>(t.ByteSize()) * 8;
     }
     return bits;
+  }
+};
+
+struct WriteRequest {
+  Tuple tuple;
+
+  int64_t WireBits() const {
+    return 256 + static_cast<int64_t>(tuple.ByteSize()) * 8;
   }
 };
 

@@ -1,5 +1,5 @@
-// Fixture for D9: rows sized by their frame's byte length stay silent, and
-// so does a single tuple's ByteSize() next to a loop over something else.
+// Fixture for D9: rows sized by their frame's byte length stay silent,
+// down to a single row, and so do other sizes charged next to them.
 #ifndef WIRE_GOOD_GDH_MESSAGES_H_
 #define WIRE_GOOD_GDH_MESSAGES_H_
 
@@ -10,11 +10,11 @@ struct GatherReply {
 };
 
 struct WriteRequest {
-  Tuple tuple;
+  RowFrame row;
   std::vector<std::shared_ptr<const Expr>> assignments;
 
   int64_t WireBits() const {
-    int64_t bits = 256 + static_cast<int64_t>(tuple.ByteSize()) * 8;
+    int64_t bits = 256 + FrameBits(row);
     for (const auto& e : assignments) bits += e->TreeSize() * 128;
     return bits;
   }

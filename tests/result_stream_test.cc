@@ -5,7 +5,8 @@
 // to a single-fragment reference in both execution modes, wherever the
 // coordinator runs, scattered in parallel or one fragment at a time), the
 // frame arithmetic (max(1, ceil(rows / 64)) frames per result), the
-// pipelining (the train starts before the last run is in), Top-N (a
+// pipelining (the train starts before the last run is in, wherever runs
+// outlast one credit window), Top-N (a
 // LIMIT n ships at most n rows per fragment) and the forwarding
 // precondition (plans under LIMIT, and gather-baseline sorts, are not
 // forwarded).
@@ -37,16 +38,16 @@ QueryResult MustExecute(PrismaDb& db, const std::string& sql) {
   return std::move(result).value();
 }
 
-/// big(id, k, v): `kRows` rows, k drawn from a small range so the sort key
-/// has many ties (the trailing id pins their order).
-void LoadBig(PrismaDb& db, int fragments) {
+/// big(id, k, v): `rows` rows (a multiple of 200), k drawn from a small
+/// range so the sort key has many ties (the trailing id pins their order).
+void LoadBig(PrismaDb& db, int fragments, int rows = kRows) {
   MustExecute(db, fragments > 1
                       ? StrFormat("CREATE TABLE big (id INT, k INT, v INT) "
                                   "FRAGMENTED BY HASH(id) INTO %d FRAGMENTS",
                                   fragments)
                       : std::string("CREATE TABLE big (id INT, k INT, v INT)"));
   Rng rng(0x5eed5);
-  for (int i = 0; i < kRows; i += 200) {
+  for (int i = 0; i < rows; i += 200) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int j = i; j < i + 200; ++j) {
       if (j > i) sql += ", ";
@@ -101,6 +102,26 @@ void TapTrain(PrismaDb& db, TrainTiming* timing) {
   });
 }
 
+/// Whether each fragment's run is longer than one credit window. A
+/// shorter run is wholly in flight at once: its last batch is already on
+/// the wire when the merge's first handler starts, and that handler's
+/// frames leave only when its charged work completes (run to
+/// completion), so the train cannot be seen to start before the last eos.
+bool RunsOutlastTheWindow(const MachineConfig& config, int rows,
+                          int fragments) {
+  return fragments > 1 &&
+         static_cast<uint64_t>(rows / fragments) >
+             config.exchange_credit_window * kFrameRows;
+}
+
+/// Pipelining: the first frame leaves the coordinator before the last run
+/// has finished arriving, so the merge never waits for every run. (On the
+/// client's PE a frame arrives as it leaves; the tap sees arrivals.)
+void ExpectPipelined(const TrainTiming& timing) {
+  EXPECT_GE(timing.first_frame, 0);
+  EXPECT_LT(timing.first_frame, timing.last_run_end);
+}
+
 std::string ReferenceSort() {
   MachineConfig config;
   config.pes = 2;
@@ -139,16 +160,35 @@ TEST(ResultStreamTest, StreamedSortMatchesTheSingleFragmentReference) {
         EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
         // Only a multi-fragment table has a distributed sort to forward.
         EXPECT_EQ(Streamed(db) - streamed0, fragments > 1 ? 1u : 0u);
-        if (fragments > 1 && coordinator == 0) {
-          // Pipelining: the first frame leaves the coordinator before the
-          // last run has finished arriving, so the merge never waits for
-          // every run. (On the client's PE a frame arrives as it leaves;
-          // the tap sees arrivals.)
-          EXPECT_GE(timing.first_frame, 0);
-          EXPECT_LT(timing.first_frame, timing.last_run_end);
+        if (RunsOutlastTheWindow(config, kRows, fragments) &&
+            coordinator == 0) {
+          ExpectPipelined(timing);
         }
       }
     }
+  }
+}
+
+TEST(ResultStreamTest, SevenLongRunsPipeline) {
+  // Seven runs of 400 rows (seven 64-row batches, the credit window is
+  // four): producers wait on the merge's acks, and the train starts
+  // before the last run ends.
+  constexpr int kLongRows = 7 * 400;
+  for (const exec::ExecMode mode :
+       {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
+    SCOPED_TRACE(mode == exec::ExecMode::kRow ? "row" : "vectorized");
+    MachineConfig config;
+    config.pes = 8;
+    config.exec_mode = mode;
+    ASSERT_TRUE(RunsOutlastTheWindow(config, kLongRows, 7));
+    PrismaDb db(config);
+    LoadBig(db, /*fragments=*/7, kLongRows);
+    TrainTiming timing;
+    TapTrain(db, &timing);
+    const QueryResult result = MustExecute(db, kSortSql);
+    db.runtime().SetMailTap(nullptr);
+    ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kLongRows));
+    ExpectPipelined(timing);
   }
 }
 

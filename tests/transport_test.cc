@@ -223,6 +223,39 @@ TEST(StreamSenderTest, SilentWindowsReportExhaustionExactlyOnce) {
   EXPECT_TRUE(run.consumer->rows().empty());
 }
 
+TEST(StreamSenderTest, ProgressAfterBackoffRearmsAtTheBaseTimeout) {
+  // Six batches, a window of four. Batch 1 is lost twice, so the timer
+  // backs off (resends at 1 s and 3 s); the 3 s resend lands and its ack
+  // opens the window for batches 5 and 6. Batch 5 is lost once: its
+  // resend must come one base timeout after that progress, not at the
+  // backed-off 7 s.
+  Machine m;
+  auto sent = std::make_shared<std::map<uint64_t, std::vector<sim::SimTime>>>();
+  m.lose = [&m, sent](const pool::Mail& mail) {
+    if (mail.kind != kMailTupleBatch) return false;
+    const auto& msg = *std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
+    std::vector<sim::SimTime>& times = (*sent)[msg.seq];
+    times.push_back(m.sim.now());
+    return (msg.seq == 1 && times.size() <= 2) ||
+           (msg.seq == 5 && times.size() == 1);
+  };
+  const StreamRun run = StartStream(&m, 12);
+  m.sim.Run();
+  EXPECT_EQ(run.consumer->rows(), Rows(12));
+  EXPECT_EQ(run.producer->exhausted(), 0);
+  // Times are link entries, a few microseconds after each handler.
+  constexpr sim::SimTime kSlack = kTimeout / 1000;
+  ASSERT_EQ((*sent)[1].size(), 3u);
+  EXPECT_NEAR((*sent)[1][2] - (*sent)[1][1], 2 * kTimeout, kSlack);
+  ASSERT_EQ((*sent)[5].size(), 2u);
+  // First sent on the progress ack, a round trip after the 3 s resend;
+  // resent one base timeout later.
+  EXPECT_NEAR((*sent)[5][0], (*sent)[1][2], kSlack);
+  EXPECT_NEAR((*sent)[5][1] - (*sent)[5][0], kTimeout, kSlack);
+  EXPECT_EQ(m.Retransmits(), 3u);
+  EXPECT_EQ(run.producer->sender().Find(Producer::kToken)->timer, 0u);
+}
+
 TEST(StreamSenderTest, CompletionLeavesNoPendingTimer) {
   Machine m;
   const StreamRun run = StartStream(&m, 6);

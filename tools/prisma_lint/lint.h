@@ -39,9 +39,9 @@
 //   D8  metric-name registry: every literal GetCounter/LazyCounter name and
 //       tracer span category/name must appear in obs/metric_names.h, and
 //       every registry entry must be used.
-//   D9  one wire format: no WireBits() in gdh/messages.h sums ByteSize()
-//       over rows — a row set's modelled size is its column frame's byte
-//       length (a single tuple's ByteSize(), as in WriteRequest, is fine).
+//   D9  one wire format: no WireBits() in gdh/messages.h calls ByteSize()
+//       — a row set's modelled size is its column frame's byte length,
+//       down to a single row.
 //
 // D5–D9 are structural rules implemented in protocol.cc over
 // the extraction layer in structure.h; the annotation grammar is specified

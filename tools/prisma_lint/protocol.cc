@@ -789,45 +789,20 @@ bool IsWireMessageHeader(const std::string& path) {
   return path == "gdh/messages.h" || EndsWith(path, "/gdh/messages.h");
 }
 
-/// Last line of the loop whose header is on `line`: the matching brace of
-/// a braced body, else the header line (body on it) or the next line.
-int LoopEnd(const PreparedFile& file, int line) {
-  const std::string& header = file.code[line - 1];
-  if (header.find('{') == std::string::npos) {
-    return EndsWith(Trim(header), ";") ? line : line + 1;
-  }
-  int depth = 0;
-  for (int li = line; li <= static_cast<int>(file.code.size()); ++li) {
-    for (const char c : file.code[li - 1]) {
-      if (c == '{') ++depth;
-      if (c == '}') --depth;
-    }
-    if (depth <= 0) return li;
-  }
-  return static_cast<int>(file.code.size());
-}
-
 void CheckWireSizing(const std::vector<PreparedFile>& files,
                      const std::vector<FileStructure>& structures,
                      std::vector<Diagnostic>* out) {
-  static const std::regex kLoop(
-      "\\b(for|while)\\s*\\(|\\baccumulate\\s*\\(");
   for (size_t fi = 0; fi < files.size(); ++fi) {
     const PreparedFile& file = files[fi];
     if (!IsWireMessageHeader(file.path)) continue;
     for (const FunctionDef& fn : structures[fi].functions) {
       if (fn.name != "WireBits") continue;
-      int loop_end = 0;
       for (int line = fn.first_line; line <= fn.last_line; ++line) {
-        const std::string& code = file.code[line - 1];
-        if (line > loop_end && std::regex_search(code, kLoop)) {
-          loop_end = LoopEnd(file, line);
-        }
-        if (line <= loop_end && code.find("ByteSize(") != std::string::npos) {
+        if (file.code[line - 1].find("ByteSize(") != std::string::npos) {
           Emit(out, file, line, "D9",
-               "WireBits() sums ByteSize() over rows — a row set crosses "
-               "the wire as one column frame sized by its byte length "
-               "(RowFrame / FrameBits, DESIGN.md §12.2)");
+               "WireBits() charges ByteSize() — rows cross the wire as "
+               "one column frame sized by its byte length (RowFrame / "
+               "FrameBits, DESIGN.md §12.2)");
         }
       }
     }
