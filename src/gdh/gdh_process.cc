@@ -995,6 +995,9 @@ pool::ProcessId GdhProcess::SpawnReplicaOfm(const TableInfo& info,
   // fault injection, effectively off when the net is reliable.
   ofm_config.retransmit = config_.retransmit;
   ofm_config.indexes = info.indexes;
+  // OFMs keep as many fragment plans as the plan cache keeps entries.
+  ofm_config.plan_capacity =
+      config_.plan_cache != nullptr ? config_.plan_cache->capacity() : 0;
   ofm_config.metrics = config_.metrics;
   return runtime()->Spawn(pe,
                           std::make_unique<OfmProcess>(std::move(ofm_config)));

@@ -20,6 +20,12 @@ StatusOr<std::vector<Tuple>> TupleBatchRows(const RowFrame& frame) {
   return batch.ToTuples();
 }
 
+int64_t PlanBits(const algebra::Plan* plan) {
+  return plan != nullptr
+             ? static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits
+             : kPlanIdBits;
+}
+
 int64_t ProfileBits(const obs::OperatorProfile& profile) {
   int64_t bits = kControlBits + static_cast<int64_t>(profile.op.size()) * 8;
   for (const obs::OperatorProfile& child : profile.children) {

@@ -1,6 +1,7 @@
 #ifndef PRISMA_GDH_MESSAGES_H_
 #define PRISMA_GDH_MESSAGES_H_
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -95,6 +96,24 @@ inline constexpr char kMailResyncPump[] = "resync_pump";
 constexpr int64_t kPlanNodeBits = 512;
 constexpr int64_t kExprNodeBits = 128;
 constexpr int64_t kControlBits = 256;
+/// A fragment plan named by its PlanRef instead of shipped (§15.4).
+constexpr int64_t kPlanIdBits = 64;
+
+/// One fragment plan of a cached split (DESIGN.md §15.4): the plan-cache
+/// entry's id, the part, and the input side (an exchange join ships one
+/// plan per side). An OFM serves one fragment replica, so the ref names
+/// the same renamed plan at every OFM it reaches. `entry` 0 names none.
+struct PlanRef {
+  uint64_t entry = 0;
+  size_t part = 0;
+  int side = 0;
+
+  auto operator<=>(const PlanRef&) const = default;
+};
+
+/// Wire size of a fragment plan: its nodes, or its id when it is resident
+/// at the receiving OFM (`plan` null).
+int64_t PlanBits(const algebra::Plan* plan);
 
 /// A row set on the wire in every exec mode: one serialized ColumnBatch
 /// (DESIGN.md §12.2) whose actual byte length is its modelled size. Null
@@ -146,19 +165,20 @@ struct ClientReply {
   int64_t WireBits() const { return kControlBits + FrameBits(rows); }
 };
 
-/// Coordinator -> OFM: execute a fragment-local plan.
+/// Coordinator -> OFM: execute a fragment-local plan. A plan from the
+/// plan cache carries its `plan_ref`: shipped whole, the OFM keeps it
+/// under that ref; shipped by id (`plan` null), the OFM runs the plan it
+/// kept, or answers `plan_not_resident`.
 struct ExecPlanRequest {
   uint64_t request_id = 0;
   std::shared_ptr<const algebra::Plan> plan;
+  PlanRef plan_ref;
   /// EXPLAIN ANALYZE: return a per-operator profile with the tuples.
   bool profile = false;
   /// Fragment-local execution mode (row-at-a-time or vectorized).
   exec::ExecMode exec_mode = exec::ExecMode::kRow;
 
-  int64_t WireBits() const {
-    return kControlBits +
-           static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits;
-  }
+  int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
 };
 
 struct ExecPlanReply {
@@ -173,6 +193,10 @@ struct ExecPlanReply {
   /// Shuffle producers: first-transmission data-plane bits of the shuffle
   /// this reply settles (feeds olap.shuffle_bits; zero for plain plans).
   uint64_t shuffle_wire_bits = 0;
+  /// The request named a plan by id that this OFM does not hold (evicted,
+  /// or the OFM respawned): nothing ran, and the coordinator ships the
+  /// plan whole under a fresh request id.
+  bool plan_not_resident = false;
 
   int64_t WireBits() const {
     return kControlBits + FrameBits(rows) +
@@ -239,6 +263,9 @@ struct ShufflePlanRequest {
   /// DESIGN.md §14.2).
   bool keep_nulls = false;
   std::vector<pool::ProcessId> consumers;
+  /// Plan-cache identity of `plan`; by id when `plan` is null (see
+  /// ExecPlanRequest).
+  PlanRef plan_ref;
   uint64_t batch_rows = 64;     // Max tuples per batch.
   uint64_t credit_window = 4;   // Batches in flight per channel.
   /// Producer-side execution mode.
@@ -246,10 +273,7 @@ struct ShufflePlanRequest {
   /// EXPLAIN ANALYZE: the settlement reply carries the plan's profile.
   bool profile = false;
 
-  int64_t WireBits() const {
-    return kControlBits +
-           static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits;
-  }
+  int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
 };
 
 /// Producer -> consumer: one framed batch of an exchange channel. The

@@ -351,8 +351,49 @@ void OfmProcess::HandleCreateIndex(const pool::Mail& mail) {
           kControlBits);
 }
 
+std::shared_ptr<const algebra::Plan> OfmProcess::AdoptPlan(
+    const pool::Mail& mail, uint64_t request_id,
+    std::shared_ptr<const algebra::Plan> plan, const PlanRef& ref) {
+  if (plan != nullptr) {
+    if (ref.entry != 0 && config_.plan_capacity > 0 &&
+        plans_->emplace(ref, plan).second) {
+      plan_order_.push_back(ref);
+      if (plan_order_.size() > config_.plan_capacity) {
+        plans_->erase(plan_order_.front());
+        plan_order_.pop_front();
+      }
+    }
+    return plan;
+  }
+  if (m_plan_hits_ == nullptr && config_.metrics != nullptr) {
+    const obs::Labels labels = {{"fragment", config_.fragment_name}};
+    m_plan_hits_ =
+        config_.metrics->GetCounter("ofm.plan_resident_hits", labels);
+    m_plan_misses_ =
+        config_.metrics->GetCounter("ofm.plan_resident_misses", labels);
+  }
+  auto it = plans_->find(ref);
+  if (it != plans_->end()) {
+    if (m_plan_hits_ != nullptr) m_plan_hits_->Increment();
+    return it->second;
+  }
+  if (m_plan_misses_ != nullptr) m_plan_misses_->Increment();
+  // Not cached, so a retransmitted request asks again: by then the
+  // coordinator has moved on to a fresh request id.
+  auto reply = std::make_shared<ExecPlanReply>();
+  reply->request_id = request_id;
+  reply->fragment = config_.fragment_name;
+  reply->status = NotFoundError("plan not resident at " + config_.fragment_name);
+  reply->plan_not_resident = true;
+  SendMail(mail.from, kMailExecPlanReply, reply, reply->WireBits());
+  return nullptr;
+}
+
 void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   auto request = std::any_cast<std::shared_ptr<ExecPlanRequest>>(mail.body);
+  const std::shared_ptr<const algebra::Plan> plan =
+      AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
+  if (plan == nullptr) return;
   auto reply = std::make_shared<ExecPlanReply>();
   reply->request_id = request->request_id;
   reply->fragment = config_.fragment_name;
@@ -363,8 +404,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   std::optional<obs::OperatorProfile> profile;
   if (request->profile) profile.emplace();
   auto result =
-      ofm_->ExecutePlan(*request->plan,
-                        colocated.has_value() ? &*colocated : nullptr,
+      ofm_->ExecutePlan(*plan, colocated.has_value() ? &*colocated : nullptr,
                         profile.has_value() ? &*profile : nullptr,
                         request->exec_mode);
   if (m_plans_executed_ != nullptr) {
@@ -410,13 +450,16 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   // shuffle will answer the coordinator, so a second stream would only
   // duplicate every batch.
   if (active_shuffles_->contains({mail.from, request->request_id})) return;
+  const std::shared_ptr<const algebra::Plan> plan =
+      AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
+  if (plan == nullptr) return;
 
   std::optional<PeLocalResolver> colocated;
   if (config_.registry != nullptr) colocated.emplace(config_.registry, pe());
   std::shared_ptr<obs::OperatorProfile> profile;
   if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
   auto result = ofm_->ExecutePlan(
-      *request->plan, colocated.has_value() ? &*colocated : nullptr,
+      *plan, colocated.has_value() ? &*colocated : nullptr,
       profile.get(), request->exec_mode);
   if (m_plans_executed_ != nullptr) {
     const exec::ExecStats& stats = ofm_->last_exec_stats();

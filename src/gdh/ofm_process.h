@@ -71,6 +71,9 @@ class OfmProcess : public pool::Process {
     /// timer firing with no window progress since the last one;
     /// exhaustion fails the stream with Unavailable).
     RetransmitPolicy retransmit;
+    /// Fragment plans kept by PlanRef (the machine's plan_cache_capacity;
+    /// 0 keeps none).
+    size_t plan_capacity = 0;
     /// Per-fragment counters land here when set (ofm.* metric family).
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -95,6 +98,12 @@ class OfmProcess : public pool::Process {
  private:
   void HandleExecPlan(const pool::Mail& mail);
   void HandleShufflePlan(const pool::Mail& mail);
+  /// The plan a request runs: a shipped plan (kept under `ref` when it
+  /// has one), or the one kept under `ref`. Null when the request named a
+  /// plan this OFM does not hold; the coordinator has then been told.
+  std::shared_ptr<const algebra::Plan> AdoptPlan(
+      const pool::Mail& mail, uint64_t request_id,
+      std::shared_ptr<const algebra::Plan> plan, const PlanRef& ref);
   void HandleBatchAck(const pool::Mail& mail);
   void HandleWrite(const pool::Mail& mail);
   void HandleTxnControl(const pool::Mail& mail);
@@ -280,6 +289,13 @@ class OfmProcess : public pool::Process {
       active_resync_requests_;
   pool::Owned<std::map<uint64_t, size_t>> resync_cursors_;
 
+  // Resident fragment plans (DESIGN.md §15.4), FIFO-bounded by
+  // plan_capacity. Volatile: a respawned OFM starts without any, and its
+  // new pid is on no coordinator's record.
+  pool::Owned<std::map<PlanRef, std::shared_ptr<const algebra::Plan>>>
+      plans_;
+  std::deque<PlanRef> plan_order_;
+
   // Resync target state (resync-mode processes only): the inbound bulk
   // channel and its acks, the adopted source session token and the
   // stop-and-wait delta cursor.
@@ -302,6 +318,9 @@ class OfmProcess : public pool::Process {
   obs::Counter* m_redo_applied_ = nullptr;
   obs::Counter* m_recoveries_ = nullptr;
   obs::Counter* m_dup_requests_ = nullptr;
+  // Id-only plan requests, registered on the first one.
+  obs::Counter* m_plan_hits_ = nullptr;
+  obs::Counter* m_plan_misses_ = nullptr;
   // Exchange-producer metrics, registered lazily on the first shuffle so
   // fragments that never shuffle keep their metric dumps unchanged.
   obs::Counter* m_batches_sent_ = nullptr;

@@ -4,13 +4,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
 #include "gdh/distributed_plan.h"
+#include "gdh/messages.h"
 #include "gdh/optimizer.h"
 #include "obs/metrics.h"
+#include "pool/owned.h"
 
 namespace prisma::gdh {
 
@@ -36,6 +40,14 @@ namespace prisma::gdh {
 /// and drop every entry; a per-statement exec-mode flip needs no epoch
 /// (the mode is in the key). Entries are never served across epochs, so a
 /// stale plan cannot outlive the schema/placement it was built for.
+///
+/// Residency: each entry gets a monotonic id when it is inserted, and the
+/// cache records which OFM processes answered a request that shipped one
+/// of its fragment plans (a PlanRef). A coordinator then names such a
+/// plan by id to a recorded OFM instead of shipping it. The record lives
+/// here, beside the immutable Entry, and goes with the entry on eviction
+/// and invalidation; ids are never reused, so a coordinator still running
+/// an evicted entry's plan cannot record or reuse anything.
 class PlanCache {
  public:
   struct Key {
@@ -57,6 +69,8 @@ class PlanCache {
   struct Entry {
     std::shared_ptr<const DistributedPlan> split;
     OptimizerReport optimizer_report;
+    /// Set by Insert; 1, 2, ... in insertion order.
+    uint64_t id = 0;
   };
 
   /// `capacity` bounds the entry count (FIFO eviction, deterministic);
@@ -72,15 +86,29 @@ class PlanCache {
 
   /// Returns the cached entry for `key`, or null (counted as hit/miss).
   std::shared_ptr<const Entry> Lookup(const Key& key);
+  /// Lookup without counting: EXPLAIN ANALYZE profiles the plan a SELECT
+  /// would run without moving the SELECT's hit rate.
+  std::shared_ptr<const Entry> Peek(const Key& key) const;
 
-  /// Publishes a freshly built plan under `key` at the current epoch.
-  void Insert(const Key& key, std::shared_ptr<const Entry> entry);
+  /// Publishes a freshly built plan under `key` at the current epoch and
+  /// returns it with its id set; null when dropped (capacity 0, or a
+  /// concurrent query already filled the key).
+  std::shared_ptr<const Entry> Insert(const Key& key,
+                                      std::shared_ptr<Entry> entry);
+
+  /// Whether `ofm` answered a request that shipped `ref`'s plan.
+  bool Resident(const PlanRef& ref, pool::ProcessId ofm) const;
+  /// Records `ofm` as holding `ref`'s plan; ignored once the entry is gone.
+  void NoteResident(const PlanRef& ref, pool::ProcessId ofm);
+  /// Drops the record after `ofm` answered that it no longer holds the plan.
+  void ForgetResident(const PlanRef& ref, pool::ProcessId ofm);
 
   /// Drops every entry and bumps the epoch. `reason` labels the
   /// invalidate metric ("ddl", "failover", "resync", ...).
   void Invalidate(const char* reason);
 
   uint64_t epoch() const { return epoch_; }
+  size_t capacity() const { return capacity_; }
   size_t size() const { return entries_.size(); }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -89,9 +117,12 @@ class PlanCache {
   const size_t capacity_;
   uint64_t epoch_ = 0;
   std::map<Key, std::shared_ptr<const Entry>> entries_;
-  /// Insertion order for FIFO eviction (seq -> key).
+  /// Live entries by id, in insertion order for FIFO eviction.
   std::map<uint64_t, Key> insert_order_;
-  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  /// Residency records, ordered by entry id first so an entry's records
+  /// erase as one range.
+  std::set<std::pair<PlanRef, pool::ProcessId>> resident_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;

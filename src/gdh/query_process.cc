@@ -195,16 +195,19 @@ void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
                                 second->ReplicaName(choice));
   }
   w.plan = std::shared_ptr<const algebra::Plan>(std::move(plan));
+  // The surviving replica gets the renamed plan whole, even where the
+  // request named it by id: nothing is on record for that OFM.
   if (std::string_view(rpc.kind) == kMailShufflePlan && w.shuffle != nullptr) {
-    auto request = std::make_shared<ShufflePlanRequest>(*w.shuffle);
+    auto request = std::make_shared<ShufflePlanRequest>(
+        *std::any_cast<std::shared_ptr<ShufflePlanRequest>>(rpc.body));
     request->plan = w.plan;
-    w.shuffle = request;
+    rpc.size_bits = request->WireBits();
     rpc.body = request;
   } else if (std::string_view(rpc.kind) == kMailExecPlan) {
-    auto old_request =
-        std::any_cast<std::shared_ptr<ExecPlanRequest>>(rpc.body);
-    auto request = std::make_shared<ExecPlanRequest>(*old_request);
+    auto request = std::make_shared<ExecPlanRequest>(
+        *std::any_cast<std::shared_ptr<ExecPlanRequest>>(rpc.body));
     request->plan = w.plan;
+    rpc.size_bits = request->WireBits();
     rpc.body = request;
   } else {
     return;  // Not a fragment read; nothing to re-aim.
@@ -329,21 +332,32 @@ void QueryProcess::StartSql() {
   // Probe the shared plan cache first (DESIGN.md §15.4): a repeated
   // parameterized statement reuses the immutable split plan and skips the
   // per-query parser/optimizer instance entirely. Only plain SELECTs are
-  // cached — EXPLAIN [ANALYZE] are diagnostics of the planning work
-  // itself, so they always run it.
+  // cached. EXPLAIN is a diagnostic of the planning work itself, so it
+  // always runs it; EXPLAIN ANALYZE profiles what its SELECT would run,
+  // which is the cached plan when there is one (peeked, so the SELECT's
+  // hit rate does not move).
   PlanCache::Key cache_key;
   bool cacheable = false;
   if (config_.plan_cache != nullptr) {
     auto normalized = sql::NormalizeStatement(config_.statement->text);
-    if (normalized.ok() && normalized->fingerprint.rfind("SELECT", 0) == 0) {
-      cacheable = true;
-      cache_key.fingerprint = std::move(normalized->fingerprint);
+    constexpr std::string_view kAnalyze = "EXPLAIN ANALYZE ";
+    std::string_view fingerprint =
+        normalized.ok() ? std::string_view(normalized->fingerprint) : "";
+    const bool analyze = fingerprint.starts_with(kAnalyze);
+    if (analyze) fingerprint.remove_prefix(kAnalyze.size());
+    if (fingerprint.starts_with("SELECT")) {
+      cacheable = !analyze;
+      cache_key.fingerprint = std::string(fingerprint);
       cache_key.params = std::move(normalized->params);
       cache_key.exec_mode = config_.exec_mode;
       ChargeCpu(config_.costs.plan_cache_probe_ns);
-      if (auto hit = config_.plan_cache->Lookup(cache_key); hit != nullptr) {
+      auto hit = analyze ? config_.plan_cache->Peek(cache_key)
+                         : config_.plan_cache->Lookup(cache_key);
+      if (hit != nullptr) {
+        explain_ = analyze_ = analyze;
         split_ = hit->split;
         optimizer_report_ = hit->optimizer_report;
+        plan_entry_ = hit->id;
         AcquireSelectLocks();
         return;
       }
@@ -390,7 +404,9 @@ void QueryProcess::StartSql() {
     auto entry = std::make_shared<PlanCache::Entry>();
     entry->split = split_;
     entry->optimizer_report = optimizer_report_;
-    config_.plan_cache->Insert(cache_key, std::move(entry));
+    if (auto stored = config_.plan_cache->Insert(cache_key, std::move(entry))) {
+      plan_entry_ = stored->id;
+    }
   }
 
   if (explain_ && !analyze_) {
@@ -491,6 +507,7 @@ void QueryProcess::Scatter() {
       is_prismalog_phase_ ? plog_tables_.size() : split_->parts.size(), {});
   duplicate_of_.assign(gathered_->size(), SIZE_MAX);
   part_profiles_.clear();
+  part_shipping_.clear();
   work_->clear();
   size_t consumer_replies = 0;
   if (is_prismalog_phase_) {
@@ -747,7 +764,7 @@ size_t QueryProcess::ScatterOlapPart(size_t part_index) {
     // A NULL group key is still a group (unlike a join key, which can
     // never match): route NULLs to consumer 0 instead of dropping.
     request.keep_nulls = true;
-    olap_producer_ids_.insert(request.request_id);
+    work_->back().olap_stream = true;
   }
   return fragments;
 }
@@ -771,6 +788,7 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
   runs.part = part_index;
   runs.channels.assign(fragments.size(), exec::InboundChannel());
   runs.rows.assign(fragments.size(), {});
+  runs.work.clear();
   for (size_t r = 0; r < fragments.size(); ++r) {
     // Broadcast to one consumer: the run leaves in sorted order, with no
     // per-row routing.
@@ -778,7 +796,8 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
         part_index, exchange_id, 0, r, part.table,
         table.fragments[fragments[r]], *part.plan, {self()});
     request.mode = ShufflePlanRequest::Mode::kBroadcast;
-    olap_producer_ids_.insert(request.request_id);
+    work_->back().olap_stream = true;
+    runs.work.push_back(work_->size() - 1);
   }
 }
 
@@ -788,12 +807,9 @@ ShufflePlanRequest& QueryProcess::AddShuffleProducer(
     const algebra::Plan& plan, std::vector<pool::ProcessId> consumers) {
   const int replica = ChooseReadReplica(frag);
   auto request = std::make_shared<ShufflePlanRequest>();
-  request->request_id = next_request_id_++;
   request->exchange_id = exchange_id;
   request->side = side;
   request->producer = producer;
-  request->plan = std::shared_ptr<const algebra::Plan>(
-      CloneWithScanRenamed(plan, table, frag.ReplicaName(replica)));
   request->consumers = std::move(consumers);
   request->batch_rows = config_.exchange_batch_rows;
   request->credit_window = config_.exchange_credit_window;
@@ -801,7 +817,8 @@ ShufflePlanRequest& QueryProcess::AddShuffleProducer(
   request->profile = analyze_;
   FragmentWork w;
   w.ofm = frag.ReplicaOfm(replica);
-  w.plan = request->plan;
+  w.plan = std::shared_ptr<const algebra::Plan>(
+      CloneWithScanRenamed(plan, table, frag.ReplicaName(replica)));
   w.part = part_index;
   w.table = table;
   w.fragment = frag.name;
@@ -825,11 +842,17 @@ void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
     return;
   }
   std::deque<Tuple>& run = runs.rows[msg->producer];
+  bool progress = false;
   for (exec::TupleBatch& batch : channel.TakeReady()) {
+    progress = true;
     tuples_gathered_ += batch.tuples.size();
     run.insert(run.end(), std::make_move_iterator(batch.tuples.begin()),
                std::make_move_iterator(batch.tuples.end()));
   }
+  // A run that makes progress has a live producer: its plan RPC gets a
+  // fresh budget, so a long run under loss is not failed while its
+  // batches are still arriving.
+  if (progress) rpcs_.Renew((*work_)[runs.work[msg->producer]].request_id);
   runs_in_->Ack(mail.from, msg->shuffle_token, channel);
   MergeRuns(runs);
 }
@@ -884,24 +907,48 @@ void QueryProcess::MergeRuns(SortedRuns& runs) {
 }
 
 void QueryProcess::SendNextFragmentPlan() {
-  const size_t index = next_work_++;
-  const FragmentWork& w = (*work_)[index];
-  if (w.shuffle != nullptr) {
-    request_part_[w.shuffle->request_id] = {w.part, w.shuffle->side};
-    ++outstanding_;
-    SendRpc(w.shuffle->request_id, kMailShufflePlan, w.shuffle,
-            w.shuffle->WireBits(), index);
-    return;
-  }
-  auto request = std::make_shared<ExecPlanRequest>();
-  request->request_id = next_request_id_++;
-  request->plan = w.plan;
-  request->profile = analyze_;
-  request->exec_mode = config_.exec_mode;
-  request_part_[request->request_id] = {w.part, 0};
   ++outstanding_;
-  SendRpc(request->request_id, kMailExecPlan, request, request->WireBits(),
-          index);
+  SendFragmentPlan(next_work_++, /*by_id_ok=*/true);
+}
+
+void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
+  FragmentWork& w = (*work_)[index];
+  const int side = w.shuffle != nullptr ? w.shuffle->side : 0;
+  // Only plans of a cached split have an identity an OFM can keep.
+  const PlanRef ref =
+      plan_entry_ != 0 ? PlanRef{plan_entry_, w.part, side} : PlanRef{};
+  const bool by_id = by_id_ok && ref.entry != 0 &&
+                     config_.plan_cache->Resident(ref, ResolveTarget(index));
+  const std::shared_ptr<const algebra::Plan> plan = by_id ? nullptr : w.plan;
+  w.request_id = next_request_id_++;
+  request_part_[w.request_id] = {w.part, side, index};
+  int64_t bits = 0;
+  if (w.shuffle != nullptr) {
+    auto request = std::make_shared<ShufflePlanRequest>(*w.shuffle);
+    request->request_id = w.request_id;
+    request->plan = plan;
+    request->plan_ref = ref;
+    bits = request->WireBits();
+    SendRpc(w.request_id, kMailShufflePlan, request, bits, index);
+  } else {
+    auto request = std::make_shared<ExecPlanRequest>();
+    request->request_id = w.request_id;
+    request->plan = plan;
+    request->plan_ref = ref;
+    request->profile = analyze_;
+    request->exec_mode = config_.exec_mode;
+    bits = request->WireBits();
+    SendRpc(w.request_id, kMailExecPlan, request, bits, index);
+  }
+  if (analyze_) {
+    PlanShipping& shipping = part_shipping_[w.part];
+    if (by_id) {
+      ++shipping.by_id;
+    } else {
+      ++shipping.whole;
+      shipping.whole_bits += bits;
+    }
+  }
 }
 
 void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
@@ -912,16 +959,29 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   if (it == request_part_.end()) return;  // Stale or duplicate.
   const ReplySlot slot = it->second;
   request_part_.erase(it);
+  const PlanRef ref{plan_entry_, slot.part, slot.side};
+  if (reply->plan_not_resident) {
+    // The OFM no longer holds the plan (its FIFO evicted it, or it was
+    // respawned): ship it whole, under a fresh request id since shuffle
+    // replies are cached by request id.
+    config_.plan_cache->ForgetResident(ref, mail.from);
+    SendFragmentPlan(slot.work, /*by_id_ok=*/false);
+    return;
+  }
   --outstanding_;
   ++completed_;
   if (!reply->status.ok()) {
     Reply(reply->status, Schema(), nullptr);
     return;
   }
-  if (olap_producer_ids_.erase(reply->request_id) > 0) {
-    // OLAP producer settled: attribute its first-transmission data-plane
-    // bits (retransmissions excluded by the OFM).
-    olap_shuffle_bits_ += reply->shuffle_wire_bits;
+  if (slot.work != SIZE_MAX) {
+    // The answering OFM holds the plan now, whichever way it went out.
+    if (ref.entry != 0) config_.plan_cache->NoteResident(ref, mail.from);
+    if ((*work_)[slot.work].olap_stream) {
+      // OLAP producer settled: attribute its first-transmission data-plane
+      // bits (retransmissions excluded by the OFM).
+      olap_shuffle_bits_ += reply->shuffle_wire_bits;
+    }
   }
   // One decode for every gather: a corrupt frame fails the statement with
   // its typed error, never a partial result.
@@ -1172,6 +1232,14 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
       obs::RenderProfile(profile->second, indent, &rendered);
       for (const std::string& line : rendered) emit(line);
     };
+    // How the part's fragment plans reached the OFMs (DESIGN.md §15.4).
+    auto emit_shipping = [&] {
+      const PlanShipping& shipping = part_shipping_[i];
+      emit(StrFormat("  plans shipped: %zu whole (%lld bits), %zu by id",
+                     shipping.whole,
+                     static_cast<long long>(shipping.whole_bits),
+                     shipping.by_id));
+    };
     if (part.exchange != nullptr) {
       const ExchangeJoinSpec& ex = *part.exchange;
       emit(StrFormat("part %zu (exchange join %s x %s, %s, %zu "
@@ -1179,6 +1247,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      i, ex.left_table.c_str(), ex.right_table.c_str(),
                      ExchangeStrategyName(ex.strategy),
                      part_fragments_[i].size()));
+      emit_shipping();
       for (int side = 0; side < 2; ++side) {
         if (!ExchangeSideMoves(ex.strategy, side)) continue;
         emit(StrFormat("  %s producers (%s):", side == 0 ? "left" : "right",
@@ -1203,6 +1272,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      i, part.table.c_str(), part.second_table.c_str(),
                      part_fragments_[i].size()));
     }
+    emit_shipping();
     emit_profile(0, 1);
   }
   Schema schema;
@@ -1415,12 +1485,9 @@ void QueryProcess::ScatterFixpoint() {
   for (size_t f = 0; f < fx_num_pes_; ++f) {
     const FragmentInfo& frag = table.fragments[f];
     auto request = std::make_shared<ShufflePlanRequest>();
-    request->request_id = next_request_id_++;
     request->exchange_id = fixpoint_id_;
     request->side = 0;
     request->producer = f;
-    request->plan = std::shared_ptr<const algebra::Plan>(
-        CloneWithScanRenamed(*scan, fx_edge_table_, frag.name));
     request->mode = ShufflePlanRequest::Mode::kHash;
     request->partition_column = 0;
     request->consumers = pids;
@@ -1429,7 +1496,8 @@ void QueryProcess::ScatterFixpoint() {
     request->exec_mode = config_.exec_mode;
     FragmentWork w;
     w.ofm = frag.ofm;
-    w.plan = request->plan;
+    w.plan = std::shared_ptr<const algebra::Plan>(
+        CloneWithScanRenamed(*scan, fx_edge_table_, frag.name));
     w.part = 0;
     w.table = fx_edge_table_;
     w.fragment = frag.name;

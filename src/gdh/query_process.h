@@ -112,6 +112,9 @@ class QueryProcess : public pool::Process {
   void RequestLocks(std::vector<std::string> resources);
   void Scatter();
   void SendNextFragmentPlan();
+  /// Sends work_[index]'s plan under a fresh request id: by id when the
+  /// target OFM is on the plan cache's record (and `by_id_ok`), else whole.
+  void SendFragmentPlan(size_t index, bool by_id_ok);
   void HandlePlanReply(const pool::Mail& mail);
 
   /// Registers an outgoing request for retransmission. `work_index` names
@@ -160,6 +163,9 @@ class QueryProcess : public pool::Process {
   // shared with the plan cache and concurrent queries (read-only here).
   std::shared_ptr<const DistributedPlan> split_;
   OptimizerReport optimizer_report_;
+  /// Plan-cache id of split_ (0: not from the cache); its fragment plans
+  /// may then go to the OFMs by id (DESIGN.md §15.4).
+  uint64_t plan_entry_ = 0;
   bool is_prismalog_phase_ = false;
   bool explain_ = false;
   bool analyze_ = false;
@@ -180,9 +186,14 @@ class QueryProcess : public pool::Process {
     std::string second_table;
     std::string second_fragment;
     /// Set for shuffle producers (exchange joins, OLAP group-bys, sorted
-    /// runs): the prebuilt shuffle plan (with a pre-assigned request_id)
-    /// sent instead of a plain ExecPlanRequest.
+    /// runs): the prebuilt shuffle request, sent instead of a plain
+    /// ExecPlanRequest as a copy that gets a fresh request id and `plan`.
     std::shared_ptr<ShufflePlanRequest> shuffle;
+    /// An OLAP stream producer (group-by shuffle or sorted run): its
+    /// settlement's stream bits count as olap.shuffle_bits.
+    bool olap_stream = false;
+    /// The request id this entry's plan was last sent under.
+    uint64_t request_id = 0;
   };
   /// Read routing (DESIGN.md §13): the replica of `frag` a read should
   /// address — the primary while it is in-sync and alive, else the peer
@@ -225,6 +236,8 @@ class QueryProcess : public pool::Process {
   /// Sorted runs of one part, by run (the part's fragment list order).
   struct SortedRuns {
     size_t part = 0;
+    /// Each run's producer, as a work_ index.
+    std::vector<size_t> work;
     std::vector<exec::InboundChannel> channels;
     /// Received rows not merged yet.
     std::vector<std::deque<Tuple>> rows;
@@ -251,10 +264,12 @@ class QueryProcess : public pool::Process {
   std::vector<pool::ProcessId> consumer_pids_;
   uint64_t next_request_id_ = 1;
   /// Where a reply lands: its part, and for a shuffle producer its input
-  /// side (EXPLAIN ANALYZE profiles each side of an exchange join).
+  /// side (EXPLAIN ANALYZE profiles each side of an exchange join). Plan
+  /// requests name their work_ entry; consumer replies SIZE_MAX.
   struct ReplySlot {
     size_t part = 0;
     int side = 0;
+    size_t work = SIZE_MAX;
   };
   std::map<uint64_t, ReplySlot> request_part_;  // By request id.
 
@@ -270,6 +285,13 @@ class QueryProcess : public pool::Process {
   uint64_t tuples_gathered_ = 0;
   // EXPLAIN ANALYZE: fragment profiles merged per (part, side).
   std::map<std::pair<size_t, int>, obs::OperatorProfile> part_profiles_;
+  /// EXPLAIN ANALYZE: how each part's fragment plans went out.
+  struct PlanShipping {
+    size_t by_id = 0;
+    size_t whole = 0;
+    int64_t whole_bits = 0;
+  };
+  std::map<size_t, PlanShipping> part_shipping_;
   // Pruned fragment indexes per SQL part (see PruneFragmentsForPart).
   std::vector<std::vector<int>> part_fragments_;
   // Common-subexpression elimination across parts: duplicate_of_[i] names
@@ -283,9 +305,6 @@ class QueryProcess : public pool::Process {
   std::map<size_t, std::vector<std::vector<Tuple>>> olap_slices_;
   /// Merge-consumer reply id -> (part, consumer index).
   std::map<uint64_t, std::pair<size_t, size_t>> olap_merge_of_;
-  /// Request ids of OLAP stream producers: group-by shuffles and sorted
-  /// runs (wire-bit attribution).
-  std::set<uint64_t> olap_producer_ids_;
   uint64_t olap_shuffle_bits_ = 0;  // First-transmission stream bits.
   uint64_t olap_gather_bits_ = 0;   // Merge consumer reply bits.
   /// Bits of plain (non-OLAP) fragment replies gathered at the

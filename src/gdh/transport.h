@@ -238,6 +238,14 @@ class RpcClient {
     return true;
   }
 
+  /// Restarts `id`'s attempt budget: the callee showed progress (say, a
+  /// fresh batch of the stream the request started). Unknown ids are
+  /// ignored.
+  void Renew(uint64_t id) {
+    auto it = calls_.find(id);
+    if (it != calls_.end()) it->second.attempts = 1;
+  }
+
   void SettleAll() {
     for (const auto& [id, rpc] : calls_) {
       (void)id;  // prisma-lint: unused-status - key only identifies the call.

@@ -72,6 +72,8 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "ofm.dup_requests",
     "ofm.full_scans",
     "ofm.index_selections",
+    "ofm.plan_resident_hits",
+    "ofm.plan_resident_misses",
     "ofm.plans_executed",
     "ofm.recoveries",
     "ofm.redo_applied",

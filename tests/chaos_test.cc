@@ -916,6 +916,7 @@ struct ServingSoakOutcome {
   uint64_t crashes = 0;
   uint64_t dropped = 0;
   uint64_t duplicated = 0;
+  uint64_t plans_by_id = 0;  // Id-only plan requests an OFM served.
   std::string latency_line;
   std::string metrics;
   std::string trace;
@@ -927,6 +928,10 @@ struct ServingSoakOutcome {
 /// The contract under fire: EVERY session statement resolves — an answer,
 /// a typed Unavailable from the RPC layer, or a typed Overloaded shed at
 /// admission — never a hang, and the same seed replays byte-identically.
+/// Repeated SELECTs name their cached plans by id (DESIGN.md §15.4), so
+/// id-only requests meet the drops and duplicates too; a PE crashes and
+/// restarts between the warm-up that ships the plans whole and the
+/// workload that reuses them, so its respawned OFMs hold none.
 ServingSoakOutcome RunServingChaosSoak(uint64_t seed, bool trace = false) {
   MachineConfig config = ChaosMachine(seed);
   config.enable_tracing = trace;
@@ -943,9 +948,28 @@ ServingSoakOutcome RunServingChaosSoak(uint64_t seed, bool trace = false) {
   profile.duration_ns = sim::kNanosPerSecond / 2;
   profile.mix = {0.4, 0.1, 0.4, 0.1};
   serve::WorkloadGenerator generator(seed, profile);
+  const std::vector<serve::ArrivalEvent> events = generator.Generate();
+
+  // Warm-up: the first few distinct SELECTs ship their plans whole.
+  std::set<std::string> warmed;
+  for (const serve::ArrivalEvent& event : events) {
+    if (warmed.size() == 6) break;
+    if (event.sql.rfind("SELECT", 0) != 0 || !warmed.insert(event.sql).second) {
+      continue;
+    }
+    auto result = db.Execute(event.sql);
+    PRISMA_CHECK(result.ok() ||
+                 result.status().code() == StatusCode::kUnavailable)
+        << result.status().ToString();
+  }
+  const net::NodeId victim =
+      static_cast<net::NodeId>(1 + seed % (config.pes - 1));
+  PRISMA_CHECK(db.CrashPe(victim) > 0);
+  PRISMA_CHECK(db.RecoverPe(victim).ok());
+  db.Run();
 
   serve::Dispatcher dispatcher(&db, serve::DispatcherOptions());
-  for (const serve::ArrivalEvent& event : generator.Generate()) {
+  for (const serve::ArrivalEvent& event : events) {
     dispatcher.Submit(
         event.sql, exec::kAutoCommit,
         [](const gdh::ClientReply& reply, sim::SimTime) {
@@ -974,6 +998,7 @@ ServingSoakOutcome RunServingChaosSoak(uint64_t seed, bool trace = false) {
   out.crashes = db.metrics().CounterTotal("pe.crashes");
   out.dropped = db.network().stats().dropped;
   out.duplicated = db.network().stats().duplicated;
+  out.plans_by_id = db.metrics().CounterTotal("ofm.plan_resident_hits");
   out.latency_line = dispatcher.latency().DumpLine();
   out.metrics = db.DumpMetrics();
   if (trace) out.trace = db.DumpTrace();
@@ -984,21 +1009,26 @@ TEST(ChaosTest, ServingSoakShedsButNeverHangsAcross25Seeds) {
   uint64_t total_shed = 0;
   uint64_t total_completed = 0;
   uint64_t total_dropped = 0;
+  uint64_t total_by_id = 0;
   for (const uint64_t seed : SoakSeeds(1, 25)) {
     PRISMA_SEED_REPRO("ChaosTest.ServingSoakShedsButNeverHangsAcross25Seeds",
                       seed);
     const ServingSoakOutcome out = RunServingChaosSoak(seed);
-    EXPECT_EQ(out.crashes, 1u);  // The scheduled PE crash fired.
+    // The scheduled PE crash fired, and so did the one after warm-up.
+    EXPECT_EQ(out.crashes, 2u);
     EXPECT_GT(out.completed, 0u);
     total_shed += out.shed;
     total_completed += out.completed;
     total_dropped += out.dropped;
+    total_by_id += out.plans_by_id;
   }
   if (SingleSeedMode()) return;
   // Overload was real (admission shed), faults were real (drops landed),
-  // and the machine still served the bulk of the offered statements.
+  // plans went by id through them, and the machine still served the bulk
+  // of the offered statements.
   EXPECT_GT(total_shed, 0u);
   EXPECT_GT(total_dropped, 0u);
+  EXPECT_GT(total_by_id, 0u);
   EXPECT_GT(total_completed, total_shed / 10);
 }
 
@@ -1123,22 +1153,25 @@ struct SortedRunSoakOutcome {
 /// coordinator, and the producer must still learn of every batch that
 /// arrived. 200 rows over 4 fragments in 4-row batches give each run
 /// about 13 batches. Both the bare sort and its Top-N form must come
-/// back in exact order.
-SortedRunSoakOutcome RunSortedRunChaos(uint64_t seed) {
+/// back in exact order. Per-hop drops are drawn from [drop_min, drop_max).
+SortedRunSoakOutcome RunSortedRunChaos(uint64_t seed, double drop_min = 0.01,
+                                       double drop_max = 0.05,
+                                       int rows = 200) {
   MachineConfig config;
   config.pes = 4;
   config.exchange_batch_rows = 4;
   config.exchange_credit_window = 4;
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 31);
   config.fault_plan.seed = seed;
-  config.fault_plan.link.drop_probability = 0.01 + 0.04 * rng.NextDouble();
+  config.fault_plan.link.drop_probability =
+      drop_min + (drop_max - drop_min) * rng.NextDouble();
   config.fault_plan.link.duplicate_probability = 0.05 * rng.NextDouble();
   config.fault_plan.link.max_extra_delay_ns = rng.UniformInt(0, 200'000);
 
   PrismaDb db(config);
   MustExecute(&db, "CREATE TABLE r (id INT, k INT) "
                    "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
-  for (int i = 0; i < 200; i += 50) {
+  for (int i = 0; i < rows; i += 50) {
     std::string sql = "INSERT INTO r VALUES ";
     for (int j = i; j < i + 50; ++j) {
       if (j > i) sql += ", ";
@@ -1147,7 +1180,7 @@ SortedRunSoakOutcome RunSortedRunChaos(uint64_t seed) {
     MustExecute(&db, sql);
   }
   std::vector<std::pair<int, int>> expected;  // (k, id): k DESC, id.
-  for (int j = 0; j < 200; ++j) expected.emplace_back((j * 37) % 101, j);
+  for (int j = 0; j < rows; ++j) expected.emplace_back((j * 37) % 101, j);
   std::sort(expected.begin(), expected.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first
@@ -1192,6 +1225,18 @@ TEST(ChaosTest, SortedRunSoakWithAWideCreditWindowSurvives25Seeds) {
   EXPECT_GT(dropped, 0u);
   // Lost run batches or acks were resent, and every answer stayed exact.
   EXPECT_GT(retransmits, 0u);
+}
+
+/// A run that outlasts its producer's plan RPC budget (6 sends, about
+/// 7.75 s) under heavy loss is not failed while its batches still
+/// arrive: every fresh batch renews the budget. 1,600 rows (100 batches
+/// a run) on seed 8 at 2-8 % per-hop drops used to fail the sort with
+/// kUnavailable mid-stream.
+TEST(ChaosTest, SortedRunUnderHeavyLossOutlivesItsPlanRpcBudget) {
+  const SortedRunSoakOutcome out =
+      RunSortedRunChaos(8, 0.02, 0.08, /*rows=*/1600);
+  EXPECT_EQ(out.olap_parts, 2u);
+  EXPECT_GT(out.retransmits, 0u);
 }
 
 TEST(ChaosTest, SortedRunSameSeedReplayIsByteIdentical) {

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/str_util.h"
 #include "core/prisma_db.h"
+#include "gdh/messages.h"
 #include "gdh/plan_cache.h"
 #include "obs/metrics.h"
 #include "serve/dispatcher.h"
@@ -73,7 +75,7 @@ PlanCache::Key MakeKey(const std::string& fingerprint,
   return key;
 }
 
-std::shared_ptr<const PlanCache::Entry> MakeEntry() {
+std::shared_ptr<PlanCache::Entry> MakeEntry() {
   // Insert drops entries without a split plan (nothing worth caching), so
   // the fixture carries an empty-but-present one.
   auto entry = std::make_shared<PlanCache::Entry>();
@@ -134,6 +136,41 @@ TEST(PlanCacheTest, CapacityZeroDisables) {
   cache.Insert(MakeKey("A"), MakeEntry());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup(MakeKey("A")), nullptr);
+}
+
+TEST(PlanCacheTest, ResidencyRecordsDieWithTheirEntry) {
+  PlanCache cache(/*capacity=*/2);
+  const auto a = cache.Insert(MakeKey("A"), MakeEntry());
+  const auto b = cache.Insert(MakeKey("B"), MakeEntry());
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_LT(a->id, b->id);  // Monotonic.
+  // A concurrent fill of a live key is dropped: nothing to record under.
+  EXPECT_EQ(cache.Insert(MakeKey("A"), MakeEntry()), nullptr);
+  const gdh::PlanRef ref_a{a->id, 0, 0};
+  const gdh::PlanRef ref_b{b->id, 0, 1};
+  cache.NoteResident(ref_a, /*ofm=*/7);
+  cache.NoteResident(ref_b, /*ofm=*/7);
+  EXPECT_TRUE(cache.Resident(ref_a, 7));
+  EXPECT_FALSE(cache.Resident(ref_a, 8));  // Per OFM process...
+  EXPECT_FALSE(cache.Resident({a->id, 0, 1}, 7));  // ...and per side.
+  cache.ForgetResident(ref_a, 7);
+  EXPECT_FALSE(cache.Resident(ref_a, 7));
+  cache.NoteResident(ref_a, 7);
+  // FIFO eviction drops A and its record; B's survives.
+  const auto c = cache.Insert(MakeKey("C"), MakeEntry());
+  ASSERT_NE(c, nullptr);
+  EXPECT_FALSE(cache.Resident(ref_a, 7));
+  EXPECT_TRUE(cache.Resident(ref_b, 7));
+  // A coordinator still running A's plan cannot record it again.
+  cache.NoteResident(ref_a, 7);
+  EXPECT_FALSE(cache.Resident(ref_a, 7));
+  // Invalidation drops every record; ids are never reused.
+  cache.Invalidate("ddl");
+  EXPECT_FALSE(cache.Resident(ref_b, 7));
+  const auto b2 = cache.Insert(MakeKey("B"), MakeEntry());
+  ASSERT_NE(b2, nullptr);
+  EXPECT_GT(b2->id, c->id);
 }
 
 // ------------------------------------------------------ Admission hysteresis
@@ -301,6 +338,290 @@ TEST(DispatcherTest, InTransactionStatementsBypassShedding) {
   ASSERT_TRUE(check.ok());
   ASSERT_EQ(check->tuples.size(), 1u);
   EXPECT_EQ(check->tuples[0].at(0).int_value(), 3 % 100 + 1);
+}
+
+// ------------------------------------------------------- Plan residency
+
+/// Fragment plans of cached statements stay at the OFMs (DESIGN.md §15.4):
+/// after the first execution a cached SELECT names its plans by id.
+class PlanResidencyTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kByIdBits = gdh::kControlBits + gdh::kPlanIdBits;
+  /// Both fragments of item (fan-out 2).
+  static constexpr char kScan[] = "SELECT id, v FROM item WHERE v > 40";
+
+  struct Shipped {
+    uint64_t mails = 0;
+    uint64_t bits = 0;
+  };
+
+  Shipped Ship(PrismaDb& db, const char* kind) {
+    const obs::Labels labels = {{"kind", kind}};
+    return {db.metrics().CounterValue("pool.mail_sent", labels),
+            db.metrics().CounterValue("pool.mail_bits", labels)};
+  }
+
+  /// Runs `sql` and returns what its plan requests of `kind` cost.
+  Shipped RunAndShip(PrismaDb& db, const std::string& sql,
+                     const char* kind = gdh::kMailExecPlan) {
+    const Shipped before = Ship(db, kind);
+    auto result = db.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (result.ok()) last_answer_ = Render(*result);
+    const Shipped after = Ship(db, kind);
+    return {after.mails - before.mails, after.bits - before.bits};
+  }
+
+  /// Gathers arrive in fragment-reply order, which timing may change.
+  static std::string Render(std::vector<Tuple> tuples) {
+    std::sort(tuples.begin(), tuples.end());
+    std::string out;
+    for (const Tuple& t : tuples) out += t.ToString() + "\n";
+    return out;
+  }
+  static std::string Render(const core::QueryResult& result) {
+    return Render(result.tuples);
+  }
+
+  static uint64_t Hits(PrismaDb& db) {
+    return db.metrics().CounterTotal("ofm.plan_resident_hits");
+  }
+  static uint64_t Misses(PrismaDb& db) {
+    return db.metrics().CounterTotal("ofm.plan_resident_misses");
+  }
+
+  std::string last_answer_;
+};
+
+TEST_F(PlanResidencyTest, SecondRunOfACachedSelectShipsIdsOnly) {
+  auto db = MakeServingDb();
+  const Shipped cold = RunAndShip(*db, kScan);
+  const std::string reference = last_answer_;
+  EXPECT_EQ(cold.mails, 2u);
+  EXPECT_GT(cold.bits, 2u * kByIdBits);
+  for (int run = 0; run < 2; ++run) {
+    const Shipped warm = RunAndShip(*db, kScan);
+    EXPECT_EQ(warm.mails, 2u);
+    EXPECT_EQ(warm.bits, 2u * kByIdBits);
+    EXPECT_EQ(last_answer_, reference);
+  }
+  EXPECT_EQ(Hits(*db), 4u);
+  EXPECT_EQ(Misses(*db), 0u);
+
+  // Shuffle producers too: an OLAP group-by's producers go by id.
+  const char* kGroupBy = "SELECT grp, COUNT(*) AS n FROM item GROUP BY grp";
+  const Shipped shuffle_cold =
+      RunAndShip(*db, kGroupBy, gdh::kMailShufflePlan);
+  ASSERT_EQ(shuffle_cold.mails, 2u);
+  EXPECT_GT(shuffle_cold.bits, 2u * kByIdBits);
+  const Shipped shuffle_warm =
+      RunAndShip(*db, kGroupBy, gdh::kMailShufflePlan);
+  EXPECT_EQ(shuffle_warm.mails, 2u);
+  EXPECT_EQ(shuffle_warm.bits, 2u * kByIdBits);
+
+  // An uncached statement shape ships whole every time.
+  MachineConfig uncached;
+  uncached.plan_cache_capacity = 0;
+  auto cold_db = MakeServingDb(uncached);
+  EXPECT_EQ(RunAndShip(*cold_db, kScan).bits, cold.bits);
+  EXPECT_EQ(RunAndShip(*cold_db, kScan).bits, cold.bits);
+  EXPECT_EQ(Hits(*cold_db) + Misses(*cold_db), 0u);
+}
+
+TEST_F(PlanResidencyTest, DdlBringsBackWholeShipping) {
+  auto db = MakeServingDb();
+  const Shipped cold = RunAndShip(*db, kScan);
+  EXPECT_EQ(RunAndShip(*db, kScan).bits, 2u * kByIdBits);
+  ASSERT_TRUE(db->Execute("CREATE TABLE scratch (id INT)").ok());
+  // A new epoch: a new entry id, which no OFM holds.
+  EXPECT_EQ(RunAndShip(*db, kScan).bits, cold.bits);
+  EXPECT_EQ(RunAndShip(*db, kScan).bits, 2u * kByIdBits);
+  EXPECT_EQ(Misses(*db), 0u);
+}
+
+TEST_F(PlanResidencyTest, RespawnedOfmGetsTheWholePlan) {
+  auto db = MakeServingDb();
+  const Shipped cold = RunAndShip(*db, kScan);
+  const std::string reference = last_answer_;
+  ASSERT_EQ(RunAndShip(*db, kScan).bits, 2u * kByIdBits);
+  ASSERT_TRUE(db->CrashFragment("item", 0).ok());
+  ASSERT_TRUE(db->RecoverFragment("item", 0).ok());
+  db->Run();
+  // The new OFM has a new pid, on no record: fragment 0 ships whole,
+  // fragment 1 still by id, and nothing asks the empty OFM by id.
+  const Shipped after = RunAndShip(*db, kScan);
+  EXPECT_EQ(after.mails, 2u);
+  EXPECT_EQ(after.bits, cold.bits / 2 + kByIdBits);
+  EXPECT_EQ(last_answer_, reference);
+  EXPECT_EQ(Misses(*db), 0u);
+  EXPECT_EQ(RunAndShip(*db, kScan).bits, 2u * kByIdBits);
+  EXPECT_EQ(last_answer_, reference);
+}
+
+TEST_F(PlanResidencyTest, OfmEvictionCostsOneNotResidentRoundTrip) {
+  // Two entries fit the cache and each OFM. A respawn reorders fragment
+  // 0's FIFO against the cache's, so a later insert evicts at the OFM a
+  // plan the cache still has on record there.
+  MachineConfig config;
+  config.plan_cache_capacity = 2;
+  auto db = MakeServingDb(config);
+  const std::string a = "SELECT id, v FROM item WHERE v > 10";
+  const std::string b = "SELECT id, v FROM item WHERE v > 20";
+  const std::string c = "SELECT id, v FROM item WHERE v > 30";
+  RunAndShip(*db, a);
+  RunAndShip(*db, b);
+  const std::string reference_b = last_answer_;
+  ASSERT_TRUE(db->CrashFragment("item", 0).ok());
+  ASSERT_TRUE(db->RecoverFragment("item", 0).ok());
+  db->Run();
+  RunAndShip(*db, b);  // Fragment 0 now holds [B].
+  RunAndShip(*db, a);  // [B, A], while the cache holds [A, B].
+  RunAndShip(*db, c);  // The cache evicts A; fragment 0 evicts B.
+  const uint64_t misses = Misses(*db);
+  const Shipped replies0 = Ship(*db, gdh::kMailExecPlanReply);
+  const Shipped again = RunAndShip(*db, b);
+  const Shipped replies = Ship(*db, gdh::kMailExecPlanReply);
+  EXPECT_EQ(last_answer_, reference_b);
+  EXPECT_EQ(Misses(*db) - misses, 1u);
+  // Two ids, then fragment 0's plan whole: one extra request and reply.
+  EXPECT_EQ(again.mails, 3u);
+  EXPECT_GT(again.bits, 3u * kByIdBits);
+  EXPECT_EQ(replies.mails - replies0.mails, 3u);
+  // The whole re-send is on record again.
+  EXPECT_EQ(RunAndShip(*db, b).bits, 2u * kByIdBits);
+}
+
+TEST_F(PlanResidencyTest, ReplicaFailoverShipsTheRenamedPlanWhole) {
+  MachineConfig config;
+  config.pes = 8;
+  config.replicate_fragments = true;
+  config.coordinator_pes = {0};
+  config.rpc_timeout_ns = 50 * sim::kNanosPerMilli;
+  config.rpc_backoff_cap_ns = 400 * sim::kNanosPerMilli;
+  config.rpc_attempts = 4;
+  PrismaDb db(config);
+  ASSERT_TRUE(WorkloadGenerator::SetupSchema(&db, /*rows=*/64,
+                                             /*fragments=*/3)
+                  .ok());
+  ASSERT_EQ(RunAndShip(db, kScan).mails, 3u);
+  const std::string reference = last_answer_;
+  ASSERT_EQ(RunAndShip(db, kScan).bits, 3u * kByIdBits);
+
+  // Every plan request delivered from here on: its target, whether it
+  // carried the plan, and the replica its scan names.
+  struct Delivery {
+    pool::ProcessId to;
+    std::string scan;
+  };
+  std::vector<Delivery> whole;
+  uint64_t by_id = 0;
+  db.runtime().SetMailTap([&](pool::Mail& mail) {
+    if (mail.kind != gdh::kMailExecPlan) return;
+    const auto& request =
+        *std::any_cast<std::shared_ptr<gdh::ExecPlanRequest>>(mail.body);
+    if (request.plan == nullptr) {
+      ++by_id;
+      return;
+    }
+    const algebra::Plan* scan = request.plan.get();
+    while (scan->num_children() > 0) scan = scan->child();
+    whole.push_back(
+        {mail.to, static_cast<const algebra::ScanPlan&>(*scan).table()});
+  });
+  // Crash fragment 0's primary once the three id-only requests are out:
+  // its request is lost, and the retransmission re-aims at the peer.
+  const auto table = db.gdh().dictionary().GetTable("item");
+  ASSERT_TRUE(table.ok());
+  const gdh::FragmentInfo frag = (*table)->fragments[0];
+  const int peer = 1 - frag.primary_replica;
+  const obs::Labels exec_plan = {{"kind", gdh::kMailExecPlan}};
+  const uint64_t sent0 = db.metrics().CounterValue("pool.mail_sent", exec_plan);
+  std::string answer;
+  Dispatcher dispatcher(&db, DispatcherOptions());
+  dispatcher.Submit(kScan, exec::kAutoCommit,
+                    [&](const gdh::ClientReply& reply, sim::SimTime) {
+                      EXPECT_TRUE(reply.status.ok())
+                          << reply.status.ToString();
+                      if (reply.tuples != nullptr) {
+                        answer = Render(*reply.tuples);
+                      }
+                    });
+  while (db.metrics().CounterValue("pool.mail_sent", exec_plan) < sent0 + 3) {
+    ASSERT_TRUE(db.simulator().Step());
+  }
+  ASSERT_GT(db.CrashPe(frag.ReplicaPe(frag.primary_replica)), 0u);
+  dispatcher.Run();
+  db.runtime().SetMailTap(nullptr);
+  EXPECT_EQ(answer, reference);
+  EXPECT_GT(by_id, 0u);
+  // The re-aimed request itself carried the plan: the peer never had to
+  // answer that it lacks one.
+  EXPECT_EQ(Misses(db), 0u);
+  // The surviving replica got the plan whole, renamed to itself.
+  bool peer_got_it = false;
+  for (const Delivery& d : whole) {
+    if (d.to == frag.ReplicaOfm(peer)) {
+      peer_got_it = true;
+      EXPECT_EQ(d.scan, frag.ReplicaName(peer));
+    }
+  }
+  EXPECT_TRUE(peer_got_it);
+}
+
+TEST_F(PlanResidencyTest, ExplainAnalyzeOfAResidentPlanKeepsItsProfile) {
+  auto db = MakeServingDb();
+  auto analyze = [&] {
+    auto result = db->Execute(std::string("EXPLAIN ANALYZE ") + kScan);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::string text;
+    if (result.ok()) {
+      for (const Tuple& t : result->tuples) {
+        text += t.at(0).string_value() + "\n";
+      }
+    }
+    return text;
+  };
+  // Nothing cached yet: planned afresh, shipped whole.
+  const std::string cold = analyze();
+  EXPECT_NE(cold.find("plans shipped: 2 whole ("), std::string::npos) << cold;
+  EXPECT_NE(cold.find(", 0 by id"), std::string::npos) << cold;
+  const uint64_t hits = db->plan_cache().hits();
+  const uint64_t misses = db->plan_cache().misses();
+  RunAndShip(*db, kScan);
+  RunAndShip(*db, kScan);
+  // The SELECT's plan is cached and resident: EXPLAIN ANALYZE runs it by
+  // id, and the profile still comes back.
+  const std::string warm = analyze();
+  EXPECT_NE(warm.find("plans shipped: 0 whole (0 bits), 2 by id"),
+            std::string::npos)
+      << warm;
+  EXPECT_NE(warm.find("rows="), std::string::npos) << warm;
+  EXPECT_NE(warm.find("x2"), std::string::npos) << warm;
+  // EXPLAIN ANALYZE peeks: the SELECT's hit rate did not move.
+  EXPECT_EQ(db->plan_cache().hits(), hits + 1);
+  EXPECT_EQ(db->plan_cache().misses(), misses + 1);
+}
+
+TEST_F(PlanResidencyTest, FaultFreeServingNeverMissesAfterWarmUp) {
+  auto db = MakeServingDb();
+  WorkloadProfile profile;
+  profile.sessions = 8;
+  profile.offered_qps = 400;
+  profile.duration_ns = sim::kNanosPerSecond / 4;
+  profile.mix = {0.7, 0, 0.2, 0.1};  // Reads only.
+  profile.key_domain = 16;
+  Dispatcher dispatcher(db.get(), DispatcherOptions());
+  for (const ArrivalEvent& event : WorkloadGenerator(3, profile).Generate()) {
+    dispatcher.Submit(event.sql, exec::kAutoCommit,
+                      [](const gdh::ClientReply& reply, sim::SimTime) {
+                        EXPECT_TRUE(reply.status.ok())
+                            << reply.status.ToString();
+                      },
+                      event.at_ns);
+  }
+  dispatcher.Run();
+  EXPECT_GT(Hits(*db), 0u);
+  EXPECT_EQ(Misses(*db), 0u);
 }
 
 // ------------------------------------------------------- Workload generator
