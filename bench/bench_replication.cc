@@ -35,14 +35,11 @@ int kWrites = 400;
 
 constexpr int kFragments = 4;
 constexpr int kClients = 4;
-// The crash lands after the load phase even at full scale (batched
-// inserts run to ~130ms/stmt on the replicated machine, three serial disk
-// forces each) and the restart leaves a tail of the op stream still
-// inside the down window.
-constexpr prisma::sim::SimTime kCrashAtNs =
-    1'600 * prisma::sim::kNanosPerMilli;
-constexpr prisma::sim::SimTime kRestartAtNs =
-    kCrashAtNs + 2'000 * prisma::sim::kNanosPerMilli;
+constexpr prisma::net::NodeId kCrashPe = 2;
+// PE kCrashPe crashes as the op stream starts, so the window opens inside
+// the stream whatever the load costs, and the restart leaves a tail of
+// the op stream still inside the down window.
+constexpr prisma::sim::SimTime kDownNs = 2'000 * prisma::sim::kNanosPerMilli;
 
 /// One availability run: load, then kClients concurrent chained streams
 /// of point reads with writes mixed in (1 in 4), their virtual-time span
@@ -54,6 +51,8 @@ constexpr prisma::sim::SimTime kRestartAtNs =
 /// through the window even while one client is stuck behind a stalled
 /// write.
 struct AvailabilityOutcome {
+  prisma::sim::SimTime crash_at_ns = 0;
+  prisma::sim::SimTime restart_at_ns = 0;
   uint64_t reads = 0;
   uint64_t answered = 0;
   /// Reads whose [submit, reply] interval overlaps the crash window: the
@@ -83,11 +82,10 @@ AvailabilityOutcome RunAvailability(bool replicated) {
   config.rpc_timeout_ns = 50 * prisma::sim::kNanosPerMilli;
   config.rpc_backoff_cap_ns = 400 * prisma::sim::kNanosPerMilli;
   config.rpc_attempts = 4;
-  prisma::net::PeCrashEvent crash;
-  crash.pe = 2;
-  crash.at_ns = kCrashAtNs;
-  crash.restart_at_ns = kRestartAtNs;
-  config.fault_plan.pe_crashes.push_back(crash);
+  // A zero-length placeholder window turns fault mode on from the start
+  // (its timers are chosen at construction); the crash itself is
+  // scheduled once the load is done.
+  config.fault_plan.down_windows.push_back({1, 2, 0, 0});
   PrismaDb db(config);
 
   AvailabilityOutcome out;
@@ -119,11 +117,12 @@ AvailabilityOutcome RunAvailability(bool replicated) {
                 ++out.reads;
                 const prisma::sim::SimTime now = db.simulator().now();
                 const prisma::sim::SimTime submitted = now - response_ns;
-                if (submitted <= kRestartAtNs && now >= kCrashAtNs) {
+                if (submitted <= out.restart_at_ns &&
+                    now >= out.crash_at_ns) {
                   ++out.window_reads;
                 }
                 const bool in_window =
-                    now >= kCrashAtNs && now <= kRestartAtNs;
+                    now >= out.crash_at_ns && now <= out.restart_at_ns;
                 if (reply.status.ok()) {
                   ++out.answered;
                   if (in_window) ++out.window_answered;
@@ -136,6 +135,12 @@ AvailabilityOutcome RunAvailability(bool replicated) {
   };
   std::function<void()> next_load = [&] {
     if (loaded >= kRows) {
+      out.crash_at_ns = db.simulator().now();
+      out.restart_at_ns = out.crash_at_ns + kDownNs;
+      db.simulator().ScheduleAt(out.crash_at_ns, [&] { db.CrashPe(kCrashPe); });
+      db.simulator().ScheduleAt(out.restart_at_ns, [&] {
+        PRISMA_CHECK(db.RecoverPe(kCrashPe).ok());
+      });
       for (int c = 0; c < kClients; ++c) next_op();
       return;
     }
@@ -230,14 +235,17 @@ int main(int argc, char** argv) {
   }
   std::printf("E13: availability through a single-PE crash%s\n",
               smoke ? " (smoke)" : "");
-  std::printf("stream of %d ops (3:1 point SELECT:UPDATE); PE 2 down "
-              "%lld-%lldms; %d-row table, %d fragments\n\n",
-              kReads, static_cast<long long>(kCrashAtNs / 1'000'000),
-              static_cast<long long>(kRestartAtNs / 1'000'000), kRows,
-              kFragments);
-
   const AvailabilityOutcome rep = RunAvailability(/*replicated=*/true);
   const AvailabilityOutcome single = RunAvailability(/*replicated=*/false);
+  std::printf("stream of %d ops (3:1 point SELECT:UPDATE); PE %d down "
+              "%lldms from the end of the load (replicated %lld-%lldms, "
+              "single-copy %lld-%lldms); %d-row table, %d fragments\n\n",
+              kReads, kCrashPe, static_cast<long long>(kDownNs / 1'000'000),
+              static_cast<long long>(rep.crash_at_ns / 1'000'000),
+              static_cast<long long>(rep.restart_at_ns / 1'000'000),
+              static_cast<long long>(single.crash_at_ns / 1'000'000),
+              static_cast<long long>(single.restart_at_ns / 1'000'000),
+              kRows, kFragments);
   const WriteOutcome wrep = RunWriteWorkload(/*replicated=*/true);
   const WriteOutcome wsingle = RunWriteWorkload(/*replicated=*/false);
 

@@ -163,7 +163,9 @@ PrismaDb::PrismaDb(MachineConfig config)
   }
 
   gdh::GdhProcess::Config gdh_config;
-  // The GDH lives on PE 0; fragments prefer the other PEs. Coordinators
+  // The GDH lives on PE 0. A table's fragments go to the other PEs, and
+  // to PE 0 as well only when the table has more fragments than they are,
+  // so every PE holds its share (gdh::AllocateFragments). Coordinators
   // run on the client's PE unless the config pins them, so a result's
   // merge and gather happen where the result must end up (§3.1's
   // explicit allocation).

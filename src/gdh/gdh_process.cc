@@ -51,6 +51,25 @@ bool IsOnePhaseCommit(const RpcClient<std::string>::PendingRpc& rpc) {
 
 }  // namespace
 
+std::vector<FragmentHome> AllocateFragments(
+    const std::vector<net::NodeId>& fragment_pes, net::NodeId gdh_pe,
+    size_t fragments, PlacementPolicy policy, size_t* cursor) {
+  // The GDH's PE takes overflow slots only, so no PE hosts two fragments
+  // of a table while another PE hosts none.
+  std::vector<net::NodeId> pool = fragment_pes;
+  if (fragments > pool.size() &&
+      std::find(pool.begin(), pool.end(), gdh_pe) == pool.end()) {
+    pool.push_back(gdh_pe);
+  }
+  std::vector<FragmentHome> homes(fragments);
+  for (size_t i = 0; i < fragments; ++i) {
+    const size_t slot = policy == PlacementPolicy::kAligned ? i : (*cursor)++;
+    homes[i].pe = pool[slot % pool.size()];
+    homes[i].backup_pe = pool[(slot + 1) % pool.size()];
+  }
+  return homes;
+}
+
 GdhProcess::GdhProcess(Config config)
     : config_(std::move(config)),
       rpcs_(this, config_.retransmit,
@@ -1022,21 +1041,19 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
         return;
       }
       TableInfo* info = *info_or;
-      const size_t pool = config_.fragment_pes.size();
+      const std::vector<FragmentHome> homes =
+          AllocateFragments(config_.fragment_pes, pe(), info->fragments.size(),
+                            config_.placement, &placement_cursor_);
       for (size_t i = 0; i < info->fragments.size(); ++i) {
-        const size_t slot = config_.placement == PlacementPolicy::kAligned
-                                ? i
-                                : placement_cursor_++;
         FragmentInfo& frag = info->fragments[i];
-        frag.pe = config_.fragment_pes[slot % pool];
+        frag.pe = homes[i].pe;
         frag.ofm = SpawnReplicaOfm(*info, frag.name, frag.pe,
                                    /*recover=*/false, /*resync_id=*/0);
         if (config_.replicate_fragments) {
-          // Data allocation with anti-affinity: the backup replica lands
-          // on the next fragment PE, so one PE crash never takes out both
-          // copies of a fragment.
+          // Anti-affinity: one PE crash never takes out both copies of a
+          // fragment.
           frag.replicated = true;
-          frag.backup_pe = config_.fragment_pes[(slot + 1) % pool];
+          frag.backup_pe = homes[i].backup_pe;
           frag.backup_ofm =
               SpawnReplicaOfm(*info, BackupFragmentName(frag.name),
                               frag.backup_pe, /*recover=*/false,

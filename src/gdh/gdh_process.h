@@ -40,6 +40,25 @@ enum class PlacementPolicy : uint8_t {
   kRoundRobin,
 };
 
+/// Where the data-allocation manager puts one fragment: its PE and the PE
+/// of its backup replica, used when fragments are replicated.
+struct FragmentHome {
+  net::NodeId pe = 0;
+  net::NodeId backup_pe = 0;
+};
+
+/// Data allocation (§2.2, DESIGN.md S10): deals the `fragments` fragments
+/// of one table over a pool of PEs. The pool is `fragment_pes`, with
+/// `gdh_pe` appended when the table has more fragments than
+/// `fragment_pes` holds, so an n-way table on n PEs puts one fragment on
+/// every PE. kAligned deals pool slot i to fragment i; kRoundRobin takes
+/// slots from `*cursor` and advances it. The backup takes the next slot of
+/// the pool (anti-affinity: never the primary's PE once the pool has two
+/// or more PEs).
+std::vector<FragmentHome> AllocateFragments(
+    const std::vector<net::NodeId>& fragment_pes, net::NodeId gdh_pe,
+    size_t fragments, PlacementPolicy policy, size_t* cursor);
+
 /// The Global Data Handler (§2.2): data dictionary, query optimizer
 /// configuration, transaction manager, concurrency-control unit, recovery
 /// coordinator and data-allocation manager, running as one POOL-X process
@@ -86,9 +105,10 @@ class GdhProcess : public pool::Process {
     PlacementPolicy placement = PlacementPolicy::kAligned;
     /// Place each permanent fragment on two distinct PEs (DESIGN.md §13):
     /// the data-allocation manager pairs every fragment with a backup on
-    /// the next fragment PE, writes 2PC to both replicas, and reads fail
-    /// over to the surviving replica when one PE is down. Requires at
-    /// least two fragment PEs and kFull base OFMs.
+    /// the next PE of its table's pool (AllocateFragments), writes 2PC to
+    /// both replicas, and reads fail over to the surviving replica when
+    /// one PE is down. Requires at least two fragment PEs and kFull base
+    /// OFMs.
     bool replicate_fragments = false;
     /// Directory of co-located fragments for distributed joins (owned by
     /// the machine; may be null to disable co-located execution).

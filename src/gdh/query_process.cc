@@ -133,18 +133,17 @@ pool::ProcessId QueryProcess::ResolveTarget(size_t work_index) const {
   return frag != nullptr ? frag->ReplicaOfm(w.replica) : w.ofm;
 }
 
+bool QueryProcess::ServesReads(const FragmentInfo& frag, int replica) const {
+  return frag.replica_state(replica) == ReplicaState::kInSync &&
+         runtime()->IsAlive(frag.ReplicaOfm(replica));
+}
+
 int QueryProcess::ChooseReadReplica(const FragmentInfo& frag) const {
   if (!frag.replicated) return 0;
   const int primary = frag.primary_replica;
-  if (frag.replica_state(primary) == ReplicaState::kInSync &&
-      runtime()->IsAlive(frag.ReplicaOfm(primary))) {
-    return primary;
-  }
+  if (ServesReads(frag, primary)) return primary;
   const int peer = 1 - primary;
-  if (frag.replica_state(peer) == ReplicaState::kInSync &&
-      runtime()->IsAlive(frag.ReplicaOfm(peer))) {
-    return peer;
-  }
+  if (ServesReads(frag, peer)) return peer;
   // Both replicas down or stale: address the primary and let the RPC
   // layer degrade to a typed Unavailable — never a wrong answer.
   return primary;
@@ -174,7 +173,22 @@ void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
   FragmentWork& w = (*work_)[work_index];
   const FragmentInfo* frag = FindFragment(w.table, w.fragment);
   if (frag == nullptr || !frag->replicated) return;
-  const int choice = ChooseReadReplica(*frag);
+  const FragmentInfo* second =
+      w.second_fragment.empty()
+          ? nullptr
+          : FindFragment(w.second_table, w.second_fragment);
+  int choice = ChooseReadReplica(*frag);
+  const int peer = 1 - w.replica;
+  if (choice == w.replica && std::string_view(rpc.kind) == kMailExecPlan &&
+      ServesReads(*frag, peer) &&
+      (second == nullptr || ServesReads(*second, peer))) {
+    // Silence failover: the addressed replica is alive but did not answer
+    // in time: its PE may be cut off, or down while a process spawned
+    // there after the crash lives on. The peer answers identically, so a
+    // reply-based read tries it next. (Streaming producers only move off
+    // a dead replica: two live ones would both stream the same run.)
+    choice = peer;
+  }
   if (choice == w.replica) return;
   // Crash failover: rebuild the request around the surviving replica,
   // renaming the plan's scans. The request id is kept — a late reply
@@ -185,10 +199,7 @@ void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
   const std::string new_name = frag->ReplicaName(choice);
   std::unique_ptr<algebra::Plan> plan =
       CloneWithScanRenamed(*w.plan, old_name, new_name);
-  if (const FragmentInfo* second =
-          w.second_fragment.empty()
-              ? nullptr
-              : FindFragment(w.second_table, w.second_fragment)) {
+  if (second != nullptr) {
     // The co-located partner moves with the anchor: aligned placement
     // puts equal replica slots on equal PEs.
     plan = CloneWithScanRenamed(*plan, second->ReplicaName(w.replica),

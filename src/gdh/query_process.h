@@ -200,9 +200,13 @@ class QueryProcess : public pool::Process {
   /// if IT is in-sync and alive, else the primary (the RPC layer then
   /// degrades to a typed Unavailable — never a wrong answer).
   int ChooseReadReplica(const FragmentInfo& frag) const;
+  /// True when `replica` of `frag` is in-sync and its OFM is alive.
+  bool ServesReads(const FragmentInfo& frag, int replica) const;
   /// Re-aims an unanswered fragment read at the currently chosen replica
-  /// (crash failover at retransmission time): rebuilds the request body
-  /// with the plan's scans renamed, keeping the request id.
+  /// (crash failover at retransmission time), or, for an exec_plan read
+  /// whose addressed replica is alive but silent, at its serving peer:
+  /// rebuilds the request body with the plan's scans renamed, keeping the
+  /// request id.
   /// Outstanding requests, named by the work_ entry whose OFM is the
   /// target (SIZE_MAX: the GDH).
   using Rpcs = RpcClient<size_t>;

@@ -1479,20 +1479,36 @@ TEST(ChaosTest, EndRecordRidesOnTheNextForcedWrite) {
   auto first = OpenTxnWithInserts(&db, 8);
   const exec::TxnId first_txn = first.txn();
   ASSERT_TRUE(first.Execute("COMMIT").ok());  // Drains the machine.
-  auto gdh_writes = [&db] {
-    return db.metrics().CounterValue("disk.writes", {{"pe", "0"}});
-  };
   // Every participant acked, yet no E reached the disk: it is unforced.
   EXPECT_EQ(DecisionRecords(db, 'C'), 1u);
   EXPECT_EQ(DecisionRecords(db, 'E'), 0u);
 
+  // PE 0's disk also serves the fragment placed there, so count only the
+  // GDH's own forced writes: the landings that grow its decision log.
+  // One physical write lands in one simulator event.
   auto second = OpenTxnWithInserts(&db, 8);
   const exec::TxnId second_txn = second.txn();
-  const uint64_t writes_before = gdh_writes();
-  ASSERT_TRUE(second.Execute("COMMIT").ok());
+  auto log_size = [&db] {
+    return db.stable_store(0).ReadStream("gdh.2pc").size();
+  };
+  bool replied = false;
+  db.Submit("COMMIT", /*prismalog=*/false, second_txn,
+            [&](const gdh::ClientReply& reply, sim::SimTime) {
+              EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+              replied = true;
+            });
+  std::vector<size_t> landings;
+  size_t seen = log_size();
+  while (db.simulator().Step()) {
+    if (log_size() != seen) {
+      seen = log_size();
+      landings.push_back(seen);
+    }
+  }
+  ASSERT_TRUE(replied);
   // The second decision's force carried the first end record: one
-  // physical write on the GDH's disk, log C1, E1, C2.
-  EXPECT_EQ(gdh_writes(), writes_before + 1);
+  // physical write took the log from C1 to C1, E1, C2.
+  EXPECT_EQ(landings, std::vector<size_t>{3});
   const auto& log = db.stable_store(0).ReadStream("gdh.2pc");
   ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0], "C " + std::to_string(first_txn));
@@ -1757,12 +1773,15 @@ TEST(ChaosTest, OfmCrashDuringThePrepareForceSendsNoYesAndAborts) {
               replied = true;
               outcome = reply.status;
             });
-  // Step until a participant's prepare write is on its PE's disk.
+  // Step until a participant's prepare write is on its PE's disk. PE 0
+  // hosts the GDH and never crashes, so its fragment is no victim.
   int victim = -1;
   while (victim < 0) {
     ASSERT_TRUE(db.simulator().Step()) << "drained before any prepare";
     for (size_t i = 0; i < frags.size(); ++i) {
-      if (db.runtime().disk(frags[i].pe)->busy()) victim = static_cast<int>(i);
+      if (frags[i].pe != 0 && db.runtime().disk(frags[i].pe)->busy()) {
+        victim = static_cast<int>(i);
+      }
     }
   }
   const gdh::FragmentInfo& frag = frags[victim];
@@ -2146,6 +2165,53 @@ TEST(ChaosTest, LinkDownPastTheRetryBudgetStillAnswersTheDurableOutcome) {
             static_cast<uint64_t>(config.rpc_attempts));
   EXPECT_EQ(db.gdh().stats().rpc_failures, 0u);
   EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 1u);
+}
+
+TEST(ChaosTest, ReadFailsOverToTheBackupOnPeZeroWhileThePrimaryPeIsDown) {
+  // A 4-way table on 4 PEs is dealt over PEs 1, 2, 3 and 0, so the backup
+  // of the fragment on PE 3 lives on PE 0, next to the coordinator.
+  MachineConfig config = CuttableMachine();
+  config.pes = 4;
+  config.replicate_fragments = true;
+  config.coordinator_pes = {0};
+  PrismaDb db(config);
+  CreateChaosTable(&db);
+  for (int id = 0; id < 16; ++id) {
+    MustExecute(&db, StrFormat("INSERT INTO t VALUES (%d, %d)", id, 10 * id));
+  }
+  const auto& fragments =
+      db.gdh().dictionary().GetTable("t").value()->fragments;
+  int target = -1;
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    if (fragments[i].backup_pe == 0) target = static_cast<int>(i);
+  }
+  ASSERT_GE(target, 0) << "no backup on PE 0";
+  const net::NodeId down = fragments[target].pe;
+  ASSERT_NE(down, 0);
+  int id = 0;
+  while (FragmentOfId(db, id) != target) ++id;
+
+  // The primary's PE goes down: nothing reaches it for far longer than a
+  // read's retry budget. Its process lives on, as a replica spawned on a
+  // PE inside its crash window does, so the dictionary still lists both
+  // replicas as in sync and alive.
+  const sim::SimTime from = db.simulator().now();
+  const sim::SimTime until = from + 60 * sim::kNanosPerSecond;
+  net::FaultPlan outage;
+  for (net::NodeId pe = 0; pe < config.pes; ++pe) {
+    if (pe != down) outage.down_windows.push_back({pe, down, from, until});
+  }
+  db.network().SetFaultPlan(outage);
+
+  // The primary stays silent, so the first retransmission goes to the
+  // backup on PE 0, which answers.
+  auto result = db.Execute(StrFormat("SELECT v FROM t WHERE id = %d", id));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->tuples.size(), 1u);
+  EXPECT_EQ(result->tuples[0].at(0).int_value(), 10 * id);
+  EXPECT_LT(result->response_time_ns, 2 * config.rpc_timeout_ns)
+      << "the read waited past its first retransmission";
+  EXPECT_EQ(db.metrics().CounterTotal("query.unavailable"), 0u);
 }
 
 TEST(ChaosTest, GdhCrashBetweenTheDecisionAndPhase2KeepsTheCommit) {

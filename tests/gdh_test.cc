@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <set>
 
 #include "algebra/expr.h"
@@ -12,6 +13,7 @@
 #include "gdh/data_dictionary.h"
 #include "gdh/distributed_plan.h"
 #include "gdh/fragmentation.h"
+#include "gdh/gdh_process.h"
 #include "gdh/lock_manager.h"
 #include "gdh/messages.h"
 #include "gdh/olap_process.h"
@@ -114,6 +116,92 @@ TEST(FragmenterTest, NullKeysGoToFragmentZero) {
 
 TEST(FragmenterTest, FragmentNames) {
   EXPECT_EQ(FragmentName("emp", 3), "emp#3");
+}
+
+// -------------------------------------------------------- Data allocation
+
+/// The default machine's allocation pool: the GDH on PE 0, fragments on
+/// PEs 1..7.
+const std::vector<net::NodeId> kFragmentPes = {1, 2, 3, 4, 5, 6, 7};
+
+std::vector<net::NodeId> PrimaryPes(const std::vector<FragmentHome>& homes) {
+  std::vector<net::NodeId> pes;
+  for (const FragmentHome& home : homes) pes.push_back(home.pe);
+  return pes;
+}
+
+std::map<net::NodeId, int> FragmentsPerPe(
+    const std::vector<FragmentHome>& homes) {
+  std::map<net::NodeId, int> count;
+  for (const FragmentHome& home : homes) ++count[home.pe];
+  return count;
+}
+
+TEST(DataAllocationTest, TablesThatFitTheFragmentPesStayOffTheGdhPe) {
+  size_t cursor = 0;
+  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 7,
+                                         PlacementPolicy::kAligned, &cursor)),
+            kFragmentPes);
+  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 3,
+                                         PlacementPolicy::kAligned, &cursor)),
+            (std::vector<net::NodeId>{1, 2, 3}));
+  EXPECT_EQ(cursor, 0u);  // Aligned placement leaves the cursor alone.
+}
+
+TEST(DataAllocationTest, AnNWayTableOnNPesPutsOneFragmentOnEveryPe) {
+  size_t cursor = 0;
+  const auto homes =
+      AllocateFragments(kFragmentPes, 0, 8, PlacementPolicy::kAligned, &cursor);
+  EXPECT_EQ(PrimaryPes(homes),
+            (std::vector<net::NodeId>{1, 2, 3, 4, 5, 6, 7, 0}));
+}
+
+TEST(DataAllocationTest, A2NWayTableOnNPesPutsTwoFragmentsOnEveryPe) {
+  size_t cursor = 0;
+  const auto per_pe = FragmentsPerPe(AllocateFragments(
+      kFragmentPes, 0, 16, PlacementPolicy::kAligned, &cursor));
+  ASSERT_EQ(per_pe.size(), 8u);
+  for (const auto& [pe, count] : per_pe) {
+    EXPECT_EQ(count, 2) << "PE " << pe;
+  }
+}
+
+TEST(DataAllocationTest, NoFragmentHasBothReplicasOnOnePe) {
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kAligned, PlacementPolicy::kRoundRobin}) {
+    size_t cursor = 0;
+    // Pools of two PEs (the smallest a replicated machine allows) and of
+    // seven, each with and without the GDH's PE appended.
+    for (const auto& pes : {std::vector<net::NodeId>{1, 2}, kFragmentPes}) {
+      for (size_t fragments = 1; fragments <= 17; ++fragments) {
+        for (const FragmentHome& home :
+             AllocateFragments(pes, 0, fragments, policy, &cursor)) {
+          EXPECT_NE(home.pe, home.backup_pe)
+              << fragments << " fragments over " << pes.size() << " PEs";
+        }
+      }
+    }
+  }
+}
+
+TEST(DataAllocationTest, RoundRobinSpansTheGdhPeOnlyForOverflowingTables) {
+  size_t cursor = 0;
+  // A 3-way table takes the cursor's next three fragment PEs.
+  const auto first = AllocateFragments(kFragmentPes, 0, 3,
+                                       PlacementPolicy::kRoundRobin, &cursor);
+  EXPECT_EQ(PrimaryPes(first), (std::vector<net::NodeId>{1, 2, 3}));
+  EXPECT_EQ(cursor, 3u);
+  // An 8-way table overflows PEs 1..7: the cursor runs over all 8 PEs.
+  const auto wide = AllocateFragments(kFragmentPes, 0, 8,
+                                      PlacementPolicy::kRoundRobin, &cursor);
+  EXPECT_EQ(FragmentsPerPe(wide).size(), 8u);
+  EXPECT_EQ(FragmentsPerPe(wide).count(0), 1u);
+  // A 7-way table fits again and stays off the GDH's PE.
+  const auto narrow = AllocateFragments(kFragmentPes, 0, 7,
+                                        PlacementPolicy::kRoundRobin, &cursor);
+  EXPECT_EQ(FragmentsPerPe(narrow).count(0), 0u);
+  EXPECT_EQ(FragmentsPerPe(narrow).size(), 7u);
+  EXPECT_EQ(cursor, 18u);
 }
 
 // --------------------------------------------------------- DataDictionary
