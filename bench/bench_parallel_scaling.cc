@@ -199,15 +199,14 @@ void JoinStrategySweep(const std::vector<int>& fragment_sweep) {
       "beats shipping both inputs to the coordinator for a serial join.\n");
 }
 
-// --------------------------------------------- row vs vectorized shuffle
+// ------------------------------------------------- column-frame shuffle
 //
-// The same shuffled join in both execution modes (--vectorized). Every
-// exchange frame is column-encoded in either mode, so the two ship the
-// same `exchange.wire_bits` for identical batch counts, strictly below
-// what the row encoding charged for the same rows (DESIGN.md §12.2; the
-// smoke ctest case is the regression gate for the wire-savings contract).
+// A shuffled join (--vectorized). Every exchange frame is column-encoded,
+// so `exchange.wire_bits` must stay strictly below what the row encoding
+// charged for the same rows (DESIGN.md §12.2; the smoke ctest case is the
+// regression gate for the wire-savings contract).
 
-struct ModeRow {
+struct ShuffleRow {
   double ms = 0;
   uint64_t batches = 0;
   uint64_t wire_bits = 0;
@@ -216,10 +215,9 @@ struct ModeRow {
   uint64_t row_model_bits = 0;
 };
 
-ModeRow RunShuffleJoin(int fragments, prisma::exec::ExecMode mode) {
+ShuffleRow RunShuffleJoin(int fragments) {
   const int kRows = g_rows;
   MachineConfig config;  // 64 PEs.
-  config.exec_mode = mode;
   PrismaDb db(config);
   auto must = [](auto&& r) {
     PRISMA_CHECK(r.ok()) << r.status().ToString();
@@ -251,7 +249,7 @@ ModeRow RunShuffleJoin(int fragments, prisma::exec::ExecMode mode) {
     must(db.Execute(sql));
   }
 
-  ModeRow row;
+  ShuffleRow row;
   db.runtime().SetMailTap([&row](prisma::pool::Mail& mail) {
     if (mail.kind != prisma::gdh::kMailTupleBatch) return;
     const auto& msg =
@@ -281,23 +279,16 @@ ModeRow RunShuffleJoin(int fragments, prisma::exec::ExecMode mode) {
 }
 
 void VectorizedSweep(const std::vector<int>& fragment_sweep) {
-  std::printf("E2v: row vs vectorized shuffled join, orders(%d) x "
+  std::printf("E2v: column-framed shuffled join, orders(%d) x "
               "cust(10000), 64 PEs\n",
               g_rows);
-  std::printf("%-10s | %10s %10s | %12s %12s | %8s\n", "fragments",
-              "row ms", "vec ms", "frames Mb", "row-model Mb", "saving");
+  std::printf("%-10s | %10s | %12s %12s | %8s\n", "fragments", "ms",
+              "frames Mb", "row-model Mb", "saving");
   for (const int fragments : fragment_sweep) {
-    const ModeRow row = RunShuffleJoin(fragments, prisma::exec::ExecMode::kRow);
-    const ModeRow vec =
-        RunShuffleJoin(fragments, prisma::exec::ExecMode::kVectorized);
-    // Identical plans and partitions: the same frames ship in either mode,
-    // and they must be strictly smaller than the row encoding of the same
-    // rows.
-    PRISMA_CHECK(row.batches == vec.batches);
+    const ShuffleRow row = RunShuffleJoin(fragments);
+    // The frames must be strictly smaller than the row encoding of the
+    // same rows.
     PRISMA_CHECK(fragments == 1 || row.batches > 0);
-    PRISMA_CHECK(vec.wire_bits == row.wire_bits)
-        << "the modes framed the same rows differently: " << vec.wire_bits
-        << " vs " << row.wire_bits;
     PRISMA_CHECK(row.batches == 0 || row.wire_bits < row.row_model_bits)
         << "column frames did not shrink the wire: " << row.wire_bits
         << " vs " << row.row_model_bits << " in the row encoding";
@@ -306,8 +297,8 @@ void VectorizedSweep(const std::vector<int>& fragment_sweep) {
             ? 0.0
             : 1.0 - static_cast<double>(row.wire_bits) /
                         static_cast<double>(row.row_model_bits);
-    std::printf("%-10d | %10.2f %10.2f | %12.3f %12.3f | %7.1f%%\n",
-                fragments, row.ms, vec.ms,
+    std::printf("%-10d | %10.2f | %12.3f %12.3f | %7.1f%%\n",
+                fragments, row.ms,
                 static_cast<double>(row.wire_bits) / 1e6,
                 static_cast<double>(row.row_model_bits) / 1e6,
                 saving * 100.0);
@@ -315,9 +306,7 @@ void VectorizedSweep(const std::vector<int>& fragment_sweep) {
   std::printf(
       "\nreading: column-encoded frames carry the tuples in fewer bits "
       "than the\nrow encoding — bit-packed null bitmaps and "
-      "frame-of-reference integers\ncompress the shuffled payload — and "
-      "the vectorized machine ships the\nsame frames while responding no "
-      "slower than row mode.\n");
+      "frame-of-reference integers\ncompress the shuffled payload.\n");
 }
 
 }  // namespace

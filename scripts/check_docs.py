@@ -14,7 +14,12 @@ interprets. This check fails the build when any of those links dangle:
      experiment index, and every `bench_*` named there exists on disk;
   4. every `BENCH_*.json` name EXPERIMENTS.md mentions has a bench
      source that actually emits it (the string literal appears in some
-     bench/bench_*.cc) — no phantom artifacts in the registry.
+     bench/bench_*.cc) — no phantom artifacts in the registry;
+  5. every `bench_<name> --<flag>` invocation in the docs, sources and
+     bench/CMakeLists.txt names a flag the bench parses: its string
+     literal ("--<flag>") appears in bench/bench_<name>.cc, or in
+     bench/bench_util.h when the bench includes it (`--smoke`). CHANGES.md
+     is history and keeps the flags as they were.
 
 Usage: check_docs.py [repo-root]   (defaults to the parent of scripts/)
 """
@@ -125,6 +130,40 @@ def check_experiment_index(root, problems):
                 f"bench/{name}.cc does not exist")
 
 
+# "bench_main_memory --vectorized", "bench_network --loss --smoke".
+INVOCATION_RE = re.compile(r"\bbench_(\w+)((?:[ \t]+--[\w-]+)+)")
+
+
+def check_bench_flags(root, problems):
+    bench_dir = os.path.join(root, "bench")
+    shared = open(os.path.join(bench_dir, "bench_util.h"),
+                  encoding="utf-8").read()
+    for path in iter_source_files(root):
+        rel = os.path.relpath(path, root)
+        if rel == "CHANGES.md":
+            continue
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError):
+            continue
+        for lineno, line in enumerate(lines, 1):
+            for m in INVOCATION_RE.finditer(line):
+                name = "bench_" + m.group(1)
+                source = os.path.join(bench_dir, name + ".cc")
+                if not os.path.exists(source):
+                    problems.append(f"{rel}:{lineno}: {name} is invoked but "
+                                    f"bench/{name}.cc does not exist")
+                    continue
+                text = open(source, encoding="utf-8").read()
+                parsed = text + (shared if '"bench_util.h"' in text else "")
+                for flag in m.group(2).split():
+                    if f'"{flag}"' not in parsed:
+                        problems.append(
+                            f"{rel}:{lineno}: {name} {flag}: bench/{name}.cc "
+                            f"parses no such flag")
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -135,10 +174,11 @@ def main():
     check_bench_artifacts(root, problems)
     check_bench_emitters(root, problems)
     check_experiment_index(root, problems)
+    check_bench_flags(root, problems)
     if problems:
         return fail(problems)
-    print("check_docs: OK (section references, bench artifacts and the "
-          "experiment index are in sync)")
+    print("check_docs: OK (section references, bench artifacts, the "
+          "experiment index and bench flags are in sync)")
     return 0
 
 

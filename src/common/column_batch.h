@@ -22,7 +22,7 @@ namespace prisma {
 /// zero/empty placeholders). A column that mixes types — legal in
 /// intermediate results, e.g. SUM() yields INT or DOUBLE per group — falls
 /// back to *boxed* storage (`values`, one Value per row), preserving exact
-/// per-row types so row and vectorized modes stay byte-identical.
+/// per-row types so a round trip through a batch changes no value.
 class ColumnBatch {
  public:
   /// Default number of rows per batch on the local execution path (the

@@ -186,7 +186,6 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.costs = config_.costs;
   gdh_config.rules = config_.rules;
   gdh_config.expr_mode = config_.expr_mode;
-  gdh_config.exec_mode = config_.exec_mode;
   gdh_config.base_ofm_type = config_.base_ofm_type;
   gdh_config.placement = config_.placement;
   gdh_config.registry = &registry_;
@@ -207,7 +206,6 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.query_timeout_ns = config_.query_timeout_ns;
   gdh_config.exchange_batch_rows = config_.exchange_batch_rows;
   gdh_config.exchange_credit_window = config_.exchange_credit_window;
-  gdh_config.distributed_fixpoint = config_.distributed_fixpoint;
   gdh_config.fixpoint_algorithm = config_.fixpoint_algorithm;
   if (faults) {
     // Under a faulty interconnect the stmt_done report, final replies,
@@ -288,15 +286,13 @@ std::string PrismaDb::DumpMetrics() {
 
 uint64_t PrismaDb::Submit(const std::string& text, bool prismalog,
                           exec::TxnId txn, ReplyCallback callback,
-                          sim::SimTime delay,
-                          std::optional<exec::ExecMode> mode) {
+                          sim::SimTime delay) {
   const uint64_t id = next_request_id_++;
   auto statement = std::make_shared<gdh::ClientStatement>();
   statement->request_id = id;
   statement->text = text;
   statement->is_prismalog = prismalog;
   statement->txn = txn;
-  statement->exec_mode = mode;
   sim_.Schedule(delay, [this, id, statement = std::move(statement),
                         callback = std::move(callback)]() mutable {
     client_->SubmitNow(id, std::move(statement), std::move(callback));
@@ -304,9 +300,9 @@ uint64_t PrismaDb::Submit(const std::string& text, bool prismalog,
   return id;
 }
 
-StatusOr<QueryResult> PrismaDb::ExecuteInternal(
-    const std::string& text, bool prismalog, exec::TxnId txn,
-    std::optional<exec::ExecMode> mode) {
+StatusOr<QueryResult> PrismaDb::ExecuteInternal(const std::string& text,
+                                                bool prismalog,
+                                                exec::TxnId txn) {
   bool got_reply = false;
   QueryResult result;
   Status status;
@@ -320,7 +316,7 @@ StatusOr<QueryResult> PrismaDb::ExecuteInternal(
            result.txn = reply.txn;
            result.response_time_ns = response_ns;
          },
-         /*delay=*/0, mode);
+         /*delay=*/0);
   sim_.Run();
   if (!got_reply) {
     return InternalError("statement produced no reply: " + text);
@@ -333,18 +329,8 @@ StatusOr<QueryResult> PrismaDb::Execute(const std::string& sql) {
   return ExecuteInternal(sql, /*prismalog=*/false, exec::kAutoCommit);
 }
 
-StatusOr<QueryResult> PrismaDb::Execute(const std::string& sql,
-                                        exec::ExecMode mode) {
-  return ExecuteInternal(sql, /*prismalog=*/false, exec::kAutoCommit, mode);
-}
-
 StatusOr<QueryResult> PrismaDb::ExecutePrismalog(const std::string& program) {
   return ExecuteInternal(program, /*prismalog=*/true, exec::kAutoCommit);
-}
-
-StatusOr<QueryResult> PrismaDb::ExecutePrismalog(const std::string& program,
-                                                 exec::ExecMode mode) {
-  return ExecuteInternal(program, /*prismalog=*/true, exec::kAutoCommit, mode);
 }
 
 StatusOr<QueryResult> PrismaDb::Session::Execute(const std::string& sql) {

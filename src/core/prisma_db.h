@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,10 +47,6 @@ struct MachineConfig {
   pool::CostModel costs;
   gdh::OptimizerRules rules;
   exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-  /// Machine-default execution mode. kVectorized runs plans over
-  /// ColumnBatches and column-encodes exchange frames (DESIGN.md §12);
-  /// results are equivalent to kRow (tests/vectorized_diff_test.cc).
-  exec::ExecMode exec_mode = exec::ExecMode::kRow;
   exec::OfmType base_ofm_type = exec::OfmType::kFull;
   gdh::PlacementPolicy placement = gdh::PlacementPolicy::kAligned;
   /// Place every permanent fragment on two distinct PEs (primary home +
@@ -84,11 +79,9 @@ struct MachineConfig {
   /// producer stalls on acks.
   uint64_t exchange_batch_rows = 64;
   uint64_t exchange_credit_window = 4;
-  /// Evaluate PRISMAlog linear recursion over a fragmented edge relation
-  /// as a distributed semi-naive fixpoint (DESIGN.md §11) instead of
-  /// gathering the edges to the coordinator. `fixpoint_algorithm` picks
-  /// the per-round join strategy of the partitions.
-  bool distributed_fixpoint = true;
+  /// PRISMAlog linear recursion over a fragmented edge relation runs as a
+  /// distributed semi-naive fixpoint (DESIGN.md §11); this picks the
+  /// per-round join strategy of its partitions.
   exec::TcAlgorithm fixpoint_algorithm = exec::TcAlgorithm::kSeminaive;
   /// Entry bound of the machine-wide shared plan cache (DESIGN.md §15.4):
   /// repeated parameterized SELECTs skip parse/bind/optimize/split and
@@ -140,16 +133,8 @@ class PrismaDb {
   /// Executes one auto-commit SQL statement.
   StatusOr<QueryResult> Execute(const std::string& sql);
 
-  /// Executes one auto-commit SQL statement under an explicit execution
-  /// mode, overriding MachineConfig::exec_mode for this statement only.
-  StatusOr<QueryResult> Execute(const std::string& sql, exec::ExecMode mode);
-
   /// Evaluates a PRISMAlog program ending in a query.
   StatusOr<QueryResult> ExecutePrismalog(const std::string& program);
-
-  /// PRISMAlog with an explicit per-statement execution mode.
-  StatusOr<QueryResult> ExecutePrismalog(const std::string& program,
-                                         exec::ExecMode mode);
 
   /// A session carries an explicit transaction across statements:
   /// BEGIN binds it, COMMIT/ABORT clears it.
@@ -173,11 +158,9 @@ class PrismaDb {
                                            sim::SimTime response_ns)>;
 
   /// Schedules a statement submission `delay` virtual ns from now; the
-  /// callback fires when the reply reaches the client process. `mode`
-  /// overrides the machine's execution mode for this statement.
+  /// callback fires when the reply reaches the client process.
   uint64_t Submit(const std::string& text, bool prismalog, exec::TxnId txn,
-                  ReplyCallback callback, sim::SimTime delay = 0,
-                  std::optional<exec::ExecMode> mode = std::nullopt);
+                  ReplyCallback callback, sim::SimTime delay = 0);
 
   /// Runs the simulation until the event queue drains.
   void Run() { sim_.Run(); }
@@ -245,9 +228,8 @@ class PrismaDb {
 
   /// Blocks (runs the simulation) until request `id` completes.
   StatusOr<QueryResult> Await(uint64_t id);
-  StatusOr<QueryResult> ExecuteInternal(
-      const std::string& text, bool prismalog, exec::TxnId txn,
-      std::optional<exec::ExecMode> mode = std::nullopt);
+  StatusOr<QueryResult> ExecuteInternal(const std::string& text,
+                                        bool prismalog, exec::TxnId txn);
 
   MachineConfig config_;
   sim::Simulator sim_;

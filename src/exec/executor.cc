@@ -25,16 +25,6 @@ using algebra::SelectPlan;
 using algebra::SortPlan;
 using algebra::ValuesPlan;
 
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kRow:
-      return "row";
-    case ExecMode::kVectorized:
-      return "vectorized";
-  }
-  return "?";
-}
-
 StatusOr<const storage::Relation*> MapTableResolver::Resolve(
     const std::string& table) const {
   auto it = tables_.find(table);
@@ -81,9 +71,12 @@ StatusOr<Executor::PreparedExpr> Executor::PreparedExpr::Make(
         static_cast<sim::SimTime>(p.compiled_->num_instructions()) *
         options.costs.vector_batch_ns;
   } else {
+    // The tree-walk has no per-batch kernel: it costs the same per row on
+    // either side of a batch boundary.
     p.interpreted_ = &expr;
     p.cost_ns_ = static_cast<sim::SimTime>(expr.TreeSize()) *
                  options.costs.interpreted_node_ns;
+    p.vrow_cost_ns_ = p.cost_ns_;
   }
   return p;
 }
@@ -100,27 +93,33 @@ StatusOr<bool> Executor::PreparedExpr::EvalPredicate(const Tuple& tuple) const {
 
 StatusOr<ColumnBatch::Column> Executor::PreparedExpr::EvalBatch(
     const ColumnBatch& batch) const {
-  if (compiled_ == nullptr) {
-    return InternalError("vectorized evaluation requires compiled mode");
+  if (compiled_ != nullptr) return compiled_->EvalBatch(batch);
+  // Interpreted: walk the tree once per row. The one-column batch infers
+  // the column's typing, so mixed-type results stay boxed per row.
+  ColumnBatch out(1);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    ASSIGN_OR_RETURN(Value v, EvalExpr(*interpreted_, batch.RowAt(r)));
+    out.AppendTuple(Tuple({std::move(v)}));
   }
-  return compiled_->EvalBatch(batch);
+  return out.column(0);
 }
 
 Status Executor::PreparedExpr::EvalPredicateBatch(
     const ColumnBatch& batch, std::vector<uint8_t>* keep) const {
-  if (compiled_ == nullptr) {
-    return InternalError("vectorized evaluation requires compiled mode");
+  if (compiled_ != nullptr) return compiled_->EvalPredicateBatch(batch, keep);
+  keep->assign(batch.num_rows(), 0);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    ASSIGN_OR_RETURN(bool pass,
+                     exec::EvalPredicate(*interpreted_, batch.RowAt(r)));
+    (*keep)[r] = pass ? 1 : 0;
   }
-  return compiled_->EvalPredicateBatch(batch, keep);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------- Executor
 
 Executor::Executor(const TableResolver* resolver, ExecOptions options)
-    : resolver_(resolver), options_(std::move(options)) {
-  vectorized_ = options_.exec_mode == ExecMode::kVectorized &&
-                options_.expr_mode == ExprMode::kCompiled;
-}
+    : resolver_(resolver), options_(std::move(options)) {}
 
 void Executor::Charge(sim::SimTime ns) {
   stats_.charged_ns += ns;
@@ -140,23 +139,6 @@ std::vector<Tuple> FlattenBatches(const std::vector<ColumnBatch>& batches) {
   return out;
 }
 
-}  // namespace
-
-StatusOr<std::vector<Tuple>> Executor::Execute(const Plan& plan) {
-  profile_root_.reset();
-  std::vector<Tuple> out;
-  if (vectorized_) {
-    ASSIGN_OR_RETURN(std::vector<ColumnBatch> batches, RunBatches(plan));
-    out = FlattenBatches(batches);
-  } else {
-    ASSIGN_OR_RETURN(out, Run(plan));
-  }
-  stats_.tuples_output = out.size();
-  return out;
-}
-
-namespace {
-
 /// Only expensive nodes are worth memoizing under the subtree cache.
 bool CacheableKind(PlanKind kind) {
   switch (kind) {
@@ -171,10 +153,6 @@ bool CacheableKind(PlanKind kind) {
   }
 }
 
-}  // namespace
-
-namespace {
-
 /// Display label of a plan node in profiles ("Scan(emp#3)", "Join", ...).
 std::string OperatorLabel(const Plan& plan) {
   std::string label = PlanKindName(plan.kind());
@@ -188,92 +166,11 @@ std::string OperatorLabel(const Plan& plan) {
 
 }  // namespace
 
-StatusOr<std::vector<Tuple>> Executor::Run(const Plan& plan) {
-  if (!options_.profile) return RunCached(plan);
-  // Build this operator's profile node around the actual execution; the
-  // charged-ns delta is inclusive of children (renderers derive self time).
-  obs::OperatorProfile node;
-  node.op = OperatorLabel(plan);
-  obs::OperatorProfile* parent = current_profile_;
-  current_profile_ = &node;
-  const sim::SimTime before_ns = stats_.charged_ns;
-  auto result = RunCached(plan);
-  current_profile_ = parent;
-  node.total_ns = stats_.charged_ns - before_ns;
-  if (result.ok()) {
-    node.rows = result->size();
-    for (const Tuple& t : *result) {
-      node.bytes += static_cast<uint64_t>(t.ByteSize());
-    }
-  }
-  if (parent != nullptr) {
-    parent->children.push_back(std::move(node));
-  } else {
-    profile_root_ = std::move(node);
-  }
-  return result;
-}
-
-StatusOr<std::vector<Tuple>> Executor::RunCached(const Plan& plan) {
-  if (options_.enable_subtree_cache && CacheableKind(plan.kind())) {
-    const std::string key = plan.ToString();
-    auto it = subtree_cache_.find(key);
-    if (it != subtree_cache_.end()) {
-      ++stats_.subtree_cache_hits;
-      return it->second;
-    }
-    ASSIGN_OR_RETURN(std::vector<Tuple> out, RunUncached(plan));
-    subtree_cache_[key] = out;
-    return out;
-  }
-  return RunUncached(plan);
-}
-
-StatusOr<std::vector<Tuple>> Executor::RunUncached(const Plan& plan) {
-  switch (plan.kind()) {
-    case PlanKind::kScan:
-      return RunScan(static_cast<const ScanPlan&>(plan));
-    case PlanKind::kValues:
-      return static_cast<const ValuesPlan&>(plan).rows();
-    case PlanKind::kSelect:
-      return RunSelect(static_cast<const SelectPlan&>(plan));
-    case PlanKind::kProject:
-      return RunProject(static_cast<const ProjectPlan&>(plan));
-    case PlanKind::kJoin:
-      return RunJoin(static_cast<const JoinPlan&>(plan));
-    case PlanKind::kUnion:
-      return RunUnion(plan);
-    case PlanKind::kDifference:
-      return RunDifference(plan);
-    case PlanKind::kDistinct:
-      return RunDistinct(plan);
-    case PlanKind::kAggregate:
-      return RunAggregate(static_cast<const AggregatePlan&>(plan));
-    case PlanKind::kSort:
-      return RunSort(static_cast<const SortPlan&>(plan));
-    case PlanKind::kLimit:
-      return RunLimit(static_cast<const LimitPlan&>(plan));
-    case PlanKind::kTransitiveClosure:
-      return RunTransitiveClosure(plan);
-    case PlanKind::kExchange:
-      // Repartitioning is a mail-layer affair (DESIGN.md §10); within one
-      // local executor an Exchange moves nothing and is a pass-through.
-      return RunCached(*plan.child());
-    case PlanKind::kFixpoint:
-      // Degenerate single-node form of the distributed fixpoint
-      // (DESIGN.md §11): with every partition local, the rounds collapse
-      // to the in-memory closure operator.
-      return RunTransitiveClosure(plan);
-  }
-  return InternalError("corrupt plan kind");
-}
-
-StatusOr<std::vector<Tuple>> Executor::RunScan(const ScanPlan& plan) {
-  ASSIGN_OR_RETURN(const storage::Relation* rel,
-                   resolver_->Resolve(plan.table()));
-  std::vector<Tuple> out = rel->AllTuples();
-  stats_.tuples_scanned += out.size();
-  Charge(static_cast<sim::SimTime>(out.size()) * options_.costs.tuple_ns);
+StatusOr<std::vector<Tuple>> Executor::Execute(const Plan& plan) {
+  profile_root_.reset();
+  ASSIGN_OR_RETURN(std::vector<ColumnBatch> batches, RunBatches(plan));
+  std::vector<Tuple> out = FlattenBatches(batches);
+  stats_.tuples_output = out.size();
   return out;
 }
 
@@ -431,85 +328,6 @@ StatusOr<std::optional<std::vector<Tuple>>> Executor::TryIndexSelect(
   return std::optional<std::vector<Tuple>>();
 }
 
-StatusOr<std::vector<Tuple>> Executor::RunSelect(const SelectPlan& plan) {
-  // Local access-path selection (§2.5): try an index before scanning.
-  ASSIGN_OR_RETURN(std::optional<std::vector<Tuple>> via_index,
-                   TryIndexSelect(plan));
-  if (via_index.has_value()) return std::move(*via_index);
-
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
-  ASSIGN_OR_RETURN(PreparedExpr pred,
-                   PreparedExpr::Make(plan.predicate(), options_));
-  std::vector<Tuple> out;
-  for (Tuple& t : in) {
-    ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(t));
-    ++stats_.expr_evaluations;
-    if (keep) out.push_back(std::move(t));
-  }
-  Charge(static_cast<sim::SimTime>(in.size()) *
-         (options_.costs.tuple_ns + pred.cost_ns()));
-  return out;
-}
-
-StatusOr<std::vector<Tuple>> Executor::RunProject(const ProjectPlan& plan) {
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
-  std::vector<PreparedExpr> exprs;
-  sim::SimTime per_tuple = options_.costs.tuple_ns;
-  for (const auto& e : plan.exprs()) {
-    ASSIGN_OR_RETURN(PreparedExpr p, PreparedExpr::Make(*e, options_));
-    per_tuple += p.cost_ns();
-    exprs.push_back(std::move(p));
-  }
-  std::vector<Tuple> out;
-  out.reserve(in.size());
-  for (const Tuple& t : in) {
-    std::vector<Value> values;
-    values.reserve(exprs.size());
-    for (const PreparedExpr& e : exprs) {
-      ASSIGN_OR_RETURN(Value v, e.Eval(t));
-      ++stats_.expr_evaluations;
-      values.push_back(std::move(v));
-    }
-    out.push_back(Tuple(std::move(values)));
-  }
-  Charge(static_cast<sim::SimTime>(in.size()) * per_tuple);
-  return out;
-}
-
-StatusOr<std::vector<Tuple>> Executor::RunJoin(const JoinPlan& plan) {
-  ASSIGN_OR_RETURN(std::vector<Tuple> left, RunChildRows(*plan.child(0)));
-  ASSIGN_OR_RETURN(std::vector<Tuple> right, RunChildRows(*plan.child(1)));
-
-  JoinFilter filter;
-  sim::SimTime filter_cost = 0;
-  std::optional<PreparedExpr> pred;
-  if (plan.predicate() != nullptr) {
-    ASSIGN_OR_RETURN(PreparedExpr p,
-                     PreparedExpr::Make(*plan.predicate(), options_));
-    filter_cost = p.cost_ns();
-    pred = std::move(p);
-    filter = [this, &pred](const Tuple& t) {
-      ++stats_.expr_evaluations;
-      return pred->EvalPredicate(t);
-    };
-  }
-
-  const auto keys = plan.EquiKeys();
-  JoinCounters counters;
-  StatusOr<std::vector<Tuple>> out =
-      keys.empty()
-          ? NestedLoopJoin(left, right, filter, &counters)
-          : HashJoin(left, right, keys, filter, &counters);
-  RETURN_IF_ERROR(out.status());
-  Charge(static_cast<sim::SimTime>(counters.hash_ops) *
-             options_.costs.hash_ns +
-         static_cast<sim::SimTime>(counters.compare_ops) *
-             options_.costs.compare_ns +
-         static_cast<sim::SimTime>(counters.pairs_examined) *
-             (options_.costs.tuple_ns + filter_cost));
-  return out;
-}
-
 StatusOr<std::vector<Tuple>> Executor::RunUnion(const Plan& plan) {
   ASSIGN_OR_RETURN(std::vector<Tuple> left, RunChildRows(*plan.child(0)));
   ASSIGN_OR_RETURN(std::vector<Tuple> right, RunChildRows(*plan.child(1)));
@@ -607,70 +425,6 @@ struct AggState {
 
 }  // namespace
 
-StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
-
-  std::vector<PreparedExpr> group_exprs;
-  sim::SimTime per_tuple = options_.costs.hash_ns;
-  for (const auto& g : plan.group_by()) {
-    ASSIGN_OR_RETURN(PreparedExpr p, PreparedExpr::Make(*g, options_));
-    per_tuple += p.cost_ns();
-    group_exprs.push_back(std::move(p));
-  }
-  std::vector<PreparedExpr> agg_args(plan.aggs().size());
-  std::vector<bool> has_arg(plan.aggs().size(), false);
-  for (size_t i = 0; i < plan.aggs().size(); ++i) {
-    if (plan.aggs()[i].arg != nullptr) {
-      ASSIGN_OR_RETURN(PreparedExpr p,
-                       PreparedExpr::Make(*plan.aggs()[i].arg, options_));
-      per_tuple += p.cost_ns();
-      agg_args[i] = std::move(p);
-      has_arg[i] = true;
-    }
-  }
-
-  // Grouped accumulation; std::map keeps output deterministic in group
-  // order. A grand total (no GROUP BY) always emits exactly one row.
-  std::map<Tuple, std::vector<AggState>> groups;
-  for (const Tuple& t : in) {
-    std::vector<Value> key_vals;
-    key_vals.reserve(group_exprs.size());
-    for (const PreparedExpr& g : group_exprs) {
-      ASSIGN_OR_RETURN(Value v, g.Eval(t));
-      ++stats_.expr_evaluations;
-      key_vals.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        groups.try_emplace(Tuple(std::move(key_vals)),
-                           std::vector<AggState>(plan.aggs().size()));
-    for (size_t i = 0; i < plan.aggs().size(); ++i) {
-      Value v;
-      if (has_arg[i]) {
-        ASSIGN_OR_RETURN(v, agg_args[i].Eval(t));
-        ++stats_.expr_evaluations;
-      }
-      it->second[i].Add(v, plan.aggs()[i].func, !has_arg[i]);
-    }
-  }
-  if (groups.empty() && plan.group_by().empty()) {
-    groups.try_emplace(Tuple(), std::vector<AggState>(plan.aggs().size()));
-  }
-  Charge(static_cast<sim::SimTime>(in.size()) * per_tuple);
-
-  std::vector<Tuple> out;
-  out.reserve(groups.size());
-  const size_t num_groups = plan.group_by().size();
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row = key.values();
-    for (size_t i = 0; i < states.size(); ++i) {
-      row.push_back(states[i].Result(
-          plan.aggs()[i].func, plan.schema().column(num_groups + i).type));
-    }
-    out.push_back(Tuple(std::move(row)));
-  }
-  return out;
-}
-
 StatusOr<std::vector<Tuple>> Executor::RunSort(const SortPlan& plan) {
   ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
 
@@ -733,10 +487,9 @@ StatusOr<std::vector<Tuple>> Executor::RunTransitiveClosure(const Plan& plan) {
   return out;
 }
 
-// ---------------------------------------------------- vectorized spine
+// ------------------------------------------------------------ batch spine
 
 StatusOr<std::vector<Tuple>> Executor::RunChildRows(const Plan& child) {
-  if (!vectorized_) return Run(child);
   ASSIGN_OR_RETURN(std::vector<ColumnBatch> batches, RunBatches(child));
   return FlattenBatches(batches);
 }
@@ -787,6 +540,12 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesCached(
   return RunBatchesUncached(plan);
 }
 
+StatusOr<std::vector<ColumnBatch>> Executor::Rechunk(
+    StatusOr<std::vector<Tuple>> rows) const {
+  RETURN_IF_ERROR(rows.status());
+  return ColumnBatch::Chunk(*rows, options_.batch_rows);
+}
+
 StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesUncached(
     const Plan& plan) {
   switch (plan.kind()) {
@@ -801,15 +560,31 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesUncached(
     case PlanKind::kAggregate:
       return RunAggregateBatches(static_cast<const AggregatePlan&>(plan));
     case PlanKind::kExchange:
-      // Pass-through locally, exactly like the row path.
+      // Repartitioning is a mail-layer affair (DESIGN.md §10); within one
+      // local executor an Exchange moves nothing and is a pass-through.
       return RunBatchesCached(*plan.child());
-    default: {
-      // Operators without a batch kernel run their row logic (over batched
-      // children, via RunChildRows) and re-chunk the output.
-      ASSIGN_OR_RETURN(std::vector<Tuple> rows, RunUncached(plan));
-      return ColumnBatch::Chunk(rows, options_.batch_rows);
-    }
+    // Operators without a batch kernel run their row logic (over batched
+    // children, via RunChildRows) and re-chunk the output.
+    case PlanKind::kValues:
+      return Rechunk(static_cast<const ValuesPlan&>(plan).rows());
+    case PlanKind::kUnion:
+      return Rechunk(RunUnion(plan));
+    case PlanKind::kDifference:
+      return Rechunk(RunDifference(plan));
+    case PlanKind::kDistinct:
+      return Rechunk(RunDistinct(plan));
+    case PlanKind::kSort:
+      return Rechunk(RunSort(static_cast<const SortPlan&>(plan)));
+    case PlanKind::kLimit:
+      return Rechunk(RunLimit(static_cast<const LimitPlan&>(plan)));
+    case PlanKind::kTransitiveClosure:
+    case PlanKind::kFixpoint:
+      // A Fixpoint is the degenerate single-node form of the distributed
+      // fixpoint (DESIGN.md §11): with every partition local, the rounds
+      // collapse to the in-memory closure operator.
+      return Rechunk(RunTransitiveClosure(plan));
   }
+  return InternalError("corrupt plan kind");
 }
 
 StatusOr<std::vector<ColumnBatch>> Executor::RunScanBatches(
@@ -877,8 +652,9 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunProjectBatches(
     for (const PreparedExpr& e : exprs) {
       StatusOr<ColumnBatch::Column> col = e.EvalBatch(b);
       if (!col.ok()) {
-        // Surface the same first error as the row path: re-evaluate this
-        // batch row-major (row-then-expression order).
+        // Surface the first error in row-major (row-then-expression)
+        // order, whichever column failed first: re-evaluate this batch
+        // row by row.
         for (size_t r = 0; r < b.num_rows(); ++r) {
           const Tuple row = b.RowAt(r);
           for (const PreparedExpr& re : exprs) {
@@ -961,7 +737,7 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunAggregateBatches(
   std::map<Tuple, std::vector<AggState>> groups;
   for (const ColumnBatch& b : in) {
     // Evaluate all key and argument expressions column-wise; on any error,
-    // re-run this batch row-major to surface the row path's first error.
+    // re-run this batch row-major to surface the first error in row order.
     auto row_major_error = [&]() -> Status {
       for (size_t r = 0; r < b.num_rows(); ++r) {
         const Tuple row = b.RowAt(r);

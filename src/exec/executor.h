@@ -86,23 +86,9 @@ enum class ExprMode : uint8_t {
   kCompiled,     // CompiledExpr bytecode (the OFM's generative approach).
 };
 
-/// How operators move tuples — the row/vectorized ablation switch
-/// (DESIGN.md §12). Both modes produce byte-identical answers; the
-/// differential harness in tests/vectorized_diff_test.cc enforces it.
-enum class ExecMode : uint8_t {
-  kRow,         // Tuple-at-a-time over boxed Values (the baseline).
-  kVectorized,  // ColumnBatch-at-a-time kernels.
-};
-
-const char* ExecModeName(ExecMode mode);
-
 struct ExecOptions {
   ExprMode expr_mode = ExprMode::kCompiled;
-  /// Vectorized execution needs the compiled expression path; with
-  /// expr_mode == kInterpreted the executor silently stays on the row
-  /// path (there is no batch form of the tree-walking evaluator).
-  ExecMode exec_mode = ExecMode::kRow;
-  /// Rows per ColumnBatch on the local vectorized path.
+  /// Rows per ColumnBatch on the local execution path.
   size_t batch_rows = ColumnBatch::kDefaultBatchRows;
   /// Virtual-time unit costs; see pool::CostModel.
   pool::CostModel costs;
@@ -124,7 +110,7 @@ struct ExecStats {
   uint64_t index_selections = 0;
   uint64_t tuples_output = 0;
   uint64_t expr_evaluations = 0;
-  /// ColumnBatches produced by operators (vectorized mode only).
+  /// ColumnBatches produced by operators.
   uint64_t batches = 0;
   /// Subtree-cache hits (common subexpressions evaluated once).
   uint64_t subtree_cache_hits = 0;
@@ -151,8 +137,8 @@ class Executor {
   }
 
  private:
-  /// Expression prepared for per-tuple evaluation in the selected mode,
-  /// with its precomputed per-evaluation virtual cost.
+  /// Expression prepared for evaluation in the selected mode, with its
+  /// precomputed virtual costs.
   class PreparedExpr {
    public:
     static StatusOr<PreparedExpr> Make(const algebra::Expr& expr,
@@ -163,8 +149,8 @@ class Executor {
     Status EvalPredicateBatch(const ColumnBatch& batch,
                               std::vector<uint8_t>* keep) const;
     sim::SimTime cost_ns() const { return cost_ns_; }
-    /// Vectorized costs: per-row tight-loop work and the per-batch kernel
-    /// dispatch (compiled path only).
+    /// Batch costs: per-row work and the per-batch kernel dispatch. The
+    /// interpreted tree-walk charges cost_ns per row and nothing per batch.
     sim::SimTime vrow_cost_ns() const { return vrow_cost_ns_; }
     sim::SimTime vbatch_cost_ns() const { return vbatch_cost_ns_; }
 
@@ -178,34 +164,28 @@ class Executor {
 
   void Charge(sim::SimTime ns);
 
-  StatusOr<std::vector<Tuple>> Run(const algebra::Plan& plan);
-  /// Run minus the profiling wrapper (subtree-cache lookup + dispatch).
-  StatusOr<std::vector<Tuple>> RunCached(const algebra::Plan& plan);
-  StatusOr<std::vector<Tuple>> RunUncached(const algebra::Plan& plan);
-  StatusOr<std::vector<Tuple>> RunScan(const algebra::ScanPlan& plan);
-  StatusOr<std::vector<Tuple>> RunSelect(const algebra::SelectPlan& plan);
   /// Index fast path for Select-over-Scan; returns nullopt when no usable
   /// access path exists (caller falls back to scan + filter).
   StatusOr<std::optional<std::vector<Tuple>>> TryIndexSelect(
       const algebra::SelectPlan& plan);
-  StatusOr<std::vector<Tuple>> RunProject(const algebra::ProjectPlan& plan);
-  StatusOr<std::vector<Tuple>> RunJoin(const algebra::JoinPlan& plan);
   StatusOr<std::vector<Tuple>> RunUnion(const algebra::Plan& plan);
   StatusOr<std::vector<Tuple>> RunDifference(const algebra::Plan& plan);
   StatusOr<std::vector<Tuple>> RunDistinct(const algebra::Plan& plan);
-  StatusOr<std::vector<Tuple>> RunAggregate(const algebra::AggregatePlan& plan);
   StatusOr<std::vector<Tuple>> RunSort(const algebra::SortPlan& plan);
   StatusOr<std::vector<Tuple>> RunLimit(const algebra::LimitPlan& plan);
   StatusOr<std::vector<Tuple>> RunTransitiveClosure(const algebra::Plan& plan);
 
-  /// Child input for the row-logic operators: Run(child) on the row path,
-  /// flattened RunBatches(child) in vectorized mode (so e.g. a Sort over a
-  /// Scan still scans in batches).
+  /// Child input for the row-logic operators: the flattened
+  /// RunBatches(child) (so e.g. a Sort over a Scan still scans in batches).
   StatusOr<std::vector<Tuple>> RunChildRows(const algebra::Plan& child);
+  /// A row-logic operator's output, cut into batch_rows batches.
+  StatusOr<std::vector<ColumnBatch>> Rechunk(
+      StatusOr<std::vector<Tuple>> rows) const;
 
-  // Vectorized twin of the Run/RunCached/RunUncached spine; only the
-  // batch-kernel operators have dedicated entries, everything else runs
-  // the row logic over batched children and re-chunks its output.
+  // The one execution spine: RunBatches wraps profiling, RunBatchesCached
+  // the subtree cache, and RunBatchesUncached dispatches on the plan kind.
+  // Only the batch-kernel operators have dedicated entries; everything
+  // else runs its row logic over batched children and re-chunks its output.
   StatusOr<std::vector<ColumnBatch>> RunBatches(const algebra::Plan& plan);
   StatusOr<std::vector<ColumnBatch>> RunBatchesCached(
       const algebra::Plan& plan);
@@ -224,9 +204,6 @@ class Executor {
 
   const TableResolver* resolver_;
   ExecOptions options_;
-  /// True when this execution actually runs the batched path (vectorized
-  /// mode requested and compiled expressions available).
-  bool vectorized_ = false;
   ExecStats stats_;
   std::map<std::string, std::vector<Tuple>> subtree_cache_;
   // Profiling state (options_.profile): node currently being built and the

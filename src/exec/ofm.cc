@@ -415,13 +415,11 @@ class OfmResolver : public TableResolver {
 
 StatusOr<std::vector<Tuple>> Ofm::ExecutePlan(const algebra::Plan& plan,
                                               const TableResolver* colocated,
-                                              obs::OperatorProfile* profile,
-                                              std::optional<ExecMode> exec_mode) {
+                                              obs::OperatorProfile* profile) {
   OfmResolver resolver(fragment_name_, &relation_, &hash_indexes_,
                        &btree_indexes_, colocated);
   ExecOptions exec_options = options_.exec;
   exec_options.profile = profile != nullptr;
-  if (exec_mode.has_value()) exec_options.exec_mode = *exec_mode;
   Executor executor(&resolver, exec_options);
   auto result = executor.Execute(plan);
   last_exec_stats_ = executor.stats();

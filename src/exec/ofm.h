@@ -150,13 +150,10 @@ class Ofm {
   /// names fall back to `colocated` when provided (co-located join
   /// execution; see gdh::PeLocalRegistry). A non-null `profile` turns on
   /// per-operator profiling and receives the plan's profile tree
-  /// (EXPLAIN ANALYZE). `exec_mode` overrides the OFM's configured
-  /// execution mode for this one plan — OFM processes are long-lived
-  /// while the mode is chosen per statement.
+  /// (EXPLAIN ANALYZE).
   StatusOr<std::vector<Tuple>> ExecutePlan(
       const algebra::Plan& plan, const TableResolver* colocated = nullptr,
-      obs::OperatorProfile* profile = nullptr,
-      std::optional<ExecMode> exec_mode = std::nullopt);
+      obs::OperatorProfile* profile = nullptr);
 
   /// Stats of the most recent ExecutePlan.
   const ExecStats& last_exec_stats() const { return last_exec_stats_; }

@@ -60,7 +60,6 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              const Schema& schema,
                                              std::vector<Tuple> rows,
                                              exec::ExprMode expr_mode,
-                                             exec::ExecMode exec_mode,
                                              const pool::CostModel& costs) {
   storage::Relation input(OlapInputName(), schema);
   for (Tuple& tuple : rows) {
@@ -71,7 +70,6 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
   resolver.Register(OlapInputName(), &input);
   exec::ExecOptions options;
   options.expr_mode = expr_mode;
-  options.exec_mode = exec_mode;
   options.costs = costs;
   options.charge = [process](sim::SimTime ns) { process->ChargeCpu(ns); };
   exec::Executor executor(&resolver, std::move(options));
@@ -215,7 +213,6 @@ void ExchangeConsumerProcess::RunLocalProbe() {
   const SideSpec& probe = Side(1 - config_.build_side);
   exec::ExecOptions options;
   options.expr_mode = config_.expr_mode;
-  options.exec_mode = config_.exec_mode;
   options.costs = config_.costs;
   options.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
   PeLocalResolver resolver(config_.registry, pe());
@@ -246,7 +243,7 @@ void ExchangeConsumerProcess::SendReply(Status status) {
     if (config_.post_plan != nullptr) {
       StatusOr<std::vector<Tuple>> post = RunPlanOverRows(
           this, *config_.post_plan, config_.join_schema, std::move(rows),
-          config_.expr_mode, config_.exec_mode, config_.costs);
+          config_.expr_mode, config_.costs);
       if (post.ok()) {
         rows = std::move(post).value();
       } else {

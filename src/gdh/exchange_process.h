@@ -64,9 +64,6 @@ class ExchangeConsumerProcess : public pool::Process {
     std::shared_ptr<const algebra::Plan> post_plan;
     Schema join_schema;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-    /// Execution mode for the stationary-side local probe plan; the
-    /// moving sides additionally arrive column-framed when vectorized.
-    exec::ExecMode exec_mode = exec::ExecMode::kRow;
     pool::CostModel costs;
     const PeLocalRegistry* registry = nullptr;  // Stationary-side scans.
     uint64_t credit_window = 4;
@@ -142,7 +139,6 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              const Schema& schema,
                                              std::vector<Tuple> rows,
                                              exec::ExprMode expr_mode,
-                                             exec::ExecMode exec_mode,
                                              const pool::CostModel& costs);
 
 }  // namespace prisma::gdh

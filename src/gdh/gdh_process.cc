@@ -1373,7 +1373,6 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   config.rules = config_.rules;
   config.costs = config_.costs;
   config.expr_mode = config_.expr_mode;
-  config.exec_mode = stmt->exec_mode.value_or(config_.exec_mode);
   config.gdh = self();
   config.client = client;
   config.statement = stmt;
@@ -1384,7 +1383,6 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   config.plan_cache = config_.plan_cache;
   config.exchange_batch_rows = config_.exchange_batch_rows;
   config.exchange_credit_window = config_.exchange_credit_window;
-  config.distributed_fixpoint = config_.distributed_fixpoint;
   config.tc_algorithm = config_.fixpoint_algorithm;
   config.metrics = config_.metrics;
   config.tracer = config_.tracer;

@@ -97,9 +97,6 @@ class GdhProcess : public pool::Process {
     pool::CostModel costs;
     OptimizerRules rules;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-    /// Machine-default execution mode (row-at-a-time or vectorized);
-    /// statements may override it per query (ClientStatement::exec_mode).
-    exec::ExecMode exec_mode = exec::ExecMode::kRow;
     /// Base-fragment OFM flavour (kQueryOnly disables durability — E7).
     exec::OfmType base_ofm_type = exec::OfmType::kFull;
     PlacementPolicy placement = PlacementPolicy::kAligned;
@@ -122,9 +119,8 @@ class GdhProcess : public pool::Process {
     /// max tuples per batch and batches in flight per channel.
     uint64_t exchange_batch_rows = 64;
     uint64_t exchange_credit_window = 4;
-    /// Route PRISMAlog linear recursion over fragmented relations to the
-    /// distributed fixpoint (DESIGN.md §11), with this join strategy.
-    bool distributed_fixpoint = true;
+    /// Join strategy of the distributed fixpoint (DESIGN.md §11), which
+    /// runs PRISMAlog linear recursion over fragmented relations.
     exec::TcAlgorithm fixpoint_algorithm = exec::TcAlgorithm::kSeminaive;
     /// The machine's retransmission policy, used by the GDH's own OFM
     /// requests (decision-phase RPCs get 4 extra attempts) and handed to

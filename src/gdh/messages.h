@@ -4,7 +4,6 @@
 #include <compare>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -115,7 +114,7 @@ struct PlanRef {
 /// at the receiving OFM (`plan` null).
 int64_t PlanBits(const algebra::Plan* plan);
 
-/// A row set on the wire in every exec mode: one serialized ColumnBatch
+/// A row set on the wire: one serialized ColumnBatch
 /// (DESIGN.md §12.2) whose actual byte length is its modelled size. Null
 /// means the message carries no rows.
 using RowFrame = std::shared_ptr<const std::string>;
@@ -137,8 +136,6 @@ struct ClientStatement {
   bool is_prismalog = false;
   /// Session transaction (kAutoCommit when outside BEGIN/COMMIT).
   exec::TxnId txn = exec::kAutoCommit;
-  /// Per-statement execution-mode override; unset = the machine default.
-  std::optional<exec::ExecMode> exec_mode;
 };
 
 /// Reply to a client statement: result rows for queries, affected count
@@ -175,8 +172,6 @@ struct ExecPlanRequest {
   PlanRef plan_ref;
   /// EXPLAIN ANALYZE: return a per-operator profile with the tuples.
   bool profile = false;
-  /// Fragment-local execution mode (row-at-a-time or vectorized).
-  exec::ExecMode exec_mode = exec::ExecMode::kRow;
 
   int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
 };
@@ -268,8 +263,6 @@ struct ShufflePlanRequest {
   PlanRef plan_ref;
   uint64_t batch_rows = 64;     // Max tuples per batch.
   uint64_t credit_window = 4;   // Batches in flight per channel.
-  /// Producer-side execution mode.
-  exec::ExecMode exec_mode = exec::ExecMode::kRow;
   /// EXPLAIN ANALYZE: the settlement reply carries the plan's profile.
   bool profile = false;
 

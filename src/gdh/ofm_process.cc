@@ -405,8 +405,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   if (request->profile) profile.emplace();
   auto result =
       ofm_->ExecutePlan(*plan, colocated.has_value() ? &*colocated : nullptr,
-                        profile.has_value() ? &*profile : nullptr,
-                        request->exec_mode);
+                        profile.has_value() ? &*profile : nullptr);
   if (m_plans_executed_ != nullptr) {
     const exec::ExecStats& stats = ofm_->last_exec_stats();
     m_plans_executed_->Increment();
@@ -460,7 +459,7 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
   auto result = ofm_->ExecutePlan(
       *plan, colocated.has_value() ? &*colocated : nullptr,
-      profile.get(), request->exec_mode);
+      profile.get());
   if (m_plans_executed_ != nullptr) {
     const exec::ExecStats& stats = ofm_->last_exec_stats();
     m_plans_executed_->Increment();

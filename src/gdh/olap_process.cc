@@ -74,7 +74,7 @@ void OlapMergeProcess::RunMerge() {
   // aggregation).
   StatusOr<std::vector<Tuple>> result = RunPlanOverRows(
       this, *config_.merge_plan, config_.input_schema, std::move(*rows_),
-      config_.expr_mode, config_.exec_mode, config_.costs);
+      config_.expr_mode, config_.costs);
   rows_->clear();
   if (!result.ok()) {
     SendReply(result.status());

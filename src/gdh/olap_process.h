@@ -43,7 +43,6 @@ class OlapMergeProcess : public pool::Process {
     /// Merge plan; its Scan names OlapInputName().
     std::shared_ptr<const algebra::Plan> merge_plan;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-    exec::ExecMode exec_mode = exec::ExecMode::kRow;
     pool::CostModel costs;
     uint64_t credit_window = 4;
     /// The final reply is resent every retransmit.resend_ns (0: never).

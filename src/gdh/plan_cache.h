@@ -29,16 +29,14 @@ namespace prisma::gdh {
 /// coordinator may probe or fill it; the discrete-event simulator
 /// serializes every access, so same-seed runs see identical cache states).
 ///
-/// Key: normalized statement fingerprint + literal values + resolved
-/// execution mode. Literals are part of the key because constants are
+/// Key: normalized statement fingerprint + literal values. Literals are part of the key because constants are
 /// embedded in the optimized plan (fragment pruning depends on them), so a
 /// hit is only declared for a statement that optimizes to the very same
 /// plan; the fingerprint still buys whitespace/case insensitivity.
 ///
 /// Invalidation: epoch-based. DDL (table/index create — a fragment-count
 /// change is a DDL), replica failover and resync cutover bump the epoch
-/// and drop every entry; a per-statement exec-mode flip needs no epoch
-/// (the mode is in the key). Entries are never served across epochs, so a
+/// and drop every entry. Entries are never served across epochs, so a
 /// stale plan cannot outlive the schema/placement it was built for.
 ///
 /// Residency: each entry gets a monotonic id when it is inserted, and the
@@ -53,13 +51,11 @@ class PlanCache {
   struct Key {
     std::string fingerprint;
     std::vector<std::string> params;
-    exec::ExecMode exec_mode = exec::ExecMode::kRow;
 
     bool operator<(const Key& other) const {
       if (fingerprint != other.fingerprint)
         return fingerprint < other.fingerprint;
-      if (params != other.params) return params < other.params;
-      return exec_mode < other.exec_mode;
+      return params < other.params;
     }
   };
 

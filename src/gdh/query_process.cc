@@ -360,7 +360,6 @@ void QueryProcess::StartSql() {
       cacheable = !analyze;
       cache_key.fingerprint = std::string(fingerprint);
       cache_key.params = std::move(normalized->params);
-      cache_key.exec_mode = config_.exec_mode;
       ChargeCpu(config_.costs.plan_cache_probe_ns);
       auto hit = analyze ? config_.plan_cache->Peek(cache_key)
                          : config_.plan_cache->Lookup(cache_key);
@@ -689,7 +688,6 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.post_plan = ex.post_plan;
     cc.join_schema = ex.schema;
     cc.expr_mode = config_.expr_mode;
-    cc.exec_mode = config_.exec_mode;
     cc.costs = config_.costs;
     cc.registry = config_.registry;
     cc.credit_window = config_.exchange_credit_window;
@@ -751,7 +749,6 @@ size_t QueryProcess::ScatterOlapPart(size_t part_index) {
     cc.input_schema = input_schema;
     cc.merge_plan = olap.merge_plan;
     cc.expr_mode = config_.expr_mode;
-    cc.exec_mode = config_.exec_mode;
     cc.costs = config_.costs;
     cc.credit_window = config_.exchange_credit_window;
     cc.retransmit = config_.retransmit;
@@ -824,7 +821,6 @@ ShufflePlanRequest& QueryProcess::AddShuffleProducer(
   request->consumers = std::move(consumers);
   request->batch_rows = config_.exchange_batch_rows;
   request->credit_window = config_.exchange_credit_window;
-  request->exec_mode = config_.exec_mode;
   request->profile = analyze_;
   FragmentWork w;
   w.ofm = frag.ReplicaOfm(replica);
@@ -947,7 +943,6 @@ void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
     request->plan = plan;
     request->plan_ref = ref;
     request->profile = analyze_;
-    request->exec_mode = config_.exec_mode;
     bits = request->WireBits();
     SendRpc(w.request_id, kMailExecPlan, request, bits, index);
   }
@@ -1104,7 +1099,6 @@ void QueryProcess::RunGlobalPhase() {
   }
   exec::ExecOptions exec_opts;
   exec_opts.expr_mode = config_.expr_mode;
-  exec_opts.exec_mode = config_.exec_mode;
   exec_opts.costs = config_.costs;
   exec_opts.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
   exec_opts.enable_subtree_cache = optimizer_report_.enable_subtree_cache;
@@ -1322,7 +1316,7 @@ void QueryProcess::StartPrismalog() {
   // fragmented, dictionary-resident edge relation run as a distributed
   // semi-naive fixpoint (DESIGN.md §11) instead of gathering the edges
   // here: the recursion executes where the data lives.
-  if (config_.distributed_fixpoint && program->query.has_value()) {
+  if (program->query.has_value()) {
     auto tc = prismalog::DetectLinearTc(*program);
     if (tc.has_value() && program->query->predicate == tc->closure_pred &&
         program->query->args.size() == 2 &&
@@ -1504,7 +1498,6 @@ void QueryProcess::ScatterFixpoint() {
     request->consumers = pids;
     request->batch_rows = config_.exchange_batch_rows;
     request->credit_window = config_.exchange_credit_window;
-    request->exec_mode = config_.exec_mode;
     FragmentWork w;
     w.ofm = frag.ofm;
     w.plan = std::shared_ptr<const algebra::Plan>(

@@ -46,10 +46,6 @@ class QueryProcess : public pool::Process {
     OptimizerRules rules;
     pool::CostModel costs;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-    /// Resolved execution mode of this statement (machine default or the
-    /// statement's override), threaded to every fragment plan, shuffle
-    /// producer, exchange consumer and fixpoint partition it spawns.
-    exec::ExecMode exec_mode = exec::ExecMode::kRow;
     pool::ProcessId gdh = pool::kNoProcess;
     pool::ProcessId client = pool::kNoProcess;
     std::shared_ptr<ClientStatement> statement;
@@ -72,10 +68,6 @@ class QueryProcess : public pool::Process {
     /// flight per channel (DESIGN.md §10).
     uint64_t exchange_batch_rows = 64;
     uint64_t exchange_credit_window = 4;
-    /// Route PRISMAlog linear-recursion programs over a fragmented edge
-    /// relation to the distributed fixpoint (DESIGN.md §11) instead of
-    /// gathering the base table to the coordinator.
-    bool distributed_fixpoint = true;
     /// Join strategy for the distributed fixpoint partitions.
     exec::TcAlgorithm tc_algorithm = exec::TcAlgorithm::kSeminaive;
     /// Observability sinks (may be null). Per-query scoped metrics are

@@ -19,7 +19,7 @@ struct OperatorProfile {
   std::string op;  // "Scan(emp#3)", "Join", ...
   uint64_t rows = 0;
   uint64_t bytes = 0;  // Byte size of the operator's output tuples.
-  uint64_t batches = 0;  // ColumnBatches produced (vectorized mode only).
+  uint64_t batches = 0;  // ColumnBatches produced.
   sim::SimTime total_ns = 0;
   uint64_t invocations = 1;  // > 1 after merging fragment profiles.
   std::vector<OperatorProfile> children;

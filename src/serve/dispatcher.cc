@@ -36,13 +36,11 @@ Dispatcher::Dispatcher(core::PrismaDb* db, DispatcherOptions options)
 
 void Dispatcher::Submit(const std::string& text, exec::TxnId txn,
                         core::PrismaDb::ReplyCallback callback,
-                        sim::SimTime delay,
-                        std::optional<exec::ExecMode> mode) {
+                        sim::SimTime delay) {
   ++stats_.submitted;
   Pending pending;
   pending.text = text;
   pending.txn = txn;
-  pending.mode = mode;
   pending.callback = std::move(callback);
   db_->simulator().Schedule(
       delay, [this, pending = std::move(pending)]() mutable {
@@ -122,7 +120,7 @@ void Dispatcher::Dispatch(Pending pending) {
         UpdateAdmitState();
         DispatchQueued();
       },
-      /*delay=*/0, pending.mode);
+      /*delay=*/0);
 }
 
 AdmitState Dispatcher::NextState(AdmitState state, int backlog,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 
 #include "core/prisma_db.h"
@@ -66,8 +65,7 @@ class Dispatcher {
   /// under the concurrency cap) or shed with a typed Overloaded reply;
   /// the callback fires exactly once either way.
   void Submit(const std::string& text, exec::TxnId txn,
-              core::PrismaDb::ReplyCallback callback, sim::SimTime delay = 0,
-              std::optional<exec::ExecMode> mode = std::nullopt);
+              core::PrismaDb::ReplyCallback callback, sim::SimTime delay = 0);
 
   /// Runs the simulation until every submitted statement has resolved.
   void Run() { db_->Run(); }
@@ -104,7 +102,6 @@ class Dispatcher {
   struct Pending {
     std::string text;
     exec::TxnId txn = exec::kAutoCommit;
-    std::optional<exec::ExecMode> mode;
     core::PrismaDb::ReplyCallback callback;
     sim::SimTime arrival_ns = 0;
   };

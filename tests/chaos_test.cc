@@ -541,11 +541,9 @@ struct ExchangeSoakOutcome {
 /// interconnect. Small batches and a tight credit window turn the 30-row
 /// shuffle into many batch/ack round trips, each a chance for the fault
 /// plan to misbehave.
-ExchangeSoakOutcome RunExchangeChaos(
-    uint64_t seed, exec::ExecMode mode = exec::ExecMode::kRow) {
+ExchangeSoakOutcome RunExchangeChaos(uint64_t seed) {
   MachineConfig config;
   config.pes = 4;
-  config.exec_mode = mode;
   config.exchange_batch_rows = 4;
   config.exchange_credit_window = 2;
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
@@ -598,36 +596,6 @@ TEST(ChaosTest, ExchangeSameSeedReplayIsByteIdentical) {
   const ExchangeSoakOutcome b = RunExchangeChaos(13);
   EXPECT_EQ(a.metrics, b.metrics);  // Byte-identical, exchanges included.
   EXPECT_NE(a.metrics.find("exchange.batches_sent"), std::string::npos);
-}
-
-/// The vectorized path (batch kernels) under the same lossy interconnect:
-/// the answer must survive every seed, and lost/duplicated frames must
-/// flow through the same retransmission and dedup machinery.
-TEST(ChaosTest, VectorizedExchangeSoakSurvives25Seeds) {
-  uint64_t dropped = 0;
-  uint64_t duplicated = 0;
-  uint64_t recovered = 0;
-  for (const uint64_t seed : SoakSeeds(1, 25)) {
-    PRISMA_SEED_REPRO("ChaosTest.VectorizedExchangeSoakSurvives25Seeds", seed);
-    const ExchangeSoakOutcome out =
-        RunExchangeChaos(seed, exec::ExecMode::kVectorized);
-    EXPECT_GT(out.batches_sent, 0u);
-    dropped += out.dropped;
-    duplicated += out.duplicated;
-    recovered += out.retransmits + out.dup_batches;
-  }
-  if (SingleSeedMode()) return;
-  EXPECT_GT(dropped, 0u);
-  EXPECT_GT(duplicated, 0u);
-  EXPECT_GT(recovered, 0u);
-}
-
-TEST(ChaosTest, VectorizedSameSeedReplayIsByteIdentical) {
-  const ExchangeSoakOutcome a =
-      RunExchangeChaos(17, exec::ExecMode::kVectorized);
-  const ExchangeSoakOutcome b =
-      RunExchangeChaos(17, exec::ExecMode::kVectorized);
-  EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_NE(a.metrics.find("exchange.wire_bits"), std::string::npos);
 }
 
@@ -647,11 +615,9 @@ struct OlapSoakOutcome {
 /// batches, the runs streaming to the coordinator, their acks and the
 /// merge replies all cross the faulty links, and the exact answer must
 /// come back every time.
-OlapSoakOutcome RunOlapChaos(uint64_t seed,
-                             exec::ExecMode mode = exec::ExecMode::kRow) {
+OlapSoakOutcome RunOlapChaos(uint64_t seed) {
   MachineConfig config;
   config.pes = 4;
-  config.exec_mode = mode;
   config.exchange_batch_rows = 4;
   config.exchange_credit_window = 2;
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 29);
@@ -726,9 +692,6 @@ TEST(ChaosTest, OlapSameSeedReplayIsByteIdentical) {
   const OlapSoakOutcome b = RunOlapChaos(19);
   EXPECT_EQ(a.metrics, b.metrics);  // Byte-identical, olap.* included.
   EXPECT_NE(a.metrics.find("olap.shuffle_bits"), std::string::npos);
-  const OlapSoakOutcome va = RunOlapChaos(23, exec::ExecMode::kVectorized);
-  const OlapSoakOutcome vb = RunOlapChaos(23, exec::ExecMode::kVectorized);
-  EXPECT_EQ(va.metrics, vb.metrics);
 }
 
 TEST(ChaosTest, LinkDownMidShuffleDegradesToUnavailableNotAHang) {

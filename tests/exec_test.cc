@@ -36,6 +36,7 @@ using algebra::SelectPlan;
 using algebra::SortKey;
 using algebra::SortPlan;
 using algebra::TransitiveClosurePlan;
+using algebra::UnaryOp;
 using algebra::UnionPlan;
 using algebra::ValuesPlan;
 
@@ -1056,7 +1057,7 @@ TEST_F(ExchangeMachineTest, ShuffleBothRepartitionsBothSides) {
 // Kernel-level checks against the per-tuple reference implementations:
 // the batch filter against CompiledExpr::EvalPredicate row by row, the
 // batch hash join against HashJoin on the flattened inputs, and the
-// vectorized aggregate path against the row path of the same plan.
+// batch aggregate across batch sizes.
 
 Schema XSchema() { return Schema({{"x", DataType::kInt64}}); }
 
@@ -1164,13 +1165,16 @@ TEST(VectorizedKernelTest, HashJoinKeyRunsSpanningBatchBoundaries) {
   for (const ColumnBatch& b : *batches) EXPECT_LE(b.num_rows(), 16u);
 }
 
-class VectorizedExecutorTest : public ExecutorTest {
+class BatchExecutorTest : public ExecutorTest {
  protected:
-  StatusOr<std::vector<Tuple>> ExecuteVectorized(const algebra::Plan& plan,
-                                                 size_t batch_rows = 7) {
+  /// Runs `plan` in odd-sized batches (7 rows: ragged batches) so groups,
+  /// filters and errors straddle batch boundaries.
+  StatusOr<std::vector<Tuple>> ExecuteInBatches(
+      const algebra::Plan& plan, ExprMode mode = ExprMode::kCompiled,
+      size_t batch_rows = 7) {
     ExecOptions opts;
-    opts.exec_mode = ExecMode::kVectorized;
-    opts.batch_rows = batch_rows;  // Odd size: forces ragged batches.
+    opts.expr_mode = mode;
+    opts.batch_rows = batch_rows;
     Executor executor(&resolver_, opts);
     auto result = executor.Execute(plan);
     last_stats_ = executor.stats();
@@ -1178,9 +1182,9 @@ class VectorizedExecutorTest : public ExecutorTest {
   }
 };
 
-TEST_F(VectorizedExecutorTest, AggregateEdgesMatchRowPath) {
+TEST_F(BatchExecutorTest, AggregateEdgesAgreeAcrossBatchSizes) {
   // Grouped aggregates whose groups span batch boundaries, plus the
-  // empty-input grand total, in both modes.
+  // empty-input grand total, against one whole-input batch.
   std::vector<std::unique_ptr<Expr>> groups;
   groups.push_back(Col("dept"));
   std::vector<algebra::AggSpec> aggs;
@@ -1192,13 +1196,13 @@ TEST_F(VectorizedExecutorTest, AggregateEdgesMatchRowPath) {
   auto grouped = AggregatePlan::Create(EmpScan(), std::move(groups),
                                        {"dept"}, std::move(aggs));
   ASSERT_TRUE(grouped.ok());
-  auto row_out = Execute(**grouped);
-  ASSERT_TRUE(row_out.ok());
-  auto vec_out = ExecuteVectorized(**grouped);
-  ASSERT_TRUE(vec_out.ok()) << vec_out.status().ToString();
-  ASSERT_EQ(vec_out->size(), row_out->size());
-  for (size_t i = 0; i < row_out->size(); ++i) {
-    EXPECT_EQ((*vec_out)[i].Compare((*row_out)[i]), 0) << "group " << i;
+  auto whole = Execute(**grouped);
+  ASSERT_TRUE(whole.ok());
+  auto ragged = ExecuteInBatches(**grouped);
+  ASSERT_TRUE(ragged.ok()) << ragged.status().ToString();
+  ASSERT_EQ(ragged->size(), whole->size());
+  for (size_t i = 0; i < whole->size(); ++i) {
+    EXPECT_EQ((*ragged)[i].Compare((*whole)[i]), 0) << "group " << i;
   }
   EXPECT_GT(last_stats_.batches, 0u);
 
@@ -1212,40 +1216,116 @@ TEST_F(VectorizedExecutorTest, AggregateEdgesMatchRowPath) {
   auto grand = AggregatePlan::Create(std::move(*none), {}, {},
                                      std::move(empty_aggs));
   ASSERT_TRUE(grand.ok());
-  auto row_empty = Execute(**grand);
-  auto vec_empty = ExecuteVectorized(**grand);
-  ASSERT_TRUE(row_empty.ok());
-  ASSERT_TRUE(vec_empty.ok());
-  ASSERT_EQ(vec_empty->size(), 1u);
-  EXPECT_EQ(vec_empty->front().Compare(row_empty->front()), 0);
+  auto whole_empty = Execute(**grand);
+  auto ragged_empty = ExecuteInBatches(**grand);
+  ASSERT_TRUE(whole_empty.ok());
+  ASSERT_TRUE(ragged_empty.ok());
+  ASSERT_EQ(ragged_empty->size(), 1u);
+  EXPECT_EQ(ragged_empty->front().Compare(whole_empty->front()), 0);
 }
 
-TEST_F(VectorizedExecutorTest, FilterAndScanCountBatches) {
+TEST_F(BatchExecutorTest, FilterAndScanCountBatches) {
   auto plan = SelectPlan::Create(
       EmpScan(),
       Expr::Binary(BinaryOp::kLt, Col("salary"), Lit(int64_t{2000})));
   ASSERT_TRUE(plan.ok());
-  auto row_out = Execute(**plan);
-  ASSERT_TRUE(row_out.ok());
-  auto vec_out = ExecuteVectorized(**plan);
-  ASSERT_TRUE(vec_out.ok());
-  ASSERT_EQ(vec_out->size(), row_out->size());
-  for (size_t i = 0; i < row_out->size(); ++i) {
-    EXPECT_EQ((*vec_out)[i].Compare((*row_out)[i]), 0);
+  auto whole = Execute(**plan);
+  ASSERT_TRUE(whole.ok());
+  auto ragged = ExecuteInBatches(**plan);
+  ASSERT_TRUE(ragged.ok());
+  ASSERT_EQ(ragged->size(), whole->size());
+  for (size_t i = 0; i < whole->size(); ++i) {
+    EXPECT_EQ((*ragged)[i].Compare((*whole)[i]), 0);
   }
   // 30 rows in batches of 7 -> 5 scan batches (the last ragged).
   EXPECT_GT(last_stats_.batches, 0u);
 }
 
-TEST_F(VectorizedExecutorTest, InterpretedModeSilentlyStaysRow) {
-  ExecOptions opts;
-  opts.expr_mode = ExprMode::kInterpreted;
-  opts.exec_mode = ExecMode::kVectorized;
-  Executor executor(&resolver_, opts);
-  auto out = executor.Execute(*EmpScan());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 30u);
-  EXPECT_EQ(executor.stats().batches, 0u);  // Row path: no batches.
+TEST_F(BatchExecutorTest, InterpretedPlansRunInBatches) {
+  // The tree-walking evaluator runs on the one batch spine too: the same
+  // answers as compiled expressions, in batches, at a higher per-row
+  // charge (E4) and no per-batch kernel charge.
+  std::vector<std::unique_ptr<Expr>> exprs;
+  exprs.push_back(Col("id"));
+  exprs.push_back(Expr::Binary(BinaryOp::kAdd, Col("salary"), Col("id")));
+  auto filtered = SelectPlan::Create(
+      EmpScan(), Expr::Binary(BinaryOp::kGe, Col("salary"), Lit(int64_t{1500})));
+  ASSERT_TRUE(filtered.ok());
+  auto plan = ProjectPlan::Create(std::move(*filtered), std::move(exprs),
+                                  {"id", "sum"});
+  ASSERT_TRUE(plan.ok());
+  auto compiled = ExecuteInBatches(**plan, ExprMode::kCompiled);
+  ASSERT_TRUE(compiled.ok());
+  const sim::SimTime compiled_ns = last_stats_.charged_ns;
+  auto interpreted = ExecuteInBatches(**plan, ExprMode::kInterpreted);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+  ASSERT_EQ(interpreted->size(), 25u);
+  ASSERT_EQ(interpreted->size(), compiled->size());
+  for (size_t i = 0; i < compiled->size(); ++i) {
+    EXPECT_EQ((*interpreted)[i].Compare((*compiled)[i]), 0) << "row " << i;
+  }
+  // Scan, filter and project 5 batches each (30 rows in batches of 7).
+  EXPECT_EQ(last_stats_.batches, 15u);
+  EXPECT_GT(last_stats_.charged_ns, compiled_ns);
+}
+
+TEST_F(BatchExecutorTest, InterpretedKeepsMixedTypesPerRow) {
+  // PRISMAlog's dynamically typed columns: one column holds INT, STRING,
+  // DOUBLE and NULL values, so its batches are boxed. The interpreter
+  // must hand every value back with its own type.
+  // A kNull column type is the untyped Datalog relation's wildcard.
+  const Schema untyped({{"v", DataType::kNull}});
+  storage::Relation facts("facts", untyped);
+  for (const Value& v : {Value::Int(1), Value::String("a"), Value::Double(2.5),
+                         Value::Null(), Value::Int(3)}) {
+    ASSERT_TRUE(facts.Insert(Tuple({v})).ok());
+  }
+  resolver_.Register("facts", &facts);
+  std::vector<std::unique_ptr<Expr>> exprs;
+  exprs.push_back(Expr::ColumnIndex(0, DataType::kNull));
+  exprs.push_back(
+      Expr::Unary(UnaryOp::kIsNull, Expr::ColumnIndex(0, DataType::kNull)));
+  auto project = ProjectPlan::Create(ScanPlan::Create("facts", untyped),
+                                     std::move(exprs), {"v", "missing"});
+  ASSERT_TRUE(project.ok());
+  auto kept = SelectPlan::Create(
+      std::move(*project),
+      Expr::Unary(UnaryOp::kNot, Expr::ColumnIndex(1, DataType::kBool)));
+  ASSERT_TRUE(kept.ok());
+  auto out = ExecuteInBatches(**kept, ExprMode::kInterpreted,
+                              /*batch_rows=*/2);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 4u);
+  const std::vector<Value> want = {Value::Int(1), Value::String("a"),
+                                   Value::Double(2.5), Value::Int(3)};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ((*out)[i].at(0).type(), want[i].type()) << "row " << i;
+    EXPECT_EQ((*out)[i].at(0), want[i]) << "row " << i;
+    EXPECT_EQ((*out)[i].at(1), Value::Bool(false)) << "row " << i;
+  }
+}
+
+TEST_F(BatchExecutorTest, ProjectionErrorIsFirstInRowOrder) {
+  // Column by column, the first expression fails first (modulo by zero
+  // on row 29); row by row, the second one does (division by zero on the
+  // third row, id 2). Both expression modes surface the row-order error.
+  for (const ExprMode mode : {ExprMode::kCompiled, ExprMode::kInterpreted}) {
+    std::vector<std::unique_ptr<Expr>> exprs;
+    exprs.push_back(Expr::Binary(
+        BinaryOp::kMod, Col("id"),
+        Expr::Binary(BinaryOp::kSub, Col("id"), Lit(int64_t{29}))));
+    exprs.push_back(Expr::Binary(
+        BinaryOp::kDiv, Lit(int64_t{10}),
+        Expr::Binary(BinaryOp::kSub, Col("id"), Lit(int64_t{2}))));
+    auto plan = ProjectPlan::Create(EmpScan(), std::move(exprs), {"m", "d"});
+    ASSERT_TRUE(plan.ok());
+    auto out = ExecuteInBatches(**plan, mode, /*batch_rows=*/64);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().message().find("division by zero"),
+              std::string::npos)
+        << out.status().ToString();
+  }
 }
 
 // --------------------------------- Distributed OLAP merge edge cases
@@ -1254,14 +1334,13 @@ TEST_F(VectorizedExecutorTest, InterpretedModeSilentlyStaysRow) {
 /// merge of sorted runs (DESIGN.md §14): fragments that contribute
 /// nothing, NULL group keys (a group of their own, routed to consumer 0),
 /// extreme group skew, and sorted runs that span exchange batch
-/// boundaries. Each case runs in both execution modes.
-class OlapEdgeTest : public ::testing::TestWithParam<ExecMode> {
+/// boundaries.
+class OlapEdgeTest : public ::testing::Test {
  protected:
   std::unique_ptr<core::PrismaDb> MakeDb(
       std::function<void(core::MachineConfig&)> tweak = nullptr) {
     core::MachineConfig config;
     config.pes = 8;
-    config.exec_mode = GetParam();
     if (tweak) tweak(config);
     return std::make_unique<core::PrismaDb>(config);
   }
@@ -1273,7 +1352,7 @@ class OlapEdgeTest : public ::testing::TestWithParam<ExecMode> {
   }
 };
 
-TEST_P(OlapEdgeTest, EmptyFragmentsContributeEmptyPartials) {
+TEST_F(OlapEdgeTest, EmptyFragmentsContributeEmptyPartials) {
   // 3 fragments but only 2 rows: at least one fragment pre-aggregates
   // nothing and its merge channels carry only EOS batches.
   auto db = MakeDb();
@@ -1293,7 +1372,7 @@ TEST_P(OlapEdgeTest, EmptyFragmentsContributeEmptyPartials) {
   EXPECT_EQ(sorted.tuples[0].at(1), Value::Int(20));
 }
 
-TEST_P(OlapEdgeTest, AllNullGroupKeysFormOneGroup) {
+TEST_F(OlapEdgeTest, AllNullGroupKeysFormOneGroup) {
   auto db = MakeDb();
   MustExecute(*db, "CREATE TABLE t (id INT, g STRING, v INT) "
                    "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
@@ -1313,7 +1392,7 @@ TEST_P(OlapEdgeTest, AllNullGroupKeysFormOneGroup) {
   EXPECT_EQ(grouped.tuples[0].at(2), Value::Int(190));
 }
 
-TEST_P(OlapEdgeTest, SingleGroupSkewAgreesAcrossStrategies) {
+TEST_F(OlapEdgeTest, SingleGroupSkewAgreesAcrossStrategies) {
   // Every row shares one group key: the direct strategy funnels all base
   // rows into one merge consumer, the pre-aggregate strategy ships one
   // partial per fragment. Both must agree with the exact totals.
@@ -1345,7 +1424,7 @@ TEST_P(OlapEdgeTest, SingleGroupSkewAgreesAcrossStrategies) {
   }
 }
 
-TEST_P(OlapEdgeTest, SortRunsSpanBatchBoundaries) {
+TEST_F(OlapEdgeTest, SortRunsSpanBatchBoundaries) {
   // Tiny exchange batches force every sorted run through multiple frames
   // per channel; long runs of the leading key cross batch boundaries and
   // the unique trailing key pins tie order.
@@ -1369,13 +1448,6 @@ TEST_P(OlapEdgeTest, SortRunsSpanBatchBoundaries) {
     EXPECT_EQ(sorted.tuples[i].at(1), Value::Int((i % 20) * 3 + i / 20));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, OlapEdgeTest,
-    ::testing::Values(ExecMode::kRow, ExecMode::kVectorized),
-    [](const ::testing::TestParamInfo<ExecMode>& info) {
-      return info.param == ExecMode::kRow ? "Row" : "Vectorized";
-    });
 
 }  // namespace
 }  // namespace prisma::exec

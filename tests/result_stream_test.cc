@@ -2,7 +2,7 @@
 // batch reach the client as a train of client_reply frames, and a bare
 // distributed sort frames the merge of its fragments' sorted runs to the
 // client as the runs arrive. These tests pin the answers (byte-identical
-// to a single-fragment reference in both execution modes, wherever the
+// to a single-fragment reference, wherever the
 // coordinator runs, scattered in parallel or one fragment at a time), the
 // frame arithmetic (max(1, ceil(rows / 64)) frames per result), the
 // pipelining (the train starts before the last run is in, wherever runs
@@ -134,36 +134,30 @@ TEST(ResultStreamTest, StreamedSortMatchesTheSingleFragmentReference) {
   const std::string reference = ReferenceSort();
   ASSERT_FALSE(reference.empty());
   for (const int fragments : {1, 3, 7}) {
-    for (const exec::ExecMode mode :
-         {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
-      // The coordinator on the client's PE, and on the PE farthest from
-      // it (slices land in a different order, frames cross 4 hops).
-      for (const int coordinator : {0, 7}) {
-        SCOPED_TRACE(StrFormat(
-            "fragments=%d mode=%s coordinator=PE %d", fragments,
-            mode == exec::ExecMode::kRow ? "row" : "vectorized",
-            coordinator));
-        MachineConfig config;
-        config.pes = 8;
-        config.exec_mode = mode;
-        config.coordinator_pes = {coordinator};
-        PrismaDb db(config);
-        LoadBig(db, fragments);
-        const uint64_t frames0 = ClientFrames(db);
-        const uint64_t streamed0 = Streamed(db);
-        TrainTiming timing;
-        TapTrain(db, &timing);
-        const QueryResult result = MustExecute(db, kSortSql);
-        db.runtime().SetMailTap(nullptr);
-        EXPECT_EQ(Rendered(result), reference);
-        ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kRows));
-        EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
-        // Only a multi-fragment table has a distributed sort to forward.
-        EXPECT_EQ(Streamed(db) - streamed0, fragments > 1 ? 1u : 0u);
-        if (RunsOutlastTheWindow(config, kRows, fragments) &&
-            coordinator == 0) {
-          ExpectPipelined(timing);
-        }
+    // The coordinator on the client's PE, and on the PE farthest from it
+    // (slices land in a different order, frames cross 4 hops).
+    for (const int coordinator : {0, 7}) {
+      SCOPED_TRACE(StrFormat("fragments=%d coordinator=PE %d", fragments,
+                             coordinator));
+      MachineConfig config;
+      config.pes = 8;
+      config.coordinator_pes = {coordinator};
+      PrismaDb db(config);
+      LoadBig(db, fragments);
+      const uint64_t frames0 = ClientFrames(db);
+      const uint64_t streamed0 = Streamed(db);
+      TrainTiming timing;
+      TapTrain(db, &timing);
+      const QueryResult result = MustExecute(db, kSortSql);
+      db.runtime().SetMailTap(nullptr);
+      EXPECT_EQ(Rendered(result), reference);
+      ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kRows));
+      EXPECT_EQ(ClientFrames(db) - frames0, ExpectedFrames(kRows));
+      // Only a multi-fragment table has a distributed sort to forward.
+      EXPECT_EQ(Streamed(db) - streamed0, fragments > 1 ? 1u : 0u);
+      if (RunsOutlastTheWindow(config, kRows, fragments) &&
+          coordinator == 0) {
+        ExpectPipelined(timing);
       }
     }
   }
@@ -174,22 +168,17 @@ TEST(ResultStreamTest, SevenLongRunsPipeline) {
   // four): producers wait on the merge's acks, and the train starts
   // before the last run ends.
   constexpr int kLongRows = 7 * 400;
-  for (const exec::ExecMode mode :
-       {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
-    SCOPED_TRACE(mode == exec::ExecMode::kRow ? "row" : "vectorized");
-    MachineConfig config;
-    config.pes = 8;
-    config.exec_mode = mode;
-    ASSERT_TRUE(RunsOutlastTheWindow(config, kLongRows, 7));
-    PrismaDb db(config);
-    LoadBig(db, /*fragments=*/7, kLongRows);
-    TrainTiming timing;
-    TapTrain(db, &timing);
-    const QueryResult result = MustExecute(db, kSortSql);
-    db.runtime().SetMailTap(nullptr);
-    ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kLongRows));
-    ExpectPipelined(timing);
-  }
+  MachineConfig config;
+  config.pes = 8;
+  ASSERT_TRUE(RunsOutlastTheWindow(config, kLongRows, 7));
+  PrismaDb db(config);
+  LoadBig(db, /*fragments=*/7, kLongRows);
+  TrainTiming timing;
+  TapTrain(db, &timing);
+  const QueryResult result = MustExecute(db, kSortSql);
+  db.runtime().SetMailTap(nullptr);
+  ASSERT_EQ(result.tuples.size(), static_cast<size_t>(kLongRows));
+  ExpectPipelined(timing);
 }
 
 TEST(ResultStreamTest, SequentialScatterMergesTheSameAnswer) {

@@ -94,14 +94,10 @@ TEST(PlanCacheTest, HitMissAndCounters) {
   // Same shape, different literal: distinct plan, distinct entry.
   EXPECT_EQ(cache.Lookup(MakeKey("SELECT V FROM T WHERE ID = ?", {"2"})),
             nullptr);
-  // Same shape + literal, different exec mode: distinct entry.
-  PlanCache::Key vectorized = key;
-  vectorized.exec_mode = exec::ExecMode::kVectorized;
-  EXPECT_EQ(cache.Lookup(vectorized), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(metrics.CounterValue("query.plan_cache.hit"), 1u);
-  EXPECT_EQ(metrics.CounterValue("query.plan_cache.miss"), 3u);
+  EXPECT_EQ(metrics.CounterValue("query.plan_cache.miss"), 2u);
 }
 
 TEST(PlanCacheTest, FifoEvictionAtCapacity) {

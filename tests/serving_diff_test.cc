@@ -1,12 +1,10 @@
 // Serving differential suite (DESIGN.md §15.4): the shared plan cache
-// must be answer-invisible. Across 50 seeds x {1,3,7} fragments x both
-// execution modes, every workload statement is executed cold (fresh
-// epoch, cache miss) and again cached (hit) — the rendered answers must
-// be byte-identical. A second test interleaves DDL, replica failover and
-// exec-mode flips with cached traffic and asserts the invalidation
-// contract: epoch bumps exactly on DDL/failover/resync, never on a mere
-// mode flip (the mode lives in the key), and answers stay correct
-// throughout.
+// must be answer-invisible. Across 50 seeds x {1,3,7} fragments, every
+// workload statement is executed cold (fresh epoch, cache miss) and again
+// cached (hit) — the rendered answers must be byte-identical. A second
+// test interleaves DDL, replica failover and resync with cached traffic
+// and asserts the invalidation contract: the epoch bumps on each of
+// them, and answers stay correct throughout.
 
 #include <gtest/gtest.h>
 
@@ -61,40 +59,35 @@ std::vector<std::string> SeedStatements(uint64_t seed) {
   return out;
 }
 
-TEST(ServingDiffTest, ColdVsCachedByteIdenticalAcrossSeedsFragmentsModes) {
+TEST(ServingDiffTest, ColdVsCachedByteIdenticalAcrossSeedsAndFragments) {
   for (const int fragments : {1, 3, 7}) {
-    for (const exec::ExecMode mode :
-         {exec::ExecMode::kRow, exec::ExecMode::kVectorized}) {
-      MachineConfig config;
-      config.pes = 4;
-      PrismaDb db(config);
-      ASSERT_TRUE(WorkloadGenerator::SetupSchema(&db, kRows, fragments).ok());
-      uint64_t cold_misses = 0;
-      for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        // Fresh epoch: the first execution of each statement is cold.
-        db.plan_cache().Invalidate("test");
-        const uint64_t hits_before = db.plan_cache().hits();
-        for (const std::string& sql : SeedStatements(seed)) {
-          auto cold = db.Execute(sql, mode);
-          ASSERT_TRUE(cold.ok())
-              << sql << ": " << cold.status().ToString();
-          auto cached = db.Execute(sql, mode);
-          ASSERT_TRUE(cached.ok());
-          EXPECT_EQ(Render(*cold), Render(*cached))
-              << "cached answer differs (seed " << seed << ", fragments "
-              << fragments << ", mode " << static_cast<int>(mode) << "): "
-              << sql;
-        }
-        // Every repeat execution hit the cache.
-        EXPECT_GT(db.plan_cache().hits(), hits_before);
-        cold_misses = db.plan_cache().misses();
+    MachineConfig config;
+    config.pes = 4;
+    PrismaDb db(config);
+    ASSERT_TRUE(WorkloadGenerator::SetupSchema(&db, kRows, fragments).ok());
+    uint64_t cold_misses = 0;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      // Fresh epoch: the first execution of each statement is cold.
+      db.plan_cache().Invalidate("test");
+      const uint64_t hits_before = db.plan_cache().hits();
+      for (const std::string& sql : SeedStatements(seed)) {
+        auto cold = db.Execute(sql);
+        ASSERT_TRUE(cold.ok()) << sql << ": " << cold.status().ToString();
+        auto cached = db.Execute(sql);
+        ASSERT_TRUE(cached.ok());
+        EXPECT_EQ(Render(*cold), Render(*cached))
+            << "cached answer differs (seed " << seed << ", fragments "
+            << fragments << "): " << sql;
       }
-      EXPECT_GT(cold_misses, 0u);
+      // Every repeat execution hit the cache.
+      EXPECT_GT(db.plan_cache().hits(), hits_before);
+      cold_misses = db.plan_cache().misses();
     }
+    EXPECT_GT(cold_misses, 0u);
   }
 }
 
-TEST(ServingDiffTest, DdlFailoverAndModeFlipsInvalidateCorrectly) {
+TEST(ServingDiffTest, DdlFailoverAndResyncInvalidateCorrectly) {
   MachineConfig config;
   config.pes = 8;
   config.replicate_fragments = true;
@@ -123,22 +116,17 @@ TEST(ServingDiffTest, DdlFailoverAndModeFlipsInvalidateCorrectly) {
                                       {{"reason", "ddl"}}),
             0u);
 
-  // --- Exec-mode flip: no epoch bump, the mode is part of the key. The
-  // same statement caches one entry per mode and neither answers change.
-  auto row_cold = db.Execute(group_by, exec::ExecMode::kRow);
-  auto vec_cold = db.Execute(group_by, exec::ExecMode::kVectorized);
-  ASSERT_TRUE(row_cold.ok() && vec_cold.ok());
-  EXPECT_EQ(Render(*reference), Render(*row_cold));
-  EXPECT_EQ(Render(*reference), Render(*vec_cold));
-  EXPECT_EQ(db.plan_cache().epoch(), epoch0 + 1);
-  EXPECT_EQ(db.plan_cache().size(), 2u);
+  // --- After the DDL the statement plans once more, then hits again.
+  auto cold = db.Execute(group_by);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(Render(*reference), Render(*cold));
+  EXPECT_EQ(db.plan_cache().size(), 1u);
   const uint64_t hits_before = db.plan_cache().hits();
-  auto row_hit = db.Execute(group_by, exec::ExecMode::kRow);
-  auto vec_hit = db.Execute(group_by, exec::ExecMode::kVectorized);
-  ASSERT_TRUE(row_hit.ok() && vec_hit.ok());
-  EXPECT_EQ(db.plan_cache().hits(), hits_before + 2);
-  EXPECT_EQ(Render(*reference), Render(*row_hit));
-  EXPECT_EQ(Render(*reference), Render(*vec_hit));
+  auto hit = db.Execute(group_by);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(db.plan_cache().hits(), hits_before + 1);
+  EXPECT_EQ(db.plan_cache().epoch(), epoch0 + 1);
+  EXPECT_EQ(Render(*reference), Render(*hit));
 
   // --- Replica failover invalidates: when the GDH sheds a dead replica
   // from 2PC, placement changed and the epoch must move. (The read path

@@ -1,11 +1,11 @@
-// Row-vs-vectorized differential harness (DESIGN.md §12.3): every seeded
-// workload runs twice on machines that are identical except for
-// MachineConfig::exec_mode, and the two runs must produce byte-identical
-// answers (canonicalized by sort where the query imposes no order),
-// identical shipped-batch counts on the exchange layer, and identical
-// fixpoint round/delta/pairs statistics. Both runs ship the same column
-// frames, which must be smaller than the boxed-row encoding of the same
-// rows.
+// Interpreted-vs-compiled differential harness over the one batch spine
+// (DESIGN.md §12.3): every seeded workload runs twice on machines that
+// are identical except for MachineConfig::expr_mode, and the two runs
+// must produce byte-identical answers (canonicalized by sort where the
+// query imposes no order), identical shipped-batch counts and wire bits
+// on the exchange layer, and identical fixpoint round/delta/pairs
+// statistics. Both runs ship the same column frames, which must be
+// smaller than the boxed-row encoding of the same rows.
 
 #include <gtest/gtest.h>
 
@@ -158,11 +158,11 @@ QueryResult MustExecute(PrismaDb& db, const std::string& sql) {
 /// Builds one machine, loads the seeded dataset under `layout`, runs the
 /// whole workload and collects canonical results plus wire statistics.
 RunStats RunWorkload(uint64_t seed, int fragments, Layout layout,
-                     exec::ExecMode mode) {
+                     exec::ExprMode mode) {
   const Dataset data = RandomDataset(seed);
   MachineConfig config;
   config.pes = 8;
-  config.exec_mode = mode;
+  config.expr_mode = mode;
   PrismaDb db(config);
 
   // fact(k INT, v INT, s STRING); dim(k INT, label STRING). fact always
@@ -264,31 +264,31 @@ void CheckCell(uint64_t seed, int fragments, Layout layout) {
   SCOPED_TRACE(StrFormat("seed=%llu fragments=%d layout=%s",
                          static_cast<unsigned long long>(seed), fragments,
                          LayoutName(layout)));
-  const RunStats row = RunWorkload(seed, fragments, layout,
-                                   exec::ExecMode::kRow);
-  const RunStats vec = RunWorkload(seed, fragments, layout,
-                                   exec::ExecMode::kVectorized);
-  ASSERT_EQ(row.results.size(), vec.results.size());
-  for (size_t q = 0; q < row.results.size(); ++q) {
+  const RunStats compiled = RunWorkload(seed, fragments, layout,
+                                        exec::ExprMode::kCompiled);
+  const RunStats interpreted = RunWorkload(seed, fragments, layout,
+                                           exec::ExprMode::kInterpreted);
+  ASSERT_EQ(compiled.results.size(), interpreted.results.size());
+  for (size_t q = 0; q < compiled.results.size(); ++q) {
     SCOPED_TRACE(StrFormat("query=%zu", q));
-    EXPECT_EQ(row.results[q], vec.results[q]);
+    EXPECT_EQ(compiled.results[q], interpreted.results[q]);
   }
   // Identical partitions and framing: the same number of batches ships in
-  // both modes (the frames themselves differ in encoding).
-  EXPECT_EQ(row.exchange_batches, vec.exchange_batches);
+  // both modes.
+  EXPECT_EQ(compiled.exchange_batches, interpreted.exchange_batches);
   // The fixpoint's distributed statistics are mode-invariant.
-  EXPECT_EQ(row.fixpoint_rounds, vec.fixpoint_rounds);
-  EXPECT_EQ(row.fixpoint_delta, vec.fixpoint_delta);
-  EXPECT_EQ(row.fixpoint_pairs, vec.fixpoint_pairs);
+  EXPECT_EQ(compiled.fixpoint_rounds, interpreted.fixpoint_rounds);
+  EXPECT_EQ(compiled.fixpoint_delta, interpreted.fixpoint_delta);
+  EXPECT_EQ(compiled.fixpoint_pairs, interpreted.fixpoint_pairs);
   // One wire format: both modes ship the same column frames...
-  EXPECT_EQ(row.exchange_wire_bits, vec.exchange_wire_bits);
-  EXPECT_EQ(row.fixpoint_wire_bits, vec.fixpoint_wire_bits);
-  EXPECT_EQ(row.batch_bits, vec.batch_bits);
+  EXPECT_EQ(compiled.exchange_wire_bits, interpreted.exchange_wire_bits);
+  EXPECT_EQ(compiled.fixpoint_wire_bits, interpreted.fixpoint_wire_bits);
+  EXPECT_EQ(compiled.batch_bits, interpreted.batch_bits);
   // ...measurably smaller than the row encoding of the same rows whenever
   // anything shipped (ints are frame-of-reference packed, nulls are
   // bitmapped; the row encoding spends 16 bytes of framing per tuple).
-  if (row.batch_bits > 0) {
-    EXPECT_LT(row.batch_bits, row.batch_row_model_bits);
+  if (compiled.batch_bits > 0) {
+    EXPECT_LT(compiled.batch_bits, compiled.batch_row_model_bits);
   }
 }
 
@@ -366,14 +366,12 @@ TEST(VectorizedDiffTest, LayoutsForceDistinctJoinStrategies) {
   }
 }
 
-// ------------------------------------------------- Vectorized EXPLAIN ANALYZE
+// ------------------------------------------------------ EXPLAIN ANALYZE
 
-/// EXPLAIN ANALYZE under the vectorized mode reports per-operator batch
-/// counts alongside rows.
+/// EXPLAIN ANALYZE reports per-operator batch counts alongside rows.
 TEST(VectorizedDiffTest, ExplainAnalyzeReportsBatches) {
   MachineConfig config;
   config.pes = 4;
-  config.exec_mode = exec::ExecMode::kVectorized;
   PrismaDb db(config);
   MustExecute(db, "CREATE TABLE t (x INT, y INT) "
                   "FRAGMENTED BY HASH(x) INTO 3 FRAGMENTS");
@@ -388,23 +386,6 @@ TEST(VectorizedDiffTest, ExplainAnalyzeReportsBatches) {
   std::string text;
   for (const Tuple& t : analyzed.tuples) text += t.ToString() + "\n";
   EXPECT_NE(text.find("batches="), std::string::npos) << text;
-}
-
-/// A per-statement override flips one statement to the vectorized path on
-/// an otherwise row-mode machine, and both agree.
-TEST(VectorizedDiffTest, PerStatementModeOverride) {
-  MachineConfig config;
-  config.pes = 4;
-  PrismaDb db(config);
-  MustExecute(db, "CREATE TABLE t (x INT) "
-                  "FRAGMENTED BY HASH(x) INTO 3 FRAGMENTS");
-  MustExecute(db, "INSERT INTO t VALUES (1), (2), (3), (4), (5)");
-  auto row = db.Execute("SELECT * FROM t WHERE x >= 2");
-  auto vec = db.Execute("SELECT * FROM t WHERE x >= 2",
-                        exec::ExecMode::kVectorized);
-  ASSERT_TRUE(row.ok());
-  ASSERT_TRUE(vec.ok());
-  EXPECT_EQ(Canonical(row->tuples, false), Canonical(vec->tuples, false));
 }
 
 }  // namespace
