@@ -19,7 +19,11 @@ interprets. This check fails the build when any of those links dangle:
      bench/CMakeLists.txt names a flag the bench parses: its string
      literal ("--<flag>") appears in bench/bench_<name>.cc, or in
      bench/bench_util.h when the bench includes it (`--smoke`). CHANGES.md
-     is history and keeps the flags as they were.
+     is history and keeps the flags as they were;
+  6. every backticked `<Name>Process` in the root documents of the README
+     "Documentation map" names a class declared (`class <Name>Process`)
+     in src/ — no doc describes a process that is gone. CHANGES.md is
+     history, and the frozen vbench/ is not a root document.
 
 Usage: check_docs.py [repo-root]   (defaults to the parent of scripts/)
 """
@@ -164,6 +168,42 @@ def check_bench_flags(root, problems):
                             f"parses no such flag")
 
 
+# A process class named inside a backtick span: `OfmProcess`,
+# `QueryProcess::Scatter`, `gdh::GdhProcess`.
+PROCESS_RE = re.compile(r"\b([A-Z]\w*Process)\b")
+
+
+def check_process_names(root, problems):
+    declared = set()
+    for dirpath, _, files in os.walk(os.path.join(root, "src")):
+        for f in files:
+            if f.endswith((".h", ".cc")):
+                text = open(os.path.join(dirpath, f), encoding="utf-8").read()
+                declared.update(re.findall(r"\bclass\s+(\w+Process)\b", text))
+    readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
+    docs = re.findall(r"^\| `(\w+\.md)`", readme, re.M)
+    for doc in sorted(set(docs) - {"CHANGES.md"}):
+        doc_text = open(os.path.join(root, doc), encoding="utf-8").read()
+        # Backticks pair up within a paragraph: a span may wrap lines, but
+        # blank lines and code fences end it.
+        block, start = [], 1
+        for lineno, line in enumerate(doc_text.splitlines() + [""], 1):
+            if line.strip() and not line.lstrip().startswith("```"):
+                if not block:
+                    start = lineno
+                block.append(line)
+                continue
+            text = "\n".join(block)
+            block = []
+            for span in re.finditer(r"`([^`]+)`", text):
+                for name in PROCESS_RE.findall(span.group(1)):
+                    if name not in declared:
+                        at = start + text.count("\n", 0, span.start())
+                        problems.append(
+                            f"{doc}:{at}: `{name}` is not declared "
+                            f"(class {name}) anywhere in src/")
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -175,10 +215,11 @@ def main():
     check_bench_emitters(root, problems)
     check_experiment_index(root, problems)
     check_bench_flags(root, problems)
+    check_process_names(root, problems)
     if problems:
         return fail(problems)
     print("check_docs: OK (section references, bench artifacts, the "
-          "experiment index and bench flags are in sync)")
+          "experiment index, bench flags and process names are in sync)")
     return 0
 
 

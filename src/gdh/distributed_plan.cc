@@ -171,7 +171,7 @@ std::unique_ptr<Plan> MakePart(std::unique_ptr<Plan> subtree,
   const size_t index = out->parts.size();
   const Schema schema = subtree->schema();
   out->parts.push_back(
-      LocalPart{table, second_table, std::move(subtree), nullptr, nullptr});
+      LocalPart{table, second_table, std::move(subtree), nullptr});
   std::unique_ptr<Plan> scan = ScanPlan::Create(PartName(index), schema);
   if (has_distinct) scan = DistinctPlan::Create(std::move(scan));
   return scan;
@@ -311,12 +311,14 @@ StatusOr<std::unique_ptr<Plan>> TryExchangeJoin(std::unique_ptr<Plan>& plan,
     if (c.cost < best->cost) best = &c;
   }
 
-  auto spec = std::make_shared<ExchangeJoinSpec>();
+  auto spec = std::make_shared<ExchangeSpec>();
   spec->strategy = best->strategy;
-  spec->left_table = table_l;
-  spec->right_table = table_r;
+  spec->inputs = {
+      {table_l, std::shared_ptr<const Plan>(plan->child(0)->Clone()),
+       keys[best->route].first},
+      {table_r, std::shared_ptr<const Plan>(plan->child(1)->Clone()),
+       keys[best->route].second}};
   spec->keys = keys;
-  spec->route_key = best->route;
   spec->schema = join.schema();
   spec->moved_rows = best->cost;
   if (join.predicate() != nullptr) {
@@ -341,8 +343,6 @@ StatusOr<std::unique_ptr<Plan>> TryExchangeJoin(std::unique_ptr<Plan>& plan,
       spec->build_side = rows_l <= rows_r ? 0 : 1;
       break;
   }
-  spec->left_plan = std::shared_ptr<const Plan>(plan->child(0)->Clone());
-  spec->right_plan = std::shared_ptr<const Plan>(plan->child(1)->Clone());
 
   // EXPLAIN rendering: the join with Exchange nodes marking moving sides.
   const bool broadcast =
@@ -356,7 +356,7 @@ StatusOr<std::unique_ptr<Plan>> TryExchangeJoin(std::unique_ptr<Plan>& plan,
         broadcast ? algebra::ExchangePlan::Mode::kBroadcast
                   : algebra::ExchangePlan::Mode::kHashPartition,
         broadcast ? std::vector<size_t>{}
-                  : std::vector<size_t>{keys[best->route].first});
+                  : std::vector<size_t>{spec->inputs[0].route_column});
   }
   if (ExchangeSideMoves(best->strategy, 1)) {
     shown_r = algebra::ExchangePlan::Create(
@@ -364,7 +364,7 @@ StatusOr<std::unique_ptr<Plan>> TryExchangeJoin(std::unique_ptr<Plan>& plan,
         broadcast ? algebra::ExchangePlan::Mode::kBroadcast
                   : algebra::ExchangePlan::Mode::kHashPartition,
         broadcast ? std::vector<size_t>{}
-                  : std::vector<size_t>{keys[best->route].second});
+                  : std::vector<size_t>{spec->inputs[1].route_column});
   }
   ASSIGN_OR_RETURN(
       std::unique_ptr<algebra::JoinPlan> shown,
@@ -552,8 +552,8 @@ StatusOr<std::unique_ptr<Plan>> TryAggregatePushdown(
 }
 
 /// Deep-copies `plan`, substituting `replacement` for the (single) Scan
-/// of `name` — used to render OLAP merge plans with an Exchange-marked
-/// producer in place of their runtime input scan.
+/// of `name` — used to render a consumer's plan with its input (a join,
+/// or an Exchange-marked producer) in place of its runtime input scan.
 std::unique_ptr<Plan> ReplaceScan(const Plan& plan, const std::string& name,
                                   std::unique_ptr<Plan>& replacement) {
   if (plan.kind() == PlanKind::kScan &&
@@ -601,7 +601,7 @@ StatusOr<std::unique_ptr<Plan>> TryJoinAggregatePushdown(
   part.plan = std::shared_ptr<const Plan>(
       ReplaceScan(*partial.plan, OlapInputName(), joined));
   if (part.exchange != nullptr) {
-    auto spec = std::make_shared<ExchangeJoinSpec>(*part.exchange);
+    auto spec = std::make_shared<ExchangeSpec>(*part.exchange);
     spec->post_plan = std::shared_ptr<const Plan>(std::move(partial.plan));
     part.exchange = std::move(spec);
   }
@@ -609,32 +609,6 @@ StatusOr<std::unique_ptr<Plan>> TryJoinAggregatePushdown(
   return BuildCombineAggregate(
       agg, partial_schema, partial.combine,
       ScanPlan::Create(PartName(out->parts.size() - 1), partial_schema));
-}
-
-/// Registers a multi-stage OLAP group-by part and returns its global
-/// replacement scan. The display plan is the merge plan with its input
-/// scan replaced by an Exchange over the producer.
-std::unique_ptr<Plan> MakeOlapPart(std::shared_ptr<OlapSpec> spec,
-                                   std::unique_ptr<Plan> producer,
-                                   std::unique_ptr<Plan> merge,
-                                   DistributedPlan* out) {
-  spec->schema = merge->schema();
-  std::unique_ptr<Plan> marked = algebra::ExchangePlan::Create(
-      producer->Clone(), algebra::ExchangePlan::Mode::kHashPartition,
-      {spec->partition_column});
-  std::unique_ptr<Plan> display =
-      ReplaceScan(*merge, OlapInputName(), marked);
-  spec->producer_plan = std::shared_ptr<const Plan>(std::move(producer));
-  spec->merge_plan = std::shared_ptr<const Plan>(std::move(merge));
-  const size_t index = out->parts.size();
-  const Schema schema = spec->schema;
-  LocalPart part;
-  part.table = spec->table;
-  part.plan = std::shared_ptr<const Plan>(std::move(display));
-  part.olap = std::move(spec);
-  out->parts.push_back(std::move(part));
-  ++out->olap_parts;
-  return ScanPlan::Create(PartName(index), schema);
 }
 
 /// Lowers Aggregate(local-candidate) with a non-empty GROUP BY onto the
@@ -647,7 +621,6 @@ std::unique_ptr<Plan> MakeOlapPart(std::shared_ptr<OlapSpec> spec,
 /// replacement part scan or null when the shape does not apply.
 StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
                                                const DataDictionary& dictionary,
-                                               const OptimizerRules& rules,
                                                DistributedPlan* out) {
   auto& agg = static_cast<AggregatePlan&>(*plan);
   if (agg.group_by().empty()) return std::unique_ptr<Plan>();
@@ -667,44 +640,30 @@ StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
   const double rows =
       std::max(1.0, static_cast<double>((*info)->TotalRows()));
   // No per-column NDV statistics exist in the dictionary; sqrt(rows) is
-  // the classic distinct-count guess, overridable per statement via
-  // rules.olap_agg_strategy.
+  // the classic distinct-count guess.
   const double est_groups = std::sqrt(rows);
-
-  bool pre_aggregate = true;
-  switch (rules.olap_agg_strategy) {
-    case OptimizerRules::OlapAggStrategy::kPreAggregate:
-      pre_aggregate = true;
-      break;
-    case OptimizerRules::OlapAggStrategy::kDirect:
-      pre_aggregate = false;
-      break;
-    case OptimizerRules::OlapAggStrategy::kAuto:
-      // Pre-aggregation ships <= fragments * groups partial rows; direct
-      // ships every base row once.
-      pre_aggregate = fragments * est_groups < rows;
-      break;
-  }
-  // Direct mode routes base rows by the first group column, so it needs
-  // that key to be a plain column of the producer output.
+  // Pre-aggregation ships <= fragments * groups partial rows; direct ships
+  // every base row once. Direct mode routes base rows by the first group
+  // column, so it needs that key to be a plain column of the producer
+  // output.
   const Expr& g0 = *agg.group_by()[0];
-  const bool g0_is_column =
-      g0.kind() == algebra::ExprKind::kColumnRef && g0.bound();
-  if (!pre_aggregate && !g0_is_column) pre_aggregate = true;
+  const bool pre_aggregate =
+      fragments * est_groups < rows ||
+      g0.kind() != algebra::ExprKind::kColumnRef || !g0.bound();
 
-  auto spec = std::make_shared<OlapSpec>();
-  spec->table = table;
+  auto spec = std::make_shared<ExchangeSpec>();
+  spec->anchor_table = table;
   spec->pre_aggregate = pre_aggregate;
   spec->est_groups = est_groups;
 
   std::unique_ptr<Plan> producer;
   std::unique_ptr<Plan> merge;
+  size_t route_column = 0;  // First group column of the partial rows.
   if (pre_aggregate) {
     ASSIGN_OR_RETURN(PartialAggregate partial,
                      BuildPartialAggregate(agg, plan->TakeChild(0)));
     const Schema partial_schema = partial.plan->schema();
     producer = std::move(partial.plan);
-    spec->partition_column = 0;  // First group column of the partial rows.
     ASSIGN_OR_RETURN(
         merge, BuildCombineAggregate(
                    agg, partial_schema, partial.combine,
@@ -712,7 +671,7 @@ StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
     out->pushed_aggregate = true;
   } else {
     producer = plan->TakeChild(0);
-    spec->partition_column = g0.column_index();
+    route_column = g0.column_index();
     // The merge consumer runs the original aggregate over its slice of
     // base rows: same group key -> same consumer, so slices are disjoint
     // and complete.
@@ -732,8 +691,26 @@ StatusOr<std::unique_ptr<Plan>> TryOlapGroupBy(std::unique_ptr<Plan>& plan,
             std::move(groups), group_names, std::move(aggs)));
     merge = std::move(merged);
   }
-  return MakeOlapPart(std::move(spec), std::move(producer), std::move(merge),
-                      out);
+
+  // EXPLAIN rendering: the merge plan with its input scan replaced by an
+  // Exchange over the producer.
+  std::unique_ptr<Plan> marked = algebra::ExchangePlan::Create(
+      producer->Clone(), algebra::ExchangePlan::Mode::kHashPartition,
+      {route_column});
+  std::unique_ptr<Plan> display = ReplaceScan(*merge, OlapInputName(), marked);
+  spec->schema = producer->schema();
+  spec->inputs = {{table, std::shared_ptr<const Plan>(std::move(producer)),
+                   route_column, /*keep_nulls=*/true}};
+  spec->post_plan = std::shared_ptr<const Plan>(std::move(merge));
+  const size_t index = out->parts.size();
+  const Schema schema = display->schema();
+  LocalPart part;
+  part.table = table;
+  part.plan = std::shared_ptr<const Plan>(std::move(display));
+  part.exchange = std::move(spec);
+  out->parts.push_back(std::move(part));
+  ++out->olap_parts;
+  return std::unique_ptr<Plan>(ScanPlan::Create(PartName(index), schema));
 }
 
 /// Lowers Sort(local-candidate) with plain-column keys to sorted runs
@@ -789,7 +766,7 @@ StatusOr<std::unique_ptr<Plan>> SplitNode(std::unique_ptr<Plan> plan,
   if (plan->kind() == PlanKind::kAggregate) {
     if (rules.distributed_olap) {
       ASSIGN_OR_RETURN(std::unique_ptr<Plan> lowered,
-                       TryOlapGroupBy(plan, dictionary, rules, out));
+                       TryOlapGroupBy(plan, dictionary, out));
       if (lowered != nullptr) return lowered;
     }
     if (rules.aggregate_pushdown) {

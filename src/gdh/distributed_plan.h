@@ -23,10 +23,11 @@ std::string PartName(size_t index);
 std::string OlapInputName();
 
 /// How the streaming exchange layer (DESIGN.md §10) executes one
-/// non-colocated equi-join: which side(s) leave their producing PEs, and
-/// how their tuples are routed onto the consumer fragments.
+/// exchange part: which input(s) leave their producing PEs, and how their
+/// tuples are routed onto the consumer fragments. A group-by shuffles its
+/// one input (kShuffleBoth).
 enum class ExchangeStrategy : uint8_t {
-  kShuffleBoth,      // Hash-repartition both inputs on the join key.
+  kShuffleBoth,      // Hash-repartition every input on its key.
   kShuffleLeft,      // Ship the left input to the right table's fragments.
   kShuffleRight,     // Ship the right input to the left table's fragments.
   kBroadcastLeft,    // Replicate the left input to every right fragment.
@@ -39,54 +40,57 @@ const char* ExchangeStrategyName(ExchangeStrategy strategy);
 /// channels) under `strategy`; side 0 = left, 1 = right.
 bool ExchangeSideMoves(ExchangeStrategy strategy, int side);
 
-/// Everything the coordinator needs to run one exchange-lowered join:
-/// the per-table producer plans (Scan nodes name the base table and are
-/// retargeted per fragment), the consumer anchor, and the join shape.
-struct ExchangeJoinSpec {
+/// Everything the coordinator needs to run one exchange part (DESIGN.md
+/// §10): producers at every fragment of each moving input run its plan
+/// and route the output into one consumer per fragment of the anchor
+/// table, which replies with its share of the part's result.
+///
+/// A join has two inputs plus its keys, build side and predicate; the
+/// consumers pipeline the moving side(s) through a hash join. A global
+/// group-by (§14.2) has one moving input, hash-routed on the group column
+/// with NULL keys kept, and no join keys: each consumer drains its channels
+/// and runs `post_plan`, the merge, over its disjoint slice of the groups.
+struct ExchangeSpec {
+  struct Input {
+    std::string table;
+    /// Per-fragment producer plan (its Scan names `table`).
+    std::shared_ptr<const algebra::Plan> plan;
+    /// Column of the producer output hashed for routing (shuffles).
+    size_t route_column = 0;
+    /// Route NULL keys to consumer 0 instead of dropping them: a NULL
+    /// group is still a group, while a NULL join key never matches.
+    bool keep_nulls = false;
+  };
   ExchangeStrategy strategy = ExchangeStrategy::kShuffleBoth;
-  std::string left_table;
-  std::string right_table;
-  std::shared_ptr<const algebra::Plan> left_plan;
-  std::shared_ptr<const algebra::Plan> right_plan;
+  /// inputs[0] is the left input of a join, or a group-by's only input.
+  std::vector<Input> inputs;
   /// Consumers run co-located with this table's fragments, one each: the
-  /// stationary side, or the more-fragmented side for shuffle-both.
+  /// stationary side, the more-fragmented side for shuffle-both, or a
+  /// group-by's input table.
   std::string anchor_table;
   int build_side = 0;  // 0 = left input builds the hash table.
-  /// Equi-key pairs (left input column, right input column).
+  /// Equi-key pairs (left input column, right input column); empty for a
+  /// group-by.
   std::vector<std::pair<size_t, size_t>> keys;
-  /// Index into `keys` of the pair used for hash routing (shuffles).
-  size_t route_key = 0;
   /// Full join predicate, bound over concat(left, right).
   std::shared_ptr<const algebra::Expr> predicate;
-  Schema schema;  // Join output schema.
+  /// Consumer output before `post_plan`: the join output, or a group-by's
+  /// shuffled-in rows.
+  Schema schema;
   /// Modeled tuples shipped by the chosen strategy (cost/EXPLAIN).
   double moved_rows = 0;
-  /// Plan each consumer runs over its share of the join output (a Scan of
-  /// OlapInputName() with `schema`) before replying: the partial half of
-  /// an aggregate pushed onto the join. Null: reply with the joined rows.
+  /// Plan each consumer runs over its rows (a Scan of OlapInputName()
+  /// with `schema`) before replying: the partial half of an aggregate
+  /// pushed onto a join, or a group-by's merge. Null: reply with the
+  /// joined rows.
   std::shared_ptr<const algebra::Plan> post_plan;
-};
-
-/// Everything the coordinator needs to run one exchange-lowered global
-/// group-by (DESIGN.md §14.2) as a multi-stage plan: producers at every
-/// fragment of `table` run `producer_plan` and shuffle its rows by group
-/// key into one merge consumer per fragment; each consumer materializes
-/// its inbound slice under OlapInputName() and runs `merge_plan` over it,
-/// replying with final rows only. The coordinator never sees a base tuple.
-struct OlapSpec {
-  std::string table;
-  /// Per-fragment producer plan (its Scan names the base table).
-  std::shared_ptr<const algebra::Plan> producer_plan;
-  /// Consumer-side merge plan (its Scan names OlapInputName()).
-  std::shared_ptr<const algebra::Plan> merge_plan;
-  /// Producers aggregate locally before the shuffle (the partial/combine
-  /// decomposition), vs shipping base rows directly.
+  /// Group-by only (EXPLAIN): producers aggregate locally before the
+  /// shuffle (vs shipping base rows), and the group-count estimate behind
+  /// that pick.
   bool pre_aggregate = false;
-  /// Column of the producer output hashed for routing. NULL keys route
-  /// to consumer 0 (a NULL group is still a group).
-  size_t partition_column = 0;
-  Schema schema;          // Part output schema (merge plan output).
-  double est_groups = 0;  // Cost-model estimate behind the strategy pick.
+  double est_groups = 0;
+
+  bool group_by() const { return inputs.size() == 1; }
 };
 
 /// One fragment-parallel unit of a distributed query: a plan to run at
@@ -97,19 +101,15 @@ struct OlapSpec {
 /// scans both tables and runs at the PE hosting fragment i of each
 /// (tables are co-partitioned on the join key and placement-aligned).
 ///
-/// When `exchange` is set the part is an *exchange join*: `plan` is only
-/// the EXPLAIN rendering (Join over Exchange-marked inputs, under the
-/// spec's post-join plan if any); execution is driven by the spec —
-/// producers at each moving fragment, pipelined consumers at the anchor
-/// fragments.
+/// When `exchange` is set the part is an *exchange part* (a join or a
+/// group-by): `plan` is only the EXPLAIN rendering (the Join or the merge
+/// over Exchange-marked inputs); execution is driven by the spec —
+/// producers at each moving fragment, consumers at the anchor fragments.
 struct LocalPart {
   std::string table;
   std::string second_table;  // Empty for single-table parts.
   std::shared_ptr<const algebra::Plan> plan;
-  std::shared_ptr<const ExchangeJoinSpec> exchange;
-  /// Set for a multi-stage OLAP group-by part; `plan` is then only the
-  /// EXPLAIN rendering.
-  std::shared_ptr<const OlapSpec> olap;
+  std::shared_ptr<const ExchangeSpec> exchange;
   /// Set for a sorted-run part: every fragment runs `plan` (its local
   /// Sort, under a Limit for Top-N) and streams the run to the
   /// coordinator, which merges the runs on the Sort's keys.

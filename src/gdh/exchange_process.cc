@@ -30,8 +30,12 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
   // a moving side; a stationary input can always stream into the probe.
   PRISMA_CHECK(Side(config_.build_side).moving);
   const SideSpec& probe = Side(1 - config_.build_side);
-  PRISMA_CHECK(probe.moving || probe.local_plan != nullptr);
-  PRISMA_CHECK(!config_.keys.empty());
+  if (join_.null()) {
+    PRISMA_CHECK(config_.build_side == 0 && !probe.moving &&
+                 probe.local_plan == nullptr);
+  } else {
+    PRISMA_CHECK(probe.moving || probe.local_plan != nullptr);
+  }
 }
 
 StreamReceiver::Options ShuffleConsumerOptions(size_t index,
@@ -78,6 +82,7 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
 
 std::unique_ptr<exec::PipelinedHashJoin>
 ExchangeConsumerProcess::MakeJoin() {
+  if (config_.keys.empty()) return nullptr;
   exec::PipelinedHashJoin::Options options;
   const bool build_left = config_.build_side == 0;
   options.build_is_left = build_left;
@@ -152,17 +157,29 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
 void ExchangeConsumerProcess::Pump() {
   if (reply_.sent()) return;
 
-  // Build phase: insert in-order build batches into the hash table.
+  // Build phase: insert in-order build batches into the hash table. A
+  // one-input consumer collects them in fixed channel order, which keeps
+  // its rows deterministic given the (deterministic) delivery schedule.
   bool build_channels_done = true;
   for (exec::InboundChannel& channel : *build_channels_) {
     for (exec::TupleBatch& batch : channel.TakeReady()) {
       if (failed_) continue;
-      for (Tuple& tuple : batch.tuples) join_->AddBuild(std::move(tuple));
+      for (Tuple& tuple : batch.tuples) {
+        if (!join_.null()) {
+          join_->AddBuild(std::move(tuple));
+        } else {
+          results_->push_back(std::move(tuple));
+        }
+      }
     }
     if (!channel.done()) build_channels_done = false;
   }
   if (!build_done_ && build_channels_done) {
     build_done_ = true;
+    if (join_.null()) {
+      SendReply(Status::OK());
+      return;
+    }
     join_->FinishBuild();
     ChargeJoinDelta();
   }
@@ -242,7 +259,7 @@ void ExchangeConsumerProcess::SendReply(Status status) {
     results_->clear();
     if (config_.post_plan != nullptr) {
       StatusOr<std::vector<Tuple>> post = RunPlanOverRows(
-          this, *config_.post_plan, config_.join_schema, std::move(rows),
+          this, *config_.post_plan, config_.input_schema, std::move(rows),
           config_.expr_mode, config_.costs);
       if (post.ok()) {
         rows = std::move(post).value();

@@ -20,11 +20,13 @@ namespace prisma::gdh {
 /// Consumer endpoint of one streaming exchange (DESIGN.md §10): a
 /// short-lived POOL-X process spawned by the query coordinator on the PE
 /// of one anchor fragment. It receives flow-controlled tuple batches from
-/// the moving side(s) of an exchange-lowered join, pipelines them into the
-/// build and probe phases of a hash join (no full-input materialization),
-/// runs the post-join plan (a partial aggregate) over its share of the
-/// join result if it has one, and answers the coordinator with a normal
-/// ExecPlanReply carrying those rows.
+/// the moving input(s) of an exchange part and answers the coordinator
+/// with a normal ExecPlanReply. With two inputs (a join) it pipelines them
+/// into the build and probe phases of a hash join (no full-input
+/// materialization); with one input and no keys (a group-by, §14.2) it
+/// drains its channels in channel order. Either way it then runs the
+/// post plan (a partial aggregate, or a group-by's merge) over its rows
+/// if it has one.
 ///
 /// Fault tolerance is the transport's (gdh/transport.h): inbound batches
 /// are seq-deduplicated per channel (duplicated or re-executed producers
@@ -34,10 +36,11 @@ namespace prisma::gdh {
 /// statement completion.
 class ExchangeConsumerProcess : public pool::Process {
  public:
-  /// One join input as seen by a consumer. A *moving* side arrives as
-  /// `producers` batch channels; a stationary side is executed locally
-  /// (`local_plan`, its Scan already retargeted at this PE's fragment)
-  /// against co-located fragments once the build side is complete.
+  /// One input as seen by a consumer. A *moving* side arrives as
+  /// `producers` batch channels; a stationary join side is executed
+  /// locally (`local_plan`, its Scan already retargeted at this PE's
+  /// fragment) against co-located fragments once the build side is
+  /// complete. A one-input consumer leaves `right` empty.
   struct SideSpec {
     bool moving = false;
     size_t producers = 0;
@@ -54,15 +57,16 @@ class ExchangeConsumerProcess : public pool::Process {
     SideSpec left;
     SideSpec right;
     /// Which input builds the hash table (0 = left). The build side is
-    /// always a moving side; a stationary side is always probed.
+    /// always a moving side; a stationary side is always probed. A
+    /// one-input consumer receives on side 0.
     int build_side = 0;
+    /// Join keys; empty for a one-input consumer, which joins nothing.
     std::vector<std::pair<size_t, size_t>> keys;
     std::shared_ptr<const algebra::Expr> predicate;
-    /// ExchangeJoinSpec::post_plan, run over this consumer's join output
-    /// (schema `join_schema`) before it replies; null: reply with the
-    /// joined rows.
+    /// ExchangeSpec::post_plan, run over this consumer's rows (schema
+    /// `input_schema`) before it replies; null: reply with the rows.
     std::shared_ptr<const algebra::Plan> post_plan;
-    Schema join_schema;
+    Schema input_schema;
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
     pool::CostModel costs;
     const PeLocalRegistry* registry = nullptr;  // Stationary-side scans.
@@ -83,11 +87,13 @@ class ExchangeConsumerProcess : public pool::Process {
  private:
   /// The pipelined join, with the residual predicate compiled; sets
   /// compiled_predicate_ and predicate_cost_ns_ (declared before join_).
+  /// Null for a one-input consumer.
   std::unique_ptr<exec::PipelinedHashJoin> MakeJoin();
   void HandleBatch(const pool::Mail& mail);
   /// Advances the pipeline: drains in-order build batches into the hash
-  /// table, seals the build on EOS, then probes (buffered + streaming
-  /// moving batches, or the local stationary input).
+  /// table (a one-input consumer: into its result, replying on EOS),
+  /// seals the build on EOS, then probes (buffered + streaming moving
+  /// batches, or the local stationary input).
   void Pump();
   Status ProbeTuples(const std::vector<Tuple>& tuples);
   void RunLocalProbe();
@@ -121,7 +127,8 @@ class ExchangeConsumerProcess : public pool::Process {
   exec::JoinCounters charged_;  // Counter snapshot of the last charge.
 };
 
-/// Receiver options of a shuffle consumer (exchange join or OLAP merge):
+/// Receiver options of a shuffle consumer (an exchange consumer, or the
+/// coordinator receiving sorted runs):
 /// acks stamped with `index` grant `credit_window`, and batches count
 /// under the exchange.* family labelled with the anchor `fragment`.
 StreamReceiver::Options ShuffleConsumerOptions(size_t index,
@@ -132,8 +139,8 @@ StreamReceiver::Options ShuffleConsumerOptions(size_t index,
 
 /// Runs `plan` over `rows` materialized under OlapInputName() with
 /// `schema`, charging `process`'s PE for the operator work: the one way a
-/// shuffle consumer executes a plan over rows it received (an OLAP merge
-/// plan, an exchange join's post-join plan).
+/// shuffle consumer executes a plan over rows it received (a group-by's
+/// merge plan, an exchange join's post-join plan).
 StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              const algebra::Plan& plan,
                                              const Schema& schema,

@@ -46,12 +46,6 @@ struct OptimizerRules {
   /// coordinator (DESIGN.md §14). Off = the gather baseline (the
   /// coordinator merges fragment results itself).
   bool distributed_olap = true;
-  /// How a distributed group-by ships rows (consumed by the splitter's
-  /// cost model): pre-aggregate per fragment before the shuffle, ship
-  /// base rows directly to the merge consumers, or let the estimated
-  /// group count decide (kAuto).
-  enum class OlapAggStrategy : uint8_t { kAuto, kPreAggregate, kDirect };
-  OlapAggStrategy olap_agg_strategy = OlapAggStrategy::kAuto;
 };
 
 struct OptimizerReport {

@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "gdh/exchange_process.h"
 #include "gdh/fixpoint_process.h"
-#include "gdh/olap_process.h"
 #include "prismalog/engine.h"
 #include "prismalog/parser.h"
 #include "sql/binder.h"
@@ -267,12 +266,12 @@ void QueryProcess::Reply(Status status, Schema schema,
     if (forward_runs_ && status.ok()) {
       config_.metrics->GetCounter("query.reply_streamed")->Increment();
     }
-    if (!olap_slices_.empty() || !runs_.empty()) {
+    if (!group_by_parts_.empty() || !runs_.empty()) {
       // Wire accounting of the OLAP parts (DESIGN.md §14.4): shuffle =
       // first transmissions of the producers' streams (group-by shuffles
-      // and sorted runs), gather = merge consumer replies.
+      // and sorted runs), gather = group-by consumer replies.
       config_.metrics->GetCounter("olap.parts", q)
-          ->Increment(olap_slices_.size() + runs_.size());
+          ->Increment(group_by_parts_.size() + runs_.size());
       config_.metrics->GetCounter("olap.shuffle_bits", q)
           ->Increment(olap_shuffle_bits_);
       config_.metrics->GetCounter("olap.gather_bits", q)
@@ -434,13 +433,12 @@ void QueryProcess::AcquireSelectLocks() {
   part_fragments_.clear();
   for (const LocalPart& part : split_->parts) {
     if (part.exchange != nullptr) {
-      // Exchange join: every fragment of both inputs is read on its own
+      // Exchange part: every fragment of every input is read on its own
       // PE, so lock all of them; the part's fragment list is the anchor
       // table's (one consumer per anchor fragment).
       const TableInfo* anchor = nullptr;
-      for (const std::string& table :
-           {part.exchange->left_table, part.exchange->right_table}) {
-        auto info = config_.dictionary->GetTable(table);
+      for (const ExchangeSpec::Input& input : part.exchange->inputs) {
+        auto info = config_.dictionary->GetTable(input.table);
         if (!info.ok()) {
           Reply(info.status(), Schema(), nullptr);
           return;
@@ -448,29 +446,12 @@ void QueryProcess::AcquireSelectLocks() {
         for (const FragmentInfo& frag : (*info)->fragments) {
           resources.insert(frag.name);
         }
-        if (table == part.exchange->anchor_table) anchor = *info;
+        if (input.table == part.exchange->anchor_table) anchor = *info;
       }
       PRISMA_CHECK(anchor != nullptr);
       std::vector<int> all;
       all.reserve(anchor->fragments.size());
       for (size_t f = 0; f < anchor->fragments.size(); ++f) {
-        all.push_back(static_cast<int>(f));
-      }
-      part_fragments_.push_back(std::move(all));
-      continue;
-    }
-    if (part.olap != nullptr) {
-      // Multi-stage OLAP part: producers run at every fragment of the
-      // table and a merge consumer anchors on each, so lock them all.
-      auto info = config_.dictionary->GetTable(part.olap->table);
-      if (!info.ok()) {
-        Reply(info.status(), Schema(), nullptr);
-        return;
-      }
-      std::vector<int> all;
-      all.reserve((*info)->fragments.size());
-      for (size_t f = 0; f < (*info)->fragments.size(); ++f) {
-        resources.insert((*info)->fragments[f].name);
         all.push_back(static_cast<int>(f));
       }
       part_fragments_.push_back(std::move(all));
@@ -547,15 +528,10 @@ void QueryProcess::Scatter() {
     for (size_t i = 0; i < split_->parts.size(); ++i) {
       const LocalPart& part = split_->parts[i];
       if (part.exchange != nullptr) {
-        // Exchange parts bypass CSE: their rendered plan is not the
-        // executed artifact, and their gather is fed by dedicated
-        // consumers rather than a shareable per-fragment scan.
+        // Exchange parts (joins and group-bys) bypass CSE: their rendered
+        // plan is not the executed artifact, and their gather is fed by
+        // dedicated consumers rather than a shareable per-fragment scan.
         consumer_replies += ScatterExchangePart(i);
-        continue;
-      }
-      if (part.olap != nullptr) {
-        // OLAP parts bypass CSE for the same reason.
-        consumer_replies += ScatterOlapPart(i);
         continue;
       }
       if (part.sorted_runs) {
@@ -614,6 +590,10 @@ void QueryProcess::Scatter() {
       split_->global->kind() == algebra::PlanKind::kScan &&
       static_cast<const algebra::ScanPlan&>(*split_->global).table() ==
           PartName(0);
+  StartGather(consumer_replies);
+}
+
+void QueryProcess::StartGather(size_t consumer_replies) {
   next_work_ = 0;
   outstanding_ = 0;
   completed_ = 0;
@@ -631,25 +611,26 @@ void QueryProcess::Scatter() {
   }
 }
 
-size_t QueryProcess::ScatterExchangePart(size_t part_index) {
-  const LocalPart& part = split_->parts[part_index];
-  const ExchangeJoinSpec& ex = *part.exchange;
-  auto anchor_or = config_.dictionary->GetTable(ex.anchor_table);
-  auto left_or = config_.dictionary->GetTable(ex.left_table);
-  auto right_or = config_.dictionary->GetTable(ex.right_table);
-  PRISMA_CHECK(anchor_or.ok() && left_or.ok() && right_or.ok());
-  const TableInfo* anchor = *anchor_or;
-  const TableInfo* sides[2] = {*left_or, *right_or};
-  const std::string side_tables[2] = {ex.left_table, ex.right_table};
-  const std::shared_ptr<const algebra::Plan> side_plans[2] = {ex.left_plan,
-                                                              ex.right_plan};
+uint64_t QueryProcess::ExchangeId(size_t part_index) const {
+  return (config_.statement->request_id << 16) |
+         static_cast<uint64_t>(part_index);
+}
 
-  // Statement-unique exchange id: batches of another statement's exchange
-  // can never be mistaken for this one's.
-  const uint64_t exchange_id = (config_.statement->request_id << 16) |
-                               static_cast<uint64_t>(part_index);
+size_t QueryProcess::ScatterExchangePart(size_t part_index) {
+  const ExchangeSpec& ex = *split_->parts[part_index].exchange;
+  auto anchor_or = config_.dictionary->GetTable(ex.anchor_table);
+  PRISMA_CHECK(anchor_or.ok());
+  const TableInfo* anchor = *anchor_or;
+  std::vector<const TableInfo*> inputs;
+  for (const ExchangeSpec::Input& input : ex.inputs) {
+    auto info = config_.dictionary->GetTable(input.table);
+    PRISMA_CHECK(info.ok());
+    inputs.push_back(*info);
+  }
+  const uint64_t exchange_id = ExchangeId(part_index);
   const bool broadcast = ex.strategy == ExchangeStrategy::kBroadcastLeft ||
                          ex.strategy == ExchangeStrategy::kBroadcastRight;
+  const int sides = static_cast<int>(ex.inputs.size());
 
   // One consumer per anchor fragment, co-located with it. Consumers are
   // not RPC targets (nothing is retransmitted *to* them); their replies
@@ -669,24 +650,24 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.fragment = anchor_name;
     cc.coordinator = self();
     cc.reply_request_id = next_request_id_++;
-    for (int s = 0; s < 2; ++s) {
+    for (int s = 0; s < sides; ++s) {
       ExchangeConsumerProcess::SideSpec& spec = s == 0 ? cc.left : cc.right;
       spec.moving = ExchangeSideMoves(ex.strategy, s);
       if (spec.moving) {
-        spec.producers = sides[s]->fragments.size();
+        spec.producers = inputs[s]->fragments.size();
       } else {
         // The stationary side is the anchor table: this consumer rescans
         // its own co-located fragment.
         spec.local_plan =
             std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-                *side_plans[s], side_tables[s], anchor_name));
+                *ex.inputs[s].plan, ex.inputs[s].table, anchor_name));
       }
     }
     cc.build_side = ex.build_side;
     cc.keys = ex.keys;
     cc.predicate = ex.predicate;
     cc.post_plan = ex.post_plan;
-    cc.join_schema = ex.schema;
+    cc.input_schema = ex.schema;
     cc.expr_mode = config_.expr_mode;
     cc.costs = config_.costs;
     cc.registry = config_.registry;
@@ -703,78 +684,21 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
 
   // One producer work entry per fragment of each moving side; these go
   // through the hardened-RPC path like plain fragment plans.
-  for (int s = 0; s < 2; ++s) {
+  for (int s = 0; s < sides; ++s) {
     if (!ExchangeSideMoves(ex.strategy, s)) continue;
-    for (size_t f = 0; f < sides[s]->fragments.size(); ++f) {
+    for (size_t f = 0; f < inputs[s]->fragments.size(); ++f) {
       ShufflePlanRequest& request = AddShuffleProducer(
-          part_index, exchange_id, s, f, side_tables[s],
-          sides[s]->fragments[f], *side_plans[s], consumers);
+          part_index, exchange_id, s, f, ex.inputs[s].table,
+          inputs[s]->fragments[f], *ex.inputs[s].plan, consumers);
       request.mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
                                : ShufflePlanRequest::Mode::kHash;
-      request.partition_column =
-          s == 0 ? ex.keys[ex.route_key].first : ex.keys[ex.route_key].second;
+      request.partition_column = ex.inputs[s].route_column;
+      request.keep_nulls = ex.inputs[s].keep_nulls;
+      work_->back().olap_stream = ex.group_by();
     }
   }
+  if (ex.group_by()) group_by_parts_.insert(part_index);
   return consumers.size();
-}
-
-size_t QueryProcess::ScatterOlapPart(size_t part_index) {
-  const LocalPart& part = split_->parts[part_index];
-  const OlapSpec& olap = *part.olap;
-  auto info_or = config_.dictionary->GetTable(olap.table);
-  PRISMA_CHECK(info_or.ok());
-  const TableInfo& table = **info_or;
-  const size_t fragments = table.fragments.size();
-  olap_slices_[part_index].assign(fragments, {});
-  // Statement-unique exchange id, same convention as exchange joins.
-  const uint64_t exchange_id = (config_.statement->request_id << 16) |
-                               static_cast<uint64_t>(part_index);
-
-  // One merge consumer per fragment, co-located with whichever replica
-  // currently serves reads (the input arrives over channels; co-location
-  // just spreads merge CPU across the machine).
-  std::vector<pool::ProcessId> consumers;
-  consumers.reserve(fragments);
-  const Schema input_schema = olap.producer_plan->schema();
-  for (size_t c = 0; c < fragments; ++c) {
-    const FragmentInfo& frag = table.fragments[c];
-    const int replica = ChooseReadReplica(frag);
-    OlapMergeProcess::Config cc;
-    cc.exchange_id = exchange_id;
-    cc.index = c;
-    cc.fragment = frag.ReplicaName(replica);
-    cc.coordinator = self();
-    cc.reply_request_id = next_request_id_++;
-    cc.producers = fragments;
-    cc.input_schema = input_schema;
-    cc.merge_plan = olap.merge_plan;
-    cc.expr_mode = config_.expr_mode;
-    cc.costs = config_.costs;
-    cc.credit_window = config_.exchange_credit_window;
-    cc.retransmit = config_.retransmit;
-    cc.metrics = config_.metrics;
-    request_part_[cc.reply_request_id] = {part_index, 0};
-    olap_merge_of_[cc.reply_request_id] = {part_index, c};
-    const pool::ProcessId pid = runtime()->Spawn(
-        frag.ReplicaPe(replica),
-        std::make_unique<OlapMergeProcess>(std::move(cc)));
-    consumer_pids_.push_back(pid);
-    consumers.push_back(pid);
-  }
-
-  // One shuffle producer per fragment, through the hardened-RPC path.
-  for (size_t f = 0; f < fragments; ++f) {
-    ShufflePlanRequest& request =
-        AddShuffleProducer(part_index, exchange_id, 0, f, olap.table,
-                           table.fragments[f], *olap.producer_plan, consumers);
-    request.mode = ShufflePlanRequest::Mode::kHash;
-    request.partition_column = olap.partition_column;
-    // A NULL group key is still a group (unlike a join key, which can
-    // never match): route NULLs to consumer 0 instead of dropping.
-    request.keep_nulls = true;
-    work_->back().olap_stream = true;
-  }
-  return fragments;
 }
 
 void QueryProcess::ScatterRunsPart(size_t part_index) {
@@ -789,9 +713,7 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
                                config_.exchange_credit_window, config_.costs,
                                config_.metrics));
   }
-  // Statement-unique exchange id, same convention as exchange joins.
-  const uint64_t exchange_id = (config_.statement->request_id << 16) |
-                               static_cast<uint64_t>(part_index);
+  const uint64_t exchange_id = ExchangeId(part_index);
   SortedRuns& runs = runs_[exchange_id];
   runs.part = part_index;
   runs.channels.assign(fragments.size(), exec::InboundChannel());
@@ -996,23 +918,15 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     Reply(rows.status(), Schema(), nullptr);
     return;
   }
-  if (auto merge = olap_merge_of_.find(reply->request_id);
-      merge != olap_merge_of_.end()) {
-    const auto [p, slice] = merge->second;
-    olap_merge_of_.erase(merge);
-    if (reply->rows != nullptr) {
-      ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
-                config_.costs.tuple_ns);
-      tuples_gathered_ += rows->size();
-      olap_gather_bits_ += static_cast<uint64_t>(reply->WireBits());
-      olap_slices_.at(p).at(slice) = std::move(rows).value();
-    }
-  } else if (reply->rows != nullptr) {
+  if (reply->rows != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
     ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
               config_.costs.tuple_ns);
     tuples_gathered_ += rows->size();
-    gather_bits_ += static_cast<uint64_t>(reply->WireBits());
+    // Group-by consumer replies are the OLAP gather (DESIGN.md §14.4).
+    uint64_t& bits = group_by_parts_.contains(slot.part) ? olap_gather_bits_
+                                                         : gather_bits_;
+    bits += static_cast<uint64_t>(reply->WireBits());
     auto& sink = (*gathered_)[slot.part];
     sink.insert(sink.end(), std::make_move_iterator(rows->begin()),
                 std::make_move_iterator(rows->end()));
@@ -1047,19 +961,13 @@ void QueryProcess::FinishGather() {
     Reply(Status::OK(), split_->global->schema(), std::move(tail));
     return;
   }
-  // Stitch OLAP group-by merge slices into their parts' gather buffers.
-  // The slices are disjoint group sets whose keys interleave across
-  // consumers; sorting the concatenation restores the single-node
-  // aggregate's output order (its group map iterates in ascending key
-  // order, group rows are unique on their leading key columns, so
-  // whole-tuple order IS group-key order).
-  for (auto& [part, slices] : olap_slices_) {
+  // A group-by part's consumers reply with disjoint group sets whose keys
+  // interleave across consumers; sorting the gathered rows restores the
+  // single-node aggregate's output order (its group map iterates in
+  // ascending key order, group rows are unique on their leading key
+  // columns, so whole-tuple order IS group-key order).
+  for (const size_t part : group_by_parts_) {
     auto& sink = (*gathered_)[part];
-    for (std::vector<Tuple>& slice : slices) {
-      sink.insert(sink.end(), std::make_move_iterator(slice.begin()),
-                  std::make_move_iterator(slice.end()));
-      slice.clear();
-    }
     std::sort(sink.begin(), sink.end());
     ChargeCpu(static_cast<sim::SimTime>(sink.size()) *
               config_.costs.compare_ns);
@@ -1141,30 +1049,25 @@ void QueryProcess::ReplyExplain() {
   }
   for (size_t i = 0; i < split_->parts.size(); ++i) {
     const LocalPart& part = split_->parts[i];
-    if (part.olap != nullptr) {
-      const OlapSpec& olap = *part.olap;
-      auto info = config_.dictionary->GetTable(olap.table);
-      const size_t fan = info.ok() ? (*info)->fragments.size() : 0;
-      emit(StrFormat(
-          "part %zu (olap group-by over %s, %s + shuffle-by-key, "
-          "%zu fragment(s), %zu merge consumer(s), ~%.0f group(s)):",
-          i, olap.table.c_str(),
-          olap.pre_aggregate ? "pre-aggregate" : "direct", fan, fan,
-          olap.est_groups));
-      for (const std::string& line : Split(part.plan->ToString(), '\n')) {
-        if (!line.empty()) emit("  " + line);
-      }
-      continue;
-    }
     if (part.exchange != nullptr) {
-      const ExchangeJoinSpec& ex = *part.exchange;
+      const ExchangeSpec& ex = *part.exchange;
       auto anchor = config_.dictionary->GetTable(ex.anchor_table);
-      emit(StrFormat("part %zu (exchange join %s x %s, %s, %zu "
-                     "consumer(s), ~%.0f row(s) on the wire):",
-                     i, ex.left_table.c_str(), ex.right_table.c_str(),
-                     ExchangeStrategyName(ex.strategy),
-                     anchor.ok() ? (*anchor)->fragments.size() : 0,
-                     ex.moved_rows));
+      const size_t fan = anchor.ok() ? (*anchor)->fragments.size() : 0;
+      if (ex.group_by()) {
+        emit(StrFormat(
+            "part %zu (olap group-by over %s, %s + shuffle-by-key, "
+            "%zu fragment(s), %zu merge consumer(s), ~%.0f group(s)):",
+            i, ex.anchor_table.c_str(),
+            ex.pre_aggregate ? "pre-aggregate" : "direct", fan, fan,
+            ex.est_groups));
+      } else {
+        emit(StrFormat("part %zu (exchange join %s x %s, %s, %zu "
+                       "consumer(s), ~%.0f row(s) on the wire):",
+                       i, ex.inputs[0].table.c_str(),
+                       ex.inputs[1].table.c_str(),
+                       ExchangeStrategyName(ex.strategy), fan,
+                       ex.moved_rows));
+      }
       for (const std::string& line : Split(part.plan->ToString(), '\n')) {
         if (!line.empty()) emit("  " + line);
       }
@@ -1245,26 +1148,27 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      static_cast<long long>(shipping.whole_bits),
                      shipping.by_id));
     };
-    if (part.exchange != nullptr) {
-      const ExchangeJoinSpec& ex = *part.exchange;
+    const ExchangeSpec* ex = part.exchange.get();
+    if (ex != nullptr && !ex->group_by()) {
       emit(StrFormat("part %zu (exchange join %s x %s, %s, %zu "
                      "consumer(s)):",
-                     i, ex.left_table.c_str(), ex.right_table.c_str(),
-                     ExchangeStrategyName(ex.strategy),
+                     i, ex->inputs[0].table.c_str(),
+                     ex->inputs[1].table.c_str(),
+                     ExchangeStrategyName(ex->strategy),
                      part_fragments_[i].size()));
       emit_shipping();
       for (int side = 0; side < 2; ++side) {
-        if (!ExchangeSideMoves(ex.strategy, side)) continue;
+        if (!ExchangeSideMoves(ex->strategy, side)) continue;
         emit(StrFormat("  %s producers (%s):", side == 0 ? "left" : "right",
-                       (side == 0 ? ex.left_table : ex.right_table).c_str()));
+                       ex->inputs[side].table.c_str()));
         emit_profile(side, 2);
       }
       continue;
     }
-    if (part.olap != nullptr) {
+    if (ex != nullptr) {
       emit(StrFormat("part %zu (olap group-by over %s, %zu merge "
                      "consumer(s)), producers:",
-                     i, part.olap->table.c_str(), part_fragments_[i].size()));
+                     i, ex->anchor_table.c_str(), part_fragments_[i].size()));
     } else if (part.sorted_runs) {
       emit(StrFormat("part %zu (sorted runs over %s, %zu fragment(s)):", i,
                      part.table.c_str(), part_fragments_[i].size()));
@@ -1439,17 +1343,18 @@ void QueryProcess::ScatterFixpoint() {
     RunFixpointPhase();
     return;
   }
-  // The low request-id bits distinguish exchange parts; a fixpoint query
-  // has exactly one "part", so the id space cannot collide.
-  fixpoint_id_ = config_.statement->request_id << 16;
+  // A fixpoint query has exactly one "part".
+  fixpoint_id_ = ExchangeId(0);
 
-  // One fixpoint partition per edge fragment, co-located with it: its
-  // slice of E (hash-partitioned on the first column) stays local, and
-  // so does the delta ⋈ E join (pairs are owned by their second
+  // One fixpoint partition per edge fragment, co-located with the replica
+  // that serves its reads (DESIGN.md §13), like the edge producer below:
+  // its slice of E (hash-partitioned on the first column) stays local,
+  // and so does the delta ⋈ E join (pairs are owned by their second
   // endpoint's hash).
   std::vector<pool::ProcessId> pids;
   pids.reserve(fx_num_pes_);
   for (size_t i = 0; i < fx_num_pes_; ++i) {
+    const FragmentInfo& frag = table.fragments[i];
     FixpointPeProcess::Config fc;
     fc.fixpoint_id = fixpoint_id_;
     fc.index = i;
@@ -1466,7 +1371,7 @@ void QueryProcess::ScatterFixpoint() {
     fc.metrics = config_.metrics;
     request_part_[fc.reply_request_id] = {0, 0};
     const pool::ProcessId pid = runtime()->Spawn(
-        table.fragments[i].pe,
+        frag.ReplicaPe(ChooseReadReplica(frag)),
         std::make_unique<FixpointPeProcess>(std::move(fc)));
     consumer_pids_.push_back(pid);  // Reaped in Reply(), like consumers.
     pids.push_back(pid);
@@ -1484,41 +1389,17 @@ void QueryProcess::ScatterFixpoint() {
 
   // Edge shuffle (side 0): every fragment OFM streams its slice to every
   // partition through the ordinary shuffle-producer path, hardened-RPC
-  // and all.
-  std::shared_ptr<const algebra::Plan> scan =
+  // and read routing and all.
+  std::unique_ptr<algebra::Plan> scan =
       algebra::ScanPlan::Create(fx_edge_table_, table.schema);
+  // Hash-routed on column 0 (the request's defaults).
   for (size_t f = 0; f < fx_num_pes_; ++f) {
-    const FragmentInfo& frag = table.fragments[f];
-    auto request = std::make_shared<ShufflePlanRequest>();
-    request->exchange_id = fixpoint_id_;
-    request->side = 0;
-    request->producer = f;
-    request->mode = ShufflePlanRequest::Mode::kHash;
-    request->partition_column = 0;
-    request->consumers = pids;
-    request->batch_rows = config_.exchange_batch_rows;
-    request->credit_window = config_.exchange_credit_window;
-    FragmentWork w;
-    w.ofm = frag.ofm;
-    w.plan = std::shared_ptr<const algebra::Plan>(
-        CloneWithScanRenamed(*scan, fx_edge_table_, frag.name));
-    w.part = 0;
-    w.table = fx_edge_table_;
-    w.fragment = frag.name;
-    w.shuffle = request;
-    work_->push_back(std::move(w));
+    AddShuffleProducer(0, fixpoint_id_, 0, f, fx_edge_table_,
+                       table.fragments[f], *scan, pids);
   }
-  next_work_ = 0;
-  outstanding_ = 0;
-  completed_ = 0;
   // The gather waits for every shuffle producer plus every partition's
   // harvest reply.
-  expected_replies_ = work_->size() + fx_num_pes_;
-  if (config_.rules.parallel_fragments) {
-    while (next_work_ < work_->size()) SendNextFragmentPlan();
-  } else {
-    SendNextFragmentPlan();
-  }
+  StartGather(fx_num_pes_);
   if (config_.retransmit.resend_ns > 0) {
     // Faulty interconnect: start/round/harvest directives can be lost,
     // so rebroadcast the current ones until the query finishes (every

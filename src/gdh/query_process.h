@@ -103,6 +103,14 @@ class QueryProcess : public pool::Process {
   void StartPrismalog();
   void RequestLocks(std::vector<std::string> resources);
   void Scatter();
+  /// Sends work_ (all at once, or one entry at a time under the
+  /// sequential ablation) and gathers its replies plus
+  /// `consumer_replies` from spawned consumers; with nothing to wait for,
+  /// finishes the gather at once.
+  void StartGather(size_t consumer_replies);
+  /// Statement-unique id of part `part_index`'s stream: batches of another
+  /// statement's exchange can never be mistaken for this one's.
+  uint64_t ExchangeId(size_t part_index) const;
   void SendNextFragmentPlan();
   /// Sends work_[index]'s plan under a fresh request id: by id when the
   /// target OFM is on the plan cache's record (and `by_id_ok`), else whole.
@@ -177,8 +185,8 @@ class QueryProcess : public pool::Process {
     /// partner's scan together with the anchor's on read failover.
     std::string second_table;
     std::string second_fragment;
-    /// Set for shuffle producers (exchange joins, OLAP group-bys, sorted
-    /// runs): the prebuilt shuffle request, sent instead of a plain
+    /// Set for shuffle producers (exchange parts, sorted runs, fixpoint
+    /// edges): the prebuilt shuffle request, sent instead of a plain
     /// ExecPlanRequest as a copy that gets a fresh request id and `plan`.
     std::shared_ptr<ShufflePlanRequest> shuffle;
     /// An OLAP stream producer (group-by shuffle or sorted run): its
@@ -210,14 +218,9 @@ class QueryProcess : public pool::Process {
   /// fills *pe with that replica's PE (degradation reporting).
   std::string DescribeWorkTarget(const FragmentWork& w, net::NodeId* pe) const;
   /// Builds the consumer processes and producer work entries of one
-  /// exchange-lowered join part; returns the number of consumer replies
-  /// the gather now additionally waits for.
+  /// exchange part (a join, or a group-by, DESIGN.md §14.2); returns the
+  /// number of consumer replies the gather now additionally waits for.
   size_t ScatterExchangePart(size_t part_index);
-  /// Starts one multi-stage OLAP group-by part (DESIGN.md §14.2): spawns
-  /// its merge consumers and appends its shuffle-producer work entries.
-  /// Returns the number of merge replies the gather waits for beyond
-  /// those entries.
-  size_t ScatterOlapPart(size_t part_index);
   /// Appends a shuffle-producer work entry for `frag` of `table`: `plan`
   /// (its Scan naming the table) aimed at the replica that serves reads,
   /// streaming to `consumers`. The caller sets the routing mode.
@@ -295,14 +298,12 @@ class QueryProcess : public pool::Process {
   // (SIZE_MAX = unique part, scattered normally).
   std::vector<size_t> duplicate_of_;
 
-  // Multi-stage OLAP group-by state (DESIGN.md §14.2): merge consumer
-  // replies by part, then consumer index. Their disjoint group sets are
-  // sorted after the gather.
-  std::map<size_t, std::vector<std::vector<Tuple>>> olap_slices_;
-  /// Merge-consumer reply id -> (part, consumer index).
-  std::map<uint64_t, std::pair<size_t, size_t>> olap_merge_of_;
+  /// Scattered group-by parts (DESIGN.md §14.2): their consumers' replies
+  /// count as OLAP gather, and their disjoint group sets are sorted after
+  /// the gather.
+  std::set<size_t> group_by_parts_;
   uint64_t olap_shuffle_bits_ = 0;  // First-transmission stream bits.
-  uint64_t olap_gather_bits_ = 0;   // Merge consumer reply bits.
+  uint64_t olap_gather_bits_ = 0;   // Group-by consumer reply bits.
   /// Bits of plain (non-OLAP) fragment replies gathered at the
   /// coordinator — the gather-baseline figure E14 compares against.
   uint64_t gather_bits_ = 0;

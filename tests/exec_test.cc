@@ -1395,30 +1395,41 @@ TEST_F(OlapEdgeTest, AllNullGroupKeysFormOneGroup) {
 TEST_F(OlapEdgeTest, SingleGroupSkewAgreesAcrossStrategies) {
   // Every row shares one group key: the direct strategy funnels all base
   // rows into one merge consumer, the pre-aggregate strategy ships one
-  // partial per fragment. Both must agree with the exact totals.
-  using Strategy = gdh::OptimizerRules::OlapAggStrategy;
-  for (const Strategy strategy : {Strategy::kPreAggregate, Strategy::kDirect}) {
-    auto db = MakeDb([&](core::MachineConfig& config) {
-      config.rules.olap_agg_strategy = strategy;
-    });
+  // partial per fragment. The estimate picks the strategy (direct when
+  // fragments x sqrt(rows) >= rows), so 60 rows pre-aggregate on 4
+  // fragments and go direct on 8. Both must agree with the exact totals.
+  const struct {
+    int fragments;
+    const char* strategy;
+  } kCases[] = {{4, "pre-aggregate + shuffle-by-key"},
+                {8, "direct + shuffle-by-key"}};
+  const std::string query =
+      "SELECT g, COUNT(*) AS n, SUM(v) AS s, MIN(v), MAX(v) FROM t "
+      "GROUP BY g";
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.strategy);
+    auto db = MakeDb();
     MustExecute(*db, "CREATE TABLE t (id INT, g STRING, v INT) "
-                     "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
+                     "FRAGMENTED BY HASH(id) INTO " +
+                         std::to_string(c.fragments) + " FRAGMENTS");
     std::string insert = "INSERT INTO t VALUES ";
-    for (int i = 0; i < 80; ++i) {
+    for (int i = 0; i < 60; ++i) {
       if (i > 0) insert += ", ";
       insert += "(" + std::to_string(i) + ", 'hot', " + std::to_string(i % 7) +
                 ")";
     }
     MustExecute(*db, insert);
-    const auto grouped = MustExecute(
-        *db,
-        "SELECT g, COUNT(*) AS n, SUM(v) AS s, MIN(v), MAX(v) FROM t "
-        "GROUP BY g");
+    std::string plan;
+    for (const Tuple& t : MustExecute(*db, "EXPLAIN " + query).tuples) {
+      plan += t.ToString() + "\n";
+    }
+    EXPECT_NE(plan.find(c.strategy), std::string::npos) << plan;
+    const auto grouped = MustExecute(*db, query);
     ASSERT_EQ(grouped.tuples.size(), 1u);
     EXPECT_EQ(grouped.tuples[0].at(0), Value::String("hot"));
-    EXPECT_EQ(grouped.tuples[0].at(1), Value::Int(80));
-    // 11 full cycles of 0..6 (= 231) plus 0+1+2 for rows 77..79.
-    EXPECT_EQ(grouped.tuples[0].at(2), Value::Int(234));
+    EXPECT_EQ(grouped.tuples[0].at(1), Value::Int(60));
+    // 8 full cycles of 0..6 (= 168) plus 0+1+2+3 for rows 56..59.
+    EXPECT_EQ(grouped.tuples[0].at(2), Value::Int(174));
     EXPECT_EQ(grouped.tuples[0].at(3), Value::Int(0));
     EXPECT_EQ(grouped.tuples[0].at(4), Value::Int(6));
   }

@@ -12,11 +12,11 @@
 #include "exec/executor.h"
 #include "gdh/data_dictionary.h"
 #include "gdh/distributed_plan.h"
+#include "gdh/exchange_process.h"
 #include "gdh/fragmentation.h"
 #include "gdh/gdh_process.h"
 #include "gdh/lock_manager.h"
 #include "gdh/messages.h"
-#include "gdh/olap_process.h"
 #include "gdh/optimizer.h"
 #include "net/network.h"
 #include "obs/trace.h"
@@ -758,6 +758,19 @@ TEST_F(ColocatedSplitTest, NonKeyJoinLowersToExchange) {
   EXPECT_EQ(split->exchange_joins, 1);
   ASSERT_EQ(split->parts.size(), 1u);
   ASSERT_NE(split->parts[0].exchange, nullptr);
+  // A join keeps two inputs plus its keys; NULL join keys are dropped.
+  const ExchangeSpec& ex = *split->parts[0].exchange;
+  EXPECT_FALSE(ex.group_by());
+  ASSERT_EQ(ex.inputs.size(), 2u);
+  EXPECT_EQ(ex.inputs[0].table, "a");
+  EXPECT_EQ(ex.inputs[1].table, "b");
+  ASSERT_EQ(ex.keys.size(), 1u);
+  EXPECT_EQ(ex.keys[0], std::make_pair(size_t{2}, size_t{2}));
+  EXPECT_EQ(ex.inputs[0].route_column, 2u);
+  EXPECT_EQ(ex.inputs[1].route_column, 2u);
+  EXPECT_FALSE(ex.inputs[0].keep_nulls);
+  EXPECT_FALSE(ex.inputs[1].keep_nulls);
+  EXPECT_EQ(ex.post_plan, nullptr);
 }
 
 TEST_F(ColocatedSplitTest, NonKeyJoinStaysGlobalWithExchangesDisabled) {
@@ -773,6 +786,56 @@ TEST_F(ColocatedSplitTest, NonKeyJoinStaysGlobalWithExchangesDisabled) {
   EXPECT_EQ(split->colocated_joins, 0);
   EXPECT_EQ(split->exchange_joins, 0);
   EXPECT_EQ(split->parts.size(), 2u);
+}
+
+TEST_F(ColocatedSplitTest, GroupByLowersToAOneInputExchange) {
+  // Empty fragments estimate one group per row: base rows ship directly,
+  // hash-routed on the group column; 4,000 rows pre-aggregate and route
+  // on the first column of the partial rows.
+  for (const uint64_t rows_per_fragment : {uint64_t{0}, uint64_t{1000}}) {
+    SCOPED_TRACE(rows_per_fragment);
+    for (FragmentInfo& frag : dict_.GetTable("a").value()->fragments) {
+      frag.row_count = rows_per_fragment;
+    }
+    std::vector<std::unique_ptr<Expr>> groups;
+    groups.push_back(Expr::ColumnIndex(1, DataType::kString));
+    std::vector<algebra::AggSpec> aggs;
+    aggs.push_back({algebra::AggFunc::kSum,
+                    Expr::ColumnIndex(2, DataType::kInt64), "total"});
+    auto agg = algebra::AggregatePlan::Create(
+        ScanPlan::Create("a", EmpSchema()), std::move(groups), {"dept"},
+        std::move(aggs));
+    ASSERT_TRUE(agg.ok());
+    auto split =
+        SplitPlanForFragments(std::move(*agg), dict_, OptimizerRules());
+    ASSERT_TRUE(split.ok());
+    EXPECT_EQ(split->olap_parts, 1);
+    EXPECT_EQ(split->exchange_joins, 0);
+    ASSERT_EQ(split->parts.size(), 1u);
+    ASSERT_NE(split->parts[0].exchange, nullptr);
+    const ExchangeSpec& ex = *split->parts[0].exchange;
+    EXPECT_TRUE(ex.group_by());
+    ASSERT_EQ(ex.inputs.size(), 1u);
+    EXPECT_EQ(ex.inputs[0].table, "a");
+    EXPECT_EQ(ex.anchor_table, "a");
+    EXPECT_TRUE(ExchangeSideMoves(ex.strategy, 0));
+    EXPECT_TRUE(ex.keys.empty());
+    EXPECT_TRUE(ex.inputs[0].keep_nulls);
+    const bool pre_aggregate = rows_per_fragment > 0;
+    EXPECT_EQ(ex.pre_aggregate, pre_aggregate);
+    EXPECT_EQ(ex.inputs[0].route_column, pre_aggregate ? 0u : 1u);
+    EXPECT_EQ(ex.inputs[0].plan->kind(),
+              pre_aggregate ? PlanKind::kAggregate : PlanKind::kScan);
+    // The merge plan is the post plan, run over the shuffled-in rows.
+    ASSERT_NE(ex.post_plan, nullptr);
+    const Plan* leaf = ex.post_plan.get();
+    while (leaf->num_children() > 0) leaf = leaf->child();
+    ASSERT_EQ(leaf->kind(), PlanKind::kScan);
+    EXPECT_EQ(static_cast<const ScanPlan*>(leaf)->table(), OlapInputName());
+    EXPECT_EQ(ex.schema.num_columns(),
+              ex.inputs[0].plan->schema().num_columns());
+    EXPECT_EQ(ex.post_plan->schema().num_columns(), 2u);
+  }
 }
 
 TEST_F(ColocatedSplitTest, MisalignedPlacementStaysGlobal) {
@@ -915,16 +978,17 @@ TEST(ConsumerSpawnOrderTest, BatchHandledBeforeTheSpawnHandlerIsAccepted) {
   m.runtime.Spawn(0, std::make_unique<BusyProcess>(arrival - costs.spawn_ns));
   const pool::ProcessId producer =
       m.runtime.Spawn(1, std::make_unique<RecorderProcess>(&m.log));
-  OlapMergeProcess::Config config;
+  ExchangeConsumerProcess::Config config;
   config.exchange_id = 7;
   config.coordinator = producer;
   config.reply_request_id = 99;
-  config.producers = 1;
+  config.left.moving = true;
+  config.left.producers = 1;
   config.input_schema = Schema({{"v", DataType::kInt64}});
-  config.merge_plan = algebra::ScanPlan::Create(OlapInputName(),
-                                                config.input_schema);
+  config.post_plan = algebra::ScanPlan::Create(OlapInputName(),
+                                               config.input_schema);
   const pool::ProcessId consumer =
-      m.runtime.Spawn(0, std::make_unique<OlapMergeProcess>(config));
+      m.runtime.Spawn(0, std::make_unique<ExchangeConsumerProcess>(config));
   m.runtime.Send(BatchMail(producer, consumer));
   m.sim.Run();
 

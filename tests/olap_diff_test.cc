@@ -366,9 +366,10 @@ TEST(OlapDiffTest, JoinAggregatesPreAggregateWhereTheJoinLands) {
 
 /// Loads the canonical emp table: 60 rows over 3 departments, 4
 /// fragments (4 distinct merge consumers).
-void LoadEmp(PrismaDb& db) {
-  MustExecute(db, "CREATE TABLE emp (id INT, dept STRING, salary INT) "
-                  "FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS");
+void LoadEmp(PrismaDb& db, int fragments = 4) {
+  MustExecute(db, StrFormat("CREATE TABLE emp (id INT, dept STRING, salary "
+                            "INT) FRAGMENTED BY HASH(id) INTO %d FRAGMENTS",
+                            fragments));
   const char* depts[] = {"eng", "hr", "sales"};
   std::string insert = "INSERT INTO emp VALUES ";
   for (int i = 0; i < 60; ++i) {
@@ -461,24 +462,24 @@ TEST(OlapDiffTest, CanonicalGroupByShipsNoBaseTuples) {
 }
 
 /// Both shipping strategies of the distributed group-by return identical
-/// answers, and EXPLAIN names the strategy in force.
+/// answers, and EXPLAIN names the strategy in force. The estimate picks it
+/// (direct when fragments x sqrt(rows) >= rows): the 60 emp rows
+/// pre-aggregate on 4 fragments and go direct on 8.
 TEST(OlapDiffTest, AggStrategiesAgreeAndExplainNamesThem) {
-  using Strategy = gdh::OptimizerRules::OlapAggStrategy;
   const struct {
-    Strategy strategy;
+    int fragments;
     const char* expect;
   } kCases[] = {
-      {Strategy::kPreAggregate, "pre-aggregate + shuffle-by-key"},
-      {Strategy::kDirect, "direct + shuffle-by-key"},
+      {4, "pre-aggregate + shuffle-by-key"},
+      {8, "direct + shuffle-by-key"},
   };
   std::string reference;
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.expect);
     MachineConfig config;
     config.pes = 8;
-    config.rules.olap_agg_strategy = c.strategy;
     PrismaDb db(config);
-    LoadEmp(db);
+    LoadEmp(db, c.fragments);
     const QueryResult result = MustExecute(db, kCanonicalQuery);
     if (reference.empty()) {
       reference = Rendered(result);

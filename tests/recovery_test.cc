@@ -291,6 +291,39 @@ TEST(RecoveryTest, ReplicatedCrashFailoverServesReadsAndResyncConverges) {
   ExpectReplicasByteIdentical(&db);
 }
 
+TEST(RecoveryTest, FixpointFollowsReadRoutingAfterAPrimaryCrash) {
+  const MachineConfig config = ReplicatedMachine();
+  PrismaDb db(config);
+  MustExecute(&db, "CREATE TABLE edge (src INT, dst INT) FRAGMENTED BY "
+                   "HASH(src) INTO 3 FRAGMENTS");
+  MustExecute(&db, "INSERT INTO edge VALUES (1, 2), (2, 3), (3, 4), "
+                   "(4, 5), (5, 6), (6, 1), (7, 8), (8, 9), (9, 7)");
+  constexpr char kClosure[] =
+      "p(X, Y) :- edge(X, Y).\n"
+      "p(X, Z) :- edge(X, Y), p(Y, Z).\n"
+      "? p(X, Y).";
+  auto before = db.ExecutePrismalog(kClosure);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->tuples.size(), 6u * 6u + 3u * 3u);
+
+  const auto table = db.gdh().dictionary().GetTable("edge");
+  ASSERT_TRUE(table.ok());
+  const gdh::FragmentInfo frag = (*table)->fragments[1];
+  ASSERT_TRUE(frag.replicated);
+  const net::NodeId primary_pe = frag.ReplicaPe(frag.primary_replica);
+  ASSERT_NE(primary_pe, 0);  // CrashPe refuses PE 0.
+  ASSERT_GT(db.CrashPe(primary_pe), 0u);
+
+  // The edge producer and the partition of fragment 1 go straight to its
+  // backup: the closure does not wait out an RPC timeout on the dead
+  // primary before failing over.
+  auto after = db.ExecutePrismalog(kClosure);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->tuples, before->tuples);
+  EXPECT_LT(after->response_time_ns, config.rpc_timeout_ns);
+  EXPECT_EQ(db.metrics().CounterTotal("query.unavailable"), 0u);
+}
+
 TEST(RecoveryTest, CrashDuringResyncNeverServesWrongAnswers) {
   PrismaDb db(ReplicatedMachine());
   MustExecute(&db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
