@@ -23,7 +23,11 @@ interprets. This check fails the build when any of those links dangle:
   6. every backticked `<Name>Process` in the root documents of the README
      "Documentation map" names a class declared (`class <Name>Process`)
      in src/ — no doc describes a process that is gone. CHANGES.md is
-     history, and the frozen vbench/ is not a root document.
+     history, and the frozen vbench/ is not a root document;
+  7. every backticked source path in those root documents
+     (`gdh/transport.h`, `tests/chaos_test.cc: SomeTest`,
+     `gdh/optimizer.cc:64`) names a file that exists, as written or under
+     src/ — no doc points at a deleted or moved file.
 
 Usage: check_docs.py [repo-root]   (defaults to the parent of scripts/)
 """
@@ -173,6 +177,31 @@ def check_bench_flags(root, problems):
 PROCESS_RE = re.compile(r"\b([A-Z]\w*Process)\b")
 
 
+def root_documents(root):
+    """The root documents of the README "Documentation map", CHANGES.md
+    (history) excluded."""
+    readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
+    docs = re.findall(r"^\| `(\w+\.md)`", readme, re.M)
+    return sorted(set(docs) - {"CHANGES.md"})
+
+
+def backtick_spans(doc_text):
+    """Yields (line number, text) of every backtick span. Backticks pair
+    up within a paragraph: a span may wrap lines, but blank lines and code
+    fences end it."""
+    block, start = [], 1
+    for lineno, line in enumerate(doc_text.splitlines() + [""], 1):
+        if line.strip() and not line.lstrip().startswith("```"):
+            if not block:
+                start = lineno
+            block.append(line)
+            continue
+        text = "\n".join(block)
+        block = []
+        for span in re.finditer(r"`([^`]+)`", text):
+            yield start + text.count("\n", 0, span.start()), span.group(1)
+
+
 def check_process_names(root, problems):
     declared = set()
     for dirpath, _, files in os.walk(os.path.join(root, "src")):
@@ -180,28 +209,36 @@ def check_process_names(root, problems):
             if f.endswith((".h", ".cc")):
                 text = open(os.path.join(dirpath, f), encoding="utf-8").read()
                 declared.update(re.findall(r"\bclass\s+(\w+Process)\b", text))
-    readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
-    docs = re.findall(r"^\| `(\w+\.md)`", readme, re.M)
-    for doc in sorted(set(docs) - {"CHANGES.md"}):
+    for doc in root_documents(root):
         doc_text = open(os.path.join(root, doc), encoding="utf-8").read()
-        # Backticks pair up within a paragraph: a span may wrap lines, but
-        # blank lines and code fences end it.
-        block, start = [], 1
-        for lineno, line in enumerate(doc_text.splitlines() + [""], 1):
-            if line.strip() and not line.lstrip().startswith("```"):
-                if not block:
-                    start = lineno
-                block.append(line)
+        for at, span in backtick_spans(doc_text):
+            for name in PROCESS_RE.findall(span):
+                if name not in declared:
+                    problems.append(
+                        f"{doc}:{at}: `{name}` is not declared "
+                        f"(class {name}) anywhere in src/")
+
+
+# A whole backtick span naming a source file by a relative path, maybe
+# followed by a line reference or a test name: `gdh/stage.h`,
+# `gdh/optimizer.cc:64`, `tests/chaos_test.cc: LinkDownMidShuffle...`.
+SOURCE_PATH_RE = re.compile(
+    r"^([\w.-]+(?:/[\w.-]+)+\.(?:h|cc|py|txt))(?::.*)?$", re.S)
+
+
+def check_source_paths(root, problems):
+    for doc in root_documents(root):
+        doc_text = open(os.path.join(root, doc), encoding="utf-8").read()
+        for at, span in backtick_spans(doc_text):
+            m = SOURCE_PATH_RE.match(span.strip())
+            if not m:
                 continue
-            text = "\n".join(block)
-            block = []
-            for span in re.finditer(r"`([^`]+)`", text):
-                for name in PROCESS_RE.findall(span.group(1)):
-                    if name not in declared:
-                        at = start + text.count("\n", 0, span.start())
-                        problems.append(
-                            f"{doc}:{at}: `{name}` is not declared "
-                            f"(class {name}) anywhere in src/")
+            path = m.group(1)
+            if not (os.path.isfile(os.path.join(root, path)) or
+                    os.path.isfile(os.path.join(root, "src", path))):
+                problems.append(
+                    f"{doc}:{at}: `{path}` names no file (neither {path} "
+                    f"nor src/{path} exists)")
 
 
 def main():
@@ -216,10 +253,12 @@ def main():
     check_experiment_index(root, problems)
     check_bench_flags(root, problems)
     check_process_names(root, problems)
+    check_source_paths(root, problems)
     if problems:
         return fail(problems)
     print("check_docs: OK (section references, bench artifacts, the "
-          "experiment index, bench flags and process names are in sync)")
+          "experiment index, bench flags, process names and source paths "
+          "are in sync)")
     return 0
 
 

@@ -187,7 +187,6 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.rules = config_.rules;
   gdh_config.expr_mode = config_.expr_mode;
   gdh_config.base_ofm_type = config_.base_ofm_type;
-  gdh_config.placement = config_.placement;
   gdh_config.registry = &registry_;
   gdh_config.plan_cache = &plan_cache_;
   // The machine's one retransmission policy (gdh/transport.h). Auto
@@ -203,7 +202,6 @@ PrismaDb::PrismaDb(MachineConfig config)
           ? config_.rpc_backoff_cap_ns
           : (faults ? 2 * sim::kNanosPerSecond : 10 * sim::kNanosPerSecond);
   retransmit.attempts = config_.rpc_attempts;
-  gdh_config.query_timeout_ns = config_.query_timeout_ns;
   gdh_config.exchange_batch_rows = config_.exchange_batch_rows;
   gdh_config.exchange_credit_window = config_.exchange_credit_window;
   gdh_config.fixpoint_algorithm = config_.fixpoint_algorithm;

@@ -48,7 +48,6 @@ struct MachineConfig {
   gdh::OptimizerRules rules;
   exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
   exec::OfmType base_ofm_type = exec::OfmType::kFull;
-  gdh::PlacementPolicy placement = gdh::PlacementPolicy::kAligned;
   /// Place every permanent fragment on two distinct PEs (primary home +
   /// backup), route writes to both through 2PC, and fail reads over to the
   /// surviving replica when one PE is down (DESIGN.md §13). Requires at
@@ -73,7 +72,6 @@ struct MachineConfig {
   sim::SimTime rpc_timeout_ns = 0;
   sim::SimTime rpc_backoff_cap_ns = 0;
   int rpc_attempts = 6;
-  sim::SimTime query_timeout_ns = 30 * sim::kNanosPerSecond;
   /// Streaming exchange framing (DESIGN.md §10): max tuples per batch of
   /// a shuffle channel, and batches in flight per channel before the
   /// producer stalls on acks.

@@ -96,13 +96,11 @@ uint64_t FixpointPartition::JoinRound(RoutedPairs* owner_out,
   return products;
 }
 
-uint64_t FixpointPartition::AbsorbOwned(const std::vector<Tuple>& tuples,
-                                        std::vector<Tuple>* fresh_out) {
+uint64_t FixpointPartition::AbsorbOwned(const std::vector<Tuple>& tuples) {
   uint64_t fresh = 0;
   for (const Tuple& t : tuples) {
     if (owned_.insert(t).second) {
       pending_delta_.insert(t);
-      if (fresh_out != nullptr) fresh_out->push_back(t);
       ++fresh;
     }
   }

@@ -60,11 +60,8 @@ class FixpointPartition {
 
   /// Absorbs owned-copy pairs shipped to this partition; returns how
   /// many were new (deduplicated against the known set). New pairs also
-  /// enter the pending delta consumed by the next JoinRound, and are
-  /// appended to `fresh_out` when given (so the caller can mirror them
-  /// into its intermediate-result store without re-deduplicating).
-  uint64_t AbsorbOwned(const std::vector<Tuple>& tuples,
-                       std::vector<Tuple>* fresh_out = nullptr);
+  /// enter the pending delta consumed by the next JoinRound.
+  uint64_t AbsorbOwned(const std::vector<Tuple>& tuples);
 
   /// Absorbs index-copy pairs (smart strategy only).
   void AbsorbIndex(const std::vector<Tuple>& tuples);

@@ -114,11 +114,19 @@ struct LocalPart {
   /// Sort, under a Limit for Top-N) and streams the run to the
   /// coordinator, which merges the runs on the Sort's keys.
   bool sorted_runs = false;
+  /// Set for a PRISMAlog fixpoint part (DESIGN.md §11): `plan` scans the
+  /// edge relation `table`, which every fragment shuffles to one fixpoint
+  /// partition per fragment; the partitions iterate to the closure and
+  /// reply with their owned slices.
+  bool fixpoint = false;
 };
 
 /// A SELECT plan split for fragment-parallel execution (§2.2): the local
 /// parts run inside the OFMs, the global plan merges their gathered
-/// results at the coordinator (its Scan nodes use PartName(i)).
+/// results at the coordinator (its Scan nodes use PartName(i)). A
+/// PRISMAlog program's plan has no global plan: its parts are bare scans
+/// of the program's base tables, or one fixpoint part, and the
+/// coordinator evaluates the program over what they gather.
 struct DistributedPlan {
   std::vector<LocalPart> parts;
   std::unique_ptr<algebra::Plan> global;

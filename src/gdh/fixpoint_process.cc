@@ -14,7 +14,6 @@ FixpointPeProcess::FixpointPeProcess(Config config)
     : config_(std::move(config)),
       kernel_(std::make_unique<exec::FixpointPartition>(
           config_.algorithm, config_.num_pes, config_.index)),
-      known_ofm_(MakeKnownOfm()),
       edge_channels_(
           std::vector<exec::InboundChannel>(config_.edge_producers)),
       out_(this, OutOptions()),
@@ -75,19 +74,6 @@ StreamReceiver::Options FixpointPeProcess::InOptions() {
     };
   }
   return options;
-}
-
-std::unique_ptr<exec::Ofm> FixpointPeProcess::MakeKnownOfm() {
-  // The known set lives in a recovery-free intermediate-result OFM
-  // (§2.5): no WAL, no checkpointing — a crashed fixpoint is re-run, not
-  // recovered.
-  exec::Ofm::Options ofm_options;
-  ofm_options.type = exec::OfmType::kQueryOnly;
-  ofm_options.exec.costs = config_.costs;
-  ofm_options.exec.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  return std::make_unique<exec::Ofm>(
-      "fixpoint#" + std::to_string(config_.index), config_.edge_schema,
-      std::move(ofm_options));
 }
 
 // Handler contract (D5): a fixpoint PE consumes the recursive-query data
@@ -268,17 +254,7 @@ void FixpointPeProcess::DrainRounds() {
         ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
                   config_.costs.hash_ns);
         if (copy == 0) {
-          std::vector<Tuple> fresh;
-          absorbed_new_current_ +=
-              kernel_->AbsorbOwned(batch.tuples, &fresh);
-          for (Tuple& tuple : fresh) {
-            auto row = known_ofm_->Insert(exec::kAutoCommit,
-                                          std::move(tuple));
-            if (!row.ok()) {
-              Fail(row.status());
-              return;
-            }
-          }
+          absorbed_new_current_ += kernel_->AbsorbOwned(batch.tuples);
         } else {
           kernel_->AbsorbIndex(batch.tuples);
         }

@@ -7,10 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "common/schema.h"
 #include "exec/exchange.h"
 #include "exec/fixpoint.h"
-#include "exec/ofm.h"
 #include "gdh/messages.h"
 #include "gdh/transport.h"
 #include "obs/metrics.h"
@@ -28,10 +26,10 @@ namespace prisma::gdh {
 /// delta is empty, and finally ships its owned closure slice back as an
 /// ExecPlanReply.
 ///
-/// The known set additionally lives in a recovery-free kQueryOnly
-/// exec::Ofm (§2.5: "OFMs needed for query processing only do not
-/// require extensive crash recovery facilities") — intermediate fixpoint
-/// state is rebuilt by re-running the query, never recovered.
+/// The known set is the kernel's owned set: a recovery-free intermediate
+/// result (§2.5: "OFMs needed for query processing only do not require
+/// extensive crash recovery facilities") — intermediate fixpoint state is
+/// rebuilt by re-running the query, never recovered.
 ///
 /// Fault tolerance composes from the transport's guarantees
 /// (gdh/transport.h) plus idempotent control handling: inbound delta
@@ -52,7 +50,6 @@ class FixpointPeProcess : public pool::Process {
     exec::TcAlgorithm algorithm = exec::TcAlgorithm::kSeminaive;
     /// Edge-relation producers (one shuffle channel per edge fragment).
     size_t edge_producers = 0;
-    Schema edge_schema;
     pool::ProcessId coordinator = pool::kNoProcess;
     /// The coordinator registered this id for our ExecPlanReply.
     uint64_t reply_request_id = 0;
@@ -80,8 +77,6 @@ class FixpointPeProcess : public pool::Process {
     return 1 + static_cast<int>(round) * 2 + copy;
   }
 
-  /// The known-set OFM, built at construction.
-  std::unique_ptr<exec::Ofm> MakeKnownOfm();
   StreamSender::Options OutOptions();
   StreamReceiver::Options InOptions();
   void HandleStart(const pool::Mail& mail);
@@ -108,8 +103,6 @@ class FixpointPeProcess : public pool::Process {
   Config config_;
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::FixpointPartition> kernel_;
-  /// Recovery-free intermediate-result store mirroring the owned set.
-  pool::OwnedPtr<exec::Ofm> known_ofm_;
   pool::Owned<std::vector<pool::ProcessId>> peers_;
   pool::Owned<std::vector<exec::InboundChannel>> edge_channels_;
   /// Inter-PE round channels keyed by side, one channel per peer.

@@ -53,7 +53,7 @@ bool IsOnePhaseCommit(const RpcClient<std::string>::PendingRpc& rpc) {
 
 std::vector<FragmentHome> AllocateFragments(
     const std::vector<net::NodeId>& fragment_pes, net::NodeId gdh_pe,
-    size_t fragments, PlacementPolicy policy, size_t* cursor) {
+    size_t fragments) {
   // The GDH's PE takes overflow slots only, so no PE hosts two fragments
   // of a table while another PE hosts none.
   std::vector<net::NodeId> pool = fragment_pes;
@@ -63,9 +63,8 @@ std::vector<FragmentHome> AllocateFragments(
   }
   std::vector<FragmentHome> homes(fragments);
   for (size_t i = 0; i < fragments; ++i) {
-    const size_t slot = policy == PlacementPolicy::kAligned ? i : (*cursor)++;
-    homes[i].pe = pool[slot % pool.size()];
-    homes[i].backup_pe = pool[(slot + 1) % pool.size()];
+    homes[i].pe = pool[i % pool.size()];
+    homes[i].backup_pe = pool[(i + 1) % pool.size()];
   }
   return homes;
 }
@@ -275,7 +274,6 @@ void GdhProcess::RpcExhausted(uint64_t request_id,
   // fragment and its PE (degradation reporting).
   int replica = 0;
   const FragmentInfo* frag = FindFragment(rpc.target, &replica);
-  ++stats_.rpc_failures;
   Inc(LazyCounter(&m_rpc_failures_, "gdh.rpc_failures"));
   const net::NodeId target_pe = frag != nullptr ? frag->ReplicaPe(replica) : 0;
   Status failure = UnavailableError(
@@ -291,7 +289,6 @@ void GdhProcess::RpcExhausted(uint64_t request_id,
 }
 
 bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
-  ++stats_.rpc_retries;
   Inc(LazyCounter(&m_rpc_retries_, "gdh.rpc_retries"));
   if (rpc.kind == kMailResync) return true;
   auto ofm = OfmOf(rpc.target);
@@ -339,7 +336,6 @@ void GdhProcess::DoomTxnsInvolving(const std::string& fragment) {
   for (auto& [txn, state] : *txns_) {
     if (state.doomed || !state.involved.contains(fragment)) continue;
     state.doomed = true;
-    ++stats_.txns_doomed;
     Inc(LazyCounter(&m_txns_doomed_, "gdh.txns_doomed"));
   }
 }
@@ -370,11 +366,9 @@ bool GdhProcess::TryFailover(FragmentInfo& frag, int dead) {
   if (config_.plan_cache != nullptr) {
     config_.plan_cache->Invalidate("failover");
   }
-  ++stats_.stale_marks;
   Inc(LazyCounter(&m_stale_marks_, "replica.stale_marks"));
   if (frag.primary_replica == dead) {
     frag.primary_replica = peer;
-    ++stats_.failovers;
     Inc(LazyCounter(&m_failovers_, "replica.failovers"));
   }
   // Settle every outstanding RPC addressed to the shed replica right
@@ -545,7 +539,6 @@ void GdhProcess::AcquireExclusive(exec::TxnId txn,
       [this, txn, resources = std::move(resources), index,
        then = std::move(then)](Status status) mutable {
         if (!status.ok()) {
-          ++stats_.deadlock_aborts;
           Inc(m_deadlock_aborts_);
           then(std::move(status));
           return;
@@ -568,7 +561,6 @@ void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
   auto [cache_it, inserted] = lock_replies_.try_emplace(key, nullptr);
   if (!inserted) {
     if (cache_it->second != nullptr) {
-      ++stats_.dup_replies;
       Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
       SendMail(requester, kMailLockBatchReply, cache_it->second, kControlBits);
     }
@@ -579,7 +571,6 @@ void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
   // Sequentially acquire shared locks; callback-chained like the X path.
   auto respond = [this, requester, request_id, txn, key](Status status) {
     if (!status.ok()) {
-      ++stats_.deadlock_aborts;
       Inc(m_deadlock_aborts_);
       // A deadlock aborts the whole transaction (the SELECT's statement
       // txn, or the enclosing explicit transaction).
@@ -661,7 +652,6 @@ void GdhProcess::RunCommit(exec::TxnId txn,
     it->second.phase = TxnPhase::kCommitted;
     locks_->ReleaseAll(txn);
     txns_->erase(txn);
-    ++stats_.txns_committed;
     Inc(m_txns_committed_);
     then(Status::OK());
     return;
@@ -761,7 +751,6 @@ void GdhProcess::CommitOnePhase(exec::TxnId txn,
     state.phase = TxnPhase::kAborted;
     locks_->ReleaseAll(txn);
     txns_->erase(txn);
-    ++stats_.txns_aborted;
     Inc(m_txns_aborted_);
     then(UnavailableError("fragment " + participant + " is down; transaction " +
                           std::to_string(txn) + " aborted"));
@@ -790,10 +779,8 @@ void GdhProcess::CommitOnePhase(exec::TxnId txn,
     locks_->ReleaseAll(txn);
     txns_->erase(txn);
     if (committed) {
-      ++stats_.txns_committed;
       Inc(m_txns_committed_);
     } else {
-      ++stats_.txns_aborted;
       Inc(m_txns_aborted_);
     }
     // The one-phase round is the decision: the span ends at the OFM's
@@ -866,7 +853,6 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     }
     locks_->ReleaseAll(txn);
     txns_->erase(txn);
-    ++stats_.txns_aborted;
     Inc(m_txns_aborted_);
     then(outcome);
   };
@@ -896,7 +882,6 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
   }
   locks_->ReleaseAll(txn);
   txns_->erase(txn);
-  ++stats_.txns_committed;
   Inc(m_txns_committed_);
   then(Status::OK());
 }
@@ -975,7 +960,6 @@ void GdhProcess::AbortEverywhere(exec::TxnId txn,
     }
     locks_->ReleaseAll(txn);
     txns_->erase(txn);
-    ++stats_.txns_aborted;
     Inc(m_txns_aborted_);
     then(Status::OK());
   };
@@ -1042,8 +1026,7 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
       }
       TableInfo* info = *info_or;
       const std::vector<FragmentHome> homes =
-          AllocateFragments(config_.fragment_pes, pe(), info->fragments.size(),
-                            config_.placement, &placement_cursor_);
+          AllocateFragments(config_.fragment_pes, pe(), info->fragments.size());
       for (size_t i = 0; i < info->fragments.size(); ++i) {
         FragmentInfo& frag = info->fragments[i];
         frag.pe = homes[i].pe;
@@ -1311,7 +1294,6 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
               request->request_id = next_request_id_++;
               request->txn = txn;
               if (dual != nullptr) dual_writes_[request->request_id] = dual;
-              ++stats_.write_ops_sent;
               Inc(m_write_ops_);
               ++members;
               SendRpc(request->request_id, batch_id, target, kMailWrite,
@@ -1332,7 +1314,6 @@ void GdhProcess::ExecuteTxnControl(const BoundStatement& bound,
   switch (bound.txn_control) {
     case sql::TxnControl::kBegin: {
       const exec::TxnId txn = NewTxn(true);
-      ++stats_.txns_begun;
       Inc(m_txns_begun_);
       ReplyToClient(client, stmt->request_id, Status::OK(), 0, txn);
       return;
@@ -1377,7 +1358,6 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   config.client = client;
   config.statement = stmt;
   config.lock_txn = lock_txn;
-  config.timeout_ns = config_.query_timeout_ns;
   config.retransmit = config_.retransmit;
   config.registry = config_.registry;
   config.plan_cache = config_.plan_cache;
@@ -1409,7 +1389,6 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
                       std::make_shared<pool::ProcessId>(coordinator));
     coords_[coordinator] = watch;
   }
-  ++stats_.selects_spawned;
   Inc(m_selects_);
 }
 
@@ -1445,7 +1424,6 @@ void GdhProcess::HandleCoordCheck(const pool::Mail& mail) {
   // the client drops this duplicate.
   const CoordWatch watch = it->second;
   ForgetCoordinator(coordinator);
-  ++stats_.coords_reaped;
   Inc(LazyCounter(&m_coords_reaped_, "gdh.coords_reaped"));
   auto txn_it = txns_->find(watch.lock_txn);
   if (txn_it != txns_->end() && !txn_it->second.explicit_txn &&
@@ -1489,7 +1467,6 @@ void GdhProcess::HandleWriteReply(const pool::Mail& mail) {
         reply->row_delta != 0) {
       UpdateRowCount(reply->fragment, reply->row_delta);
     }
-    ++stats_.dup_replies;
     Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
     return;
   }
@@ -1517,7 +1494,6 @@ void GdhProcess::HandleTxnControlReply(const pool::Mail& mail) {
   // settles a parked one-phase commit: nothing is left to re-send.
   parked_commits_.erase(reply->request_id);
   if (!request_batch_.contains(reply->request_id)) {
-    ++stats_.dup_replies;
     Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
     return;
   }
@@ -1541,7 +1517,6 @@ void GdhProcess::HandleDecisionRequest(const pool::Mail& mail) {
       // Withhold the answer; the inquirer retries on a timer and finds
       // the transaction decided (committed_ or gone) soon: 2PC always
       // terminates, every member RPC settles by reply or retry budget.
-      ++stats_.decisions_deferred;
       Inc(LazyCounter(&m_decisions_deferred_, "gdh.decisions_deferred"));
     } else {
       // Presumed abort: no decision record and not active means abort.
@@ -1571,7 +1546,6 @@ void GdhProcess::HandleClientStatement(const pool::Mail& mail) {
 void GdhProcess::DispatchStatement(const pool::Mail& mail) {
   auto stmt = std::any_cast<std::shared_ptr<ClientStatement>>(mail.body);
   const pool::ProcessId client = mail.from;
-  ++stats_.statements;
   Inc(m_statements_);
   // Routing parse is cheap; full parse/optimize happens per-query in the
   // coordinator instances.
@@ -1858,7 +1832,6 @@ void GdhProcess::StartResync(const std::string& table, int fragment,
   rs.replica = replica;
   rs.resync_id = resync_id;
   resyncs_[resync_id] = rs;
-  ++stats_.resyncs_started;
   Inc(LazyCounter(&m_resyncs_started_, "replica.resyncs_started"));
   SendResyncPhase(resync_id, /*cutover=*/false);
 }
@@ -1956,7 +1929,6 @@ void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
     locks_->ReleaseAll(rs.cutover_txn);
     txns_->erase(rs.cutover_txn);
   }
-  ++stats_.resyncs_completed;
   Inc(LazyCounter(&m_resyncs_completed_, "replica.resyncs_completed"));
 }
 
@@ -1978,7 +1950,6 @@ void GdhProcess::AbortResync(uint64_t resync_id) {
     locks_->ReleaseAll(rs.cutover_txn);
     txns_->erase(rs.cutover_txn);
   }
-  ++stats_.resyncs_aborted;
   Inc(LazyCounter(&m_resyncs_aborted_, "replica.resyncs_aborted"));
   // Retry right away if the source is still healthy (the failure was
   // transient message loss); a dead source retries from its recovery.
@@ -1989,7 +1960,6 @@ void GdhProcess::HandleResyncReply(const pool::Mail& mail) {
   auto reply = std::any_cast<std::shared_ptr<ResyncReply>>(mail.body);
   SettleRpc(reply->request_id);
   if (!request_batch_.contains(reply->request_id)) {
-    ++stats_.dup_replies;
     Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
     return;
   }

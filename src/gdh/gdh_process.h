@@ -30,16 +30,6 @@
 
 namespace prisma::gdh {
 
-/// How the data-allocation manager places fragments on PEs.
-enum class PlacementPolicy : uint8_t {
-  /// Fragment i of every table lands on the i-th fragment PE, so equal
-  /// fragment indexes of co-partitioned tables share a PE.
-  kAligned,
-  /// Fragments take consecutive PEs from a global cursor (spreads load,
-  /// destroys co-location) — the E9 contrast.
-  kRoundRobin,
-};
-
 /// Where the data-allocation manager puts one fragment: its PE and the PE
 /// of its backup replica, used when fragments are replicated.
 struct FragmentHome {
@@ -51,13 +41,13 @@ struct FragmentHome {
 /// of one table over a pool of PEs. The pool is `fragment_pes`, with
 /// `gdh_pe` appended when the table has more fragments than
 /// `fragment_pes` holds, so an n-way table on n PEs puts one fragment on
-/// every PE. kAligned deals pool slot i to fragment i; kRoundRobin takes
-/// slots from `*cursor` and advances it. The backup takes the next slot of
-/// the pool (anti-affinity: never the primary's PE once the pool has two
-/// or more PEs).
+/// every PE. Placement is aligned: pool slot i goes to fragment i, so
+/// equal fragment indexes of co-partitioned tables share a PE. The backup
+/// takes the next slot of the pool (anti-affinity: never the primary's PE
+/// once the pool has two or more PEs).
 std::vector<FragmentHome> AllocateFragments(
     const std::vector<net::NodeId>& fragment_pes, net::NodeId gdh_pe,
-    size_t fragments, PlacementPolicy policy, size_t* cursor);
+    size_t fragments);
 
 /// The Global Data Handler (§2.2): data dictionary, query optimizer
 /// configuration, transaction manager, concurrency-control unit, recovery
@@ -99,7 +89,6 @@ class GdhProcess : public pool::Process {
     exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
     /// Base-fragment OFM flavour (kQueryOnly disables durability — E7).
     exec::OfmType base_ofm_type = exec::OfmType::kFull;
-    PlacementPolicy placement = PlacementPolicy::kAligned;
     /// Place each permanent fragment on two distinct PEs (DESIGN.md §13):
     /// the data-allocation manager pairs every fragment with a backup on
     /// the next PE of its table's pool (AllocateFragments), writes 2PC to
@@ -127,7 +116,6 @@ class GdhProcess : public pool::Process {
     /// every OFM and coordinator it spawns; coordinators retransmit
     /// stmt_done every resend_ns until reaped.
     RetransmitPolicy retransmit;
-    sim::SimTime query_timeout_ns = 30 * sim::kNanosPerSecond;
     /// The GDH probes spawned coordinators at this period and fails their
     /// statement with kUnavailable if the process died (0 disables).
     sim::SimTime coord_check_ns = 0;
@@ -166,32 +154,6 @@ class GdhProcess : public pool::Process {
 
   /// Next transaction id to hand out (tests: id-reuse after restart).
   exec::TxnId next_txn() const { return next_txn_; }
-
-  struct Stats {
-    uint64_t statements = 0;
-    uint64_t selects_spawned = 0;
-    uint64_t txns_begun = 0;
-    uint64_t txns_committed = 0;
-    uint64_t txns_aborted = 0;
-    uint64_t deadlock_aborts = 0;
-    uint64_t write_ops_sent = 0;
-    /// Hardened-RPC outcomes.
-    uint64_t rpc_retries = 0;    // Retransmissions sent.
-    uint64_t rpc_failures = 0;   // Requests degraded to kUnavailable.
-    uint64_t dup_replies = 0;    // Replies for already-settled requests.
-    uint64_t txns_doomed = 0;    // Doomed by a participant's crash.
-    uint64_t coords_reaped = 0;  // Dead coordinators detected.
-    /// Decision inquiries withheld because the transaction was still being
-    /// decided (answered on the inquirer's next retry).
-    uint64_t decisions_deferred = 0;
-    /// Replication (DESIGN.md §13).
-    uint64_t failovers = 0;          // Primary role moved to the peer.
-    uint64_t stale_marks = 0;        // Replicas shed from the write set.
-    uint64_t resyncs_started = 0;
-    uint64_t resyncs_completed = 0;
-    uint64_t resyncs_aborted = 0;
-  };
-  const Stats& stats() const { return stats_; }
 
  private:
   /// Coordinator-side 2PC lifecycle of one transaction. Terminal phases
@@ -493,9 +455,9 @@ class GdhProcess : public pool::Process {
   // touch it; see pool/owned.h.
   pool::Owned<DataDictionary> dictionary_;
   pool::Owned<LockManager> locks_;
-  Stats stats_;
 
-  // Cached registry counters mirroring Stats (null without a registry).
+  // Cached registry counters: the GDH's only tally of its own events
+  // (null without a registry; read through MetricsRegistry::CounterValue).
   obs::Counter* m_statements_ = nullptr;
   obs::Counter* m_selects_ = nullptr;
   obs::Counter* m_txns_begun_ = nullptr;
@@ -595,7 +557,6 @@ class GdhProcess : public pool::Process {
       lock_replies_;
 
   size_t coordinator_cursor_ = 0;
-  size_t placement_cursor_ = 0;
 };
 
 }  // namespace prisma::gdh

@@ -84,8 +84,10 @@ QueryProcess::QueryProcess(Config config)
 
 void QueryProcess::OnStart() {
   start_time_ = runtime()->simulator()->now();
-  // Guard against lost fragments / crashed OFMs.
-  timeout_event_ = SendSelfAfter(config_.timeout_ns, kMailQueryTimeout);
+  // Watchdog against lost fragments / crashed OFMs: a statement still
+  // unanswered after 30 s fails with a typed kUnavailable.
+  timeout_event_ =
+      SendSelfAfter(30 * sim::kNanosPerSecond, kMailQueryTimeout);
   if (config_.statement->is_prismalog) {
     StartPrismalog();
   } else {
@@ -494,103 +496,91 @@ void QueryProcess::RequestLocks(std::vector<std::string> resources) {
 
 void QueryProcess::Scatter() {
   // Build the per-fragment work list.
-  gathered_->assign(
-      is_prismalog_phase_ ? plog_tables_.size() : split_->parts.size(), {});
-  duplicate_of_.assign(gathered_->size(), SIZE_MAX);
+  gathered_->assign(split_->parts.size(), {});
+  duplicate_of_.assign(split_->parts.size(), SIZE_MAX);
   part_profiles_.clear();
   part_shipping_.clear();
   work_->clear();
   size_t consumer_replies = 0;
-  if (is_prismalog_phase_) {
-    for (size_t i = 0; i < plog_tables_.size(); ++i) {
-      auto info = config_.dictionary->GetTable(plog_tables_[i]);
-      PRISMA_CHECK(info.ok());
-      std::shared_ptr<const algebra::Plan> scan =
-          algebra::ScanPlan::Create(plog_tables_[i], (*info)->schema);
-      for (const FragmentInfo& frag : (*info)->fragments) {
-        const int replica = ChooseReadReplica(frag);
-        FragmentWork w;
-        w.ofm = frag.ReplicaOfm(replica);
-        w.plan = std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-            *scan, plog_tables_[i], frag.ReplicaName(replica)));
-        w.part = i;
-        w.table = plog_tables_[i];
-        w.fragment = frag.name;
-        w.replica = replica;
-        work_->push_back(std::move(w));
+  // Identical parts (common subexpressions, e.g. self-joins) are
+  // scattered once and their gathered result shared (§2.4).
+  std::map<std::string, size_t> part_shapes;
+  for (size_t i = 0; i < split_->parts.size(); ++i) {
+    const LocalPart& part = split_->parts[i];
+    if (part.exchange != nullptr) {
+      // Exchange parts (joins and group-bys) bypass CSE: their rendered
+      // plan is not the executed artifact, and their gather is fed by
+      // dedicated consumers rather than a shareable per-fragment scan.
+      consumer_replies += ScatterExchangePart(i);
+      continue;
+    }
+    if (part.sorted_runs) {
+      // So do sorted runs: they stream here instead of replying.
+      ScatterRunsPart(i);
+      continue;
+    }
+    if (part.fixpoint) {
+      // And the fixpoint: its partitions reply with their owned slices.
+      consumer_replies += ScatterFixpointPart(i);
+      continue;
+    }
+    if (config_.rules.detect_common_subexpressions) {
+      const std::string key = part.table + "\n" + PartShapeKey(*part.plan);
+      auto [it, inserted] = part_shapes.try_emplace(key, i);
+      if (!inserted) {
+        duplicate_of_[i] = it->second;
+        continue;
       }
     }
-  } else {
-    // Identical parts (common subexpressions, e.g. self-joins) are
-    // scattered once and their gathered result shared (§2.4).
-    std::map<std::string, size_t> part_shapes;
-    duplicate_of_.assign(split_->parts.size(), SIZE_MAX);
-    for (size_t i = 0; i < split_->parts.size(); ++i) {
-      const LocalPart& part = split_->parts[i];
-      if (part.exchange != nullptr) {
-        // Exchange parts (joins and group-bys) bypass CSE: their rendered
-        // plan is not the executed artifact, and their gather is fed by
-        // dedicated consumers rather than a shareable per-fragment scan.
-        consumer_replies += ScatterExchangePart(i);
-        continue;
+    auto info = config_.dictionary->GetTable(part.table);
+    PRISMA_CHECK(info.ok());
+    const TableInfo* second = nullptr;
+    if (!part.second_table.empty()) {
+      auto second_or = config_.dictionary->GetTable(part.second_table);
+      PRISMA_CHECK(second_or.ok());
+      second = *second_or;
+    }
+    for (const int f : part_fragments_[i]) {
+      const FragmentInfo& frag = (*info)->fragments[f];
+      // Read routing: address the fragment's primary replica, or the
+      // surviving backup when the primary's PE is down (DESIGN.md §13).
+      const int replica = ChooseReadReplica(frag);
+      std::unique_ptr<algebra::Plan> local = CloneWithScanRenamed(
+          *part.plan, part.table, frag.ReplicaName(replica));
+      FragmentWork w;
+      if (second != nullptr) {
+        // The co-located partner reads the SAME replica slot: aligned
+        // placement keeps equal slots of aligned fragments on one PE.
+        const FragmentInfo& sfrag = second->fragments[f];
+        local = CloneWithScanRenamed(*local, part.second_table,
+                                     sfrag.ReplicaName(replica));
+        w.second_table = part.second_table;
+        w.second_fragment = sfrag.name;
       }
-      if (part.sorted_runs) {
-        // So do sorted runs: they stream here instead of replying.
-        ScatterRunsPart(i);
-        continue;
-      }
-      if (config_.rules.detect_common_subexpressions) {
-        const std::string key = part.table + "\n" + PartShapeKey(*part.plan);
-        auto [it, inserted] = part_shapes.try_emplace(key, i);
-        if (!inserted) {
-          duplicate_of_[i] = it->second;
-          continue;
-        }
-      }
-      auto info = config_.dictionary->GetTable(part.table);
-      PRISMA_CHECK(info.ok());
-      const TableInfo* second = nullptr;
-      if (!part.second_table.empty()) {
-        auto second_or = config_.dictionary->GetTable(part.second_table);
-        PRISMA_CHECK(second_or.ok());
-        second = *second_or;
-      }
-      for (const int f : part_fragments_[i]) {
-        const FragmentInfo& frag = (*info)->fragments[f];
-        // Read routing: address the fragment's primary replica, or the
-        // surviving backup when the primary's PE is down (DESIGN.md §13).
-        const int replica = ChooseReadReplica(frag);
-        std::unique_ptr<algebra::Plan> local = CloneWithScanRenamed(
-            *part.plan, part.table, frag.ReplicaName(replica));
-        FragmentWork w;
-        if (second != nullptr) {
-          // The co-located partner reads the SAME replica slot: aligned
-          // placement keeps equal slots of aligned fragments on one PE.
-          const FragmentInfo& sfrag = second->fragments[f];
-          local = CloneWithScanRenamed(*local, part.second_table,
-                                       sfrag.ReplicaName(replica));
-          w.second_table = part.second_table;
-          w.second_fragment = sfrag.name;
-        }
-        w.ofm = frag.ReplicaOfm(replica);
-        w.plan = std::shared_ptr<const algebra::Plan>(std::move(local));
-        w.part = i;
-        w.table = part.table;
-        w.fragment = frag.name;
-        w.replica = replica;
-        work_->push_back(std::move(w));
-      }
+      w.ofm = frag.ReplicaOfm(replica);
+      w.plan = std::shared_ptr<const algebra::Plan>(std::move(local));
+      w.part = i;
+      w.table = part.table;
+      w.fragment = frag.name;
+      w.replica = replica;
+      work_->push_back(std::move(w));
     }
   }
   // Forwarding (DESIGN.md §15.5): the answer IS the merge of the sorted
   // runs when the global plan merely scans them.
   forward_runs_ =
-      !is_prismalog_phase_ && !analyze_ && split_->parts.size() == 1 &&
+      !analyze_ && split_->parts.size() == 1 &&
       split_->parts[0].sorted_runs &&
       split_->global->kind() == algebra::PlanKind::kScan &&
       static_cast<const algebra::ScanPlan&>(*split_->global).table() ==
           PartName(0);
   StartGather(consumer_replies);
+  if (!fx_pids_.empty() && config_.retransmit.resend_ns > 0) {
+    // Faulty interconnect: the fixpoint's start/round/harvest directives
+    // can be lost, so rebroadcast the current ones until the query
+    // finishes (every handler at the PEs is idempotent).
+    SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
+  }
 }
 
 void QueryProcess::StartGather(size_t consumer_replies) {
@@ -978,12 +968,12 @@ void QueryProcess::FinishGather() {
       (*gathered_)[i] = (*gathered_)[duplicate_of_[i]];
     }
   }
-  if (is_fixpoint_) {
-    RunFixpointPhase();
-  } else if (is_prismalog_phase_) {
-    RunPrismalogPhase();
-  } else {
+  if (!config_.statement->is_prismalog) {
     RunGlobalPhase();
+  } else if (split_->parts.size() == 1 && split_->parts[0].fixpoint) {
+    RunFixpointPhase();
+  } else {
+    RunPrismalogPhase();
   }
 }
 
@@ -1218,33 +1208,35 @@ void QueryProcess::StartPrismalog() {
 
   // Linear-recursion programs whose goal is the full closure of one
   // fragmented, dictionary-resident edge relation run as a distributed
-  // semi-naive fixpoint (DESIGN.md §11) instead of gathering the edges
-  // here: the recursion executes where the data lives.
+  // semi-naive fixpoint (DESIGN.md §11): the recursion executes where the
+  // data lives.
+  const TableInfo* closure_edges = nullptr;
   if (program->query.has_value()) {
     auto tc = prismalog::DetectLinearTc(*program);
     if (tc.has_value() && program->query->predicate == tc->closure_pred &&
         program->query->args.size() == 2 &&
-        config_.dictionary->HasTable(tc->edge_pred) &&
         !config_.dictionary->HasTable(tc->closure_pred)) {
       auto info = config_.dictionary->GetTable(tc->edge_pred);
       if (info.ok() && (*info)->schema.columns().size() == 2) {
-        is_fixpoint_ = true;
-        fx_edge_table_ = tc->edge_pred;
-        fx_num_pes_ = (*info)->fragments.size();
-        if (explain_) {
-          ReplyFixpointExplain();
-          return;
-        }
-        std::set<std::string> resources;
-        for (const FragmentInfo& frag : (*info)->fragments) {
-          resources.insert(frag.name);
-        }
-        RequestLocks({resources.begin(), resources.end()});
-        return;
+        closure_edges = *info;
       }
     }
   }
-  if (explain_) {
+  // The program is planned like a SELECT (§2.3): one fixpoint part over
+  // the closure's edge relation, or else one local part per base table
+  // the program reads, whose gathered extension the stratified engine
+  // evaluates here.
+  auto split = std::make_shared<DistributedPlan>();
+  auto add_scan_part = [&split](const TableInfo& info) {
+    LocalPart part;
+    part.table = info.name;
+    part.plan = algebra::ScanPlan::Create(info.name, info.schema);
+    split->parts.push_back(std::move(part));
+  };
+  if (closure_edges != nullptr) {
+    add_scan_part(*closure_edges);
+    split->parts.back().fixpoint = true;
+  } else if (explain_) {
     // Non-recursive (or non-fixpoint) programs: the stratified engine at
     // the coordinator is the only strategy; say so.
     auto lines = std::make_shared<std::vector<Tuple>>();
@@ -1255,52 +1247,42 @@ void QueryProcess::StartPrismalog() {
     schema.AddColumn("plan", DataType::kString);
     Reply(Status::OK(), std::move(schema), std::move(lines));
     return;
-  }
-  // Base tables = every predicate present in the dictionary.
-  std::set<std::string> tables;
-  auto consider = [&](const std::string& pred) {
-    if (config_.dictionary->HasTable(pred)) tables.insert(pred);
-  };
-  for (const prismalog::Rule& rule : program->rules) {
-    consider(rule.head.predicate);
-    for (const prismalog::BodyElem& elem : rule.body) {
-      if (elem.kind == prismalog::BodyElem::Kind::kAtom) {
-        consider(elem.atom.predicate);
+  } else {
+    // Base tables = every predicate present in the dictionary, in name
+    // order (the order of the lock request and the scatter).
+    std::map<std::string, const TableInfo*> tables;
+    auto consider = [&](const std::string& pred) {
+      auto info = config_.dictionary->GetTable(pred);
+      if (info.ok()) tables.emplace(pred, *info);
+    };
+    for (const prismalog::Rule& rule : program->rules) {
+      consider(rule.head.predicate);
+      for (const prismalog::BodyElem& elem : rule.body) {
+        if (elem.kind == prismalog::BodyElem::Kind::kAtom) {
+          consider(elem.atom.predicate);
+        }
       }
     }
+    if (program->query.has_value()) consider(program->query->predicate);
+    for (const auto& [name, info] : tables) add_scan_part(*info);
   }
-  if (program->query.has_value()) consider(program->query->predicate);
-
-  is_prismalog_phase_ = true;
-  plog_tables_.assign(tables.begin(), tables.end());
-  for (size_t i = 0; i < plog_tables_.size(); ++i) {
-    plog_part_of_table_[plog_tables_[i]] = i;
-  }
-
-  std::set<std::string> resources;
-  for (const std::string& table : plog_tables_) {
-    auto info = config_.dictionary->GetTable(table);
-    PRISMA_CHECK(info.ok());
-    for (const FragmentInfo& frag : (*info)->fragments) {
-      resources.insert(frag.name);
-    }
-  }
-  if (resources.empty()) {
-    // Program over in-program facts only.
-    RequestLocks({});
+  split_ = std::move(split);
+  if (explain_) {
+    ReplyFixpointExplain();
     return;
   }
-  RequestLocks({resources.begin(), resources.end()});
+  AcquireSelectLocks();
 }
 
 void QueryProcess::RunPrismalogPhase() {
+  // Each part's gathered extension becomes a relation named after its
+  // table, which the program's atoms reference.
   std::vector<std::unique_ptr<storage::Relation>> relations;
   exec::MapTableResolver resolver;
-  for (size_t i = 0; i < plog_tables_.size(); ++i) {
-    auto info = config_.dictionary->GetTable(plog_tables_[i]);
-    PRISMA_CHECK(info.ok());
-    auto rel = std::make_unique<storage::Relation>(plog_tables_[i],
-                                                   (*info)->schema);
+  for (size_t i = 0; i < split_->parts.size(); ++i) {
+    const LocalPart& part = split_->parts[i];
+    auto rel = std::make_unique<storage::Relation>(part.table,
+                                                   part.plan->schema());
     for (Tuple& t : (*gathered_)[i]) {
       auto row = rel->Insert(std::move(t));
       if (!row.ok()) {
@@ -1308,7 +1290,7 @@ void QueryProcess::RunPrismalogPhase() {
         return;
       }
     }
-    resolver.Register(plog_tables_[i], rel.get());
+    resolver.Register(part.table, rel.get());
     relations.push_back(std::move(rel));
   }
   prismalog::EngineOptions options;
@@ -1329,30 +1311,23 @@ void QueryProcess::RunPrismalogPhase() {
 
 // ---------------------------------------------------- Distributed fixpoint
 
-void QueryProcess::ScatterFixpoint() {
-  auto info_or = config_.dictionary->GetTable(fx_edge_table_);
+size_t QueryProcess::ScatterFixpointPart(size_t part_index) {
+  const LocalPart& part = split_->parts[part_index];
+  auto info_or = config_.dictionary->GetTable(part.table);
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
   fx_num_pes_ = table.fragments.size();
-  gathered_->assign(1, {});
-  duplicate_of_.assign(1, SIZE_MAX);
-  part_profiles_.clear();
-  work_->clear();
-  if (fx_num_pes_ == 0) {
-    // Nothing to recurse over; answer from an empty extension.
-    RunFixpointPhase();
-    return;
-  }
-  // A fixpoint query has exactly one "part".
-  fixpoint_id_ = ExchangeId(0);
+  // Nothing to recurse over: the gather finishes at once and the answer
+  // comes from an empty extension.
+  if (fx_num_pes_ == 0) return 0;
+  fixpoint_id_ = ExchangeId(part_index);
 
   // One fixpoint partition per edge fragment, co-located with the replica
   // that serves its reads (DESIGN.md §13), like the edge producer below:
   // its slice of E (hash-partitioned on the first column) stays local,
   // and so does the delta ⋈ E join (pairs are owned by their second
   // endpoint's hash).
-  std::vector<pool::ProcessId> pids;
-  pids.reserve(fx_num_pes_);
+  fx_pids_.reserve(fx_num_pes_);
   for (size_t i = 0; i < fx_num_pes_; ++i) {
     const FragmentInfo& frag = table.fragments[i];
     FixpointPeProcess::Config fc;
@@ -1361,7 +1336,6 @@ void QueryProcess::ScatterFixpoint() {
     fc.num_pes = fx_num_pes_;
     fc.algorithm = config_.tc_algorithm;
     fc.edge_producers = fx_num_pes_;
-    fc.edge_schema = table.schema;
     fc.coordinator = self();
     fc.reply_request_id = next_request_id_++;
     fc.batch_rows = config_.exchange_batch_rows;
@@ -1369,53 +1343,46 @@ void QueryProcess::ScatterFixpoint() {
     fc.retransmit = config_.retransmit;
     fc.costs = config_.costs;
     fc.metrics = config_.metrics;
-    request_part_[fc.reply_request_id] = {0, 0};
+    request_part_[fc.reply_request_id] = {part_index, 0};
     const pool::ProcessId pid = runtime()->Spawn(
         frag.ReplicaPe(ChooseReadReplica(frag)),
         std::make_unique<FixpointPeProcess>(std::move(fc)));
     consumer_pids_.push_back(pid);  // Reaped in Reply(), like consumers.
-    pids.push_back(pid);
+    fx_pids_.push_back(pid);
   }
-  fx_pids_ = pids;
-  fx_round_ = 0;
-  fx_barrier_.Begin(0, fx_num_pes_);
-  fx_any_new_ = false;
   fx_start_msg_ = std::make_shared<FixpointStartMsg>();
   fx_start_msg_->fixpoint_id = fixpoint_id_;
-  fx_start_msg_->peers = pids;
-  for (const pool::ProcessId pid : pids) {
+  fx_start_msg_->peers = fx_pids_;
+  for (const pool::ProcessId pid : fx_pids_) {
     SendMail(pid, kMailFixpointStart, fx_start_msg_, kControlBits);
   }
 
   // Edge shuffle (side 0): every fragment OFM streams its slice to every
   // partition through the ordinary shuffle-producer path, hardened-RPC
-  // and read routing and all.
-  std::unique_ptr<algebra::Plan> scan =
-      algebra::ScanPlan::Create(fx_edge_table_, table.schema);
-  // Hash-routed on column 0 (the request's defaults).
+  // and read routing and all. Hash-routed on column 0 (the request's
+  // defaults).
   for (size_t f = 0; f < fx_num_pes_; ++f) {
-    AddShuffleProducer(0, fixpoint_id_, 0, f, fx_edge_table_,
-                       table.fragments[f], *scan, pids);
+    AddShuffleProducer(part_index, fixpoint_id_, 0, f, part.table,
+                       table.fragments[f], *part.plan, fx_pids_);
   }
   // The gather waits for every shuffle producer plus every partition's
   // harvest reply.
-  StartGather(fx_num_pes_);
-  if (config_.retransmit.resend_ns > 0) {
-    // Faulty interconnect: start/round/harvest directives can be lost,
-    // so rebroadcast the current ones until the query finishes (every
-    // handler at the PEs is idempotent).
-    SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
-  }
+  return fx_num_pes_;
 }
 
 void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
-  if (finished_ || !is_fixpoint_) return;
+  if (finished_) return;
   auto msg = std::any_cast<std::shared_ptr<FixpointVoteMsg>>(mail.body);
   if (msg->fixpoint_id != fixpoint_id_) return;
   if (msg->pe >= fx_num_pes_) return;
-  // One admitted vote per (round, PE): the barrier rejects late votes of
-  // finished rounds and retransmitted votes of the current one.
-  if (!fx_barrier_.Vote(msg->round, static_cast<int>(msg->pe))) return;
+  // Round barrier: one admitted vote per (round, PE). Late votes of
+  // finished rounds, retransmitted votes of the current one and any vote
+  // after the harvest (the last round's voter set stays full) are
+  // rejected; retransmitted mail is at-least-once.
+  if (msg->round != fx_round_ || fx_voters_.size() >= fx_num_pes_ ||
+      !fx_voters_.insert(msg->pe).second) {
+    return;
+  }
   if (msg->absorbed_new > 0) fx_any_new_ = true;
   fx_delta_total_ += msg->absorbed_new;
   fx_pairs_total_ += msg->pairs_derived;
@@ -1428,7 +1395,7 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
     config_.metrics->GetCounter("fixpoint.wire_bits", q)
         ->Increment(msg->wire_bits);
   }
-  if (!fx_barrier_.complete()) return;
+  if (fx_voters_.size() < fx_num_pes_) return;
 
   // Termination barrier: every partition finished round fx_round_. If any
   // of them absorbed a new pair the global delta is non-empty — run
@@ -1440,7 +1407,7 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
   fx_round_msg_->fixpoint_id = fixpoint_id_;
   if (advance) {
     ++fx_round_;
-    fx_barrier_.Begin(fx_round_, fx_num_pes_);
+    fx_voters_.clear();
     fx_round_msg_->round = fx_round_;
   } else {
     fx_round_msg_->harvest = true;
@@ -1464,7 +1431,7 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
 }
 
 void QueryProcess::BroadcastFixpointCtrl() {
-  if (finished_ || !is_fixpoint_ || config_.retransmit.resend_ns <= 0) return;
+  if (finished_) return;
   for (const pool::ProcessId pid : fx_pids_) {
     if (fx_start_msg_ != nullptr) {
       SendMail(pid, kMailFixpointStart, fx_start_msg_, kControlBits);
@@ -1492,7 +1459,8 @@ void QueryProcess::RunFixpointPhase() {
 }
 
 void QueryProcess::ReplyFixpointExplain() {
-  auto info_or = config_.dictionary->GetTable(fx_edge_table_);
+  const LocalPart& part = split_->parts[0];
+  auto info_or = config_.dictionary->GetTable(part.table);
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
   auto lines = std::make_shared<std::vector<Tuple>>();
@@ -1501,11 +1469,9 @@ void QueryProcess::ReplyFixpointExplain() {
   };
   emit(StrFormat("prismalog: linear recursion over %s detected, evaluated "
                  "as a distributed fixpoint",
-                 fx_edge_table_.c_str()));
-  std::unique_ptr<algebra::Plan> scan =
-      algebra::ScanPlan::Create(fx_edge_table_, table.schema);
+                 part.table.c_str()));
   auto plan = algebra::FixpointPlan::Create(
-      std::move(scan), TcAlgorithmName(config_.tc_algorithm),
+      part.plan->Clone(), TcAlgorithmName(config_.tc_algorithm),
       std::max<size_t>(table.fragments.size(), 1));
   PRISMA_CHECK(plan.ok());
   for (const std::string& line : Split((*plan)->ToString(), '\n')) {
@@ -1540,11 +1506,7 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
       Reply(reply->status, Schema(), nullptr);
       return;
     }
-    if (is_fixpoint_) {
-      ScatterFixpoint();
-    } else {
-      Scatter();
-    }
+    Scatter();
   } else if (mail.kind == kMailExecPlanReply) {
     HandlePlanReply(mail);
   } else if (mail.kind == kMailTupleBatch) {

@@ -18,7 +18,6 @@
 #include "gdh/optimizer.h"
 #include "gdh/pe_registry.h"
 #include "gdh/plan_cache.h"
-#include "gdh/stage.h"
 #include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
@@ -52,7 +51,6 @@ class QueryProcess : public pool::Process {
     /// Transaction whose locks cover this statement (the session txn, or
     /// a GDH-assigned statement txn released at stmt_done).
     exec::TxnId lock_txn = exec::kAutoCommit;
-    sim::SimTime timeout_ns = 30 * sim::kNanosPerSecond;
     /// The machine's retransmission policy (GdhProcess::Config): OFM
     /// requests retransmit under it, stmt_done is resent every resend_ns
     /// until this process is reaped, and every consumer process spawned
@@ -137,7 +135,9 @@ class QueryProcess : public pool::Process {
   void RunGlobalPhase();
   void RunPrismalogPhase();
   // Distributed fixpoint (DESIGN.md §11).
-  void ScatterFixpoint();
+  /// Spawns the partitions of fixpoint part `part_index` and appends its
+  /// edge producers; returns the partition replies the gather waits for.
+  size_t ScatterFixpointPart(size_t part_index);
   void HandleFixpointVote(const pool::Mail& mail);
   void BroadcastFixpointCtrl();
   void RunFixpointPhase();
@@ -159,14 +159,14 @@ class QueryProcess : public pool::Process {
   sim::EventId timeout_event_ = 0;
   sim::SimTime start_time_ = 0;
 
-  // SELECT state. The split plan is immutable once built and may be
-  // shared with the plan cache and concurrent queries (read-only here).
+  // Plan state, for every statement kind. The split plan is immutable
+  // once built and may be shared with the plan cache and concurrent
+  // queries (read-only here).
   std::shared_ptr<const DistributedPlan> split_;
   OptimizerReport optimizer_report_;
   /// Plan-cache id of split_ (0: not from the cache); its fragment plans
   /// may then go to the OFMs by id (DESIGN.md §15.4).
   uint64_t plan_entry_ = 0;
-  bool is_prismalog_phase_ = false;
   bool explain_ = false;
   bool analyze_ = false;
 
@@ -323,24 +323,19 @@ class QueryProcess : public pool::Process {
   std::vector<Tuple> unframed_;
   uint32_t frames_sent_ = 0;
 
-  // PRISMAlog state: gathered base tables by name.
-  std::vector<std::string> plog_tables_;
-  std::map<std::string, size_t> plog_part_of_table_;
-  /// Program text with any leading EXPLAIN keyword stripped (what the
-  /// parser actually sees, re-parsed at reply time).
+  /// PRISMAlog program text with any leading EXPLAIN keyword stripped
+  /// (what the parser actually sees, re-parsed at reply time).
   std::string plog_text_;
 
   // Distributed fixpoint state (the coordinator's termination barrier).
-  bool is_fixpoint_ = false;
-  std::string fx_edge_table_;
   uint64_t fixpoint_id_ = 0;
   size_t fx_num_pes_ = 0;
   std::vector<pool::ProcessId> fx_pids_;
   /// Round the barrier is collecting votes for (0 = seed round).
   uint64_t fx_round_ = 0;
-  /// One admitted vote per (round, PE); dedups retransmits (the fixpoint
-  /// round barrier is a StageBarrier whose stage id is the round).
-  StageBarrier fx_barrier_;
+  /// Partitions whose vote for fx_round_ was admitted (at most one each;
+  /// dedups retransmits). Full once the round's barrier opens.
+  std::set<size_t> fx_voters_;
   bool fx_any_new_ = false;  // Any vote this round absorbed new pairs.
   uint64_t fx_delta_total_ = 0;
   uint64_t fx_pairs_total_ = 0;

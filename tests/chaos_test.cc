@@ -1952,7 +1952,7 @@ TEST(ChaosTest, CrashAfterPrepareWithVoteInFlightAbortsInsteadOfLosingWrites) {
 
   ASSERT_TRUE(replied);
   EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(db.gdh().stats().txns_doomed, 1u);
+  EXPECT_EQ(db.metrics().CounterValue("gdh.txns_doomed"), 1u);
   // No commit decision was ever logged, and no fragment kept any insert.
   EXPECT_TRUE(db.stable_store(0).ReadStream("gdh.2pc").empty());
   EXPECT_TRUE(db.gdh().committed_decisions().empty());
@@ -2118,15 +2118,16 @@ TEST(ChaosTest, LinkDownPastTheRetryBudgetStillAnswersTheDurableOutcome) {
   // for far longer than a retry budget lasts (6 attempts: under 2 s), so
   // the reply is lost and every retransmission with it.
   CutGdhLink(&db, frag.pe, 10 * sim::kNanosPerSecond);
-  const uint64_t retries_before = db.gdh().stats().rpc_retries;
+  const uint64_t retries_before =
+      db.metrics().CounterValue("gdh.rpc_retries");
   db.Run();
 
   // The client's answer is the durable outcome: committed.
   ASSERT_TRUE(replied);
   EXPECT_TRUE(outcome.ok()) << outcome.ToString();
-  EXPECT_GT(db.gdh().stats().rpc_retries - retries_before,
+  EXPECT_GT(db.metrics().CounterValue("gdh.rpc_retries") - retries_before,
             static_cast<uint64_t>(config.rpc_attempts));
-  EXPECT_EQ(db.gdh().stats().rpc_failures, 0u);
+  EXPECT_EQ(db.metrics().CounterValue("gdh.rpc_failures"), 0u);
   EXPECT_EQ(MustExecute(&db, "SELECT id FROM t").tuples.size(), 1u);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/prisma_db.h"
@@ -593,34 +594,6 @@ TEST_F(PrismaDbTest, InterpretedMachineAgreesButRunsSlower) {
   EXPECT_LT(compiled.second, interpreted.second);  // E4's cost-model view.
 }
 
-TEST_F(PrismaDbTest, RoundRobinPlacementSpreadsLoadButStillAnswers) {
-  MachineConfig config = SmallMachine();
-  config.placement = gdh::PlacementPolicy::kRoundRobin;
-  PrismaDb db(config);
-  ASSERT_TRUE(db.Execute("CREATE TABLE a (k INT) FRAGMENTED BY HASH(k) "
-                         "INTO 4 FRAGMENTS")
-                  .ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE b (k INT) FRAGMENTED BY HASH(k) "
-                         "INTO 4 FRAGMENTS")
-                  .ok());
-  // Round-robin placement keeps the global cursor moving, so a's and b's
-  // equal fragment indexes land on different PEs (no co-location).
-  auto a = db.gdh().dictionary().GetTable("a");
-  auto b = db.gdh().dictionary().GetTable("b");
-  ASSERT_TRUE(a.ok() && b.ok());
-  bool all_aligned = true;
-  for (int i = 0; i < 4; ++i) {
-    if ((*a)->fragments[i].pe != (*b)->fragments[i].pe) all_aligned = false;
-  }
-  EXPECT_FALSE(all_aligned);
-  ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (1), (2)").ok());
-  ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (2), (3)").ok());
-  auto joined =
-      db.Execute("SELECT a.k FROM a JOIN b ON a.k = b.k");
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->tuples.size(), 1u);
-}
-
 TEST_F(PrismaDbTest, PrismalogWithNegationOnTheMachine) {
   MustExecute("CREATE TABLE edge (s STRING, d STRING) "
               "FRAGMENTED BY HASH(s) INTO 2 FRAGMENTS");
@@ -634,6 +607,81 @@ TEST_F(PrismaDbTest, PrismalogWithNegationOnTheMachine) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->tuples.size(), 1u);
   EXPECT_EQ(result->tuples.front().at(0), Value::String("a"));
+}
+
+constexpr const char* kClosureProgram =
+    "p(X, Y) :- edge(X, Y).\n"
+    "p(X, Z) :- edge(X, Y), p(Y, Z).\n"
+    "? p(X, Y).";
+constexpr const char* kEdgeProgram =
+    "q(X, Y) :- edge(X, Y).\n"
+    "? q(c, Y).";
+
+TEST_F(PrismaDbTest, PrismalogExplainNamesTheFixpointOrTheStratifiedEngine) {
+  MustExecute("CREATE TABLE edge (s STRING, d STRING) "
+              "FRAGMENTED BY HASH(s) INTO 3 FRAGMENTS");
+  auto render = [](const QueryResult& result) {
+    std::string text;
+    for (const Tuple& line : result.tuples) {
+      text += line.at(0).string_value() + "\n";
+    }
+    return text;
+  };
+  auto closure =
+      db_.ExecutePrismalog(std::string("EXPLAIN ") + kClosureProgram);
+  ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+  const std::string fixpoint = render(*closure);
+  EXPECT_NE(fixpoint.find("linear recursion over edge detected, evaluated "
+                          "as a distributed fixpoint"),
+            std::string::npos)
+      << fixpoint;
+  EXPECT_NE(fixpoint.find("edge relation: 3 fragment(s)"), std::string::npos)
+      << fixpoint;
+  auto plain = db_.ExecutePrismalog(std::string("EXPLAIN ") + kEdgeProgram);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(render(*plain),
+            "prismalog: stratified semi-naive evaluation at the coordinator "
+            "(no distributed fixpoint pattern detected)\n");
+}
+
+TEST_F(PrismaDbTest, PrismalogWaitsForAnOpenWriterAndSeesItsCommit) {
+  MustExecute("CREATE TABLE edge (s STRING, d STRING) "
+              "FRAGMENTED BY HASH(s) INTO 3 FRAGMENTS");
+  MustExecute("INSERT INTO edge VALUES ('a','b'), ('b','c'), ('c','d')");
+  auto session = db_.OpenSession();
+  ASSERT_TRUE(session.Execute("BEGIN").ok());
+  ASSERT_TRUE(session.Execute("UPDATE edge SET d = 'e' WHERE s = 'c'").ok());
+
+  std::optional<gdh::ClientReply> closure;
+  std::optional<gdh::ClientReply> plain;
+  db_.Submit(kClosureProgram, true, exec::kAutoCommit,
+             [&](const gdh::ClientReply& reply, sim::SimTime) {
+               closure = reply;
+             });
+  db_.Submit(kEdgeProgram, true, exec::kAutoCommit,
+             [&](const gdh::ClientReply& reply, sim::SimTime) {
+               plain = reply;
+             });
+  // Both programs take shared locks on every edge fragment, so both wait
+  // for the writer's exclusive lock.
+  db_.simulator().RunUntil(db_.simulator().now() + sim::kNanosPerSecond);
+  EXPECT_FALSE(closure.has_value());
+  EXPECT_FALSE(plain.has_value());
+
+  ASSERT_TRUE(session.Execute("COMMIT").ok());
+  ASSERT_TRUE(closure.has_value());
+  ASSERT_TRUE(closure->status.ok()) << closure->status.ToString();
+  std::set<std::pair<std::string, std::string>> pairs;
+  for (const Tuple& t : *closure->tuples) {
+    pairs.emplace(t.at(0).string_value(), t.at(1).string_value());
+  }
+  EXPECT_EQ(pairs, (std::set<std::pair<std::string, std::string>>{
+                       {"a", "b"}, {"a", "c"}, {"a", "e"},
+                       {"b", "c"}, {"b", "e"}, {"c", "e"}}));
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_TRUE(plain->status.ok()) << plain->status.ToString();
+  ASSERT_EQ(plain->tuples->size(), 1u);
+  EXPECT_EQ(plain->tuples->front().at(0), Value::String("e"));
 }
 
 TEST_F(PrismaDbTest, SinglePeMachineStillWorks) {

@@ -138,28 +138,19 @@ std::map<net::NodeId, int> FragmentsPerPe(
 }
 
 TEST(DataAllocationTest, TablesThatFitTheFragmentPesStayOffTheGdhPe) {
-  size_t cursor = 0;
-  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 7,
-                                         PlacementPolicy::kAligned, &cursor)),
-            kFragmentPes);
-  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 3,
-                                         PlacementPolicy::kAligned, &cursor)),
+  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 7)), kFragmentPes);
+  EXPECT_EQ(PrimaryPes(AllocateFragments(kFragmentPes, 0, 3)),
             (std::vector<net::NodeId>{1, 2, 3}));
-  EXPECT_EQ(cursor, 0u);  // Aligned placement leaves the cursor alone.
 }
 
 TEST(DataAllocationTest, AnNWayTableOnNPesPutsOneFragmentOnEveryPe) {
-  size_t cursor = 0;
-  const auto homes =
-      AllocateFragments(kFragmentPes, 0, 8, PlacementPolicy::kAligned, &cursor);
+  const auto homes = AllocateFragments(kFragmentPes, 0, 8);
   EXPECT_EQ(PrimaryPes(homes),
             (std::vector<net::NodeId>{1, 2, 3, 4, 5, 6, 7, 0}));
 }
 
 TEST(DataAllocationTest, A2NWayTableOnNPesPutsTwoFragmentsOnEveryPe) {
-  size_t cursor = 0;
-  const auto per_pe = FragmentsPerPe(AllocateFragments(
-      kFragmentPes, 0, 16, PlacementPolicy::kAligned, &cursor));
+  const auto per_pe = FragmentsPerPe(AllocateFragments(kFragmentPes, 0, 16));
   ASSERT_EQ(per_pe.size(), 8u);
   for (const auto& [pe, count] : per_pe) {
     EXPECT_EQ(count, 2) << "PE " << pe;
@@ -167,41 +158,16 @@ TEST(DataAllocationTest, A2NWayTableOnNPesPutsTwoFragmentsOnEveryPe) {
 }
 
 TEST(DataAllocationTest, NoFragmentHasBothReplicasOnOnePe) {
-  for (const PlacementPolicy policy :
-       {PlacementPolicy::kAligned, PlacementPolicy::kRoundRobin}) {
-    size_t cursor = 0;
-    // Pools of two PEs (the smallest a replicated machine allows) and of
-    // seven, each with and without the GDH's PE appended.
-    for (const auto& pes : {std::vector<net::NodeId>{1, 2}, kFragmentPes}) {
-      for (size_t fragments = 1; fragments <= 17; ++fragments) {
-        for (const FragmentHome& home :
-             AllocateFragments(pes, 0, fragments, policy, &cursor)) {
-          EXPECT_NE(home.pe, home.backup_pe)
-              << fragments << " fragments over " << pes.size() << " PEs";
-        }
+  // Pools of two PEs (the smallest a replicated machine allows) and of
+  // seven, each with and without the GDH's PE appended.
+  for (const auto& pes : {std::vector<net::NodeId>{1, 2}, kFragmentPes}) {
+    for (size_t fragments = 1; fragments <= 17; ++fragments) {
+      for (const FragmentHome& home : AllocateFragments(pes, 0, fragments)) {
+        EXPECT_NE(home.pe, home.backup_pe)
+            << fragments << " fragments over " << pes.size() << " PEs";
       }
     }
   }
-}
-
-TEST(DataAllocationTest, RoundRobinSpansTheGdhPeOnlyForOverflowingTables) {
-  size_t cursor = 0;
-  // A 3-way table takes the cursor's next three fragment PEs.
-  const auto first = AllocateFragments(kFragmentPes, 0, 3,
-                                       PlacementPolicy::kRoundRobin, &cursor);
-  EXPECT_EQ(PrimaryPes(first), (std::vector<net::NodeId>{1, 2, 3}));
-  EXPECT_EQ(cursor, 3u);
-  // An 8-way table overflows PEs 1..7: the cursor runs over all 8 PEs.
-  const auto wide = AllocateFragments(kFragmentPes, 0, 8,
-                                      PlacementPolicy::kRoundRobin, &cursor);
-  EXPECT_EQ(FragmentsPerPe(wide).size(), 8u);
-  EXPECT_EQ(FragmentsPerPe(wide).count(0), 1u);
-  // A 7-way table fits again and stays off the GDH's PE.
-  const auto narrow = AllocateFragments(kFragmentPes, 0, 7,
-                                        PlacementPolicy::kRoundRobin, &cursor);
-  EXPECT_EQ(FragmentsPerPe(narrow).count(0), 0u);
-  EXPECT_EQ(FragmentsPerPe(narrow).size(), 7u);
-  EXPECT_EQ(cursor, 18u);
 }
 
 // --------------------------------------------------------- DataDictionary
