@@ -120,7 +120,10 @@ PointResult RunPoint(uint64_t seed, double offered_qps, size_t cache_capacity,
           std::string& line = replies[i];
           line = reply.status.ok() ? "ok" : reply.status.ToString();
           if (reply.tuples != nullptr) {
-            for (const Tuple& t : *reply.tuples) line += " " + t.ToString();
+            for (const Tuple& t : *reply.tuples) {
+              line += ' ';
+              line += t.ToString();
+            }
           }
         },
         event.at_ns);

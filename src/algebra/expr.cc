@@ -109,7 +109,7 @@ std::unique_ptr<Expr> Expr::ColumnRef(std::string name) {
 std::unique_ptr<Expr> Expr::ColumnIndex(size_t index, DataType type) {
   auto e = std::unique_ptr<Expr>(new Expr(ExprKind::kColumnRef));
   e->column_index_ = index;
-  e->column_name_ = "$" + std::to_string(index);
+  e->column_name_ = std::string("$") + std::to_string(index);
   e->result_type_ = type;
   e->bound_ = true;
   return e;
@@ -271,12 +271,12 @@ std::string Expr::ToString() const {
       return column_name_;
     case ExprKind::kUnary:
       if (unary_op_ == UnaryOp::kIsNull) {
-        return "(" + children_[0]->ToString() + " IS NULL)";
+        return std::string("(") + children_[0]->ToString() + " IS NULL)";
       }
       return std::string(UnaryOpName(unary_op_)) + "(" +
              children_[0]->ToString() + ")";
     case ExprKind::kBinary:
-      return "(" + children_[0]->ToString() + " " +
+      return std::string("(") + children_[0]->ToString() + " " +
              BinaryOpName(binary_op_) + " " + children_[1]->ToString() + ")";
   }
   return "?";

@@ -14,15 +14,11 @@ namespace prisma::gdh {
 ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
     : config_(std::move(config)),
       join_(MakeJoin()),
-      build_channels_(std::vector<exec::InboundChannel>(
-          Side(config_.build_side).producers)),
-      probe_channels_(std::vector<exec::InboundChannel>(
-          Side(1 - config_.build_side).moving
-              ? Side(1 - config_.build_side).producers
-              : 0)),
-      in_(this, ShuffleConsumerOptions(config_.index, config_.fragment,
-                                       config_.credit_window, config_.costs,
-                                       config_.metrics)),
+      in_(this, ConsumerOptions(config_.exchange_id, config_.index,
+                                config_.credit_window, config_.costs,
+                                config_.metrics,
+                                {{"fragment", config_.fragment}},
+                                /*fixpoint=*/false)),
       reply_(this, config_.coordinator, kMailExecPlanReply,
              kMailExchangeReplyResend, config_.retransmit.resend_ns) {
   PRISMA_CHECK(config_.build_side == 0 || config_.build_side == 1);
@@ -36,27 +32,8 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
   } else {
     PRISMA_CHECK(probe.moving || probe.local_plan != nullptr);
   }
-}
-
-StreamReceiver::Options ShuffleConsumerOptions(size_t index,
-                                               const std::string& fragment,
-                                               uint64_t credit_window,
-                                               const pool::CostModel& costs,
-                                               obs::MetricsRegistry* metrics) {
-  StreamReceiver::Options options;
-  options.consumer = index;
-  options.credit_window = credit_window;
-  // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
-  options.tuple_ns = costs.tuple_ns;
-  if (metrics != nullptr) {
-    options.received = metrics->GetCounter("exchange.batches_received",
-                                           {{"fragment", fragment}});
-    options.dups = [metrics, fragment] {
-      return metrics->GetCounter("exchange.dup_batches",
-                                 {{"fragment", fragment}});
-    };
-  }
-  return options;
+  in_.Expect(config_.build_side, Side(config_.build_side).producers);
+  if (probe.moving) in_.Expect(1 - config_.build_side, probe.producers);
 }
 
 StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
@@ -121,7 +98,12 @@ ExchangeConsumerProcess::MakeJoin() {
 // PRISMA_HANDLES(kMailTupleBatch, kMailExchangeReplyResend)
 void ExchangeConsumerProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailTupleBatch) {
-    HandleBatch(mail);
+    const Status status =
+        in_.Receive(mail, [this](StreamReceiver::Delivery& delivery) {
+          Take(delivery);
+          return Status::OK();
+        });
+    if (!status.ok()) SendReply(status);
     return;
   }
   if (mail.kind == kMailExchangeReplyResend) {
@@ -131,50 +113,18 @@ void ExchangeConsumerProcess::OnMail(const pool::Mail& mail) {
   // Unknown kinds are ignored (forward compatibility).
 }
 
-void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
-  auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
-  if (msg->exchange_id != config_.exchange_id) return;
-  const bool is_build = msg->side == config_.build_side;
-  auto& channels = is_build ? build_channels_ : probe_channels_;
-  if (msg->producer >= channels->size()) return;
-  exec::InboundChannel& channel = (*channels)[msg->producer];
-  const Status status = in_.Offer(*msg, channel);
-  if (!status.ok()) {
-    SendReply(status);
-    return;
-  }
-
-  // Advance the pipeline first: TakeReady inside Pump is what moves the
-  // channel's cumulative ack point, so acking afterwards covers this very
-  // batch (acking before it would leave the stream's last batch
-  // permanently unacknowledged, stalling the producer into its
-  // retransmission timer).
-  Pump();
-
-  in_.Ack(mail.from, msg->shuffle_token, channel);
-}
-
-void ExchangeConsumerProcess::Pump() {
+void ExchangeConsumerProcess::Take(StreamReceiver::Delivery& delivery) {
   if (reply_.sent()) return;
-
-  // Build phase: insert in-order build batches into the hash table. A
-  // one-input consumer collects them in fixed channel order, which keeps
-  // its rows deterministic given the (deterministic) delivery schedule.
-  bool build_channels_done = true;
-  for (exec::InboundChannel& channel : *build_channels_) {
-    for (exec::TupleBatch& batch : channel.TakeReady()) {
-      if (failed_) continue;
-      for (Tuple& tuple : batch.tuples) {
-        if (!join_.null()) {
-          join_->AddBuild(std::move(tuple));
-        } else {
-          results_->push_back(std::move(tuple));
-        }
+  const int probe_side = 1 - config_.build_side;
+  if (delivery.side == config_.build_side) {
+    for (Tuple& tuple : delivery.rows) {
+      if (!join_.null()) {
+        join_->AddBuild(std::move(tuple));
+      } else {
+        results_->push_back(std::move(tuple));
       }
     }
-    if (!channel.done()) build_channels_done = false;
-  }
-  if (!build_done_ && build_channels_done) {
+    if (!in_.Done(config_.build_side)) return;
     build_done_ = true;
     if (join_.null()) {
       SendReply(Status::OK());
@@ -182,40 +132,27 @@ void ExchangeConsumerProcess::Pump() {
     }
     join_->FinishBuild();
     ChargeJoinDelta();
-  }
-
-  // Probe phase. Moving probe tuples arriving before the build is sealed
-  // are buffered; everything after streams straight through the join.
-  const SideSpec& probe = Side(1 - config_.build_side);
-  if (probe.moving) {
-    bool probe_channels_done = true;
-    for (exec::InboundChannel& channel : *probe_channels_) {
-      for (exec::TupleBatch& batch : channel.TakeReady()) {
-        if (failed_) continue;
-        if (!build_done_) {
-          for (Tuple& tuple : batch.tuples) {
-            probe_buffer_->push_back(std::move(tuple));
-          }
-        } else {
-          const Status status = ProbeTuples(batch.tuples);
-          if (!status.ok()) SendReply(status);
-        }
-      }
-      if (!channel.done()) probe_channels_done = false;
+    if (!Side(probe_side).moving) {
+      RunLocalProbe();
+      return;
     }
-    if (build_done_ && !failed_) {
-      if (!probe_buffer_->empty()) {
-        std::vector<Tuple> buffered = std::move(*probe_buffer_);
-        probe_buffer_->clear();
-        const Status status = ProbeTuples(buffered);
-        if (!status.ok()) SendReply(status);
-      }
-      if (probe_channels_done && !reply_.sent()) SendReply(Status::OK());
-    }
-  } else if (build_done_ && !probe_drained_ && !failed_) {
-    probe_drained_ = true;
-    RunLocalProbe();
+    // Moving probe rows that arrived before the build was sealed.
+    delivery.rows = std::move(*probe_buffer_);
+    probe_buffer_->clear();
+  } else if (!build_done_) {
+    probe_buffer_->insert(probe_buffer_->end(),
+                          std::make_move_iterator(delivery.rows.begin()),
+                          std::make_move_iterator(delivery.rows.end()));
+    return;
   }
+  if (!delivery.rows.empty()) {
+    const Status status = ProbeTuples(delivery.rows);
+    if (!status.ok()) {
+      SendReply(status);
+      return;
+    }
+  }
+  if (in_.Done(probe_side)) SendReply(Status::OK());
 }
 
 Status ExchangeConsumerProcess::ProbeTuples(const std::vector<Tuple>& tuples) {
@@ -249,28 +186,20 @@ void ExchangeConsumerProcess::RunLocalProbe() {
 
 void ExchangeConsumerProcess::SendReply(Status status) {
   if (reply_.sent()) return;
-  failed_ = !status.ok();
-  auto reply = std::make_shared<ExecPlanReply>();
-  reply->request_id = config_.reply_request_id;
-  reply->status = std::move(status);
-  reply->fragment = config_.fragment;
-  if (!failed_) {
-    std::vector<Tuple> rows = std::move(*results_);
-    results_->clear();
-    if (config_.post_plan != nullptr) {
-      StatusOr<std::vector<Tuple>> post = RunPlanOverRows(
-          this, *config_.post_plan, config_.input_schema, std::move(rows),
-          config_.expr_mode, config_.costs);
-      if (post.ok()) {
-        rows = std::move(post).value();
-      } else {
-        failed_ = true;
-        reply->status = post.status();
-      }
+  std::vector<Tuple> rows = std::move(*results_);
+  results_->clear();
+  if (status.ok() && config_.post_plan != nullptr) {
+    StatusOr<std::vector<Tuple>> post =
+        RunPlanOverRows(this, *config_.post_plan, config_.input_schema,
+                        std::move(rows), config_.expr_mode, config_.costs);
+    if (post.ok()) {
+      rows = std::move(post).value();
+    } else {
+      status = post.status();
     }
-    if (!failed_) reply->rows = EncodeRows(rows);
   }
-  reply_.Send(reply, reply->WireBits());
+  SendConsumerReply(reply_, config_.reply_request_id, config_.fragment,
+                    std::move(status), rows);
 }
 
 void ExchangeConsumerProcess::ChargeJoinDelta() {

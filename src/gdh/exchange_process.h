@@ -24,14 +24,15 @@ namespace prisma::gdh {
 /// with a normal ExecPlanReply. With two inputs (a join) it pipelines them
 /// into the build and probe phases of a hash join (no full-input
 /// materialization); with one input and no keys (a group-by, §14.2) it
-/// drains its channels in channel order. Either way it then runs the
-/// post plan (a partial aggregate, or a group-by's merge) over its rows
-/// if it has one.
+/// collects its rows in arrival order. Either way it then runs the post
+/// plan (a partial aggregate, or a group-by's merge) over its rows if it
+/// has one.
 ///
-/// Fault tolerance is the transport's (gdh/transport.h): inbound batches
-/// are seq-deduplicated per channel (duplicated or re-executed producers
-/// are harmless), every batch is cumulatively acknowledged (lost acks are
-/// repaired by the producer's retransmission), and the final reply is
+/// Fault tolerance is the transport's (gdh/transport.h): its receiver
+/// seq-deduplicates inbound batches per producer (duplicated or
+/// re-executed producers are harmless) and acknowledges every batch
+/// cumulatively (lost acks are repaired by the producer's
+/// retransmission), and the final reply is
 /// retransmitted on a timer until the coordinator kills this process at
 /// statement completion.
 class ExchangeConsumerProcess : public pool::Process {
@@ -89,12 +90,11 @@ class ExchangeConsumerProcess : public pool::Process {
   /// compiled_predicate_ and predicate_cost_ns_ (declared before join_).
   /// Null for a one-input consumer.
   std::unique_ptr<exec::PipelinedHashJoin> MakeJoin();
-  void HandleBatch(const pool::Mail& mail);
-  /// Advances the pipeline: drains in-order build batches into the hash
-  /// table (a one-input consumer: into its result, replying on EOS),
-  /// seals the build on EOS, then probes (buffered + streaming moving
-  /// batches, or the local stationary input).
-  void Pump();
+  /// Advances the pipeline by one delivery: build rows go into the hash
+  /// table (a one-input consumer: into its result, replying on EOS), the
+  /// build's EOS seals it and probes what waited (buffered moving rows,
+  /// or the local stationary input), and later probe rows stream through.
+  void Take(StreamReceiver::Delivery& delivery);
   Status ProbeTuples(const std::vector<Tuple>& tuples);
   void RunLocalProbe();
   void SendReply(Status status);
@@ -114,28 +114,14 @@ class ExchangeConsumerProcess : public pool::Process {
   sim::SimTime predicate_cost_ns_ = 0;
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::PipelinedHashJoin> join_;
-  pool::Owned<std::vector<exec::InboundChannel>> build_channels_;
-  pool::Owned<std::vector<exec::InboundChannel>> probe_channels_;
   pool::Owned<std::vector<Tuple>> probe_buffer_;  // Pre-build-EOS arrivals.
   pool::Owned<std::vector<Tuple>> results_;
   StreamReceiver in_;
   Resender reply_;
 
   bool build_done_ = false;
-  bool probe_drained_ = false;  // Stationary probe executed (if any).
-  bool failed_ = false;
   exec::JoinCounters charged_;  // Counter snapshot of the last charge.
 };
-
-/// Receiver options of a shuffle consumer (an exchange consumer, or the
-/// coordinator receiving sorted runs):
-/// acks stamped with `index` grant `credit_window`, and batches count
-/// under the exchange.* family labelled with the anchor `fragment`.
-StreamReceiver::Options ShuffleConsumerOptions(size_t index,
-                                               const std::string& fragment,
-                                               uint64_t credit_window,
-                                               const pool::CostModel& costs,
-                                               obs::MetricsRegistry* metrics);
 
 /// Runs `plan` over `rows` materialized under OlapInputName() with
 /// `schema`, charging `process`'s PE for the operator work: the one way a

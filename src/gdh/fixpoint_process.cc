@@ -14,16 +14,20 @@ FixpointPeProcess::FixpointPeProcess(Config config)
     : config_(std::move(config)),
       kernel_(std::make_unique<exec::FixpointPartition>(
           config_.algorithm, config_.num_pes, config_.index)),
-      edge_channels_(
-          std::vector<exec::InboundChannel>(config_.edge_producers)),
       out_(this, OutOptions()),
-      in_(this, InOptions()),
+      in_(this, ConsumerOptions(config_.fixpoint_id, config_.index,
+                                config_.credit_window, config_.costs,
+                                config_.metrics,
+                                {{"pe", std::to_string(config_.index)}},
+                                /*fixpoint=*/true)),
       reply_(this, config_.coordinator, kMailExecPlanReply,
              kMailExchangeReplyResend, config_.retransmit.resend_ns),
       vote_(this, config_.coordinator, kMailFixpointVote,
             kMailFixpointVoteResend, config_.retransmit.resend_ns) {
   PRISMA_CHECK(config_.num_pes > 0);
   PRISMA_CHECK(config_.index < config_.num_pes);
+  in_.Expect(0, config_.edge_producers);
+  in_.ExpectOthers(config_.num_pes);  // Round sides: one per partition.
   if (config_.metrics != nullptr) {
     m_batches_sent_ = config_.metrics->GetCounter(
         "fixpoint.batches_sent", {{"pe", std::to_string(config_.index)}});
@@ -60,22 +64,6 @@ StreamSender::Options FixpointPeProcess::OutOptions() {
   return options;
 }
 
-StreamReceiver::Options FixpointPeProcess::InOptions() {
-  StreamReceiver::Options options;
-  options.consumer = config_.index;
-  options.credit_window = config_.credit_window;
-  options.tuple_ns = config_.costs.tuple_ns;
-  if (config_.metrics != nullptr) {
-    options.received = config_.metrics->GetCounter(
-        "fixpoint.batches_received", {{"pe", std::to_string(config_.index)}});
-    options.dups = [this] {
-      return config_.metrics->GetCounter(
-          "fixpoint.dup_batches", {{"pe", std::to_string(config_.index)}});
-    };
-  }
-  return options;
-}
-
 // Handler contract (D5): a fixpoint PE consumes the recursive-query data
 // plane plus the round-barrier control mail from the coordinator.
 // PRISMA_HANDLES(kMailTupleBatch, kMailBatchAck, kMailFixpointStart)
@@ -83,7 +71,17 @@ StreamReceiver::Options FixpointPeProcess::InOptions() {
 // PRISMA_HANDLES(kMailFixpointVoteResend, kMailExchangeReplyResend)
 void FixpointPeProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailTupleBatch) {
-    HandleBatch(mail);
+    // Once failed, the coordinator is already aborting the query.
+    if (failed_) return;
+    const Status status =
+        in_.Receive(mail, [this](StreamReceiver::Delivery& delivery) {
+          RETURN_IF_ERROR(Take(delivery));
+          Advance();
+          return Status::OK();
+        });
+    // An undecodable frame or edge can never be absorbed: degrade the
+    // whole fixpoint instead of stalling the peer's retry budget.
+    if (!status.ok()) Fail(status);
   } else if (mail.kind == kMailBatchAck) {
     HandleAck(mail);
   } else if (mail.kind == kMailFixpointStart) {
@@ -115,7 +113,7 @@ void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
   if (msg->fixpoint_id != config_.fixpoint_id) return;
   if (failed_ || reply_.sent()) return;
   if (msg->harvest) {
-    HandleHarvest();
+    SendReply(Status::OK());
     return;
   }
   // The coordinator only issues round r+1 after this PE voted for round
@@ -136,34 +134,20 @@ void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
   Advance();
 }
 
-void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
-  auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
-  if (msg->exchange_id != config_.fixpoint_id) return;
-  if (failed_) return;  // The coordinator is already aborting the query.
-  exec::InboundChannel* channel = nullptr;
-  if (msg->side == 0) {
-    if (msg->producer >= edge_channels_->size()) return;
-    channel = &(*edge_channels_)[msg->producer];
-  } else {
-    if (msg->producer >= config_.num_pes) return;
-    std::vector<exec::InboundChannel>& round_channels =
-        (*inbound_)[msg->side];
-    if (round_channels.empty()) round_channels.resize(config_.num_pes);
-    channel = &round_channels[msg->producer];
+Status FixpointPeProcess::Take(StreamReceiver::Delivery& delivery) {
+  if (delivery.side != 0) {
+    std::vector<Tuple>& held = (*held_)[delivery.side];
+    held.insert(held.end(), std::make_move_iterator(delivery.rows.begin()),
+                std::make_move_iterator(delivery.rows.end()));
+    return Status::OK();
   }
-
-  const Status status = in_.Offer(*msg, *channel);
-  if (!status.ok()) {
-    // An undecodable frame can never become deliverable; degrade the
-    // whole fixpoint instead of stalling the peer's retry budget.
-    Fail(status);
-    return;
+  for (const Tuple& tuple : delivery.rows) {
+    RETURN_IF_ERROR(kernel_->AddEdge(tuple));
   }
-  // Advance first: draining moves the channel's cumulative ack point, so
-  // acking afterwards covers this very batch (DESIGN.md §10.2).
-  Advance();
-  if (failed_) return;  // Advancing may have degraded; stop acking.
-  in_.Ack(mail.from, msg->shuffle_token, *channel);
+  // Adjacency insertion, as for build-side hash-table inserts.
+  ChargeCpu(static_cast<sim::SimTime>(delivery.rows.size()) *
+            config_.costs.hash_ns);
+  return Status::OK();
 }
 
 void FixpointPeProcess::HandleAck(const pool::Mail& mail) {
@@ -178,33 +162,9 @@ void FixpointPeProcess::HandleAck(const pool::Mail& mail) {
 
 void FixpointPeProcess::Advance() {
   if (failed_ || reply_.sent()) return;
-  DrainEdges();
-  if (failed_) return;
-  if (started_ && edges_done_ && !seeded_) Seed();
-  DrainRounds();
-  if (failed_) return;
+  if (started_ && !seeded_ && in_.Done(0)) Seed();
+  AbsorbRound();
   MaybeVote();
-}
-
-void FixpointPeProcess::DrainEdges() {
-  if (edges_done_) return;
-  bool all_done = true;
-  for (exec::InboundChannel& channel : *edge_channels_) {
-    for (exec::TupleBatch& batch : channel.TakeReady()) {
-      for (const Tuple& tuple : batch.tuples) {
-        const Status status = kernel_->AddEdge(tuple);
-        if (!status.ok()) {
-          Fail(status);
-          return;
-        }
-      }
-      // Adjacency insertion, as for build-side hash-table inserts.
-      ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-                config_.costs.hash_ns);
-    }
-    if (!channel.done()) all_done = false;
-  }
-  edges_done_ = all_done;
 }
 
 void FixpointPeProcess::Seed() {
@@ -221,9 +181,7 @@ void FixpointPeProcess::Seed() {
 void FixpointPeProcess::SendRoundStreams(uint64_t round,
                                          exec::RoutedPairs owner,
                                          exec::RoutedPairs index) {
-  const int copies =
-      config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
+  for (int copy = 0; copy < copies(); ++copy) {
     exec::RoutedPairs& parts = copy == 0 ? owner : index;
     for (size_t peer = 0; peer < config_.num_pes; ++peer) {
       StreamSender::Stream stream;
@@ -242,42 +200,20 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
   }
 }
 
-void FixpointPeProcess::DrainRounds() {
+void FixpointPeProcess::AbsorbRound() {
   if (!seeded_) return;
-  const int copies =
-      config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    auto it = inbound_->find(SideFor(current_round_, copy));
-    if (it == inbound_->end()) continue;
-    for (exec::InboundChannel& channel : it->second) {
-      for (exec::TupleBatch& batch : channel.TakeReady()) {
-        ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-                  config_.costs.hash_ns);
-        if (copy == 0) {
-          absorbed_new_current_ += kernel_->AbsorbOwned(batch.tuples);
-        } else {
-          kernel_->AbsorbIndex(batch.tuples);
-        }
-      }
+  for (int copy = 0; copy < copies(); ++copy) {
+    auto it = held_->find(SideFor(current_round_, copy));
+    if (it == held_->end()) continue;
+    ChargeCpu(static_cast<sim::SimTime>(it->second.size()) *
+              config_.costs.hash_ns);
+    if (copy == 0) {
+      absorbed_new_current_ += kernel_->AbsorbOwned(it->second);
+    } else {
+      kernel_->AbsorbIndex(it->second);
     }
+    held_->erase(it);
   }
-}
-
-bool FixpointPeProcess::InboundComplete(uint64_t round) {
-  const int copies =
-      config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
-  for (int copy = 0; copy < copies; ++copy) {
-    auto it = inbound_->find(SideFor(round, copy));
-    // Every peer sends at least one (possibly empty) eos batch per round,
-    // so a missing or incomplete channel set means the round is inflight.
-    if (it == inbound_->end() || it->second.size() != config_.num_pes) {
-      return false;
-    }
-    for (const exec::InboundChannel& channel : it->second) {
-      if (!channel.done()) return false;
-    }
-  }
-  return true;
 }
 
 bool FixpointPeProcess::OutboundSentComplete(uint64_t round) const {
@@ -294,7 +230,10 @@ bool FixpointPeProcess::OutboundSentComplete(uint64_t round) const {
 void FixpointPeProcess::MaybeVote() {
   if (failed_ || reply_.sent() || !seeded_) return;
   if (voted_round_ >= static_cast<int64_t>(current_round_)) return;
-  if (!InboundComplete(current_round_)) return;
+  // Every peer sends at least one (possibly empty) eos batch per round.
+  for (int copy = 0; copy < copies(); ++copy) {
+    if (!in_.Done(SideFor(current_round_, copy))) return;
+  }
   if (!OutboundSentComplete(current_round_)) return;
 
   auto vote = std::make_shared<FixpointVoteMsg>();
@@ -312,11 +251,6 @@ void FixpointPeProcess::MaybeVote() {
   vote_.Send(vote, kControlBits);
 }
 
-void FixpointPeProcess::HandleHarvest() {
-  if (reply_.sent() || failed_) return;
-  SendReply(Status::OK());
-}
-
 void FixpointPeProcess::SendReply(Status status) {
   if (reply_.sent()) return;
   failed_ = !status.ok();
@@ -325,17 +259,15 @@ void FixpointPeProcess::SendReply(Status status) {
   // by the coordinator — no stream timer may outlive this reply.
   out_.CloseAll();
   vote_.Stop();
-  auto reply = std::make_shared<ExecPlanReply>();
-  reply->request_id = config_.reply_request_id;
-  reply->status = std::move(status);
-  reply->fragment = "fixpoint#" + std::to_string(config_.index);
+  std::vector<Tuple> slice;
   if (!failed_) {
-    std::vector<Tuple> slice = kernel_->OwnedSorted();
+    slice = kernel_->OwnedSorted();
     ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
               config_.costs.tuple_ns);
-    reply->rows = EncodeRows(slice);
   }
-  reply_.Send(reply, reply->WireBits());
+  SendConsumerReply(reply_, config_.reply_request_id,
+                    "fixpoint#" + std::to_string(config_.index),
+                    std::move(status), slice);
 }
 
 void FixpointPeProcess::Fail(Status status) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/exchange.h"
 #include "exec/fixpoint.h"
 #include "gdh/messages.h"
 #include "gdh/transport.h"
@@ -32,8 +31,9 @@ namespace prisma::gdh {
 /// rebuilt by re-running the query, never recovered.
 ///
 /// Fault tolerance composes from the transport's guarantees
-/// (gdh/transport.h) plus idempotent control handling: inbound delta
-/// batches are seq-deduplicated per round-scoped channel, outbound streams
+/// (gdh/transport.h) plus idempotent control handling: the receiver
+/// seq-deduplicates inbound delta batches per round side and producer,
+/// and a round's rows wait until that round opens; outbound streams
 /// retransmit under the machine's RetransmitPolicy, duplicated round
 /// directives are dropped by the round counter, votes are retransmitted
 /// on a timer until the coordinator advances, and the final reply
@@ -76,25 +76,26 @@ class FixpointPeProcess : public pool::Process {
   static int SideFor(uint64_t round, int copy) {
     return 1 + static_cast<int>(round) * 2 + copy;
   }
+  /// Copies a round ships: the smart strategy adds the index copy.
+  int copies() const {
+    return config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
+  }
 
   StreamSender::Options OutOptions();
-  StreamReceiver::Options InOptions();
   void HandleStart(const pool::Mail& mail);
   void HandleRound(const pool::Mail& mail);
-  void HandleBatch(const pool::Mail& mail);
+  /// Ingests edge rows, or holds a round's rows for AbsorbRound.
+  Status Take(StreamReceiver::Delivery& delivery);
   void HandleAck(const pool::Mail& mail);
-  void HandleHarvest();
 
-  /// Drains whatever became ready (edge channels, current-round delta
-  /// channels), seeds once the edge relation is complete, and votes once
-  /// the current round is fully absorbed and fully first-transmitted.
+  /// Seeds once the edge relation is complete, absorbs the current
+  /// round's held rows, and votes once the current round is fully
+  /// absorbed and fully first-transmitted.
   void Advance();
-  void DrainEdges();
-  void DrainRounds();
+  void AbsorbRound();
   void Seed();
   void SendRoundStreams(uint64_t round, exec::RoutedPairs owner,
                         exec::RoutedPairs index);
-  bool InboundComplete(uint64_t round);
   bool OutboundSentComplete(uint64_t round) const;
   void MaybeVote();
   void SendReply(Status status);
@@ -104,9 +105,9 @@ class FixpointPeProcess : public pool::Process {
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::FixpointPartition> kernel_;
   pool::Owned<std::vector<pool::ProcessId>> peers_;
-  pool::Owned<std::vector<exec::InboundChannel>> edge_channels_;
-  /// Inter-PE round channels keyed by side, one channel per peer.
-  pool::Owned<std::map<int, std::vector<exec::InboundChannel>>> inbound_;
+  /// Delivered round rows not absorbed yet, by side: a peer may run
+  /// ahead into a round this partition has not opened.
+  pool::Owned<std::map<int, std::vector<Tuple>>> held_;
   /// Round streams to the peers, one per (round, copy, peer), tagged with
   /// their round; acks and timers of closed streams fall through.
   StreamSender out_;
@@ -118,7 +119,6 @@ class FixpointPeProcess : public pool::Process {
   pool::Owned<std::map<uint64_t, uint64_t>> wire_bits_by_round_;
 
   bool started_ = false;
-  bool edges_done_ = false;
   bool seeded_ = false;
   bool failed_ = false;
   uint64_t current_round_ = 0;  // Valid once seeded_ (round 0 = seed).

@@ -29,8 +29,12 @@ OfmProcess::OfmProcess(Config config)
                       const RpcClient<pool::ProcessId>::PendingRpc&) {
                  FinishResyncSource(token, ResyncStalled());
                }}),
-      // Resync acks keep the credit window the GDH granted the source.
-      resync_acks_(this, StreamReceiver::Options{}) {}
+      // Bulk acks keep the credit window the GDH granted the source.
+      bulk_in_(this, ConsumerOptions(config_.resync_id, 0, 0,
+                                     config_.ofm.exec.costs, nullptr, {},
+                                     /*fixpoint=*/false)) {
+  bulk_in_.Expect(0, 1);
+}
 
 StreamSender::Options OfmProcess::ProducerOptions(
     const char* resend_kind, std::function<void(uint64_t)> exhausted) {
@@ -778,7 +782,7 @@ void OfmProcess::FinishResyncSource(uint64_t token, Status status) {
 }
 
 // Target side: absorb the bulk stream (reordering / deduplicating through
-// an InboundChannel), then apply stop-and-wait delta rounds; the final
+// the StreamReceiver), then apply stop-and-wait delta rounds; the final
 // delta triggers FinishResync (index rebuild + checkpoint).
 
 void OfmProcess::HandleResyncBatch(const pool::Mail& mail) {
@@ -791,26 +795,22 @@ void OfmProcess::HandleResyncBatch(const pool::Mail& mail) {
     // request): the old partial stream is void, restart from scratch.
     resync_token_ = msg->shuffle_token;
     resync_delta_applied_ = 0;
-    *resync_in_ = exec::InboundChannel();
+    bulk_in_.Reset();
     ofm_->ResyncReset();
   }
-  auto rows = TupleBatchRows(msg->rows);
-  PRISMA_CHECK_OK(rows.status());
-  ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
-            config_.ofm.exec.costs.tuple_ns);
-  exec::TupleBatch batch;
-  batch.seq = msg->seq;
-  batch.eos = msg->eos;
-  batch.tuples = std::move(rows).value();
-  resync_in_->Offer(std::move(batch));
-  for (exec::TupleBatch& ready : resync_in_->TakeReady()) {
-    for (Tuple& t : ready.tuples) {
-      const auto row = static_cast<storage::RowId>(t.at(0).int_value());
-      std::vector<Value> values(t.values().begin() + 1, t.values().end());
-      PRISMA_CHECK_OK(ofm_->ResyncRestoreRow(row, Tuple(std::move(values))));
-    }
-  }
-  resync_acks_.Ack(mail.from, resync_token_, *resync_in_);
+  // Left unacked, an undecodable batch makes the source's retransmission
+  // budget fail the session with ResyncStalled.
+  (void)bulk_in_.Receive(  // An undecodable batch is dropped.
+      mail, [this](StreamReceiver::Delivery& delivery) {
+        for (Tuple& t : delivery.rows) {
+          const auto row = static_cast<storage::RowId>(t.at(0).int_value());
+          std::vector<Value> values(t.values().begin() + 1,
+                                    t.values().end());
+          PRISMA_CHECK_OK(
+              ofm_->ResyncRestoreRow(row, Tuple(std::move(values))));
+        }
+        return Status::OK();
+      });
 }
 
 void OfmProcess::HandleResyncDelta(const pool::Mail& mail) {

@@ -296,11 +296,10 @@ class OfmProcess : public pool::Process {
       plans_;
   std::deque<PlanRef> plan_order_;
 
-  // Resync target state (resync-mode processes only): the inbound bulk
-  // channel and its acks, the adopted source session token and the
-  // stop-and-wait delta cursor.
-  pool::Owned<exec::InboundChannel> resync_in_;
-  StreamReceiver resync_acks_;
+  // Resync target state (resync-mode processes only): the bulk stream's
+  // receiver, the adopted source session token and the stop-and-wait
+  // delta cursor.
+  StreamReceiver bulk_in_;
   uint64_t resync_token_ = 0;
   uint64_t resync_delta_applied_ = 0;
   bool resync_finished_ = false;

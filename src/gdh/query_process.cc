@@ -84,10 +84,10 @@ QueryProcess::QueryProcess(Config config)
 
 void QueryProcess::OnStart() {
   start_time_ = runtime()->simulator()->now();
-  // Watchdog against lost fragments / crashed OFMs: a statement still
-  // unanswered after 30 s fails with a typed kUnavailable.
-  timeout_event_ =
-      SendSelfAfter(30 * sim::kNanosPerSecond, kMailQueryTimeout);
+  last_progress_ = start_time_;
+  // Watchdog against lost fragments / crashed OFMs: a statement that
+  // makes no progress for kWatchdogNs fails with a typed kUnavailable.
+  timeout_event_ = SendSelfAfter(kWatchdogNs, kMailQueryTimeout);
   if (config_.statement->is_prismalog) {
     StartPrismalog();
   } else {
@@ -697,18 +697,19 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
   const std::vector<int>& fragments = part_fragments_[part_index];
-  if (!runs_in_.has_value()) {
-    runs_in_.emplace(this, ShuffleConsumerOptions(
-                               0, "coordinator",
-                               config_.exchange_credit_window, config_.costs,
-                               config_.metrics));
-  }
   const uint64_t exchange_id = ExchangeId(part_index);
-  SortedRuns& runs = runs_[exchange_id];
-  runs.part = part_index;
-  runs.channels.assign(fragments.size(), exec::InboundChannel());
-  runs.rows.assign(fragments.size(), {});
-  runs.work.clear();
+  StreamReceiver in(this, ConsumerOptions(exchange_id, 0,
+                                          config_.exchange_credit_window,
+                                          config_.costs, config_.metrics,
+                                          {{"fragment", "coordinator"}},
+                                          /*fixpoint=*/false));
+  in.Expect(0, fragments.size());
+  SortedRuns& runs =
+      runs_.insert_or_assign(exchange_id,
+                             SortedRuns{part_index, {}, std::move(in),
+                                        std::vector<std::deque<Tuple>>(
+                                            fragments.size())})
+          .first->second;
   for (size_t r = 0; r < fragments.size(); ++r) {
     // Broadcast to one consumer: the run leaves in sorted order, with no
     // per-row routing.
@@ -749,30 +750,27 @@ ShufflePlanRequest& QueryProcess::AddShuffleProducer(
 
 void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
   if (finished_) return;
-  auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
-  auto it = runs_.find(msg->exchange_id);
-  if (it == runs_.end() || msg->producer >= it->second.channels.size()) {
-    return;
-  }
+  auto it = runs_.find(
+      std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body)->exchange_id);
+  if (it == runs_.end()) return;
   SortedRuns& runs = it->second;
-  exec::InboundChannel& channel = runs.channels[msg->producer];
-  if (Status status = runs_in_->Offer(*msg, channel); !status.ok()) {
+  const Status status =
+      runs.in.Receive(mail, [this, &runs](StreamReceiver::Delivery& run) {
+        tuples_gathered_ += run.rows.size();
+        std::deque<Tuple>& rows = runs.rows[run.producer];
+        rows.insert(rows.end(), std::make_move_iterator(run.rows.begin()),
+                    std::make_move_iterator(run.rows.end()));
+        // A run that makes progress has a live producer: its plan RPC gets
+        // a fresh budget, so a long run under loss is not failed while its
+        // batches are still arriving.
+        rpcs_.Renew((*work_)[runs.work[run.producer]].request_id);
+        NoteProgress();
+        return Status::OK();
+      });
+  if (!status.ok()) {
     Reply(status, Schema(), nullptr);
     return;
   }
-  std::deque<Tuple>& run = runs.rows[msg->producer];
-  bool progress = false;
-  for (exec::TupleBatch& batch : channel.TakeReady()) {
-    progress = true;
-    tuples_gathered_ += batch.tuples.size();
-    run.insert(run.end(), std::make_move_iterator(batch.tuples.begin()),
-               std::make_move_iterator(batch.tuples.end()));
-  }
-  // A run that makes progress has a live producer: its plan RPC gets a
-  // fresh budget, so a long run under loss is not failed while its
-  // batches are still arriving.
-  if (progress) rpcs_.Renew((*work_)[runs.work[msg->producer]].request_id);
-  runs_in_->Ack(mail.from, msg->shuffle_token, channel);
   MergeRuns(runs);
 }
 
@@ -803,7 +801,7 @@ void QueryProcess::MergeRuns(SortedRuns& runs) {
     bool blocked = false;
     for (size_t r = 0; r < runs.rows.size(); ++r) {
       if (runs.rows[r].empty()) {
-        blocked = blocked || !runs.channels[r].done();
+        blocked = blocked || !runs.in.Done(0, r);
       } else if (next == SIZE_MAX ||
                  before(runs.rows[r].front(), runs.rows[next].front())) {
         next = r;
@@ -877,6 +875,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   if (it == request_part_.end()) return;  // Stale or duplicate.
   const ReplySlot slot = it->second;
   request_part_.erase(it);
+  NoteProgress();
   const PlanRef ref{plan_entry_, slot.part, slot.side};
   if (reply->plan_not_resident) {
     // The OFM no longer holds the plan (its FIFO evicted it, or it was
@@ -1383,6 +1382,7 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
       !fx_voters_.insert(msg->pe).second) {
     return;
   }
+  NoteProgress();
   if (msg->absorbed_new > 0) fx_any_new_ = true;
   fx_delta_total_ += msg->absorbed_new;
   fx_pairs_total_ += msg->pairs_derived;
@@ -1502,6 +1502,7 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailLockBatchReply) {
     auto reply = std::any_cast<std::shared_ptr<LockBatchReply>>(mail.body);
     if (!SettleRpc(reply->request_id)) return;  // Duplicate.
+    NoteProgress();
     if (!reply->status.ok()) {
       Reply(reply->status, Schema(), nullptr);
       return;
@@ -1520,6 +1521,12 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailStmtDoneResend) {
     done_.OnTimer();
   } else if (mail.kind == kMailQueryTimeout) {
+    const sim::SimTime quiet = runtime()->simulator()->now() - last_progress_;
+    if (quiet < kWatchdogNs) {
+      // Progress since the timer was armed: wait out a full quiet stretch.
+      timeout_event_ = SendSelfAfter(kWatchdogNs - quiet, kMailQueryTimeout);
+      return;
+    }
     // Degradation report: name a fragment the gather is still waiting on,
     // if any RPC is outstanding (otherwise the stall is elsewhere, e.g. a
     // consumer that lost its PE).

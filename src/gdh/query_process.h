@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -154,10 +153,18 @@ class QueryProcess : public pool::Process {
   /// of n rows is max(1, ceil(n / batch)) frames in all.
   void SendFrames(const Schema& schema, bool last);
 
+  /// Notes that the statement advanced (an admitted lock or plan reply, a
+  /// fresh sorted-run batch, an admitted fixpoint vote): the watchdog
+  /// fires only after kWatchdogNs without any.
+  void NoteProgress() { last_progress_ = runtime()->simulator()->now(); }
+
+  static constexpr sim::SimTime kWatchdogNs = 30 * sim::kNanosPerSecond;
+
   Config config_;
   bool finished_ = false;
   sim::EventId timeout_event_ = 0;
   sim::SimTime start_time_ = 0;
+  sim::SimTime last_progress_ = 0;
 
   // Plan state, for every statement kind. The split plan is immutable
   // once built and may be shared with the plan cache and concurrent
@@ -232,12 +239,13 @@ class QueryProcess : public pool::Process {
   /// shuffle producer per fragment, streaming its run to this
   /// coordinator.
   void ScatterRunsPart(size_t part_index);
-  /// Sorted runs of one part, by run (the part's fragment list order).
+  /// Sorted runs of one part, by run (the part's fragment list order):
+  /// run r is producer r of side 0 of the part's exchange.
   struct SortedRuns {
     size_t part = 0;
     /// Each run's producer, as a work_ index.
     std::vector<size_t> work;
-    std::vector<exec::InboundChannel> channels;
+    StreamReceiver in;
     /// Received rows not merged yet.
     std::vector<std::deque<Tuple>> rows;
   };
@@ -308,11 +316,10 @@ class QueryProcess : public pool::Process {
   /// coordinator — the gather-baseline figure E14 compares against.
   uint64_t gather_bits_ = 0;
 
-  // Sorted-run parts (DESIGN.md §14.3), by exchange id. The receiver is
-  // built with the first such part, so other statements register none of
-  // its series.
+  // Sorted-run parts (DESIGN.md §14.3), by exchange id. Their receivers
+  // are built with the parts, so other statements register none of
+  // their series.
   std::map<uint64_t, SortedRuns> runs_;
-  std::optional<StreamReceiver> runs_in_;
 
   // Result delivery (DESIGN.md §15.5). `forward_runs_` is set when the
   // global plan is a bare Scan of one sorted-run part: merged rows are

@@ -148,8 +148,43 @@ void StreamSender::Disarm(Stream& stream) {
   stream.timer = 0;
 }
 
-Status StreamReceiver::Offer(const TupleBatchMsg& msg,
-                             exec::InboundChannel& channel) {
+StreamReceiver::Options ConsumerOptions(uint64_t exchange_id,
+                                        size_t consumer,
+                                        uint64_t credit_window,
+                                        const pool::CostModel& costs,
+                                        obs::MetricsRegistry* metrics,
+                                        obs::Labels labels, bool fixpoint) {
+  StreamReceiver::Options options;
+  options.exchange_id = exchange_id;
+  options.consumer = consumer;
+  options.credit_window = credit_window;
+  // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
+  options.tuple_ns = costs.tuple_ns;
+  if (metrics == nullptr) return options;
+  options.received =
+      fixpoint ? metrics->GetCounter("fixpoint.batches_received", labels)
+               : metrics->GetCounter("exchange.batches_received", labels);
+  options.dups = [metrics, labels = std::move(labels), fixpoint] {
+    return fixpoint ? metrics->GetCounter("fixpoint.dup_batches", labels)
+                    : metrics->GetCounter("exchange.dup_batches", labels);
+  };
+  return options;
+}
+
+void StreamReceiver::Expect(int side, size_t producers) {
+  sides_[side].resize(producers);
+}
+
+Status StreamReceiver::Receive(const pool::Mail& mail, const Sink& sink) {
+  const auto& msg = *std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
+  if (msg.exchange_id != options_.exchange_id) return Status::OK();
+  auto it = sides_.find(msg.side);
+  if (it == sides_.end()) {
+    if (other_producers_ == 0) return Status::OK();
+    it = sides_.emplace(msg.side, other_producers_).first;
+  }
+  if (msg.producer >= it->second.size()) return Status::OK();
+  exec::InboundChannel& channel = it->second[msg.producer];
   auto rows = TupleBatchRows(msg.rows);
   if (!rows.ok()) return rows.status();
   const size_t count = rows->size();
@@ -160,17 +195,42 @@ Status StreamReceiver::Offer(const TupleBatchMsg& msg,
     if (m_dups_ == nullptr) m_dups_ = options_.dups();
     m_dups_->Increment();
   }
-  return Status::OK();
-}
-
-void StreamReceiver::Ack(pool::ProcessId to, uint64_t token,
-                         const exec::InboundChannel& channel) {
+  std::vector<exec::TupleBatch> ready = channel.TakeReady();
+  if (!ready.empty()) {
+    Delivery delivery{msg.side, msg.producer, std::move(ready[0].tuples)};
+    for (size_t i = 1; i < ready.size(); ++i) {
+      delivery.rows.insert(delivery.rows.end(),
+                           std::make_move_iterator(ready[i].tuples.begin()),
+                           std::make_move_iterator(ready[i].tuples.end()));
+    }
+    RETURN_IF_ERROR(sink(delivery));
+  }
   auto ack = std::make_shared<BatchAckMsg>();
-  ack->shuffle_token = token;
+  ack->shuffle_token = msg.shuffle_token;
   ack->consumer = options_.consumer;
   ack->ack = channel.ack();
   ack->credit = options_.credit_window;
-  owner_->SendMail(to, kMailBatchAck, std::move(ack), kControlBits);
+  owner_->SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
+  return Status::OK();
+}
+
+bool StreamReceiver::Done(int side) const {
+  auto it = sides_.find(side);
+  return it != sides_.end() &&
+         std::all_of(it->second.begin(), it->second.end(),
+                     [](const exec::InboundChannel& c) { return c.done(); });
+}
+
+bool StreamReceiver::Done(int side, size_t producer) const {
+  auto it = sides_.find(side);
+  return it != sides_.end() && producer < it->second.size() &&
+         it->second[producer].done();
+}
+
+void StreamReceiver::Reset() {
+  for (auto& side : sides_) {
+    side.second.assign(side.second.size(), exec::InboundChannel());
+  }
 }
 
 void Resender::Send(std::any body, int64_t size_bits) {
@@ -190,6 +250,17 @@ void Resender::OnTimer() {
   }
   owner_->SendMail(to_, kind_, body_, size_bits_);
   if (--left_ > 0) owner_->SendSelfAfter(resend_ns_, timer_kind_);
+}
+
+void SendConsumerReply(Resender& reply, uint64_t request_id,
+                       std::string fragment, Status status,
+                       std::span<const Tuple> rows) {
+  auto msg = std::make_shared<ExecPlanReply>();
+  msg->request_id = request_id;
+  msg->fragment = std::move(fragment);
+  if (status.ok()) msg->rows = EncodeRows(rows);
+  msg->status = std::move(status);
+  reply.Send(msg, msg->WireBits());
 }
 
 }  // namespace prisma::gdh

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,11 +125,17 @@ class StreamSender {
   obs::Counter* m_retransmits_ = nullptr;
 };
 
-/// Consumer side of batch streams: Offer decodes a frame into its channel,
-/// the caller drains the channel, then Ack covers the batch just offered.
+/// Consumer side of batch streams, the mirror of StreamSender: it owns one
+/// channel per (side, producer) of one exchange. Receive routes a batch to
+/// its channel, decodes it, drops duplicates, reorders, charges
+/// unmarshalling per fresh row and counts; then it hands the in-order rows
+/// the batch made deliverable to the owner's sink, and acks cumulatively
+/// after the sink took them — duplicates too, as a lost ack would
+/// otherwise stall the producer's window.
 class StreamReceiver {
  public:
   struct Options {
+    uint64_t exchange_id = 0;    // Batches of other exchanges are ignored.
     size_t consumer = 0;         // Stamped on acks.
     uint64_t credit_window = 0;  // Granted on acks; 0 keeps the sender's.
     sim::SimTime tuple_ns = 0;   // Unmarshalling cost per fresh row.
@@ -137,22 +144,57 @@ class StreamReceiver {
     std::function<obs::Counter*()> dups;
   };
 
+  /// The rows one batch made deliverable, in stream order (none when it
+  /// released only an empty eos batch).
+  struct Delivery {
+    int side = 0;
+    size_t producer = 0;
+    std::vector<Tuple> rows;
+  };
+  /// Takes a delivery; an error withholds the ack and is returned by
+  /// Receive.
+  using Sink = std::function<Status(Delivery&)>;
+
   StreamReceiver(pool::Process* owner, Options options)
       : owner_(owner), options_(std::move(options)) {}
 
-  /// An undecodable frame returns its error: it can never be delivered,
-  /// so the caller fails instead of stalling the producer.
-  Status Offer(const TupleBatchMsg& msg, exec::InboundChannel& channel);
-  /// Acks `channel` cumulatively — duplicates too, as a lost ack would
-  /// otherwise stall the producer's window.
-  void Ack(pool::ProcessId to, uint64_t token,
-           const exec::InboundChannel& channel);
+  /// Declares `side`'s producers, before its first batch.
+  void Expect(int side, size_t producers);
+  /// Declares the producers of every side Expect did not name (fixpoint
+  /// rounds); without it, batches of such sides are ignored.
+  void ExpectOthers(size_t producers) { other_producers_ = producers; }
+  /// Handles one kMailTupleBatch; the sink runs only if the batch
+  /// released any (an empty eos batch too). A batch of another exchange,
+  /// side or producer is ignored, and an undecodable frame returns its
+  /// error, both unacked: such a frame can never be delivered, so the
+  /// owner fails instead of stalling the producer.
+  Status Receive(const pool::Mail& mail, const Sink& sink);
+  /// True once every producer of `side` (or the one named) delivered its
+  /// eos batch.
+  bool Done(int side) const;
+  bool Done(int side, size_t producer) const;
+  /// Forgets what every channel received: a superseding session restarts
+  /// its streams from their first batch.
+  void Reset();
 
  private:
   pool::Process* owner_;
   Options options_;
+  std::map<int, std::vector<exec::InboundChannel>> sides_;
+  size_t other_producers_ = 0;
   obs::Counter* m_dups_ = nullptr;
 };
+
+/// Receiver options of a consumer of `exchange_id`: acks stamped
+/// `consumer` grant `credit_window` (0 keeps the sender's), a fresh row
+/// costs `costs.tuple_ns`, and with `metrics` batches count under
+/// `labels` in the fixpoint.* family if `fixpoint`, else in exchange.*.
+StreamReceiver::Options ConsumerOptions(uint64_t exchange_id,
+                                        size_t consumer,
+                                        uint64_t credit_window,
+                                        const pool::CostModel& costs,
+                                        obs::MetricsRegistry* metrics,
+                                        obs::Labels labels, bool fixpoint);
 
 /// A message its peer never acks: final replies, fixpoint votes and
 /// stmt_done. Send transmits it at once; with resend_ns > 0 the latest
@@ -187,6 +229,12 @@ class Resender {
   int64_t size_bits_ = 0;
   int left_ = 0;  // Resends left; > 0 exactly while the timer is armed.
 };
+
+/// Sends a stream consumer's final ExecPlanReply through `reply`; `rows`
+/// ride on it only when `status` is OK.
+void SendConsumerReply(Resender& reply, uint64_t request_id,
+                       std::string fragment, Status status,
+                       std::span<const Tuple> rows);
 
 /// Client side of hardened request/reply (DESIGN.md §8): each request is
 /// resent on a kMailRpcTimeout timer with doubled backoff until a reply

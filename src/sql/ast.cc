@@ -44,12 +44,12 @@ std::string SqlExpr::ToString() const {
       return name;
     case Kind::kUnary:
       if (unary_op == algebra::UnaryOp::kIsNull) {
-        return "(" + left->ToString() + " IS NULL)";
+        return std::string("(") + left->ToString() + " IS NULL)";
       }
       return std::string(algebra::UnaryOpName(unary_op)) + "(" +
              left->ToString() + ")";
     case Kind::kBinary:
-      return "(" + left->ToString() + " " +
+      return std::string("(") + left->ToString() + " " +
              algebra::BinaryOpName(binary_op) + " " + right->ToString() + ")";
     case Kind::kFuncCall:
       return name + "(" + (left ? left->ToString() : "*") + ")";

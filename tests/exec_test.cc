@@ -9,6 +9,7 @@
 #include "common/column_batch.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "exec/executor.h"
 #include "exec/expr_compiler.h"
@@ -597,10 +598,10 @@ TEST_P(IndexAgreementTest, IndexAndScanAgree) {
   Schema schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
   storage::Relation rel("t", schema);
   for (int i = 0; i < 300; ++i) {
-    rel.Insert(Tuple({rng.NextBool(0.05) ? Value::Null()
-                                         : Value::Int(rng.UniformInt(0, 40)),
-                      Value::Int(rng.UniformInt(0, 100))}))
-        .value();
+    std::vector<Value> values(2);  // A NULL key 5% of the time.
+    if (!rng.NextBool(0.05)) values[0] = Value::Int(rng.UniformInt(0, 40));
+    values[1] = Value::Int(rng.UniformInt(0, 100));
+    rel.Insert(Tuple(std::move(values))).value();
   }
   storage::HashIndex hash("h", {0});
   hash.Rebuild(rel);
@@ -1379,7 +1380,7 @@ TEST_F(OlapEdgeTest, AllNullGroupKeysFormOneGroup) {
   std::string insert = "INSERT INTO t VALUES ";
   for (int i = 0; i < 20; ++i) {
     if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ", NULL, " + std::to_string(i) + ")";
+    insert += StrFormat("(%d, NULL, %d)", i, i);
   }
   MustExecute(*db, insert);
   const auto grouped = MustExecute(
@@ -1415,8 +1416,7 @@ TEST_F(OlapEdgeTest, SingleGroupSkewAgreesAcrossStrategies) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = 0; i < 60; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'hot', " + std::to_string(i % 7) +
-                ")";
+      insert += StrFormat("(%d, 'hot', %d)", i, i % 7);
     }
     MustExecute(*db, insert);
     std::string plan;
@@ -1449,7 +1449,7 @@ TEST_F(OlapEdgeTest, SortRunsSpanBatchBoundaries) {
   for (int i = 0; i < 60; ++i) {
     if (i > 0) insert += ", ";
     // Only 3 distinct leading keys -> runs of ~20 equal keys.
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 3) + ")";
+    insert += StrFormat("(%d, %d)", i, i % 3);
   }
   MustExecute(*db, insert);
   const auto sorted = MustExecute(*db, "SELECT k, id FROM t ORDER BY k, id");

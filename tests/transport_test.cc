@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -76,34 +77,54 @@ std::vector<Tuple> Rows(int n) {
   return rows;
 }
 
-/// Receives one stream, acking after every delivery.
+/// Receives exchange 1 on `sides` sides of `producers` producers each,
+/// recording every delivery, every Receive status and, after each batch,
+/// whether sides 0 and 1 are done.
 class Consumer : public pool::Process {
  public:
-  Consumer() : receiver_(this, Options()) {}
+  explicit Consumer(Machine* m, int sides = 1, size_t producers = 1)
+      : receiver_(this, Options(m)) {
+    for (int side = 0; side < sides; ++side) {
+      receiver_.Expect(side, producers);
+    }
+  }
 
   void OnMail(const pool::Mail& mail) override {
     if (mail.kind != kMailTupleBatch) return;
-    const auto& msg = *std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
-    ASSERT_TRUE(receiver_.Offer(msg, channel_).ok());
-    for (exec::TupleBatch& batch : channel_.TakeReady()) {
-      for (Tuple& t : batch.tuples) rows_.push_back(std::move(t));
-    }
-    receiver_.Ack(mail.from, msg.shuffle_token, channel_);
+    statuses_.push_back(
+        receiver_.Receive(mail, [this](StreamReceiver::Delivery& delivery) {
+          deliveries_.push_back(delivery);
+          rows_.insert(rows_.end(), delivery.rows.begin(),
+                       delivery.rows.end());
+          return Status::OK();
+        }));
+    done_.emplace_back(receiver_.Done(0), receiver_.Done(1));
   }
 
   const std::vector<Tuple>& rows() const { return rows_; }
-  const exec::InboundChannel& channel() const { return channel_; }
+  const std::vector<StreamReceiver::Delivery>& deliveries() const {
+    return deliveries_;
+  }
+  const std::vector<Status>& statuses() const { return statuses_; }
+  const std::vector<std::pair<bool, bool>>& done() const { return done_; }
 
  private:
-  static StreamReceiver::Options Options() {
+  static StreamReceiver::Options Options(Machine* m) {
     StreamReceiver::Options options;
+    options.exchange_id = 1;
     options.credit_window = 4;
+    options.received = m->metrics.GetCounter("exchange.batches_received");
+    options.dups = [m] {
+      return m->metrics.GetCounter("exchange.dup_batches");
+    };
     return options;
   }
 
   StreamReceiver receiver_;
-  exec::InboundChannel channel_;
   std::vector<Tuple> rows_;
+  std::vector<StreamReceiver::Delivery> deliveries_;
+  std::vector<Status> statuses_;
+  std::vector<std::pair<bool, bool>> done_;
 };
 
 /// Streams `rows` to one consumer in batches of two. It never closes the
@@ -166,7 +187,7 @@ struct StreamRun {
 
 StreamRun StartStream(Machine* m, int rows, int attempts = 4) {
   StreamRun run;
-  auto consumer = std::make_unique<Consumer>();
+  auto consumer = std::make_unique<Consumer>(m);
   run.consumer = consumer.get();
   const pool::ProcessId consumer_pid = m->runtime.Spawn(1, std::move(consumer));
   auto producer = std::make_unique<Producer>(m, consumer_pid, Rows(rows),
@@ -191,7 +212,7 @@ TEST(StreamSenderTest, LostBatchIsRepairedByTheLowestUnackedRetransmission) {
   // released both.
   EXPECT_EQ(run.consumer->rows(), Rows(6));
   EXPECT_EQ(m.Retransmits(), 1u);
-  EXPECT_EQ(run.consumer->channel().duplicates(), 0u);
+  EXPECT_EQ(m.metrics.CounterValue("exchange.dup_batches"), 0u);
   EXPECT_TRUE(run.producer->sender().Find(Producer::kToken)->done());
   EXPECT_EQ(run.producer->exhausted(), 0);
 }
@@ -205,7 +226,7 @@ TEST(StreamSenderTest, LostAckIsRepairedByAReAckedDuplicate) {
   EXPECT_EQ(m.Retransmits(), 1u);
   // The retransmitted batch was a duplicate; its re-ack finished the
   // stream.
-  EXPECT_EQ(run.consumer->channel().duplicates(), 1u);
+  EXPECT_EQ(m.metrics.CounterValue("exchange.dup_batches"), 1u);
   EXPECT_TRUE(run.producer->sender().Find(Producer::kToken)->done());
 }
 
@@ -278,6 +299,157 @@ TEST(StreamSenderTest, CompletionLeavesNoPendingTimer) {
                    FrameBits(EncodeRows(std::span(rows).subspan(at, 2)));
   }
   EXPECT_EQ(stream->first_bits, static_cast<uint64_t>(frames_bits));
+}
+
+// ---------------------------------------------------------- StreamReceiver
+
+constexpr char kFeed[] = "feed";
+
+/// One batch of exchange 1 as a producer would frame it; its row is
+/// side·100 + producer·10 + seq, and `cut` halves the frame so it no
+/// longer decodes.
+struct Scripted {
+  int side = 0;
+  size_t producer = 0;
+  uint64_t seq = 1;
+  bool eos = false;
+  bool cut = false;
+};
+
+uint64_t TokenOf(int side, size_t producer) {
+  return static_cast<uint64_t>(side) * 10 + producer + 1;
+}
+
+Tuple RowOf(int side, size_t producer, uint64_t seq) {
+  return Tuple({Value::Int(side * 100 + static_cast<int64_t>(producer) * 10 +
+                           static_cast<int64_t>(seq))});
+}
+
+/// Sends a script of batches one millisecond apart, in script order, and
+/// records every ack as (token, ack).
+class Feeder : public pool::Process {
+ public:
+  Feeder(pool::ProcessId to, std::vector<Scripted> script)
+      : to_(to), script_(std::move(script)) {}
+
+  void OnStart() override {
+    for (size_t i = 0; i < script_.size(); ++i) {
+      SendSelfAfter(static_cast<sim::SimTime>(i + 1) * sim::kNanosPerMilli,
+                    kFeed, i);
+    }
+  }
+
+  void OnMail(const pool::Mail& mail) override {
+    if (mail.kind == kMailBatchAck) {
+      const auto& ack = *std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
+      acks_.emplace_back(ack.shuffle_token, ack.ack);
+      return;
+    }
+    if (mail.kind != kFeed) return;
+    const Scripted& step = script_[std::any_cast<size_t>(mail.body)];
+    auto msg = std::make_shared<TupleBatchMsg>();
+    msg->exchange_id = 1;
+    msg->side = step.side;
+    msg->producer = step.producer;
+    msg->shuffle_token = TokenOf(step.side, step.producer);
+    msg->seq = step.seq;
+    msg->eos = step.eos;
+    const std::vector<Tuple> rows = {RowOf(step.side, step.producer, step.seq)};
+    msg->rows = EncodeRows(rows);
+    if (step.cut) {
+      msg->rows = std::make_shared<const std::string>(
+          msg->rows->substr(0, msg->rows->size() / 2));
+    }
+    SendMail(to_, kMailTupleBatch, std::move(msg), kControlBits);
+  }
+
+  const std::vector<std::pair<uint64_t, uint64_t>>& acks() const {
+    return acks_;
+  }
+
+ private:
+  pool::ProcessId to_;
+  std::vector<Scripted> script_;
+  std::vector<std::pair<uint64_t, uint64_t>> acks_;
+};
+
+struct ReceiverRun {
+  Consumer* consumer = nullptr;
+  Feeder* feeder = nullptr;
+};
+
+ReceiverRun FeedReceiver(Machine* m, std::vector<Scripted> script) {
+  ReceiverRun run;
+  auto consumer = std::make_unique<Consumer>(m, /*sides=*/2, /*producers=*/2);
+  run.consumer = consumer.get();
+  const pool::ProcessId to = m->runtime.Spawn(1, std::move(consumer));
+  auto feeder = std::make_unique<Feeder>(to, std::move(script));
+  run.feeder = feeder.get();
+  m->runtime.Spawn(0, std::move(feeder));
+  m->sim.Run();
+  return run;
+}
+
+TEST(StreamReceiverTest, ReorderedAndDuplicatedBatchesOfTwoSides) {
+  Machine m;
+  const ReceiverRun run = FeedReceiver(
+      &m, {{0, 1, 1},                // Delivered at once.
+           {1, 0, 2, true},          // Waits for seq 1.
+           {0, 0, 2, true},          // Waits for seq 1.
+           {0, 1, 1},                // Duplicate of a delivered batch.
+           {0, 0, 1},                // Releases seq 1 and 2: side 0 p0 ends.
+           {1, 0, 2, true},          // Duplicate of a buffered batch.
+           {0, 1, 2, true},          // Side 0 ends.
+           {1, 1, 1, true},
+           {1, 0, 1},                // Releases seq 1 and 2: side 1 ends.
+           {0, 2, 1, true}});        // No such producer: ignored.
+  using D = std::tuple<int, size_t, std::vector<Tuple>>;
+  std::vector<D> got;
+  for (const StreamReceiver::Delivery& d : run.consumer->deliveries()) {
+    got.emplace_back(d.side, d.producer, d.rows);
+  }
+  // Rows in arrival order, each channel's in sequence order.
+  const std::vector<D> want = {
+      {0, 1, {RowOf(0, 1, 1)}},
+      {0, 0, {RowOf(0, 0, 1), RowOf(0, 0, 2)}},
+      {0, 1, {RowOf(0, 1, 2)}},
+      {1, 1, {RowOf(1, 1, 1)}},
+      {1, 0, {RowOf(1, 0, 1), RowOf(1, 0, 2)}}};
+  EXPECT_EQ(got, want);
+  // Every batch but the foreign one is acked, and each ack covers exactly
+  // the prefix its channel delivered, duplicates and gaps included.
+  const std::vector<std::pair<uint64_t, uint64_t>> acks = {
+      {TokenOf(0, 1), 1}, {TokenOf(1, 0), 0}, {TokenOf(0, 0), 0},
+      {TokenOf(0, 1), 1}, {TokenOf(0, 0), 2}, {TokenOf(1, 0), 0},
+      {TokenOf(0, 1), 2}, {TokenOf(1, 1), 1}, {TokenOf(1, 0), 2}};
+  EXPECT_EQ(run.feeder->acks(), acks);
+  // Each side is done once its last producer's eos was delivered.
+  std::vector<std::pair<bool, bool>> done(6, {false, false});
+  done.insert(done.end(), 2, {true, false});
+  done.insert(done.end(), 2, {true, true});
+  EXPECT_EQ(run.consumer->done(), done);
+  // Each duplicate is counted once, and never as a fresh batch.
+  EXPECT_EQ(m.metrics.CounterValue("exchange.dup_batches"), 2u);
+  EXPECT_EQ(m.metrics.CounterValue("exchange.batches_received"), 7u);
+  for (const Status& status : run.consumer->statuses()) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+TEST(StreamReceiverTest, UndecodableFrameReturnsItsErrorAndIsNotAcked) {
+  Machine m;
+  const ReceiverRun run =
+      FeedReceiver(&m, {{0, 0, 1, true, /*cut=*/true}, {0, 0, 1, true}});
+  ASSERT_EQ(run.consumer->statuses().size(), 2u);
+  EXPECT_FALSE(run.consumer->statuses()[0].ok());
+  EXPECT_TRUE(run.consumer->statuses()[1].ok());
+  // Only the intact copy is delivered, counted and acked.
+  EXPECT_EQ(run.consumer->rows(), std::vector<Tuple>{RowOf(0, 0, 1)});
+  const std::vector<std::pair<uint64_t, uint64_t>> acks = {
+      {TokenOf(0, 0), 1}};
+  EXPECT_EQ(run.feeder->acks(), acks);
+  EXPECT_EQ(m.metrics.CounterValue("exchange.batches_received"), 1u);
+  EXPECT_EQ(m.metrics.CounterValue("exchange.dup_batches"), 0u);
 }
 
 // --------------------------------------------------------------- RpcClient

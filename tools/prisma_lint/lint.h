@@ -42,8 +42,11 @@
 //   D9  one wire format: no WireBits() in gdh/messages.h calls ByteSize()
 //       — a row set's modelled size is its column frame's byte length,
 //       down to a single row.
+//   D10 one receiver: exec::InboundChannel is named only in
+//       exec/exchange.{h,cc} and gdh/transport.{h,cc} — every batch
+//       stream is received through gdh::StreamReceiver.
 //
-// D5–D9 are structural rules implemented in protocol.cc over
+// D5–D10 are structural rules implemented in protocol.cc over
 // the extraction layer in structure.h; the annotation grammar is specified
 // in DESIGN.md §9.
 //
@@ -65,7 +68,7 @@ struct SourceFile {
 struct Diagnostic {
   std::string path;
   int line = 0;  // 1-based.
-  std::string rule;  // "D0".."D9".
+  std::string rule;  // "D0".."D10".
   std::string message;
   std::string snippet;  // Trimmed source line the finding points at.
 

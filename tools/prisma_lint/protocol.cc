@@ -809,6 +809,43 @@ void CheckWireSizing(const std::vector<PreparedFile>& files,
   }
 }
 
+// ------------------------------------------------------------------ rule D10
+//
+// One receiver. A batch stream's inbound channels belong to the
+// transport's StreamReceiver (gdh/transport.h): a process that names
+// exec::InboundChannel itself is re-growing the routing, dedup, EOS and
+// ack code the receiver owns.
+
+bool MayNameInboundChannel(const std::string& path) {
+  for (const char* owner : {"exec/exchange.h", "exec/exchange.cc",
+                            "gdh/transport.h", "gdh/transport.cc"}) {
+    if (path == owner || EndsWith(path, std::string("/") + owner)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void CheckOneReceiver(const std::vector<PreparedFile>& files,
+                      std::vector<Diagnostic>* out) {
+  static const std::regex kName("\\bInboundChannel\\b");
+  for (const PreparedFile& file : files) {
+    if (MayNameInboundChannel(file.path)) continue;
+    for (size_t li = 0; li < file.code.size(); ++li) {
+      const std::string& line = file.code[li];
+      // The find keeps the regex off the lines that cannot match.
+      if (line.find("InboundChannel") == std::string::npos ||
+          !std::regex_search(line, kName)) {
+        continue;
+      }
+      Emit(out, file, static_cast<int>(li) + 1, "D10",
+           "exec::InboundChannel outside the transport — receive batch "
+           "streams through gdh::StreamReceiver, which owns its channels "
+           "(DESIGN.md §10.5)");
+    }
+  }
+}
+
 }  // namespace
 
 void CheckProtocolRules(const std::vector<PreparedFile>& files,
@@ -820,6 +857,7 @@ void CheckProtocolRules(const std::vector<PreparedFile>& files,
   CheckStateMachines(files, structures, out);
   CheckMetricRegistry(files, out);
   CheckWireSizing(files, structures, out);
+  CheckOneReceiver(files, out);
 }
 
 }  // namespace prisma::lint

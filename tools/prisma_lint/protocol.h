@@ -15,6 +15,7 @@
 //   D7  state-machine conformance against declared transition tables.
 //   D8  metric/span names against the obs/metric_names.h registry.
 //   D9  wire sizing: no WireBits() in gdh/messages.h sums row byte sizes.
+//   D10 one receiver: exec::InboundChannel only inside the transport.
 
 namespace prisma::lint {
 
