@@ -27,7 +27,12 @@ interprets. This check fails the build when any of those links dangle:
   7. every backticked source path in those root documents
      (`gdh/transport.h`, `tests/chaos_test.cc: SomeTest`,
      `gdh/optimizer.cc:64`) names a file that exists, as written or under
-     src/ — no doc points at a deleted or moved file.
+     src/ — no doc points at a deleted or moved file;
+  8. every backticked `<Name>Request`, `<Name>Reply` or `<Name>Msg` in
+     those root documents names a message struct declared
+     (`struct <Name>...`) in src/ — no doc describes a message that is
+     gone. A name src/ declares as a function (`SendConsumerReply(`) is
+     not a message name.
 
 Usage: check_docs.py [repo-root]   (defaults to the parent of scripts/)
 """
@@ -172,9 +177,11 @@ def check_bench_flags(root, problems):
                             f"parses no such flag")
 
 
-# A process class named inside a backtick span: `OfmProcess`,
-# `QueryProcess::Scatter`, `gdh::GdhProcess`.
+# Names inside a backtick span: a process class (`OfmProcess`,
+# `QueryProcess::Scatter`, `gdh::GdhProcess`) and a message struct
+# (`ExecPlanRequest`, `gdh::TupleBatchMsg`).
 PROCESS_RE = re.compile(r"\b([A-Z]\w*Process)\b")
+MESSAGE_RE = re.compile(r"\b([A-Z]\w*(?:Request|Reply|Msg))\b")
 
 
 def root_documents(root):
@@ -202,21 +209,29 @@ def backtick_spans(doc_text):
             yield start + text.count("\n", 0, span.start()), span.group(1)
 
 
-def check_process_names(root, problems):
-    declared = set()
+def check_declared_names(root, problems):
+    """Rules 6 and 8: backticked process and message names are declared."""
+    classes, structs, functions = set(), set(), set()
     for dirpath, _, files in os.walk(os.path.join(root, "src")):
         for f in files:
             if f.endswith((".h", ".cc")):
                 text = open(os.path.join(dirpath, f), encoding="utf-8").read()
-                declared.update(re.findall(r"\bclass\s+(\w+Process)\b", text))
+                classes.update(re.findall(r"\bclass\s+(\w+Process)\b", text))
+                structs.update(re.findall(r"\bstruct\s+(\w+)\b", text))
+                functions.update(re.findall(r"\b(\w+)\(", text))
     for doc in root_documents(root):
         doc_text = open(os.path.join(root, doc), encoding="utf-8").read()
         for at, span in backtick_spans(doc_text):
             for name in PROCESS_RE.findall(span):
-                if name not in declared:
+                if name not in classes:
                     problems.append(
                         f"{doc}:{at}: `{name}` is not declared "
                         f"(class {name}) anywhere in src/")
+            for name in MESSAGE_RE.findall(span):
+                if name not in structs and name not in functions:
+                    problems.append(
+                        f"{doc}:{at}: `{name}` is not declared "
+                        f"(struct {name}) anywhere in src/")
 
 
 # A whole backtick span naming a source file by a relative path, maybe
@@ -252,13 +267,13 @@ def main():
     check_bench_emitters(root, problems)
     check_experiment_index(root, problems)
     check_bench_flags(root, problems)
-    check_process_names(root, problems)
+    check_declared_names(root, problems)
     check_source_paths(root, problems)
     if problems:
         return fail(problems)
     print("check_docs: OK (section references, bench artifacts, the "
-          "experiment index, bench flags, process names and source paths "
-          "are in sync)")
+          "experiment index, bench flags, process and message names and "
+          "source paths are in sync)")
     return 0
 
 

@@ -224,8 +224,6 @@ class PrismaDb {
 
   static net::Topology MakeTopology(const MachineConfig& config);
 
-  /// Blocks (runs the simulation) until request `id` completes.
-  StatusOr<QueryResult> Await(uint64_t id);
   StatusOr<QueryResult> ExecuteInternal(const std::string& text,
                                         bool prismalog, exec::TxnId txn);
 

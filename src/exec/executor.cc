@@ -34,6 +34,17 @@ StatusOr<const storage::Relation*> MapTableResolver::Resolve(
   return it->second;
 }
 
+Status MapTableResolver::Load(const std::string& name, const Schema& schema,
+                              std::vector<Tuple> rows) {
+  auto relation = std::make_unique<storage::Relation>(name, schema);
+  for (Tuple& tuple : rows) {
+    RETURN_IF_ERROR(relation->Insert(std::move(tuple)).status());
+  }
+  Register(name, relation.get());
+  loaded_.push_back(std::move(relation));
+  return Status::OK();
+}
+
 const storage::HashIndex* MapTableResolver::FindHashIndex(
     const std::string& table, const std::vector<size_t>& columns) const {
   auto it = hash_indexes_.find(table);

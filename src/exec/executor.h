@@ -50,12 +50,16 @@ class TableResolver {
   }
 };
 
-/// Map-backed resolver (does not own the relations or indexes).
+/// Map-backed resolver; it owns only the relations it Loads.
 class MapTableResolver : public TableResolver {
  public:
   void Register(const std::string& name, const storage::Relation* relation) {
     tables_[name] = relation;
   }
+  /// Materializes `rows` as a resident relation this resolver owns and
+  /// registers it under `name`.
+  Status Load(const std::string& name, const Schema& schema,
+              std::vector<Tuple> rows);
   void RegisterHashIndex(const std::string& table,
                          const storage::HashIndex* index) {
     hash_indexes_[table].push_back(index);
@@ -76,6 +80,7 @@ class MapTableResolver : public TableResolver {
 
  private:
   std::map<std::string, const storage::Relation*> tables_;
+  std::vector<std::unique_ptr<storage::Relation>> loaded_;
   std::map<std::string, std::vector<const storage::HashIndex*>> hash_indexes_;
   std::map<std::string, std::vector<const storage::BTreeIndex*>> btree_indexes_;
 };

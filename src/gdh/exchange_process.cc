@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "exec/expr_eval.h"
 #include "gdh/distributed_plan.h"
-#include "storage/relation.h"
 
 namespace prisma::gdh {
 
@@ -42,13 +41,8 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              std::vector<Tuple> rows,
                                              exec::ExprMode expr_mode,
                                              const pool::CostModel& costs) {
-  storage::Relation input(OlapInputName(), schema);
-  for (Tuple& tuple : rows) {
-    RETURN_IF_ERROR(input.Insert(std::move(tuple)).status());
-  }
-  rows.clear();
   exec::MapTableResolver resolver;
-  resolver.Register(OlapInputName(), &input);
+  RETURN_IF_ERROR(resolver.Load(OlapInputName(), schema, std::move(rows)));
   exec::ExecOptions options;
   options.expr_mode = expr_mode;
   options.costs = costs;

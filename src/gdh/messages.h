@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -53,12 +54,12 @@ inline constexpr char kMailDecisionRetry[] = "decision_retry";
 // delivered to the process that issued it; routed to
 // pool::Process::RunDurable (GDH and OFMs).
 inline constexpr char kMailDiskDone[] = "disk_done";
-// Streaming exchange layer (DESIGN.md §10). A shuffle plan turns an OFM
-// into a batch *producer* for one side of a distributed join; tuple
-// batches flow producer -> consumer under credit-based flow control, acks
-// flow back. The two trailing kinds are self-mail timers: per-shuffle
-// batch retransmission (producers) and final-reply retransmission
-// (consumers).
+// Streaming exchange layer (DESIGN.md §10). A plan request whose output
+// streams (kind shuffle_plan) turns an OFM into a batch *producer* for
+// one side of an exchange; tuple batches flow producer -> consumer under
+// credit-based flow control, acks flow back. The two trailing kinds are
+// self-mail timers: per-shuffle batch retransmission (producers) and
+// final-reply retransmission (consumers).
 inline constexpr char kMailShufflePlan[] = "shuffle_plan";
 inline constexpr char kMailTupleBatch[] = "tuple_batch";
 inline constexpr char kMailBatchAck[] = "batch_ack";
@@ -162,16 +163,46 @@ struct ClientReply {
   int64_t WireBits() const { return kControlBits + FrameBits(rows); }
 };
 
-/// Coordinator -> OFM: execute a fragment-local plan. A plan from the
-/// plan cache carries its `plan_ref`: shipped whole, the OFM keeps it
-/// under that ref; shipped by id (`plan` null), the OFM runs the plan it
-/// kept, or answers `plan_not_resident`.
+/// Coordinator -> OFM: run a fragment-local plan; `stream` says where its
+/// rows go. Unset, they are gathered: the ExecPlanReply carries them (mail
+/// kind exec_plan). Set, they stream (kind shuffle_plan) to the consumers
+/// as flow-controlled tuple batches, hash-partitioned on a column of the
+/// output schema or replicated (kBroadcast; with one consumer, a sorted
+/// run to the coordinator), and the OFM answers the coordinator with an
+/// (empty, control-sized) ExecPlanReply once every consumer has
+/// acknowledged its stream, so the coordinator's hardened-RPC machinery
+/// (retransmit, dedup, degrade-to-Unavailable) covers both outputs alike.
+/// A plan from the plan cache carries its `plan_ref`: shipped whole, the
+/// OFM keeps it under that ref; shipped by id (`plan` null), the OFM runs
+/// the plan it kept, or answers `plan_not_resident`.
 struct ExecPlanRequest {
+  struct Stream {
+    enum class Mode : uint8_t { kHash, kBroadcast };
+    /// Identifies the exchange (one per lowered part) and this producer's
+    /// role in it; consumers use these to route batches onto the right
+    /// channel.
+    uint64_t exchange_id = 0;
+    int side = 0;          // 0 = left input of the join, 1 = right.
+    size_t producer = 0;   // Index of this producer within its side.
+    Mode mode = Mode::kHash;
+    /// Hash mode: column of the plan's output schema to partition on.
+    size_t partition_column = 0;
+    /// Hash mode: route NULL partition keys to consumer 0 instead of
+    /// dropping them. Join shuffles drop NULLs (they can never match an
+    /// equi-join); group-by shuffles must keep them (NULL is a real group,
+    /// DESIGN.md §14.2).
+    bool keep_nulls = false;
+    std::vector<pool::ProcessId> consumers;
+    uint64_t batch_rows = 64;     // Max tuples per batch.
+    uint64_t credit_window = 4;   // Batches in flight per channel.
+  };
   uint64_t request_id = 0;
   std::shared_ptr<const algebra::Plan> plan;
   PlanRef plan_ref;
-  /// EXPLAIN ANALYZE: return a per-operator profile with the tuples.
+  /// EXPLAIN ANALYZE: the reply (a stream's settlement too) carries the
+  /// plan's per-operator profile.
   bool profile = false;
+  std::optional<Stream> stream;
 
   int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
 };
@@ -229,44 +260,6 @@ struct WriteReply {
   /// Row-count delta of the fragment (insert: +1; delete: -n).
   int64_t row_delta = 0;
   std::string fragment;
-};
-
-/// Coordinator -> OFM: run `plan` against the local fragment and stream
-/// the result — hash-partitioned on `partition_column` of the output
-/// schema, or replicated (kBroadcast; with one consumer, a sorted run to
-/// the coordinator) — to the consumers as flow-controlled tuple batches.
-/// The OFM answers the coordinator with an (empty, control-sized)
-/// ExecPlanReply once every consumer has acknowledged its stream, so the
-/// coordinator's hardened-RPC machinery (retransmit, dedup,
-/// degrade-to-Unavailable) covers shuffles exactly like plain plans.
-struct ShufflePlanRequest {
-  enum class Mode : uint8_t { kHash, kBroadcast };
-  uint64_t request_id = 0;
-  /// Identifies the exchange (one per lowered join part) and this
-  /// producer's role in it; consumers use these to route batches onto the
-  /// right channel.
-  uint64_t exchange_id = 0;
-  int side = 0;            // 0 = left input of the join, 1 = right.
-  size_t producer = 0;     // Index of this producer within its side.
-  std::shared_ptr<const algebra::Plan> plan;
-  Mode mode = Mode::kHash;
-  /// Hash mode: column of the plan's output schema to partition on.
-  size_t partition_column = 0;
-  /// Hash mode: route NULL partition keys to consumer 0 instead of
-  /// dropping them. Join shuffles drop NULLs (they can never match an
-  /// equi-join); group-by shuffles must keep them (NULL is a real group,
-  /// DESIGN.md §14.2).
-  bool keep_nulls = false;
-  std::vector<pool::ProcessId> consumers;
-  /// Plan-cache identity of `plan`; by id when `plan` is null (see
-  /// ExecPlanRequest).
-  PlanRef plan_ref;
-  uint64_t batch_rows = 64;     // Max tuples per batch.
-  uint64_t credit_window = 4;   // Batches in flight per channel.
-  /// EXPLAIN ANALYZE: the settlement reply carries the plan's profile.
-  bool profile = false;
-
-  int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
 };
 
 /// Producer -> consumer: one framed batch of an exchange channel. The

@@ -206,8 +206,8 @@ void OfmProcess::MaybeReplayStalled() {
 // Handler contract (D5): an OFM consumes the worker-side protocol — plan /
 // write / txn-control execution, checkpointing, exchange data plane, 2PC
 // decision recovery and the resync data plane.
-// PRISMA_HANDLES(kMailExecPlan, kMailWrite, kMailTxnControl, kMailCheckpoint)
-// PRISMA_HANDLES(kMailCreateIndex, kMailShufflePlan, kMailDecisionReply)
+// PRISMA_HANDLES(kMailExecPlan, kMailShufflePlan, kMailWrite, kMailTxnControl)
+// PRISMA_HANDLES(kMailCheckpoint, kMailCreateIndex, kMailDecisionReply)
 // PRISMA_HANDLES(kMailDecisionRetry, kMailBatchAck, kMailBatchResend)
 // PRISMA_HANDLES(kMailTupleBatch, kMailResync, kMailResyncDelta)
 // PRISMA_HANDLES(kMailResyncDeltaAck, kMailResyncPump, kMailDiskDone)
@@ -265,7 +265,7 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
   // Everything else is a request carrying a request_id: answer duplicates
   // from the reply cache without re-executing.
   uint64_t request_id = 0;
-  if (mail.kind == kMailExecPlan) {
+  if (mail.kind == kMailExecPlan || mail.kind == kMailShufflePlan) {
     request_id =
         std::any_cast<std::shared_ptr<ExecPlanRequest>>(mail.body)->request_id;
   } else if (mail.kind == kMailWrite) {
@@ -279,9 +279,6 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
                      ->request_id;
   } else if (mail.kind == kMailCreateIndex) {
     request_id = std::any_cast<std::shared_ptr<CreateIndexRequest>>(mail.body)
-                     ->request_id;
-  } else if (mail.kind == kMailShufflePlan) {
-    request_id = std::any_cast<std::shared_ptr<ShufflePlanRequest>>(mail.body)
                      ->request_id;
   } else if (mail.kind == kMailResync) {
     request_id =
@@ -307,7 +304,7 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
       return;
     }
   }
-  if (mail.kind == kMailExecPlan) {
+  if (mail.kind == kMailExecPlan || mail.kind == kMailShufflePlan) {
     HandleExecPlan(mail);
   } else if (mail.kind == kMailWrite) {
     HandleWrite(mail);
@@ -317,8 +314,6 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
     HandleCheckpoint(mail);
   } else if (mail.kind == kMailCreateIndex) {
     HandleCreateIndex(mail);
-  } else if (mail.kind == kMailShufflePlan) {
-    HandleShufflePlan(mail);
   } else if (mail.kind == kMailResync) {
     HandleResync(mail);
   }
@@ -395,21 +390,19 @@ std::shared_ptr<const algebra::Plan> OfmProcess::AdoptPlan(
 
 void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   auto request = std::any_cast<std::shared_ptr<ExecPlanRequest>>(mail.body);
+  // A retransmitted stream request racing its own running stream: that
+  // stream will answer the coordinator, so a second one would only
+  // duplicate every batch.
+  if (active_shuffles_->contains({mail.from, request->request_id})) return;
   const std::shared_ptr<const algebra::Plan> plan =
       AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
   if (plan == nullptr) return;
-  auto reply = std::make_shared<ExecPlanReply>();
-  reply->request_id = request->request_id;
-  reply->fragment = config_.fragment_name;
   std::optional<PeLocalResolver> colocated;
-  if (config_.registry != nullptr) {
-    colocated.emplace(config_.registry, pe());
-  }
-  std::optional<obs::OperatorProfile> profile;
-  if (request->profile) profile.emplace();
-  auto result =
-      ofm_->ExecutePlan(*plan, colocated.has_value() ? &*colocated : nullptr,
-                        profile.has_value() ? &*profile : nullptr);
+  if (config_.registry != nullptr) colocated.emplace(config_.registry, pe());
+  std::shared_ptr<obs::OperatorProfile> profile;
+  if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
+  auto result = ofm_->ExecutePlan(
+      *plan, colocated.has_value() ? &*colocated : nullptr, profile.get());
   if (m_plans_executed_ != nullptr) {
     const exec::ExecStats& stats = ofm_->last_exec_stats();
     m_plans_executed_->Increment();
@@ -421,19 +414,30 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
       m_full_scans_->Increment();
     }
   }
+  if (result.ok() && request->stream.has_value()) {
+    OpenShuffle(mail.from, *request, std::move(result).value(),
+                std::move(profile));
+    return;
+  }
+  auto reply = std::make_shared<ExecPlanReply>();
+  reply->request_id = request->request_id;
+  reply->fragment = config_.fragment_name;
   if (result.ok()) {
     reply->rows = EncodeRows(*result);
-    if (profile.has_value()) {
-      reply->profile =
-          std::make_shared<obs::OperatorProfile>(std::move(*profile));
-    }
+    reply->profile = std::move(profile);
   } else {
     reply->status = result.status();
   }
-  // Not cached: plan execution is an idempotent read, and its reply
-  // carries result rows — caching it for the full dedup retention
-  // window would pin every result set in memory. A duplicated request
-  // simply re-executes; the coordinator drops the surplus reply.
+  if (request->stream.has_value()) {
+    // A failed stream is answered like a settled one: cached.
+    Respond(mail.from, request->request_id, kMailExecPlanReply, reply,
+            reply->WireBits());
+    return;
+  }
+  // Not cached: a gathered plan is an idempotent read, and its reply
+  // carries result rows — caching it for the full dedup retention window
+  // would pin every result set in memory. A duplicated request simply
+  // re-executes; the coordinator drops the surplus reply.
   SendMail(mail.from, kMailExecPlanReply, reply, reply->WireBits());
 }
 
@@ -447,48 +451,15 @@ void OfmProcess::RegisterExchangeMetrics() {
   m_wire_bits_ = config_.metrics->GetCounter("exchange.wire_bits", labels);
 }
 
-void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
-  auto request = std::any_cast<std::shared_ptr<ShufflePlanRequest>>(mail.body);
-  // A retransmitted plan racing its own in-flight execution: the running
-  // shuffle will answer the coordinator, so a second stream would only
-  // duplicate every batch.
-  if (active_shuffles_->contains({mail.from, request->request_id})) return;
-  const std::shared_ptr<const algebra::Plan> plan =
-      AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
-  if (plan == nullptr) return;
-
-  std::optional<PeLocalResolver> colocated;
-  if (config_.registry != nullptr) colocated.emplace(config_.registry, pe());
-  std::shared_ptr<obs::OperatorProfile> profile;
-  if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
-  auto result = ofm_->ExecutePlan(
-      *plan, colocated.has_value() ? &*colocated : nullptr,
-      profile.get());
-  if (m_plans_executed_ != nullptr) {
-    const exec::ExecStats& stats = ofm_->last_exec_stats();
-    m_plans_executed_->Increment();
-    m_tuples_scanned_->Increment(stats.tuples_scanned);
-    m_index_selections_->Increment(stats.index_selections);
-    if (stats.tuples_scanned > 0 && stats.index_selections == 0) {
-      m_full_scans_->Increment();
-    }
-  }
-  if (!result.ok()) {
-    auto reply = std::make_shared<ExecPlanReply>();
-    reply->request_id = request->request_id;
-    reply->fragment = config_.fragment_name;
-    reply->status = result.status();
-    Respond(mail.from, request->request_id, kMailExecPlanReply, reply,
-            kControlBits);
-    return;
-  }
-
-  std::vector<Tuple> rows = std::move(result).value();
-  const size_t consumers = request->consumers.size();
+void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
+                             const ExecPlanRequest& request,
+                             std::vector<Tuple> rows,
+                             std::shared_ptr<obs::OperatorProfile> profile) {
+  const ExecPlanRequest::Stream& spec = *request.stream;
+  const size_t consumers = spec.consumers.size();
   PRISMA_CHECK(consumers > 0);
-  const pool::CostModel& costs = config_.ofm.exec.costs;
   std::vector<std::vector<Tuple>> partitions(consumers);
-  if (request->mode == ShufflePlanRequest::Mode::kBroadcast) {
+  if (spec.mode == ExecPlanRequest::Stream::Mode::kBroadcast) {
     for (size_t c = 0; c + 1 < consumers; ++c) partitions[c] = rows;
     partitions[consumers - 1] = std::move(rows);
   } else {
@@ -498,11 +469,12 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
     // Join shuffles drop NULL keys (they can never satisfy an equi-join);
     // group-by shuffles set keep_nulls — NULL is a real group — and route
     // them to consumer 0 (every producer agrees, so the group merges once).
-    ChargeCpu(static_cast<sim::SimTime>(rows.size()) * costs.hash_ns);
+    ChargeCpu(static_cast<sim::SimTime>(rows.size()) *
+              config_.ofm.exec.costs.hash_ns);
     for (Tuple& tuple : rows) {
-      const Value& key = tuple.at(request->partition_column);
+      const Value& key = tuple.at(spec.partition_column);
       if (key.is_null()) {
-        if (request->keep_nulls) partitions[0].push_back(std::move(tuple));
+        if (spec.keep_nulls) partitions[0].push_back(std::move(tuple));
         continue;
       }
       partitions[key.Hash() % consumers].push_back(std::move(tuple));
@@ -512,9 +484,9 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   RegisterExchangeMetrics();
   const uint64_t token = next_shuffle_token_++;
   StreamSender::Stream stream;
-  stream.exchange_id = request->exchange_id;
-  stream.side = request->side;
-  stream.producer = request->producer;
+  stream.exchange_id = spec.exchange_id;
+  stream.side = spec.side;
+  stream.producer = spec.producer;
   stream.token = token;
   stream.stalls = m_exchange_stalls_;
   stream.channels.reserve(consumers);
@@ -526,13 +498,13 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
                               {"channel", std::to_string(c)}});
     }
     stream.channels.push_back(
-        {exec::OutboundChannel(std::move(partitions[c]), request->batch_rows,
-                               request->credit_window),
-         request->consumers[c], gauge});
+        {exec::OutboundChannel(std::move(partitions[c]), spec.batch_rows,
+                               spec.credit_window),
+         spec.consumers[c], gauge});
   }
-  (*active_shuffles_)[{mail.from, request->request_id}] = token;
-  PRISMA_CHECK(shuffles_->emplace(token, ShuffleState{mail.from,
-                                                      request->request_id,
+  (*active_shuffles_)[{coordinator, request.request_id}] = token;
+  PRISMA_CHECK(shuffles_->emplace(token, ShuffleState{coordinator,
+                                                      request.request_id,
                                                       std::move(profile)})
                    .second);
   shuffle_out_.Open(std::move(stream));

@@ -30,8 +30,9 @@ namespace prisma::gdh {
 /// so every request is identified by (sender, request_id): a repeated
 /// non-idempotent request (write, 2PC control, checkpoint, index build)
 /// replays the cached reply instead of re-executing, making
-/// retransmission-based senders safe against duplicates. Plan executions
-/// are idempotent reads and simply run again when duplicated.
+/// retransmission-based senders safe against duplicates. A gathered plan
+/// is an idempotent read and simply runs again when duplicated; a
+/// streamed plan's settlement is cached like a write's reply.
 ///
 /// On start it recovers from its PE's stable store when `recover` is set
 /// (crash replacement) and asks the GDH to decide any in-doubt prepared
@@ -96,8 +97,9 @@ class OfmProcess : public pool::Process {
   uint64_t dup_requests() const { return dup_requests_; }
 
  private:
+  /// Runs a fragment plan and either answers with its rows (gathered) or
+  /// streams them (OpenShuffle); see ExecPlanRequest.
   void HandleExecPlan(const pool::Mail& mail);
-  void HandleShufflePlan(const pool::Mail& mail);
   /// The plan a request runs: a shipped plan (kept under `ref` when it
   /// has one), or the one kept under `ref`. Null when the request named a
   /// plan this OFM does not hold; the coordinator has then been told.
@@ -178,6 +180,11 @@ class OfmProcess : public pool::Process {
     std::shared_ptr<obs::OperatorProfile> profile;
   };
 
+  /// Partitions a streamed plan's `rows` over the request's consumers and
+  /// opens the stream that FinishShuffle settles.
+  void OpenShuffle(pool::ProcessId coordinator, const ExecPlanRequest& request,
+                   std::vector<Tuple> rows,
+                   std::shared_ptr<obs::OperatorProfile> profile);
   /// Answers the coordinator (cached) with the stream's first-transmission
   /// bits — olap.* wire accounting reflects the modelled payload, not
   /// retry luck — and discards the shuffle.

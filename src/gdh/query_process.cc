@@ -180,7 +180,7 @@ void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
           : FindFragment(w.second_table, w.second_fragment);
   int choice = ChooseReadReplica(*frag);
   const int peer = 1 - w.replica;
-  if (choice == w.replica && std::string_view(rpc.kind) == kMailExecPlan &&
+  if (choice == w.replica && !w.request.stream.has_value() &&
       ServesReads(*frag, peer) &&
       (second == nullptr || ServesReads(*second, peer))) {
     // Silence failover: the addressed replica is alive but did not answer
@@ -199,31 +199,21 @@ void QueryProcess::MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc) {
   const std::string old_name = frag->ReplicaName(w.replica);
   const std::string new_name = frag->ReplicaName(choice);
   std::unique_ptr<algebra::Plan> plan =
-      CloneWithScanRenamed(*w.plan, old_name, new_name);
+      CloneWithScanRenamed(*w.request.plan, old_name, new_name);
   if (second != nullptr) {
     // The co-located partner moves with the anchor: aligned placement
     // puts equal replica slots on equal PEs.
     plan = CloneWithScanRenamed(*plan, second->ReplicaName(w.replica),
                                 second->ReplicaName(choice));
   }
-  w.plan = std::shared_ptr<const algebra::Plan>(std::move(plan));
+  w.request.plan = std::shared_ptr<const algebra::Plan>(std::move(plan));
   // The surviving replica gets the renamed plan whole, even where the
   // request named it by id: nothing is on record for that OFM.
-  if (std::string_view(rpc.kind) == kMailShufflePlan && w.shuffle != nullptr) {
-    auto request = std::make_shared<ShufflePlanRequest>(
-        *std::any_cast<std::shared_ptr<ShufflePlanRequest>>(rpc.body));
-    request->plan = w.plan;
-    rpc.size_bits = request->WireBits();
-    rpc.body = request;
-  } else if (std::string_view(rpc.kind) == kMailExecPlan) {
-    auto request = std::make_shared<ExecPlanRequest>(
-        *std::any_cast<std::shared_ptr<ExecPlanRequest>>(rpc.body));
-    request->plan = w.plan;
-    rpc.size_bits = request->WireBits();
-    rpc.body = request;
-  } else {
-    return;  // Not a fragment read; nothing to re-aim.
-  }
+  auto request = std::make_shared<ExecPlanRequest>(
+      *std::any_cast<std::shared_ptr<ExecPlanRequest>>(rpc.body));
+  request->plan = w.request.plan;
+  rpc.size_bits = request->WireBits();
+  rpc.body = request;
   w.replica = choice;
   w.ofm = frag->ReplicaOfm(choice);
 }
@@ -541,29 +531,9 @@ void QueryProcess::Scatter() {
       second = *second_or;
     }
     for (const int f : part_fragments_[i]) {
-      const FragmentInfo& frag = (*info)->fragments[f];
-      // Read routing: address the fragment's primary replica, or the
-      // surviving backup when the primary's PE is down (DESIGN.md §13).
-      const int replica = ChooseReadReplica(frag);
-      std::unique_ptr<algebra::Plan> local = CloneWithScanRenamed(
-          *part.plan, part.table, frag.ReplicaName(replica));
-      FragmentWork w;
-      if (second != nullptr) {
-        // The co-located partner reads the SAME replica slot: aligned
-        // placement keeps equal slots of aligned fragments on one PE.
-        const FragmentInfo& sfrag = second->fragments[f];
-        local = CloneWithScanRenamed(*local, part.second_table,
-                                     sfrag.ReplicaName(replica));
-        w.second_table = part.second_table;
-        w.second_fragment = sfrag.name;
-      }
-      w.ofm = frag.ReplicaOfm(replica);
-      w.plan = std::shared_ptr<const algebra::Plan>(std::move(local));
-      w.part = i;
-      w.table = part.table;
-      w.fragment = frag.name;
-      w.replica = replica;
-      work_->push_back(std::move(w));
+      AddFragmentWork(i, part.table, (*info)->fragments[f], *part.plan,
+                      part.second_table,
+                      second != nullptr ? &second->fragments[f] : nullptr);
     }
   }
   // Forwarding (DESIGN.md §15.5): the answer IS the merge of the sorted
@@ -677,13 +647,13 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
   for (int s = 0; s < sides; ++s) {
     if (!ExchangeSideMoves(ex.strategy, s)) continue;
     for (size_t f = 0; f < inputs[s]->fragments.size(); ++f) {
-      ShufflePlanRequest& request = AddShuffleProducer(
+      ExecPlanRequest::Stream& stream = AddShuffleProducer(
           part_index, exchange_id, s, f, ex.inputs[s].table,
           inputs[s]->fragments[f], *ex.inputs[s].plan, consumers);
-      request.mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
-                               : ShufflePlanRequest::Mode::kHash;
-      request.partition_column = ex.inputs[s].route_column;
-      request.keep_nulls = ex.inputs[s].keep_nulls;
+      stream.mode = broadcast ? ExecPlanRequest::Stream::Mode::kBroadcast
+                              : ExecPlanRequest::Stream::Mode::kHash;
+      stream.partition_column = ex.inputs[s].route_column;
+      stream.keep_nulls = ex.inputs[s].keep_nulls;
       work_->back().olap_stream = ex.group_by();
     }
   }
@@ -713,39 +683,55 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
   for (size_t r = 0; r < fragments.size(); ++r) {
     // Broadcast to one consumer: the run leaves in sorted order, with no
     // per-row routing.
-    ShufflePlanRequest& request = AddShuffleProducer(
-        part_index, exchange_id, 0, r, part.table,
-        table.fragments[fragments[r]], *part.plan, {self()});
-    request.mode = ShufflePlanRequest::Mode::kBroadcast;
+    AddShuffleProducer(part_index, exchange_id, 0, r, part.table,
+                       table.fragments[fragments[r]], *part.plan, {self()})
+        .mode = ExecPlanRequest::Stream::Mode::kBroadcast;
     work_->back().olap_stream = true;
     runs.work.push_back(work_->size() - 1);
   }
 }
 
-ShufflePlanRequest& QueryProcess::AddShuffleProducer(
-    size_t part_index, uint64_t exchange_id, int side, size_t producer,
-    const std::string& table, const FragmentInfo& frag,
-    const algebra::Plan& plan, std::vector<pool::ProcessId> consumers) {
+QueryProcess::FragmentWork& QueryProcess::AddFragmentWork(
+    size_t part_index, const std::string& table, const FragmentInfo& frag,
+    const algebra::Plan& plan, const std::string& second_table,
+    const FragmentInfo* second) {
+  // Read routing: address the fragment's primary replica, or the
+  // surviving backup when the primary's PE is down (DESIGN.md §13).
   const int replica = ChooseReadReplica(frag);
-  auto request = std::make_shared<ShufflePlanRequest>();
-  request->exchange_id = exchange_id;
-  request->side = side;
-  request->producer = producer;
-  request->consumers = std::move(consumers);
-  request->batch_rows = config_.exchange_batch_rows;
-  request->credit_window = config_.exchange_credit_window;
-  request->profile = analyze_;
-  FragmentWork w;
+  std::unique_ptr<algebra::Plan> local =
+      CloneWithScanRenamed(plan, table, frag.ReplicaName(replica));
+  FragmentWork& w = work_->emplace_back();
+  if (second != nullptr) {
+    // The co-located partner reads the SAME replica slot: aligned
+    // placement keeps equal slots of aligned fragments on one PE.
+    local = CloneWithScanRenamed(*local, second_table,
+                                 second->ReplicaName(replica));
+    w.second_table = second_table;
+    w.second_fragment = second->name;
+  }
   w.ofm = frag.ReplicaOfm(replica);
-  w.plan = std::shared_ptr<const algebra::Plan>(
-      CloneWithScanRenamed(plan, table, frag.ReplicaName(replica)));
+  w.request.plan = std::shared_ptr<const algebra::Plan>(std::move(local));
+  w.request.profile = analyze_;
   w.part = part_index;
   w.table = table;
   w.fragment = frag.name;
   w.replica = replica;
-  w.shuffle = request;
-  work_->push_back(std::move(w));
-  return *request;
+  return w;
+}
+
+ExecPlanRequest::Stream& QueryProcess::AddShuffleProducer(
+    size_t part_index, uint64_t exchange_id, int side, size_t producer,
+    const std::string& table, const FragmentInfo& frag,
+    const algebra::Plan& plan, std::vector<pool::ProcessId> consumers) {
+  ExecPlanRequest::Stream& stream =
+      AddFragmentWork(part_index, table, frag, plan).request.stream.emplace();
+  stream.exchange_id = exchange_id;
+  stream.side = side;
+  stream.producer = producer;
+  stream.consumers = std::move(consumers);
+  stream.batch_rows = config_.exchange_batch_rows;
+  stream.credit_window = config_.exchange_credit_window;
+  return stream;
 }
 
 void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
@@ -763,7 +749,7 @@ void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
         // A run that makes progress has a live producer: its plan RPC gets
         // a fresh budget, so a long run under loss is not failed while its
         // batches are still arriving.
-        rpcs_.Renew((*work_)[runs.work[run.producer]].request_id);
+        rpcs_.Renew((*work_)[runs.work[run.producer]].request.request_id);
         NoteProgress();
         return Status::OK();
       });
@@ -830,32 +816,21 @@ void QueryProcess::SendNextFragmentPlan() {
 
 void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
   FragmentWork& w = (*work_)[index];
-  const int side = w.shuffle != nullptr ? w.shuffle->side : 0;
+  const int side = w.request.stream.has_value() ? w.request.stream->side : 0;
   // Only plans of a cached split have an identity an OFM can keep.
   const PlanRef ref =
       plan_entry_ != 0 ? PlanRef{plan_entry_, w.part, side} : PlanRef{};
   const bool by_id = by_id_ok && ref.entry != 0 &&
                      config_.plan_cache->Resident(ref, ResolveTarget(index));
-  const std::shared_ptr<const algebra::Plan> plan = by_id ? nullptr : w.plan;
-  w.request_id = next_request_id_++;
-  request_part_[w.request_id] = {w.part, side, index};
-  int64_t bits = 0;
-  if (w.shuffle != nullptr) {
-    auto request = std::make_shared<ShufflePlanRequest>(*w.shuffle);
-    request->request_id = w.request_id;
-    request->plan = plan;
-    request->plan_ref = ref;
-    bits = request->WireBits();
-    SendRpc(w.request_id, kMailShufflePlan, request, bits, index);
-  } else {
-    auto request = std::make_shared<ExecPlanRequest>();
-    request->request_id = w.request_id;
-    request->plan = plan;
-    request->plan_ref = ref;
-    request->profile = analyze_;
-    bits = request->WireBits();
-    SendRpc(w.request_id, kMailExecPlan, request, bits, index);
-  }
+  w.request.request_id = next_request_id_++;
+  request_part_[w.request.request_id] = {w.part, side, index};
+  auto request = std::make_shared<ExecPlanRequest>(w.request);
+  if (by_id) request->plan = nullptr;
+  request->plan_ref = ref;
+  const int64_t bits = request->WireBits();
+  SendRpc(request->request_id,
+          request->stream.has_value() ? kMailShufflePlan : kMailExecPlan,
+          request, bits, index);
   if (analyze_) {
     PlanShipping& shipping = part_shipping_[w.part];
     if (by_id) {
@@ -979,20 +954,15 @@ void QueryProcess::FinishGather() {
 void QueryProcess::RunGlobalPhase() {
   // Materialize each gathered part as a resident relation and execute the
   // global plan over them.
-  std::vector<std::unique_ptr<storage::Relation>> relations;
   exec::MapTableResolver resolver;
   for (size_t i = 0; i < split_->parts.size(); ++i) {
-    auto rel = std::make_unique<storage::Relation>(
-        PartName(i), split_->parts[i].plan->schema());
-    for (Tuple& t : (*gathered_)[i]) {
-      auto row = rel->Insert(std::move(t));
-      if (!row.ok()) {
-        Reply(row.status(), Schema(), nullptr);
-        return;
-      }
+    const Status loaded =
+        resolver.Load(PartName(i), split_->parts[i].plan->schema(),
+                      std::move((*gathered_)[i]));
+    if (!loaded.ok()) {
+      Reply(loaded, Schema(), nullptr);
+      return;
     }
-    resolver.Register(PartName(i), rel.get());
-    relations.push_back(std::move(rel));
   }
   exec::ExecOptions exec_opts;
   exec_opts.expr_mode = config_.expr_mode;
@@ -1014,6 +984,36 @@ void QueryProcess::RunGlobalPhase() {
         std::make_shared<std::vector<Tuple>>(std::move(result).value()));
 }
 
+std::string QueryProcess::OptimizerLine() const {
+  return StrFormat("optimizer: %d selection(s) pushed, %d join reorder(s), "
+                   "%d common subtree(s), aggregate pushdown: %s, "
+                   "co-located joins: %d, exchange joins: %d, "
+                   "olap parts: %d",
+                   optimizer_report_.selections_pushed,
+                   optimizer_report_.joins_reordered,
+                   optimizer_report_.common_subtrees,
+                   split_->pushed_aggregate ? "yes" : "no",
+                   split_->colocated_joins, split_->exchange_joins,
+                   split_->olap_parts);
+}
+
+std::string QueryProcess::PartHeading(size_t i, size_t fan,
+                                      bool explain) const {
+  const LocalPart& part = split_->parts[i];
+  if (part.sorted_runs) {
+    return StrFormat("part %zu (sorted runs over %s, %zu fragment(s)%s):", i,
+                     part.table.c_str(), fan,
+                     explain ? ", merged at the coordinator" : "");
+  }
+  if (part.second_table.empty()) {
+    return StrFormat("part %zu (table %s, %zu fragment(s)):", i,
+                     part.table.c_str(), fan);
+  }
+  return StrFormat("part %zu (co-located join %s x %s, %zu fragment "
+                   "pair(s)):",
+                   i, part.table.c_str(), part.second_table.c_str(), fan);
+}
+
 void QueryProcess::ReplyExplain() {
   // One STRING row per output line: optimizer summary, the global plan,
   // then each local part and its fragment fan-out.
@@ -1021,16 +1021,7 @@ void QueryProcess::ReplyExplain() {
   auto emit = [&](const std::string& text) {
     lines->push_back(Tuple({Value::String(text)}));
   };
-  emit(StrFormat("optimizer: %d selection(s) pushed, %d join reorder(s), "
-                 "%d common subtree(s), aggregate pushdown: %s, "
-                 "co-located joins: %d, exchange joins: %d, "
-                 "olap parts: %d",
-                 optimizer_report_.selections_pushed,
-                 optimizer_report_.joins_reordered,
-                 optimizer_report_.common_subtrees,
-                 split_->pushed_aggregate ? "yes" : "no",
-                 split_->colocated_joins, split_->exchange_joins,
-                 split_->olap_parts));
+  emit(OptimizerLine());
   emit("global plan (runs at the query coordinator):");
   for (const std::string& line :
        Split(split_->global->ToString(), '\n')) {
@@ -1063,21 +1054,9 @@ void QueryProcess::ReplyExplain() {
       continue;
     }
     auto info = config_.dictionary->GetTable(part.table);
-    const size_t fan_out =
-        info.ok() ? PruneFragmentsForPart(**info, *part.plan).size() : 0;
-    if (part.sorted_runs) {
-      emit(StrFormat("part %zu (sorted runs over %s, %zu fragment(s), "
-                     "merged at the coordinator):",
-                     i, part.table.c_str(), fan_out));
-    } else if (part.second_table.empty()) {
-      emit(StrFormat("part %zu (table %s, %zu fragment(s)):", i,
-                     part.table.c_str(), fan_out));
-    } else {
-      emit(StrFormat("part %zu (co-located join %s x %s, %zu fragment "
-                     "pair(s)):",
-                     i, part.table.c_str(), part.second_table.c_str(),
-                     fan_out));
-    }
+    emit(PartHeading(
+        i, info.ok() ? PruneFragmentsForPart(**info, *part.plan).size() : 0,
+        /*explain=*/true));
     for (const std::string& line : Split(part.plan->ToString(), '\n')) {
       if (!line.empty()) emit("  " + line);
     }
@@ -1095,16 +1074,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
   auto emit = [&](const std::string& text) {
     lines->push_back(Tuple({Value::String(text)}));
   };
-  emit(StrFormat("optimizer: %d selection(s) pushed, %d join reorder(s), "
-                 "%d common subtree(s), aggregate pushdown: %s, "
-                 "co-located joins: %d, exchange joins: %d, "
-                 "olap parts: %d",
-                 optimizer_report_.selections_pushed,
-                 optimizer_report_.joins_reordered,
-                 optimizer_report_.common_subtrees,
-                 split_->pushed_aggregate ? "yes" : "no",
-                 split_->colocated_joins, split_->exchange_joins,
-                 split_->olap_parts));
+  emit(OptimizerLine());
   emit("global plan (ran at the query coordinator):");
   std::vector<std::string> rendered;
   obs::RenderProfile(global, 1, &rendered);
@@ -1154,22 +1124,12 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
       }
       continue;
     }
-    if (ex != nullptr) {
-      emit(StrFormat("part %zu (olap group-by over %s, %zu merge "
-                     "consumer(s)), producers:",
-                     i, ex->anchor_table.c_str(), part_fragments_[i].size()));
-    } else if (part.sorted_runs) {
-      emit(StrFormat("part %zu (sorted runs over %s, %zu fragment(s)):", i,
-                     part.table.c_str(), part_fragments_[i].size()));
-    } else if (part.second_table.empty()) {
-      emit(StrFormat("part %zu (table %s, %zu fragment(s)):", i,
-                     part.table.c_str(), part_fragments_[i].size()));
-    } else {
-      emit(StrFormat("part %zu (co-located join %s x %s, %zu fragment "
-                     "pair(s)):",
-                     i, part.table.c_str(), part.second_table.c_str(),
-                     part_fragments_[i].size()));
-    }
+    emit(ex != nullptr
+             ? StrFormat("part %zu (olap group-by over %s, %zu merge "
+                         "consumer(s)), producers:",
+                         i, ex->anchor_table.c_str(),
+                         part_fragments_[i].size())
+             : PartHeading(i, part_fragments_[i].size(), /*explain=*/false));
     emit_shipping();
     emit_profile(0, 1);
   }
@@ -1276,21 +1236,15 @@ void QueryProcess::StartPrismalog() {
 void QueryProcess::RunPrismalogPhase() {
   // Each part's gathered extension becomes a relation named after its
   // table, which the program's atoms reference.
-  std::vector<std::unique_ptr<storage::Relation>> relations;
   exec::MapTableResolver resolver;
   for (size_t i = 0; i < split_->parts.size(); ++i) {
     const LocalPart& part = split_->parts[i];
-    auto rel = std::make_unique<storage::Relation>(part.table,
-                                                   part.plan->schema());
-    for (Tuple& t : (*gathered_)[i]) {
-      auto row = rel->Insert(std::move(t));
-      if (!row.ok()) {
-        Reply(row.status(), Schema(), nullptr);
-        return;
-      }
+    const Status loaded = resolver.Load(part.table, part.plan->schema(),
+                                        std::move((*gathered_)[i]));
+    if (!loaded.ok()) {
+      Reply(loaded, Schema(), nullptr);
+      return;
     }
-    resolver.Register(part.table, rel.get());
-    relations.push_back(std::move(rel));
   }
   prismalog::EngineOptions options;
   options.costs = config_.costs;

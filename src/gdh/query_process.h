@@ -94,6 +94,11 @@ class QueryProcess : public pool::Process {
   /// fragmentation-key pruning) and sends the lock batch to the GDH.
   void AcquireSelectLocks();
   void ReplyExplain();
+  /// The lines EXPLAIN and EXPLAIN ANALYZE share: the optimizer summary,
+  /// and the heading of part `i` (sorted runs, a table or a co-located
+  /// join) over `fan` fragments; EXPLAIN notes where sorted runs merge.
+  std::string OptimizerLine() const;
+  std::string PartHeading(size_t i, size_t fan, bool explain) const;
   /// EXPLAIN ANALYZE: renders the measured per-operator profiles (global
   /// plan + merged fragment profiles per part) as the result rows.
   void ReplyAnalyze(const obs::OperatorProfile& global);
@@ -180,7 +185,10 @@ class QueryProcess : public pool::Process {
   // Scatter/gather bookkeeping.
   struct FragmentWork {
     pool::ProcessId ofm = pool::kNoProcess;
-    std::shared_ptr<const algebra::Plan> plan;
+    /// The request each send copies: the whole plan (its scans naming the
+    /// replica it is aimed at) and its output, gathered or streamed. Its
+    /// request id is the one the plan was last sent under.
+    ExecPlanRequest request;
     size_t part = 0;
     /// Names for pid re-resolution on retransmit (the OFM may respawn).
     /// `fragment` is the BASE fragment name; `replica` the replica the
@@ -192,15 +200,9 @@ class QueryProcess : public pool::Process {
     /// partner's scan together with the anchor's on read failover.
     std::string second_table;
     std::string second_fragment;
-    /// Set for shuffle producers (exchange parts, sorted runs, fixpoint
-    /// edges): the prebuilt shuffle request, sent instead of a plain
-    /// ExecPlanRequest as a copy that gets a fresh request id and `plan`.
-    std::shared_ptr<ShufflePlanRequest> shuffle;
     /// An OLAP stream producer (group-by shuffle or sorted run): its
     /// settlement's stream bits count as olap.shuffle_bits.
     bool olap_stream = false;
-    /// The request id this entry's plan was last sent under.
-    uint64_t request_id = 0;
   };
   /// Read routing (DESIGN.md §13): the replica of `frag` a read should
   /// address — the primary while it is in-sync and alive, else the peer
@@ -228,10 +230,20 @@ class QueryProcess : public pool::Process {
   /// exchange part (a join, or a group-by, DESIGN.md §14.2); returns the
   /// number of consumer replies the gather now additionally waits for.
   size_t ScatterExchangePart(size_t part_index);
-  /// Appends a shuffle-producer work entry for `frag` of `table`: `plan`
-  /// (its Scan naming the table) aimed at the replica that serves reads,
-  /// streaming to `consumers`. The caller sets the routing mode.
-  ShufflePlanRequest& AddShuffleProducer(
+  /// Appends the work entry that runs `plan` on fragment `frag` of
+  /// `table`, aimed at the replica that serves reads: the plan's scans of
+  /// `table`, and of a co-located partner (`second_table`, fragment
+  /// `second`), are renamed to that replica. Its output is gathered
+  /// unless the caller sets a stream.
+  FragmentWork& AddFragmentWork(size_t part_index, const std::string& table,
+                                const FragmentInfo& frag,
+                                const algebra::Plan& plan,
+                                const std::string& second_table = {},
+                                const FragmentInfo* second = nullptr);
+  /// Appends a work entry (AddFragmentWork) whose output streams to
+  /// `consumers` as producer `producer` of `side`. The caller sets the
+  /// routing mode.
+  ExecPlanRequest::Stream& AddShuffleProducer(
       size_t part_index, uint64_t exchange_id, int side, size_t producer,
       const std::string& table, const FragmentInfo& frag,
       const algebra::Plan& plan, std::vector<pool::ProcessId> consumers);

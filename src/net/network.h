@@ -172,15 +172,8 @@ class Network {
     uint64_t backpressure = 0;
     /// Messages reaching a node with no installed receiver.
     uint64_t no_receiver = 0;
-
-    double AverageLatencyUs() const {
-      if (messages_delivered == 0) return 0;
-      return static_cast<double>(total_latency_ns) /
-             static_cast<double>(messages_delivered) / 1000.0;
-    }
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
 
   /// Delivery timestamps per destination node (for throughput windows).
   const std::vector<std::vector<sim::SimTime>>& delivery_times() const {

@@ -17,11 +17,14 @@
 #include "gdh/gdh_process.h"
 #include "gdh/lock_manager.h"
 #include "gdh/messages.h"
+#include "gdh/ofm_process.h"
 #include "gdh/optimizer.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pool/runtime.h"
 #include "storage/relation.h"
+#include "storage/stable_store.h"
 
 namespace prisma::gdh {
 namespace {
@@ -991,6 +994,107 @@ TEST(ConsumerSpawnOrderTest, BatchHandledBeforeTheSpawnHandlerIsAccepted) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ(rows->at(0).at(0), Value::Int(42));
+}
+
+// --------------------------------------- Duplicated fragment-plan requests
+
+TEST(FragmentPlanDuplicateTest, AGatherRerunsAStreamOpensOnceThenReplays) {
+  // One OFM on PE 1 over three rows of t#0; a recorder on PE 0 is its
+  // coordinator and its stream's only consumer (and acks by hand).
+  sim::Simulator sim;
+  net::Network network(&sim, net::Topology::FullyConnected(2));
+  pool::Runtime runtime(&sim, &network);
+  storage::StableStore store;
+  runtime.AttachDisk(1, &store);
+  obs::MetricsRegistry metrics;
+  std::vector<RecorderProcess::Received> log;
+  const pool::ProcessId coordinator =
+      runtime.Spawn(0, std::make_unique<RecorderProcess>(&log));
+  OfmProcess::Config config;
+  config.fragment_name = "t#0";
+  config.schema = Schema({{"v", DataType::kInt64}});
+  config.gdh = coordinator;
+  config.metrics = &metrics;
+  const pool::ProcessId ofm =
+      runtime.Spawn(1, std::make_unique<OfmProcess>(config));
+  auto send = [&](const char* kind, std::any body) {
+    pool::Mail mail;
+    mail.from = coordinator;
+    mail.to = ofm;
+    mail.kind = kind;
+    mail.body = std::move(body);
+    runtime.Send(std::move(mail));
+  };
+  for (int v = 0; v < 3; ++v) {
+    auto write = std::make_shared<WriteRequest>();
+    write->request_id = 100 + v;
+    write->row = EncodeRows(std::vector<Tuple>{Tuple({Value::Int(v)})});
+    send(kMailWrite, write);
+  }
+  sim.Run();
+  log.clear();
+  auto received = [&log](const char* kind) {
+    return std::count_if(
+        log.begin(), log.end(),
+        [kind](const RecorderProcess::Received& r) { return r.kind == kind; });
+  };
+  const obs::Labels fragment = {{"fragment", "t#0"}};
+  const std::shared_ptr<const Plan> scan =
+      ScanPlan::Create("t#0", config.schema);
+
+  // A gathered request is not cached: its duplicate runs and is answered
+  // again, rows and all.
+  auto gathered = std::make_shared<ExecPlanRequest>();
+  gathered->request_id = 1;
+  gathered->plan = scan;
+  send(kMailExecPlan, gathered);
+  send(kMailExecPlan, gathered);
+  sim.Run();
+  ASSERT_EQ(received(kMailExecPlanReply), 2);
+  for (const RecorderProcess::Received& r : log) {
+    auto rows = TupleBatchRows(
+        std::any_cast<std::shared_ptr<ExecPlanReply>>(r.body)->rows);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->size(), 3u);
+  }
+  EXPECT_EQ(metrics.CounterValue("ofm.plans_executed", fragment), 2u);
+  EXPECT_EQ(metrics.CounterValue("ofm.dup_requests", fragment), 0u);
+
+  // A stream request's duplicate lands while its stream runs (nothing is
+  // acked yet): no second stream opens.
+  auto streamed = std::make_shared<ExecPlanRequest>();
+  streamed->request_id = 2;
+  streamed->plan = scan;
+  streamed->stream.emplace();
+  streamed->stream->exchange_id = 9;
+  streamed->stream->mode = ExecPlanRequest::Stream::Mode::kBroadcast;
+  streamed->stream->consumers = {coordinator};
+  streamed->stream->batch_rows = 2;
+  send(kMailShufflePlan, streamed);
+  send(kMailShufflePlan, streamed);
+  while (received(kMailTupleBatch) < 2 && sim.Step()) {
+  }
+  ASSERT_EQ(received(kMailTupleBatch), 2);
+  auto ack = std::make_shared<BatchAckMsg>();
+  ack->shuffle_token =
+      std::any_cast<std::shared_ptr<TupleBatchMsg>>(log.back().body)
+          ->shuffle_token;
+  ack->ack = 2;
+  ack->credit = 4;
+  send(kMailBatchAck, ack);
+  sim.Run();
+  EXPECT_EQ(metrics.CounterValue("exchange.batches_sent", fragment), 2u);
+  EXPECT_EQ(received(kMailTupleBatch), 2);
+  EXPECT_EQ(received(kMailExecPlanReply), 3);  // The settlement.
+  EXPECT_EQ(metrics.CounterValue("ofm.plans_executed", fragment), 3u);
+
+  // After settlement, a duplicate is answered from the reply cache.
+  send(kMailShufflePlan, streamed);
+  sim.Run();
+  EXPECT_EQ(received(kMailExecPlanReply), 4);
+  EXPECT_EQ(received(kMailTupleBatch), 2);
+  EXPECT_EQ(metrics.CounterValue("ofm.dup_requests", fragment), 1u);
+  EXPECT_EQ(metrics.CounterValue("ofm.plans_executed", fragment), 3u);
 }
 
 }  // namespace
