@@ -183,16 +183,18 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.replicate_fragments = config_.replicate_fragments;
   PRISMA_CHECK(!config_.replicate_fragments ||
                gdh_config.fragment_pes.size() >= 2);
-  gdh_config.costs = config_.costs;
-  gdh_config.rules = config_.rules;
-  gdh_config.expr_mode = config_.expr_mode;
   gdh_config.base_ofm_type = config_.base_ofm_type;
-  gdh_config.registry = &registry_;
-  gdh_config.plan_cache = &plan_cache_;
+  // The machine's settings, built once here and copied whole into every
+  // process (gdh/machine_params.h); CPU costs live in the runtime.
+  gdh::MachineParams& machine = gdh_config.machine;
+  machine.rules = config_.rules;
+  machine.expr_mode = config_.expr_mode;
+  machine.registry = &registry_;
+  machine.plan_cache = &plan_cache_;
   // The machine's one retransmission policy (gdh/transport.h). Auto
   // timeouts (see MachineConfig): effectively silent when fault-free,
   // snappy when messages can actually be lost.
-  gdh::RetransmitPolicy& retransmit = gdh_config.retransmit;
+  gdh::RetransmitPolicy& retransmit = machine.retransmit;
   retransmit.timeout_ns =
       config_.rpc_timeout_ns > 0
           ? config_.rpc_timeout_ns
@@ -202,9 +204,9 @@ PrismaDb::PrismaDb(MachineConfig config)
           ? config_.rpc_backoff_cap_ns
           : (faults ? 2 * sim::kNanosPerSecond : 10 * sim::kNanosPerSecond);
   retransmit.attempts = config_.rpc_attempts;
-  gdh_config.exchange_batch_rows = config_.exchange_batch_rows;
-  gdh_config.exchange_credit_window = config_.exchange_credit_window;
-  gdh_config.fixpoint_algorithm = config_.fixpoint_algorithm;
+  machine.exchange_batch_rows = config_.exchange_batch_rows;
+  machine.exchange_credit_window = config_.exchange_credit_window;
+  machine.fixpoint_algorithm = config_.fixpoint_algorithm;
   if (faults) {
     // Under a faulty interconnect the stmt_done report, final replies,
     // fixpoint directives and the coordinator itself can be lost; the
@@ -214,8 +216,8 @@ PrismaDb::PrismaDb(MachineConfig config)
     retransmit.resend_ns = 200 * sim::kNanosPerMilli;
     gdh_config.coord_check_ns = sim::kNanosPerSecond;
   }
-  gdh_config.metrics = &metrics_;
-  gdh_config.tracer = &tracer_;
+  machine.metrics = &metrics_;
+  machine.tracer = &tracer_;
 
   auto gdh = std::make_unique<gdh::GdhProcess>(std::move(gdh_config));
   gdh_ = gdh.get();

@@ -15,6 +15,8 @@
 #include "exec/ofm.h"
 #include "exec/transitive_closure.h"
 #include "gdh/gdh_process.h"
+#include "gdh/pe_registry.h"
+#include "gdh/plan_cache.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/metrics.h"

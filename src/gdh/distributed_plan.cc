@@ -825,16 +825,6 @@ StatusOr<std::unique_ptr<Plan>> SplitNode(std::unique_ptr<Plan> plan,
 
 StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<Plan> plan, const DataDictionary& dictionary,
-    bool colocated_joins, bool exchange_joins) {
-  OptimizerRules rules;
-  rules.colocated_joins = colocated_joins;
-  rules.exchange_joins = exchange_joins;
-  rules.distributed_olap = false;
-  return SplitPlanForFragments(std::move(plan), dictionary, rules);
-}
-
-StatusOr<DistributedPlan> SplitPlanForFragments(
-    std::unique_ptr<Plan> plan, const DataDictionary& dictionary,
     const OptimizerRules& rules) {
   DistributedPlan out;
   ASSIGN_OR_RETURN(out.global,

@@ -142,21 +142,16 @@ struct DistributedPlan {
   int olap_parts = 0;
 };
 
-/// Splits a logical plan. Maximal subtrees of the form
+/// Splits a logical plan under `rules`. Maximal subtrees of the form
 /// Select*/Project*/Distinct over a single base-table Scan become local
 /// parts; an Aggregate directly above such a subtree, or above a join
 /// that becomes a co-located or exchange part, is decomposed into partial
 /// aggregation where the rows are (fragments, join consumers) and a
 /// combining aggregation in the global plan (COUNT/SUM/MIN/MAX/AVG).
-/// Everything else stays global.
-StatusOr<DistributedPlan> SplitPlanForFragments(
-    std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,
-    bool colocated_joins = true, bool exchange_joins = true);
-
-/// Rule-driven overload: additionally lowers global group-by onto the
+/// With `rules.distributed_olap`, a global group-by lowers onto the
 /// exchange layer as a multi-stage OLAP part, and ORDER BY to
-/// per-fragment sorted runs (Top-N under a LIMIT directly on it), when
-/// `rules.distributed_olap` is set (DESIGN.md §14).
+/// per-fragment sorted runs (Top-N under a LIMIT directly on it)
+/// (DESIGN.md §14). Everything else stays global.
 StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,
     const OptimizerRules& rules);

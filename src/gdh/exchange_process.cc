@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "exec/expr_eval.h"
 #include "gdh/distributed_plan.h"
+#include "gdh/pe_registry.h"
 
 namespace prisma::gdh {
 
@@ -14,12 +15,11 @@ ExchangeConsumerProcess::ExchangeConsumerProcess(Config config)
     : config_(std::move(config)),
       join_(MakeJoin()),
       in_(this, ConsumerOptions(config_.exchange_id, config_.index,
-                                config_.credit_window, config_.costs,
-                                config_.metrics,
+                                config_.machine,
                                 {{"fragment", config_.fragment}},
                                 /*fixpoint=*/false)),
       reply_(this, config_.coordinator, kMailExecPlanReply,
-             kMailExchangeReplyResend, config_.retransmit.resend_ns) {
+             kMailExchangeReplyResend, config_.machine.retransmit.resend_ns) {
   PRISMA_CHECK(config_.build_side == 0 || config_.build_side == 1);
   // The build side is fully received before probing starts, so it must be
   // a moving side; a stationary input can always stream into the probe.
@@ -39,13 +39,12 @@ StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              const algebra::Plan& plan,
                                              const Schema& schema,
                                              std::vector<Tuple> rows,
-                                             exec::ExprMode expr_mode,
-                                             const pool::CostModel& costs) {
+                                             exec::ExprMode expr_mode) {
   exec::MapTableResolver resolver;
   RETURN_IF_ERROR(resolver.Load(OlapInputName(), schema, std::move(rows)));
   exec::ExecOptions options;
   options.expr_mode = expr_mode;
-  options.costs = costs;
+  options.costs = process->runtime()->costs();
   options.charge = [process](sim::SimTime ns) { process->ChargeCpu(ns); };
   exec::Executor executor(&resolver, std::move(options));
   return executor.Execute(plan);
@@ -62,24 +61,21 @@ ExchangeConsumerProcess::MakeJoin() {
     options.probe_cols.push_back(build_left ? r : l);
   }
   if (config_.predicate != nullptr) {
-    if (config_.expr_mode == exec::ExprMode::kCompiled) {
+    if (config_.machine.expr_mode == exec::ExprMode::kCompiled) {
       auto compiled = exec::CompileExpr(*config_.predicate);
       if (compiled.ok()) {
         compiled_predicate_ = std::make_shared<exec::CompiledExpr>(
             std::move(compiled).value());
-        predicate_cost_ns_ =
-            static_cast<sim::SimTime>(
-                compiled_predicate_->num_instructions()) *
-            config_.costs.compiled_instr_ns;
       }
     }
-    if (compiled_predicate_ == nullptr) {
-      predicate_cost_ns_ =
-          static_cast<sim::SimTime>(config_.predicate->TreeSize()) *
-          config_.costs.interpreted_node_ns;
-    }
+    predicate_size_ = static_cast<sim::SimTime>(
+        compiled_predicate_ != nullptr ? compiled_predicate_->num_instructions()
+                                       : config_.predicate->TreeSize());
     options.filter = [this](const Tuple& tuple) -> StatusOr<bool> {
-      ChargeCpu(predicate_cost_ns_);
+      const pool::CostModel& costs = runtime()->costs();
+      ChargeCpu(predicate_size_ * (compiled_predicate_ != nullptr
+                                       ? costs.compiled_instr_ns
+                                       : costs.interpreted_node_ns));
       return compiled_predicate_ != nullptr
                  ? compiled_predicate_->EvalPredicate(tuple)
                  : exec::EvalPredicate(*config_.predicate, tuple);
@@ -160,10 +156,10 @@ Status ExchangeConsumerProcess::ProbeTuples(const std::vector<Tuple>& tuples) {
 void ExchangeConsumerProcess::RunLocalProbe() {
   const SideSpec& probe = Side(1 - config_.build_side);
   exec::ExecOptions options;
-  options.expr_mode = config_.expr_mode;
-  options.costs = config_.costs;
+  options.expr_mode = config_.machine.expr_mode;
+  options.costs = runtime()->costs();
   options.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  PeLocalResolver resolver(config_.registry, pe());
+  PeLocalResolver resolver(config_.machine.registry, pe());
   exec::Executor executor(&resolver, std::move(options));
   StatusOr<std::vector<Tuple>> rows = executor.Execute(*probe.local_plan);
   if (!rows.ok()) {
@@ -185,7 +181,7 @@ void ExchangeConsumerProcess::SendReply(Status status) {
   if (status.ok() && config_.post_plan != nullptr) {
     StatusOr<std::vector<Tuple>> post =
         RunPlanOverRows(this, *config_.post_plan, config_.input_schema,
-                        std::move(rows), config_.expr_mode, config_.costs);
+                        std::move(rows), config_.machine.expr_mode);
     if (post.ok()) {
       rows = std::move(post).value();
     } else {
@@ -199,13 +195,13 @@ void ExchangeConsumerProcess::SendReply(Status status) {
 void ExchangeConsumerProcess::ChargeJoinDelta() {
   const exec::JoinCounters& counters = join_->counters();
   ChargeCpu(static_cast<sim::SimTime>(counters.hash_ops - charged_.hash_ops) *
-                config_.costs.hash_ns +
+                runtime()->costs().hash_ns +
             static_cast<sim::SimTime>(counters.compare_ops -
                                       charged_.compare_ops) *
-                config_.costs.compare_ns +
+                runtime()->costs().compare_ns +
             static_cast<sim::SimTime>(counters.pairs_examined -
                                       charged_.pairs_examined) *
-                config_.costs.tuple_ns);
+                runtime()->costs().tuple_ns);
   charged_ = counters;
 }
 

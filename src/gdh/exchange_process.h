@@ -8,10 +8,9 @@
 
 #include "exec/exchange.h"
 #include "exec/executor.h"
+#include "gdh/machine_params.h"
 #include "gdh/messages.h"
-#include "gdh/pe_registry.h"
 #include "gdh/transport.h"
-#include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
 
@@ -68,13 +67,10 @@ class ExchangeConsumerProcess : public pool::Process {
     /// `input_schema`) before it replies; null: reply with the rows.
     std::shared_ptr<const algebra::Plan> post_plan;
     Schema input_schema;
-    exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
-    pool::CostModel costs;
-    const PeLocalRegistry* registry = nullptr;  // Stationary-side scans.
-    uint64_t credit_window = 4;
-    /// The final reply is resent every retransmit.resend_ns (0: never).
-    RetransmitPolicy retransmit;
-    obs::MetricsRegistry* metrics = nullptr;
+    /// Stationary-side scans resolve through `machine.registry`; the
+    /// final reply is resent every `machine.retransmit.resend_ns` (0:
+    /// never).
+    MachineParams machine;
   };
 
   explicit ExchangeConsumerProcess(Config config);
@@ -87,7 +83,7 @@ class ExchangeConsumerProcess : public pool::Process {
 
  private:
   /// The pipelined join, with the residual predicate compiled; sets
-  /// compiled_predicate_ and predicate_cost_ns_ (declared before join_).
+  /// compiled_predicate_ and predicate_size_ (declared before join_).
   /// Null for a one-input consumer.
   std::unique_ptr<exec::PipelinedHashJoin> MakeJoin();
   /// Advances the pipeline by one delivery: build rows go into the hash
@@ -111,7 +107,10 @@ class ExchangeConsumerProcess : public pool::Process {
   // as in Executor::RunJoin). Initialized before join_, whose filter uses
   // them.
   std::shared_ptr<exec::CompiledExpr> compiled_predicate_;
-  sim::SimTime predicate_cost_ns_ = 0;
+  /// Its VM instructions, or tree nodes when interpreted: each pair costs
+  /// this many compiled_instr_ns (interpreted_node_ns), read from the
+  /// runtime when charged, as MakeJoin runs before the spawn.
+  sim::SimTime predicate_size_ = 0;
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::PipelinedHashJoin> join_;
   pool::Owned<std::vector<Tuple>> probe_buffer_;  // Pre-build-EOS arrivals.
@@ -124,15 +123,15 @@ class ExchangeConsumerProcess : public pool::Process {
 };
 
 /// Runs `plan` over `rows` materialized under OlapInputName() with
-/// `schema`, charging `process`'s PE for the operator work: the one way a
-/// shuffle consumer executes a plan over rows it received (a group-by's
-/// merge plan, an exchange join's post-join plan).
+/// `schema`, charging `process`'s PE for the operator work at the
+/// runtime's costs: the one way a shuffle consumer executes a plan over
+/// rows it received (a group-by's merge plan, an exchange join's post-join
+/// plan).
 StatusOr<std::vector<Tuple>> RunPlanOverRows(pool::Process* process,
                                              const algebra::Plan& plan,
                                              const Schema& schema,
                                              std::vector<Tuple> rows,
-                                             exec::ExprMode expr_mode,
-                                             const pool::CostModel& costs);
+                                             exec::ExprMode expr_mode);
 
 }  // namespace prisma::gdh
 

@@ -13,23 +13,23 @@ namespace prisma::gdh {
 FixpointPeProcess::FixpointPeProcess(Config config)
     : config_(std::move(config)),
       kernel_(std::make_unique<exec::FixpointPartition>(
-          config_.algorithm, config_.num_pes, config_.index)),
+          config_.machine.fixpoint_algorithm, config_.num_pes,
+          config_.index)),
       out_(this, OutOptions()),
       in_(this, ConsumerOptions(config_.fixpoint_id, config_.index,
-                                config_.credit_window, config_.costs,
-                                config_.metrics,
+                                config_.machine,
                                 {{"pe", std::to_string(config_.index)}},
                                 /*fixpoint=*/true)),
       reply_(this, config_.coordinator, kMailExecPlanReply,
-             kMailExchangeReplyResend, config_.retransmit.resend_ns),
+             kMailExchangeReplyResend, config_.machine.retransmit.resend_ns),
       vote_(this, config_.coordinator, kMailFixpointVote,
-            kMailFixpointVoteResend, config_.retransmit.resend_ns) {
+            kMailFixpointVoteResend, config_.machine.retransmit.resend_ns) {
   PRISMA_CHECK(config_.num_pes > 0);
   PRISMA_CHECK(config_.index < config_.num_pes);
   in_.Expect(0, config_.edge_producers);
   in_.ExpectOthers(config_.num_pes);  // Round sides: one per partition.
-  if (config_.metrics != nullptr) {
-    m_batches_sent_ = config_.metrics->GetCounter(
+  if (config_.machine.metrics != nullptr) {
+    m_batches_sent_ = config_.machine.metrics->GetCounter(
         "fixpoint.batches_sent", {{"pe", std::to_string(config_.index)}});
   }
 }
@@ -37,8 +37,7 @@ FixpointPeProcess::FixpointPeProcess(Config config)
 StreamSender::Options FixpointPeProcess::OutOptions() {
   StreamSender::Options options;
   options.resend_kind = kMailFixpointBatchResend;
-  options.policy = config_.retransmit;
-  options.tuple_ns = config_.costs.tuple_ns;
+  options.policy = config_.machine.retransmit;
   options.on_send = [this](const StreamSender::Stream& stream, int64_t bits,
                            bool first) {
     if (!first) return;
@@ -52,12 +51,12 @@ StreamSender::Options FixpointPeProcess::OutOptions() {
         "fixpoint partition " + std::to_string(config_.index) + " round " +
         std::to_string(stream.tag) +
         " delta stream made no progress after " +
-        std::to_string(config_.retransmit.attempts) +
+        std::to_string(config_.machine.retransmit.attempts) +
         " retransmission windows"));
   };
-  if (config_.metrics != nullptr) {
+  if (config_.machine.metrics != nullptr) {
     options.retransmits = [this] {
-      return config_.metrics->GetCounter(
+      return config_.machine.metrics->GetCounter(
           "fixpoint.retransmits", {{"pe", std::to_string(config_.index)}});
     };
   }
@@ -129,7 +128,7 @@ void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
   // Same cost formula as the single-node TC shortcut: the join products
   // dominate.
   ChargeCpu(static_cast<sim::SimTime>(round_products_) *
-            config_.costs.hash_ns);
+            runtime()->costs().hash_ns);
   SendRoundStreams(current_round_, std::move(owner), std::move(index));
   Advance();
 }
@@ -146,7 +145,7 @@ Status FixpointPeProcess::Take(StreamReceiver::Delivery& delivery) {
   }
   // Adjacency insertion, as for build-side hash-table inserts.
   ChargeCpu(static_cast<sim::SimTime>(delivery.rows.size()) *
-            config_.costs.hash_ns);
+            runtime()->costs().hash_ns);
   return Status::OK();
 }
 
@@ -192,7 +191,8 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
       stream.channels.push_back(
           {exec::OutboundChannel(
                std::vector<Tuple>(parts[peer].begin(), parts[peer].end()),
-               config_.batch_rows, config_.credit_window),
+               config_.machine.exchange_batch_rows,
+               config_.machine.exchange_credit_window),
            peers_->at(peer), nullptr});
       stream.tag = round;
       out_.Open(std::move(stream));
@@ -206,7 +206,7 @@ void FixpointPeProcess::AbsorbRound() {
     auto it = held_->find(SideFor(current_round_, copy));
     if (it == held_->end()) continue;
     ChargeCpu(static_cast<sim::SimTime>(it->second.size()) *
-              config_.costs.hash_ns);
+              runtime()->costs().hash_ns);
     if (copy == 0) {
       absorbed_new_current_ += kernel_->AbsorbOwned(it->second);
     } else {
@@ -263,7 +263,7 @@ void FixpointPeProcess::SendReply(Status status) {
   if (!failed_) {
     slice = kernel_->OwnedSorted();
     ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
-              config_.costs.tuple_ns);
+              runtime()->costs().tuple_ns);
   }
   SendConsumerReply(reply_, config_.reply_request_id,
                     "fixpoint#" + std::to_string(config_.index),

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "exec/fixpoint.h"
+#include "gdh/machine_params.h"
 #include "gdh/messages.h"
 #include "gdh/transport.h"
 #include "obs/metrics.h"
@@ -47,19 +48,15 @@ class FixpointPeProcess : public pool::Process {
     uint64_t fixpoint_id = 0;
     size_t index = 0;    // This partition's index.
     size_t num_pes = 1;  // Total fixpoint partitions.
-    exec::TcAlgorithm algorithm = exec::TcAlgorithm::kSeminaive;
     /// Edge-relation producers (one shuffle channel per edge fragment).
     size_t edge_producers = 0;
     pool::ProcessId coordinator = pool::kNoProcess;
     /// The coordinator registered this id for our ExecPlanReply.
     uint64_t reply_request_id = 0;
-    uint64_t batch_rows = 64;
-    uint64_t credit_window = 4;
-    /// Outbound streams retransmit like OFM shuffles; votes and the final
-    /// reply are resent every resend_ns (0: never, fault-free runs).
-    RetransmitPolicy retransmit;
-    pool::CostModel costs;
-    obs::MetricsRegistry* metrics = nullptr;
+    /// Rounds join by `machine.fixpoint_algorithm`. Outbound streams
+    /// retransmit like OFM shuffles; votes and the final reply are resent
+    /// every `machine.retransmit.resend_ns` (0: never, fault-free runs).
+    MachineParams machine;
   };
 
   explicit FixpointPeProcess(Config config);
@@ -78,7 +75,9 @@ class FixpointPeProcess : public pool::Process {
   }
   /// Copies a round ships: the smart strategy adds the index copy.
   int copies() const {
-    return config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
+    return config_.machine.fixpoint_algorithm == exec::TcAlgorithm::kSmart
+               ? 2
+               : 1;
   }
 
   StreamSender::Options OutOptions();

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "gdh/ofm_process.h"
+#include "gdh/plan_cache.h"
 #include "gdh/query_process.h"
 #include "sql/parser.h"
 
@@ -71,7 +72,7 @@ std::vector<FragmentHome> AllocateFragments(
 
 GdhProcess::GdhProcess(Config config)
     : config_(std::move(config)),
-      rpcs_(this, config_.retransmit,
+      rpcs_(this, config_.machine.retransmit,
             {[this](const Rpcs::PendingRpc& rpc) {
                auto ofm = OfmOf(rpc.target);
                return ofm.ok() ? *ofm : pool::kNoProcess;
@@ -88,8 +89,8 @@ GdhProcess::GdhProcess(Config config)
   PRISMA_CHECK(!config_.replicate_fragments ||
                (config_.fragment_pes.size() >= 2 &&
                 config_.base_ofm_type == exec::OfmType::kFull));
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
+  if (config_.machine.metrics != nullptr) {
+    obs::MetricsRegistry& m = *config_.machine.metrics;
     m_statements_ = m.GetCounter("gdh.statements");
     m_selects_ = m.GetCounter("gdh.selects_spawned");
     m_txns_begun_ = m.GetCounter("gdh.txns_begun");
@@ -111,8 +112,8 @@ void GdhProcess::OnStart() {
 // --------------------------------------------------------------- Plumbing
 
 obs::Counter* GdhProcess::LazyCounter(obs::Counter** slot, const char* name) {
-  if (*slot == nullptr && config_.metrics != nullptr) {
-    *slot = config_.metrics->GetCounter(name);
+  if (*slot == nullptr && config_.machine.metrics != nullptr) {
+    *slot = config_.machine.metrics->GetCounter(name);
   }
   return *slot;
 }
@@ -327,7 +328,7 @@ sim::SimTime GdhProcess::DedupRetentionNs() const {
   // to rpc_attempts + 4 sends, each gap bounded by the larger of the
   // initial timeout and the backoff cap; doubled for delivery jitter and
   // duplicates the network may hold back.
-  const RetransmitPolicy& policy = config_.retransmit;
+  const RetransmitPolicy& policy = config_.machine.retransmit;
   const sim::SimTime gap = std::max(policy.timeout_ns, policy.backoff_cap_ns);
   return 2 * static_cast<sim::SimTime>(policy.attempts + 5) * gap;
 }
@@ -363,8 +364,8 @@ bool GdhProcess::TryFailover(FragmentInfo& frag, int dead) {
   // Replica placement changed under the cached plans; conservatively drop
   // them (reads re-choose replicas at scatter time, but a fresh plan also
   // re-reads fragment liveness for pruning decisions).
-  if (config_.plan_cache != nullptr) {
-    config_.plan_cache->Invalidate("failover");
+  if (config_.machine.plan_cache != nullptr) {
+    config_.machine.plan_cache->Invalidate("failover");
   }
   Inc(LazyCounter(&m_stale_marks_, "replica.stale_marks"));
   if (frag.primary_replica == dead) {
@@ -458,8 +459,8 @@ std::vector<std::string> GdhProcess::BaseFragments(
 }
 
 void GdhProcess::CountUnavailable(net::NodeId pe, const std::string& table) {
-  if (config_.metrics == nullptr) return;
-  config_.metrics
+  if (config_.machine.metrics == nullptr) return;
+  config_.machine.metrics
       ->GetCounter("query.unavailable", {{"pe", std::to_string(pe)},
                                          {"table", table}})
       ->Increment();
@@ -550,7 +551,7 @@ void GdhProcess::AcquireExclusive(exec::TxnId txn,
 
 void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
   auto request = std::any_cast<std::shared_ptr<LockBatchRequest>>(mail.body);
-  ChargeCpu(config_.costs.message_handling_ns);
+  ChargeCpu(runtime()->costs().message_handling_ns);
   const pool::ProcessId requester = mail.from;
   const uint64_t request_id = request->request_id;
   const auto key = std::make_pair(requester, request_id);
@@ -725,7 +726,7 @@ void GdhProcess::RunCommit(exec::TxnId txn,
     request->op = TxnControlRequest::Op::kPrepare;
     request->txn = txn;
     SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.retransmit.attempts);
+            request, kControlBits, config_.machine.retransmit.attempts);
   }
 }
 
@@ -785,10 +786,10 @@ void GdhProcess::CommitOnePhase(exec::TxnId txn,
     }
     // The one-phase round is the decision: the span ends at the OFM's
     // durable reply, so its commit force counts as 2PC time.
-    if (config_.tracer != nullptr && config_.tracer->enabled()) {
-      config_.tracer->Span("gdh", "2pc.decision", start,
-                           runtime()->simulator()->now(), pe(), self(), "txn",
-                           std::to_string(txn));
+    obs::Tracer* tracer = config_.machine.tracer;
+    if (tracer != nullptr && tracer->enabled()) {
+      tracer->Span("gdh", "2pc.decision", start, runtime()->simulator()->now(),
+                   pe(), self(), "txn", std::to_string(txn));
     }
     Settle({.id = txn});
     then(committed ? Status::OK()
@@ -810,10 +811,11 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
                               std::function<void(Status)> then) {
   // The prepare span ends once the decision is durable (commit) or made
   // (abort), so the C force counts as 2PC time in the trace.
-  if (config_.tracer != nullptr && config_.tracer->enabled()) {
-    config_.tracer->Span("gdh", "2pc.prepare", phase1_start,
-                         runtime()->simulator()->now(), pe(), self(), "txn",
-                         std::to_string(txn));
+  obs::Tracer* tracer = config_.machine.tracer;
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->Span("gdh", "2pc.prepare", phase1_start,
+                 runtime()->simulator()->now(), pe(), self(), "txn",
+                 std::to_string(txn));
   }
   // Phase 2: decision. Re-filter the participant set: a replica shed
   // WHILE phase 1 was in flight (benign settle of its prepare) does not
@@ -827,7 +829,7 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
   const uint64_t batch2 = next_batch_id_++;
   Multicast& second = batches_[batch2];
   second.expected = decide.size();
-  second.done = [this, txn, commit, outcome, phase2_start,
+  second.done = [this, txn, commit, outcome, phase2_start, tracer,
                  then](Multicast& m2) {
     if (commit && m2.first_error.ok()) {
       // Every participant acknowledged the commit: the decision can be
@@ -835,10 +837,10 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
       // inquiry still learns "commit".
       LogCommitEnd(txn);
     }
-    if (config_.tracer != nullptr && config_.tracer->enabled()) {
-      config_.tracer->Span("gdh", "2pc.decision", phase2_start,
-                           runtime()->simulator()->now(), pe(), self(),
-                           "txn", std::to_string(txn));
+    if (tracer != nullptr && tracer->enabled()) {
+      tracer->Span("gdh", "2pc.decision", phase2_start,
+                   runtime()->simulator()->now(), pe(), self(), "txn",
+                   std::to_string(txn));
     }
     if (commit) {
       // The client heard at the decision; only the fragments' later work
@@ -865,7 +867,7 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     // Decision delivery gets extra retry headroom: participants must
     // learn the outcome or stay in doubt until they inquire.
     SendRpc(request->request_id, batch2, fragment, kMailTxnControl, request,
-            kControlBits, config_.retransmit.attempts + 4);
+            kControlBits, config_.machine.retransmit.attempts + 4);
   }
   if (!commit) return;
   auto decided = txns_->find(txn);
@@ -969,7 +971,7 @@ void GdhProcess::AbortEverywhere(exec::TxnId txn,
     request->op = TxnControlRequest::Op::kAbort;
     request->txn = txn;
     SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.retransmit.attempts + 4);
+            request, kControlBits, config_.machine.retransmit.attempts + 4);
   }
 }
 
@@ -987,21 +989,12 @@ pool::ProcessId GdhProcess::SpawnReplicaOfm(const TableInfo& info,
   if (res != config_.resources.end()) {
     ofm_config.ofm.memory = res->second.memory;
   }
-  ofm_config.ofm.exec.expr_mode = config_.expr_mode;
-  ofm_config.ofm.exec.costs = config_.costs;
   ofm_config.dedup_retention_ns = DedupRetentionNs();
   ofm_config.recover = recover;
   ofm_config.resync_id = resync_id;
   ofm_config.gdh = self();
-  ofm_config.registry = config_.registry;
-  // Shuffle-producer retransmission mirrors the RPC knobs: tight under
-  // fault injection, effectively off when the net is reliable.
-  ofm_config.retransmit = config_.retransmit;
   ofm_config.indexes = info.indexes;
-  // OFMs keep as many fragment plans as the plan cache keeps entries.
-  ofm_config.plan_capacity =
-      config_.plan_cache != nullptr ? config_.plan_cache->capacity() : 0;
-  ofm_config.metrics = config_.metrics;
+  ofm_config.machine = config_.machine;
   return runtime()->Spawn(pe,
                           std::make_unique<OfmProcess>(std::move(ofm_config)));
 }
@@ -1011,7 +1004,8 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
                             pool::ProcessId client) {
   // Any DDL may change the schema or fragmentation cached plans were
   // split against; drop them all before the catalog mutates.
-  if (config_.plan_cache != nullptr) config_.plan_cache->Invalidate("ddl");
+  PlanCache* plan_cache = config_.machine.plan_cache;
+  if (plan_cache != nullptr) plan_cache->Invalidate("ddl");
   switch (bound.kind) {
     case Statement::Kind::kCreateTable: {
       FragmentationSpec spec;
@@ -1107,7 +1101,7 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
         request->columns = index.columns;
         request->ordered = index.ordered;
         SendRpc(request->request_id, batch_id, target, kMailCreateIndex,
-                request, kControlBits, config_.retransmit.attempts);
+                request, kControlBits, config_.machine.retransmit.attempts);
       }
       return;
     }
@@ -1298,7 +1292,7 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
               ++members;
               SendRpc(request->request_id, batch_id, target, kMailWrite,
                       request, request->WireBits(),
-                      config_.retransmit.attempts);
+                      config_.machine.retransmit.attempts);
             }
           }
           batch.expected = members;
@@ -1351,21 +1345,11 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   }
   QueryProcess::Config config;
   config.dictionary = &*dictionary_;
-  config.rules = config_.rules;
-  config.costs = config_.costs;
-  config.expr_mode = config_.expr_mode;
   config.gdh = self();
   config.client = client;
   config.statement = stmt;
   config.lock_txn = lock_txn;
-  config.retransmit = config_.retransmit;
-  config.registry = config_.registry;
-  config.plan_cache = config_.plan_cache;
-  config.exchange_batch_rows = config_.exchange_batch_rows;
-  config.exchange_credit_window = config_.exchange_credit_window;
-  config.tc_algorithm = config_.fixpoint_algorithm;
-  config.metrics = config_.metrics;
-  config.tracer = config_.tracer;
+  config.machine = config_.machine;
   // The coordinator's merge and gather land on the PE its result must
   // reach, unless a list pins the placement.
   const net::NodeId pe =
@@ -1549,7 +1533,7 @@ void GdhProcess::DispatchStatement(const pool::Mail& mail) {
   Inc(m_statements_);
   // Routing parse is cheap; full parse/optimize happens per-query in the
   // coordinator instances.
-  ChargeCpu(config_.costs.optimize_ns / 10);
+  ChargeCpu(runtime()->costs().optimize_ns / 10);
 
   if (stmt->is_prismalog) {
     SpawnCoordinator(stmt, client);
@@ -1671,7 +1655,7 @@ void GdhProcess::ExecuteCheckpoint(
         auto request = std::make_shared<CheckpointRequest>();
         request->request_id = next_request_id_++;
         SendRpc(request->request_id, batch_id, fragment, kMailCheckpoint,
-                request, kControlBits, config_.retransmit.attempts);
+                request, kControlBits, config_.machine.retransmit.attempts);
       }
     });
     unsettled_[key] = {base};
@@ -1849,8 +1833,6 @@ void GdhProcess::SendResyncPhase(uint64_t resync_id, bool cutover) {
   request->resync_id = resync_id;
   request->target = frag.ReplicaOfm(rs.replica);
   request->target_fragment = frag.ReplicaName(rs.replica);
-  request->batch_rows = config_.exchange_batch_rows;
-  request->credit_window = config_.exchange_credit_window;
   request->cutover = cutover;
   rs.request_id = request->request_id;
   const uint64_t batch_id = next_batch_id_++;
@@ -1862,7 +1844,8 @@ void GdhProcess::SendResyncPhase(uint64_t resync_id, bool cutover) {
   // The whole phase (bulk stream + delta rounds) runs under one hardened
   // RPC with decision-grade retry headroom.
   SendRpc(request->request_id, batch_id, frag.ReplicaName(source),
-          kMailResync, request, kControlBits, config_.retransmit.attempts + 4);
+          kMailResync, request, kControlBits,
+          config_.machine.retransmit.attempts + 4);
 }
 
 void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
@@ -1921,8 +1904,8 @@ void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
     frag.set_replica_state(rs.replica, ReplicaState::kInSync);
     // The rebuilt replica is read-eligible again: retire plans built
     // while it was shed.
-    if (config_.plan_cache != nullptr) {
-      config_.plan_cache->Invalidate("resync");
+    if (config_.machine.plan_cache != nullptr) {
+      config_.machine.plan_cache->Invalidate("resync");
     }
   }
   if (rs.cutover_txn != exec::kAutoCommit) {

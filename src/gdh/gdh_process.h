@@ -12,16 +12,12 @@
 #include <utility>
 #include <vector>
 
-#include "exec/transitive_closure.h"
 #include "gdh/data_dictionary.h"
 #include "gdh/lock_manager.h"
+#include "gdh/machine_params.h"
 #include "gdh/messages.h"
-#include "gdh/optimizer.h"
-#include "gdh/pe_registry.h"
-#include "gdh/plan_cache.h"
 #include "gdh/transport.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
 #include "sql/binder.h"
@@ -84,9 +80,6 @@ class GdhProcess : public pool::Process {
     /// Empty = every coordinator runs on its client's PE.
     std::vector<net::NodeId> coordinator_pes;
     std::map<net::NodeId, PeResources> resources;
-    pool::CostModel costs;
-    OptimizerRules rules;
-    exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
     /// Base-fragment OFM flavour (kQueryOnly disables durability — E7).
     exec::OfmType base_ofm_type = exec::OfmType::kFull;
     /// Place each permanent fragment on two distinct PEs (DESIGN.md §13):
@@ -96,33 +89,13 @@ class GdhProcess : public pool::Process {
     /// one PE is down. Requires at least two fragment PEs and kFull base
     /// OFMs.
     bool replicate_fragments = false;
-    /// Directory of co-located fragments for distributed joins (owned by
-    /// the machine; may be null to disable co-located execution).
-    PeLocalRegistry* registry = nullptr;
-    /// Machine-wide shared plan cache (owned by the machine; may be null
-    /// to plan every statement from scratch). The GDH invalidates it on
-    /// DDL, replica failover and resync cutover; coordinators probe and
-    /// fill it (DESIGN.md §15.4).
-    PlanCache* plan_cache = nullptr;
-    /// Streaming exchange framing, handed to every query coordinator:
-    /// max tuples per batch and batches in flight per channel.
-    uint64_t exchange_batch_rows = 64;
-    uint64_t exchange_credit_window = 4;
-    /// Join strategy of the distributed fixpoint (DESIGN.md §11), which
-    /// runs PRISMAlog linear recursion over fragmented relations.
-    exec::TcAlgorithm fixpoint_algorithm = exec::TcAlgorithm::kSeminaive;
-    /// The machine's retransmission policy, used by the GDH's own OFM
-    /// requests (decision-phase RPCs get 4 extra attempts) and handed to
-    /// every OFM and coordinator it spawns; coordinators retransmit
-    /// stmt_done every resend_ns until reaped.
-    RetransmitPolicy retransmit;
     /// The GDH probes spawned coordinators at this period and fails their
     /// statement with kUnavailable if the process died (0 disables).
     sim::SimTime coord_check_ns = 0;
-    /// Observability sinks (both may be null: no instrumentation). They
-    /// are forwarded to every OFM process and query coordinator spawned.
-    obs::MetricsRegistry* metrics = nullptr;
-    obs::Tracer* tracer = nullptr;
+    /// The machine's settings, handed whole to every OFM and coordinator
+    /// spawned. The GDH invalidates `machine.plan_cache` on DDL, replica
+    /// failover and resync cutover (DESIGN.md §15.4).
+    MachineParams machine;
   };
 
   explicit GdhProcess(Config config);

@@ -166,9 +166,10 @@ struct ClientReply {
 /// Coordinator -> OFM: run a fragment-local plan; `stream` says where its
 /// rows go. Unset, they are gathered: the ExecPlanReply carries them (mail
 /// kind exec_plan). Set, they stream (kind shuffle_plan) to the consumers
-/// as flow-controlled tuple batches, hash-partitioned on a column of the
-/// output schema or replicated (kBroadcast; with one consumer, a sorted
-/// run to the coordinator), and the OFM answers the coordinator with an
+/// as flow-controlled tuple batches (framed by the machine's exchange
+/// settings), hash-partitioned on a column of the output schema or
+/// replicated (kBroadcast; with one consumer, a sorted run to the
+/// coordinator), and the OFM answers the coordinator with an
 /// (empty, control-sized) ExecPlanReply once every consumer has
 /// acknowledged its stream, so the coordinator's hardened-RPC machinery
 /// (retransmit, dedup, degrade-to-Unavailable) covers both outputs alike.
@@ -193,8 +194,6 @@ struct ExecPlanRequest {
     /// DESIGN.md §14.2).
     bool keep_nulls = false;
     std::vector<pool::ProcessId> consumers;
-    uint64_t batch_rows = 64;     // Max tuples per batch.
-    uint64_t credit_window = 4;   // Batches in flight per channel.
   };
   uint64_t request_id = 0;
   std::shared_ptr<const algebra::Plan> plan;
@@ -383,8 +382,6 @@ struct ResyncRequest {
   uint64_t resync_id = 0;
   pool::ProcessId target = pool::kNoProcess;
   std::string target_fragment;
-  uint64_t batch_rows = 64;
-  uint64_t credit_window = 4;
   bool cutover = false;
 };
 

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "gdh/pe_registry.h"
+#include "gdh/plan_cache.h"
 
 namespace prisma::gdh {
 
@@ -20,7 +22,7 @@ OfmProcess::OfmProcess(Config config)
                                           FinishResyncSource(
                                               token, ResyncStalled());
                                         })),
-      deltas_(this, config_.retransmit,
+      deltas_(this, config_.machine.retransmit,
               {[](const RpcClient<pool::ProcessId>::PendingRpc& rpc) {
                  return rpc.target;
                },
@@ -29,10 +31,8 @@ OfmProcess::OfmProcess(Config config)
                       const RpcClient<pool::ProcessId>::PendingRpc&) {
                  FinishResyncSource(token, ResyncStalled());
                }}),
-      // Bulk acks keep the credit window the GDH granted the source.
-      bulk_in_(this, ConsumerOptions(config_.resync_id, 0, 0,
-                                     config_.ofm.exec.costs, nullptr, {},
-                                     /*fixpoint=*/false)) {
+      // Bulk acks keep the source's credit window; the copy is not counted.
+      bulk_in_(this, {.exchange_id = config_.resync_id}) {
   bulk_in_.Expect(0, 1);
 }
 
@@ -40,8 +40,7 @@ StreamSender::Options OfmProcess::ProducerOptions(
     const char* resend_kind, std::function<void(uint64_t)> exhausted) {
   StreamSender::Options options;
   options.resend_kind = resend_kind;
-  options.policy = config_.retransmit;
-  options.tuple_ns = config_.ofm.exec.costs.tuple_ns;
+  options.policy = config_.machine.retransmit;
   options.on_send = [this](const StreamSender::Stream&, int64_t bits, bool) {
     if (m_batches_sent_ == nullptr) return;
     m_batches_sent_->Increment();
@@ -52,9 +51,9 @@ StreamSender::Options OfmProcess::ProducerOptions(
                              const StreamSender::Stream& stream) {
     exhausted(stream.token);
   };
-  if (config_.metrics != nullptr) {
+  if (config_.machine.metrics != nullptr) {
     options.retransmits = [this] {
-      return config_.metrics->GetCounter(
+      return config_.machine.metrics->GetCounter(
           "exchange.retransmits", {{"fragment", config_.fragment_name}});
     };
   }
@@ -62,14 +61,17 @@ StreamSender::Options OfmProcess::ProducerOptions(
 }
 
 OfmProcess::~OfmProcess() {
-  if (config_.registry != nullptr && !ofm_.null()) {
-    config_.registry->Unregister(pe(), config_.fragment_name);
+  if (config_.machine.registry != nullptr && !ofm_.null()) {
+    config_.machine.registry->Unregister(pe(), config_.fragment_name);
   }
 }
 
 void OfmProcess::OnStart() {
-  // The charge hook binds to this process so all OFM work lands on the
+  // Plans run in the machine's expression mode at the runtime's costs; the
+  // charge hook binds to this process so all OFM work lands on the
   // hosting PE's clock.
+  config_.ofm.exec.expr_mode = config_.machine.expr_mode;
+  config_.ofm.exec.costs = runtime()->costs();
   config_.ofm.exec.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
   // Log and checkpoint writes go to this PE's disk as I/O requests owned
   // by this process (lost with it if it dies before they land).
@@ -77,20 +79,20 @@ void OfmProcess::OnStart() {
   config_.ofm.disk_owner = self();
   ofm_ = std::make_unique<exec::Ofm>(config_.fragment_name, config_.schema,
                                      config_.ofm);
-  if (config_.metrics != nullptr) {
+  obs::MetricsRegistry* m = config_.machine.metrics;
+  if (m != nullptr) {
     const obs::Labels labels = {{"fragment", config_.fragment_name}};
-    m_tuples_scanned_ = config_.metrics->GetCounter("ofm.tuples_scanned", labels);
-    m_index_selections_ =
-        config_.metrics->GetCounter("ofm.index_selections", labels);
-    m_full_scans_ = config_.metrics->GetCounter("ofm.full_scans", labels);
-    m_plans_executed_ = config_.metrics->GetCounter("ofm.plans_executed", labels);
-    m_writes_ = config_.metrics->GetCounter("ofm.write_ops", labels);
-    m_commits_ = config_.metrics->GetCounter("ofm.txn_commits", labels);
-    m_aborts_ = config_.metrics->GetCounter("ofm.txn_aborts", labels);
-    m_wal_records_ = config_.metrics->GetCounter("ofm.wal_records", labels);
-    m_wal_markers_ = config_.metrics->GetCounter("ofm.wal_markers", labels);
-    m_redo_applied_ = config_.metrics->GetCounter("ofm.redo_applied", labels);
-    m_recoveries_ = config_.metrics->GetCounter("ofm.recoveries", labels);
+    m_tuples_scanned_ = m->GetCounter("ofm.tuples_scanned", labels);
+    m_index_selections_ = m->GetCounter("ofm.index_selections", labels);
+    m_full_scans_ = m->GetCounter("ofm.full_scans", labels);
+    m_plans_executed_ = m->GetCounter("ofm.plans_executed", labels);
+    m_writes_ = m->GetCounter("ofm.write_ops", labels);
+    m_commits_ = m->GetCounter("ofm.txn_commits", labels);
+    m_aborts_ = m->GetCounter("ofm.txn_aborts", labels);
+    m_wal_records_ = m->GetCounter("ofm.wal_records", labels);
+    m_wal_markers_ = m->GetCounter("ofm.wal_markers", labels);
+    m_redo_applied_ = m->GetCounter("ofm.redo_applied", labels);
+    m_recoveries_ = m->GetCounter("ofm.recoveries", labels);
   }
   // A resync target must start empty even if the PE's stable store holds
   // stale state for this fragment: the surviving replica is ahead of it,
@@ -111,8 +113,8 @@ void OfmProcess::OnStart() {
       PRISMA_CHECK_OK(ofm_->CreateHashIndex(index.name, index.columns));
     }
   }
-  if (config_.registry != nullptr) {
-    config_.registry->Register(pe(), config_.fragment_name, ofm_.get());
+  if (config_.machine.registry != nullptr) {
+    config_.machine.registry->Register(pe(), config_.fragment_name, ofm_.get());
   }
 }
 
@@ -156,10 +158,10 @@ bool OfmProcess::ReplayCached(pool::ProcessId from, uint64_t request_id) {
   auto it = replies_->find({from, request_id});
   if (it == replies_->end()) return false;
   ++dup_requests_;
-  if (m_dup_requests_ == nullptr && config_.metrics != nullptr) {
+  if (m_dup_requests_ == nullptr && config_.machine.metrics != nullptr) {
     // Registered on first duplicate so fault-free metric dumps are
     // unchanged.
-    m_dup_requests_ = config_.metrics->GetCounter(
+    m_dup_requests_ = config_.machine.metrics->GetCounter(
         "ofm.dup_requests", {{"fragment", config_.fragment_name}});
   }
   if (m_dup_requests_ != nullptr) m_dup_requests_->Increment();
@@ -354,22 +356,24 @@ std::shared_ptr<const algebra::Plan> OfmProcess::AdoptPlan(
     const pool::Mail& mail, uint64_t request_id,
     std::shared_ptr<const algebra::Plan> plan, const PlanRef& ref) {
   if (plan != nullptr) {
-    if (ref.entry != 0 && config_.plan_capacity > 0 &&
-        plans_->emplace(ref, plan).second) {
+    // OFMs keep as many fragment plans as the plan cache keeps entries.
+    const PlanCache* cache = config_.machine.plan_cache;
+    const size_t capacity = cache != nullptr ? cache->capacity() : 0;
+    if (ref.entry != 0 && capacity > 0 && plans_->emplace(ref, plan).second) {
       plan_order_.push_back(ref);
-      if (plan_order_.size() > config_.plan_capacity) {
+      if (plan_order_.size() > capacity) {
         plans_->erase(plan_order_.front());
         plan_order_.pop_front();
       }
     }
     return plan;
   }
-  if (m_plan_hits_ == nullptr && config_.metrics != nullptr) {
+  if (m_plan_hits_ == nullptr && config_.machine.metrics != nullptr) {
     const obs::Labels labels = {{"fragment", config_.fragment_name}};
     m_plan_hits_ =
-        config_.metrics->GetCounter("ofm.plan_resident_hits", labels);
+        config_.machine.metrics->GetCounter("ofm.plan_resident_hits", labels);
     m_plan_misses_ =
-        config_.metrics->GetCounter("ofm.plan_resident_misses", labels);
+        config_.machine.metrics->GetCounter("ofm.plan_resident_misses", labels);
   }
   auto it = plans_->find(ref);
   if (it != plans_->end()) {
@@ -398,7 +402,8 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
       AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
   if (plan == nullptr) return;
   std::optional<PeLocalResolver> colocated;
-  if (config_.registry != nullptr) colocated.emplace(config_.registry, pe());
+  const PeLocalRegistry* registry = config_.machine.registry;
+  if (registry != nullptr) colocated.emplace(registry, pe());
   std::shared_ptr<obs::OperatorProfile> profile;
   if (request->profile) profile = std::make_shared<obs::OperatorProfile>();
   auto result = ofm_->ExecutePlan(
@@ -442,13 +447,13 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
 }
 
 void OfmProcess::RegisterExchangeMetrics() {
-  if (config_.metrics == nullptr || m_batches_sent_ != nullptr) return;
+  obs::MetricsRegistry* m = config_.machine.metrics;
+  if (m == nullptr || m_batches_sent_ != nullptr) return;
   const obs::Labels labels = {{"fragment", config_.fragment_name}};
-  m_batches_sent_ =
-      config_.metrics->GetCounter("exchange.batches_sent", labels);
-  m_exchange_bytes_ = config_.metrics->GetCounter("exchange.bytes", labels);
-  m_exchange_stalls_ = config_.metrics->GetCounter("exchange.stalls", labels);
-  m_wire_bits_ = config_.metrics->GetCounter("exchange.wire_bits", labels);
+  m_batches_sent_ = m->GetCounter("exchange.batches_sent", labels);
+  m_exchange_bytes_ = m->GetCounter("exchange.bytes", labels);
+  m_exchange_stalls_ = m->GetCounter("exchange.stalls", labels);
+  m_wire_bits_ = m->GetCounter("exchange.wire_bits", labels);
 }
 
 void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
@@ -470,7 +475,7 @@ void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
     // group-by shuffles set keep_nulls — NULL is a real group — and route
     // them to consumer 0 (every producer agrees, so the group merges once).
     ChargeCpu(static_cast<sim::SimTime>(rows.size()) *
-              config_.ofm.exec.costs.hash_ns);
+              runtime()->costs().hash_ns);
     for (Tuple& tuple : rows) {
       const Value& key = tuple.at(spec.partition_column);
       if (key.is_null()) {
@@ -492,14 +497,15 @@ void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
   stream.channels.reserve(consumers);
   for (size_t c = 0; c < consumers; ++c) {
     obs::Gauge* gauge = nullptr;
-    if (config_.metrics != nullptr) {
-      gauge = config_.metrics->GetGauge(
+    if (config_.machine.metrics != nullptr) {
+      gauge = config_.machine.metrics->GetGauge(
           "exchange.credit", {{"fragment", config_.fragment_name},
                               {"channel", std::to_string(c)}});
     }
     stream.channels.push_back(
-        {exec::OutboundChannel(std::move(partitions[c]), spec.batch_rows,
-                               spec.credit_window),
+        {exec::OutboundChannel(std::move(partitions[c]),
+                               config_.machine.exchange_batch_rows,
+                               config_.machine.exchange_credit_window),
          spec.consumers[c], gauge});
   }
   (*active_shuffles_)[{coordinator, request.request_id}] = token;
@@ -639,8 +645,9 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
     bulk.exchange_id = request->resync_id;
     bulk.token = token;
     bulk.channels.push_back(
-        {exec::OutboundChannel(std::move(framed), request->batch_rows,
-                               request->credit_window),
+        {exec::OutboundChannel(std::move(framed),
+                               config_.machine.exchange_batch_rows,
+                               config_.machine.exchange_credit_window),
          request->target, nullptr});
     bulk.stalls = m_exchange_stalls_;
   }
@@ -657,7 +664,7 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
 Status OfmProcess::NoProgress(const char* stream) const {
   return UnavailableError(std::string(stream) + " from fragment " +
                           config_.fragment_name + " made no progress after " +
-                          std::to_string(config_.retransmit.attempts) +
+                          std::to_string(config_.machine.retransmit.attempts) +
                           " retransmission windows");
 }
 
@@ -709,7 +716,7 @@ void OfmProcess::SendNextResyncDelta(ResyncSource& source) {
   if (m_wire_bits_ != nullptr) m_wire_bits_->Increment(bits);
   // The budget counts resends, as for streams: attempts + 1 sends.
   deltas_.Send(source.token, source.target, kMailResyncDelta, std::move(msg),
-               bits, config_.retransmit.attempts + 1);
+               bits, config_.machine.retransmit.attempts + 1);
 }
 
 void OfmProcess::HandleResyncDeltaAck(const pool::Mail& mail) {

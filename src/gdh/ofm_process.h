@@ -13,8 +13,8 @@
 #include "exec/exchange.h"
 #include "exec/ofm.h"
 #include "gdh/data_dictionary.h"
+#include "gdh/machine_params.h"
 #include "gdh/messages.h"
-#include "gdh/pe_registry.h"
 #include "gdh/transport.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
@@ -44,6 +44,7 @@ class OfmProcess : public pool::Process {
   struct Config {
     std::string fragment_name;
     Schema schema;
+    /// OnStart fills in the expression mode, costs, charge hook and disk.
     exec::Ofm::Options ofm;
     /// Run restart recovery in OnStart (crash replacement).
     bool recover = false;
@@ -63,20 +64,13 @@ class OfmProcess : public pool::Process {
     /// (GdhProcess::DedupRetentionNs), so no entry is evicted while a
     /// duplicate request or a delayed write can still arrive.
     sim::SimTime dedup_retention_ns = 120 * sim::kNanosPerSecond;
-    /// Directory of co-located fragments (may be null); this OFM
-    /// registers itself and resolves co-located scans through it.
-    PeLocalRegistry* registry = nullptr;
     /// Secondary indexes to create at start: (name, columns, ordered).
     std::vector<IndexInfo> indexes;
-    /// Retransmission of shuffle and resync streams (an attempt is a
-    /// timer firing with no window progress since the last one;
-    /// exhaustion fails the stream with Unavailable).
-    RetransmitPolicy retransmit;
-    /// Fragment plans kept by PlanRef (the machine's plan_cache_capacity;
-    /// 0 keeps none).
-    size_t plan_capacity = 0;
-    /// Per-fragment counters land here when set (ofm.* metric family).
-    obs::MetricsRegistry* metrics = nullptr;
+    /// The machine's settings: the OFM registers in `registry`, frames
+    /// and retransmits its shuffle and resync streams by the exchange
+    /// settings and `retransmit`, and keeps as many fragment plans as
+    /// `plan_cache` keeps entries.
+    MachineParams machine;
   };
 
   explicit OfmProcess(Config config);

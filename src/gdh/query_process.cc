@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "gdh/exchange_process.h"
 #include "gdh/fixpoint_process.h"
+#include "gdh/plan_cache.h"
 #include "prismalog/engine.h"
 #include "prismalog/parser.h"
 #include "sql/binder.h"
@@ -65,7 +66,7 @@ std::string PartShapeKey(const algebra::Plan& plan) {
 
 QueryProcess::QueryProcess(Config config)
     : config_(std::move(config)),
-      rpcs_(this, config_.retransmit,
+      rpcs_(this, config_.machine.retransmit,
             {[this](const Rpcs::PendingRpc& rpc) {
                return ResolveTarget(rpc.target);
              },
@@ -80,7 +81,8 @@ QueryProcess::QueryProcess(Config config)
                RpcExhausted(id, rpc.target);
              }}),
       done_(this, config_.gdh, kMailStatementDone, kMailStmtDoneResend,
-            config_.retransmit.resend_ns, std::numeric_limits<int>::max()) {}
+            config_.machine.retransmit.resend_ns,
+            std::numeric_limits<int>::max()) {}
 
 void QueryProcess::OnStart() {
   start_time_ = runtime()->simulator()->now();
@@ -106,7 +108,7 @@ void QueryProcess::SendRpc(uint64_t request_id, const char* kind,
   // not a crash. Keep retransmitting; the query watchdog bounds the wait.
   const int max_attempts = work_index == SIZE_MAX
                                ? std::numeric_limits<int>::max()
-                               : config_.retransmit.attempts;
+                               : config_.machine.retransmit.attempts;
   rpcs_.Send(request_id, work_index, kind, std::move(body), size_bits,
              max_attempts);
 }
@@ -163,8 +165,8 @@ std::string QueryProcess::DescribeWorkTarget(const FragmentWork& w,
 void QueryProcess::CountUnavailable(net::NodeId pe, const std::string& table) {
   // Registered only when a query actually degrades, so fault-free metric
   // dumps are unchanged.
-  if (config_.metrics == nullptr) return;
-  config_.metrics
+  if (config_.machine.metrics == nullptr) return;
+  config_.machine.metrics
       ->GetCounter("query.unavailable",
                    {{"pe", std::to_string(pe)}, {"table", table}})
       ->Increment();
@@ -246,43 +248,42 @@ void QueryProcess::Reply(Status status, Schema schema,
   }
   consumer_pids_.clear();
   const sim::SimTime now = runtime()->simulator()->now();
-  if (config_.metrics != nullptr) {
+  obs::MetricsRegistry* metrics = config_.machine.metrics;
+  if (metrics != nullptr) {
     const obs::Labels q = {
         {"query", std::to_string(config_.statement->request_id)}};
-    config_.metrics->GetCounter("query.tuples_gathered", q)
+    metrics->GetCounter("query.tuples_gathered", q)
         ->Increment(tuples_gathered_);
-    config_.metrics->GetCounter("query.fragments_contacted", q)
-        ->Increment(completed_);
-    config_.metrics->GetGauge("query.response_ns", q)->Set(now - start_time_);
-    config_.metrics->GetGauge("query.last_gather_bits")->Set(gather_bits_);
+    metrics->GetCounter("query.fragments_contacted", q)->Increment(completed_);
+    metrics->GetGauge("query.response_ns", q)->Set(now - start_time_);
+    metrics->GetGauge("query.last_gather_bits")->Set(gather_bits_);
     if (forward_runs_ && status.ok()) {
-      config_.metrics->GetCounter("query.reply_streamed")->Increment();
+      metrics->GetCounter("query.reply_streamed")->Increment();
     }
     if (!group_by_parts_.empty() || !runs_.empty()) {
       // Wire accounting of the OLAP parts (DESIGN.md §14.4): shuffle =
       // first transmissions of the producers' streams (group-by shuffles
       // and sorted runs), gather = group-by consumer replies.
-      config_.metrics->GetCounter("olap.parts", q)
+      metrics->GetCounter("olap.parts", q)
           ->Increment(group_by_parts_.size() + runs_.size());
-      config_.metrics->GetCounter("olap.shuffle_bits", q)
+      metrics->GetCounter("olap.shuffle_bits", q)
           ->Increment(olap_shuffle_bits_);
-      config_.metrics->GetCounter("olap.gather_bits", q)
-          ->Increment(olap_gather_bits_);
+      metrics->GetCounter("olap.gather_bits", q)->Increment(olap_gather_bits_);
       // Unlabeled "last query" figures for benches and tests.
-      config_.metrics->GetGauge("olap.last_shuffle_bits")
-          ->Set(olap_shuffle_bits_);
-      config_.metrics->GetGauge("olap.last_gather_bits")
-          ->Set(olap_gather_bits_);
+      metrics->GetGauge("olap.last_shuffle_bits")->Set(olap_shuffle_bits_);
+      metrics->GetGauge("olap.last_gather_bits")->Set(olap_gather_bits_);
     }
   }
-  if (config_.tracer != nullptr && config_.tracer->enabled()) {
-    config_.tracer->Span(
+  obs::Tracer* tracer = config_.machine.tracer;
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->Span(
         "gdh", config_.statement->is_prismalog ? "prismalog" : "query",
         start_time_, now, pe(), self(), "request",
         std::to_string(config_.statement->request_id));
   }
   if (status.ok() && tuples != nullptr &&
-      (frames_sent_ > 0 || tuples->size() > config_.exchange_batch_rows)) {
+      (frames_sent_ > 0 ||
+       tuples->size() > config_.machine.exchange_batch_rows)) {
     unframed_.insert(unframed_.end(), std::make_move_iterator(tuples->begin()),
                      std::make_move_iterator(tuples->end()));
     SendFrames(schema, /*last=*/true);
@@ -306,7 +307,8 @@ void QueryProcess::SendFrames(const Schema& schema, bool last) {
   // Frames need no acks, dedup or retransmission: client traffic models
   // the host interface and is never faulted, and a crash of this PE is
   // answered by the GDH's typed error, which discards the partial train.
-  const size_t batch = std::max<uint64_t>(1, config_.exchange_batch_rows);
+  const size_t batch =
+      std::max<uint64_t>(1, config_.machine.exchange_batch_rows);
   size_t begin = 0;
   auto send = [&](size_t end, bool is_last) {
     auto frame = std::make_shared<ClientReply>();
@@ -338,9 +340,10 @@ void QueryProcess::StartSql() {
   // always runs it; EXPLAIN ANALYZE profiles what its SELECT would run,
   // which is the cached plan when there is one (peeked, so the SELECT's
   // hit rate does not move).
+  PlanCache* plan_cache = config_.machine.plan_cache;
   PlanCache::Key cache_key;
   bool cacheable = false;
-  if (config_.plan_cache != nullptr) {
+  if (plan_cache != nullptr) {
     auto normalized = sql::NormalizeStatement(config_.statement->text);
     constexpr std::string_view kAnalyze = "EXPLAIN ANALYZE ";
     std::string_view fingerprint =
@@ -351,9 +354,9 @@ void QueryProcess::StartSql() {
       cacheable = !analyze;
       cache_key.fingerprint = std::string(fingerprint);
       cache_key.params = std::move(normalized->params);
-      ChargeCpu(config_.costs.plan_cache_probe_ns);
-      auto hit = analyze ? config_.plan_cache->Peek(cache_key)
-                         : config_.plan_cache->Lookup(cache_key);
+      ChargeCpu(runtime()->costs().plan_cache_probe_ns);
+      auto hit = analyze ? plan_cache->Peek(cache_key)
+                         : plan_cache->Lookup(cache_key);
       if (hit != nullptr) {
         explain_ = analyze_ = analyze;
         split_ = hit->split;
@@ -367,7 +370,7 @@ void QueryProcess::StartSql() {
 
   // Parsing + optimizing burns this coordinator's PE — the per-query
   // "instance of the parser and optimizer" of §2.2.
-  ChargeCpu(config_.costs.optimize_ns);
+  ChargeCpu(runtime()->costs().optimize_ns);
   auto parsed = sql::ParseSql(config_.statement->text);
   if (!parsed.ok()) {
     Reply(parsed.status(), Schema(), nullptr);
@@ -386,7 +389,7 @@ void QueryProcess::StartSql() {
     return;
   }
 
-  Optimizer optimizer(config_.dictionary, config_.rules);
+  Optimizer optimizer(config_.dictionary, config_.machine.rules);
   auto optimized =
       optimizer.Optimize(std::move(bound->plan), &optimizer_report_);
   if (!optimized.ok()) {
@@ -395,7 +398,8 @@ void QueryProcess::StartSql() {
   }
 
   auto split = SplitPlanForFragments(std::move(optimized).value(),
-                                     *config_.dictionary, config_.rules);
+                                     *config_.dictionary,
+                                     config_.machine.rules);
   if (!split.ok()) {
     Reply(split.status(), Schema(), nullptr);
     return;
@@ -405,7 +409,7 @@ void QueryProcess::StartSql() {
     auto entry = std::make_shared<PlanCache::Entry>();
     entry->split = split_;
     entry->optimizer_report = optimizer_report_;
-    if (auto stored = config_.plan_cache->Insert(cache_key, std::move(entry))) {
+    if (auto stored = plan_cache->Insert(cache_key, std::move(entry))) {
       plan_entry_ = stored->id;
     }
   }
@@ -514,7 +518,7 @@ void QueryProcess::Scatter() {
       consumer_replies += ScatterFixpointPart(i);
       continue;
     }
-    if (config_.rules.detect_common_subexpressions) {
+    if (config_.machine.rules.detect_common_subexpressions) {
       const std::string key = part.table + "\n" + PartShapeKey(*part.plan);
       auto [it, inserted] = part_shapes.try_emplace(key, i);
       if (!inserted) {
@@ -545,11 +549,12 @@ void QueryProcess::Scatter() {
       static_cast<const algebra::ScanPlan&>(*split_->global).table() ==
           PartName(0);
   StartGather(consumer_replies);
-  if (!fx_pids_.empty() && config_.retransmit.resend_ns > 0) {
+  const sim::SimTime resend_ns = config_.machine.retransmit.resend_ns;
+  if (!fx_pids_.empty() && resend_ns > 0) {
     // Faulty interconnect: the fixpoint's start/round/harvest directives
     // can be lost, so rebroadcast the current ones until the query
     // finishes (every handler at the PEs is idempotent).
-    SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
+    SendSelfAfter(resend_ns, kMailFixpointCtrlResend);
   }
 }
 
@@ -562,7 +567,7 @@ void QueryProcess::StartGather(size_t consumer_replies) {
     FinishGather();
     return;
   }
-  if (config_.rules.parallel_fragments) {
+  if (config_.machine.rules.parallel_fragments) {
     // Scatter everything at once — fragment parallelism (§2.2).
     while (next_work_ < work_->size()) SendNextFragmentPlan();
   } else if (!work_->empty()) {
@@ -628,12 +633,7 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     cc.predicate = ex.predicate;
     cc.post_plan = ex.post_plan;
     cc.input_schema = ex.schema;
-    cc.expr_mode = config_.expr_mode;
-    cc.costs = config_.costs;
-    cc.registry = config_.registry;
-    cc.credit_window = config_.exchange_credit_window;
-    cc.retransmit = config_.retransmit;
-    cc.metrics = config_.metrics;
+    cc.machine = config_.machine;
     request_part_[cc.reply_request_id] = {part_index, 0};
     const pool::ProcessId pid = runtime()->Spawn(
         frag.ReplicaPe(replica),
@@ -668,9 +668,7 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
   const TableInfo& table = **info_or;
   const std::vector<int>& fragments = part_fragments_[part_index];
   const uint64_t exchange_id = ExchangeId(part_index);
-  StreamReceiver in(this, ConsumerOptions(exchange_id, 0,
-                                          config_.exchange_credit_window,
-                                          config_.costs, config_.metrics,
+  StreamReceiver in(this, ConsumerOptions(exchange_id, 0, config_.machine,
                                           {{"fragment", "coordinator"}},
                                           /*fixpoint=*/false));
   in.Expect(0, fragments.size());
@@ -729,8 +727,6 @@ ExecPlanRequest::Stream& QueryProcess::AddShuffleProducer(
   stream.side = side;
   stream.producer = producer;
   stream.consumers = std::move(consumers);
-  stream.batch_rows = config_.exchange_batch_rows;
-  stream.credit_window = config_.exchange_credit_window;
   return stream;
 }
 
@@ -802,8 +798,9 @@ void QueryProcess::MergeRuns(SortedRuns& runs) {
   // in for the global plan's Scan(part) it would otherwise pass through.
   const size_t k = std::max<size_t>(runs.rows.size(), 1);
   const auto log2_k = static_cast<sim::SimTime>(std::bit_width(k - 1));
+  const pool::CostModel& costs = runtime()->costs();
   ChargeCpu(static_cast<sim::SimTime>(merged) *
-            (log2_k * config_.costs.compare_ns + config_.costs.tuple_ns));
+            (log2_k * costs.compare_ns + costs.tuple_ns));
   if (forward_runs_ && merged > 0) {
     SendFrames(split_->global->schema(), /*last=*/false);
   }
@@ -820,8 +817,9 @@ void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
   // Only plans of a cached split have an identity an OFM can keep.
   const PlanRef ref =
       plan_entry_ != 0 ? PlanRef{plan_entry_, w.part, side} : PlanRef{};
-  const bool by_id = by_id_ok && ref.entry != 0 &&
-                     config_.plan_cache->Resident(ref, ResolveTarget(index));
+  const bool by_id =
+      by_id_ok && ref.entry != 0 &&
+      config_.machine.plan_cache->Resident(ref, ResolveTarget(index));
   w.request.request_id = next_request_id_++;
   request_part_[w.request.request_id] = {w.part, side, index};
   auto request = std::make_shared<ExecPlanRequest>(w.request);
@@ -856,7 +854,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     // The OFM no longer holds the plan (its FIFO evicted it, or it was
     // respawned): ship it whole, under a fresh request id since shuffle
     // replies are cached by request id.
-    config_.plan_cache->ForgetResident(ref, mail.from);
+    config_.machine.plan_cache->ForgetResident(ref, mail.from);
     SendFragmentPlan(slot.work, /*by_id_ok=*/false);
     return;
   }
@@ -868,7 +866,9 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   }
   if (slot.work != SIZE_MAX) {
     // The answering OFM holds the plan now, whichever way it went out.
-    if (ref.entry != 0) config_.plan_cache->NoteResident(ref, mail.from);
+    if (ref.entry != 0) {
+      config_.machine.plan_cache->NoteResident(ref, mail.from);
+    }
     if ((*work_)[slot.work].olap_stream) {
       // OLAP producer settled: attribute its first-transmission data-plane
       // bits (retransmissions excluded by the OFM).
@@ -885,7 +885,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   if (reply->rows != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
     ChargeCpu(static_cast<sim::SimTime>(rows->size()) *
-              config_.costs.tuple_ns);
+              runtime()->costs().tuple_ns);
     tuples_gathered_ += rows->size();
     // Group-by consumer replies are the OLAP gather (DESIGN.md §14.4).
     uint64_t& bits = group_by_parts_.contains(slot.part) ? olap_gather_bits_
@@ -904,7 +904,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     FinishGather();
     return;
   }
-  if (!config_.rules.parallel_fragments && next_work_ < work_->size()) {
+  if (!config_.machine.rules.parallel_fragments && next_work_ < work_->size()) {
     SendNextFragmentPlan();
   }
 }
@@ -934,7 +934,7 @@ void QueryProcess::FinishGather() {
     auto& sink = (*gathered_)[part];
     std::sort(sink.begin(), sink.end());
     ChargeCpu(static_cast<sim::SimTime>(sink.size()) *
-              config_.costs.compare_ns);
+              runtime()->costs().compare_ns);
   }
   // Materialize shared results for deduplicated parts.
   for (size_t i = 0; i < duplicate_of_.size(); ++i) {
@@ -965,8 +965,8 @@ void QueryProcess::RunGlobalPhase() {
     }
   }
   exec::ExecOptions exec_opts;
-  exec_opts.expr_mode = config_.expr_mode;
-  exec_opts.costs = config_.costs;
+  exec_opts.expr_mode = config_.machine.expr_mode;
+  exec_opts.costs = runtime()->costs();
   exec_opts.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
   exec_opts.enable_subtree_cache = optimizer_report_.enable_subtree_cache;
   exec_opts.profile = analyze_;
@@ -1141,7 +1141,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
 // -------------------------------------------------------------- PRISMAlog
 
 void QueryProcess::StartPrismalog() {
-  ChargeCpu(config_.costs.optimize_ns);
+  ChargeCpu(runtime()->costs().optimize_ns);
   // A leading EXPLAIN keyword asks for the evaluation strategy instead of
   // the answers (mirroring the SQL front end).
   plog_text_ = config_.statement->text;
@@ -1247,9 +1247,9 @@ void QueryProcess::RunPrismalogPhase() {
     }
   }
   prismalog::EngineOptions options;
-  options.costs = config_.costs;
+  options.costs = runtime()->costs();
   options.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  options.tc_algorithm = config_.tc_algorithm;
+  options.tc_algorithm = config_.machine.fixpoint_algorithm;
   prismalog::Engine engine(&resolver, config_.dictionary, options);
   auto program = prismalog::ParsePrismalog(plog_text_);
   PRISMA_CHECK(program.ok());
@@ -1287,15 +1287,10 @@ size_t QueryProcess::ScatterFixpointPart(size_t part_index) {
     fc.fixpoint_id = fixpoint_id_;
     fc.index = i;
     fc.num_pes = fx_num_pes_;
-    fc.algorithm = config_.tc_algorithm;
     fc.edge_producers = fx_num_pes_;
     fc.coordinator = self();
     fc.reply_request_id = next_request_id_++;
-    fc.batch_rows = config_.exchange_batch_rows;
-    fc.credit_window = config_.exchange_credit_window;
-    fc.retransmit = config_.retransmit;
-    fc.costs = config_.costs;
-    fc.metrics = config_.metrics;
+    fc.machine = config_.machine;
     request_part_[fc.reply_request_id] = {part_index, 0};
     const pool::ProcessId pid = runtime()->Spawn(
         frag.ReplicaPe(ChooseReadReplica(frag)),
@@ -1341,13 +1336,13 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
   fx_delta_total_ += msg->absorbed_new;
   fx_pairs_total_ += msg->pairs_derived;
   fx_wire_total_ += msg->wire_bits;
-  if (config_.metrics != nullptr) {
-    const obs::Labels q = {
-        {"query", std::to_string(config_.statement->request_id)}};
-    config_.metrics->GetCounter("fixpoint.delta_tuples", q)
+  obs::MetricsRegistry* metrics = config_.machine.metrics;
+  const obs::Labels q = {
+      {"query", std::to_string(config_.statement->request_id)}};
+  if (metrics != nullptr) {
+    metrics->GetCounter("fixpoint.delta_tuples", q)
         ->Increment(msg->absorbed_new);
-    config_.metrics->GetCounter("fixpoint.wire_bits", q)
-        ->Increment(msg->wire_bits);
+    metrics->GetCounter("fixpoint.wire_bits", q)->Increment(msg->wire_bits);
   }
   if (fx_voters_.size() < fx_num_pes_) return;
 
@@ -1365,18 +1360,13 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
     fx_round_msg_->round = fx_round_;
   } else {
     fx_round_msg_->harvest = true;
-    if (config_.metrics != nullptr) {
-      const obs::Labels q = {
-          {"query", std::to_string(config_.statement->request_id)}};
-      config_.metrics->GetGauge("fixpoint.rounds", q)->Set(fx_round_);
+    if (metrics != nullptr) {
+      metrics->GetGauge("fixpoint.rounds", q)->Set(fx_round_);
       // Unlabeled "last query" figures for benches and tests.
-      config_.metrics->GetGauge("fixpoint.last_rounds")->Set(fx_round_);
-      config_.metrics->GetGauge("fixpoint.last_delta_tuples")
-          ->Set(fx_delta_total_);
-      config_.metrics->GetGauge("fixpoint.last_pairs_derived")
-          ->Set(fx_pairs_total_);
-      config_.metrics->GetGauge("fixpoint.last_wire_bits")
-          ->Set(fx_wire_total_);
+      metrics->GetGauge("fixpoint.last_rounds")->Set(fx_round_);
+      metrics->GetGauge("fixpoint.last_delta_tuples")->Set(fx_delta_total_);
+      metrics->GetGauge("fixpoint.last_pairs_derived")->Set(fx_pairs_total_);
+      metrics->GetGauge("fixpoint.last_wire_bits")->Set(fx_wire_total_);
     }
   }
   for (const pool::ProcessId pid : fx_pids_) {
@@ -1394,7 +1384,7 @@ void QueryProcess::BroadcastFixpointCtrl() {
       SendMail(pid, kMailFixpointRound, fx_round_msg_, kControlBits);
     }
   }
-  SendSelfAfter(config_.retransmit.resend_ns, kMailFixpointCtrlResend);
+  SendSelfAfter(config_.machine.retransmit.resend_ns, kMailFixpointCtrlResend);
 }
 
 void QueryProcess::RunFixpointPhase() {
@@ -1403,7 +1393,7 @@ void QueryProcess::RunFixpointPhase() {
   std::vector<Tuple> merged = std::move((*gathered_)[0]);
   std::sort(merged.begin(), merged.end());
   ChargeCpu(static_cast<sim::SimTime>(merged.size()) *
-            config_.costs.compare_ns);
+            runtime()->costs().compare_ns);
   auto program = prismalog::ParsePrismalog(plog_text_);
   PRISMA_CHECK(program.ok() && program->query.has_value());
   prismalog::QueryResult result =
@@ -1425,7 +1415,7 @@ void QueryProcess::ReplyFixpointExplain() {
                  "as a distributed fixpoint",
                  part.table.c_str()));
   auto plan = algebra::FixpointPlan::Create(
-      part.plan->Clone(), TcAlgorithmName(config_.tc_algorithm),
+      part.plan->Clone(), TcAlgorithmName(config_.machine.fixpoint_algorithm),
       std::max<size_t>(table.fragments.size(), 1));
   PRISMA_CHECK(plan.ok());
   for (const std::string& line : Split((*plan)->ToString(), '\n')) {

@@ -10,17 +10,13 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/transitive_closure.h"
 #include "gdh/data_dictionary.h"
 #include "gdh/distributed_plan.h"
+#include "gdh/machine_params.h"
 #include "gdh/messages.h"
 #include "gdh/optimizer.h"
-#include "gdh/pe_registry.h"
-#include "gdh/plan_cache.h"
 #include "gdh/transport.h"
-#include "obs/metrics.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "pool/owned.h"
 #include "pool/runtime.h"
 #include "storage/relation.h"
@@ -29,7 +25,8 @@ namespace prisma::gdh {
 
 /// Per-query coordinator: the paper's "for each query a new instance is
 /// created, possibly running at its own processor" (§2.2). Spawned by the
-/// GDH on a round-robin PE; it parses, optimizes and schedules one SELECT
+/// GDH on the client's PE (or round-robin over `coordinator_pes` when the
+/// machine lists them); it parses, optimizes and schedules one SELECT
 /// (or PRISMAlog program), scatters fragment plans to the OFMs, merges
 /// the gathered results, answers the client, and reports back to the GDH
 /// so its statement locks can be released and the process reaped.
@@ -41,36 +38,17 @@ class QueryProcess : public pool::Process {
  public:
   struct Config {
     const DataDictionary* dictionary = nullptr;
-    OptimizerRules rules;
-    pool::CostModel costs;
-    exec::ExprMode expr_mode = exec::ExprMode::kCompiled;
     pool::ProcessId gdh = pool::kNoProcess;
     pool::ProcessId client = pool::kNoProcess;
     std::shared_ptr<ClientStatement> statement;
     /// Transaction whose locks cover this statement (the session txn, or
     /// a GDH-assigned statement txn released at stmt_done).
     exec::TxnId lock_txn = exec::kAutoCommit;
-    /// The machine's retransmission policy (GdhProcess::Config): OFM
-    /// requests retransmit under it, stmt_done is resent every resend_ns
-    /// until this process is reaped, and every consumer process spawned
-    /// here inherits it.
-    RetransmitPolicy retransmit;
-    /// Directory of co-located fragments (may be null): exchange consumers
-    /// resolve their stationary-side scans through it.
-    const PeLocalRegistry* registry = nullptr;
-    /// Machine-wide shared plan cache (may be null: every statement is
-    /// planned from scratch). Probed/filled by StartSql (DESIGN.md §15.4).
-    PlanCache* plan_cache = nullptr;
-    /// Streaming exchange framing: max tuples per batch and batches in
-    /// flight per channel (DESIGN.md §10).
-    uint64_t exchange_batch_rows = 64;
-    uint64_t exchange_credit_window = 4;
-    /// Join strategy for the distributed fixpoint partitions.
-    exec::TcAlgorithm tc_algorithm = exec::TcAlgorithm::kSeminaive;
-    /// Observability sinks (may be null). Per-query scoped metrics are
-    /// recorded under the {query=<request_id>} label.
-    obs::MetricsRegistry* metrics = nullptr;
-    obs::Tracer* tracer = nullptr;
+    /// The machine's settings, handed whole to every consumer process
+    /// spawned here. OFM requests retransmit under `machine.retransmit`,
+    /// and stmt_done is resent every resend_ns until this process is
+    /// reaped; per-query metrics carry the {query=<request_id>} label.
+    MachineParams machine;
   };
 
   explicit QueryProcess(Config config);
@@ -79,14 +57,6 @@ class QueryProcess : public pool::Process {
   void OnMail(const pool::Mail& mail) override;
 
   std::string debug_name() const override { return "coordinator"; }
-
-  /// Filled as the query runs; read by benches after completion.
-  struct QueryStats {
-    OptimizerReport optimizer;
-    size_t fragments_contacted = 0;
-    uint64_t tuples_gathered = 0;
-    bool pushed_aggregate = false;
-  };
 
  private:
   void StartSql();
@@ -211,14 +181,14 @@ class QueryProcess : public pool::Process {
   int ChooseReadReplica(const FragmentInfo& frag) const;
   /// True when `replica` of `frag` is in-sync and its OFM is alive.
   bool ServesReads(const FragmentInfo& frag, int replica) const;
+  /// Outstanding requests, named by the work_ entry whose OFM is the
+  /// target (SIZE_MAX: the GDH).
+  using Rpcs = RpcClient<size_t>;
   /// Re-aims an unanswered fragment read at the currently chosen replica
   /// (crash failover at retransmission time), or, for an exec_plan read
   /// whose addressed replica is alive but silent, at its serving peer:
   /// rebuilds the request body with the plan's scans renamed, keeping the
   /// request id.
-  /// Outstanding requests, named by the work_ entry whose OFM is the
-  /// target (SIZE_MAX: the GDH).
-  using Rpcs = RpcClient<size_t>;
   void MaybeFailover(size_t work_index, Rpcs::PendingRpc& rpc);
   /// Bumps the labeled query.unavailable{pe,table} counter (registered
   /// lazily so fault-free metric dumps are unchanged).

@@ -1,6 +1,7 @@
 #include "gdh/transport.h"
 
 #include "common/logging.h"
+#include "gdh/machine_params.h"
 
 namespace prisma::gdh {
 
@@ -131,7 +132,7 @@ void StreamSender::Transmit(Stream& stream, const Channel& channel,
   msg->rows = EncodeRows(batch.tuples);
   const int64_t bits = msg->WireBits();
   owner_->ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-                    options_.tuple_ns);
+                    owner_->runtime()->costs().tuple_ns);
   if (first) stream.first_bits += static_cast<uint64_t>(bits);
   if (options_.on_send != nullptr) options_.on_send(stream, bits, first);
   owner_->SendMail(channel.to, kMailTupleBatch, std::move(msg), bits);
@@ -148,18 +149,14 @@ void StreamSender::Disarm(Stream& stream) {
   stream.timer = 0;
 }
 
-StreamReceiver::Options ConsumerOptions(uint64_t exchange_id,
-                                        size_t consumer,
-                                        uint64_t credit_window,
-                                        const pool::CostModel& costs,
-                                        obs::MetricsRegistry* metrics,
+StreamReceiver::Options ConsumerOptions(uint64_t exchange_id, size_t consumer,
+                                        const MachineParams& machine,
                                         obs::Labels labels, bool fixpoint) {
   StreamReceiver::Options options;
   options.exchange_id = exchange_id;
   options.consumer = consumer;
-  options.credit_window = credit_window;
-  // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
-  options.tuple_ns = costs.tuple_ns;
+  options.credit_window = machine.exchange_credit_window;
+  obs::MetricsRegistry* metrics = machine.metrics;
   if (metrics == nullptr) return options;
   options.received =
       fixpoint ? metrics->GetCounter("fixpoint.batches_received", labels)
@@ -189,7 +186,9 @@ Status StreamReceiver::Receive(const pool::Mail& mail, const Sink& sink) {
   if (!rows.ok()) return rows.status();
   const size_t count = rows->size();
   if (channel.Offer({msg.seq, msg.eos, std::move(rows).value()})) {
-    owner_->ChargeCpu(static_cast<sim::SimTime>(count) * options_.tuple_ns);
+    // Unmarshalling, as for gathered reply tuples.
+    owner_->ChargeCpu(static_cast<sim::SimTime>(count) *
+                      owner_->runtime()->costs().tuple_ns);
     if (options_.received != nullptr) options_.received->Increment();
   } else if (options_.dups != nullptr) {
     if (m_dups_ == nullptr) m_dups_ = options_.dups();

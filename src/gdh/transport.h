@@ -20,6 +20,8 @@
 
 namespace prisma::gdh {
 
+struct MachineParams;
+
 // The machine's one retransmitting transport (DESIGN.md §10.5): every
 // process that needs delivery over the lossy interconnect composes it from
 // the pieces below, each acting for the process that owns it.
@@ -85,7 +87,6 @@ class StreamSender {
   struct Options {
     const char* resend_kind = kMailBatchResend;  // Timer mail; body: token.
     RetransmitPolicy policy;
-    sim::SimTime tuple_ns = 0;  // Marshalling cost per row.
     /// Every transmission (`first` is false for retransmissions); may be
     /// null.
     std::function<void(const Stream&, int64_t bits, bool first)> on_send;
@@ -138,10 +139,9 @@ class StreamReceiver {
     uint64_t exchange_id = 0;    // Batches of other exchanges are ignored.
     size_t consumer = 0;         // Stamped on acks.
     uint64_t credit_window = 0;  // Granted on acks; 0 keeps the sender's.
-    sim::SimTime tuple_ns = 0;   // Unmarshalling cost per fresh row.
     obs::Counter* received = nullptr;  // Fresh batches; may be null.
     /// Registers the duplicate counter on first use; may be null.
-    std::function<obs::Counter*()> dups;
+    std::function<obs::Counter*()> dups = nullptr;
   };
 
   /// The rows one batch made deliverable, in stream order (none when it
@@ -185,15 +185,11 @@ class StreamReceiver {
   obs::Counter* m_dups_ = nullptr;
 };
 
-/// Receiver options of a consumer of `exchange_id`: acks stamped
-/// `consumer` grant `credit_window` (0 keeps the sender's), a fresh row
-/// costs `costs.tuple_ns`, and with `metrics` batches count under
+/// Receiver options of consumer `consumer` of `exchange_id`: acks grant
+/// the machine's credit window, and with its metrics batches count under
 /// `labels` in the fixpoint.* family if `fixpoint`, else in exchange.*.
-StreamReceiver::Options ConsumerOptions(uint64_t exchange_id,
-                                        size_t consumer,
-                                        uint64_t credit_window,
-                                        const pool::CostModel& costs,
-                                        obs::MetricsRegistry* metrics,
+StreamReceiver::Options ConsumerOptions(uint64_t exchange_id, size_t consumer,
+                                        const MachineParams& machine,
                                         obs::Labels labels, bool fixpoint);
 
 /// A message its peer never acks: final replies, fixpoint votes and

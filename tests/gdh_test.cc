@@ -594,6 +594,17 @@ TEST(OptimizerTest, EstimatesUseDictionaryCardinalities) {
 
 // -------------------------------------------------------- DistributedPlan
 
+/// The splitter's rules without the OLAP lowering: joins split by the two
+/// join rules; group-bys and sorts stay global.
+OptimizerRules SplitRules(bool colocated_joins = true,
+                          bool exchange_joins = true) {
+  OptimizerRules rules;
+  rules.colocated_joins = colocated_joins;
+  rules.exchange_joins = exchange_joins;
+  rules.distributed_olap = false;
+  return rules;
+}
+
 class SplitTest : public ::testing::Test {
  protected:
   SplitTest() {
@@ -611,7 +622,7 @@ TEST_F(SplitTest, SelectOverScanBecomesLocalPart) {
                               Expr::ColumnIndex(2, DataType::kInt64),
                               Lit(int64_t{100})));
   ASSERT_TRUE(select.ok());
-  auto split = SplitPlanForFragments(std::move(*select), dict_);
+  auto split = SplitPlanForFragments(std::move(*select), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   ASSERT_EQ(split->parts.size(), 1u);
   EXPECT_EQ(split->parts[0].table, "emp");
@@ -626,7 +637,7 @@ TEST_F(SplitTest, JoinStaysGlobalWithTwoParts) {
       Expr::Binary(BinaryOp::kEq, Expr::ColumnIndex(0, DataType::kInt64),
                    Expr::ColumnIndex(3, DataType::kInt64)));
   ASSERT_TRUE(join.ok());
-  auto split = SplitPlanForFragments(std::move(*join), dict_);
+  auto split = SplitPlanForFragments(std::move(*join), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->parts.size(), 2u);
   EXPECT_EQ(split->global->kind(), PlanKind::kJoin);
@@ -642,7 +653,7 @@ TEST_F(SplitTest, AggregatePushdownDecomposes) {
   auto agg = algebra::AggregatePlan::Create(EmpScan(), std::move(groups),
                                             {"dept"}, std::move(aggs));
   ASSERT_TRUE(agg.ok());
-  auto split = SplitPlanForFragments(std::move(*agg), dict_);
+  auto split = SplitPlanForFragments(std::move(*agg), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_TRUE(split->pushed_aggregate);
   ASSERT_EQ(split->parts.size(), 1u);
@@ -682,7 +693,7 @@ class ColocatedSplitTest : public ::testing::Test {
 };
 
 TEST_F(ColocatedSplitTest, KeyJoinBecomesColocatedPart) {
-  auto split = SplitPlanForFragments(KeyJoin(), dict_);
+  auto split = SplitPlanForFragments(KeyJoin(), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 1);
   ASSERT_EQ(split->parts.size(), 1u);
@@ -693,7 +704,8 @@ TEST_F(ColocatedSplitTest, KeyJoinBecomesColocatedPart) {
 }
 
 TEST_F(ColocatedSplitTest, DisabledFlagsFallBackToGather) {
-  auto split = SplitPlanForFragments(KeyJoin(), dict_, false, false);
+  auto split =
+      SplitPlanForFragments(KeyJoin(), dict_, SplitRules(false, false));
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 0);
   EXPECT_EQ(split->exchange_joins, 0);
@@ -704,7 +716,7 @@ TEST_F(ColocatedSplitTest, DisabledFlagsFallBackToGather) {
 TEST_F(ColocatedSplitTest, ColocationDisabledLowersToExchange) {
   // With co-location off but exchanges on, the key join still avoids a
   // coordinator gather: it becomes a streamed exchange part.
-  auto split = SplitPlanForFragments(KeyJoin(), dict_, false, true);
+  auto split = SplitPlanForFragments(KeyJoin(), dict_, SplitRules(false, true));
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 0);
   EXPECT_EQ(split->exchange_joins, 1);
@@ -721,7 +733,7 @@ TEST_F(ColocatedSplitTest, NonKeyJoinLowersToExchange) {
       Expr::Binary(BinaryOp::kEq, Expr::ColumnIndex(2, DataType::kInt64),
                    Expr::ColumnIndex(5, DataType::kInt64)));
   ASSERT_TRUE(join.ok());
-  auto split = SplitPlanForFragments(std::move(*join), dict_);
+  auto split = SplitPlanForFragments(std::move(*join), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 0);
   EXPECT_EQ(split->exchange_joins, 1);
@@ -748,9 +760,9 @@ TEST_F(ColocatedSplitTest, NonKeyJoinStaysGlobalWithExchangesDisabled) {
       Expr::Binary(BinaryOp::kEq, Expr::ColumnIndex(2, DataType::kInt64),
                    Expr::ColumnIndex(5, DataType::kInt64)));
   ASSERT_TRUE(join.ok());
-  auto split = SplitPlanForFragments(std::move(*join), dict_,
-                                     /*colocated_joins=*/true,
-                                     /*exchange_joins=*/false);
+  auto split = SplitPlanForFragments(
+      std::move(*join), dict_,
+      SplitRules(/*colocated_joins=*/true, /*exchange_joins=*/false));
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 0);
   EXPECT_EQ(split->exchange_joins, 0);
@@ -809,7 +821,7 @@ TEST_F(ColocatedSplitTest, GroupByLowersToAOneInputExchange) {
 
 TEST_F(ColocatedSplitTest, MisalignedPlacementStaysGlobal) {
   dict_.GetTable("b").value()->fragments[2].pe = 9;  // Break alignment.
-  auto split = SplitPlanForFragments(KeyJoin(), dict_);
+  auto split = SplitPlanForFragments(KeyJoin(), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 0);
 }
@@ -825,7 +837,7 @@ TEST_F(ColocatedSplitTest, SelectionsBelowJoinStayInPart) {
       Expr::Binary(BinaryOp::kEq, Expr::ColumnIndex(0, DataType::kInt64),
                    Expr::ColumnIndex(3, DataType::kInt64)));
   ASSERT_TRUE(join.ok());
-  auto split = SplitPlanForFragments(std::move(*join), dict_);
+  auto split = SplitPlanForFragments(std::move(*join), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->colocated_joins, 1);
   ASSERT_EQ(split->parts.size(), 1u);
@@ -835,7 +847,7 @@ TEST_F(ColocatedSplitTest, SelectionsBelowJoinStayInPart) {
 
 TEST_F(SplitTest, UnknownTableStaysGlobal) {
   auto scan = ScanPlan::Create("not_in_dictionary", EmpSchema());
-  auto split = SplitPlanForFragments(std::move(scan), dict_);
+  auto split = SplitPlanForFragments(std::move(scan), dict_, SplitRules());
   ASSERT_TRUE(split.ok());
   EXPECT_TRUE(split->parts.empty());
   EXPECT_EQ(split->global->kind(), PlanKind::kScan);
@@ -1014,7 +1026,8 @@ TEST(FragmentPlanDuplicateTest, AGatherRerunsAStreamOpensOnceThenReplays) {
   config.fragment_name = "t#0";
   config.schema = Schema({{"v", DataType::kInt64}});
   config.gdh = coordinator;
-  config.metrics = &metrics;
+  config.machine.metrics = &metrics;
+  config.machine.exchange_batch_rows = 2;
   const pool::ProcessId ofm =
       runtime.Spawn(1, std::make_unique<OfmProcess>(config));
   auto send = [&](const char* kind, std::any body) {
@@ -1069,7 +1082,6 @@ TEST(FragmentPlanDuplicateTest, AGatherRerunsAStreamOpensOnceThenReplays) {
   streamed->stream->exchange_id = 9;
   streamed->stream->mode = ExecPlanRequest::Stream::Mode::kBroadcast;
   streamed->stream->consumers = {coordinator};
-  streamed->stream->batch_rows = 2;
   send(kMailShufflePlan, streamed);
   send(kMailShufflePlan, streamed);
   while (received(kMailTupleBatch) < 2 && sim.Step()) {

@@ -291,6 +291,40 @@ TEST(RecoveryTest, ReplicatedCrashFailoverServesReadsAndResyncConverges) {
   ExpectReplicasByteIdentical(&db);
 }
 
+TEST(RecoveryTest, ResyncBulkStreamIsFramedByTheMachinesBatchRows) {
+  MachineConfig config = ReplicatedMachine();
+  config.exchange_batch_rows = 4;
+  PrismaDb db(config);
+  MustExecute(&db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                             "HASH(id) INTO %d FRAGMENTS",
+                             kFragments));
+  for (int i = 0; i < 100; ++i) {
+    MustExecute(&db, StrFormat("INSERT INTO t VALUES (%d, %d)", i, i));
+  }
+  const auto table = db.gdh().dictionary().GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const gdh::FragmentInfo frag = (*table)->fragments[0];
+  ASSERT_TRUE(frag.replicated);
+  ASSERT_NE(frag.pe, 0);
+
+  // Only fragment 0's primary lives on its PE, so the restart resyncs
+  // one stale replica, from the backup.
+  ASSERT_GT(db.CrashPe(frag.pe), 0u);
+  MustExecute(&db, "INSERT INTO t VALUES (1000, 0), (1001, 0), (1002, 0)");
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+  ASSERT_EQ(db.metrics().CounterTotal("replica.resyncs_completed"), 1u);
+
+  // The bulk copy of N rows leaves the source in batches of at most 4.
+  const uint64_t rows =
+      db.metrics().CounterTotal("replica.resync_bulk_tuples");
+  ASSERT_GT(rows, 8u);
+  EXPECT_GE(db.metrics().CounterValue(
+                "exchange.batches_sent",
+                {{"fragment", gdh::BackupFragmentName(frag.name)}}),
+            (rows + 3) / 4);
+}
+
 TEST(RecoveryTest, FixpointFollowsReadRoutingAfterAPrimaryCrash) {
   const MachineConfig config = ReplicatedMachine();
   PrismaDb db(config);

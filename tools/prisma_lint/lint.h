@@ -45,8 +45,13 @@
 //   D10 one receiver: exec::InboundChannel is named only in
 //       exec/exchange.{h,cc} and gdh/transport.{h,cc} — every batch
 //       stream is received through gdh::StreamReceiver.
+//   D12 one copy of the machine's settings: no `struct Config` under gdh/
+//       declares a CostModel, RetransmitPolicy, OptimizerRules,
+//       TcAlgorithm, MetricsRegistry*, Tracer*, PlanCache* or
+//       PeLocalRegistry* member — it carries one gdh::MachineParams.
+//       (D11 is reserved.)
 //
-// D5–D10 are structural rules implemented in protocol.cc over
+// D5–D12 are structural rules implemented in protocol.cc over
 // the extraction layer in structure.h; the annotation grammar is specified
 // in DESIGN.md §9.
 //
@@ -68,7 +73,7 @@ struct SourceFile {
 struct Diagnostic {
   std::string path;
   int line = 0;  // 1-based.
-  std::string rule;  // "D0".."D10".
+  std::string rule;  // "D0".."D12".
   std::string message;
   std::string snippet;  // Trimmed source line the finding points at.
 

@@ -846,6 +846,66 @@ void CheckOneReceiver(const std::vector<PreparedFile>& files,
   }
 }
 
+// ------------------------------------------------------------------ rule D12
+//
+// One copy of the machine's settings. A gdh process's Config carries the
+// machine-wide settings as one `MachineParams machine` value
+// (gdh/machine_params.h), copied whole at spawn, and reads CPU costs from
+// the runtime: a Config member of one of those types is a field-by-field
+// copy growing back. MachineParams itself is no Config, so it is exempt.
+
+bool IsGdhSource(const std::string& path) {
+  return StartsWith(path, "gdh/") || path.find("/gdh/") != std::string::npos;
+}
+
+void CheckOneMachineCopy(const std::vector<PreparedFile>& files,
+                         std::vector<Diagnostic>* out) {
+  static const std::regex kConfig("\\bstruct\\s+Config\\b");
+  static const std::regex kSetting(
+      "\\b(CostModel|RetransmitPolicy|OptimizerRules|TcAlgorithm)\\s+\\w+"
+      "\\s*[;={]|\\b(MetricsRegistry|Tracer|PlanCache|PeLocalRegistry)"
+      "\\s*\\*\\s*\\w+\\s*[;={]");
+  for (const PreparedFile& file : files) {
+    if (!IsGdhSource(file.path)) continue;
+    bool in_config = false;
+    bool opened = false;
+    int depth = 0;  // Braces open inside the current Config.
+    for (size_t li = 0; li < file.code.size(); ++li) {
+      std::string line = file.code[li];
+      if (!in_config) {
+        std::smatch match;
+        if (line.find("Config") == std::string::npos ||
+            !std::regex_search(line, match, kConfig)) {
+          continue;
+        }
+        line = match.suffix().str();
+        // A forward declaration opens nothing.
+        if (line.find('{') == std::string::npos &&
+            line.find(';') != std::string::npos) {
+          continue;
+        }
+        in_config = true;
+        opened = false;
+        depth = 0;
+      } else if (depth == 1 && std::regex_search(line, kSetting)) {
+        Emit(out, file, static_cast<int>(li) + 1, "D12",
+             "machine setting copied into a process Config — carry the "
+             "machine's settings as one MachineParams field and read CPU "
+             "costs from the runtime (DESIGN.md §10.5)");
+      }
+      for (const char c : line) {
+        if (c == '{') {
+          ++depth;
+          opened = true;
+        } else if (c == '}') {
+          --depth;
+        }
+      }
+      if (opened && depth <= 0) in_config = false;
+    }
+  }
+}
+
 }  // namespace
 
 void CheckProtocolRules(const std::vector<PreparedFile>& files,
@@ -858,6 +918,7 @@ void CheckProtocolRules(const std::vector<PreparedFile>& files,
   CheckMetricRegistry(files, out);
   CheckWireSizing(files, structures, out);
   CheckOneReceiver(files, out);
+  CheckOneMachineCopy(files, out);
 }
 
 }  // namespace prisma::lint

@@ -16,6 +16,8 @@
 //   D8  metric/span names against the obs/metric_names.h registry.
 //   D9  wire sizing: no WireBits() in gdh/messages.h sums row byte sizes.
 //   D10 one receiver: exec::InboundChannel only inside the transport.
+//   D12 one copy of the machine's settings: gdh process Configs carry
+//       one MachineParams, not its members.
 
 namespace prisma::lint {
 
