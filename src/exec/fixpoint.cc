@@ -112,8 +112,4 @@ void FixpointPartition::AbsorbIndex(const std::vector<Tuple>& tuples) {
   for (const Tuple& t : tuples) index_[t.at(0)].insert(t.at(1));
 }
 
-std::vector<Tuple> FixpointPartition::OwnedSorted() const {
-  return std::vector<Tuple>(owned_.begin(), owned_.end());
-}
-
 }  // namespace prisma::exec

@@ -70,10 +70,12 @@ class FixpointPartition {
   /// JoinRound (the per-partition "delta empty" vote).
   bool delta_empty() const { return pending_delta_.empty(); }
 
-  /// This partition's share of the closure, in Tuple::Compare order.
-  /// Partitions hold disjoint slices, so concatenating and sorting the
-  /// shares reproduces the single-node sorted output byte for byte.
-  std::vector<Tuple> OwnedSorted() const;
+  /// The owned pairs absorbed since the last JoinRound, in Tuple::Compare
+  /// order. Every owned pair is fresh in exactly one round, and partitions
+  /// own disjoint slices, so the deltas of all rounds of all partitions,
+  /// concatenated and sorted, reproduce the single-node sorted output
+  /// byte for byte.
+  const std::set<Tuple>& delta() const { return pending_delta_; }
 
   size_t PartitionOf(const Value& v) const {
     return static_cast<size_t>(v.Hash() % num_partitions_);

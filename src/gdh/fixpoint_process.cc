@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <any>
+#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -42,15 +43,19 @@ StreamSender::Options FixpointPeProcess::OutOptions() {
                            bool first) {
     if (!first) return;
     // First transmissions only: the per-round shipping-cost axis must not
-    // vary with fault-plan luck beyond what the seed already fixes.
-    (*wire_bits_by_round_)[stream.tag] += static_cast<uint64_t>(bits);
+    // vary with fault-plan luck beyond what the seed already fixes. The
+    // result streams are the harvest, not shipping between partitions.
+    uint64_t& total = stream.side < 0 ? result_bits_
+                                      : (*wire_bits_by_round_)[stream.tag];
+    total += static_cast<uint64_t>(bits);
     if (m_batches_sent_ != nullptr) m_batches_sent_->Increment();
   };
   options.on_exhausted = [this](const StreamSender::Stream& stream) {
     Fail(UnavailableError(
         "fixpoint partition " + std::to_string(config_.index) + " round " +
         std::to_string(stream.tag) +
-        " delta stream made no progress after " +
+        (stream.side < 0 ? " result" : " delta") +
+        " stream made no progress after " +
         std::to_string(config_.machine.retransmit.attempts) +
         " retransmission windows"));
   };
@@ -200,6 +205,23 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
   }
 }
 
+void FixpointPeProcess::StreamResult(uint64_t round) {
+  const std::set<Tuple>& fresh = kernel_->delta();
+  StreamSender::Stream stream;
+  stream.exchange_id = config_.fixpoint_id;
+  stream.side = ResultSide(round);
+  stream.producer = config_.index;
+  stream.token = next_token_++;
+  stream.channels.push_back(
+      {exec::OutboundChannel(std::vector<Tuple>(fresh.begin(), fresh.end()),
+                             config_.machine.exchange_batch_rows,
+                             kResultWindow),
+       config_.coordinator, nullptr});
+  // Its round has voted, so the tag never holds a vote back.
+  stream.tag = round;
+  out_.Open(std::move(stream));
+}
+
 void FixpointPeProcess::AbsorbRound() {
   if (!seeded_) return;
   for (int copy = 0; copy < copies(); ++copy) {
@@ -249,25 +271,26 @@ void FixpointPeProcess::MaybeVote() {
   // Resent until the coordinator advances (the next vote replaces it) or
   // this partition replies.
   vote_.Send(vote, kControlBits);
+  // The vote goes first; the result fills the links while the barrier
+  // and the next round run. A vote with nothing new announces no stream.
+  if (absorbed_new_current_ > 0) StreamResult(current_round_);
 }
 
 void FixpointPeProcess::SendReply(Status status) {
   if (reply_.sent()) return;
   failed_ = !status.ok();
   // Quiet when done: at the harvest every peer already holds every batch
-  // (each voted its inbound complete), and a failing fixpoint is aborted
-  // by the coordinator — no stream timer may outlive this reply.
+  // (each voted its inbound complete) and the coordinator every result
+  // batch (it harvests only then), and a failing fixpoint is aborted by
+  // the coordinator — no stream timer may outlive this reply.
   out_.CloseAll();
   vote_.Stop();
-  std::vector<Tuple> slice;
-  if (!failed_) {
-    slice = kernel_->OwnedSorted();
-    ChargeCpu(static_cast<sim::SimTime>(slice.size()) *
-              runtime()->costs().tuple_ns);
-  }
-  SendConsumerReply(reply_, config_.reply_request_id,
-                    "fixpoint#" + std::to_string(config_.index),
-                    std::move(status), slice);
+  auto reply = std::make_shared<ExecPlanReply>();
+  reply->request_id = config_.reply_request_id;
+  reply->fragment = "fixpoint#" + std::to_string(config_.index);
+  reply->status = std::move(status);
+  reply->shuffle_wire_bits = result_bits_;
+  reply_.Send(reply, reply->WireBits());
 }
 
 void FixpointPeProcess::Fail(Status status) {

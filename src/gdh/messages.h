@@ -217,6 +217,8 @@ struct ExecPlanReply {
   std::shared_ptr<obs::OperatorProfile> profile;
   /// Shuffle producers: first-transmission data-plane bits of the shuffle
   /// this reply settles (feeds olap.shuffle_bits; zero for plain plans).
+  /// A fixpoint partition's harvest reply: its result streams' bits
+  /// (fixpoint.result_bits).
   uint64_t shuffle_wire_bits = 0;
   /// The request named a plan by id that this OFM does not hold (evicted,
   /// or the OFM respawned): nothing ran, and the coordinator ships the
@@ -296,7 +298,8 @@ struct FixpointStartMsg {
 };
 
 /// Coordinator -> fixpoint PE: run join round `round` (1-based), or — with
-/// `harvest` set — ship the owned closure slice back as an ExecPlanReply.
+/// `harvest` set — reply with a status-only ExecPlanReply (the result has
+/// streamed to the coordinator during the rounds).
 /// PEs deduplicate by round counter / replied flag, so retransmitted or
 /// duplicated directives are harmless.
 struct FixpointRoundMsg {
@@ -314,7 +317,9 @@ struct FixpointVoteMsg {
   uint64_t round = 0;
   size_t pe = 0;            // Voter's partition index.
   bool delta_empty = false; // No new owned pairs absorbed this round.
-  uint64_t absorbed_new = 0;   // New owned pairs deduplicated in.
+  /// New owned pairs deduplicated in; when nonzero, the PE streams them
+  /// to the coordinator next (DESIGN.md §11.2).
+  uint64_t absorbed_new = 0;
   uint64_t pairs_derived = 0;  // Join products of this round's JoinRound.
   uint64_t wire_bits = 0;      // First-transmission bits of round streams.
 };

@@ -31,8 +31,14 @@ OfmProcess::OfmProcess(Config config)
                       const RpcClient<pool::ProcessId>::PendingRpc&) {
                  FinishResyncSource(token, ResyncStalled());
                }}),
-      // Bulk acks keep the source's credit window; the copy is not counted.
-      bulk_in_(this, {.exchange_id = config_.resync_id}) {
+      // A resync target counts the bulk copy as its source does; other
+      // OFMs receive none and register no series.
+      bulk_in_(this,
+               config_.resync_id == 0
+                   ? StreamReceiver::Options{}
+                   : ConsumerOptions(config_.resync_id, 0, config_.machine,
+                                     {{"fragment", config_.fragment_name}},
+                                     /*fixpoint=*/false)) {
   bulk_in_.Expect(0, 1);
 }
 
@@ -103,7 +109,7 @@ void OfmProcess::OnStart() {
     SyncDurabilityMetrics();
     if (Stalled() && config_.gdh != pool::kNoProcess) {
       SendDecisionRequest();
-      SendSelfAfter(config_.decision_retry_ns, kMailDecisionRetry);
+      SendSelfAfter(kDecisionRetryNs, kMailDecisionRetry);
     }
   }
   for (const IndexInfo& index : config_.indexes) {
@@ -226,7 +232,7 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailDecisionRetry) {
     if (Stalled()) {
       SendDecisionRequest();
-      SendSelfAfter(config_.decision_retry_ns, kMailDecisionRetry);
+      SendSelfAfter(kDecisionRetryNs, kMailDecisionRetry);
     }
     return;
   }

@@ -56,8 +56,6 @@ class OfmProcess : public pool::Process {
     uint64_t resync_id = 0;
     /// Coordinator to consult for in-doubt transactions.
     pool::ProcessId gdh = pool::kNoProcess;
-    /// Retry period of the in-doubt decision inquiry.
-    sim::SimTime decision_retry_ns = 100 * sim::kNanosPerMilli;
     /// Dedup horizon: cached replies and terminated-transaction records
     /// are kept at least this long (virtual time). The spawner sizes it
     /// past the senders' worst-case retransmission window
@@ -120,6 +118,8 @@ class OfmProcess : public pool::Process {
   }
   bool InDoubt(exec::TxnId txn) const;
   void SendDecisionRequest();
+  /// Retry period of the in-doubt decision inquiry.
+  static constexpr sim::SimTime kDecisionRetryNs = 100 * sim::kNanosPerMilli;
 
   /// Records a transaction this OFM has terminated and how (commit or
   /// abort, including control for transactions it never saw). A faulty

@@ -514,7 +514,7 @@ void QueryProcess::Scatter() {
       continue;
     }
     if (part.fixpoint) {
-      // And the fixpoint: its partitions reply with their owned slices.
+      // And the fixpoint: its partitions stream their result here.
       consumer_replies += ScatterFixpointPart(i);
       continue;
     }
@@ -881,6 +881,10 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
   if (!rows.ok()) {
     Reply(rows.status(), Schema(), nullptr);
     return;
+  }
+  if (slot.work == SIZE_MAX && split_->parts[slot.part].fixpoint) {
+    // A partition's harvest reply: a status and its result streams' bits.
+    fx_result_bits_ += reply->shuffle_wire_bits;
   }
   if (reply->rows != nullptr) {
     // Merging gathered tuples costs coordinator CPU.
@@ -1274,6 +1278,14 @@ size_t QueryProcess::ScatterFixpointPart(size_t part_index) {
   // comes from an empty extension.
   if (fx_num_pes_ == 0) return 0;
   fixpoint_id_ = ExchangeId(part_index);
+  // The partitions' result streams: a side per round (made on its first
+  // batch), a producer per partition, one batch in flight each.
+  StreamReceiver::Options results =
+      ConsumerOptions(fixpoint_id_, 0, config_.machine,
+                      {{"pe", "coordinator"}}, /*fixpoint=*/true);
+  results.credit_window = FixpointPeProcess::kResultWindow;
+  fx_in_.emplace(this, std::move(results));
+  fx_in_->ExpectOthers(fx_num_pes_);
 
   // One fixpoint partition per edge fragment, co-located with the replica
   // that serves its reads (DESIGN.md §13), like the edge producer below:
@@ -1314,7 +1326,7 @@ size_t QueryProcess::ScatterFixpointPart(size_t part_index) {
                        table.fragments[f], *part.plan, fx_pids_);
   }
   // The gather waits for every shuffle producer plus every partition's
-  // harvest reply.
+  // harvest reply; the rows arrive on the result streams before it.
   return fx_num_pes_;
 }
 
@@ -1332,7 +1344,11 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
     return;
   }
   NoteProgress();
-  if (msg->absorbed_new > 0) fx_any_new_ = true;
+  if (msg->absorbed_new > 0) {
+    // The partition now streams this round's fresh pairs here.
+    fx_any_new_ = true;
+    ++fx_streams_owed_;
+  }
   fx_delta_total_ += msg->absorbed_new;
   fx_pairs_total_ += msg->pairs_derived;
   fx_wire_total_ += msg->wire_bits;
@@ -1348,27 +1364,59 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
 
   // Termination barrier: every partition finished round fx_round_. If any
   // of them absorbed a new pair the global delta is non-empty — run
-  // another round; otherwise the fixpoint is reached — harvest (the
-  // barrier is left open: further round-`fx_round_` votes are stale).
-  const bool advance = fx_any_new_;
-  fx_any_new_ = false;
-  fx_round_msg_ = std::make_shared<FixpointRoundMsg>();
-  fx_round_msg_->fixpoint_id = fixpoint_id_;
-  if (advance) {
+  // another round; otherwise the fixpoint is reached — harvest once the
+  // result streams are in (the barrier is left open: further
+  // round-`fx_round_` votes are stale).
+  if (fx_any_new_) {
+    fx_any_new_ = false;
     ++fx_round_;
     fx_voters_.clear();
-    fx_round_msg_->round = fx_round_;
-  } else {
-    fx_round_msg_->harvest = true;
-    if (metrics != nullptr) {
-      metrics->GetGauge("fixpoint.rounds", q)->Set(fx_round_);
-      // Unlabeled "last query" figures for benches and tests.
-      metrics->GetGauge("fixpoint.last_rounds")->Set(fx_round_);
-      metrics->GetGauge("fixpoint.last_delta_tuples")->Set(fx_delta_total_);
-      metrics->GetGauge("fixpoint.last_pairs_derived")->Set(fx_pairs_total_);
-      metrics->GetGauge("fixpoint.last_wire_bits")->Set(fx_wire_total_);
-    }
+    DirectFixpoint(/*harvest=*/false);
+    return;
   }
+  if (metrics != nullptr) {
+    metrics->GetGauge("fixpoint.rounds", q)->Set(fx_round_);
+    // Unlabeled "last query" figures for benches and tests.
+    metrics->GetGauge("fixpoint.last_rounds")->Set(fx_round_);
+    metrics->GetGauge("fixpoint.last_delta_tuples")->Set(fx_delta_total_);
+    metrics->GetGauge("fixpoint.last_pairs_derived")->Set(fx_pairs_total_);
+    metrics->GetGauge("fixpoint.last_wire_bits")->Set(fx_wire_total_);
+  }
+  fx_harvest_due_ = true;
+  MaybeHarvest();
+}
+
+void QueryProcess::HandleFixpointBatch(const pool::Mail& mail) {
+  if (finished_) return;
+  const Status status =
+      fx_in_->Receive(mail, [this](StreamReceiver::Delivery& result) {
+        tuples_gathered_ += result.rows.size();
+        std::vector<Tuple>& sink = (*gathered_)[0];
+        sink.insert(sink.end(), std::make_move_iterator(result.rows.begin()),
+                    std::make_move_iterator(result.rows.end()));
+        // A stream's eos is delivered once, duplicates never.
+        if (fx_in_->Done(result.side, result.producer)) --fx_streams_owed_;
+        NoteProgress();
+        return Status::OK();
+      });
+  if (!status.ok()) {
+    Reply(status, Schema(), nullptr);
+    return;
+  }
+  MaybeHarvest();
+}
+
+void QueryProcess::MaybeHarvest() {
+  if (!fx_harvest_due_ || fx_streams_owed_ != 0) return;
+  fx_harvest_due_ = false;
+  DirectFixpoint(/*harvest=*/true);
+}
+
+void QueryProcess::DirectFixpoint(bool harvest) {
+  fx_round_msg_ = std::make_shared<FixpointRoundMsg>();
+  fx_round_msg_->fixpoint_id = fixpoint_id_;
+  fx_round_msg_->round = fx_round_;
+  fx_round_msg_->harvest = harvest;
   for (const pool::ProcessId pid : fx_pids_) {
     SendMail(pid, kMailFixpointRound, fx_round_msg_, kControlBits);
   }
@@ -1388,8 +1436,17 @@ void QueryProcess::BroadcastFixpointCtrl() {
 }
 
 void QueryProcess::RunFixpointPhase() {
-  // Partitions own disjoint slices, each already in Tuple order; merging
-  // and sorting reproduces the single-node operator's output exactly.
+  obs::MetricsRegistry* metrics = config_.machine.metrics;
+  if (metrics != nullptr && !fx_pids_.empty()) {
+    metrics
+        ->GetCounter("fixpoint.result_bits",
+                     {{"query", std::to_string(config_.statement->request_id)}})
+        ->Increment(fx_result_bits_);
+    metrics->GetGauge("fixpoint.last_result_bits")->Set(fx_result_bits_);
+  }
+  // Every round's fresh pairs of every partition arrived once, each
+  // stream in Tuple order; sorting them reproduces the single-node
+  // operator's output exactly.
   std::vector<Tuple> merged = std::move((*gathered_)[0]);
   std::sort(merged.begin(), merged.end());
   ChargeCpu(static_cast<sim::SimTime>(merged.size()) *
@@ -1424,8 +1481,9 @@ void QueryProcess::ReplyFixpointExplain() {
   emit(StrFormat("  edge relation: %zu fragment(s), shuffled by "
                  "hash(column 0); pairs owned by hash(second endpoint); "
                  "per-round all-to-all delta streams over exchange "
-                 "channels; coordinator barrier ends when all deltas are "
-                 "empty",
+                 "channels; each round's fresh pairs stream to the "
+                 "coordinator during the rounds; coordinator barrier ends "
+                 "when all deltas are empty",
                  table.fragments.size()));
   Schema schema;
   schema.AddColumn("plan", DataType::kString);
@@ -1435,8 +1493,8 @@ void QueryProcess::ReplyFixpointExplain() {
 // ------------------------------------------------------------------ Mail
 //
 // Handler contract (D5): a query coordinator consumes replies to the RPCs
-// it fans out (locks, plans, fixpoint votes), the sorted runs streamed to
-// it, plus its own timeout mail.
+// it fans out (locks, plans, fixpoint votes), the sorted runs and fixpoint
+// results streamed to it, plus its own timeout mail.
 // PRISMA_HANDLES(kMailLockBatchReply, kMailExecPlanReply, kMailFixpointVote)
 // PRISMA_HANDLES(kMailTupleBatch)
 // PRISMA_HANDLES(kMailFixpointCtrlResend, kMailRpcTimeout)
@@ -1455,7 +1513,12 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailExecPlanReply) {
     HandlePlanReply(mail);
   } else if (mail.kind == kMailTupleBatch) {
-    HandleRunBatch(mail);
+    // A closure's statement has no other part, so no sorted runs.
+    if (fx_in_.has_value()) {
+      HandleFixpointBatch(mail);
+    } else {
+      HandleRunBatch(mail);
+    }
   } else if (mail.kind == kMailFixpointVote) {
     HandleFixpointVote(mail);
   } else if (mail.kind == kMailFixpointCtrlResend) {

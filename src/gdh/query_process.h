@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -113,6 +114,14 @@ class QueryProcess : public pool::Process {
   /// edge producers; returns the partition replies the gather waits for.
   size_t ScatterFixpointPart(size_t part_index);
   void HandleFixpointVote(const pool::Mail& mail);
+  /// Takes one batch of a partition's result stream into the part's
+  /// gather buffer, then harvests if that was the last one owed.
+  void HandleFixpointBatch(const pool::Mail& mail);
+  /// Sends the harvest once the final barrier is reached and every result
+  /// stream an admitted vote announced is complete.
+  void MaybeHarvest();
+  /// Broadcasts a directive: round fx_round_, or the harvest.
+  void DirectFixpoint(bool harvest);
   void BroadcastFixpointCtrl();
   void RunFixpointPhase();
   void ReplyFixpointExplain();
@@ -129,8 +138,8 @@ class QueryProcess : public pool::Process {
   void SendFrames(const Schema& schema, bool last);
 
   /// Notes that the statement advanced (an admitted lock or plan reply, a
-  /// fresh sorted-run batch, an admitted fixpoint vote): the watchdog
-  /// fires only after kWatchdogNs without any.
+  /// fresh sorted-run or fixpoint result batch, an admitted fixpoint
+  /// vote): the watchdog fires only after kWatchdogNs without any.
   void NoteProgress() { last_progress_ = runtime()->simulator()->now(); }
 
   static constexpr sim::SimTime kWatchdogNs = 30 * sim::kNanosPerSecond;
@@ -326,6 +335,20 @@ class QueryProcess : public pool::Process {
   /// dedups retransmits). Full once the round's barrier opens.
   std::set<size_t> fx_voters_;
   bool fx_any_new_ = false;  // Any vote this round absorbed new pairs.
+  /// The final barrier is reached and the harvest not sent yet: it waits
+  /// until no result stream is owed.
+  bool fx_harvest_due_ = false;
+  /// The partitions' result streams (DESIGN.md §11.2), one side per round
+  /// and a producer per partition; built with the part.
+  std::optional<StreamReceiver> fx_in_;
+  /// Result streams announced by admitted votes (they absorbed new pairs)
+  /// minus result streams complete. It dips below zero when a stream
+  /// completes before its vote is admitted; at the final barrier every
+  /// vote is in, so zero means every announced stream is complete.
+  int64_t fx_streams_owed_ = 0;
+  /// First-transmission bits of the result streams, from the harvest
+  /// replies.
+  uint64_t fx_result_bits_ = 0;
   uint64_t fx_delta_total_ = 0;
   uint64_t fx_pairs_total_ = 0;
   uint64_t fx_wire_total_ = 0;

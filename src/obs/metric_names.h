@@ -36,8 +36,10 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "fixpoint.dup_batches",
     "fixpoint.last_delta_tuples",
     "fixpoint.last_pairs_derived",
+    "fixpoint.last_result_bits",
     "fixpoint.last_rounds",
     "fixpoint.last_wire_bits",
+    "fixpoint.result_bits",
     "fixpoint.retransmits",
     "fixpoint.rounds",
     "fixpoint.wire_bits",

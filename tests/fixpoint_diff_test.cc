@@ -310,32 +310,100 @@ TEST(FixpointTerminationTest, ALongClosureUnderLossOutlivesTheWatchdog) {
   }
 }
 
-TEST(FixpointTerminationTest, FinishedStreamsLeaveNoTimerBehind) {
-  // A fault-free closure over a 999-edge random forest on 8 PEs: every
-  // round stream is fully acknowledged before the harvest, so no stream
-  // resend timer may outlive the statement. A live one fires into its
-  // reaped partition and shows up as a dropped mail.
+/// A closure over a 999-edge random forest on 8 PEs and 8 fragments,
+/// with what the result streams to the coordinator must keep.
+struct ForestRun {
+  std::string answer;
+  std::string oracle;
+  uint64_t tuples_gathered = 0;  // By the closure statement.
+  int64_t delta_tuples = 0;
+  uint64_t mail_dropped = 0;  // From the statement's start to the drain.
+  uint64_t retransmits = 0;
+};
+
+ForestRun RunForest(net::FaultPlan faults) {
   MachineConfig config;
   config.pes = 8;
+  config.fault_plan = faults;
   PrismaDb db(config);
-  ASSERT_TRUE(db.Execute("CREATE TABLE edge (src INT, dst INT) "
-                         "FRAGMENTED BY HASH(src) INTO 8 FRAGMENTS")
-                  .ok());
+  PRISMA_CHECK(db.Execute("CREATE TABLE edge (src INT, dst INT) "
+                          "FRAGMENTED BY HASH(src) INTO 8 FRAGMENTS")
+                   .ok());
   Rng rng(15);
   std::vector<Edge> forest;
   for (int node = 1; node < 1000; ++node) {
     forest.push_back({static_cast<int>(rng.Uniform(node)), node});
   }
-  ASSERT_TRUE(db.Execute(InsertSql(forest)).ok());
+  PRISMA_CHECK(db.Execute(InsertSql(forest)).ok());
   db.Run();
+  const uint64_t gathered = db.metrics().CounterTotal("query.tuples_gathered");
   const uint64_t dropped = db.metrics().CounterValue("pool.mail_dropped");
 
   auto answered = db.ExecutePrismalog(kTcProgram);
-  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
-  EXPECT_GT(answered->tuples.size(), forest.size());
+  PRISMA_CHECK(answered.ok()) << answered.status().ToString();
   db.Run();
-  EXPECT_EQ(db.metrics().CounterValue("pool.mail_dropped"), dropped);
-  EXPECT_EQ(db.metrics().CounterTotal("fixpoint.retransmits"), 0u);
+  auto oracle =
+      exec::TransitiveClosure(AsTuples(forest), exec::TcAlgorithm::kSeminaive);
+  PRISMA_CHECK(oracle.ok());
+  ForestRun run;
+  run.answer = Render(answered->tuples);
+  run.oracle = Render(*oracle);
+  run.tuples_gathered =
+      db.metrics().CounterTotal("query.tuples_gathered") - gathered;
+  run.delta_tuples = db.metrics().GaugeValue("fixpoint.last_delta_tuples");
+  run.mail_dropped = db.metrics().CounterValue("pool.mail_dropped") - dropped;
+  run.retransmits = db.metrics().CounterTotal("fixpoint.retransmits");
+  return run;
+}
+
+TEST(FixpointTerminationTest, FinishedStreamsLeaveNoTimerBehind) {
+  // Fault-free: every round stream and every result stream is fully
+  // acknowledged before the harvest, so no stream resend timer may
+  // outlive the statement. A live one fires into its reaped partition and
+  // shows up as a dropped mail.
+  const ForestRun run = RunForest({});
+  EXPECT_EQ(run.answer, run.oracle);
+  EXPECT_EQ(run.mail_dropped, 0u);
+  EXPECT_EQ(run.retransmits, 0u);
+  // Each pair of the closure reached the coordinator exactly once.
+  EXPECT_EQ(run.tuples_gathered, static_cast<uint64_t>(run.delta_tuples));
+  EXPECT_GT(run.delta_tuples, 999);
+}
+
+TEST(FixpointResultStreamTest, LossAndDuplicatesDeliverEachPairOnce) {
+  // Under 5% loss and 20% duplication the result streams retransmit and
+  // duplicate, and the coordinator's receiver absorbs the copies: the
+  // answer is the oracle's, and each pair is gathered exactly once.
+  net::FaultPlan faults;
+  faults.seed = 5;
+  faults.link.drop_probability = 0.05;
+  faults.link.duplicate_probability = 0.2;
+  const ForestRun run = RunForest(faults);
+  EXPECT_EQ(run.answer, run.oracle);
+  EXPECT_EQ(run.tuples_gathered, static_cast<uint64_t>(run.delta_tuples));
+  EXPECT_GT(run.delta_tuples, 999);
+  EXPECT_GT(run.retransmits, 0u);
+}
+
+TEST(FixpointResultStreamTest, HarvestWaitsForTheResultStreams) {
+  // c -> a -> b_i for 1,000 nodes b_i: round 1 derives 1,000 fresh pairs
+  // c -> b_i, and round 2 derives nothing and ends at once. The round-1
+  // result streams (one batch in flight) are still arriving when the
+  // final barrier is reached, so the harvest must wait for them, or the
+  // partitions close their streams and the answer loses pairs.
+  std::vector<Edge> star = {{0, 1}};
+  for (int node = 2; node < 1002; ++node) star.push_back({1, node});
+  exec::TcStats oracle_stats;
+  auto oracle = exec::TransitiveClosure(
+      AsTuples(star), exec::TcAlgorithm::kSeminaive, &oracle_stats);
+  ASSERT_TRUE(oracle.ok());
+  for (const int fragments : {1, 3}) {
+    SCOPED_TRACE(StrFormat("fragments=%d", fragments));
+    const DistributedRun run =
+        RunDistributed(star, fragments, exec::TcAlgorithm::kSeminaive);
+    EXPECT_EQ(Render(run.result.tuples), Render(*oracle));
+    EXPECT_EQ(run.rounds, 2);
+  }
 }
 
 }  // namespace

@@ -319,10 +319,15 @@ TEST(RecoveryTest, ResyncBulkStreamIsFramedByTheMachinesBatchRows) {
   const uint64_t rows =
       db.metrics().CounterTotal("replica.resync_bulk_tuples");
   ASSERT_GT(rows, 8u);
-  EXPECT_GE(db.metrics().CounterValue(
-                "exchange.batches_sent",
-                {{"fragment", gdh::BackupFragmentName(frag.name)}}),
-            (rows + 3) / 4);
+  const uint64_t sent = db.metrics().CounterValue(
+      "exchange.batches_sent",
+      {{"fragment", gdh::BackupFragmentName(frag.name)}});
+  EXPECT_GE(sent, (rows + 3) / 4);
+  // The target counts each batch it received once, as the source counted
+  // it sent.
+  EXPECT_EQ(db.metrics().CounterValue("exchange.batches_received",
+                                      {{"fragment", frag.name}}),
+            sent);
 }
 
 TEST(RecoveryTest, FixpointFollowsReadRoutingAfterAPrimaryCrash) {
