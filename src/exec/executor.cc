@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "exec/access_path.h"
 #include "exec/expr_eval.h"
 #include "exec/join.h"
 #include "exec/transitive_closure.h"
@@ -185,158 +186,33 @@ StatusOr<std::vector<Tuple>> Executor::Execute(const Plan& plan) {
   return out;
 }
 
-namespace {
-
-/// A per-column restriction extracted from a conjunct: column OP literal.
-struct ColumnBound {
-  size_t column;
-  algebra::BinaryOp op;
-  Value literal;
-};
-
-/// Matches `conjunct` as (ColumnRef OP Literal) or (Literal OP ColumnRef),
-/// normalizing so the column is on the left.
-std::optional<ColumnBound> MatchColumnBound(const algebra::Expr& conjunct) {
-  if (conjunct.kind() != algebra::ExprKind::kBinary) return std::nullopt;
-  algebra::BinaryOp op = conjunct.binary_op();
-  const algebra::Expr* l = conjunct.left();
-  const algebra::Expr* r = conjunct.right();
-  if (l->kind() == algebra::ExprKind::kLiteral &&
-      r->kind() == algebra::ExprKind::kColumnRef) {
-    std::swap(l, r);
-    switch (op) {  // Mirror the comparison.
-      case algebra::BinaryOp::kLt: op = algebra::BinaryOp::kGt; break;
-      case algebra::BinaryOp::kLe: op = algebra::BinaryOp::kGe; break;
-      case algebra::BinaryOp::kGt: op = algebra::BinaryOp::kLt; break;
-      case algebra::BinaryOp::kGe: op = algebra::BinaryOp::kLe; break;
-      default: break;
-    }
-  }
-  if (l->kind() != algebra::ExprKind::kColumnRef || !l->bound() ||
-      r->kind() != algebra::ExprKind::kLiteral) {
-    return std::nullopt;
-  }
-  switch (op) {
-    case algebra::BinaryOp::kEq:
-    case algebra::BinaryOp::kLt:
-    case algebra::BinaryOp::kLe:
-    case algebra::BinaryOp::kGt:
-    case algebra::BinaryOp::kGe:
-      return ColumnBound{l->column_index(), op, r->literal()};
-    default:
-      return std::nullopt;
-  }
-}
-
-}  // namespace
-
 StatusOr<std::optional<std::vector<Tuple>>> Executor::TryIndexSelect(
     const SelectPlan& plan) {
   if (plan.child()->kind() != PlanKind::kScan) return std::optional<std::vector<Tuple>>();
   const auto& scan = static_cast<const ScanPlan&>(*plan.child());
   ASSIGN_OR_RETURN(const storage::Relation* rel,
                    resolver_->Resolve(scan.table()));
+  std::optional<IndexCandidates> path = ChooseIndexPath(
+      plan.predicate(), *resolver_, scan.table(), options_.costs);
+  if (!path.has_value()) return std::optional<std::vector<Tuple>>();
+  ++stats_.index_selections;
 
-  std::vector<ColumnBound> bounds;
-  for (const auto& conjunct : algebra::SplitConjuncts(plan.predicate())) {
-    auto bound = MatchColumnBound(*conjunct);
-    if (bound.has_value()) bounds.push_back(std::move(*bound));
-  }
-
-  ASSIGN_OR_RETURN(PreparedExpr pred,
-                   PreparedExpr::Make(plan.predicate(), options_));
   // Candidate rows are re-checked against the *full* predicate, so the
   // access path only needs to be a superset of the answer.
-  auto filter_rows =
-      [&](const std::vector<storage::RowId>& rows)
-      -> StatusOr<std::vector<Tuple>> {
-    std::vector<Tuple> out;
-    for (const storage::RowId row : rows) {
-      auto tuple = rel->Get(row);
-      if (!tuple.ok()) continue;  // Row vanished (not possible locally).
-      ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(*tuple));
-      ++stats_.expr_evaluations;
-      if (keep) out.push_back(std::move(*tuple));
-    }
-    Charge(static_cast<sim::SimTime>(rows.size()) *
-           (options_.costs.hash_ns + pred.cost_ns()));
-    return out;
-  };
-
-  // Equality on a hash-indexed column: probe.
-  for (const ColumnBound& bound : bounds) {
-    if (bound.op != algebra::BinaryOp::kEq) continue;
-    const storage::HashIndex* hash =
-        resolver_->FindHashIndex(scan.table(), {bound.column});
-    if (hash == nullptr) continue;
-    ++stats_.index_selections;
-    ASSIGN_OR_RETURN(std::vector<Tuple> out,
-                     filter_rows(hash->Probe(Tuple({bound.literal}))));
-    return std::optional<std::vector<Tuple>>(std::move(out));
+  ASSIGN_OR_RETURN(PreparedExpr pred,
+                   PreparedExpr::Make(plan.predicate(), options_));
+  std::vector<Tuple> out;
+  for (const storage::RowId row : path->rows) {
+    auto tuple = rel->Get(row);
+    if (!tuple.ok()) continue;  // Row vanished (not possible locally).
+    ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(*tuple));
+    ++stats_.expr_evaluations;
+    if (keep) out.push_back(std::move(*tuple));
   }
-
-  // Range (or equality) on an ordered-indexed column: bounded scan.
-  for (const ColumnBound& first : bounds) {
-    const storage::BTreeIndex* btree =
-        resolver_->FindBTreeIndex(scan.table(), {first.column});
-    if (btree == nullptr) continue;
-    // Combine every bound on this column into one [lo, hi] window.
-    std::optional<Tuple> lo;
-    std::optional<Tuple> hi;
-    bool lo_inclusive = true;
-    bool hi_inclusive = true;
-    auto tighten_lo = [&](const Value& v, bool inclusive) {
-      Tuple key({v});
-      if (!lo || key.Compare(*lo) > 0 ||
-          (key.Compare(*lo) == 0 && !inclusive)) {
-        lo = std::move(key);
-        lo_inclusive = inclusive;
-      }
-    };
-    auto tighten_hi = [&](const Value& v, bool inclusive) {
-      Tuple key({v});
-      if (!hi || key.Compare(*hi) < 0 ||
-          (key.Compare(*hi) == 0 && !inclusive)) {
-        hi = std::move(key);
-        hi_inclusive = inclusive;
-      }
-    };
-    for (const ColumnBound& bound : bounds) {
-      if (bound.column != first.column) continue;
-      switch (bound.op) {
-        case algebra::BinaryOp::kEq:
-          tighten_lo(bound.literal, true);
-          tighten_hi(bound.literal, true);
-          break;
-        case algebra::BinaryOp::kGt:
-          tighten_lo(bound.literal, false);
-          break;
-        case algebra::BinaryOp::kGe:
-          tighten_lo(bound.literal, true);
-          break;
-        case algebra::BinaryOp::kLt:
-          tighten_hi(bound.literal, false);
-          break;
-        case algebra::BinaryOp::kLe:
-          tighten_hi(bound.literal, true);
-          break;
-        default:
-          break;
-      }
-    }
-    if (!lo && !hi) continue;  // No usable window on this column.
-    ++stats_.index_selections;
-    std::vector<storage::RowId> rows;
-    btree->ScanRange(lo, lo_inclusive, hi, hi_inclusive,
-                     [&](const Tuple&, storage::RowId row) {
-                       rows.push_back(row);
-                       return true;
-                     });
-    Charge(static_cast<sim::SimTime>(rows.size()) * options_.costs.compare_ns);
-    ASSIGN_OR_RETURN(std::vector<Tuple> out, filter_rows(rows));
-    return std::optional<std::vector<Tuple>>(std::move(out));
-  }
-  return std::optional<std::vector<Tuple>>();
+  Charge(path->walk_ns +
+         static_cast<sim::SimTime>(path->rows.size()) *
+             (options_.costs.hash_ns + pred.cost_ns()));
+  return std::optional<std::vector<Tuple>>(std::move(out));
 }
 
 StatusOr<std::vector<Tuple>> Executor::RunUnion(const Plan& plan) {

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/str_util.h"
+#include "exec/access_path.h"
 #include "exec/expr_eval.h"
 
 namespace prisma::exec {
@@ -37,6 +38,60 @@ std::string EncodeMarker(uint8_t op, TxnId txn) {
   w.PutI64(txn);
   return w.Take();
 }
+
+/// Resolver handed to the OFM's executor: the single resident fragment
+/// plus its secondary indexes, enabling local access-path selection.
+class OfmResolver : public TableResolver {
+ public:
+  OfmResolver(const std::string& fragment, const storage::Relation* relation,
+              const std::vector<std::unique_ptr<storage::HashIndex>>* hash,
+              const std::vector<std::unique_ptr<storage::BTreeIndex>>* btree,
+              const TableResolver* colocated)
+      : fragment_(fragment),
+        relation_(relation),
+        hash_(hash),
+        btree_(btree),
+        colocated_(colocated) {}
+
+  StatusOr<const storage::Relation*> Resolve(
+      const std::string& table) const override {
+    if (table == fragment_) return relation_;
+    if (colocated_ != nullptr) return colocated_->Resolve(table);
+    return NotFoundError("OFM " + fragment_ + " cannot resolve " + table);
+  }
+  const storage::HashIndex* FindHashIndex(
+      const std::string& table,
+      const std::vector<size_t>& columns) const override {
+    if (table != fragment_) {
+      return colocated_ == nullptr ? nullptr
+                                   : colocated_->FindHashIndex(table, columns);
+    }
+    for (const auto& index : *hash_) {
+      if (index->key_columns() == columns) return index.get();
+    }
+    return nullptr;
+  }
+  const storage::BTreeIndex* FindBTreeIndex(
+      const std::string& table,
+      const std::vector<size_t>& columns) const override {
+    if (table != fragment_) {
+      return colocated_ == nullptr
+                 ? nullptr
+                 : colocated_->FindBTreeIndex(table, columns);
+    }
+    for (const auto& index : *btree_) {
+      if (index->key_columns() == columns) return index.get();
+    }
+    return nullptr;
+  }
+
+ private:
+  const std::string& fragment_;
+  const storage::Relation* relation_;
+  const std::vector<std::unique_ptr<storage::HashIndex>>* hash_;
+  const std::vector<std::unique_ptr<storage::BTreeIndex>>* btree_;
+  const TableResolver* colocated_;
+};
 
 }  // namespace
 
@@ -76,6 +131,8 @@ Status Ofm::CreateHashIndex(const std::string& index_name,
       return InvalidArgumentError("index column out of range");
     }
   }
+  // A second name for an existing structure is not a second structure.
+  if (FindHashIndex(key_columns) != nullptr) return Status::OK();
   auto idx = std::make_unique<storage::HashIndex>(index_name,
                                                   std::move(key_columns));
   idx->Rebuild(relation_);
@@ -92,6 +149,7 @@ Status Ofm::CreateBTreeIndex(const std::string& index_name,
       return InvalidArgumentError("index column out of range");
     }
   }
+  if (FindBTreeIndex(key_columns) != nullptr) return Status::OK();
   auto idx = std::make_unique<storage::BTreeIndex>(index_name,
                                                    std::move(key_columns));
   idx->Rebuild(relation_);
@@ -196,25 +254,53 @@ Status Ofm::Update(TxnId txn, storage::RowId row, Tuple tuple) {
   return LogRedo(txn, EncodeDataRecord(kWalUpdate, txn, row, &after));
 }
 
-StatusOr<size_t> Ofm::DeleteWhere(TxnId txn, const algebra::Expr* predicate) {
-  std::vector<storage::RowId> victims;
+StatusOr<std::vector<storage::RowId>> Ofm::MatchingRows(
+    const algebra::Expr* predicate) {
+  std::vector<storage::RowId> rows;
+  std::optional<IndexCandidates> path;
+  if (predicate != nullptr) {
+    OfmResolver resolver(fragment_name_, &relation_, &hash_indexes_,
+                         &btree_indexes_, nullptr);
+    path = ChooseIndexPath(*predicate, resolver, fragment_name_,
+                           options_.exec.costs);
+  }
+  if (path.has_value()) {
+    // Candidates are re-checked against the full predicate, evaluated by
+    // the tree walk.
+    for (const storage::RowId row : path->rows) {
+      ASSIGN_OR_RETURN(Tuple tuple, relation_.Get(row));
+      ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate, tuple));
+      if (keep) rows.push_back(row);
+    }
+    ChargeCpu(path->walk_ns +
+              static_cast<sim::SimTime>(path->rows.size()) *
+                  (options_.exec.costs.hash_ns +
+                   static_cast<sim::SimTime>(predicate->TreeSize()) *
+                       options_.exec.costs.interpreted_node_ns));
+    return rows;
+  }
   Status eval_status;
   relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
-    if (predicate == nullptr) {
-      victims.push_back(row);
-      return true;
+    if (predicate != nullptr) {
+      auto keep = EvalPredicate(*predicate, tuple);
+      if (!keep.ok()) {
+        eval_status = keep.status();
+        return false;
+      }
+      if (!*keep) return true;
     }
-    auto keep = EvalPredicate(*predicate, tuple);
-    if (!keep.ok()) {
-      eval_status = keep.status();
-      return false;
-    }
-    if (*keep) victims.push_back(row);
+    rows.push_back(row);
     return true;
   });
   RETURN_IF_ERROR(eval_status);
   ChargeCpu(static_cast<sim::SimTime>(relation_.num_tuples()) *
             options_.exec.costs.tuple_ns);
+  return rows;
+}
+
+StatusOr<size_t> Ofm::DeleteWhere(TxnId txn, const algebra::Expr* predicate) {
+  ASSIGN_OR_RETURN(std::vector<storage::RowId> victims,
+                   MatchingRows(predicate));
   for (const storage::RowId row : victims) {
     RETURN_IF_ERROR(Delete(txn, row));
   }
@@ -230,38 +316,23 @@ StatusOr<size_t> Ofm::UpdateWhere(
     }
     if (expr == nullptr) return InvalidArgumentError("null assignment");
   }
-  std::vector<std::pair<storage::RowId, Tuple>> updates;
-  Status eval_status;
-  relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
-    bool matches = true;
-    if (predicate != nullptr) {
-      auto keep = EvalPredicate(*predicate, tuple);
-      if (!keep.ok()) {
-        eval_status = keep.status();
-        return false;
-      }
-      matches = *keep;
-    }
-    if (!matches) return true;
-    Tuple updated = tuple;
+  ASSIGN_OR_RETURN(std::vector<storage::RowId> rows, MatchingRows(predicate));
+  // Every new value is computed before any is applied: the right-hand
+  // sides see the *old* tuples, and a failing one applies nothing.
+  std::vector<Tuple> updates;
+  updates.reserve(rows.size());
+  for (const storage::RowId row : rows) {
+    ASSIGN_OR_RETURN(const Tuple old, relation_.Get(row));
+    Tuple updated = old;
     for (const auto& [col, expr] : assignments) {
-      auto v = EvalExpr(*expr, tuple);  // RHS sees the *old* tuple.
-      if (!v.ok()) {
-        eval_status = v.status();
-        return false;
-      }
-      updated.at(col) = std::move(v).value();
+      ASSIGN_OR_RETURN(updated.at(col), EvalExpr(*expr, old));
     }
-    updates.push_back({row, std::move(updated)});
-    return true;
-  });
-  RETURN_IF_ERROR(eval_status);
-  ChargeCpu(static_cast<sim::SimTime>(relation_.num_tuples()) *
-            options_.exec.costs.tuple_ns);
-  for (auto& [row, tuple] : updates) {
-    RETURN_IF_ERROR(Update(txn, row, std::move(tuple)));
+    updates.push_back(std::move(updated));
   }
-  return updates.size();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    RETURN_IF_ERROR(Update(txn, rows[i], std::move(updates[i])));
+  }
+  return rows.size();
 }
 
 // ------------------------------------------------------- Transaction control
@@ -355,63 +426,6 @@ Status Ofm::Abort(TxnId txn) {
 
 // ------------------------------------------------------------------ Querying
 
-namespace {
-
-/// Resolver handed to the OFM's executor: the single resident fragment
-/// plus its secondary indexes, enabling local access-path selection.
-class OfmResolver : public TableResolver {
- public:
-  OfmResolver(const std::string& fragment, const storage::Relation* relation,
-              const std::vector<std::unique_ptr<storage::HashIndex>>* hash,
-              const std::vector<std::unique_ptr<storage::BTreeIndex>>* btree,
-              const TableResolver* colocated)
-      : fragment_(fragment),
-        relation_(relation),
-        hash_(hash),
-        btree_(btree),
-        colocated_(colocated) {}
-
-  StatusOr<const storage::Relation*> Resolve(
-      const std::string& table) const override {
-    if (table == fragment_) return relation_;
-    if (colocated_ != nullptr) return colocated_->Resolve(table);
-    return NotFoundError("OFM " + fragment_ + " cannot resolve " + table);
-  }
-  const storage::HashIndex* FindHashIndex(
-      const std::string& table,
-      const std::vector<size_t>& columns) const override {
-    if (table != fragment_) {
-      return colocated_ == nullptr ? nullptr
-                                   : colocated_->FindHashIndex(table, columns);
-    }
-    for (const auto& index : *hash_) {
-      if (index->key_columns() == columns) return index.get();
-    }
-    return nullptr;
-  }
-  const storage::BTreeIndex* FindBTreeIndex(
-      const std::string& table,
-      const std::vector<size_t>& columns) const override {
-    if (table != fragment_) {
-      return colocated_ == nullptr
-                 ? nullptr
-                 : colocated_->FindBTreeIndex(table, columns);
-    }
-    for (const auto& index : *btree_) {
-      if (index->key_columns() == columns) return index.get();
-    }
-    return nullptr;
-  }
-
- private:
-  const std::string& fragment_;
-  const storage::Relation* relation_;
-  const std::vector<std::unique_ptr<storage::HashIndex>>* hash_;
-  const std::vector<std::unique_ptr<storage::BTreeIndex>>* btree_;
-  const TableResolver* colocated_;
-};
-
-}  // namespace
 
 StatusOr<std::vector<Tuple>> Ofm::ExecutePlan(const algebra::Plan& plan,
                                               const TableResolver* colocated,

@@ -80,6 +80,9 @@ class Ofm {
 
   // ------------------------------------------------------------- Indexes
 
+  /// Builds an index on `key_columns`. An index of the same kind on the
+  /// same columns already serves the new name, so none is built and
+  /// writes keep maintaining one structure.
   Status CreateHashIndex(const std::string& index_name,
                          std::vector<size_t> key_columns);
   Status CreateBTreeIndex(const std::string& index_name,
@@ -103,7 +106,9 @@ class Ofm {
   Status Update(TxnId txn, storage::RowId row, Tuple tuple);
 
   /// Deletes every tuple satisfying `predicate` (bound to the schema);
-  /// returns the count. Null predicate deletes everything.
+  /// returns the count. Null predicate deletes everything. Like a
+  /// selection, it probes an index when one fits the predicate (see
+  /// ChooseIndexPath) and scans the fragment otherwise.
   StatusOr<size_t> DeleteWhere(TxnId txn, const algebra::Expr* predicate);
 
   /// SET column = expr assignments applied to tuples matching `predicate`.
@@ -284,6 +289,11 @@ class Ofm {
   /// Submits one write to the disk and remembers its ticket.
   void SubmitToDisk(storage::StableWrite write);
   void ChargeCpu(sim::SimTime ns);
+
+  /// Rows satisfying `predicate` (all rows when null) in RowId order,
+  /// through an index when one fits, charging the work.
+  StatusOr<std::vector<storage::RowId>> MatchingRows(
+      const algebra::Expr* predicate);
 
   void IndexInsert(storage::RowId row, const Tuple& tuple);
   void IndexDelete(storage::RowId row, const Tuple& tuple);

@@ -39,6 +39,16 @@ StatusOr<TableInfo*> DataDictionary::CreateTable(
     frag.name = FragmentName(table, i);
     info->fragments.push_back(std::move(frag));
   }
+  // Every fragment indexes the column it is placed by, so a statement the
+  // GDH prunes to one fragment by its key probes there instead of scanning.
+  const sql::FragmentStrategy strategy = info->fragmentation.strategy;
+  if (strategy == sql::FragmentStrategy::kHash ||
+      strategy == sql::FragmentStrategy::kRange) {
+    info->indexes.push_back(
+        IndexInfo{KeyIndexName(table),
+                  {info->fragmentation.column},
+                  /*ordered=*/strategy == sql::FragmentStrategy::kRange});
+  }
   TableInfo* raw = info.get();
   tables_[table] = std::move(info);
   return raw;

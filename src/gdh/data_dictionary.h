@@ -70,6 +70,12 @@ struct IndexInfo {
   bool ordered = false;
 };
 
+/// Name of the index every HASH- or RANGE-fragmented table keeps on its
+/// fragmentation column ("emp#key"); no SQL identifier can take it.
+inline std::string KeyIndexName(const std::string& table) {
+  return table + "#key";
+}
+
 /// Catalog entry of one relation.
 struct TableInfo {
   std::string name;
@@ -100,7 +106,9 @@ class DataDictionary : public sql::CatalogReader {
   StatusOr<Schema> GetTableSchema(const std::string& table) const override;
 
   /// Registers a new table; fragment placement (pe/ofm) is filled in by
-  /// the caller (the GDH's allocation step).
+  /// the caller (the GDH's allocation step). A HASH or RANGE table gets an
+  /// index on its fragmentation column (hash or ordered, respectively)
+  /// named KeyIndexName(table).
   StatusOr<TableInfo*> CreateTable(const std::string& table, Schema schema,
                                    FragmentationSpec fragmentation);
 

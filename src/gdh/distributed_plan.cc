@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "exec/access_path.h"
 
 namespace prisma::gdh {
 
@@ -107,33 +108,35 @@ bool CollectBasePredicates(const Plan& plan,
 
 }  // namespace
 
-std::vector<int> PruneFragmentsForPart(const TableInfo& info,
-                                       const Plan& part_plan) {
-  std::vector<int> all(info.fragments.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+std::optional<int> PinnedFragment(const TableInfo& info,
+                                  const algebra::Expr& predicate) {
   const auto strategy = info.fragmentation.strategy;
   if (strategy != sql::FragmentStrategy::kHash &&
       strategy != sql::FragmentStrategy::kRange) {
-    return all;
+    return std::nullopt;
   }
+  for (const auto& conjunct : algebra::SplitConjuncts(predicate)) {
+    const std::optional<exec::ColumnBound> bound =
+        exec::MatchColumnBound(*conjunct);
+    if (bound.has_value() && bound->op == algebra::BinaryOp::kEq &&
+        bound->column == info.fragmentation.column) {
+      return info.fragmenter->FragmentsForKey(bound->literal).front();
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<int> PruneFragmentsForPart(const TableInfo& info,
+                                       const Plan& part_plan) {
   std::vector<const algebra::SelectPlan*> selects;
   CollectBasePredicates(part_plan, &selects);
   for (const algebra::SelectPlan* select : selects) {
-    for (const auto& conjunct : algebra::SplitConjuncts(select->predicate())) {
-      if (conjunct->kind() != algebra::ExprKind::kBinary ||
-          conjunct->binary_op() != algebra::BinaryOp::kEq) {
-        continue;
-      }
-      const algebra::Expr* l = conjunct->left();
-      const algebra::Expr* r = conjunct->right();
-      if (l->kind() == algebra::ExprKind::kLiteral) std::swap(l, r);
-      if (l->kind() == algebra::ExprKind::kColumnRef && l->bound() &&
-          l->column_index() == info.fragmentation.column &&
-          r->kind() == algebra::ExprKind::kLiteral) {
-        return info.fragmenter->FragmentsForKey(r->literal());
-      }
+    if (auto pinned = PinnedFragment(info, select->predicate())) {
+      return {*pinned};
     }
   }
+  std::vector<int> all(info.fragments.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   return all;
 }
 

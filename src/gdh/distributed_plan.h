@@ -2,6 +2,7 @@
 #define PRISMA_GDH_DISTRIBUTED_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,12 @@ std::unique_ptr<algebra::Plan> CloneWithScanRenamed(const algebra::Plan& plan,
 /// Base tables referenced by Scan nodes (for lock acquisition).
 void CollectScanTables(const algebra::Plan& plan,
                        std::vector<std::string>* tables);
+
+/// The one fragment of `info` that can hold rows satisfying `predicate`,
+/// when a conjunct pins the fragmentation key of a HASH or RANGE table to
+/// a literal; nullopt otherwise.
+std::optional<int> PinnedFragment(const TableInfo& info,
+                                  const algebra::Expr& predicate);
 
 /// Fragment indexes of `info` that can hold rows surviving the local
 /// part's selections: when a selection conjunct sitting directly over the

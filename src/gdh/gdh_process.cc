@@ -1113,38 +1113,6 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
 
 // ------------------------------------------------------------------- DML
 
-StatusOr<std::vector<std::string>> GdhProcess::TargetFragments(
-    const std::string& table, const algebra::Expr* where) const {
-  ASSIGN_OR_RETURN(const TableInfo* info, dictionary_->GetTable(table));
-  // Prune to one fragment when the predicate pins the fragmentation key.
-  if (where != nullptr &&
-      (info->fragmentation.strategy == sql::FragmentStrategy::kHash ||
-       info->fragmentation.strategy == sql::FragmentStrategy::kRange)) {
-    for (const auto& conjunct : algebra::SplitConjuncts(*where)) {
-      if (conjunct->kind() != algebra::ExprKind::kBinary ||
-          conjunct->binary_op() != algebra::BinaryOp::kEq) {
-        continue;
-      }
-      const algebra::Expr* l = conjunct->left();
-      const algebra::Expr* r = conjunct->right();
-      if (l->kind() == algebra::ExprKind::kLiteral) std::swap(l, r);
-      if (l->kind() == algebra::ExprKind::kColumnRef && l->bound() &&
-          l->column_index() == info->fragmentation.column &&
-          r->kind() == algebra::ExprKind::kLiteral) {
-        std::vector<std::string> out;
-        for (const int f :
-             info->fragmenter->FragmentsForKey(r->literal())) {
-          out.push_back(info->fragments[f].name);
-        }
-        return out;
-      }
-    }
-  }
-  std::vector<std::string> all;
-  for (const FragmentInfo& frag : info->fragments) all.push_back(frag.name);
-  return all;
-}
-
 void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
                               const std::shared_ptr<ClientStatement>& stmt,
                               pool::ProcessId client) {
@@ -1163,27 +1131,36 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
   auto ops = std::make_shared<std::vector<Op>>();
   switch (bound->kind) {
     case Statement::Kind::kInsert: {
+      // One request per fragment, its rows in statement order: each
+      // fragment assigns RowIds as a row-at-a-time load would, and a lost
+      // message costs one retry budget per fragment, not one per row.
+      std::vector<std::vector<Tuple>> rows_of(info->fragments.size());
+      std::vector<int> order;  // Fragments by first row.
       for (const Tuple& row : bound->insert_rows) {
         auto frag_or = info->fragmenter->FragmentOf(row);
         if (!frag_or.ok()) {
           ReplyToClient(client, stmt->request_id, frag_or.status(), 0, 0);
           return;
         }
+        if (rows_of[*frag_or].empty()) order.push_back(*frag_or);
+        rows_of[*frag_or].push_back(row);
+      }
+      for (const int f : order) {
         auto request = std::make_shared<WriteRequest>();
         request->op = WriteRequest::Op::kInsert;
-        request->row = EncodeRows(std::span(&row, 1));
-        ops->push_back(Op{info->fragments[*frag_or].name, std::move(request)});
+        request->rows = EncodeRows(rows_of[f]);
+        ops->push_back(Op{info->fragments[f].name, std::move(request)});
       }
       break;
     }
     case Statement::Kind::kDelete:
     case Statement::Kind::kUpdate: {
-      auto targets = TargetFragments(bound->table, bound->where.get());
-      if (!targets.ok()) {
-        ReplyToClient(client, stmt->request_id, targets.status(), 0, 0);
-        return;
-      }
-      for (const std::string& fragment : *targets) {
+      // A predicate that pins the fragmentation key writes one fragment.
+      const std::optional<int> pinned =
+          bound->where == nullptr ? std::nullopt
+                                  : PinnedFragment(*info, *bound->where);
+      for (int f = 0; f < static_cast<int>(info->fragments.size()); ++f) {
+        if (pinned.has_value() && f != *pinned) continue;
         auto request = std::make_shared<WriteRequest>();
         request->op = bound->kind == Statement::Kind::kDelete
                           ? WriteRequest::Op::kDeleteWhere
@@ -1196,7 +1173,7 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
           request->assignments.push_back(
               {col, std::shared_ptr<const algebra::Expr>(bound, expr.get())});
         }
-        ops->push_back(Op{fragment, std::move(request)});
+        ops->push_back(Op{info->fragments[f].name, std::move(request)});
       }
       break;
     }

@@ -357,10 +357,6 @@ class GdhProcess : public pool::Process {
   void ReserveTxnIds();
 
   StatusOr<pool::ProcessId> OfmOf(const std::string& fragment) const;
-  /// Fragments of `table` possibly matching `where` (pruned via the
-  /// fragmentation key when the predicate pins it to one value).
-  StatusOr<std::vector<std::string>> TargetFragments(
-      const std::string& table, const algebra::Expr* where) const;
   void UpdateRowCount(const std::string& fragment, int64_t delta);
 
   // ------------------------------------------- Replication (DESIGN.md §13)

@@ -237,13 +237,13 @@ struct WriteRequest {
   uint64_t request_id = 0;
   Op op = Op::kInsert;
   exec::TxnId txn = exec::kAutoCommit;
-  RowFrame row;  // kInsert: a one-row frame.
+  RowFrame rows;  // kInsert: the fragment's rows, in statement order.
   std::shared_ptr<const algebra::Expr> predicate;  // May be null (all rows).
   std::vector<std::pair<size_t, std::shared_ptr<const algebra::Expr>>>
       assignments;  // kUpdateWhere.
 
   int64_t WireBits() const {
-    int64_t bits = kControlBits + FrameBits(row);
+    int64_t bits = kControlBits + FrameBits(rows);
     if (predicate) {
       bits += static_cast<int64_t>(predicate->TreeSize()) * kExprNodeBits;
     }
@@ -258,7 +258,7 @@ struct WriteReply {
   uint64_t request_id = 0;
   Status status;
   uint64_t affected_rows = 0;
-  /// Row-count delta of the fragment (insert: +1; delete: -n).
+  /// Row-count delta of the fragment (insert: +n; delete: -n).
   int64_t row_delta = 0;
   std::string fragment;
 };

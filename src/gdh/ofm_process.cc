@@ -865,20 +865,20 @@ void OfmProcess::HandleWrite(const pool::Mail& mail) {
   if (request->txn != exec::kAutoCommit) seen_txns_->insert(request->txn);
   switch (request->op) {
     case WriteRequest::Op::kInsert: {
-      auto rows = TupleBatchRows(request->row);
-      if (!rows.ok() || rows->size() != 1) {
-        reply->status = rows.ok() ? InvalidArgumentError(
-                                        "insert frame holds " +
-                                        std::to_string(rows->size()) + " rows")
-                                  : rows.status();
+      auto rows = TupleBatchRows(request->rows);
+      if (!rows.ok()) {
+        reply->status = rows.status();
         break;
       }
-      auto row = ofm_->Insert(request->txn, rows->front());
-      if (row.ok()) {
-        reply->affected_rows = 1;
-        reply->row_delta = 1;
-      } else {
-        reply->status = row.status();
+      // A failing row fails the request; the GDH then aborts the
+      // transaction, which undoes the rows inserted before it.
+      for (Tuple& row : *rows) {
+        reply->status = ofm_->Insert(request->txn, std::move(row)).status();
+        if (!reply->status.ok()) break;
+      }
+      if (reply->status.ok()) {
+        reply->affected_rows = rows->size();
+        reply->row_delta = static_cast<int64_t>(rows->size());
       }
       break;
     }

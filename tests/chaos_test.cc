@@ -1810,7 +1810,7 @@ TEST(ChaosTest, DuplicatePrepareDuringTheForceGetsNoEarlyYes) {
   auto write = std::make_shared<gdh::WriteRequest>();
   write->request_id = 1;
   write->txn = 5;
-  write->row = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
+  write->rows = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
   send(gdh::kMailWrite, write);
   sim.Run();
 
@@ -1861,7 +1861,7 @@ TEST(ChaosTest, DuplicateOnePhaseRequestDuringTheForceGetsNoEarlyAnswer) {
   auto write = std::make_shared<gdh::WriteRequest>();
   write->request_id = 1;
   write->txn = 5;
-  write->row = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
+  write->rows = gdh::EncodeRows(std::vector<Tuple>{Tuple({Value::Int(1)})});
   send(gdh::kMailWrite, write);
   sim.Run();
 

@@ -721,5 +721,159 @@ TEST_F(PrismaDbTest, RangeAndRoundRobinFragmentation) {
   }
 }
 
+/// A table of 80 rows (id = 12,500 i, v = i) fragmented by `clause` on id,
+/// loaded by one INSERT.
+void MakeKeyed(PrismaDb* db, const std::string& table,
+               const std::string& clause) {
+  std::string insert = "INSERT INTO " + table + " VALUES ";
+  for (int i = 0; i < 80; ++i) {
+    if (i > 0) insert += ", ";
+    insert += prisma::StrFormat("(%d, %d)", i * 12'500, i);
+  }
+  for (const std::string& sql :
+       {"CREATE TABLE " + table + " (id INT, v INT) FRAGMENTED BY " + clause,
+        insert}) {
+    auto result = db->Execute(sql);
+    PRISMA_CHECK(result.ok()) << sql << " -> " << result.status().ToString();
+  }
+}
+
+/// Counts of the OFMs' access paths, to diff around one statement.
+struct AccessCounts {
+  uint64_t index_selections;
+  uint64_t full_scans;
+  uint64_t redo_records;  // WAL records that are not markers.
+};
+
+AccessCounts ReadAccessCounts(PrismaDb& db) {
+  return {db.metrics().CounterTotal("ofm.index_selections"),
+          db.metrics().CounterTotal("ofm.full_scans"),
+          db.metrics().CounterTotal("ofm.wal_records") -
+              db.metrics().CounterTotal("ofm.wal_markers")};
+}
+
+const char* const kKeyedClauses[] = {"HASH(id) INTO 4 FRAGMENTS",
+                                     "RANGE(id) INTO 4 FRAGMENTS"};
+
+TEST_F(PrismaDbTest, PointSelectByKeyProbesTheKeyIndex) {
+  for (const char* clause : kKeyedClauses) {
+    SCOPED_TRACE(clause);
+    MakeKeyed(&db_, "k", clause);
+    const AccessCounts before = ReadAccessCounts(db_);
+    QueryResult hit = MustExecute("SELECT v FROM k WHERE id = 500000");
+    ASSERT_EQ(hit.tuples.size(), 1u);
+    EXPECT_EQ(hit.tuples.front().at(0), Value::Int(40));
+    const AccessCounts after = ReadAccessCounts(db_);
+    EXPECT_EQ(after.index_selections, before.index_selections + 1);
+    EXPECT_EQ(after.full_scans, before.full_scans);
+    // A key no row holds is answered by the probe too, with no rows.
+    EXPECT_TRUE(MustExecute("SELECT v FROM k WHERE id = 7").tuples.empty());
+    EXPECT_EQ(ReadAccessCounts(db_).full_scans, before.full_scans);
+    MustExecute("DROP TABLE k");
+  }
+}
+
+TEST_F(PrismaDbTest, WritesByKeyMatchWritesThroughAScan) {
+  // `id + 0 = k` neither prunes nor fits an index: it scans every
+  // fragment and commits in two phases, so its WAL markers differ, but
+  // its rows, its answer and its redo records must not.
+  for (const char* clause : kKeyedClauses) {
+    SCOPED_TRACE(clause);
+    MakeKeyed(&db_, "a", clause);
+    MakeKeyed(&db_, "b", clause);
+    for (const auto& [by_key, by_scan] :
+         {std::pair{"UPDATE a SET v = v * 2 + 1 WHERE id = 250000",
+                    "UPDATE b SET v = v * 2 + 1 WHERE id + 0 = 250000"},
+          std::pair{"DELETE FROM a WHERE id = 612500",
+                    "DELETE FROM b WHERE id + 0 = 612500"},
+          std::pair{"UPDATE a SET v = 0 WHERE id = 3",
+                    "UPDATE b SET v = 0 WHERE id + 0 = 3"}}) {
+      SCOPED_TRACE(by_key);
+      const AccessCounts start = ReadAccessCounts(db_);
+      const QueryResult keyed = MustExecute(by_key);
+      const AccessCounts mid = ReadAccessCounts(db_);
+      const QueryResult scanned = MustExecute(by_scan);
+      const AccessCounts end = ReadAccessCounts(db_);
+      EXPECT_EQ(keyed.affected_rows, scanned.affected_rows);
+      EXPECT_EQ(mid.redo_records - start.redo_records,
+                end.redo_records - mid.redo_records);
+      // Writes do not run plans: neither form counts as a selection.
+      EXPECT_EQ(end.index_selections, start.index_selections);
+      EXPECT_EQ(end.full_scans, start.full_scans);
+      EXPECT_EQ(MustExecute("SELECT * FROM a ORDER BY id").tuples,
+                MustExecute("SELECT * FROM b ORDER BY id").tuples);
+    }
+    EXPECT_EQ(MustExecute("SELECT * FROM a").tuples.size(), 79u);
+    MustExecute("DROP TABLE a");
+    MustExecute("DROP TABLE b");
+  }
+}
+
+TEST_F(PrismaDbTest, RecoveredFragmentStillProbesItsKeyIndex) {
+  for (const auto& [table, clause] :
+       {std::pair{"h", kKeyedClauses[0]}, std::pair{"r", kKeyedClauses[1]}}) {
+    SCOPED_TRACE(clause);
+    MakeKeyed(&db_, table, clause);
+    auto info = db_.gdh().dictionary().GetTable(table);
+    ASSERT_TRUE(info.ok());
+    const int home =
+        (*info)->fragmenter->FragmentsForKey(Value::Int(500000)).front();
+    ASSERT_TRUE(db_.CrashFragment(table, home).ok());
+    ASSERT_TRUE(db_.RecoverFragment(table, home).ok());
+    db_.Run();
+    const AccessCounts before = ReadAccessCounts(db_);
+    QueryResult hit = MustExecute(prisma::StrFormat(
+        "SELECT v FROM %s WHERE id = 500000", table));
+    ASSERT_EQ(hit.tuples.size(), 1u);
+    EXPECT_EQ(hit.tuples.front().at(0), Value::Int(40));
+    EXPECT_EQ(db_.metrics().CounterValue(
+                  "ofm.index_selections",
+                  {{"fragment", (*info)->fragments[home].name}}),
+              1u);
+    EXPECT_EQ(ReadAccessCounts(db_).full_scans, before.full_scans);
+  }
+}
+
+TEST_F(PrismaDbTest, OtherColumnsAndRoundRobinTablesStillScan) {
+  MakeKeyed(&db_, "k", "HASH(id) INTO 4 FRAGMENTS");
+  AccessCounts before = ReadAccessCounts(db_);
+  EXPECT_EQ(MustExecute("SELECT id FROM k WHERE v = 40").tuples.size(), 1u);
+  AccessCounts after = ReadAccessCounts(db_);
+  EXPECT_EQ(after.index_selections, before.index_selections);
+  EXPECT_EQ(after.full_scans, before.full_scans + 4);
+
+  MakeKeyed(&db_, "rr", "ROUNDROBIN INTO 4 FRAGMENTS");
+  before = after;
+  EXPECT_EQ(MustExecute("SELECT v FROM rr WHERE id = 500000").tuples.size(),
+            1u);
+  after = ReadAccessCounts(db_);
+  EXPECT_EQ(after.index_selections, before.index_selections);
+  EXPECT_EQ(after.full_scans, before.full_scans + 4);
+}
+
+TEST_F(PrismaDbTest, IndexMatchingTheKeyIndexIsOneStructure) {
+  // `CREATE INDEX k_id` names the hash index the table already keeps on
+  // its key: the OFMs build no second one, so an insert costs the same
+  // with and without it. An index on another column does cost more.
+  PrismaDb plain(SmallMachine());
+  PrismaDb renamed(SmallMachine());
+  PrismaDb other(SmallMachine());
+  for (PrismaDb* db : {&plain, &renamed, &other}) {
+    MakeKeyed(db, "k", "HASH(id) INTO 4 FRAGMENTS");
+  }
+  ASSERT_TRUE(renamed.Execute("CREATE INDEX k_id ON k (id)").ok());
+  EXPECT_FALSE(renamed.Execute("CREATE INDEX k_id ON k (id)").ok());
+  ASSERT_TRUE(other.Execute("CREATE INDEX k_v ON k (v)").ok());
+  std::vector<sim::SimTime> insert_ns;
+  for (PrismaDb* db : {&plain, &renamed, &other}) {
+    db->Run();
+    auto inserted = db->Execute("INSERT INTO k VALUES (3, 3), (7, 7)");
+    ASSERT_TRUE(inserted.ok());
+    insert_ns.push_back(inserted->response_time_ns);
+  }
+  EXPECT_EQ(insert_ns[1], insert_ns[0]);
+  EXPECT_GT(insert_ns[2], insert_ns[0]);
+}
+
 }  // namespace
 }  // namespace prisma::core

@@ -321,19 +321,32 @@ struct ForestRun {
   uint64_t retransmits = 0;
 };
 
-ForestRun RunForest(net::FaultPlan faults) {
-  MachineConfig config;
-  config.pes = 8;
-  config.fault_plan = faults;
-  PrismaDb db(config);
-  PRISMA_CHECK(db.Execute("CREATE TABLE edge (src INT, dst INT) "
-                          "FRAGMENTED BY HASH(src) INTO 8 FRAGMENTS")
-                   .ok());
+/// A random forest of 999 edges: every node but the root hangs off an
+/// earlier node.
+std::vector<Edge> Forest() {
   Rng rng(15);
   std::vector<Edge> forest;
   for (int node = 1; node < 1000; ++node) {
     forest.push_back({static_cast<int>(rng.Uniform(node)), node});
   }
+  return forest;
+}
+
+MachineConfig ForestMachine(net::FaultPlan faults) {
+  MachineConfig config;
+  config.pes = 8;
+  config.fault_plan = faults;
+  return config;
+}
+
+constexpr char kCreateForestEdge[] =
+    "CREATE TABLE edge (src INT, dst INT) "
+    "FRAGMENTED BY HASH(src) INTO 8 FRAGMENTS";
+
+ForestRun RunForest(net::FaultPlan faults) {
+  PrismaDb db(ForestMachine(faults));
+  PRISMA_CHECK(db.Execute(kCreateForestEdge).ok());
+  const std::vector<Edge> forest = Forest();
   PRISMA_CHECK(db.Execute(InsertSql(forest)).ok());
   db.Run();
   const uint64_t gathered = db.metrics().CounterTotal("query.tuples_gathered");
@@ -383,6 +396,28 @@ TEST(FixpointResultStreamTest, LossAndDuplicatesDeliverEachPairOnce) {
   EXPECT_EQ(run.tuples_gathered, static_cast<uint64_t>(run.delta_tuples));
   EXPECT_GT(run.delta_tuples, 999);
   EXPECT_GT(run.retransmits, 0u);
+}
+
+TEST(BulkInsertTest, ForestInsertCommitsUnderLossOnEveryFaultSeed) {
+  // The forest's 999-row INSERT under 5% loss and 20% duplication: each
+  // fragment's rows travel as one write request with one retry budget, so
+  // the statement commits, whole, on every fault seed.
+  const std::string insert = InsertSql(Forest());
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(StrFormat("seed=%llu", static_cast<unsigned long long>(seed)));
+    net::FaultPlan faults;
+    faults.seed = seed;
+    faults.link.drop_probability = 0.05;
+    faults.link.duplicate_probability = 0.2;
+    PrismaDb db(ForestMachine(faults));
+    ASSERT_TRUE(db.Execute(kCreateForestEdge).ok());
+    auto inserted = db.Execute(insert);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    EXPECT_EQ(inserted->affected_rows, 999u);
+    auto info = db.gdh().dictionary().GetTable("edge");
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ((*info)->TotalRows(), 999u);
+  }
 }
 
 TEST(FixpointResultStreamTest, HarvestWaitsForTheResultStreams) {

@@ -1041,7 +1041,7 @@ TEST(FragmentPlanDuplicateTest, AGatherRerunsAStreamOpensOnceThenReplays) {
   for (int v = 0; v < 3; ++v) {
     auto write = std::make_shared<WriteRequest>();
     write->request_id = 100 + v;
-    write->row = EncodeRows(std::vector<Tuple>{Tuple({Value::Int(v)})});
+    write->rows = EncodeRows(std::vector<Tuple>{Tuple({Value::Int(v)})});
     send(kMailWrite, write);
   }
   sim.Run();

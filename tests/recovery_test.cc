@@ -291,6 +291,55 @@ TEST(RecoveryTest, ReplicatedCrashFailoverServesReadsAndResyncConverges) {
   ExpectReplicasByteIdentical(&db);
 }
 
+TEST(RecoveryTest, ResyncedReplicaStillProbesItsKeyIndex) {
+  PrismaDb db(ReplicatedMachine());
+  MustExecute(&db, StrFormat("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                             "HASH(id) INTO %d FRAGMENTS",
+                             kFragments));
+  MustExecute(&db, "INSERT INTO t VALUES (0, 0), (1, 10), (2, 20), (3, 30), "
+                   "(4, 40), (5, 50), (6, 60), (7, 70), (8, 80), (9, 90)");
+  const auto table = db.gdh().dictionary().GetTable("t");
+  ASSERT_TRUE(table.ok());
+  // A key whose fragment has neither replica on PE 0 (CrashPe refuses it).
+  int64_t key = -1;
+  int home = -1;
+  for (int64_t id = 0; id < 10 && key < 0; ++id) {
+    const int f = (*table)->fragmenter->FragmentsForKey(Value::Int(id))[0];
+    const gdh::FragmentInfo& frag = (*table)->fragments[f];
+    if (frag.pe != 0 && frag.backup_pe != 0) {
+      key = id;
+      home = f;
+    }
+  }
+  ASSERT_GE(key, 0);
+  const gdh::FragmentInfo frag = (*table)->fragments[home];
+
+  // The home replica goes stale while its PE is down, then resyncs.
+  ASSERT_GT(db.CrashPe(frag.pe), 0u);
+  MustExecute(&db, StrFormat("UPDATE t SET v = v + 1 WHERE id = %lld",
+                             static_cast<long long>(key)));
+  ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
+  db.Run();
+  ASSERT_GT(db.metrics().CounterTotal("replica.resyncs_completed"), 0u);
+
+  // With the backup's PE down the resynced home replica serves the read,
+  // through the key index it rebuilt at the cutover.
+  ASSERT_GT(db.CrashPe(frag.backup_pe), 0u);
+  const obs::Labels home_labels = {{"fragment", frag.name}};
+  const uint64_t probes =
+      db.metrics().CounterValue("ofm.index_selections", home_labels);
+  const uint64_t scans =
+      db.metrics().CounterValue("ofm.full_scans", home_labels);
+  QueryResult hit = MustExecute(
+      &db, StrFormat("SELECT v FROM t WHERE id = %lld",
+                     static_cast<long long>(key)));
+  ASSERT_EQ(hit.tuples.size(), 1u);
+  EXPECT_EQ(hit.tuples.front().at(0), Value::Int(key * 10 + 1));
+  EXPECT_EQ(db.metrics().CounterValue("ofm.index_selections", home_labels),
+            probes + 1);
+  EXPECT_EQ(db.metrics().CounterValue("ofm.full_scans", home_labels), scans);
+}
+
 TEST(RecoveryTest, ResyncBulkStreamIsFramedByTheMachinesBatchRows) {
   MachineConfig config = ReplicatedMachine();
   config.exchange_batch_rows = 4;
