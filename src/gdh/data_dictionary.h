@@ -32,6 +32,10 @@ struct FragmentInfo {
   /// Live tuple count, maintained by the GDH on writes; the optimizer's
   /// size estimator reads it.
   uint64_t row_count = 0;
+  /// Distinct-value estimate per column, in schema order, as the OFM's
+  /// last write reply reported it (exec::DistinctSketch); empty until
+  /// then. Optimizer::EstimateGroups reads it.
+  std::vector<uint64_t> distinct;
 
   bool replicated = false;
   net::NodeId backup_pe = 0;

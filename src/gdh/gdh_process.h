@@ -357,7 +357,9 @@ class GdhProcess : public pool::Process {
   void ReserveTxnIds();
 
   StatusOr<pool::ProcessId> OfmOf(const std::string& fragment) const;
-  void UpdateRowCount(const std::string& fragment, int64_t delta);
+  /// Folds a write reply's row delta and distinct estimates into the
+  /// dictionary statistics of its fragment.
+  void ApplyWriteStats(const WriteReply& reply);
 
   // ------------------------------------------- Replication (DESIGN.md §13)
 

@@ -14,6 +14,17 @@ int64_t FrameBits(const RowFrame& frame) {
   return frame != nullptr ? static_cast<int64_t>(frame->size()) * 8 : 0;
 }
 
+int64_t WriteReply::WireBits() const {
+  int64_t bits = kControlBits;
+  for (uint64_t estimate : distinct) {
+    do {
+      bits += 8;  // One LEB128 byte per 7 bits.
+      estimate >>= 7;
+    } while (estimate != 0);
+  }
+  return bits;
+}
+
 StatusOr<std::vector<Tuple>> TupleBatchRows(const RowFrame& frame) {
   if (frame == nullptr) return std::vector<Tuple>();
   ASSIGN_OR_RETURN(ColumnBatch batch, DeserializeColumnBatch(*frame));

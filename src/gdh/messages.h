@@ -260,7 +260,13 @@ struct WriteReply {
   uint64_t affected_rows = 0;
   /// Row-count delta of the fragment (insert: +n; delete: -n).
   int64_t row_delta = 0;
+  /// The fragment's per-column distinct estimates (exec::DistinctSketch),
+  /// when they moved since this OFM last reported them; empty otherwise.
+  std::vector<uint64_t> distinct;
   std::string fragment;
+
+  /// A header, plus each estimate as a varint.
+  int64_t WireBits() const;
 };
 
 /// Producer -> consumer: one framed batch of an exchange channel. The

@@ -330,6 +330,9 @@ class OfmProcess : public pool::Process {
   uint64_t wal_synced_ = 0;
   uint64_t markers_synced_ = 0;
   uint64_t redo_synced_ = 0;
+  // The distinct estimates the last write reply carried (a respawned OFM
+  // reports its rebuilt ones with its first write).
+  std::vector<uint64_t> reported_distinct_;
 };
 
 }  // namespace prisma::gdh

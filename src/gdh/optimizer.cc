@@ -102,7 +102,11 @@ double Optimizer::EstimateRows(const Plan& plan) const {
     case PlanKind::kAggregate: {
       const auto& agg = static_cast<const algebra::AggregatePlan&>(plan);
       if (agg.group_by().empty()) return 1.0;
-      return EstimateRows(*plan.child()) * 0.1 + 1.0;
+      // Without statistics for its keys, a grouping shrinks nothing.
+      const std::optional<GroupEstimate> groups =
+          EstimateAggregateGroups(agg);
+      return groups.has_value() ? std::max(1.0, groups->groups)
+                                : EstimateRows(*plan.child());
     }
     case PlanKind::kLimit:
       return std::min(
@@ -117,6 +121,84 @@ double Optimizer::EstimateRows(const Plan& plan) const {
       break;
   }
   return kDefaultScanRows;
+}
+
+GroupEstimate Optimizer::EstimateGroups(
+    const TableInfo& table,
+    const std::vector<std::optional<size_t>>& group_columns,
+    const std::vector<const Expr*>& filter) const {
+  double selectivity = 1.0;
+  for (const Expr* predicate : filter) selectivity *= SelectivityOf(*predicate);
+  const sql::FragmentStrategy strategy = table.fragmentation.strategy;
+  bool disjoint = false;
+  for (const std::optional<size_t>& column : group_columns) {
+    disjoint |= column == table.fragmentation.column &&
+                (strategy == sql::FragmentStrategy::kHash ||
+                 strategy == sql::FragmentStrategy::kRange);
+  }
+  GroupEstimate out;
+  std::vector<double> domain(group_columns.size(), 1.0);
+  for (const FragmentInfo& frag : table.fragments) {
+    const double rows = static_cast<double>(frag.row_count) * selectivity;
+    double partial = 1.0;
+    for (size_t i = 0; i < group_columns.size(); ++i) {
+      const std::optional<size_t> column = group_columns[i];
+      const double distinct =
+          column.has_value() && *column < frag.distinct.size()
+              ? std::min(rows, static_cast<double>(frag.distinct[*column]))
+              : rows;
+      partial *= distinct;
+      domain[i] = std::max(domain[i], distinct);
+    }
+    out.rows += rows;
+    out.max_fragment_rows = std::max(out.max_fragment_rows, rows);
+    out.partial_rows += std::min(rows, partial);
+  }
+  double groups = 1.0;
+  for (const double distinct : domain) groups *= distinct;
+  out.groups = disjoint ? out.partial_rows
+                        : std::min({out.rows, out.partial_rows, groups});
+  return out;
+}
+
+std::optional<GroupEstimate> Optimizer::EstimateAggregateGroups(
+    const algebra::AggregatePlan& agg) const {
+  if (dictionary_ == nullptr) return std::nullopt;
+  // Follow each group column down to the base scan.
+  std::vector<std::optional<size_t>> columns;
+  for (const auto& key : agg.group_by()) {
+    columns.push_back(key->kind() == ExprKind::kColumnRef && key->bound()
+                          ? std::optional<size_t>(key->column_index())
+                          : std::nullopt);
+  }
+  std::vector<const Expr*> filter;
+  const Plan* node = agg.child();
+  while (node->kind() != PlanKind::kScan) {
+    switch (node->kind()) {
+      case PlanKind::kSelect:
+        filter.push_back(&static_cast<const SelectPlan*>(node)->predicate());
+        break;
+      case PlanKind::kProject: {
+        const auto& exprs = static_cast<const ProjectPlan*>(node)->exprs();
+        for (std::optional<size_t>& column : columns) {
+          if (!column.has_value()) continue;
+          const Expr& e = *exprs[*column];
+          column = e.kind() == ExprKind::kColumnRef && e.bound()
+                       ? std::optional<size_t>(e.column_index())
+                       : std::nullopt;
+        }
+        break;
+      }
+      case PlanKind::kDistinct:
+        break;
+      default:
+        return std::nullopt;
+    }
+    node = node->child();
+  }
+  auto table = dictionary_->GetTable(static_cast<const ScanPlan*>(node)->table());
+  if (!table.ok()) return std::nullopt;
+  return EstimateGroups(**table, columns, filter);
 }
 
 double Optimizer::EstimateFlow(const Plan& plan) const {

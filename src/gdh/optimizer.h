@@ -2,7 +2,9 @@
 #define PRISMA_GDH_OPTIMIZER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "algebra/plan.h"
 #include "common/status.h"
@@ -48,6 +50,20 @@ struct OptimizerRules {
   bool distributed_olap = true;
 };
 
+/// Size estimate of a GROUP BY over one base table (DESIGN.md §14.2),
+/// from the dictionary's per-fragment row counts and distinct estimates.
+struct GroupEstimate {
+  /// Rows into the grouping, table-wide, after the filter.
+  double rows = 0;
+  /// Rows into the grouping on the fragment that has the most.
+  double max_fragment_rows = 0;
+  /// Rows per-fragment partial aggregation leaves: the sum over fragments
+  /// of min(rows_f, product of the group columns' distinct counts).
+  double partial_rows = 0;
+  /// Distinct groups table-wide.
+  double groups = 0;
+};
+
 struct OptimizerReport {
   int selections_pushed = 0;
   int joins_reordered = 0;
@@ -74,6 +90,24 @@ class Optimizer {
 
   /// Cardinality estimate for a plan node (System-R style magic numbers).
   double EstimateRows(const algebra::Plan& plan) const;
+
+  /// Groups of a GROUP BY on `group_columns` of `table` after `filter`
+  /// (conjuncts applied before grouping; their selectivity scales every
+  /// fragment's rows). A column is a base column of `table`, or nullopt
+  /// for a computed key, whose distinct count is taken as its rows. The
+  /// groups are disjoint across fragments when a group column is the
+  /// table's HASH or RANGE fragmentation column; otherwise each column's
+  /// distinct count is its largest per-fragment one (the fragments are
+  /// taken to draw on one domain).
+  GroupEstimate EstimateGroups(
+      const TableInfo& table,
+      const std::vector<std::optional<size_t>>& group_columns,
+      const std::vector<const algebra::Expr*>& filter) const;
+
+  /// EstimateGroups of `agg` when its input is Select/Project/Distinct over
+  /// one dictionary table; nullopt otherwise.
+  std::optional<GroupEstimate> EstimateAggregateGroups(
+      const algebra::AggregatePlan& agg) const;
 
   /// Sum of estimated rows produced by every node — the "flow" cost used
   /// to compare plans.

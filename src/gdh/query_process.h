@@ -70,6 +70,11 @@ class QueryProcess : public pool::Process {
   /// join) over `fan` fragments; EXPLAIN notes where sorted runs merge.
   std::string OptimizerLine() const;
   std::string PartHeading(size_t i, size_t fan, bool explain) const;
+  /// EXPLAIN's line on a costed GROUP BY: its path, estimates and the
+  /// modelled times of both paths.
+  static std::string GroupByLine(const GroupByChoice& choice);
+  /// max(estimate, actual) / min(...), each at least 1.
+  static double QError(double estimate, double actual);
   /// EXPLAIN ANALYZE: renders the measured per-operator profiles (global
   /// plan + merged fragment profiles per part) as the result rows.
   void ReplyAnalyze(const obs::OperatorProfile& global);
@@ -301,6 +306,8 @@ class QueryProcess : public pool::Process {
   /// count as OLAP gather, and their disjoint group sets are sorted after
   /// the gather.
   std::set<size_t> group_by_parts_;
+  /// Rows each part with a costed GROUP BY gathered, by part.
+  std::map<size_t, uint64_t> group_gathered_;
   uint64_t olap_shuffle_bits_ = 0;  // First-transmission stream bits.
   uint64_t olap_gather_bits_ = 0;   // Group-by consumer reply bits.
   /// Bits of plain (non-OLAP) fragment replies gathered at the

@@ -86,7 +86,9 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "ofm.wal_records",
     "ofm.write_ops",
     "olap.gather_bits",
+    "olap.group_by_paths",
     "olap.last_gather_bits",
+    "olap.last_group_qerror_pct",
     "olap.last_shuffle_bits",
     "olap.parts",
     "olap.shuffle_bits",

@@ -21,6 +21,11 @@ StableWrite& StableWrite::Truncate(std::string stream) {
   return *this;
 }
 
+StableWrite& StableWrite::DropSnapshot(std::string name) {
+  ops_.push_back({Op::Kind::kDropSnapshot, std::move(name), {}});
+  return *this;
+}
+
 void StableStore::Apply(StableWrite write) {
   for (StableWrite::Op& op : write.ops_) {
     switch (op.kind) {
@@ -34,6 +39,9 @@ void StableStore::Apply(StableWrite write) {
       case StableWrite::Op::Kind::kTruncate:
         streams_.erase(op.name);
         stream_sizes_.erase(op.name);
+        break;
+      case StableWrite::Op::Kind::kDropSnapshot:
+        snapshots_.erase(op.name);
         break;
     }
   }

@@ -39,6 +39,8 @@ class StableWrite {
   StableWrite& Append(std::string stream, std::string record);
   StableWrite& Snapshot(std::string name, std::string bytes);
   StableWrite& Truncate(std::string stream);
+  /// Deletes a snapshot (the fragment it checkpoints was dropped).
+  StableWrite& DropSnapshot(std::string name);
 
   /// Payload bytes the disk has to transfer.
   size_t bytes() const { return bytes_; }
@@ -49,7 +51,12 @@ class StableWrite {
  private:
   friend class StableStore;
   struct Op {
-    enum class Kind : uint8_t { kAppend, kSnapshot, kTruncate } kind;
+    enum class Kind : uint8_t {
+      kAppend,
+      kSnapshot,
+      kTruncate,
+      kDropSnapshot
+    } kind;
     std::string name;
     std::string bytes;
   };

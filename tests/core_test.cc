@@ -228,6 +228,35 @@ TEST_F(PrismaDbTest, DropTable) {
   EXPECT_FALSE(db_.Execute("DROP TABLE emp").ok());
 }
 
+TEST_F(PrismaDbTest, RecreatedTableRecoversOnlyItsOwnRows) {
+  // DROP TABLE erases the fragments' logs and checkpoints: a table
+  // re-created under the same name recovers its own 23 rows, not the
+  // dropped table's 20 in front of them.
+  auto insert = [this](int rows, int base) {
+    std::string sql = "INSERT INTO k VALUES ";
+    for (int i = 0; i < rows; ++i) {
+      sql += prisma::StrFormat("%s(%d, %d)", i > 0 ? ", " : "", i, base + i);
+    }
+    MustExecute(sql);
+  };
+  const char* create =
+      "CREATE TABLE k (id INT, v INT) FRAGMENTED BY HASH(id) INTO 4 FRAGMENTS";
+  MustExecute(create);
+  insert(20, 1000);
+  MustExecute("DROP TABLE k");
+  MustExecute(create);
+  insert(23, 2000);
+  ASSERT_TRUE(db_.CrashFragment("k", 2).ok());
+  ASSERT_TRUE(db_.RecoverFragment("k", 2).ok());
+  db_.Run();
+  const QueryResult rows = MustExecute("SELECT id, v FROM k ORDER BY id");
+  ASSERT_EQ(rows.tuples.size(), 23u);
+  for (int i = 0; i < 23; ++i) {
+    EXPECT_EQ(rows.tuples[i].at(0), Value::Int(i));
+    EXPECT_EQ(rows.tuples[i].at(1), Value::Int(2000 + i));
+  }
+}
+
 TEST_F(PrismaDbTest, CreateIndexOnFragments) {
   MakeEmp(4, 20);
   EXPECT_TRUE(db_.Execute("CREATE INDEX emp_id ON emp (id)").ok());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -128,7 +129,8 @@ struct DistributedRun {
 
 DistributedRun RunDistributed(const std::vector<Edge>& edges, int fragments,
                               exec::TcAlgorithm algorithm,
-                              net::FaultPlan faults = {}) {
+                              net::FaultPlan faults = {},
+                              const std::string& program = kTcProgram) {
   MachineConfig config;
   config.pes = 8;
   config.fixpoint_algorithm = algorithm;
@@ -143,7 +145,7 @@ DistributedRun RunDistributed(const std::vector<Edge>& edges, int fragments,
     auto inserted = db.Execute(InsertSql(edges));
     PRISMA_CHECK(inserted.ok()) << inserted.status().ToString();
   }
-  auto answered = db.ExecutePrismalog(kTcProgram);
+  auto answered = db.ExecutePrismalog(program);
   PRISMA_CHECK(answered.ok()) << answered.status().ToString();
   DistributedRun run;
   run.result = std::move(answered).value();
@@ -225,6 +227,55 @@ TEST(FixpointDiffTest, SmartMatchesOracleAcrossSeeds) {
     PRISMA_SEED_REPRO("FixpointDiffTest.SmartMatchesOracleAcrossSeeds", seed);
     for (const int fragments : kFragmentCounts) {
       CheckSeed(seed, fragments, exec::TcAlgorithm::kSmart);
+    }
+  }
+}
+
+// ------------------------------------------------- Goals with a constant
+
+/// `? p(a, Y)` and `? p(X, b)` answer the closure filtered on one
+/// endpoint and projected onto the other, distinct and sorted: the
+/// single-node operator plus that filter is the oracle.
+TEST(FixpointDiffTest, GoalsWithAConstantMatchTheFilteredOracle) {
+  for (const uint64_t seed : SoakSeeds(1, 20)) {
+    PRISMA_SEED_REPRO(
+        "FixpointDiffTest.GoalsWithAConstantMatchTheFilteredOracle", seed);
+    const std::vector<Edge> edges = RandomGraph(seed);
+    auto closure =
+        exec::TransitiveClosure(AsTuples(edges), exec::TcAlgorithm::kSeminaive);
+    ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+    // One constant that starts a path and one that ends one (or a node
+    // absent from the graph, when every endpoint is NULL).
+    int a = 99;
+    int b = 99;
+    for (const Edge& e : edges) {
+      if (e.from != kNullEndpoint && a == 99) a = e.from;
+      if (e.to != kNullEndpoint) b = e.to;
+    }
+    for (const bool bound_first : {true, false}) {
+      const int constant = bound_first ? a : b;
+      std::set<Tuple> expected;
+      for (const Tuple& pair : *closure) {
+        const Value& bound = pair.at(bound_first ? 0 : 1);
+        if (!bound.is_null() && bound == Value::Int(constant)) {
+          expected.insert(Tuple({pair.at(bound_first ? 1 : 0)}));
+        }
+      }
+      const std::string program =
+          StrFormat("p(X, Y) :- edge(X, Y).\n"
+                    "p(X, Z) :- edge(X, Y), p(Y, Z).\n"
+                    "? p(%s).",
+                    bound_first ? StrFormat("%d, Y", constant).c_str()
+                                : StrFormat("X, %d", constant).c_str());
+      for (const int fragments : {1, 3, 7}) {
+        SCOPED_TRACE(StrFormat("fragments=%d goal=%s", fragments,
+                               program.c_str()));
+        const DistributedRun run = RunDistributed(
+            edges, fragments, exec::TcAlgorithm::kSeminaive, {}, program);
+        EXPECT_EQ(run.result.schema.num_columns(), 1u);
+        EXPECT_EQ(Render(run.result.tuples),
+                  Render(std::vector<Tuple>(expected.begin(), expected.end())));
+      }
     }
   }
 }
