@@ -171,7 +171,7 @@ struct LocalPart {
   /// Set for a PRISMAlog fixpoint part (DESIGN.md §11): `plan` scans the
   /// edge relation `table`, which every fragment shuffles to one fixpoint
   /// partition per fragment; the partitions iterate to the closure and
-  /// reply with their owned slices.
+  /// stream each round's fresh owned pairs to the coordinator.
   bool fixpoint = false;
 };
 

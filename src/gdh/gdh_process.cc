@@ -44,12 +44,6 @@ constexpr exec::TxnId kTxnIdLookahead = 4 * kTxnIdChunk;
 /// request until it learns the outcome; it never presumes abort.
 constexpr int kUnboundedAttempts = std::numeric_limits<int>::max();
 
-bool IsOnePhaseCommit(const RpcClient<std::string>::PendingRpc& rpc) {
-  return rpc.kind == kMailTxnControl &&
-         std::any_cast<std::shared_ptr<TxnControlRequest>>(rpc.body)->op ==
-             TxnControlRequest::Op::kCommitOnePhase;
-}
-
 }  // namespace
 
 std::vector<FragmentHome> AllocateFragments(
@@ -74,7 +68,7 @@ GdhProcess::GdhProcess(Config config)
     : config_(std::move(config)),
       rpcs_(this, config_.machine.retransmit,
             {[this](const Rpcs::PendingRpc& rpc) {
-               auto ofm = OfmOf(rpc.target);
+               auto ofm = OfmOf(rpc.target.replica);
                return ofm.ok() ? *ofm : pool::kNoProcess;
              },
              [this](uint64_t id, Rpcs::PendingRpc& rpc) {
@@ -208,45 +202,78 @@ exec::TxnId GdhProcess::NewTxn(bool explicit_txn) {
   return txn;
 }
 
-void GdhProcess::FinishMulticast(uint64_t batch_id, Multicast& batch) {
-  if (batch.done_called) return;
-  batch.done_called = true;
-  auto done = std::move(batch.done);
-  Multicast snapshot = std::move(batch);
-  batches_.erase(batch_id);
-  done(snapshot);
-}
-
 // ----------------------------------------------------------- Hardened RPC
 
-void GdhProcess::SendRpc(uint64_t request_id, uint64_t batch_id,
-                         std::string fragment, const char* kind,
-                         std::any body, int64_t size_bits,
-                         int max_attempts) {
-  request_batch_[request_id] = batch_id;
-  // An unresolvable target (crashed fragment) is treated like a lost
-  // message: the timer keeps retrying, chasing a later respawn.
-  rpcs_.Send(request_id, std::move(fragment), kind, std::move(body),
-             size_bits, max_attempts);
+void GdhProcess::Multicast::Count(const Status& status, uint64_t rows) {
+  ++received;
+  if (!status.ok() && first_error.ok()) first_error = status;
+  affected += rows;
+  if (received == expected) std::exchange(done, nullptr)(*this);
 }
 
-bool GdhProcess::SettleRpc(uint64_t request_id) {
-  return rpcs_.Settle(request_id);
+void GdhProcess::FanOut(const std::vector<std::string>& targets,
+                        const char* kind, int max_attempts,
+                        const BuildRequest& build, Done done) {
+  auto batch = std::make_shared<Multicast>();
+  batch->done = std::move(done);
+  size_t members = 0;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    std::vector<std::string> replicas{targets[i]};
+    FragmentInfo* frag =
+        kind == kMailWrite ? FindFragment(targets[i], nullptr) : nullptr;
+    if (frag != nullptr) replicas = WriteTargets(*frag);
+    auto dual = replicas.size() > 1 ? std::make_shared<DualWrite>() : nullptr;
+    for (const std::string& replica : replicas) {
+      const uint64_t request_id = next_request_id_++;
+      Request request = build(i, replica, request_id);
+      rpcs_.Send(request_id, Member{replica, batch, dual}, kind,
+                 std::move(request.body), request.bits, max_attempts);
+      ++members;
+    }
+  }
+  batch->expected = members;
+  if (batch->received == members) std::exchange(batch->done, nullptr)(*batch);
 }
 
-void GdhProcess::AccountBatchMember(uint64_t request_id, const Status& status,
-                                    uint64_t affected) {
-  auto it = request_batch_.find(request_id);
-  if (it == request_batch_.end()) return;
-  const uint64_t batch_id = it->second;
-  request_batch_.erase(it);
-  auto batch_it = batches_.find(batch_id);
-  if (batch_it == batches_.end()) return;
-  Multicast& batch = batch_it->second;
-  ++batch.received;
-  if (!status.ok() && batch.first_error.ok()) batch.first_error = status;
-  batch.affected += affected;
-  if (batch.received == batch.expected) FinishMulticast(batch_id, batch);
+void GdhProcess::TxnControl(TxnControlRequest::Op op, exec::TxnId txn,
+                            const std::vector<std::string>& targets,
+                            int max_attempts, Done done) {
+  FanOut(
+      targets, kMailTxnControl, max_attempts,
+      [op, txn](size_t, const std::string&, uint64_t request_id) -> Request {
+        auto request = std::make_shared<TxnControlRequest>();
+        request->request_id = request_id;
+        request->op = op;
+        request->txn = txn;
+        return {request};
+      },
+      std::move(done));
+}
+
+bool GdhProcess::SettleRpc(uint64_t request_id, const Status& status,
+                           uint64_t rows) {
+  std::shared_ptr<Multicast> batch;
+  if (auto call = rpcs_.calls().find(request_id);
+      call != rpcs_.calls().end()) {
+    batch = call->second.target.batch;
+    rpcs_.Settle(request_id);
+  } else if (auto parked = parked_commits_.find(request_id);
+             parked != parked_commits_.end()) {
+    // The late reply of a participant that died: nothing to re-send.
+    batch = parked->second.member.batch;
+    parked_commits_.erase(parked);
+  } else {
+    return false;
+  }
+  batch->Count(status, rows);
+  return true;
+}
+
+bool GdhProcess::SettleReply(uint64_t request_id, const Status& status,
+                             uint64_t rows) {
+  if (SettleRpc(request_id, status, rows)) return true;
+  Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
+  return false;
 }
 
 bool GdhProcess::ShedRpc(uint64_t request_id, const std::string& target) {
@@ -258,10 +285,7 @@ bool GdhProcess::ShedRpc(uint64_t request_id, const std::string& target) {
   // A fresh shed sweeps this RPC from inside TryFailover (it was
   // addressed to the shed replica); an already-shed replica's RPC is
   // settled here instead.
-  if (SettleRpc(request_id)) {
-    dual_writes_.erase(request_id);
-    AccountBatchMember(request_id, Status::OK(), 0);
-  }
+  SettleRpc(request_id, Status::OK());
   return true;
 }
 
@@ -272,39 +296,41 @@ void GdhProcess::RpcExhausted(uint64_t request_id,
   // stale (rebuilt by resync before it serves anything again) and this
   // member settles benignly — the surviving replica alone carries the
   // write, the prepare vote or the decision.
-  if (rpc.kind != kMailResync && ShedRpc(request_id, rpc.target)) return;
+  const std::string& target = rpc.target.replica;
+  if (rpc.kind != kMailResync && ShedRpc(request_id, target)) return;
   // Budget exhausted: degrade to a typed kUnavailable so the statement
   // completes instead of hanging. The message names the unreachable
   // fragment and its PE (degradation reporting).
   int replica = 0;
-  const FragmentInfo* frag = FindFragment(rpc.target, &replica);
+  const FragmentInfo* frag = FindFragment(target, &replica);
   Inc(LazyCounter(&m_rpc_failures_, "gdh.rpc_failures"));
   const net::NodeId target_pe = frag != nullptr ? frag->ReplicaPe(replica) : 0;
   Status failure = UnavailableError(
-      "fragment " + rpc.target + " on PE " + std::to_string(target_pe) +
+      "fragment " + target + " on PE " + std::to_string(target_pe) +
       " did not answer " + rpc.kind + " after " +
       std::to_string(rpc.attempts) + " attempts (crashed PE?)");
-  CountUnavailable(target_pe, TableOfFragment(rpc.target));
+  CountUnavailable(target_pe, TableOfFragment(target));
   // The OFM may have executed the write and only its reply was lost: a
   // late reply must still feed the row-count statistics.
   if (rpc.kind == kMailWrite) NoteDegradedWrite(request_id);
-  SettleRpc(request_id);
-  AccountBatchMember(request_id, failure, 0);
+  SettleRpc(request_id, failure);
 }
 
 bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
   Inc(LazyCounter(&m_rpc_retries_, "gdh.rpc_retries"));
   if (rpc.kind == kMailResync) return true;
-  auto ofm = OfmOf(rpc.target);
+  auto ofm = OfmOf(rpc.target.replica);
   if (ofm.ok() && *ofm != pool::kNoProcess && runtime()->IsAlive(*ofm)) {
     return true;
   }
-  if (IsOnePhaseCommit(rpc)) {
+  if (rpc.kind == kMailTxnControl &&
+      std::any_cast<std::shared_ptr<TxnControlRequest>>(rpc.body)->op ==
+          TxnControlRequest::Op::kCommitOnePhase) {
     // The participant died after the request left, so its commit write
     // may have landed. Park the request without a timer; RecoverReplica
     // re-sends it to the successor, which answers from its WAL.
     parked_commits_[request_id] = {rpc.target, rpc.body};
-    SettleRpc(request_id);
+    rpcs_.Settle(request_id);
     return false;
   }
   // The host process is gone, not just slow: a replicated fragment with a
@@ -312,7 +338,7 @@ bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
   // mirroring the scatter-time shed in WriteTargets. Waiting out the
   // budget would pin decision RPCs (extended budget) for seconds on a
   // target that cannot answer before its PE restarts.
-  return !ShedRpc(request_id, rpc.target);
+  return !ShedRpc(request_id, rpc.target.replica);
 }
 
 void GdhProcess::NoteDegradedWrite(uint64_t request_id) {
@@ -384,15 +410,11 @@ bool GdhProcess::TryFailover(FragmentInfo& frag, int dead) {
   const std::string shed_name = frag.ReplicaName(dead);
   std::vector<uint64_t> orphaned;
   for (const auto& [id, rpc] : rpcs_.calls()) {
-    if (rpc.target == shed_name && rpc.kind != kMailResync) {
+    if (rpc.target.replica == shed_name && rpc.kind != kMailResync) {
       orphaned.push_back(id);
     }
   }
-  for (uint64_t id : orphaned) {
-    SettleRpc(id);
-    dual_writes_.erase(id);
-    AccountBatchMember(id, Status::OK(), 0);
-  }
+  for (uint64_t id : orphaned) SettleRpc(id, Status::OK());
   // A shed whose victim process is still alive was a reply-path loss (or
   // an exhaustion that outlived the PE's restart), not a crash: its host
   // PE is up and no future recovery event will come for it, so rebuild
@@ -444,6 +466,7 @@ std::vector<std::string> GdhProcess::ActiveInvolved(const TxnState& state) {
     }
     out.push_back(name);
   }
+  if (out.empty()) out.assign(state.involved.begin(), state.involved.end());
   return out;
 }
 
@@ -643,12 +666,8 @@ void GdhProcess::RunCommit(exec::TxnId txn,
     return;
   }
   // Shed (stale) replicas drop out of the participant set: the surviving
-  // replica's vote alone covers the fragment. If filtering somehow empties
-  // a non-empty set, keep the originals and let their RPCs settle.
+  // replica's vote alone covers the fragment.
   std::vector<std::string> involved = ActiveInvolved(it->second);
-  if (involved.empty() && !it->second.involved.empty()) {
-    involved.assign(it->second.involved.begin(), it->second.involved.end());
-  }
   if (involved.empty()) {
     // Read-only: nothing was written anywhere, so no participant will
     // ever inquire — no decision record needed (presumed abort is moot).
@@ -670,11 +689,8 @@ void GdhProcess::RunCommit(exec::TxnId txn,
   it->second.phase = TxnPhase::kPreparing;
   Inc(m_2pc_rounds_);
   const sim::SimTime phase1_start = runtime()->simulator()->now();
-  const uint64_t batch_id = next_batch_id_++;
-  Multicast& batch = batches_[batch_id];
-  batch.expected = involved.size();
-  batch.done = [this, txn, involved, phase1_start,
-                then = std::move(then)](Multicast& m) mutable {
+  auto prepared = [this, txn, involved, phase1_start,
+                   then = std::move(then)](const Multicast& m) mutable {
     // Re-check the doom flag: a participant may have crashed and respawned
     // WHILE phase 1 was in flight (RecoverFragment mid-2PC). Its yes-vote
     // — sent by the old incarnation, or a "vote stands" answer from the
@@ -723,14 +739,8 @@ void GdhProcess::RunCommit(exec::TxnId txn,
     SendDecision(txn, /*commit=*/false, std::move(outcome), involved,
                  phase1_start, std::move(then));
   };
-  for (const std::string& fragment : involved) {
-    auto request = std::make_shared<TxnControlRequest>();
-    request->request_id = next_request_id_++;
-    request->op = TxnControlRequest::Op::kPrepare;
-    request->txn = txn;
-    SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.machine.retransmit.attempts);
-  }
+  TxnControl(TxnControlRequest::Op::kPrepare, txn, involved,
+             config_.machine.retransmit.attempts, std::move(prepared));
 }
 
 void GdhProcess::CommitOnePhase(exec::TxnId txn,
@@ -765,10 +775,8 @@ void GdhProcess::CommitOnePhase(exec::TxnId txn,
   unsettled_[{.id = txn}] = std::move(written);
   Inc(m_one_phase_commits_);
   const sim::SimTime start = runtime()->simulator()->now();
-  const uint64_t batch_id = next_batch_id_++;
-  Multicast& batch = batches_[batch_id];
-  batch.expected = 1;
-  batch.done = [this, txn, start, then = std::move(then)](Multicast& m) {
+  auto decided = [this, txn, start,
+                  then = std::move(then)](const Multicast& m) {
     const bool committed = m.first_error.ok();
     auto state_it = txns_->find(txn);
     if (state_it != txns_->end()) {
@@ -800,12 +808,8 @@ void GdhProcess::CommitOnePhase(exec::TxnId txn,
                                   " aborted at commit: " +
                                   m.first_error.message()));
   };
-  auto request = std::make_shared<TxnControlRequest>();
-  request->request_id = next_request_id_++;
-  request->op = TxnControlRequest::Op::kCommitOnePhase;
-  request->txn = txn;
-  SendRpc(request->request_id, batch_id, participant, kMailTxnControl,
-          request, kControlBits, kUnboundedAttempts);
+  TxnControl(TxnControlRequest::Op::kCommitOnePhase, txn, {participant},
+             kUnboundedAttempts, std::move(decided));
 }
 
 void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
@@ -824,16 +828,12 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
   // WHILE phase 1 was in flight (benign settle of its prepare) does not
   // need the decision — skipping it avoids burning a retransmission
   // budget per decision RPC against a dead process.
-  std::vector<std::string> decide;
   auto state_it = txns_->find(txn);
-  if (state_it != txns_->end()) decide = ActiveInvolved(state_it->second);
-  if (decide.empty()) decide = involved;
+  const std::vector<std::string> decide =
+      state_it != txns_->end() ? ActiveInvolved(state_it->second) : involved;
   const sim::SimTime phase2_start = runtime()->simulator()->now();
-  const uint64_t batch2 = next_batch_id_++;
-  Multicast& second = batches_[batch2];
-  second.expected = decide.size();
-  second.done = [this, txn, commit, outcome, phase2_start, tracer,
-                 then](Multicast& m2) {
+  auto delivered = [this, txn, commit, outcome, phase2_start, tracer,
+                    then](const Multicast& m2) {
     if (commit && m2.first_error.ok()) {
       // Every participant acknowledged the commit: the decision can be
       // forgotten. If any ack is missing the record stays, so a later
@@ -861,17 +861,12 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     Inc(m_txns_aborted_);
     then(outcome);
   };
-  for (const std::string& fragment : decide) {
-    auto request = std::make_shared<TxnControlRequest>();
-    request->request_id = next_request_id_++;
-    request->op = commit ? TxnControlRequest::Op::kCommit
-                         : TxnControlRequest::Op::kAbort;
-    request->txn = txn;
-    // Decision delivery gets extra retry headroom: participants must
-    // learn the outcome or stay in doubt until they inquire.
-    SendRpc(request->request_id, batch2, fragment, kMailTxnControl, request,
-            kControlBits, config_.machine.retransmit.attempts + 4);
-  }
+  // Decision delivery gets extra retry headroom: participants must learn
+  // the outcome or stay in doubt until they inquire.
+  TxnControl(
+      commit ? TxnControlRequest::Op::kCommit : TxnControlRequest::Op::kAbort,
+      txn, decide, config_.machine.retransmit.attempts + 4,
+      std::move(delivered));
   if (!commit) return;
   auto decided = txns_->find(txn);
   // Answer at the decision: the C record is durable, so the commit holds
@@ -939,9 +934,6 @@ void GdhProcess::AbortEverywhere(exec::TxnId txn,
     return;
   }
   std::vector<std::string> involved = ActiveInvolved(it->second);
-  if (involved.empty() && !it->second.involved.empty()) {
-    involved.assign(it->second.involved.begin(), it->second.involved.end());
-  }
   // Presumed abort: no decision record — participants that never learn
   // the outcome resolve it by inquiry, and "unknown" means abort.
   if (involved.empty()) {
@@ -954,28 +946,19 @@ void GdhProcess::AbortEverywhere(exec::TxnId txn,
   }
   // PRISMA_TRANSITION(kActive, kAborting, abort round fans out)
   it->second.phase = TxnPhase::kAborting;
-  const uint64_t batch_id = next_batch_id_++;
-  Multicast& batch = batches_[batch_id];
-  batch.expected = involved.size();
-  batch.done = [this, txn, then = std::move(then)](Multicast&) {
-    auto state_it = txns_->find(txn);
-    if (state_it != txns_->end()) {
-      // PRISMA_TRANSITION(kAborting, kAborted, every abort settled)
-      state_it->second.phase = TxnPhase::kAborted;
-    }
-    locks_->ReleaseAll(txn);
-    txns_->erase(txn);
-    Inc(m_txns_aborted_);
-    then(Status::OK());
-  };
-  for (const std::string& fragment : involved) {
-    auto request = std::make_shared<TxnControlRequest>();
-    request->request_id = next_request_id_++;
-    request->op = TxnControlRequest::Op::kAbort;
-    request->txn = txn;
-    SendRpc(request->request_id, batch_id, fragment, kMailTxnControl,
-            request, kControlBits, config_.machine.retransmit.attempts + 4);
-  }
+  TxnControl(TxnControlRequest::Op::kAbort, txn, involved,
+             config_.machine.retransmit.attempts + 4,
+             [this, txn, then = std::move(then)](const Multicast&) {
+               auto state_it = txns_->find(txn);
+               if (state_it != txns_->end()) {
+                 // PRISMA_TRANSITION(kAborting, kAborted, every abort settled)
+                 state_it->second.phase = TxnPhase::kAborted;
+               }
+               locks_->ReleaseAll(txn);
+               txns_->erase(txn);
+               Inc(m_txns_aborted_);
+               then(Status::OK());
+             });
 }
 
 // ------------------------------------------------------------------- DDL
@@ -1090,22 +1073,20 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
         ReplyToClient(client, stmt->request_id, Status::OK(), 0, 0);
         return;
       }
-      const uint64_t batch_id = next_batch_id_++;
-      Multicast& batch = batches_[batch_id];
-      batch.expected = targets.size();
       const uint64_t request_id = stmt->request_id;
-      batch.done = [this, client, request_id](Multicast& m) {
-        ReplyToClient(client, request_id, m.first_error, 0, 0);
-      };
-      for (const std::string& target : targets) {
-        auto request = std::make_shared<CreateIndexRequest>();
-        request->request_id = next_request_id_++;
-        request->index_name = index.name;
-        request->columns = index.columns;
-        request->ordered = index.ordered;
-        SendRpc(request->request_id, batch_id, target, kMailCreateIndex,
-                request, kControlBits, config_.machine.retransmit.attempts);
-      }
+      FanOut(
+          targets, kMailCreateIndex, config_.machine.retransmit.attempts,
+          [&index](size_t, const std::string&, uint64_t id) -> Request {
+            auto request = std::make_shared<CreateIndexRequest>();
+            request->request_id = id;
+            request->index_name = index.name;
+            request->columns = index.columns;
+            request->ordered = index.ordered;
+            return {request};
+          },
+          [this, client, request_id](const Multicast& m) {
+            ReplyToClient(client, request_id, m.first_error, 0, 0);
+          });
       return;
     }
     default:
@@ -1126,12 +1107,9 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
   }
   TableInfo* info = *info_or;
 
-  // Build the per-fragment operation list.
-  struct Op {
-    std::string fragment;
-    std::shared_ptr<WriteRequest> request;
-  };
-  auto ops = std::make_shared<std::vector<Op>>();
+  // Build the per-fragment requests.
+  std::vector<std::string> fragments;
+  std::vector<std::shared_ptr<WriteRequest>> requests;
   switch (bound->kind) {
     case Statement::Kind::kInsert: {
       // One request per fragment, its rows in statement order: each
@@ -1152,7 +1130,8 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
         auto request = std::make_shared<WriteRequest>();
         request->op = WriteRequest::Op::kInsert;
         request->rows = EncodeRows(rows_of[f]);
-        ops->push_back(Op{info->fragments[f].name, std::move(request)});
+        fragments.push_back(info->fragments[f].name);
+        requests.push_back(std::move(request));
       }
       break;
     }
@@ -1176,7 +1155,8 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
           request->assignments.push_back(
               {col, std::shared_ptr<const algebra::Expr>(bound, expr.get())});
         }
-        ops->push_back(Op{info->fragments[f].name, std::move(request)});
+        fragments.push_back(info->fragments[f].name);
+        requests.push_back(std::move(request));
       }
       break;
     }
@@ -1200,8 +1180,7 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
     return;
   }
 
-  std::vector<std::string> resources;
-  for (const Op& op : *ops) resources.push_back(op.fragment);
+  std::vector<std::string> resources = fragments;
   std::sort(resources.begin(), resources.end());
   resources.erase(std::unique(resources.begin(), resources.end()),
                   resources.end());
@@ -1209,8 +1188,8 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
   const uint64_t client_request = stmt->request_id;
   AcquireExclusive(
       txn, resources, 0,
-      [this, txn, implicit, ops, bound, client, client_request,
-       resources](Status lock_status) {
+      [this, txn, implicit, fragments, requests, bound, client,
+       client_request, resources](Status lock_status) {
         if (!lock_status.ok()) {
           AbortEverywhere(txn, [this, client, client_request,
                                 lock_status](Status) {
@@ -1223,13 +1202,11 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
         // it (and for a checkpoint round there), so no OFM opens this
         // writer next to a decided transaction whose commit marker has
         // not landed (DESIGN.md §8.1).
-        AfterSettled(resources, [this, txn, implicit, ops, client,
-                                 client_request] {
+        AfterSettled(resources, [this, txn, implicit, fragments, requests,
+                                 client, client_request] {
           auto& txn_state = (*txns_)[txn];
-          const uint64_t batch_id = next_batch_id_++;
-          Multicast& batch = batches_[batch_id];
-          batch.done = [this, txn, implicit, client,
-                        client_request](Multicast& m) {
+          auto written = [this, txn, implicit, client,
+                          client_request](const Multicast& m) {
             if (!m.first_error.ok()) {
               Status error = m.first_error;
               AbortEverywhere(txn, [this, client, client_request,
@@ -1249,33 +1226,19 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
                             0);
             }
           };
-          size_t members = 0;
-          for (Op& op : *ops) {
-            // Each logical op fans out to every in-sync replica of its
-            // fragment; a dual-replica op shares one DualWrite entry so the
-            // affected count and row delta are charged exactly once.
-            std::vector<std::string> targets{op.fragment};
-            int replica = 0;
-            if (FragmentInfo* frag = FindFragment(op.fragment, &replica);
-                frag != nullptr) {
-              targets = WriteTargets(*frag);
-            }
-            std::shared_ptr<DualWrite> dual;
-            if (targets.size() > 1) dual = std::make_shared<DualWrite>();
-            for (const std::string& target : targets) {
-              txn_state.involved.insert(target);
-              auto request = std::make_shared<WriteRequest>(*op.request);
-              request->request_id = next_request_id_++;
-              request->txn = txn;
-              if (dual != nullptr) dual_writes_[request->request_id] = dual;
-              Inc(m_write_ops_);
-              ++members;
-              SendRpc(request->request_id, batch_id, target, kMailWrite,
-                      request, request->WireBits(),
-                      config_.machine.retransmit.attempts);
-            }
-          }
-          batch.expected = members;
+          // Each request reaches every in-sync replica of its fragment.
+          FanOut(
+              fragments, kMailWrite, config_.machine.retransmit.attempts,
+              [&](size_t i, const std::string& replica,
+                  uint64_t id) -> Request {
+                txn_state.involved.insert(replica);
+                auto request = std::make_shared<WriteRequest>(*requests[i]);
+                request->request_id = id;
+                request->txn = txn;
+                Inc(m_write_ops_);
+                return {request, request->WireBits()};
+              },
+              std::move(written));
         });
       });
 }
@@ -1285,27 +1248,23 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
 void GdhProcess::ExecuteTxnControl(const BoundStatement& bound,
                                    const std::shared_ptr<ClientStatement>& stmt,
                                    pool::ProcessId client) {
+  const uint64_t request_id = stmt->request_id;
+  auto reply = [this, client, request_id](Status status) {
+    ReplyToClient(client, request_id, status, 0, 0);
+  };
   switch (bound.txn_control) {
     case sql::TxnControl::kBegin: {
       const exec::TxnId txn = NewTxn(true);
       Inc(m_txns_begun_);
-      ReplyToClient(client, stmt->request_id, Status::OK(), 0, txn);
+      ReplyToClient(client, request_id, Status::OK(), 0, txn);
       return;
     }
-    case sql::TxnControl::kCommit: {
-      const uint64_t request_id = stmt->request_id;
-      RunCommit(stmt->txn, [this, client, request_id](Status status) {
-        ReplyToClient(client, request_id, status, 0, 0);
-      });
+    case sql::TxnControl::kCommit:
+      RunCommit(stmt->txn, reply);
       return;
-    }
-    case sql::TxnControl::kAbort: {
-      const uint64_t request_id = stmt->request_id;
-      AbortEverywhere(stmt->txn, [this, client, request_id](Status status) {
-        ReplyToClient(client, request_id, status, 0, 0);
-      });
+    case sql::TxnControl::kAbort:
+      AbortEverywhere(stmt->txn, reply);
       return;
-    }
   }
 }
 
@@ -1421,46 +1380,22 @@ void GdhProcess::HandleStatementDone(const pool::Mail& mail) {
 
 void GdhProcess::HandleWriteReply(const pool::Mail& mail) {
   auto reply = std::any_cast<std::shared_ptr<WriteReply>>(mail.body);
-  SettleRpc(reply->request_id);
-  if (!request_batch_.contains(reply->request_id)) {
-    // The request was already settled (duplicate or post-degradation
-    // reply). If it was settled by exhausting the retry budget, the OFM
-    // did execute the write after all: fold its row delta and estimates
-    // into the dictionary statistics exactly once before dropping it.
-    if (degraded_writes_.erase(reply->request_id) > 0) {
-      ApplyWriteStats(*reply);
-    }
-    Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
-    return;
-  }
-  uint64_t affected = reply->affected_rows;
-  auto dual = dual_writes_.find(reply->request_id);
-  if (dual != dual_writes_.end()) {
+  auto call = rpcs_.calls().find(reply->request_id);
+  bool count = true;
+  if (call == rpcs_.calls().end()) {
+    // Already settled (a duplicate or a post-degradation reply). If it
+    // was settled by exhausting the retry budget, the OFM did execute the
+    // write after all: its row delta and estimates count exactly once.
+    count = degraded_writes_.erase(reply->request_id) > 0;
+  } else if (DualWrite* dual = call->second.target.dual.get()) {
     // Dual-replica op: whichever replica's OK reply lands first carries
     // the affected count and the row delta; the mirror contributes zero.
-    const bool count = reply->status.ok() && !dual->second->counted;
-    if (count) dual->second->counted = true;
-    dual_writes_.erase(dual);
-    if (!count) {
-      AccountBatchMember(reply->request_id, reply->status, 0);
-      return;
-    }
+    count = reply->status.ok() && !dual->counted;
+    if (count) dual->counted = true;
   }
-  ApplyWriteStats(*reply);
-  AccountBatchMember(reply->request_id, reply->status, affected);
-}
-
-void GdhProcess::HandleTxnControlReply(const pool::Mail& mail) {
-  auto reply = std::any_cast<std::shared_ptr<TxnControlReply>>(mail.body);
-  SettleRpc(reply->request_id);
-  // A late reply of a participant that died after sending it still
-  // settles a parked one-phase commit: nothing is left to re-send.
-  parked_commits_.erase(reply->request_id);
-  if (!request_batch_.contains(reply->request_id)) {
-    Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
-    return;
-  }
-  AccountBatchMember(reply->request_id, reply->status, 0);
+  if (count) ApplyWriteStats(*reply);
+  SettleReply(reply->request_id, reply->status,
+              count ? reply->affected_rows : 0);
 }
 
 void GdhProcess::HandleDecisionRequest(const pool::Mail& mail) {
@@ -1618,24 +1553,22 @@ void GdhProcess::ExecuteCheckpoint(
     const WorkKey key{.checkpoint = true, .id = next_checkpoint_round_++};
     AfterSettled({base}, [this, key, targets = std::move(targets), round,
                           client, request_id] {
-      const uint64_t batch_id = next_batch_id_++;
-      Multicast& batch = batches_[batch_id];
-      batch.expected = targets.size();
-      batch.done = [this, key, round, client, request_id](Multicast& m) {
-        Settle(key);
-        if (round->status.ok()) round->status = m.first_error;
-        round->affected += m.affected;
-        if (--round->open == 0) {
-          ReplyToClient(client, request_id, round->status, round->affected,
-                        0);
-        }
-      };
-      for (const std::string& fragment : targets) {
-        auto request = std::make_shared<CheckpointRequest>();
-        request->request_id = next_request_id_++;
-        SendRpc(request->request_id, batch_id, fragment, kMailCheckpoint,
-                request, kControlBits, config_.machine.retransmit.attempts);
-      }
+      FanOut(
+          targets, kMailCheckpoint, config_.machine.retransmit.attempts,
+          [](size_t, const std::string&, uint64_t id) -> Request {
+            auto request = std::make_shared<CheckpointRequest>();
+            request->request_id = id;
+            return {request};
+          },
+          [this, key, round, client, request_id](const Multicast& m) {
+            Settle(key);
+            if (round->status.ok()) round->status = m.first_error;
+            round->affected += m.affected;
+            if (--round->open == 0) {
+              ReplyToClient(client, request_id, round->status,
+                            round->affected, 0);
+            }
+          });
     });
     unsettled_[key] = {base};
   }
@@ -1688,11 +1621,11 @@ Status GdhProcess::RecoverReplica(const std::string& table, TableInfo* info,
   // One-phase commits the dead process was asked to decide: its successor
   // answers them from the WAL (committed if the commit write landed).
   for (auto it = parked_commits_.begin(); it != parked_commits_.end();) {
-    if (it->second.replica != frag.ReplicaName(replica)) {
+    if (it->second.member.replica != frag.ReplicaName(replica)) {
       ++it;
       continue;
     }
-    rpcs_.Send(it->first, it->second.replica, kMailTxnControl,
+    rpcs_.Send(it->first, it->second.member, kMailTxnControl,
                std::move(it->second.body), kControlBits, kUnboundedAttempts);
     it = parked_commits_.erase(it);
   }
@@ -1807,24 +1740,23 @@ void GdhProcess::SendResyncPhase(uint64_t resync_id, bool cutover) {
   PRISMA_CHECK(info.ok());
   FragmentInfo& frag = (*info)->fragments[rs.fragment];
   const int source = 1 - rs.replica;
-  auto request = std::make_shared<ResyncRequest>();
-  request->request_id = next_request_id_++;
-  request->resync_id = resync_id;
-  request->target = frag.ReplicaOfm(rs.replica);
-  request->target_fragment = frag.ReplicaName(rs.replica);
-  request->cutover = cutover;
-  rs.request_id = request->request_id;
-  const uint64_t batch_id = next_batch_id_++;
-  Multicast& batch = batches_[batch_id];
-  batch.expected = 1;
-  batch.done = [this, resync_id, cutover](Multicast& m) {
-    OnResyncPhaseDone(resync_id, cutover, m.first_error);
-  };
   // The whole phase (bulk stream + delta rounds) runs under one hardened
   // RPC with decision-grade retry headroom.
-  SendRpc(request->request_id, batch_id, frag.ReplicaName(source),
-          kMailResync, request, kControlBits,
-          config_.machine.retransmit.attempts + 4);
+  FanOut(
+      {frag.ReplicaName(source)}, kMailResync,
+      config_.machine.retransmit.attempts + 4,
+      [&](size_t, const std::string&, uint64_t id) -> Request {
+        auto request = std::make_shared<ResyncRequest>();
+        request->request_id = id;
+        request->resync_id = resync_id;
+        request->target = frag.ReplicaOfm(rs.replica);
+        request->target_fragment = frag.ReplicaName(rs.replica);
+        request->cutover = cutover;
+        return {request};
+      },
+      [this, resync_id, cutover](const Multicast& m) {
+        OnResyncPhaseDone(resync_id, cutover, m.first_error);
+      });
 }
 
 void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
@@ -1920,11 +1852,7 @@ void GdhProcess::AbortResync(uint64_t resync_id) {
 
 void GdhProcess::HandleResyncReply(const pool::Mail& mail) {
   auto reply = std::any_cast<std::shared_ptr<ResyncReply>>(mail.body);
-  SettleRpc(reply->request_id);
-  if (!request_batch_.contains(reply->request_id)) {
-    Inc(LazyCounter(&m_dup_replies_, "gdh.dup_replies"));
-    return;
-  }
+  if (!SettleReply(reply->request_id, reply->status)) return;
   // Transfer accounting feeds the replica.* family exactly once per
   // settled phase.
   Inc(LazyCounter(&m_resync_bulk_tuples_, "replica.resync_bulk_tuples"),
@@ -1935,7 +1863,6 @@ void GdhProcess::HandleResyncReply(const pool::Mail& mail) {
       reply->delta_rounds);
   Inc(LazyCounter(&m_resync_wire_bits_, "replica.resync_wire_bits"),
       reply->wire_bits);
-  AccountBatchMember(reply->request_id, reply->status, 0);
 }
 
 // ------------------------------------------------------------------- Mail
@@ -1958,7 +1885,8 @@ void GdhProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailWriteReply) {
     HandleWriteReply(mail);
   } else if (mail.kind == kMailTxnControlReply) {
-    HandleTxnControlReply(mail);
+    auto reply = std::any_cast<std::shared_ptr<TxnControlReply>>(mail.body);
+    SettleReply(reply->request_id, reply->status);
   } else if (mail.kind == kMailDecisionRequest) {
     HandleDecisionRequest(mail);
   } else if (mail.kind == kMailRpcTimeout) {

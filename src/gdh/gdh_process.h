@@ -128,6 +128,12 @@ class GdhProcess : public pool::Process {
   /// Next transaction id to hand out (tests: id-reuse after restart).
   exec::TxnId next_txn() const { return next_txn_; }
 
+  /// Unsettled fan-out members: pending requests and parked one-phase
+  /// commits (tests).
+  size_t unsettled_members() const {
+    return rpcs_.calls().size() + parked_commits_.size();
+  }
+
  private:
   /// Coordinator-side 2PC lifecycle of one transaction. Terminal phases
   /// are assigned just before the TxnState is erased, so the declared
@@ -164,22 +170,44 @@ class GdhProcess : public pool::Process {
     TxnPhase phase = TxnPhase::kActive;
   };
 
-  /// One scatter/await-all interaction with a set of OFMs. Completion is
-  /// guaranteed: every member request either gets a reply or exhausts its
-  /// retry budget and is settled as kUnavailable.
+  /// One FanOut round (DESIGN.md §8.2). It always completes: every member
+  /// is answered, shed with its replica, or settles as kUnavailable.
   struct Multicast {
-    size_t expected = 0;
+    size_t expected = 0;  // Members; set once the round is sent.
     size_t received = 0;
     Status first_error;
     uint64_t affected = 0;
-    bool done_called = false;
-    std::function<void(Multicast&)> done;
+    std::function<void(const Multicast&)> done;
+
+    /// Feeds one settled member in; the last one runs `done`.
+    void Count(const Status& status, uint64_t rows);
+  };
+  using Done = std::function<void(const Multicast&)>;
+
+  /// The two replicas of one fragment's write: only the first OK reply
+  /// counts the affected rows and the row delta.
+  struct DualWrite {
+    bool counted = false;
   };
 
-  /// Unanswered requests to OFMs, named by fragment: the pid is
-  /// re-resolved on every retry so retransmissions chase a respawned
-  /// process.
-  using Rpcs = RpcClient<std::string>;
+  /// A fan-out member, carried by its pending request: the replica it is
+  /// addressed to (re-resolved on every retry, so retransmissions chase a
+  /// respawned process), its round, and a dual-replica write's DualWrite.
+  struct Member {
+    std::string replica;
+    std::shared_ptr<Multicast> batch;
+    std::shared_ptr<DualWrite> dual;
+  };
+  using Rpcs = RpcClient<Member>;
+
+  /// One member's request, built for `replica`, the `target`-th target,
+  /// under `request_id`.
+  struct Request {
+    std::any body;
+    int64_t bits = kControlBits;
+  };
+  using BuildRequest = std::function<Request(
+      size_t target, const std::string& replica, uint64_t request_id)>;
 
   /// A spawned query coordinator being supervised.
   struct CoordWatch {
@@ -188,15 +216,6 @@ class GdhProcess : public pool::Process {
     exec::TxnId lock_txn = exec::kAutoCommit;
     net::NodeId pe = 0;
     sim::EventId timer = 0;
-  };
-
-  /// Shared accounting of one logical write scattered to both replicas of
-  /// a fragment: exactly one of the two member replies contributes the
-  /// affected-row count and the dictionary row delta, whichever lands (or
-  /// benignly settles) first — so statistics stay single-copy no matter
-  /// which replica survives.
-  struct DualWrite {
-    bool counted = false;
   };
 
   /// One in-flight resync of a stale replica (DESIGN.md §13), coordinated
@@ -209,7 +228,6 @@ class GdhProcess : public pool::Process {
     int fragment = 0;
     int replica = 0;  // The replica being rebuilt.
     uint64_t resync_id = 0;
-    uint64_t request_id = 0;  // Current phase's RPC.
     exec::TxnId cutover_txn = exec::kAutoCommit;
   };
 
@@ -217,7 +235,6 @@ class GdhProcess : public pool::Process {
   void HandleLockBatch(const pool::Mail& mail);
   void HandleStatementDone(const pool::Mail& mail);
   void HandleWriteReply(const pool::Mail& mail);
-  void HandleTxnControlReply(const pool::Mail& mail);
   void HandleDecisionRequest(const pool::Mail& mail);
   void HandleCoordCheck(const pool::Mail& mail);
   void HandleResyncReply(const pool::Mail& mail);
@@ -292,15 +309,26 @@ class GdhProcess : public pool::Process {
 
   // ----------------------------------------------------- Hardened RPCs
 
-  /// Registers the request under `batch_id`, sends it to `fragment`'s OFM
-  /// and arms the retransmission timer. A currently unresolvable target
-  /// (crashed fragment) is retried like a lost message.
-  void SendRpc(uint64_t request_id, uint64_t batch_id, std::string fragment,
-               const char* kind, std::any body, int64_t size_bits,
-               int max_attempts);
-  /// Cancels the retransmission state of an answered request; false if
-  /// the request was already settled (duplicate reply).
-  bool SettleRpc(uint64_t request_id);
+  /// The GDH's one scatter/await-all (DESIGN.md §8.2): sends a `kind`
+  /// request built by `build` to each of `targets` under a fresh request
+  /// id, and calls `done` once every member settled. A write (kMailWrite)
+  /// names base fragments: each reaches its write set (WriteTargets,
+  /// chosen at its turn), whose replicas share a DualWrite. An
+  /// unresolvable target (crashed fragment) is retried like a lost message.
+  void FanOut(const std::vector<std::string>& targets, const char* kind,
+              int max_attempts, const BuildRequest& build, Done done);
+  /// A fan-out of `op` (prepare, one-phase commit, decision or abort).
+  void TxnControl(TxnControlRequest::Op op, exec::TxnId txn,
+                  const std::vector<std::string>& targets, int max_attempts,
+                  Done done);
+  /// Settles member `request_id`: takes it out of the pending requests
+  /// (or the parked commits) and counts `status` and `rows` in its round.
+  /// False if it had settled already.
+  bool SettleRpc(uint64_t request_id, const Status& status,
+                 uint64_t rows = 0);
+  /// SettleRpc for a reply: one to a settled member counts as a duplicate.
+  bool SettleReply(uint64_t request_id, const Status& status,
+                   uint64_t rows = 0);
   /// Retry hook: counts the retransmission, and sheds a replica whose
   /// host process is gone instead of resending to it. A one-phase commit
   /// whose participant is gone is parked until its respawn instead.
@@ -312,9 +340,6 @@ class GdhProcess : public pool::Process {
   /// to, when its peer carries on, and settles the request benignly;
   /// false if the fragment cannot shed it.
   bool ShedRpc(uint64_t request_id, const std::string& target);
-  /// Feeds one settled member (reply or failure) into its batch.
-  void AccountBatchMember(uint64_t request_id, const Status& status,
-                          uint64_t affected);
 
   /// Marks active transactions that wrote to `fragment` as doomed.
   void DoomTxnsInvolving(const std::string& fragment);
@@ -375,7 +400,8 @@ class GdhProcess : public pool::Process {
   /// last healthy copy. Returns true if the replica is (now) shed.
   bool TryFailover(FragmentInfo& frag, int dead);
   /// `txn`'s involved replica names minus shed (non-in-sync) replicas:
-  /// what 2PC phases actually need to reach.
+  /// what 2PC phases actually need to reach. Should that leave none, all
+  /// of them, so their requests settle.
   std::vector<std::string> ActiveInvolved(const TxnState& state);
   /// Respawns one dead replica: WAL recovery for in-sync replicas (plus
   /// dooming transactions that lost writes with the old process), a fresh
@@ -407,7 +433,6 @@ class GdhProcess : public pool::Process {
 
   /// Hands out the next durably reserved id; requires HasTxnId().
   exec::TxnId NewTxn(bool explicit_txn);
-  void FinishMulticast(uint64_t batch_id, Multicast& batch);
 
   /// Drops supervision and cached lock replies of a finished coordinator.
   void ForgetCoordinator(pool::ProcessId coordinator);
@@ -491,30 +516,24 @@ class GdhProcess : public pool::Process {
   /// by request id: re-sent to the respawned OFM, which answers from its
   /// WAL, unless a late reply of the dead one settles them first.
   struct ParkedCommit {
-    std::string replica;
+    Member member;
     std::any body;
   };
   std::map<uint64_t, ParkedCommit> parked_commits_;
 
   uint64_t next_request_id_ = 1;
-  uint64_t next_batch_id_ = 1;
-  std::map<uint64_t, Multicast> batches_;
-  std::map<uint64_t, uint64_t> request_batch_;  // request id -> batch id.
   // Settlement contract (D6): replies settle via SettleRpc, retry-budget
   // exhaustion via RpcExhausted, and a dead replica's in-flight RPCs are
   // swept onto the survivor by TryFailover.
   // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=RpcExhausted,
   //                shed=TryFailover)
-  RpcClient<std::string> rpcs_;  // By request id.
+  RpcClient<Member> rpcs_;  // Fan-out members by request id.
   /// Write requests settled as kUnavailable whose late reply has not
   /// arrived (FIFO-capped; only row-count statistics depend on it).
   static constexpr size_t kDegradedWriteCap = 1024;
   std::set<uint64_t> degraded_writes_;
   std::deque<uint64_t> degraded_writes_order_;
 
-  /// Dual-replica write accounting, keyed by each member's request id
-  /// (both ids of a logical op share one entry). Erased as members settle.
-  std::map<uint64_t, std::shared_ptr<DualWrite>> dual_writes_;
   /// Active resyncs by resync id.
   std::map<uint64_t, ResyncState> resyncs_;
   uint64_t next_resync_id_ = 1;

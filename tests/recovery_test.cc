@@ -539,6 +539,21 @@ TEST(RecoveryTest, DoubleFailureDegradesToTypedUnavailableNeverWrongAnswers) {
   EXPECT_GT(db.metrics().CounterTotal("query.unavailable"), 0u);
   EXPECT_NE(db.DumpMetrics().find("query.unavailable{"), std::string::npos);
 
+  // A write to the fragment degrades the same way: the requests to both
+  // replicas exhaust their budgets and the statement aborts, typed.
+  int64_t id = 100;
+  while (*(*table)->fragmenter->FragmentOf(
+             Tuple({Value::Int(id), Value::Int(0)})) != 0) {
+    ++id;
+  }
+  auto write = db.Execute(
+      StrFormat("INSERT INTO t VALUES (%lld, 0)", static_cast<long long>(id)));
+  ASSERT_FALSE(write.ok());
+  EXPECT_EQ(write.status().code(), StatusCode::kUnavailable)
+      << write.status().ToString();
+  // Every member of the write's and the abort's fan-outs settled.
+  EXPECT_EQ(db.gdh().unsettled_members(), 0u);
+
   // Both PEs back: resync runs both ways and full service resumes.
   ASSERT_TRUE(db.RecoverPe(frag.pe).ok());
   db.Run();
