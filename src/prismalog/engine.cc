@@ -527,6 +527,68 @@ StatusOr<size_t> Engine::Absorb(const std::string& pred,
   return fresh;
 }
 
+// ---------------------------------------------------- Linear TC matching
+
+namespace {
+
+/// The two distinct variables of a binary all-variable atom, or nullopt.
+std::optional<std::pair<std::string, std::string>> VarsOf(const Atom& a) {
+  if (a.args.size() != 2 || !a.args[0].is_variable() ||
+      !a.args[1].is_variable() ||
+      a.args[0].variable == a.args[1].variable) {
+    return std::nullopt;
+  }
+  return std::make_pair(a.args[0].variable, a.args[1].variable);
+}
+
+/// `rule` as a plain positive-conjunction body, or nullopt if it uses
+/// negation or comparisons (which disqualify the TC pattern).
+std::optional<std::vector<const Atom*>> PositiveBody(const Rule& rule) {
+  std::vector<const Atom*> atoms;
+  for (const BodyElem& elem : rule.body) {
+    if (elem.kind != BodyElem::Kind::kAtom || elem.negated) {
+      return std::nullopt;
+    }
+    atoms.push_back(&elem.atom);
+  }
+  return atoms;
+}
+
+/// The edge predicate e when `base` and `step` make their head predicate
+/// p exactly the transitive closure of e, or nullopt:
+///   base: p(X, Y) :- e(X, Y).   (e distinct from p)
+///   step: p(X, Z) :- e(X, Y), p(Y, Z).  or  p(X, Z) :- p(X, Y), e(Y, Z).
+std::optional<std::string> MatchLinearTc(const Rule& base, const Rule& step) {
+  auto base_body = PositiveBody(base);
+  auto step_body = PositiveBody(step);
+  if (!base_body || !step_body || base_body->size() != 1 ||
+      step_body->size() != 2) {
+    return std::nullopt;
+  }
+  const std::string& p = base.head.predicate;
+  const Atom& edge = *base_body->front();
+  if (step.head.predicate != p || edge.predicate == p) return std::nullopt;
+  auto hb = VarsOf(base.head);
+  auto bb = VarsOf(edge);
+  if (!hb || !bb || *hb != *bb) return std::nullopt;
+  const std::string& e = edge.predicate;
+
+  const Atom& s0 = *(*step_body)[0];
+  const Atom& s1 = *(*step_body)[1];
+  auto hs = VarsOf(step.head);
+  auto v0 = VarsOf(s0);
+  auto v1 = VarsOf(s1);
+  if (!hs || !v0 || !v1) return std::nullopt;
+  const bool chained = v0->second == v1->first && hs->first == v0->first &&
+                       hs->second == v1->second;
+  const bool left_form = s0.predicate == e && s1.predicate == p && chained;
+  const bool right_form = s0.predicate == p && s1.predicate == e && chained;
+  if (!left_form && !right_form) return std::nullopt;
+  return e;
+}
+
+}  // namespace
+
 StatusOr<bool> Engine::TryTcShortcut(const std::vector<std::string>& stratum) {
   if (!options_.use_tc_operator || stratum.size() != 1) return false;
   const std::string& p = stratum[0];
@@ -546,42 +608,12 @@ StatusOr<bool> Engine::TryTcShortcut(const std::vector<std::string>& stratum) {
     }
   }
   if (base == nullptr || step == nullptr) return false;
-
-  auto vars_of = [](const Atom& a) -> std::optional<std::pair<std::string, std::string>> {
-    if (a.args.size() != 2 || !a.args[0].is_variable() ||
-        !a.args[1].is_variable() ||
-        a.args[0].variable == a.args[1].variable) {
-      return std::nullopt;
-    }
-    return std::make_pair(a.args[0].variable, a.args[1].variable);
-  };
-
-  // Base rule: p(X, Y) :- e(X, Y), e distinct from p.
-  const Atom& base_body = base->rule->body[base->positive[0]].atom;
-  if (base_body.predicate == p) return false;
-  auto hb = vars_of(base->rule->head);
-  auto bb = vars_of(base_body);
-  if (!hb || !bb || *hb != *bb) return false;
-  const std::string& e = base_body.predicate;
-  if (predicates_.at(e)->arity != 2) return false;
-
-  // Step rule: p(X, Z) :- e(X, Y), p(Y, Z)  or  p(X, Y), e(Y, Z).
-  const Atom& s0 = step->rule->body[step->positive[0]].atom;
-  const Atom& s1 = step->rule->body[step->positive[1]].atom;
-  auto hs = vars_of(step->rule->head);
-  auto v0 = vars_of(s0);
-  auto v1 = vars_of(s1);
-  if (!hs || !v0 || !v1) return false;
-  const bool left_form = s0.predicate == e && s1.predicate == p &&
-                         v0->second == v1->first && hs->first == v0->first &&
-                         hs->second == v1->second;
-  const bool right_form = s0.predicate == p && s1.predicate == e &&
-                          v0->second == v1->first && hs->first == v0->first &&
-                          hs->second == v1->second;
-  if (!left_form && !right_form) return false;
+  const std::optional<std::string> e =
+      MatchLinearTc(*base->rule, *step->rule);
+  if (!e || predicates_.at(*e)->arity != 2) return false;
 
   // p is exactly the transitive closure of e: use the TC operator.
-  ASSIGN_OR_RETURN(std::vector<Tuple> edges, ExtensionOf(e));
+  ASSIGN_OR_RETURN(std::vector<Tuple> edges, ExtensionOf(*e));
   exec::TcStats tc_stats;
   ASSIGN_OR_RETURN(std::vector<Tuple> closure,
                    exec::TransitiveClosure(edges, options_.tc_algorithm,
@@ -704,35 +736,6 @@ StatusOr<std::vector<Tuple>> Engine::EvaluatePredicate(
   return ExtensionOf(predicate);
 }
 
-// ------------------------------------------------------- Shared helpers
-
-namespace {
-
-/// The two distinct variables of a binary all-variable atom, or nullopt.
-std::optional<std::pair<std::string, std::string>> VarsOf(const Atom& a) {
-  if (a.args.size() != 2 || !a.args[0].is_variable() ||
-      !a.args[1].is_variable() ||
-      a.args[0].variable == a.args[1].variable) {
-    return std::nullopt;
-  }
-  return std::make_pair(a.args[0].variable, a.args[1].variable);
-}
-
-/// `rule` as a plain positive-conjunction body, or nullopt if it uses
-/// negation or comparisons (which disqualify the TC pattern).
-std::optional<std::vector<const Atom*>> PositiveBody(const Rule& rule) {
-  std::vector<const Atom*> atoms;
-  for (const BodyElem& elem : rule.body) {
-    if (elem.kind != BodyElem::Kind::kAtom || elem.negated) {
-      return std::nullopt;
-    }
-    atoms.push_back(&elem.atom);
-  }
-  return atoms;
-}
-
-}  // namespace
-
 std::optional<LinearTcPattern> DetectLinearTc(const Program& program) {
   // Exactly the two-rule shape: any extra rule or in-program fact could
   // change p's extension, so the conservative match refuses it.
@@ -753,31 +756,9 @@ std::optional<LinearTcPattern> DetectLinearTc(const Program& program) {
     }
   }
   if (base == nullptr || step == nullptr) return std::nullopt;
-  if (base->head.predicate != step->head.predicate) return std::nullopt;
-  const std::string& p = base->head.predicate;
-
-  // Base rule: p(X, Y) :- e(X, Y), e distinct from p.
-  const Atom& base_body = base->body[0].atom;
-  if (base_body.predicate == p) return std::nullopt;
-  auto hb = VarsOf(base->head);
-  auto bb = VarsOf(base_body);
-  if (!hb || !bb || *hb != *bb) return std::nullopt;
-  const std::string& e = base_body.predicate;
-
-  // Step rule: p(X, Z) :- e(X, Y), p(Y, Z)  or  p(X, Y), e(Y, Z).
-  const Atom& s0 = step->body[0].atom;
-  const Atom& s1 = step->body[1].atom;
-  auto hs = VarsOf(step->head);
-  auto v0 = VarsOf(s0);
-  auto v1 = VarsOf(s1);
-  if (!hs || !v0 || !v1) return std::nullopt;
-  const bool chained = v0->second == v1->first && hs->first == v0->first &&
-                       hs->second == v1->second;
-  const bool left_form = s0.predicate == e && s1.predicate == p && chained;
-  const bool right_form = s0.predicate == p && s1.predicate == e && chained;
-  if (!left_form && !right_form) return std::nullopt;
-
-  return LinearTcPattern{p, e};
+  std::optional<std::string> e = MatchLinearTc(*base, *step);
+  if (!e) return std::nullopt;
+  return LinearTcPattern{base->head.predicate, std::move(*e)};
 }
 
 QueryResult AnswerGoal(const Atom& goal, const std::vector<Tuple>& extension) {
