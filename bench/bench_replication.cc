@@ -311,6 +311,13 @@ int main(int argc, char** argv) {
   PRISMA_CHECK(wrep.wal_markers == 4 * static_cast<uint64_t>(kWrites))
       << "replicated writes must prepare and commit both replicas, got "
       << wrep.wal_markers << " markers for " << kWrites;
+  // A replicated point write drains after two forces (the replicas'
+  // prepares, then the C), a single-copy one after one: the replicas'
+  // commit markers ride on their next writes (DESIGN.md §8.1). A third
+  // force per write would put the ratio near 3.
+  PRISMA_CHECK(wrep.total_ms / wsingle.total_ms < 2.5)
+      << "replicated writes cost " << wrep.total_ms / wsingle.total_ms
+      << "x single-copy ones: a force came back into the write path";
 
   const std::string json = StrFormat(
       "{\n"

@@ -415,6 +415,7 @@ bool GdhProcess::TryFailover(FragmentInfo& frag, int dead) {
     }
   }
   for (uint64_t id : orphaned) SettleRpc(id, Status::OK());
+  ForgetMarkersOf(shed_name);
   // A shed whose victim process is still alive was a reply-path loss (or
   // an exhaustion that outlived the PE's restart), not a crash: its host
   // PE is up and no future recovery event will come for it, so rebuild
@@ -516,6 +517,27 @@ void GdhProcess::LogCommitEnd(exec::TxnId txn) {
   if (disk() == nullptr) return;
   // Unforced: the record waits in memory for the next forced write.
   pending_ends_.push_back("E " + std::to_string(txn));
+}
+
+void GdhProcess::CommitMarkersLanded(const std::string& replica,
+                                     const std::vector<exec::TxnId>& txns) {
+  for (const exec::TxnId txn : txns) {
+    auto it = markers_awaited_.find(txn);
+    if (it == markers_awaited_.end() || it->second.erase(replica) == 0 ||
+        !it->second.empty()) {
+      continue;
+    }
+    markers_awaited_.erase(it);
+    LogCommitEnd(txn);
+  }
+}
+
+void GdhProcess::ForgetMarkersOf(const std::string& replica) {
+  std::vector<exec::TxnId> awaiting;
+  for (const auto& [txn, replicas] : markers_awaited_) {
+    if (replicas.contains(replica)) awaiting.push_back(txn);
+  }
+  CommitMarkersLanded(replica, awaiting);
 }
 
 storage::StableWrite GdhProcess::ForcedWrite() {
@@ -833,13 +855,7 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
       state_it != txns_->end() ? ActiveInvolved(state_it->second) : involved;
   const sim::SimTime phase2_start = runtime()->simulator()->now();
   auto delivered = [this, txn, commit, outcome, phase2_start, tracer,
-                    then](const Multicast& m2) {
-    if (commit && m2.first_error.ok()) {
-      // Every participant acknowledged the commit: the decision can be
-      // forgotten. If any ack is missing the record stays, so a later
-      // inquiry still learns "commit".
-      LogCommitEnd(txn);
-    }
+                    then](const Multicast&) {
     if (tracer != nullptr && tracer->enabled()) {
       tracer->Span("gdh", "2pc.decision", phase2_start,
                    runtime()->simulator()->now(), pe(), self(), "txn",
@@ -861,6 +877,11 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
     Inc(m_txns_aborted_);
     then(outcome);
   };
+  // The decision is remembered until every participant has its commit
+  // marker on disk: the participants answer phase 2 once the decision is
+  // applied and list the marker on a later reply, once a write of theirs
+  // carried it (CommitMarkersLanded).
+  if (commit) markers_awaited_[txn] = {decide.begin(), decide.end()};
   // Decision delivery gets extra retry headroom: participants must learn
   // the outcome or stay in doubt until they inquire.
   TxnControl(
@@ -874,7 +895,8 @@ void GdhProcess::SendDecision(exec::TxnId txn, bool commit, Status outcome,
   // place at every participant. The locks go now; the fragments' next
   // writers, checkpoints and resync cutovers wait for phase 2 instead
   // (AfterSettled), so no OFM opens a writer next to a decided
-  // transaction whose commit marker has not landed.
+  // transaction it has not applied. The commit marker need not have
+  // landed: it rides ahead of the next writer's records.
   unsettled_[{.id = txn}] = BaseFragments(decide);
   if (decided != txns_->end()) {
     // PRISMA_TRANSITION(kCommitting, kCommitted, answered at the decision)
@@ -1035,6 +1057,7 @@ void GdhProcess::ExecuteDdl(const BoundStatement& bound,
       for (const FragmentInfo& frag : (*info)->fragments) {
         for (int r = 0; r < frag.num_replicas(); ++r) {
           runtime()->Kill(frag.ReplicaOfm(r));
+          ForgetMarkersOf(frag.ReplicaName(r));
         }
       }
       // Abort in-flight resyncs of the dropped table (their targets were
@@ -1198,10 +1221,10 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
           return;
         }
         // Locks held. A commit answered at its decision may still be
-        // delivering its markers to these fragments: the writes wait for
-        // it (and for a checkpoint round there), so no OFM opens this
-        // writer next to a decided transaction whose commit marker has
-        // not landed (DESIGN.md §8.1).
+        // delivering phase 2 to these fragments: the writes wait for it
+        // (and for a checkpoint round there), so no OFM opens this writer
+        // next to a decided transaction it has not applied (DESIGN.md
+        // §8.1).
         AfterSettled(resources, [this, txn, implicit, fragments, requests,
                                  client, client_request] {
           auto& txn_state = (*txns_)[txn];
@@ -1380,6 +1403,7 @@ void GdhProcess::HandleStatementDone(const pool::Mail& mail) {
 
 void GdhProcess::HandleWriteReply(const pool::Mail& mail) {
   auto reply = std::any_cast<std::shared_ptr<WriteReply>>(mail.body);
+  CommitMarkersLanded(reply->fragment, reply->commits_landed);
   auto call = rpcs_.calls().find(reply->request_id);
   bool count = true;
   if (call == rpcs_.calls().end()) {
@@ -1886,6 +1910,7 @@ void GdhProcess::OnMail(const pool::Mail& mail) {
     HandleWriteReply(mail);
   } else if (mail.kind == kMailTxnControlReply) {
     auto reply = std::any_cast<std::shared_ptr<TxnControlReply>>(mail.body);
+    CommitMarkersLanded(reply->fragment, reply->commits_landed);
     SettleReply(reply->request_id, reply->status);
   } else if (mail.kind == kMailDecisionRequest) {
     HandleDecisionRequest(mail);

@@ -120,7 +120,8 @@ class GdhProcess : public pool::Process {
   /// Recovers every dead fragment placed on `pe` (PE restart).
   Status RecoverPe(net::NodeId pe);
 
-  /// Logged commit decisions not yet fully acknowledged (tests).
+  /// Logged commit decisions not yet retired: some participant has not
+  /// listed its commit marker as landed (tests).
   const std::set<exec::TxnId>& committed_decisions() const {
     return *committed_;
   }
@@ -360,12 +361,20 @@ class GdhProcess : public pool::Process {
   /// then on: until the record lands the transaction stays kPreparing, so
   /// inquiries about it are deferred and a crash loses it (presumed abort).
   void LogCommitDecision(exec::TxnId txn, std::function<void()> then);
-  /// Forgets a commit every participant acknowledged and logs "E <txn>"
-  /// unforced: the record rides on the GDH's next forced write (a decision
-  /// or an id reservation) instead of costing a disk access of its own. A
-  /// lost E only means a restarted GDH remembers a decision nobody will
-  /// ask about.
+  /// Forgets a commit whose participants all have its commit marker on
+  /// disk and logs "E <txn>" unforced: the record rides on the GDH's next
+  /// forced write (a decision or an id reservation) instead of costing a
+  /// disk access of its own. A lost E only means a restarted GDH
+  /// remembers a decision nobody will ask about.
   void LogCommitEnd(exec::TxnId txn);
+  /// `replica` no longer needs the decisions on `txns`: a reply listed
+  /// their commit markers as landed (commits_landed), or ForgetMarkersOf.
+  /// The last participant of a decision retires it.
+  void CommitMarkersLanded(const std::string& replica,
+                           const std::vector<exec::TxnId>& txns);
+  /// `replica` will never need a decision again: it was shed (resync
+  /// rebuilds it from its peer) or its table dropped.
+  void ForgetMarkersOf(const std::string& replica);
   /// A new forced write to the GDH's disk, carrying the end records
   /// logged since the last one.
   storage::StableWrite ForcedWrite();
@@ -498,6 +507,10 @@ class GdhProcess : public pool::Process {
   pool::Owned<std::set<exec::TxnId>> committed_;
   /// End records not on disk yet (see LogCommitEnd).
   std::vector<std::string> pending_ends_;
+  /// Per commit decision sent in this incarnation, the participant
+  /// replicas whose commit marker has not been listed as landed yet
+  /// (DESIGN.md §8.1, "Unforced commit markers").
+  std::map<exec::TxnId, std::set<std::string>> markers_awaited_;
 
   /// Work not yet settled, with the base fragments it covers: a one-phase
   /// commit until its participant answers, a multi-participant commit

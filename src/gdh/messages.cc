@@ -14,15 +14,35 @@ int64_t FrameBits(const RowFrame& frame) {
   return frame != nullptr ? static_cast<int64_t>(frame->size()) * 8 : 0;
 }
 
-int64_t WriteReply::WireBits() const {
-  int64_t bits = kControlBits;
-  for (uint64_t estimate : distinct) {
-    do {
-      bits += 8;  // One LEB128 byte per 7 bits.
-      estimate >>= 7;
-    } while (estimate != 0);
+namespace {
+
+int64_t VarintBits(uint64_t value) {
+  int64_t bits = 0;
+  do {
+    bits += 8;  // One LEB128 byte per 7 bits.
+    value >>= 7;
+  } while (value != 0);
+  return bits;
+}
+
+int64_t LandedBits(const std::vector<exec::TxnId>& txns) {
+  int64_t bits = 0;
+  for (const exec::TxnId txn : txns) {
+    bits += VarintBits(static_cast<uint64_t>(txn));
   }
   return bits;
+}
+
+}  // namespace
+
+int64_t WriteReply::WireBits() const {
+  int64_t bits = kControlBits + LandedBits(commits_landed);
+  for (const uint64_t estimate : distinct) bits += VarintBits(estimate);
+  return bits;
+}
+
+int64_t TxnControlReply::WireBits() const {
+  return kControlBits + LandedBits(commits_landed);
 }
 
 StatusOr<std::vector<Tuple>> TupleBatchRows(const RowFrame& frame) {

@@ -264,8 +264,13 @@ struct WriteReply {
   /// when they moved since this OFM last reported them; empty otherwise.
   std::vector<uint64_t> distinct;
   std::string fragment;
+  /// Transactions whose phase-2 commit markers are durable at this OFM
+  /// now: a write it submitted since its last such list carried them, and
+  /// the reply left once that write landed (DESIGN.md §8.1, "Unforced
+  /// commit markers").
+  std::vector<exec::TxnId> commits_landed;
 
-  /// A header, plus each estimate as a varint.
+  /// A header, plus each estimate and each landed transaction as a varint.
   int64_t WireBits() const;
 };
 
@@ -346,6 +351,11 @@ struct TxnControlReply {
   uint64_t request_id = 0;
   Status status;
   std::string fragment;
+  /// As WriteReply::commits_landed.
+  std::vector<exec::TxnId> commits_landed;
+
+  /// A header, plus each landed transaction as a varint.
+  int64_t WireBits() const;
 };
 
 /// GDH -> OFM: snapshot the fragment and truncate its WAL.

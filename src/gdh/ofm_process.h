@@ -143,9 +143,11 @@ class OfmProcess : public pool::Process {
                pool::Disk::Ticket durable_at = 0);
   /// Respond after every write this OFM has submitted so far is durable:
   /// the reply reveals a yes-vote, a commit or a checkpoint, and the disk
-  /// lands writes in order.
-  void RespondDurable(pool::ProcessId to, uint64_t request_id,
-                      const char* kind, std::any body, int64_t size_bits);
+  /// lands writes in order. So the reply also lists the buffered commit
+  /// markers those writes carried (commits_landed).
+  template <typename Reply>
+  void RespondDurable(pool::ProcessId to, const char* kind,
+                      std::shared_ptr<Reply> reply);
   /// Replays the cached reply for a duplicate request; false if the
   /// request was never answered (i.e. it is not a duplicate).
   bool ReplayCached(pool::ProcessId from, uint64_t request_id);

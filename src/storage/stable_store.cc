@@ -1,5 +1,7 @@
 #include "storage/stable_store.h"
 
+#include <iterator>
+
 namespace prisma::storage {
 
 StableWrite& StableWrite::Append(std::string stream, std::string record) {
@@ -23,6 +25,14 @@ StableWrite& StableWrite::Truncate(std::string stream) {
 
 StableWrite& StableWrite::DropSnapshot(std::string name) {
   ops_.push_back({Op::Kind::kDropSnapshot, std::move(name), {}});
+  return *this;
+}
+
+StableWrite& StableWrite::Then(StableWrite next) {
+  bytes_ += next.bytes_;
+  records_ += next.records_;
+  ops_.insert(ops_.end(), std::make_move_iterator(next.ops_.begin()),
+              std::make_move_iterator(next.ops_.end()));
   return *this;
 }
 

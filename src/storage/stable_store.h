@@ -41,6 +41,8 @@ class StableWrite {
   StableWrite& Truncate(std::string stream);
   /// Deletes a snapshot (the fragment it checkpoints was dropped).
   StableWrite& DropSnapshot(std::string name);
+  /// Appends `next`'s operations after this write's.
+  StableWrite& Then(StableWrite next);
 
   /// Payload bytes the disk has to transfer.
   size_t bytes() const { return bytes_; }
