@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "algebra/expr.h"
 #include "algebra/plan.h"
@@ -91,10 +92,37 @@ TEST_F(OfmTest, TransactionalCommitSurvivesCrash) {
   ASSERT_TRUE(ofm_->Insert(txn, Acct(2, "bob", 200)).ok());
   ASSERT_TRUE(ofm_->Prepare(txn).ok());
   ASSERT_TRUE(ofm_->Commit(txn).ok());
+  // The commit marker waits for this OFM's next write; submit it alone.
+  ofm_->FlushMarkers();
 
   Reset(OfmType::kFull);
   ASSERT_TRUE(ofm_->Recover().ok());
   EXPECT_EQ(ofm_->num_tuples(), 2u);
+}
+
+TEST_F(OfmTest, CommitMarkerRidesOnTheNextWriteAndRecoveryReportsIt) {
+  const TxnId txn = 43;
+  ASSERT_TRUE(ofm_->Insert(txn, Acct(1, "ann", 100)).ok());
+  ASSERT_TRUE(ofm_->Prepare(txn).ok());
+  ASSERT_TRUE(ofm_->Commit(txn).ok());
+  sim_.Run();
+  // Phase 2 wrote nothing: the WAL holds the redo record and the prepare.
+  EXPECT_EQ(stable_.ReadStream("acct#0.wal").size(), 2u);
+  EXPECT_TRUE(ofm_->TakeSubmittedCommits().empty());
+
+  // The next write carries the marker ahead of its own record.
+  ASSERT_TRUE(ofm_->Insert(kAutoCommit, Acct(2, "bob", 200)).ok());
+  EXPECT_EQ(ofm_->TakeSubmittedCommits(), std::vector<TxnId>{txn});
+  sim_.Run();
+  EXPECT_EQ(stable_.ReadStream("acct#0.wal").size(), 4u);
+
+  // A successor replays the marker and reports it again, since the reply
+  // that listed it may have died with its predecessor.
+  Reset(OfmType::kFull);
+  ASSERT_TRUE(ofm_->Recover().ok());
+  EXPECT_EQ(ofm_->num_tuples(), 2u);
+  EXPECT_TRUE(ofm_->recovered_undecided().empty());
+  EXPECT_EQ(ofm_->TakeSubmittedCommits(), std::vector<TxnId>{txn});
 }
 
 TEST_F(OfmTest, OnePhaseCommitIsOneWriteAndStaysLoggedAcrossACrash) {
@@ -141,6 +169,7 @@ TEST_F(OfmTest, DecidedTransactionStaysOutsideTheResyncBoundaryUntilMarked) {
   EXPECT_EQ(cursor, 1u);           // Stopped at the decided transaction.
 
   ASSERT_TRUE(ofm_->Commit(txn).ok());
+  ofm_->FlushMarkers();  // As a resync source does before reading.
   sim_.Run();
   records = ofm_->CommittedWalSince(&cursor);
   ASSERT_TRUE(records.ok());
@@ -175,6 +204,7 @@ TEST_F(OfmTest, InDoubtTransactionAwaitsCoordinatorDecision) {
   ASSERT_TRUE(ofm_->ResolveRecovered(txn, /*commit=*/true).ok());
   EXPECT_EQ(ofm_->num_tuples(), 1u);
   EXPECT_TRUE(ofm_->recovered_undecided().empty());
+  ofm_->FlushMarkers();  // The marker waits for the next write.
   Reset(OfmType::kFull);
   ASSERT_TRUE(ofm_->Recover().ok());
   EXPECT_EQ(ofm_->num_tuples(), 1u);
@@ -194,6 +224,7 @@ TEST_F(OfmTest, InDoubtTransactionResolvedAbortLeavesNoTrace) {
   ASSERT_EQ(ofm_->recovered_undecided().size(), 1u);
   ASSERT_TRUE(ofm_->ResolveRecovered(txn, /*commit=*/false).ok());
   EXPECT_EQ(ofm_->num_tuples(), 1u);
+  ofm_->FlushMarkers();  // The marker waits for the next write.
   Reset(OfmType::kFull);
   ASSERT_TRUE(ofm_->Recover().ok());
   EXPECT_EQ(ofm_->num_tuples(), 1u);
