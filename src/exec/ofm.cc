@@ -95,16 +95,6 @@ class OfmResolver : public TableResolver {
 
 }  // namespace
 
-const char* OfmTypeName(OfmType type) {
-  switch (type) {
-    case OfmType::kFull:
-      return "full";
-    case OfmType::kQueryOnly:
-      return "query_only";
-  }
-  return "?";
-}
-
 Ofm::Ofm(std::string fragment_name, Schema schema, Options options)
     : fragment_name_(std::move(fragment_name)),
       options_(std::move(options)),

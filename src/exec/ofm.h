@@ -39,8 +39,6 @@ enum class OfmType : uint8_t {
   kQueryOnly,  // Intermediate results: no durability machinery at all.
 };
 
-const char* OfmTypeName(OfmType type);
-
 /// One-Fragment Manager: the per-fragment database system at the heart of
 /// the PRISMA architecture (§2.5). It owns exactly one relation fragment
 /// in main memory together with its access structures, and provides every

@@ -413,7 +413,7 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   // A retransmitted stream request racing its own running stream: that
   // stream will answer the coordinator, so a second one would only
   // duplicate every batch.
-  if (active_shuffles_->contains({mail.from, request->request_id})) return;
+  if (in_flight_->contains({mail.from, request->request_id})) return;
   const std::shared_ptr<const algebra::Plan> plan =
       AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
   if (plan == nullptr) return;
@@ -524,7 +524,7 @@ void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
                                config_.machine.exchange_credit_window),
          spec.consumers[c], gauge});
   }
-  (*active_shuffles_)[{coordinator, request.request_id}] = token;
+  (*in_flight_)[{coordinator, request.request_id}] = token;
   PRISMA_CHECK(shuffles_->emplace(token, ShuffleState{coordinator,
                                                       request.request_id,
                                                       std::move(profile)})
@@ -566,7 +566,7 @@ void OfmProcess::FinishShuffle(uint64_t token, Status status) {
   // consumers.
   Respond(state.coordinator, state.request_id, kMailExecPlanReply, reply,
           reply->WireBits());
-  active_shuffles_->erase({state.coordinator, state.request_id});
+  in_flight_->erase({state.coordinator, state.request_id});
   shuffles_->erase(it);
 }
 
@@ -589,9 +589,7 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
   auto request = std::any_cast<std::shared_ptr<ResyncRequest>>(mail.body);
   // A retransmitted request racing its own in-flight session: the running
   // session will answer the GDH.
-  if (active_resync_requests_->contains({mail.from, request->request_id})) {
-    return;
-  }
+  if (in_flight_->contains({mail.from, request->request_id})) return;
   ofm_->FlushMarkers();
   if (!ofm_->WritesDurable()) {
     // The snapshot and the WAL cursor below must describe the same state,
@@ -668,7 +666,7 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
          request->target, nullptr});
     bulk.stalls = m_exchange_stalls_;
   }
-  (*active_resync_requests_)[{mail.from, request->request_id}] = token;
+  (*in_flight_)[{mail.from, request->request_id}] = token;
   auto [it, inserted] = resync_sources_->emplace(token, std::move(source));
   PRISMA_CHECK(inserted);
   if (it->second.cutover) {
@@ -773,7 +771,7 @@ void OfmProcess::FinishResyncSource(uint64_t token, Status status) {
   reply->status = std::move(status);
   Respond(source.gdh, source.request_id, kMailResyncReply, reply,
           kControlBits);
-  active_resync_requests_->erase({source.gdh, source.request_id});
+  in_flight_->erase({source.gdh, source.request_id});
   resync_sources_->erase(it);
 }
 

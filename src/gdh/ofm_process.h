@@ -265,11 +265,12 @@ class OfmProcess : public pool::Process {
   // no-op write (zero rows matched) still registers here, so it votes yes.
   pool::Owned<std::set<exec::TxnId>> seen_txns_;
 
-  // Producer-side shuffle state. `active_shuffles_` maps the coordinator's
-  // (sender, request_id) onto the running shuffle's token so a
-  // retransmitted shuffle plan that races its own in-flight execution is
-  // ignored instead of double-streaming. Shuffle and resync bulk streams
-  // draw their tokens from one sequence, so an ack finds its sender.
+  // Producer side. Shuffle and resync bulk streams draw their tokens from
+  // one sequence, so an ack finds its sender. `in_flight_` maps the
+  // requester's (sender, request_id), the reply cache's key, onto the
+  // token of the shuffle or resync session it started, so a retransmitted
+  // request that races its own in-flight execution is ignored instead of
+  // streaming twice.
   StreamSender shuffle_out_;
   StreamSender resync_out_;
   // Settlement contract (D6): the target's ack settles a delta round; a
@@ -279,17 +280,14 @@ class OfmProcess : public pool::Process {
   RpcClient<pool::ProcessId> deltas_;
   pool::Owned<std::map<uint64_t, ShuffleState>> shuffles_;
   pool::Owned<std::map<std::pair<pool::ProcessId, uint64_t>, uint64_t>>
-      active_shuffles_;
+      in_flight_;
   uint64_t next_shuffle_token_ = 1;
 
-  // Resync source sessions by token, with the same racing-duplicate guard
-  // as shuffles. The committed-WAL cursor per resync id outlives the phase
-  // A session (the cutover request resumes from it); while any cursor is
-  // outstanding, checkpoints are acknowledged but deferred so the WAL is
-  // not truncated under the cursor.
+  // Resync source sessions by token. The committed-WAL cursor per resync
+  // id outlives the phase A session (the cutover request resumes from
+  // it); while any cursor is outstanding, checkpoints are acknowledged but
+  // deferred so the WAL is not truncated under the cursor.
   pool::Owned<std::map<uint64_t, ResyncSource>> resync_sources_;
-  pool::Owned<std::map<std::pair<pool::ProcessId, uint64_t>, uint64_t>>
-      active_resync_requests_;
   pool::Owned<std::map<uint64_t, size_t>> resync_cursors_;
 
   // Resident fragment plans (DESIGN.md §15.4), FIFO-bounded by

@@ -63,6 +63,17 @@ std::string PartShapeKey(const algebra::Plan& plan) {
   }
 }
 
+/// A shuffled group-by: its merge consumers' replies are the OLAP gather.
+bool IsGroupByShuffle(const LocalPart& part) {
+  return part.exchange != nullptr && part.exchange->group_by();
+}
+
+/// An OLAP part (DESIGN.md §14.4), a shuffled group-by or sorted runs: its
+/// producers' stream bits count as olap.shuffle_bits.
+bool IsOlapPart(const LocalPart& part) {
+  return part.sorted_runs || IsGroupByShuffle(part);
+}
+
 }  // namespace
 
 QueryProcess::QueryProcess(Config config)
@@ -261,24 +272,31 @@ void QueryProcess::Reply(Status status, Schema schema,
     if (forward_runs_ && status.ok()) {
       metrics->GetCounter("query.reply_streamed")->Increment();
     }
-    for (const auto& [part, rows] : group_gathered_) {
+    for (size_t i = 0; i < parts_->size(); ++i) {
+      const std::optional<uint64_t> rows = (*parts_)[i].group_rows;
+      if (!rows.has_value()) continue;
       // The path each costed GROUP BY took, and the q-error of the rows
       // it gathered, in percent (100: exact; DESIGN.md §14.2).
-      const GroupByChoice& choice = *split_->parts[part].group_by;
+      const GroupByChoice& choice = *split_->parts[i].group_by;
       metrics->GetCounter("olap.group_by_paths",
                           {{"path", GroupByPathName(choice.path)}})
           ->Increment();
       metrics->GetGauge("olap.last_group_qerror_pct")
           ->Set(static_cast<int64_t>(std::llround(
               100 * QError(choice.gathered_rows(),
-                           static_cast<double>(rows)))));
+                           static_cast<double>(*rows)))));
     }
-    if (!group_by_parts_.empty() || !runs_.empty()) {
+    // The OLAP parts scattered: a statement with any has work entries
+    // once it scattered, and none before.
+    const size_t olap_parts =
+        work_->empty() ? 0
+                       : std::count_if(split_->parts.begin(),
+                                       split_->parts.end(), IsOlapPart);
+    if (olap_parts > 0) {
       // Wire accounting of the OLAP parts (DESIGN.md §14.4): shuffle =
       // first transmissions of the producers' streams (group-by shuffles
       // and sorted runs), gather = group-by consumer replies.
-      metrics->GetCounter("olap.parts", q)
-          ->Increment(group_by_parts_.size() + runs_.size());
+      metrics->GetCounter("olap.parts", q)->Increment(olap_parts);
       metrics->GetCounter("olap.shuffle_bits", q)
           ->Increment(olap_shuffle_bits_);
       metrics->GetCounter("olap.gather_bits", q)->Increment(olap_gather_bits_);
@@ -442,8 +460,10 @@ void QueryProcess::AcquireSelectLocks() {
   // Shared locks on the fragments this statement can actually touch
   // (selections pinning the fragmentation key prune the rest).
   std::set<std::string> resources;
-  part_fragments_.clear();
-  for (const LocalPart& part : split_->parts) {
+  parts_->assign(split_->parts.size(), Part{});
+  for (size_t i = 0; i < split_->parts.size(); ++i) {
+    const LocalPart& part = split_->parts[i];
+    std::vector<int>& fragments = (*parts_)[i].fragments;
     if (part.exchange != nullptr) {
       // Exchange part: every fragment of every input is read on its own
       // PE, so lock all of them; the part's fragment list is the anchor
@@ -461,12 +481,10 @@ void QueryProcess::AcquireSelectLocks() {
         if (input.table == part.exchange->anchor_table) anchor = *info;
       }
       PRISMA_CHECK(anchor != nullptr);
-      std::vector<int> all;
-      all.reserve(anchor->fragments.size());
+      fragments.reserve(anchor->fragments.size());
       for (size_t f = 0; f < anchor->fragments.size(); ++f) {
-        all.push_back(static_cast<int>(f));
+        fragments.push_back(static_cast<int>(f));
       }
-      part_fragments_.push_back(std::move(all));
       continue;
     }
     auto info = config_.dictionary->GetTable(part.table);
@@ -474,8 +492,8 @@ void QueryProcess::AcquireSelectLocks() {
       Reply(info.status(), Schema(), nullptr);
       return;
     }
-    std::vector<int> pruned = PruneFragmentsForPart(**info, *part.plan);
-    for (const int f : pruned) {
+    fragments = PruneFragmentsForPart(**info, *part.plan);
+    for (const int f : fragments) {
       resources.insert((*info)->fragments[f].name);
     }
     if (!part.second_table.empty()) {
@@ -485,11 +503,10 @@ void QueryProcess::AcquireSelectLocks() {
         Reply(second.status(), Schema(), nullptr);
         return;
       }
-      for (const int f : pruned) {
+      for (const int f : fragments) {
         resources.insert((*second)->fragments[f].name);
       }
     }
-    part_fragments_.push_back(std::move(pruned));
   }
   RequestLocks({resources.begin(), resources.end()});
 }
@@ -506,10 +523,6 @@ void QueryProcess::RequestLocks(std::vector<std::string> resources) {
 
 void QueryProcess::Scatter() {
   // Build the per-fragment work list.
-  gathered_->assign(split_->parts.size(), {});
-  duplicate_of_.assign(split_->parts.size(), SIZE_MAX);
-  part_profiles_.clear();
-  part_shipping_.clear();
   work_->clear();
   size_t consumer_replies = 0;
   // Identical parts (common subexpressions, e.g. self-joins) are
@@ -538,7 +551,7 @@ void QueryProcess::Scatter() {
       const std::string key = part.table + "\n" + PartShapeKey(*part.plan);
       auto [it, inserted] = part_shapes.try_emplace(key, i);
       if (!inserted) {
-        duplicate_of_[i] = it->second;
+        (*parts_)[i].duplicate_of = it->second;
         continue;
       }
     }
@@ -550,7 +563,7 @@ void QueryProcess::Scatter() {
       PRISMA_CHECK(second_or.ok());
       second = *second_or;
     }
-    for (const int f : part_fragments_[i]) {
+    for (const int f : (*parts_)[i].fragments) {
       AddFragmentWork(i, part.table, (*info)->fragments[f], *part.plan,
                       part.second_table,
                       second != nullptr ? &second->fragments[f] : nullptr);
@@ -670,10 +683,8 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
                               : ExecPlanRequest::Stream::Mode::kHash;
       stream.partition_column = ex.inputs[s].route_column;
       stream.keep_nulls = ex.inputs[s].keep_nulls;
-      work_->back().olap_stream = ex.group_by();
     }
   }
-  if (ex.group_by()) group_by_parts_.insert(part_index);
   return consumers.size();
 }
 
@@ -682,26 +693,22 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
   auto info_or = config_.dictionary->GetTable(part.table);
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
-  const std::vector<int>& fragments = part_fragments_[part_index];
+  Part& record = (*parts_)[part_index];
+  const std::vector<int>& fragments = record.fragments;
   const uint64_t exchange_id = ExchangeId(part_index);
-  StreamReceiver in(this, ConsumerOptions(exchange_id, 0, config_.machine,
-                                          {{"fragment", "coordinator"}},
-                                          /*fixpoint=*/false));
-  in.Expect(0, fragments.size());
-  SortedRuns& runs =
-      runs_.insert_or_assign(exchange_id,
-                             SortedRuns{part_index, {}, std::move(in),
-                                        std::vector<std::deque<Tuple>>(
-                                            fragments.size())})
-          .first->second;
+  in_.emplace(this, ConsumerOptions(exchange_id, 0, config_.machine,
+                                    {{"fragment", "coordinator"}},
+                                    /*fixpoint=*/false));
+  in_->Expect(0, fragments.size());
+  in_part_ = part_index;
+  record.runs.resize(fragments.size());
+  record.first_work = work_->size();
   for (size_t r = 0; r < fragments.size(); ++r) {
     // Broadcast to one consumer: the run leaves in sorted order, with no
     // per-row routing.
     AddShuffleProducer(part_index, exchange_id, 0, r, part.table,
                        table.fragments[fragments[r]], *part.plan, {self()})
         .mode = ExecPlanRequest::Stream::Mode::kBroadcast;
-    work_->back().olap_stream = true;
-    runs.work.push_back(work_->size() - 1);
   }
 }
 
@@ -746,36 +753,46 @@ ExecPlanRequest::Stream& QueryProcess::AddShuffleProducer(
   return stream;
 }
 
-void QueryProcess::HandleRunBatch(const pool::Mail& mail) {
-  if (finished_) return;
-  auto it = runs_.find(
-      std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body)->exchange_id);
-  if (it == runs_.end()) return;
-  SortedRuns& runs = it->second;
+void QueryProcess::HandleStreamBatch(const pool::Mail& mail) {
+  if (finished_ || !in_.has_value()) return;
+  Part& part = (*parts_)[in_part_];
+  const bool runs = split_->parts[in_part_].sorted_runs;
   const Status status =
-      runs.in.Receive(mail, [this, &runs](StreamReceiver::Delivery& run) {
-        tuples_gathered_ += run.rows.size();
-        std::deque<Tuple>& rows = runs.rows[run.producer];
-        rows.insert(rows.end(), std::make_move_iterator(run.rows.begin()),
-                    std::make_move_iterator(run.rows.end()));
-        // A run that makes progress has a live producer: its plan RPC gets
-        // a fresh budget, so a long run under loss is not failed while its
-        // batches are still arriving.
-        rpcs_.Renew((*work_)[runs.work[run.producer]].request.request_id);
+      in_->Receive(mail, [&](StreamReceiver::Delivery& delivery) {
+        tuples_gathered_ += delivery.rows.size();
+        auto rows = std::make_move_iterator(delivery.rows.begin());
+        auto end = std::make_move_iterator(delivery.rows.end());
+        if (runs) {
+          std::deque<Tuple>& run = part.runs[delivery.producer];
+          run.insert(run.end(), rows, end);
+          // A run that makes progress has a live producer: its plan RPC
+          // gets a fresh budget, so a long run under loss is not failed
+          // while its batches are still arriving.
+          rpcs_.Renew(
+              (*work_)[part.first_work + delivery.producer].request.request_id);
+        } else {
+          part.gathered.insert(part.gathered.end(), rows, end);
+          // A stream's eos is delivered once, duplicates never.
+          if (in_->Done(delivery.side, delivery.producer)) --fx_streams_owed_;
+        }
         NoteProgress();
         return Status::OK();
       });
   if (!status.ok()) {
     Reply(status, Schema(), nullptr);
-    return;
+  } else if (runs) {
+    MergeRuns();
+  } else {
+    MaybeHarvest();
   }
-  MergeRuns(runs);
 }
 
-void QueryProcess::MergeRuns(SortedRuns& runs) {
+void QueryProcess::MergeRuns() {
+  Part& part = (*parts_)[in_part_];
+  std::vector<std::deque<Tuple>>& runs = part.runs;
   // The part's plan is Sort(...) or Limit(n, Sort(...)); its keys are
   // plain columns (TrySortedRuns lowers no other shape).
-  const algebra::Plan* sort = split_->parts[runs.part].plan.get();
+  const algebra::Plan* sort = split_->parts[in_part_].plan.get();
   if (sort->kind() == algebra::PlanKind::kLimit) sort = sort->child();
   const std::vector<algebra::SortKey>& keys =
       static_cast<const algebra::SortPlan&>(*sort).keys();
@@ -789,30 +806,29 @@ void QueryProcess::MergeRuns(SortedRuns& runs) {
     }
     return false;
   };
-  std::vector<Tuple>& out =
-      forward_runs_ ? unframed_ : (*gathered_)[runs.part];
+  std::vector<Tuple>& out = forward_runs_ ? unframed_ : part.gathered;
   uint64_t merged = 0;
   while (true) {
     // A row may leave only once every unfinished run shows its head: an
     // empty unfinished run could still deliver a smaller one.
     size_t next = SIZE_MAX;
     bool blocked = false;
-    for (size_t r = 0; r < runs.rows.size(); ++r) {
-      if (runs.rows[r].empty()) {
-        blocked = blocked || !runs.in.Done(0, r);
+    for (size_t r = 0; r < runs.size(); ++r) {
+      if (runs[r].empty()) {
+        blocked = blocked || !in_->Done(0, r);
       } else if (next == SIZE_MAX ||
-                 before(runs.rows[r].front(), runs.rows[next].front())) {
+                 before(runs[r].front(), runs[next].front())) {
         next = r;
       }
     }
     if (blocked || next == SIZE_MAX) break;
-    out.push_back(std::move(runs.rows[next].front()));
-    runs.rows[next].pop_front();
+    out.push_back(std::move(runs[next].front()));
+    runs[next].pop_front();
     ++merged;
   }
   // A k-way merge compares log2(k) times per row; emitting the row stands
   // in for the global plan's Scan(part) it would otherwise pass through.
-  const size_t k = std::max<size_t>(runs.rows.size(), 1);
+  const size_t k = std::max<size_t>(runs.size(), 1);
   const auto log2_k = static_cast<sim::SimTime>(std::bit_width(k - 1));
   const pool::CostModel& costs = runtime()->costs();
   ChargeCpu(static_cast<sim::SimTime>(merged) *
@@ -846,7 +862,7 @@ void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
           request->stream.has_value() ? kMailShufflePlan : kMailExecPlan,
           request, bits, index);
   if (analyze_) {
-    PlanShipping& shipping = part_shipping_[w.part];
+    PlanShipping& shipping = (*parts_)[w.part].shipping;
     if (by_id) {
       ++shipping.by_id;
     } else {
@@ -885,7 +901,7 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
     if (ref.entry != 0) {
       config_.machine.plan_cache->NoteResident(ref, mail.from);
     }
-    if ((*work_)[slot.work].olap_stream) {
+    if (IsOlapPart(split_->parts[slot.part])) {
       // OLAP producer settled: attribute its first-transmission data-plane
       // bits (retransmissions excluded by the OFM).
       olap_shuffle_bits_ += reply->shuffle_wire_bits;
@@ -908,16 +924,17 @@ void QueryProcess::HandlePlanReply(const pool::Mail& mail) {
               runtime()->costs().tuple_ns);
     tuples_gathered_ += rows->size();
     // Group-by consumer replies are the OLAP gather (DESIGN.md §14.4).
-    uint64_t& bits = group_by_parts_.contains(slot.part) ? olap_gather_bits_
-                                                         : gather_bits_;
+    uint64_t& bits = IsGroupByShuffle(split_->parts[slot.part])
+                         ? olap_gather_bits_
+                         : gather_bits_;
     bits += static_cast<uint64_t>(reply->WireBits());
-    auto& sink = (*gathered_)[slot.part];
+    std::vector<Tuple>& sink = (*parts_)[slot.part].gathered;
     sink.insert(sink.end(), std::make_move_iterator(rows->begin()),
                 std::make_move_iterator(rows->end()));
   }
   if (reply->profile != nullptr) {
-    auto [profile, fresh] = part_profiles_.try_emplace(
-        {slot.part, slot.side}, *reply->profile);
+    auto [profile, fresh] = (*parts_)[slot.part].profiles.try_emplace(
+        slot.side, *reply->profile);
     if (!fresh) obs::MergeProfile(&profile->second, *reply->profile);
   }
   if (completed_ == expected_replies_) {
@@ -933,10 +950,11 @@ void QueryProcess::FinishGather() {
   // Every run producer has settled, so every run is complete here (a
   // producer settles once this coordinator acked its final batch): merge
   // what is left.
-  for (auto& [id, runs] : runs_) {
-    (void)id;  // prisma-lint: unused-status - key only identifies the part.
-    MergeRuns(runs);
-    for (const std::deque<Tuple>& run : runs.rows) PRISMA_CHECK(run.empty());
+  if (in_.has_value() && split_->parts[in_part_].sorted_runs) {
+    MergeRuns();
+    for (const std::deque<Tuple>& run : (*parts_)[in_part_].runs) {
+      PRISMA_CHECK(run.empty());
+    }
   }
   if (forward_runs_) {
     // Every merged row has been framed; the held-back tail carries `last`.
@@ -945,27 +963,25 @@ void QueryProcess::FinishGather() {
     Reply(Status::OK(), split_->global->schema(), std::move(tail));
     return;
   }
-  // A group-by part's consumers reply with disjoint group sets whose keys
-  // interleave across consumers; sorting the gathered rows restores the
-  // single-node aggregate's output order (its group map iterates in
-  // ascending key order, group rows are unique on their leading key
-  // columns, so whole-tuple order IS group-key order).
-  for (const size_t part : group_by_parts_) {
-    auto& sink = (*gathered_)[part];
-    std::sort(sink.begin(), sink.end());
-    ChargeCpu(static_cast<sim::SimTime>(sink.size()) *
-              runtime()->costs().compare_ns);
-  }
-  // Materialize shared results for deduplicated parts.
-  for (size_t i = 0; i < duplicate_of_.size(); ++i) {
-    if (duplicate_of_[i] != SIZE_MAX) {
-      (*gathered_)[i] = (*gathered_)[duplicate_of_[i]];
-    }
-  }
-  // What each costed GROUP BY really gathered, against its estimate.
   for (size_t i = 0; i < split_->parts.size(); ++i) {
+    Part& part = (*parts_)[i];
+    if (IsGroupByShuffle(split_->parts[i])) {
+      // The merge consumers reply with disjoint group sets whose keys
+      // interleave across consumers; sorting the gathered rows restores
+      // the single-node aggregate's output order (its group map iterates
+      // in ascending key order, group rows are unique on their leading
+      // key columns, so whole-tuple order IS group-key order).
+      std::sort(part.gathered.begin(), part.gathered.end());
+      ChargeCpu(static_cast<sim::SimTime>(part.gathered.size()) *
+                runtime()->costs().compare_ns);
+    }
+    // A deduplicated part shares the result of the earlier one.
+    if (part.duplicate_of != SIZE_MAX) {
+      part.gathered = (*parts_)[part.duplicate_of].gathered;
+    }
+    // What each costed GROUP BY really gathered, against its estimate.
     if (split_->parts[i].group_by.has_value()) {
-      group_gathered_[i] = (*gathered_)[i].size();
+      part.group_rows = part.gathered.size();
     }
   }
   if (!config_.statement->is_prismalog) {
@@ -984,7 +1000,7 @@ void QueryProcess::RunGlobalPhase() {
   for (size_t i = 0; i < split_->parts.size(); ++i) {
     const Status loaded =
         resolver.Load(PartName(i), split_->parts[i].plan->schema(),
-                      std::move((*gathered_)[i]));
+                      std::move((*parts_)[i].gathered));
     if (!loaded.ok()) {
       Reply(loaded, Schema(), nullptr);
       return;
@@ -1121,16 +1137,17 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
   for (const std::string& line : rendered) emit(line);
   for (size_t i = 0; i < split_->parts.size(); ++i) {
     const LocalPart& part = split_->parts[i];
-    if (duplicate_of_[i] != SIZE_MAX) {
+    const Part& record = (*parts_)[i];
+    if (record.duplicate_of != SIZE_MAX) {
       emit(StrFormat("part %zu (table %s): reuses part %zu "
                      "(common subexpression)",
-                     i, part.table.c_str(), duplicate_of_[i]));
+                     i, part.table.c_str(), record.duplicate_of));
       continue;
     }
     // Fragment profiles of one producer side, merged over its fragments.
     auto emit_profile = [&](int side, int indent) {
-      auto profile = part_profiles_.find({i, side});
-      if (profile == part_profiles_.end()) {
+      auto profile = record.profiles.find(side);
+      if (profile == record.profiles.end()) {
         emit(std::string(static_cast<size_t>(indent) * 2, ' ') +
              "(no fragments executed)");
         return;
@@ -1141,7 +1158,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
     };
     // How the part's fragment plans reached the OFMs (DESIGN.md §15.4).
     auto emit_shipping = [&] {
-      const PlanShipping& shipping = part_shipping_[i];
+      const PlanShipping& shipping = record.shipping;
       emit(StrFormat("  plans shipped: %zu whole (%lld bits), %zu by id",
                      shipping.whole,
                      static_cast<long long>(shipping.whole_bits),
@@ -1154,7 +1171,7 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
                      i, ex->inputs[0].table.c_str(),
                      ex->inputs[1].table.c_str(),
                      ExchangeStrategyName(ex->strategy),
-                     part_fragments_[i].size()));
+                     record.fragments.size()));
       emit_shipping();
       for (int side = 0; side < 2; ++side) {
         if (!ExchangeSideMoves(ex->strategy, side)) continue;
@@ -1168,18 +1185,18 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
              ? StrFormat("part %zu (olap group-by over %s, %zu merge "
                          "consumer(s)), producers:",
                          i, ex->anchor_table.c_str(),
-                         part_fragments_[i].size())
-             : PartHeading(i, part_fragments_[i].size(), /*explain=*/false));
-    auto gathered = group_gathered_.find(i);
-    if (gathered != group_gathered_.end()) {
+                         record.fragments.size())
+             : PartHeading(i, record.fragments.size(), /*explain=*/false));
+    if (record.group_rows.has_value()) {
       const GroupByChoice& choice = *part.group_by;
+      const uint64_t rows = *record.group_rows;
       emit(StrFormat("  group-by path: %s, %llu row(s) gathered, ~%.0f "
                      "estimated, q-error %.2f",
                      GroupByPathName(choice.path),
-                     static_cast<unsigned long long>(gathered->second),
+                     static_cast<unsigned long long>(rows),
                      choice.gathered_rows(),
                      QError(choice.gathered_rows(),
-                            static_cast<double>(gathered->second))));
+                            static_cast<double>(rows))));
     }
     emit_shipping();
     emit_profile(0, 1);
@@ -1291,7 +1308,7 @@ void QueryProcess::RunPrismalogPhase() {
   for (size_t i = 0; i < split_->parts.size(); ++i) {
     const LocalPart& part = split_->parts[i];
     const Status loaded = resolver.Load(part.table, part.plan->schema(),
-                                        std::move((*gathered_)[i]));
+                                        std::move((*parts_)[i].gathered));
     if (!loaded.ok()) {
       Reply(loaded, Schema(), nullptr);
       return;
@@ -1331,8 +1348,9 @@ size_t QueryProcess::ScatterFixpointPart(size_t part_index) {
       ConsumerOptions(fixpoint_id_, 0, config_.machine,
                       {{"pe", "coordinator"}}, /*fixpoint=*/true);
   results.credit_window = FixpointPeProcess::kResultWindow;
-  fx_in_.emplace(this, std::move(results));
-  fx_in_->ExpectOthers(fx_num_pes_);
+  in_.emplace(this, std::move(results));
+  in_->ExpectOthers(fx_num_pes_);
+  in_part_ = part_index;
 
   // One fixpoint partition per edge fragment, co-located with the replica
   // that serves its reads (DESIGN.md §13), like the edge producer below:
@@ -1433,26 +1451,6 @@ void QueryProcess::HandleFixpointVote(const pool::Mail& mail) {
   MaybeHarvest();
 }
 
-void QueryProcess::HandleFixpointBatch(const pool::Mail& mail) {
-  if (finished_) return;
-  const Status status =
-      fx_in_->Receive(mail, [this](StreamReceiver::Delivery& result) {
-        tuples_gathered_ += result.rows.size();
-        std::vector<Tuple>& sink = (*gathered_)[0];
-        sink.insert(sink.end(), std::make_move_iterator(result.rows.begin()),
-                    std::make_move_iterator(result.rows.end()));
-        // A stream's eos is delivered once, duplicates never.
-        if (fx_in_->Done(result.side, result.producer)) --fx_streams_owed_;
-        NoteProgress();
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    Reply(status, Schema(), nullptr);
-    return;
-  }
-  MaybeHarvest();
-}
-
 void QueryProcess::MaybeHarvest() {
   if (!fx_harvest_due_ || fx_streams_owed_ != 0) return;
   fx_harvest_due_ = false;
@@ -1494,7 +1492,7 @@ void QueryProcess::RunFixpointPhase() {
   // Every round's fresh pairs of every partition arrived once, each
   // stream in Tuple order; sorting them reproduces the single-node
   // operator's output exactly.
-  std::vector<Tuple> merged = std::move((*gathered_)[0]);
+  std::vector<Tuple> merged = std::move((*parts_)[0].gathered);
   std::sort(merged.begin(), merged.end());
   ChargeCpu(static_cast<sim::SimTime>(merged.size()) *
             runtime()->costs().compare_ns);
@@ -1560,12 +1558,7 @@ void QueryProcess::OnMail(const pool::Mail& mail) {
   } else if (mail.kind == kMailExecPlanReply) {
     HandlePlanReply(mail);
   } else if (mail.kind == kMailTupleBatch) {
-    // A closure's statement has no other part, so no sorted runs.
-    if (fx_in_.has_value()) {
-      HandleFixpointBatch(mail);
-    } else {
-      HandleRunBatch(mail);
-    }
+    HandleStreamBatch(mail);
   } else if (mail.kind == kMailFixpointVote) {
     HandleFixpointVote(mail);
   } else if (mail.kind == kMailFixpointCtrlResend) {

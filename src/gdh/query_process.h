@@ -119,9 +119,6 @@ class QueryProcess : public pool::Process {
   /// edge producers; returns the partition replies the gather waits for.
   size_t ScatterFixpointPart(size_t part_index);
   void HandleFixpointVote(const pool::Mail& mail);
-  /// Takes one batch of a partition's result stream into the part's
-  /// gather buffer, then harvests if that was the last one owed.
-  void HandleFixpointBatch(const pool::Mail& mail);
   /// Sends the harvest once the final barrier is reached and every result
   /// stream an admitted vote announced is complete.
   void MaybeHarvest();
@@ -143,8 +140,8 @@ class QueryProcess : public pool::Process {
   void SendFrames(const Schema& schema, bool last);
 
   /// Notes that the statement advanced (an admitted lock or plan reply, a
-  /// fresh sorted-run or fixpoint result batch, an admitted fixpoint
-  /// vote): the watchdog fires only after kWatchdogNs without any.
+  /// fresh stream batch, an admitted fixpoint vote): the watchdog fires
+  /// only after kWatchdogNs without any.
   void NoteProgress() { last_progress_ = runtime()->simulator()->now(); }
 
   static constexpr sim::SimTime kWatchdogNs = 30 * sim::kNanosPerSecond;
@@ -184,9 +181,6 @@ class QueryProcess : public pool::Process {
     /// partner's scan together with the anchor's on read failover.
     std::string second_table;
     std::string second_fragment;
-    /// An OLAP stream producer (group-by shuffle or sorted run): its
-    /// settlement's stream bits count as olap.shuffle_bits.
-    bool olap_stream = false;
   };
   /// Read routing (DESIGN.md §13): the replica of `frag` a read should
   /// address — the primary while it is in-sync and alive, else the peer
@@ -235,24 +229,17 @@ class QueryProcess : public pool::Process {
   /// shuffle producer per fragment, streaming its run to this
   /// coordinator.
   void ScatterRunsPart(size_t part_index);
-  /// Sorted runs of one part, by run (the part's fragment list order):
-  /// run r is producer r of side 0 of the part's exchange.
-  struct SortedRuns {
-    size_t part = 0;
-    /// Each run's producer, as a work_ index.
-    std::vector<size_t> work;
-    StreamReceiver in;
-    /// Received rows not merged yet.
-    std::vector<std::deque<Tuple>> rows;
-  };
-  /// Takes one run batch: buffers it, acks on receipt, independent of the
-  /// merge (so a sequential scatter cannot stall a producer on credit),
-  /// then merges.
-  void HandleRunBatch(const pool::Mail& mail);
-  /// K-way merges `runs` as far as every unfinished run has a head row.
-  /// Merged rows join the client's frame train when forwarding, else the
-  /// part's gather buffer.
-  void MergeRuns(SortedRuns& runs);
+  /// Takes one batch of the part streaming here (sorted runs or a
+  /// closure's results): fails the statement on a bad frame, else counts
+  /// the rows and hands them to the part's sink. A run's rows are acked on
+  /// receipt, independent of the merge (so a sequential scatter cannot
+  /// stall a producer on credit), then merged; a closure's are gathered,
+  /// and the harvest goes out once no result stream is owed.
+  void HandleStreamBatch(const pool::Mail& mail);
+  /// K-way merges the sorted runs of part in_part_ as far as every
+  /// unfinished run has a head row. Merged rows join the client's frame
+  /// train when forwarding, else the part's gather buffer.
+  void MergeRuns();
   // Process-local state below is wrapped in the ownership checker: only
   // this process's handlers (or control-plane code between events) may
   // touch it; see pool/owned.h.
@@ -266,6 +253,36 @@ class QueryProcess : public pool::Process {
   /// Exchange consumers spawned for this statement, killed in Reply().
   std::vector<pool::ProcessId> consumer_pids_;
   uint64_t next_request_id_ = 1;
+  /// EXPLAIN ANALYZE: how a part's fragment plans went out.
+  struct PlanShipping {
+    size_t by_id = 0;
+    size_t whole = 0;
+    int64_t whole_bits = 0;
+  };
+  /// What the coordinator keeps of one part of split_.
+  struct Part {
+    /// The fragments the part reads, by index: pruned (see
+    /// PruneFragmentsForPart), or an exchange part's every anchor fragment.
+    std::vector<int> fragments;
+    /// Common-subexpression elimination: the earlier identical part whose
+    /// gathered result this one reuses (SIZE_MAX: scattered normally).
+    size_t duplicate_of = SIZE_MAX;
+    /// The part's rows: gathered, merged from sorted runs, or streamed by
+    /// a closure's partitions.
+    std::vector<Tuple> gathered;
+    /// A costed GROUP BY's part: the rows it gathered, once the gather
+    /// finished.
+    std::optional<uint64_t> group_rows;
+    /// Sorted runs: received rows not merged yet, by run. Run r is
+    /// producer r of side 0, sent as work_ entry first_work + r.
+    std::vector<std::deque<Tuple>> runs;
+    size_t first_work = 0;
+    /// EXPLAIN ANALYZE: fragment profiles merged per producer side.
+    std::map<int, obs::OperatorProfile> profiles;
+    PlanShipping shipping;
+  };
+  /// Indexed like split_->parts; built with the lock request.
+  pool::Owned<std::vector<Part>> parts_;
   /// Where a reply lands: its part, and for a shuffle producer its input
   /// side (EXPLAIN ANALYZE profiles each side of an exchange join). Plan
   /// requests name their work_ entry; consumer replies SIZE_MAX.
@@ -284,40 +301,19 @@ class QueryProcess : public pool::Process {
   RpcClient<size_t> rpcs_;
   /// stmt_done, resent without a budget until the GDH reaps this process.
   Resender done_;
-  pool::Owned<std::vector<std::vector<Tuple>>> gathered_;  // Per part.
   uint64_t tuples_gathered_ = 0;
-  // EXPLAIN ANALYZE: fragment profiles merged per (part, side).
-  std::map<std::pair<size_t, int>, obs::OperatorProfile> part_profiles_;
-  /// EXPLAIN ANALYZE: how each part's fragment plans went out.
-  struct PlanShipping {
-    size_t by_id = 0;
-    size_t whole = 0;
-    int64_t whole_bits = 0;
-  };
-  std::map<size_t, PlanShipping> part_shipping_;
-  // Pruned fragment indexes per SQL part (see PruneFragmentsForPart).
-  std::vector<std::vector<int>> part_fragments_;
-  // Common-subexpression elimination across parts: duplicate_of_[i] names
-  // the earlier identical part whose gathered result part i reuses
-  // (SIZE_MAX = unique part, scattered normally).
-  std::vector<size_t> duplicate_of_;
-
-  /// Scattered group-by parts (DESIGN.md §14.2): their consumers' replies
-  /// count as OLAP gather, and their disjoint group sets are sorted after
-  /// the gather.
-  std::set<size_t> group_by_parts_;
-  /// Rows each part with a costed GROUP BY gathered, by part.
-  std::map<size_t, uint64_t> group_gathered_;
   uint64_t olap_shuffle_bits_ = 0;  // First-transmission stream bits.
   uint64_t olap_gather_bits_ = 0;   // Group-by consumer reply bits.
   /// Bits of plain (non-OLAP) fragment replies gathered at the
   /// coordinator — the gather-baseline figure E14 compares against.
   uint64_t gather_bits_ = 0;
 
-  // Sorted-run parts (DESIGN.md §14.3), by exchange id. Their receivers
-  // are built with the parts, so other statements register none of
-  // their series.
-  std::map<uint64_t, SortedRuns> runs_;
+  /// The one inbound stream: the sorted runs (DESIGN.md §14.3) or the
+  /// closure's results (§11.2) of part in_part_, a statement's only
+  /// streaming part. Built with the part, so other statements register
+  /// none of its series.
+  std::optional<StreamReceiver> in_;
+  size_t in_part_ = 0;
 
   // Result delivery (DESIGN.md §15.5). `forward_runs_` is set when the
   // global plan is a bare Scan of one sorted-run part: merged rows are
@@ -345,9 +341,6 @@ class QueryProcess : public pool::Process {
   /// The final barrier is reached and the harvest not sent yet: it waits
   /// until no result stream is owed.
   bool fx_harvest_due_ = false;
-  /// The partitions' result streams (DESIGN.md §11.2), one side per round
-  /// and a producer per partition; built with the part.
-  std::optional<StreamReceiver> fx_in_;
   /// Result streams announced by admitted votes (they absorbed new pairs)
   /// minus result streams complete. It dips below zero when a stream
   /// completes before its vote is admitted; at the final barrier every

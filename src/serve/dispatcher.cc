@@ -5,16 +5,6 @@
 
 namespace prisma::serve {
 
-const char* AdmitStateName(AdmitState state) {
-  switch (state) {
-    case AdmitState::kOpen:
-      return "open";
-    case AdmitState::kShedding:
-      return "shedding";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // An empty coordinator list runs every coordinator on the client's PE;

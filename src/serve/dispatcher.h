@@ -54,8 +54,6 @@ enum class AdmitState : uint8_t {
   kShedding,  // Backlog crossed high; new arrivals get typed Overloaded.
 };
 
-const char* AdmitStateName(AdmitState state);
-
 class Dispatcher {
  public:
   Dispatcher(core::PrismaDb* db, DispatcherOptions options);

@@ -235,7 +235,9 @@ TEST(FixpointDiffTest, SmartMatchesOracleAcrossSeeds) {
 
 /// `? p(a, Y)` and `? p(X, b)` answer the closure filtered on one
 /// endpoint and projected onto the other, distinct and sorted: the
-/// single-node operator plus that filter is the oracle.
+/// single-node operator plus that filter is the oracle. `? p(X, X)`, a
+/// repeated variable, answers the nodes on a cycle: the closure filtered
+/// on equal endpoints.
 TEST(FixpointDiffTest, GoalsWithAConstantMatchTheFilteredOracle) {
   for (const uint64_t seed : SoakSeeds(1, 20)) {
     PRISMA_SEED_REPRO(
@@ -244,6 +246,23 @@ TEST(FixpointDiffTest, GoalsWithAConstantMatchTheFilteredOracle) {
     auto closure =
         exec::TransitiveClosure(AsTuples(edges), exec::TcAlgorithm::kSeminaive);
     ASSERT_TRUE(closure.ok()) << closure.status().ToString();
+    auto expect_goal = [&edges](const std::string& goal,
+                                const std::set<Tuple>& expected) {
+      const std::string program =
+          StrFormat("p(X, Y) :- edge(X, Y).\n"
+                    "p(X, Z) :- edge(X, Y), p(Y, Z).\n"
+                    "? p(%s).",
+                    goal.c_str());
+      for (const int fragments : {1, 3, 7}) {
+        SCOPED_TRACE(StrFormat("fragments=%d goal=%s", fragments,
+                               program.c_str()));
+        const DistributedRun run = RunDistributed(
+            edges, fragments, exec::TcAlgorithm::kSeminaive, {}, program);
+        EXPECT_EQ(run.result.schema.num_columns(), 1u);
+        EXPECT_EQ(Render(run.result.tuples),
+                  Render(std::vector<Tuple>(expected.begin(), expected.end())));
+      }
+    };
     // One constant that starts a path and one that ends one (or a node
     // absent from the graph, when every endpoint is NULL).
     int a = 99;
@@ -261,22 +280,16 @@ TEST(FixpointDiffTest, GoalsWithAConstantMatchTheFilteredOracle) {
           expected.insert(Tuple({pair.at(bound_first ? 1 : 0)}));
         }
       }
-      const std::string program =
-          StrFormat("p(X, Y) :- edge(X, Y).\n"
-                    "p(X, Z) :- edge(X, Y), p(Y, Z).\n"
-                    "? p(%s).",
-                    bound_first ? StrFormat("%d, Y", constant).c_str()
-                                : StrFormat("X, %d", constant).c_str());
-      for (const int fragments : {1, 3, 7}) {
-        SCOPED_TRACE(StrFormat("fragments=%d goal=%s", fragments,
-                               program.c_str()));
-        const DistributedRun run = RunDistributed(
-            edges, fragments, exec::TcAlgorithm::kSeminaive, {}, program);
-        EXPECT_EQ(run.result.schema.num_columns(), 1u);
-        EXPECT_EQ(Render(run.result.tuples),
-                  Render(std::vector<Tuple>(expected.begin(), expected.end())));
-      }
+      expect_goal(bound_first ? StrFormat("%d, Y", constant)
+                              : StrFormat("X, %d", constant),
+                  expected);
     }
+    // The closure holds no NULL endpoint (the operator drops such edges).
+    std::set<Tuple> on_cycle;
+    for (const Tuple& pair : *closure) {
+      if (pair.at(0) == pair.at(1)) on_cycle.insert(Tuple({pair.at(0)}));
+    }
+    expect_goal("X, X", on_cycle);
   }
 }
 

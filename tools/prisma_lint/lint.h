@@ -44,7 +44,8 @@
 //       down to a single row.
 //   D10 one receiver: exec::InboundChannel is named only in
 //       exec/exchange.{h,cc} and gdh/transport.{h,cc} — every batch
-//       stream is received through gdh::StreamReceiver.
+//       stream is received through gdh::StreamReceiver — and no gdh/*.h
+//       declares a second StreamReceiver or StreamSender member.
 //   D12 one copy of the machine's settings: no `struct Config` under gdh/
 //       declares a CostModel, RetransmitPolicy, OptimizerRules,
 //       TcAlgorithm, MetricsRegistry*, Tracer*, PlanCache* or

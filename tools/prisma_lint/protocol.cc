@@ -814,7 +814,43 @@ void CheckWireSizing(const std::vector<PreparedFile>& files,
 // One receiver. A batch stream's inbound channels belong to the
 // transport's StreamReceiver (gdh/transport.h): a process that names
 // exec::InboundChannel itself is re-growing the routing, dedup, EOS and
-// ack code the receiver owns.
+// ack code the receiver owns. And a gdh process takes every inbound
+// stream through one StreamReceiver and sends every outbound stream
+// through one StreamSender: a header under gdh/ that declares a second
+// member of either type (bare, in std::optional or inside a member
+// struct) is growing a parallel path back.
+
+bool IsGdhSource(const std::string& path) {
+  return StartsWith(path, "gdh/") || path.find("/gdh/") != std::string::npos;
+}
+
+void CheckOneStreamMember(const PreparedFile& file,
+                          std::vector<Diagnostic>* out) {
+  static const std::regex kMember(
+      "\\b(StreamReceiver|StreamSender)\\s*>*\\s+\\w+\\s*[;={]");
+  std::map<std::string, int> first;  // Type -> line of its first member.
+  for (size_t li = 0; li < file.code.size(); ++li) {
+    const std::string& line = file.code[li];
+    std::smatch match;
+    // The find keeps the regex off the lines that cannot match.
+    if (line.find("Stream") == std::string::npos ||
+        !std::regex_search(line, match, kMember)) {
+      continue;
+    }
+    // "class StreamSender final {" defines the type; it declares no member.
+    const std::string before = match.prefix().str();
+    if (EndsWith(before, "class ") || EndsWith(before, "struct ")) continue;
+    const std::string type = match[1].str();
+    const int at = static_cast<int>(li) + 1;
+    auto [it, fresh] = first.emplace(type, at);
+    if (fresh) continue;
+    Emit(out, file, at, "D10",
+         "a second " + type + " member (the first is on line " +
+             std::to_string(it->second) +
+             ") — a process keeps one receiver and one sender, each "
+             "carrying all of its streams (DESIGN.md §10.5)");
+  }
+}
 
 bool MayNameInboundChannel(const std::string& path) {
   for (const char* owner : {"exec/exchange.h", "exec/exchange.cc",
@@ -843,6 +879,9 @@ void CheckOneReceiver(const std::vector<PreparedFile>& files,
            "streams through gdh::StreamReceiver, which owns its channels "
            "(DESIGN.md §10.5)");
     }
+    if (IsGdhSource(file.path) && EndsWith(file.path, ".h")) {
+      CheckOneStreamMember(file, out);
+    }
   }
 }
 
@@ -853,10 +892,6 @@ void CheckOneReceiver(const std::vector<PreparedFile>& files,
 // (gdh/machine_params.h), copied whole at spawn, and reads CPU costs from
 // the runtime: a Config member of one of those types is a field-by-field
 // copy growing back. MachineParams itself is no Config, so it is exempt.
-
-bool IsGdhSource(const std::string& path) {
-  return StartsWith(path, "gdh/") || path.find("/gdh/") != std::string::npos;
-}
 
 void CheckOneMachineCopy(const std::vector<PreparedFile>& files,
                          std::vector<Diagnostic>* out) {

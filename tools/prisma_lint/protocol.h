@@ -15,7 +15,9 @@
 //   D7  state-machine conformance against declared transition tables.
 //   D8  metric/span names against the obs/metric_names.h registry.
 //   D9  wire sizing: no WireBits() in gdh/messages.h sums row byte sizes.
-//   D10 one receiver: exec::InboundChannel only inside the transport.
+//   D10 one receiver: exec::InboundChannel only inside the transport,
+//       and one StreamReceiver and one StreamSender member per gdh
+//       header.
 //   D12 one copy of the machine's settings: gdh process Configs carry
 //       one MachineParams, not its members.
 
