@@ -92,9 +92,10 @@ const char* BinaryOpName(BinaryOp op) {
   return "?";
 }
 
-std::unique_ptr<Expr> Expr::Literal(Value value) {
+std::unique_ptr<Expr> Expr::Literal(Value value, int ordinal) {
   auto e = std::unique_ptr<Expr>(new Expr(ExprKind::kLiteral));
   e->literal_ = std::move(value);
+  e->ordinal_ = ordinal;
   e->result_type_ = e->literal_.type();
   e->bound_ = true;  // Literals need no schema.
   return e;
@@ -235,12 +236,32 @@ std::unique_ptr<Expr> Expr::Clone() const {
   e->result_type_ = result_type_;
   e->bound_ = bound_;
   e->literal_ = literal_;
+  e->ordinal_ = ordinal_;
   e->column_name_ = column_name_;
   e->column_index_ = column_index_;
   e->unary_op_ = unary_op_;
   e->binary_op_ = binary_op_;
   for (const auto& c : children_) e->children_.push_back(c->Clone());
   return e;
+}
+
+void Expr::CollectLiterals(Literals* out) const {
+  if (kind_ == ExprKind::kLiteral && ordinal_ >= 0) {
+    out->emplace(ordinal_, literal_);
+  }
+  for (const auto& c : children_) c->CollectLiterals(out);
+}
+
+void Expr::SetLiterals(const Literals& values) {
+  if (kind_ == ExprKind::kLiteral && ordinal_ >= 0) {
+    auto it = values.find(ordinal_);
+    if (it != values.end()) {
+      PRISMA_CHECK(it->second.type() == literal_.type())
+          << "literal " << ordinal_ << " bound to another type";
+      literal_ = it->second;
+    }
+  }
+  for (const auto& c : children_) c->SetLiterals(values);
 }
 
 bool Expr::Equals(const Expr& other) const {

@@ -2,6 +2,7 @@
 #define PRISMA_ALGEBRA_EXPR_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +42,9 @@ enum class BinaryOp : uint8_t {
   kOr,
 };
 
+/// Values of a statement's literals by ordinal (DESIGN.md §15.4).
+using Literals = std::map<int, Value>;
+
 const char* UnaryOpName(UnaryOp op);
 const char* BinaryOpName(BinaryOp op);
 
@@ -56,7 +60,10 @@ const char* BinaryOpName(BinaryOp op);
 /// AND/OR use Kleene logic, and predicates treat NULL as false.
 class Expr {
  public:
-  static std::unique_ptr<Expr> Literal(Value value);
+  /// `ordinal` tags the literal as the statement's literal of that index
+  /// (sql::NormalizedStatement::params), so one execution can bind its
+  /// own value in; -1 leaves it untagged.
+  static std::unique_ptr<Expr> Literal(Value value, int ordinal = -1);
   static std::unique_ptr<Expr> ColumnRef(std::string name);
   /// Column reference already resolved to `index` in the input schema.
   static std::unique_ptr<Expr> ColumnIndex(size_t index, DataType type);
@@ -86,8 +93,14 @@ class Expr {
   /// Resolves column names against `schema` and type-checks bottom-up.
   Status Bind(const Schema& schema);
 
-  /// Deep copy (preserving binding state).
+  /// Deep copy (preserving binding state and literal ordinals).
   std::unique_ptr<Expr> Clone() const;
+
+  /// Adds the tree's tagged literals to `out`, by ordinal.
+  void CollectLiterals(Literals* out) const;
+  /// Gives every tagged literal whose ordinal `values` holds that value,
+  /// which must have the literal's type; the others keep theirs.
+  void SetLiterals(const Literals& values);
 
   /// Structural equality (used for common-subexpression detection).
   bool Equals(const Expr& other) const;
@@ -113,6 +126,7 @@ class Expr {
   bool bound_ = false;
 
   Value literal_;                 // kLiteral.
+  int ordinal_ = -1;              // kLiteral.
   std::string column_name_;       // kColumnRef.
   size_t column_index_ = SIZE_MAX;
   UnaryOp unary_op_ = UnaryOp::kNeg;

@@ -111,6 +111,22 @@ size_t Plan::TreeSize() const {
   return n;
 }
 
+void Plan::CollectLiterals(Literals* out) const {
+  for (const Expr* e : OwnExprs()) e->CollectLiterals(out);
+  for (const auto& c : children_) c->CollectLiterals(out);
+}
+
+std::unique_ptr<Plan> Plan::CloneWithLiterals(const Literals& values) const {
+  std::unique_ptr<Plan> clone = Clone();
+  clone->SetLiterals(values);
+  return clone;
+}
+
+void Plan::SetLiterals(const Literals& values) {
+  for (Expr* e : OwnExprs()) e->SetLiterals(values);
+  for (const auto& c : children_) c->SetLiterals(values);
+}
+
 // ------------------------------------------------------------------- Scan
 
 std::unique_ptr<ScanPlan> ScanPlan::Create(std::string table, Schema schema) {
@@ -178,6 +194,10 @@ std::unique_ptr<Plan> SelectPlan::Clone() const {
       new SelectPlan(children_[0]->Clone(), predicate_->Clone()));
 }
 
+std::vector<Expr*> SelectPlan::OwnExprs() const {
+  return {predicate_.get()};
+}
+
 std::string SelectPlan::SelfString() const {
   return "Select " + predicate_->ToString();
 }
@@ -214,6 +234,12 @@ std::unique_ptr<Plan> ProjectPlan::Clone() const {
   for (const auto& e : exprs_) exprs.push_back(e->Clone());
   return std::unique_ptr<ProjectPlan>(
       new ProjectPlan(children_[0]->Clone(), std::move(exprs), schema_));
+}
+
+std::vector<Expr*> ProjectPlan::OwnExprs() const {
+  std::vector<Expr*> out;
+  for (const auto& e : exprs_) out.push_back(e.get());
+  return out;
 }
 
 std::string ProjectPlan::SelfString() const {
@@ -278,6 +304,11 @@ std::vector<std::pair<size_t, size_t>> JoinPlan::EquiKeys() const {
     }
   }
   return keys;
+}
+
+std::vector<Expr*> JoinPlan::OwnExprs() const {
+  if (predicate_ == nullptr) return {};
+  return {predicate_.get()};
 }
 
 std::string JoinPlan::SelfString() const {
@@ -427,6 +458,15 @@ std::unique_ptr<Plan> AggregatePlan::Clone() const {
       children_[0]->Clone(), std::move(group_by), std::move(aggs), schema_));
 }
 
+std::vector<Expr*> AggregatePlan::OwnExprs() const {
+  std::vector<Expr*> out;
+  for (const auto& g : group_by_) out.push_back(g.get());
+  for (const AggSpec& a : aggs_) {
+    if (a.arg != nullptr) out.push_back(a.arg.get());
+  }
+  return out;
+}
+
 std::string AggregatePlan::SelfString() const {
   std::vector<std::string> parts;
   for (const auto& g : group_by_) parts.push_back(g->ToString());
@@ -459,6 +499,12 @@ std::unique_ptr<Plan> SortPlan::Clone() const {
   for (const auto& k : keys_) keys.push_back(k.Clone());
   return std::unique_ptr<SortPlan>(
       new SortPlan(children_[0]->Clone(), std::move(keys)));
+}
+
+std::vector<Expr*> SortPlan::OwnExprs() const {
+  std::vector<Expr*> out;
+  for (const SortKey& k : keys_) out.push_back(k.expr.get());
+  return out;
 }
 
 std::string SortPlan::SelfString() const {

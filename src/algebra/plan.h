@@ -87,6 +87,13 @@ class Plan {
   /// Number of plan nodes in this subtree.
   size_t TreeSize() const;
 
+  /// Adds the subtree's tagged literals (Expr::ordinal) to `out`.
+  void CollectLiterals(Literals* out) const;
+  /// Deep copy whose tagged literals take their values from `values`
+  /// (Expr::SetLiterals): one execution's copy of a cached plan
+  /// (DESIGN.md §15.4).
+  std::unique_ptr<Plan> CloneWithLiterals(const Literals& values) const;
+
  protected:
   Plan(PlanKind kind, Schema schema) : kind_(kind), schema_(std::move(schema)) {}
   Plan(const Plan&) = delete;
@@ -94,6 +101,9 @@ class Plan {
 
   virtual std::string SelfString() const = 0;
   void AppendTo(std::string* out, int indent) const;
+  /// The expressions this node holds itself, not its children's.
+  virtual std::vector<Expr*> OwnExprs() const { return {}; }
+  void SetLiterals(const Literals& values);
 
   PlanKind kind_;
   Schema schema_;
@@ -147,6 +157,7 @@ class SelectPlan : public Plan {
 
  protected:
   std::string SelfString() const override;
+  std::vector<Expr*> OwnExprs() const override;
 
  private:
   SelectPlan(std::unique_ptr<Plan> child, std::unique_ptr<Expr> predicate);
@@ -165,6 +176,7 @@ class ProjectPlan : public Plan {
 
  protected:
   std::string SelfString() const override;
+  std::vector<Expr*> OwnExprs() const override;
 
  private:
   ProjectPlan(std::unique_ptr<Plan> child,
@@ -189,6 +201,7 @@ class JoinPlan : public Plan {
 
  protected:
   std::string SelfString() const override;
+  std::vector<Expr*> OwnExprs() const override;
 
  private:
   JoinPlan(std::unique_ptr<Plan> left, std::unique_ptr<Plan> right,
@@ -255,6 +268,7 @@ class AggregatePlan : public Plan {
 
  protected:
   std::string SelfString() const override;
+  std::vector<Expr*> OwnExprs() const override;
 
  private:
   AggregatePlan(std::unique_ptr<Plan> child,
@@ -275,6 +289,7 @@ class SortPlan : public Plan {
 
  protected:
   std::string SelfString() const override;
+  std::vector<Expr*> OwnExprs() const override;
 
  private:
   SortPlan(std::unique_ptr<Plan> child, std::vector<SortKey> keys);

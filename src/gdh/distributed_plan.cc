@@ -121,6 +121,64 @@ std::unique_ptr<Plan> CloneWithScanRenamed(const Plan& plan,
   return clone;
 }
 
+std::set<int> SlotOrdinals(const DistributedPlan& split) {
+  algebra::Literals shipped;
+  algebra::Literals held;
+  if (split.global != nullptr) split.global->CollectLiterals(&held);
+  for (const LocalPart& part : split.parts) {
+    if (part.exchange == nullptr) {
+      part.plan->CollectLiterals(part.fixpoint ? &held : &shipped);
+      continue;
+    }
+    // The part's own plan only renders the exchange for EXPLAIN. Every
+    // input runs at its fragments: a moving one at the OFMs, the
+    // stationary one in the consumers the coordinator spawns there.
+    const ExchangeSpec& ex = *part.exchange;
+    for (const ExchangeSpec::Input& input : ex.inputs) {
+      input.plan->CollectLiterals(&shipped);
+    }
+    if (ex.predicate != nullptr) ex.predicate->CollectLiterals(&held);
+    if (ex.post_plan != nullptr) ex.post_plan->CollectLiterals(&held);
+  }
+  std::set<int> slots;
+  for (const auto& [ordinal, value] : shipped) {
+    if (!held.contains(ordinal)) slots.insert(ordinal);
+  }
+  return slots;
+}
+
+DistributedPlan BindSplit(const DistributedPlan& split,
+                          const algebra::Literals& values) {
+  auto bind = [&values](const std::shared_ptr<const Plan>& plan) {
+    return plan == nullptr ? nullptr
+                           : std::shared_ptr<const Plan>(
+                                 plan->CloneWithLiterals(values));
+  };
+  DistributedPlan out;
+  out.parts = split.parts;
+  for (LocalPart& part : out.parts) {
+    part.plan = bind(part.plan);
+    if (part.exchange == nullptr) continue;
+    auto ex = std::make_shared<ExchangeSpec>(*part.exchange);
+    for (ExchangeSpec::Input& input : ex->inputs) input.plan = bind(input.plan);
+    if (ex->predicate != nullptr) {
+      std::unique_ptr<Expr> predicate = ex->predicate->Clone();
+      predicate->SetLiterals(values);
+      ex->predicate = std::move(predicate);
+    }
+    ex->post_plan = bind(ex->post_plan);
+    part.exchange = std::move(ex);
+  }
+  if (split.global != nullptr) {
+    out.global = split.global->CloneWithLiterals(values);
+  }
+  out.pushed_aggregate = split.pushed_aggregate;
+  out.colocated_joins = split.colocated_joins;
+  out.exchange_joins = split.exchange_joins;
+  out.olap_parts = split.olap_parts;
+  return out;
+}
+
 void CollectScanTables(const Plan& plan, std::vector<std::string>* tables) {
   if (plan.kind() == PlanKind::kScan) {
     tables->push_back(static_cast<const ScanPlan&>(plan).table());

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,19 @@ struct DistributedPlan {
 StatusOr<DistributedPlan> SplitPlanForFragments(
     std::unique_ptr<algebra::Plan> plan, const DataDictionary& dictionary,
     const OptimizerRules& rules, const GroupByCosts& costs);
+
+/// The ordinals of `split`'s slots, the literals a cached plan binds at
+/// execution (DESIGN.md §15.4): those tagged in a fragment plan the
+/// coordinator ships (a plain, co-located or sorted-run part's plan, an
+/// exchange input's plan) and in nothing else the split runs (the global
+/// plan, an exchange join's predicate, a consumer's post plan, a
+/// fixpoint's edge plan).
+std::set<int> SlotOrdinals(const DistributedPlan& split);
+
+/// A copy of `split` whose tagged literals take `values` (by ordinal),
+/// everywhere they stand: one execution of a cached plan.
+DistributedPlan BindSplit(const DistributedPlan& split,
+                          const algebra::Literals& values);
 
 /// Deep-copies `plan`, renaming every Scan of `from` to `to` (used to
 /// retarget a local part at one fragment).

@@ -1,6 +1,7 @@
 #include "gdh/messages.h"
 
 #include "common/column_batch.h"
+#include "common/logging.h"
 #include "common/serialize.h"
 
 namespace prisma::gdh {
@@ -55,6 +56,43 @@ int64_t PlanBits(const algebra::Plan* plan) {
   return plan != nullptr
              ? static_cast<int64_t>(plan->TreeSize()) * kPlanNodeBits
              : kPlanIdBits;
+}
+
+std::vector<Value> PlanParams(const algebra::Plan& plan,
+                              const std::vector<Value>& statement) {
+  algebra::Literals own;
+  plan.CollectLiterals(&own);
+  std::vector<Value> params;
+  bool differ = false;
+  for (const auto& [ordinal, value] : own) {
+    PRISMA_CHECK(static_cast<size_t>(ordinal) < statement.size());
+    const Value& bound = statement[ordinal];
+    differ = differ || bound != value;
+    params.push_back(bound);
+  }
+  if (!differ) params.clear();
+  return params;
+}
+
+int64_t ParamBits(const std::vector<Value>& params) {
+  int64_t bits = 0;
+  for (const Value& value : params) {
+    bits += 64;
+    if (value.type() == DataType::kString) {
+      bits += static_cast<int64_t>(value.string_value().size()) * 8;
+    }
+  }
+  return bits;
+}
+
+std::unique_ptr<algebra::Plan> BindPlanParams(
+    const algebra::Plan& plan, const std::vector<Value>& params) {
+  algebra::Literals values;
+  plan.CollectLiterals(&values);
+  PRISMA_CHECK(values.size() == params.size());
+  size_t i = 0;
+  for (auto& [ordinal, value] : values) value = params[i++];
+  return plan.CloneWithLiterals(values);
 }
 
 int64_t ProfileBits(const obs::OperatorProfile& profile) {

@@ -84,12 +84,12 @@ inline constexpr char kMailFixpointCtrlResend[] = "fixpoint_ctrl_resend";
 // snapshot bulk-copy streamed as kMailTupleBatch frames, then committed
 // WAL-delta rounds (kMailResyncDelta / kMailResyncDeltaAck, stop-and-wait)
 // until caught up; a second request under the GDH's cutover lock ships the
-// final delta. kMailResyncPump is the source's retransmission self-timer.
+// final delta. The bulk copy retransmits on kMailBatchResend, like a
+// shuffle: both leave through the source's one stream sender.
 inline constexpr char kMailResync[] = "resync";
 inline constexpr char kMailResyncReply[] = "resync_reply";
 inline constexpr char kMailResyncDelta[] = "resync_delta";
 inline constexpr char kMailResyncDeltaAck[] = "resync_delta_ack";
-inline constexpr char kMailResyncPump[] = "resync_pump";
 
 /// Serialized-size model: row sets count their frame's byte length, plans
 /// a fixed budget per node, expressions per tree node.
@@ -114,6 +114,18 @@ struct PlanRef {
 /// Wire size of a fragment plan: its nodes, or its id when it is resident
 /// at the receiving OFM (`plan` null).
 int64_t PlanBits(const algebra::Plan* plan);
+
+/// The values an exec_plan request carries for a cached split's fragment
+/// plan (DESIGN.md §15.4): `statement`'s value of each literal `plan`
+/// tags, in ordinal order. Empty when they all equal the plan's own.
+std::vector<Value> PlanParams(const algebra::Plan& plan,
+                              const std::vector<Value>& statement);
+/// Wire size of PlanParams' values: 64 bits a number, plus 8 per byte a
+/// string.
+int64_t ParamBits(const std::vector<Value>& params);
+/// A copy of `plan` running PlanParams' `params`.
+std::unique_ptr<algebra::Plan> BindPlanParams(const algebra::Plan& plan,
+                                              const std::vector<Value>& params);
 
 /// A row set on the wire: one serialized ColumnBatch
 /// (DESIGN.md §12.2) whose actual byte length is its modelled size. Null
@@ -196,14 +208,21 @@ struct ExecPlanRequest {
     std::vector<pool::ProcessId> consumers;
   };
   uint64_t request_id = 0;
+  /// The cached entry's own plan when `plan_ref` names one, shipped whole
+  /// or null (resident at the OFM); `params` then holds this execution's
+  /// values of its tagged literals when they differ from its own
+  /// (PlanParams), and the OFM runs the plan with them bound in.
   std::shared_ptr<const algebra::Plan> plan;
   PlanRef plan_ref;
+  std::vector<Value> params;
   /// EXPLAIN ANALYZE: the reply (a stream's settlement too) carries the
   /// plan's per-operator profile.
   bool profile = false;
   std::optional<Stream> stream;
 
-  int64_t WireBits() const { return kControlBits + PlanBits(plan.get()); }
+  int64_t WireBits() const {
+    return kControlBits + PlanBits(plan.get()) + ParamBits(params);
+  }
 };
 
 struct ExecPlanReply {

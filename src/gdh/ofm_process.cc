@@ -12,16 +12,7 @@ namespace prisma::gdh {
 
 OfmProcess::OfmProcess(Config config)
     : config_(std::move(config)),
-      shuffle_out_(this, ProducerOptions(kMailBatchResend,
-                                         [this](uint64_t token) {
-                                           FinishShuffle(
-                                               token, NoProgress("shuffle"));
-                                         })),
-      resync_out_(this, ProducerOptions(kMailResyncPump,
-                                        [this](uint64_t token) {
-                                          FinishResyncSource(
-                                              token, ResyncStalled());
-                                        })),
+      shuffle_out_(this, ProducerOptions()),
       deltas_(this, config_.machine.retransmit,
               {[](const RpcClient<pool::ProcessId>::PendingRpc& rpc) {
                  return rpc.target;
@@ -42,10 +33,9 @@ OfmProcess::OfmProcess(Config config)
   bulk_in_.Expect(0, 1);
 }
 
-StreamSender::Options OfmProcess::ProducerOptions(
-    const char* resend_kind, std::function<void(uint64_t)> exhausted) {
+StreamSender::Options OfmProcess::ProducerOptions() {
   StreamSender::Options options;
-  options.resend_kind = resend_kind;
+  options.resend_kind = kMailBatchResend;
   options.policy = config_.machine.retransmit;
   options.on_send = [this](const StreamSender::Stream&, int64_t bits, bool) {
     if (m_batches_sent_ == nullptr) return;
@@ -53,9 +43,12 @@ StreamSender::Options OfmProcess::ProducerOptions(
     m_exchange_bytes_->Increment((bits - kControlBits) / 8);
     m_wire_bits_->Increment(bits);
   };
-  options.on_exhausted = [exhausted = std::move(exhausted)](
-                             const StreamSender::Stream& stream) {
-    exhausted(stream.token);
+  options.on_exhausted = [this](const StreamSender::Stream& stream) {
+    if (shuffles_->contains(stream.token)) {
+      FinishShuffle(stream.token, NoProgress("shuffle"));
+    } else {
+      FinishResyncSource(stream.token, ResyncStalled());
+    }
   };
   if (config_.machine.metrics != nullptr) {
     options.retransmits = [this] {
@@ -229,8 +222,7 @@ void OfmProcess::MaybeReplayStalled() {
 // PRISMA_HANDLES(kMailCheckpoint, kMailCreateIndex, kMailDecisionReply)
 // PRISMA_HANDLES(kMailDecisionRetry, kMailBatchAck, kMailBatchResend)
 // PRISMA_HANDLES(kMailTupleBatch, kMailResync, kMailResyncDelta)
-// PRISMA_HANDLES(kMailResyncDeltaAck, kMailResyncPump, kMailDiskDone)
-// PRISMA_HANDLES(kMailRpcTimeout)
+// PRISMA_HANDLES(kMailResyncDeltaAck, kMailDiskDone, kMailRpcTimeout)
 void OfmProcess::OnMail(const pool::Mail& mail) {
   if (mail.kind == kMailDiskDone) {
     RunDurable(mail);
@@ -259,8 +251,8 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   // Resync data plane (DESIGN.md §13): bulk frames reach an OFM only as a
-  // resync target (exchange consumers are separate processes), delta acks
-  // only as a resync source, and the pump kind is a local timer.
+  // resync target (exchange consumers are separate processes), and delta
+  // acks only as a resync source.
   if (mail.kind == kMailTupleBatch) {
     HandleResyncBatch(mail);
     return;
@@ -271,10 +263,6 @@ void OfmProcess::OnMail(const pool::Mail& mail) {
   }
   if (mail.kind == kMailResyncDeltaAck) {
     HandleResyncDeltaAck(mail);
-    return;
-  }
-  if (mail.kind == kMailResyncPump) {
-    resync_out_.OnTimer(mail);
     return;
   }
   if (mail.kind == kMailRpcTimeout) {
@@ -414,9 +402,12 @@ void OfmProcess::HandleExecPlan(const pool::Mail& mail) {
   // stream will answer the coordinator, so a second one would only
   // duplicate every batch.
   if (in_flight_->contains({mail.from, request->request_id})) return;
-  const std::shared_ptr<const algebra::Plan> plan =
+  std::shared_ptr<const algebra::Plan> plan =
       AdoptPlan(mail, request->request_id, request->plan, request->plan_ref);
   if (plan == nullptr) return;
+  // The resident copy keeps the entry's own values; this execution's
+  // ride on the request and bind into a copy (DESIGN.md §15.4).
+  if (!request->params.empty()) plan = BindPlanParams(*plan, request->params);
   std::optional<PeLocalResolver> colocated;
   const PeLocalRegistry* registry = config_.machine.registry;
   if (registry != nullptr) colocated.emplace(registry, pe());
@@ -535,14 +526,14 @@ void OfmProcess::OpenShuffle(pool::ProcessId coordinator,
 void OfmProcess::HandleBatchAck(const pool::Mail& mail) {
   const BatchAckMsg& ack =
       *std::any_cast<std::shared_ptr<BatchAckMsg>>(mail.body);
-  if (const StreamSender::Stream* stream = shuffle_out_.OnAck(ack)) {
-    if (stream->done()) FinishShuffle(ack.shuffle_token, Status::OK());
+  const StreamSender::Stream* stream = shuffle_out_.OnAck(ack);
+  if (stream == nullptr || !stream->done()) return;
+  if (shuffles_->contains(ack.shuffle_token)) {
+    FinishShuffle(ack.shuffle_token, Status::OK());
     return;
   }
-  // Not a shuffle: maybe the bulk stream of a resync this OFM sources. A
-  // delivered snapshot switches the session to WAL-delta catch-up rounds.
-  const StreamSender::Stream* bulk = resync_out_.OnAck(ack);
-  if (bulk == nullptr || !bulk->done()) return;
+  // The bulk stream of a resync this OFM sources: a delivered snapshot
+  // switches the session to WAL-delta catch-up rounds.
   auto it = resync_sources_->find(ack.shuffle_token);
   PRISMA_CHECK(it != resync_sources_->end());
   CloseResyncBulk(it->second);
@@ -672,7 +663,7 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
   if (it->second.cutover) {
     SendNextResyncDelta(it->second);  // Cutover: straight to the final delta.
   } else {
-    resync_out_.Open(std::move(bulk));
+    shuffle_out_.Open(std::move(bulk));
   }
 }
 
@@ -689,9 +680,9 @@ Status OfmProcess::ResyncStalled() const {
 }
 
 void OfmProcess::CloseResyncBulk(ResyncSource& source) {
-  if (const StreamSender::Stream* bulk = resync_out_.Find(source.token)) {
+  if (const StreamSender::Stream* bulk = shuffle_out_.Find(source.token)) {
     source.wire_bits += bulk->first_bits;
-    resync_out_.Close(source.token);
+    shuffle_out_.Close(source.token);
   }
 }
 

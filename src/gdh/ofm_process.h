@@ -186,14 +186,13 @@ class OfmProcess : public pool::Process {
   /// retry luck — and discards the shuffle.
   void FinishShuffle(uint64_t token, Status status);
   void RegisterExchangeMetrics();
-  /// Stream-producer options shared by shuffles and resync bulk copies:
-  /// every frame counts under the exchange.* family, and `exhausted`
-  /// fails the stream of the given token.
-  StreamSender::Options ProducerOptions(
-      const char* resend_kind, std::function<void(uint64_t)> exhausted);
+  /// The options of the one sender, which carries shuffles and resync
+  /// bulk copies alike: every frame counts under the exchange.* family,
+  /// and a stream that spends its budget fails its shuffle or its resync.
+  StreamSender::Options ProducerOptions();
 
   /// One resync this OFM is sourcing (keyed by session token): the bulk
-  /// snapshot stream to the target (resync_out_'s stream under the same
+  /// snapshot stream to the target (shuffle_out_'s stream under the same
   /// token), then stop-and-wait WAL-delta rounds, each an RPC in deltas_
   /// under the same token that the target's ack settles.
   struct ResyncSource {
@@ -265,14 +264,15 @@ class OfmProcess : public pool::Process {
   // no-op write (zero rows matched) still registers here, so it votes yes.
   pool::Owned<std::set<exec::TxnId>> seen_txns_;
 
-  // Producer side. Shuffle and resync bulk streams draw their tokens from
-  // one sequence, so an ack finds its sender. `in_flight_` maps the
-  // requester's (sender, request_id), the reply cache's key, onto the
-  // token of the shuffle or resync session it started, so a retransmitted
-  // request that races its own in-flight execution is ignored instead of
-  // streaming twice.
+  // Producer side. Shuffles and resync bulk copies go out through one
+  // sender and draw their tokens from one sequence: a token names an
+  // entry of shuffles_ or of resync_sources_, which is how an ack or a
+  // spent budget finds its owner. `in_flight_` maps the requester's
+  // (sender, request_id), the reply cache's key, onto the token of the
+  // shuffle or resync session it started, so a retransmitted request that
+  // races its own in-flight execution is ignored instead of streaming
+  // twice.
   StreamSender shuffle_out_;
-  StreamSender resync_out_;
   // Settlement contract (D6): the target's ack settles a delta round; a
   // spent budget or a finished session settles through FinishResyncSource.
   // PRISMA_SETTLES(deltas_: success=HandleResyncDeltaAck,

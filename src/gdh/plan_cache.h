@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/value.h"
 #include "exec/executor.h"
 #include "gdh/distributed_plan.h"
 #include "gdh/messages.h"
@@ -29,10 +30,15 @@ namespace prisma::gdh {
 /// coordinator may probe or fill it; the discrete-event simulator
 /// serializes every access, so same-seed runs see identical cache states).
 ///
-/// Key: normalized statement fingerprint + literal values. Literals are part of the key because constants are
-/// embedded in the optimized plan (fragment pruning depends on them), so a
-/// hit is only declared for a statement that optimizes to the very same
-/// plan; the fingerprint still buys whitespace/case insensitivity.
+/// Key: the normalized statement's fingerprint, the type of each of its
+/// literals, and the value of each literal that is not a slot. A slot
+/// (SlotOrdinals) is a literal that only a shipped fragment plan holds;
+/// the cache learns a fingerprint's slots from its first plan. Since the
+/// optimizer and splitter read no tagged literal's value, statements that
+/// differ only in slot values plan alike, and one entry serves them all:
+/// the coordinator binds each execution's values into a copy of the
+/// split (BindSplit). A LIMIT count, a select item's literal or a literal
+/// of the global plan stays in the key by value.
 ///
 /// Invalidation: epoch-based. DDL (table/index create — a fragment-count
 /// change is a DDL), replica failover and resync cutover bump the epoch
@@ -65,7 +71,9 @@ class PlanCache {
   struct Entry {
     std::shared_ptr<const DistributedPlan> split;
     OptimizerReport optimizer_report;
-    /// Set by Insert; 1, 2, ... in insertion order.
+    /// Set by Insert: the literals of the statement `split` was built
+    /// for, by ordinal, and the entry's id (1, 2, ... in insertion order).
+    std::vector<Value> params;
     uint64_t id = 0;
   };
 
@@ -80,16 +88,26 @@ class PlanCache {
   /// (may stay null: no instrumentation).
   void AttachMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
+  /// The key of the statement `fingerprint` with literals `params`: each
+  /// literal renders with its type ("i:2", "d:2", "'2"), a slot's as the
+  /// type alone. Until the fingerprint's first plan is in, every literal
+  /// renders its value.
+  Key KeyFor(const std::string& fingerprint,
+             const std::vector<Value>& params) const;
+
   /// Returns the cached entry for `key`, or null (counted as hit/miss).
   std::shared_ptr<const Entry> Lookup(const Key& key);
   /// Lookup without counting: EXPLAIN ANALYZE profiles the plan a SELECT
   /// would run without moving the SELECT's hit rate.
   std::shared_ptr<const Entry> Peek(const Key& key) const;
 
-  /// Publishes a freshly built plan under `key` at the current epoch and
-  /// returns it with its id set; null when dropped (capacity 0, or a
-  /// concurrent query already filled the key).
-  std::shared_ptr<const Entry> Insert(const Key& key,
+  /// Publishes a plan freshly built for the statement `fingerprint` with
+  /// literals `params` at the current epoch and returns it with its id
+  /// set. The fingerprint's first plan sets its slots. Null when dropped:
+  /// capacity 0, a concurrent query already filled the key, or the plan's
+  /// slots differ from the fingerprint's.
+  std::shared_ptr<const Entry> Insert(const std::string& fingerprint,
+                                      std::vector<Value> params,
                                       std::shared_ptr<Entry> entry);
 
   /// Whether `ofm` answered a request that shipped `ref`'s plan.
@@ -99,8 +117,9 @@ class PlanCache {
   /// Drops the record after `ofm` answered that it no longer holds the plan.
   void ForgetResident(const PlanRef& ref, pool::ProcessId ofm);
 
-  /// Drops every entry and bumps the epoch. `reason` labels the
-  /// invalidate metric ("ddl", "failover", "resync", ...).
+  /// Drops every entry and every fingerprint's slots, and bumps the
+  /// epoch. `reason` labels the invalidate metric ("ddl", "failover",
+  /// "resync", ...).
   void Invalidate(const char* reason);
 
   uint64_t epoch() const { return epoch_; }
@@ -115,6 +134,13 @@ class PlanCache {
   std::map<Key, std::shared_ptr<const Entry>> entries_;
   /// Live entries by id, in insertion order for FIFO eviction.
   std::map<uint64_t, Key> insert_order_;
+  /// Each fingerprint with live entries: its slots, and how many entries
+  /// it has (the record goes with the last).
+  struct Shape {
+    std::set<int> slots;
+    size_t entries = 0;
+  };
+  std::map<std::string, Shape> shapes_;
   uint64_t next_id_ = 1;
   /// Residency records, ordered by entry id first so an entry's records
   /// erase as one range.

@@ -372,7 +372,7 @@ void QueryProcess::StartSql() {
   // which is the cached plan when there is one (peeked, so the SELECT's
   // hit rate does not move).
   PlanCache* plan_cache = config_.machine.plan_cache;
-  PlanCache::Key cache_key;
+  std::string shape;
   bool cacheable = false;
   if (plan_cache != nullptr) {
     auto normalized = sql::NormalizeStatement(config_.statement->text);
@@ -383,14 +383,26 @@ void QueryProcess::StartSql() {
     if (analyze) fingerprint.remove_prefix(kAnalyze.size());
     if (fingerprint.starts_with("SELECT")) {
       cacheable = !analyze;
-      cache_key.fingerprint = std::string(fingerprint);
-      cache_key.params = std::move(normalized->params);
+      shape = std::string(fingerprint);
+      params_ = std::move(normalized->params);
       ChargeCpu(runtime()->costs().plan_cache_probe_ns);
-      auto hit = analyze ? plan_cache->Peek(cache_key)
-                         : plan_cache->Lookup(cache_key);
+      const PlanCache::Key key = plan_cache->KeyFor(shape, params_);
+      auto hit = analyze ? plan_cache->Peek(key) : plan_cache->Lookup(key);
       if (hit != nullptr) {
         explain_ = analyze_ = analyze;
         split_ = hit->split;
+        if (hit->params != params_) {
+          // The slots take this statement's values in a per-execution
+          // copy; the OFMs keep the entry's own plans and get the values
+          // with each request.
+          algebra::Literals values;
+          for (size_t i = 0; i < params_.size(); ++i) {
+            values.emplace(static_cast<int>(i), params_[i]);
+          }
+          shipped_ = hit->split;
+          split_ = std::make_shared<const DistributedPlan>(
+              BindSplit(*hit->split, values));
+        }
         optimizer_report_ = hit->optimizer_report;
         plan_entry_ = hit->id;
         AcquireSelectLocks();
@@ -443,7 +455,7 @@ void QueryProcess::StartSql() {
     auto entry = std::make_shared<PlanCache::Entry>();
     entry->split = split_;
     entry->optimizer_report = optimizer_report_;
-    if (auto stored = plan_cache->Insert(cache_key, std::move(entry))) {
+    if (auto stored = plan_cache->Insert(shape, params_, std::move(entry))) {
       plan_entry_ = stored->id;
     }
   }
@@ -564,7 +576,8 @@ void QueryProcess::Scatter() {
       second = *second_or;
     }
     for (const int f : (*parts_)[i].fragments) {
-      AddFragmentWork(i, part.table, (*info)->fragments[f], *part.plan,
+      AddFragmentWork(i, part.table, (*info)->fragments[f],
+                      *ShippedPart(i).plan,
                       part.second_table,
                       second != nullptr ? &second->fragments[f] : nullptr);
     }
@@ -678,7 +691,8 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
     for (size_t f = 0; f < inputs[s]->fragments.size(); ++f) {
       ExecPlanRequest::Stream& stream = AddShuffleProducer(
           part_index, exchange_id, s, f, ex.inputs[s].table,
-          inputs[s]->fragments[f], *ex.inputs[s].plan, consumers);
+          inputs[s]->fragments[f],
+          *ShippedPart(part_index).exchange->inputs[s].plan, consumers);
       stream.mode = broadcast ? ExecPlanRequest::Stream::Mode::kBroadcast
                               : ExecPlanRequest::Stream::Mode::kHash;
       stream.partition_column = ex.inputs[s].route_column;
@@ -707,7 +721,8 @@ void QueryProcess::ScatterRunsPart(size_t part_index) {
     // Broadcast to one consumer: the run leaves in sorted order, with no
     // per-row routing.
     AddShuffleProducer(part_index, exchange_id, 0, r, part.table,
-                       table.fragments[fragments[r]], *part.plan, {self()})
+                       table.fragments[fragments[r]],
+                       *ShippedPart(part_index).plan, {self()})
         .mode = ExecPlanRequest::Stream::Mode::kBroadcast;
   }
 }
@@ -731,6 +746,7 @@ QueryProcess::FragmentWork& QueryProcess::AddFragmentWork(
     w.second_fragment = second->name;
   }
   w.ofm = frag.ReplicaOfm(replica);
+  if (shipped_ != nullptr) w.request.params = PlanParams(*local, params_);
   w.request.plan = std::shared_ptr<const algebra::Plan>(std::move(local));
   w.request.profile = analyze_;
   w.part = part_index;
@@ -868,6 +884,10 @@ void QueryProcess::SendFragmentPlan(size_t index, bool by_id_ok) {
     } else {
       ++shipping.whole;
       shipping.whole_bits += bits;
+    }
+    if (!request->params.empty()) {
+      ++shipping.with_values;
+      shipping.value_bits += ParamBits(request->params);
     }
   }
 }
@@ -1159,10 +1179,16 @@ void QueryProcess::ReplyAnalyze(const obs::OperatorProfile& global) {
     // How the part's fragment plans reached the OFMs (DESIGN.md §15.4).
     auto emit_shipping = [&] {
       const PlanShipping& shipping = record.shipping;
-      emit(StrFormat("  plans shipped: %zu whole (%lld bits), %zu by id",
+      std::string values;
+      if (shipping.with_values > 0) {
+        values = StrFormat(", %zu with values (%lld bits)",
+                           shipping.with_values,
+                           static_cast<long long>(shipping.value_bits));
+      }
+      emit(StrFormat("  plans shipped: %zu whole (%lld bits), %zu by id%s",
                      shipping.whole,
                      static_cast<long long>(shipping.whole_bits),
-                     shipping.by_id));
+                     shipping.by_id, values.c_str()));
     };
     const ExchangeSpec* ex = part.exchange.get();
     if (ex != nullptr && !ex->group_by()) {

@@ -160,6 +160,16 @@ class QueryProcess : public pool::Process {
   /// Plan-cache id of split_ (0: not from the cache); its fragment plans
   /// may then go to the OFMs by id (DESIGN.md §15.4).
   uint64_t plan_entry_ = 0;
+  /// A SELECT's literals by ordinal (sql::NormalizedStatement::params).
+  std::vector<Value> params_;
+  /// Set when split_ is this execution's bound copy of a cached split:
+  /// the entry's own split, whose fragment plans go to the OFMs, each
+  /// with its values from params_ (PlanParams).
+  std::shared_ptr<const DistributedPlan> shipped_;
+  /// Part `i` of the split whose fragment plans go on the wire.
+  const LocalPart& ShippedPart(size_t i) const {
+    return (shipped_ != nullptr ? *shipped_ : *split_).parts[i];
+  }
   bool explain_ = false;
   bool analyze_ = false;
 
@@ -258,6 +268,9 @@ class QueryProcess : public pool::Process {
     size_t by_id = 0;
     size_t whole = 0;
     int64_t whole_bits = 0;
+    /// Requests that carried values (either way), and their bits.
+    size_t with_values = 0;
+    int64_t value_bits = 0;
   };
   /// What the coordinator keeps of one part of split_.
   struct Part {

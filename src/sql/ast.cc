@@ -2,10 +2,11 @@
 
 namespace prisma::sql {
 
-std::unique_ptr<SqlExpr> MakeLiteral(Value v) {
+std::unique_ptr<SqlExpr> MakeLiteral(Value v, int ordinal) {
   auto e = std::make_unique<SqlExpr>();
   e->kind = SqlExpr::Kind::kLiteral;
   e->literal = std::move(v);
+  e->ordinal = ordinal;
   return e;
 }
 

@@ -26,6 +26,9 @@ struct SqlExpr {
 
   Kind kind;
   Value literal;                       // kLiteral.
+  /// kLiteral: the literal's ordinal in the statement's token stream
+  /// (NormalizeStatement's param index); -1 for NULL, TRUE and FALSE.
+  int ordinal = -1;
   std::string name;                    // kColumn: column; kFuncCall: func.
   algebra::UnaryOp unary_op{};         // kUnary.
   algebra::BinaryOp binary_op{};       // kBinary.
@@ -36,7 +39,7 @@ struct SqlExpr {
   std::string ToString() const;
 };
 
-std::unique_ptr<SqlExpr> MakeLiteral(Value v);
+std::unique_ptr<SqlExpr> MakeLiteral(Value v, int ordinal = -1);
 std::unique_ptr<SqlExpr> MakeColumn(std::string name);
 std::unique_ptr<SqlExpr> MakeUnary(algebra::UnaryOp op,
                                    std::unique_ptr<SqlExpr> operand);

@@ -39,20 +39,27 @@ std::string DeriveName(const SqlExpr& e) {
 /// are rejected here (the SELECT binder peels them off beforehand), except
 /// in a HAVING predicate over `outputs`: there a call that repeats a
 /// select item names that item's output column.
+///
+/// Literals keep their ordinals only under `tag`, which SELECT's WHERE
+/// and ON predicates set (DESIGN.md §15.4): the binder reads no value of
+/// theirs. A select item's, GROUP BY's, HAVING's or ORDER BY's literal
+/// may name an output column or match another item by its text, so its
+/// value is part of the statement's shape and it stays untagged.
 StatusOr<std::unique_ptr<Expr>> Lower(const SqlExpr& e,
-                                      const SelectStmt* outputs = nullptr) {
+                                      const SelectStmt* outputs = nullptr,
+                                      bool tag = false) {
   switch (e.kind) {
     case SqlExpr::Kind::kLiteral:
-      return Expr::Literal(e.literal);
+      return Expr::Literal(e.literal, tag ? e.ordinal : -1);
     case SqlExpr::Kind::kColumn:
       return Expr::ColumnRef(e.name);
     case SqlExpr::Kind::kUnary: {
-      ASSIGN_OR_RETURN(auto operand, Lower(*e.left, outputs));
+      ASSIGN_OR_RETURN(auto operand, Lower(*e.left, outputs, tag));
       return Expr::Unary(e.unary_op, std::move(operand));
     }
     case SqlExpr::Kind::kBinary: {
-      ASSIGN_OR_RETURN(auto l, Lower(*e.left, outputs));
-      ASSIGN_OR_RETURN(auto r, Lower(*e.right, outputs));
+      ASSIGN_OR_RETURN(auto l, Lower(*e.left, outputs, tag));
+      ASSIGN_OR_RETURN(auto r, Lower(*e.right, outputs, tag));
       return Expr::Binary(e.binary_op, std::move(l), std::move(r));
     }
     case SqlExpr::Kind::kFuncCall:
@@ -96,7 +103,8 @@ StatusOr<std::unique_ptr<Plan>> BindFrom(const SelectStmt& stmt,
     }
     std::unique_ptr<Expr> condition;
     if (ref.join_condition != nullptr) {
-      ASSIGN_OR_RETURN(condition, Lower(*ref.join_condition));
+      ASSIGN_OR_RETURN(condition,
+                       Lower(*ref.join_condition, nullptr, /*tag=*/true));
     }
     ASSIGN_OR_RETURN(
         plan, JoinPlan::Create(std::move(plan), std::move(scan),
@@ -110,7 +118,8 @@ StatusOr<std::unique_ptr<Plan>> BindSelect(const SelectStmt& stmt,
   ASSIGN_OR_RETURN(std::unique_ptr<Plan> plan, BindFrom(stmt, catalog));
 
   if (stmt.where != nullptr) {
-    ASSIGN_OR_RETURN(auto predicate, Lower(*stmt.where));
+    ASSIGN_OR_RETURN(auto predicate,
+                     Lower(*stmt.where, nullptr, /*tag=*/true));
     ASSIGN_OR_RETURN(plan,
                      SelectPlan::Create(std::move(plan), std::move(predicate)));
   }

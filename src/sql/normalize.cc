@@ -2,7 +2,6 @@
 
 #include <cctype>
 
-#include "common/str_util.h"
 #include "sql/lexer.h"
 
 namespace prisma::sql {
@@ -25,17 +24,15 @@ StatusOr<NormalizedStatement> NormalizeStatement(const std::string& text) {
       }
       case TokenKind::kIntLiteral:
         out.fingerprint += '?';
-        out.params.push_back(StrFormat("%lld",
-                                       static_cast<long long>(token.int_value)));
+        out.params.push_back(Value::Int(token.int_value));
         break;
       case TokenKind::kDoubleLiteral:
         out.fingerprint += '?';
-        out.params.push_back(StrFormat("%.17g", token.double_value));
+        out.params.push_back(Value::Double(token.double_value));
         break;
       case TokenKind::kStringLiteral:
         out.fingerprint += '?';
-        // Quote prefix keeps '1' (string) distinct from 1 (int).
-        out.params.push_back("'" + token.text);
+        out.params.push_back(Value::String(token.text));
         break;
       case TokenKind::kSymbol:
         out.fingerprint += token.text;

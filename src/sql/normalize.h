@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/value.h"
 
 namespace prisma::sql {
 
@@ -12,22 +13,22 @@ namespace prisma::sql {
 ///
 /// `fingerprint` is the token stream rendered with canonical single-space
 /// separation, identifiers upper-cased and every literal replaced by `?`;
-/// `params` holds the literals in order of appearance, rendered exactly
-/// (ints as decimal, doubles via %.17g, strings with a quote prefix so
-/// ': 1' and 1 cannot collide). Two statements with the same fingerprint
-/// differ only in literals and formatting:
+/// `params` holds the literals as typed values in token order, which is
+/// the order the parser numbers them in (a literal's ordinal is its index
+/// here). Two statements with the same fingerprint differ only in
+/// literals and formatting:
 ///
 ///   "select  name FROM emp WHERE dept = 'sales'"
 ///   "SELECT name FROM emp WHERE dept='eng'"
 ///
 /// both fingerprint to "SELECT NAME FROM EMP WHERE DEPT = ?". The plan
-/// cache keys on fingerprint + params (constants are embedded in the
-/// optimized plan — fragment pruning depends on them — so equal params are
-/// required for a hit; the fingerprint still buys formatting insensitivity
-/// and gives the cache its statement-shape identity).
+/// cache keys on the fingerprint plus the typed value of every literal
+/// the plan holds fixed and only the type of every literal it binds at
+/// execution (a slot), so those two share one plan when the literal is a
+/// slot.
 struct NormalizedStatement {
   std::string fingerprint;
-  std::vector<std::string> params;
+  std::vector<Value> params;
 };
 
 /// Tokenizes and normalizes `text`; fails only if the lexer does.

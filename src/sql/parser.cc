@@ -23,7 +23,15 @@ class Parser {
     const size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
-  const Token& Advance() { return tokens_[pos_++]; }
+  const Token& Advance() {
+    const Token& token = tokens_[pos_++];
+    if (token.kind == TokenKind::kIntLiteral ||
+        token.kind == TokenKind::kDoubleLiteral ||
+        token.kind == TokenKind::kStringLiteral) {
+      ++literals_;
+    }
+    return token;
+  }
   bool TryKeyword(const char* kw) {
     if (Peek().IsKeyword(kw)) {
       ++pos_;
@@ -89,6 +97,9 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  // Literal tokens consumed so far, wherever they stand (a LIMIT count
+  // too): literal n is the n-th of NormalizeStatement's params.
+  int literals_ = 0;
   // Whether the FROM-list entry being parsed came via JOIN (needs ON).
   bool expect_on_ = false;
 };
@@ -481,13 +492,13 @@ StatusOr<std::unique_ptr<SqlExpr>> Parser::ParsePrimary() {
   switch (t.kind) {
     case TokenKind::kIntLiteral:
       Advance();
-      return MakeLiteral(Value::Int(t.int_value));
+      return MakeLiteral(Value::Int(t.int_value), literals_ - 1);
     case TokenKind::kDoubleLiteral:
       Advance();
-      return MakeLiteral(Value::Double(t.double_value));
+      return MakeLiteral(Value::Double(t.double_value), literals_ - 1);
     case TokenKind::kStringLiteral:
       Advance();
-      return MakeLiteral(Value::String(t.text));
+      return MakeLiteral(Value::String(t.text), literals_ - 1);
     case TokenKind::kSymbol:
       if (TrySymbol("(")) {
         ASSIGN_OR_RETURN(auto inner, ParseExpr());

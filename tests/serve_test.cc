@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "algebra/expr.h"
+#include "algebra/plan.h"
 #include "common/str_util.h"
 #include "core/prisma_db.h"
 #include "gdh/messages.h"
@@ -46,17 +48,19 @@ TEST(NormalizeTest, FormattingAndCaseFoldIntoOneFingerprint) {
   EXPECT_NE(a->params[0], b->params[0]);
 }
 
-TEST(NormalizeTest, LiteralsExtractInOrderWithTypeTags) {
+TEST(NormalizeTest, LiteralsExtractInOrderAsTypedValues) {
   auto n = sql::NormalizeStatement(
-      "SELECT v FROM t WHERE id = 42 AND name = '42' AND w > 1.5");
+      "SELECT v FROM t WHERE id = 42 AND name = '42' AND w > 1.5 LIMIT 3");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n->fingerprint,
-            "SELECT V FROM T WHERE ID = ? AND NAME = ? AND W > ?");
-  ASSERT_EQ(n->params.size(), 3u);
-  EXPECT_EQ(n->params[0], "42");
-  // The string literal is quote-prefixed so '42' never collides with 42.
-  EXPECT_EQ(n->params[1], "'42");
-  EXPECT_NE(n->params[0], n->params[1]);
+            "SELECT V FROM T WHERE ID = ? AND NAME = ? AND W > ? LIMIT ?");
+  ASSERT_EQ(n->params.size(), 4u);
+  EXPECT_EQ(n->params[0].type(), DataType::kInt64);
+  EXPECT_EQ(n->params[0].int_value(), 42);
+  EXPECT_EQ(n->params[1].type(), DataType::kString);
+  EXPECT_EQ(n->params[1].string_value(), "42");
+  EXPECT_EQ(n->params[2].type(), DataType::kDouble);
+  EXPECT_EQ(n->params[3].int_value(), 3);
 }
 
 TEST(NormalizeTest, ExplainFingerprintsDoNotStartWithSelect) {
@@ -67,19 +71,32 @@ TEST(NormalizeTest, ExplainFingerprintsDoNotStartWithSelect) {
 
 // -------------------------------------------------------------- Plan cache
 
-PlanCache::Key MakeKey(const std::string& fingerprint,
-                       std::vector<std::string> params = {}) {
-  PlanCache::Key key;
-  key.fingerprint = fingerprint;
-  key.params = std::move(params);
-  return key;
-}
+constexpr char kPointRead[] = "SELECT V FROM T WHERE ID = ?";
 
 std::shared_ptr<PlanCache::Entry> MakeEntry() {
   // Insert drops entries without a split plan (nothing worth caching), so
-  // the fixture carries an empty-but-present one.
+  // the fixture carries an empty-but-present one: it has no slots.
   auto entry = std::make_shared<PlanCache::Entry>();
   entry->split = std::make_shared<const gdh::DistributedPlan>();
+  return entry;
+}
+
+/// A split whose one part ships `Select(id = <literal 0>)` over a scan of
+/// t: literal 0 is a slot.
+std::shared_ptr<PlanCache::Entry> MakePointReadEntry() {
+  Schema schema({{"id", DataType::kInt64}, {"v", DataType::kInt64}});
+  auto select = algebra::SelectPlan::Create(
+      algebra::ScanPlan::Create("t", schema),
+      algebra::Eq(algebra::Col("id"),
+                  algebra::Expr::Literal(Value::Int(1), /*ordinal=*/0)));
+  EXPECT_TRUE(select.ok());
+  gdh::DistributedPlan split;
+  split.parts.push_back({});
+  split.parts[0].table = "t";
+  split.parts[0].plan = std::move(select).value();
+  split.global = algebra::ScanPlan::Create(gdh::PartName(0), schema);
+  auto entry = std::make_shared<PlanCache::Entry>();
+  entry->split = std::make_shared<const gdh::DistributedPlan>(std::move(split));
   return entry;
 }
 
@@ -87,12 +104,14 @@ TEST(PlanCacheTest, HitMissAndCounters) {
   obs::MetricsRegistry metrics;
   PlanCache cache(/*capacity=*/4);
   cache.AttachMetrics(&metrics);
-  const PlanCache::Key key = MakeKey("SELECT V FROM T WHERE ID = ?", {"1"});
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-  cache.Insert(key, MakeEntry());
-  EXPECT_NE(cache.Lookup(key), nullptr);
-  // Same shape, different literal: distinct plan, distinct entry.
-  EXPECT_EQ(cache.Lookup(MakeKey("SELECT V FROM T WHERE ID = ?", {"2"})),
+  EXPECT_EQ(cache.Lookup(cache.KeyFor(kPointRead, {Value::Int(1)})),
+            nullptr);
+  cache.Insert(kPointRead, {Value::Int(1)}, MakeEntry());
+  EXPECT_NE(cache.Lookup(cache.KeyFor(kPointRead, {Value::Int(1)})),
+            nullptr);
+  // Same shape, different literal: the plan holds no slot, so the
+  // literal is keyed by value and this is a distinct plan.
+  EXPECT_EQ(cache.Lookup(cache.KeyFor(kPointRead, {Value::Int(2)})),
             nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
@@ -100,28 +119,66 @@ TEST(PlanCacheTest, HitMissAndCounters) {
   EXPECT_EQ(metrics.CounterValue("query.plan_cache.miss"), 2u);
 }
 
+TEST(PlanCacheTest, SlotsKeyByTypeAlone) {
+  PlanCache cache(/*capacity=*/4);
+  // Before the fingerprint's first plan every literal keys by value.
+  EXPECT_EQ(cache.KeyFor(kPointRead, {Value::Int(1)}).params,
+            std::vector<std::string>{"i:1"});
+  const auto entry =
+      cache.Insert(kPointRead, {Value::Int(1)}, MakePointReadEntry());
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->params, std::vector<Value>{Value::Int(1)});
+  // Literal 0 is a slot now: any int hits the one entry...
+  EXPECT_EQ(cache.KeyFor(kPointRead, {Value::Int(7)}).params,
+            std::vector<std::string>{"i:"});
+  EXPECT_EQ(cache.Lookup(cache.KeyFor(kPointRead, {Value::Int(7)})), entry);
+  // ...but a double or a string does not.
+  EXPECT_EQ(cache.Lookup(cache.KeyFor(kPointRead, {Value::Double(7)})),
+            nullptr);
+  EXPECT_EQ(cache.Lookup(cache.KeyFor(kPointRead, {Value::String("7")})),
+            nullptr);
+  // A second plan of the fingerprint with other slots is dropped.
+  EXPECT_EQ(cache.Insert(kPointRead, {Value::Double(7)}, MakeEntry()),
+            nullptr);
+  // The slots go with the epoch.
+  cache.Invalidate("ddl");
+  EXPECT_EQ(cache.KeyFor(kPointRead, {Value::Int(7)}).params,
+            std::vector<std::string>{"i:7"});
+}
+
+TEST(PlanCacheTest, IntAndDoubleLiteralsKeyApart) {
+  PlanCache cache(/*capacity=*/4);
+  const std::string shape = "SELECT V / ? FROM T WHERE ID = ?";
+  const auto a = cache.KeyFor(shape, {Value::Int(2), Value::Int(1)});
+  const auto b = cache.KeyFor(shape, {Value::Double(2), Value::Int(1)});
+  EXPECT_EQ(a.params[0], "i:2");
+  EXPECT_EQ(b.params[0], "d:2");
+  EXPECT_EQ(cache.KeyFor(shape, {Value::String("2"), Value::Int(1)}).params[0],
+            "'2");
+}
+
 TEST(PlanCacheTest, FifoEvictionAtCapacity) {
   PlanCache cache(/*capacity=*/2);
-  cache.Insert(MakeKey("A"), MakeEntry());
-  cache.Insert(MakeKey("B"), MakeEntry());
-  cache.Insert(MakeKey("C"), MakeEntry());  // Evicts A (oldest).
+  cache.Insert("A", {}, MakeEntry());
+  cache.Insert("B", {}, MakeEntry());
+  cache.Insert("C", {}, MakeEntry());  // Evicts A (oldest).
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.Lookup(MakeKey("A")), nullptr);
-  EXPECT_NE(cache.Lookup(MakeKey("B")), nullptr);
-  EXPECT_NE(cache.Lookup(MakeKey("C")), nullptr);
+  EXPECT_EQ(cache.Lookup(cache.KeyFor("A", {})), nullptr);
+  EXPECT_NE(cache.Lookup(cache.KeyFor("B", {})), nullptr);
+  EXPECT_NE(cache.Lookup(cache.KeyFor("C", {})), nullptr);
 }
 
 TEST(PlanCacheTest, InvalidateClearsAndBumpsEpoch) {
   obs::MetricsRegistry metrics;
   PlanCache cache(/*capacity=*/4);
   cache.AttachMetrics(&metrics);
-  cache.Insert(MakeKey("A"), MakeEntry());
-  cache.Insert(MakeKey("B"), MakeEntry());
+  cache.Insert("A", {}, MakeEntry());
+  cache.Insert("B", {}, MakeEntry());
   EXPECT_EQ(cache.epoch(), 0u);
   cache.Invalidate("ddl");
   EXPECT_EQ(cache.epoch(), 1u);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(MakeKey("A")), nullptr);
+  EXPECT_EQ(cache.Lookup(cache.KeyFor("A", {})), nullptr);
   EXPECT_EQ(metrics.CounterValue("query.plan_cache.invalidate",
                                  {{"reason", "ddl"}}),
             2u);
@@ -129,20 +186,20 @@ TEST(PlanCacheTest, InvalidateClearsAndBumpsEpoch) {
 
 TEST(PlanCacheTest, CapacityZeroDisables) {
   PlanCache cache(/*capacity=*/0);
-  cache.Insert(MakeKey("A"), MakeEntry());
+  cache.Insert("A", {}, MakeEntry());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(MakeKey("A")), nullptr);
+  EXPECT_EQ(cache.Lookup(cache.KeyFor("A", {})), nullptr);
 }
 
 TEST(PlanCacheTest, ResidencyRecordsDieWithTheirEntry) {
   PlanCache cache(/*capacity=*/2);
-  const auto a = cache.Insert(MakeKey("A"), MakeEntry());
-  const auto b = cache.Insert(MakeKey("B"), MakeEntry());
+  const auto a = cache.Insert("A", {}, MakeEntry());
+  const auto b = cache.Insert("B", {}, MakeEntry());
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_LT(a->id, b->id);  // Monotonic.
   // A concurrent fill of a live key is dropped: nothing to record under.
-  EXPECT_EQ(cache.Insert(MakeKey("A"), MakeEntry()), nullptr);
+  EXPECT_EQ(cache.Insert("A", {}, MakeEntry()), nullptr);
   const gdh::PlanRef ref_a{a->id, 0, 0};
   const gdh::PlanRef ref_b{b->id, 0, 1};
   cache.NoteResident(ref_a, /*ofm=*/7);
@@ -154,7 +211,7 @@ TEST(PlanCacheTest, ResidencyRecordsDieWithTheirEntry) {
   EXPECT_FALSE(cache.Resident(ref_a, 7));
   cache.NoteResident(ref_a, 7);
   // FIFO eviction drops A and its record; B's survives.
-  const auto c = cache.Insert(MakeKey("C"), MakeEntry());
+  const auto c = cache.Insert("C", {}, MakeEntry());
   ASSERT_NE(c, nullptr);
   EXPECT_FALSE(cache.Resident(ref_a, 7));
   EXPECT_TRUE(cache.Resident(ref_b, 7));
@@ -164,9 +221,35 @@ TEST(PlanCacheTest, ResidencyRecordsDieWithTheirEntry) {
   // Invalidation drops every record; ids are never reused.
   cache.Invalidate("ddl");
   EXPECT_FALSE(cache.Resident(ref_b, 7));
-  const auto b2 = cache.Insert(MakeKey("B"), MakeEntry());
+  const auto b2 = cache.Insert("B", {}, MakeEntry());
   ASSERT_NE(b2, nullptr);
   EXPECT_GT(b2->id, c->id);
+}
+
+TEST(PlanCacheTest, IntAndDoubleDivisorsGetTheirOwnPlans) {
+  // A cache key that rendered 2 and 2.0 alike once served the integer
+  // division's plan to the double one.
+  for (const size_t capacity : {size_t{256}, size_t{0}}) {
+    MachineConfig config;
+    config.pes = 8;
+    config.plan_cache_capacity = capacity;
+    PrismaDb db(config);
+    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT, v INT) FRAGMENTED BY "
+                           "HASH(id) INTO 8 FRAGMENTS")
+                    .ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 5)").ok());
+    auto ints = db.Execute("SELECT v / 2 FROM t WHERE id = 1");
+    auto doubles = db.Execute("SELECT v / 2.0 FROM t WHERE id = 1");
+    ASSERT_TRUE(ints.ok() && doubles.ok());
+    ASSERT_EQ(ints->tuples.size(), 1u);
+    ASSERT_EQ(doubles->tuples.size(), 1u);
+    const Value& quotient = ints->tuples[0].at(0);
+    const Value& ratio = doubles->tuples[0].at(0);
+    ASSERT_EQ(quotient.type(), DataType::kInt64) << capacity;
+    EXPECT_EQ(quotient.int_value(), 2);
+    ASSERT_EQ(ratio.type(), DataType::kDouble) << capacity;
+    EXPECT_EQ(ratio.double_value(), 2.5);
+  }
 }
 
 // ------------------------------------------------------ Admission hysteresis
@@ -458,13 +541,14 @@ TEST_F(PlanResidencyTest, RespawnedOfmGetsTheWholePlan) {
 TEST_F(PlanResidencyTest, OfmEvictionCostsOneNotResidentRoundTrip) {
   // Two entries fit the cache and each OFM. A respawn reorders fragment
   // 0's FIFO against the cache's, so a later insert evicts at the OFM a
-  // plan the cache still has on record there.
+  // plan the cache still has on record there. (Three shapes: statements
+  // that differ only in the WHERE literal would share one entry.)
   MachineConfig config;
   config.plan_cache_capacity = 2;
   auto db = MakeServingDb(config);
   const std::string a = "SELECT id, v FROM item WHERE v > 10";
-  const std::string b = "SELECT id, v FROM item WHERE v > 20";
-  const std::string c = "SELECT id, v FROM item WHERE v > 30";
+  const std::string b = "SELECT v, id FROM item WHERE v > 20";
+  const std::string c = "SELECT id FROM item WHERE v > 30";
   RunAndShip(*db, a);
   RunAndShip(*db, b);
   const std::string reference_b = last_answer_;
@@ -567,8 +651,8 @@ TEST_F(PlanResidencyTest, ReplicaFailoverShipsTheRenamedPlanWhole) {
 
 TEST_F(PlanResidencyTest, ExplainAnalyzeOfAResidentPlanKeepsItsProfile) {
   auto db = MakeServingDb();
-  auto analyze = [&] {
-    auto result = db->Execute(std::string("EXPLAIN ANALYZE ") + kScan);
+  auto analyze = [&](const std::string& sql = kScan) {
+    auto result = db->Execute("EXPLAIN ANALYZE " + sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::string text;
     if (result.ok()) {
@@ -594,9 +678,16 @@ TEST_F(PlanResidencyTest, ExplainAnalyzeOfAResidentPlanKeepsItsProfile) {
       << warm;
   EXPECT_NE(warm.find("rows="), std::string::npos) << warm;
   EXPECT_NE(warm.find("x2"), std::string::npos) << warm;
+  EXPECT_EQ(warm.find("with values"), std::string::npos) << warm;
   // EXPLAIN ANALYZE peeks: the SELECT's hit rate did not move.
   EXPECT_EQ(db->plan_cache().hits(), hits + 1);
   EXPECT_EQ(db->plan_cache().misses(), misses + 1);
+  // Another bound runs the same resident plans; each request carries it.
+  const std::string bound = analyze("SELECT id, v FROM item WHERE v > 41");
+  EXPECT_NE(bound.find("plans shipped: 0 whole (0 bits), 2 by id, 2 with "
+                       "values (128 bits)"),
+            std::string::npos)
+      << bound;
 }
 
 TEST_F(PlanResidencyTest, FaultFreeServingNeverMissesAfterWarmUp) {

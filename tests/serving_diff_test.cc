@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/str_util.h"
 #include "core/prisma_db.h"
+#include "gdh/messages.h"
 #include "serve/workload.h"
 
 namespace prisma {
@@ -85,6 +88,128 @@ TEST(ServingDiffTest, ColdVsCachedByteIdenticalAcrossSeedsAndFragments) {
     }
     EXPECT_GT(cold_misses, 0u);
   }
+}
+
+/// A seeded stream of SELECTs that reuse a few shapes with new literals:
+/// int, double, negative and string keys, LIMIT counts, a range, a join
+/// that shuffles, a self-join whose sides' literals are equal or not (the
+/// coordinator must share the equal sides' gather and only those), and an
+/// int divisor against a double one.
+std::vector<std::string> LiteralStream(uint64_t seed) {
+  static const char* kNames[] = {"alpha", "bravo", "charlie", "delta",
+                                 "echo",  "foxtrot", "golf",  "hotel"};
+  Rng rng(seed);
+  std::vector<std::string> out;
+  for (int i = 0; i < 60; ++i) {
+    const int64_t id = rng.UniformInt(0, kRows - 1);
+    const int64_t other = rng.NextBool(0.5) ? id : rng.UniformInt(0, kRows - 1);
+    switch (rng.Uniform(10)) {
+      case 0:
+        out.push_back(StrFormat("SELECT v FROM item WHERE id = %lld",
+                                static_cast<long long>(id)));
+        break;
+      case 1:
+        out.push_back(StrFormat("SELECT id, v FROM item WHERE v = %lld.0",
+                                static_cast<long long>(id)));
+        break;
+      case 2:
+        out.push_back(StrFormat(
+            "SELECT id FROM item WHERE v - %lld = -%lld ORDER BY id",
+            static_cast<long long>(id), static_cast<long long>(other)));
+        break;
+      case 3:
+        out.push_back(StrFormat("SELECT grp FROM grp_dim WHERE name = '%s'",
+                                kNames[id % 8]));
+        break;
+      case 4:
+        out.push_back(StrFormat(
+            "SELECT id, v FROM item WHERE v > %lld ORDER BY v, id LIMIT %lld",
+            static_cast<long long>(id), static_cast<long long>(other % 5 + 1)));
+        break;
+      case 5:
+        out.push_back(StrFormat(
+            "SELECT id FROM item WHERE v >= %lld AND v < %lld ORDER BY id",
+            static_cast<long long>(std::min(id, other)),
+            static_cast<long long>(std::max(id, other) + 3)));
+        break;
+      case 6:
+        out.push_back(StrFormat(
+            "SELECT i.id, d.name FROM item i JOIN grp_dim d ON i.grp = d.grp "
+            "WHERE i.id = %lld",
+            static_cast<long long>(id)));
+        break;
+      case 7:
+        out.push_back(StrFormat(
+            "SELECT a.id, b.id FROM item a JOIN item b ON a.grp = b.grp "
+            "WHERE a.id = %lld AND b.id = %lld",
+            static_cast<long long>(id), static_cast<long long>(other)));
+        break;
+      case 8:
+        out.push_back(StrFormat("SELECT v / 2 FROM item WHERE id = %lld",
+                                static_cast<long long>(id)));
+        break;
+      default:
+        out.push_back(StrFormat("SELECT v / 2.0 FROM item WHERE id = %lld",
+                                static_cast<long long>(id)));
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(ServingDiffTest, NewLiteralsOnCachedShapesMatchAnUncachedMachine) {
+  for (const int fragments : {1, 3, 7}) {
+    MachineConfig config;
+    config.pes = 4;
+    PrismaDb cached(config);
+    config.plan_cache_capacity = 0;
+    PrismaDb uncached(config);
+    ASSERT_TRUE(WorkloadGenerator::SetupSchema(&cached, kRows, fragments).ok());
+    ASSERT_TRUE(
+        WorkloadGenerator::SetupSchema(&uncached, kRows, fragments).ok());
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      for (const std::string& sql : LiteralStream(seed)) {
+        auto want = uncached.Execute(sql);
+        ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+        auto got = cached.Execute(sql);
+        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+        EXPECT_EQ(Render(*want), Render(*got))
+            << "cached answer differs (seed " << seed << ", fragments "
+            << fragments << "): " << sql;
+      }
+    }
+    // The shapes planned a few times each, not once per statement.
+    EXPECT_GT(cached.plan_cache().hits(), 10 * cached.plan_cache().misses());
+  }
+}
+
+TEST(ServingDiffTest, DistinctPointReadsShareOnePlan) {
+  MachineConfig config;
+  config.pes = 8;
+  PrismaDb db(config);
+  ASSERT_TRUE(WorkloadGenerator::SetupSchema(&db, 100, 8).ok());
+  db.plan_cache().Invalidate("test");
+  const auto item = db.gdh().dictionary().GetTable("item");
+  ASSERT_TRUE(item.ok());
+  std::set<int> touched;
+  for (int id = 0; id < 100; ++id) {
+    auto result = db.Execute(StrFormat("SELECT v FROM item WHERE id = %d", id));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->tuples.size(), 1u);
+    EXPECT_EQ(result->tuples[0].at(0), Value::Int(id % 100));
+    touched.insert((*item)->fragmenter->FragmentsForKey(Value::Int(id))[0]);
+  }
+  EXPECT_EQ(db.plan_cache().misses(), 1u);
+  EXPECT_EQ(db.plan_cache().hits(), 99u);
+  EXPECT_EQ(db.plan_cache().size(), 1u);
+  // Each OFM took the plan whole once and ran every later read of it by
+  // id, its key bound in from the request: it holds that one plan.
+  EXPECT_EQ(db.metrics().CounterTotal("ofm.plan_resident_hits"),
+            100u - touched.size());
+  EXPECT_EQ(db.metrics().CounterTotal("ofm.plan_resident_misses"), 0u);
+  EXPECT_EQ(db.metrics().CounterValue("pool.mail_sent",
+                                      {{"kind", gdh::kMailExecPlan}}),
+            100u);
 }
 
 TEST(ServingDiffTest, DdlFailoverAndResyncInvalidateCorrectly) {
