@@ -35,8 +35,6 @@ const char* PlanKindName(PlanKind kind) {
       return "TransitiveClosure";
     case PlanKind::kExchange:
       return "Exchange";
-    case PlanKind::kFixpoint:
-      return "Fixpoint";
   }
   return "?";
 }
@@ -600,41 +598,6 @@ std::string ExchangePlan::SelfString() const {
   }
   out += ")";
   return out;
-}
-
-// --------------------------------------------------------------- Fixpoint
-
-FixpointPlan::FixpointPlan(std::unique_ptr<Plan> child, std::string strategy,
-                           size_t partitions)
-    : Plan(PlanKind::kFixpoint, child->schema()),
-      strategy_(std::move(strategy)),
-      partitions_(partitions) {
-  children_.push_back(std::move(child));
-}
-
-StatusOr<std::unique_ptr<FixpointPlan>> FixpointPlan::Create(
-    std::unique_ptr<Plan> child, std::string strategy, size_t partitions) {
-  const Schema& s = child->schema();
-  if (s.num_columns() != 2) {
-    return InvalidArgumentError(
-        "fixpoint requires a binary relation, got " + s.ToString());
-  }
-  if (partitions == 0) {
-    return InvalidArgumentError("fixpoint requires at least one partition");
-  }
-  return std::unique_ptr<FixpointPlan>(
-      new FixpointPlan(std::move(child), std::move(strategy), partitions));
-}
-
-std::unique_ptr<Plan> FixpointPlan::Clone() const {
-  return std::unique_ptr<FixpointPlan>(
-      new FixpointPlan(children_[0]->Clone(), strategy_, partitions_));
-}
-
-std::string FixpointPlan::SelfString() const {
-  return StrFormat(
-      "Fixpoint %s over %zu partition(s), rounds until all deltas empty",
-      strategy_.c_str(), partitions_);
 }
 
 }  // namespace prisma::algebra

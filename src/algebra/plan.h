@@ -31,7 +31,6 @@ enum class PlanKind : uint8_t {
   kLimit,
   kTransitiveClosure,
   kExchange,
-  kFixpoint,
 };
 
 const char* PlanKindName(PlanKind kind);
@@ -359,33 +358,6 @@ class ExchangePlan : public Plan {
                std::vector<size_t> keys);
   Mode mode_;
   std::vector<size_t> keys_;
-};
-
-/// Fixpoint: the distributed, iterative form of the closure operator
-/// (DESIGN.md §11). The child is the partitioned edge input (typically a
-/// hash Exchange over the fragment scans); the node names the evaluation
-/// strategy and partition count so EXPLAIN shows how rounds will run —
-/// the round count itself is a runtime quantity, reported after
-/// execution as the `fixpoint.rounds` metric.
-class FixpointPlan : public Plan {
- public:
-  /// `strategy` is a TcAlgorithmName-style label ("naive", "seminaive",
-  /// "smart"); `partitions` is the number of fixpoint PEs.
-  static StatusOr<std::unique_ptr<FixpointPlan>> Create(
-      std::unique_ptr<Plan> child, std::string strategy, size_t partitions);
-
-  const std::string& strategy() const { return strategy_; }
-  size_t partitions() const { return partitions_; }
-  std::unique_ptr<Plan> Clone() const override;
-
- protected:
-  std::string SelfString() const override;
-
- private:
-  FixpointPlan(std::unique_ptr<Plan> child, std::string strategy,
-               size_t partitions);
-  std::string strategy_;
-  size_t partitions_;
 };
 
 }  // namespace prisma::algebra

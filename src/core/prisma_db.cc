@@ -214,7 +214,6 @@ PrismaDb::PrismaDb(MachineConfig config)
     // anyway. They stay off in fault-free runs so behaviour and metrics
     // are unchanged.
     retransmit.resend_ns = 200 * sim::kNanosPerMilli;
-    gdh_config.coord_check_ns = sim::kNanosPerSecond;
   }
   machine.metrics = &metrics_;
   machine.tracer = &tracer_;

@@ -151,20 +151,6 @@ std::vector<Tuple> FlattenBatches(const std::vector<ColumnBatch>& batches) {
   return out;
 }
 
-/// Only expensive nodes are worth memoizing under the subtree cache.
-bool CacheableKind(PlanKind kind) {
-  switch (kind) {
-    case PlanKind::kJoin:
-    case PlanKind::kAggregate:
-    case PlanKind::kSort:
-    case PlanKind::kDistinct:
-    case PlanKind::kTransitiveClosure:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Display label of a plan node in profiles ("Scan(emp#3)", "Join", ...).
 std::string OperatorLabel(const Plan& plan) {
   std::string label = PlanKindName(plan.kind());
@@ -383,7 +369,7 @@ StatusOr<std::vector<Tuple>> Executor::RunChildRows(const Plan& child) {
 
 StatusOr<std::vector<ColumnBatch>> Executor::RunBatches(const Plan& plan) {
   if (!options_.profile) {
-    auto result = RunBatchesCached(plan);
+    auto result = DispatchBatches(plan);
     if (result.ok()) stats_.batches += result->size();
     return result;
   }
@@ -392,7 +378,7 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatches(const Plan& plan) {
   obs::OperatorProfile* parent = current_profile_;
   current_profile_ = &node;
   const sim::SimTime before_ns = stats_.charged_ns;
-  auto result = RunBatchesCached(plan);
+  auto result = DispatchBatches(plan);
   current_profile_ = parent;
   node.total_ns = stats_.charged_ns - before_ns;
   if (result.ok()) {
@@ -411,29 +397,13 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatches(const Plan& plan) {
   return result;
 }
 
-StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesCached(
-    const Plan& plan) {
-  if (options_.enable_subtree_cache && CacheableKind(plan.kind())) {
-    const std::string key = plan.ToString();
-    auto it = subtree_cache_.find(key);
-    if (it != subtree_cache_.end()) {
-      ++stats_.subtree_cache_hits;
-      return ColumnBatch::Chunk(it->second, options_.batch_rows);
-    }
-    ASSIGN_OR_RETURN(std::vector<ColumnBatch> out, RunBatchesUncached(plan));
-    subtree_cache_[key] = FlattenBatches(out);
-    return out;
-  }
-  return RunBatchesUncached(plan);
-}
-
 StatusOr<std::vector<ColumnBatch>> Executor::Rechunk(
     StatusOr<std::vector<Tuple>> rows) const {
   RETURN_IF_ERROR(rows.status());
   return ColumnBatch::Chunk(*rows, options_.batch_rows);
 }
 
-StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesUncached(
+StatusOr<std::vector<ColumnBatch>> Executor::DispatchBatches(
     const Plan& plan) {
   switch (plan.kind()) {
     case PlanKind::kScan:
@@ -449,7 +419,7 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesUncached(
     case PlanKind::kExchange:
       // Repartitioning is a mail-layer affair (DESIGN.md §10); within one
       // local executor an Exchange moves nothing and is a pass-through.
-      return RunBatchesCached(*plan.child());
+      return DispatchBatches(*plan.child());
     // Operators without a batch kernel run their row logic (over batched
     // children, via RunChildRows) and re-chunk the output.
     case PlanKind::kValues:
@@ -465,10 +435,6 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatchesUncached(
     case PlanKind::kLimit:
       return Rechunk(RunLimit(static_cast<const LimitPlan&>(plan)));
     case PlanKind::kTransitiveClosure:
-    case PlanKind::kFixpoint:
-      // A Fixpoint is the degenerate single-node form of the distributed
-      // fixpoint (DESIGN.md §11): with every partition local, the rounds
-      // collapse to the in-memory closure operator.
       return Rechunk(RunTransitiveClosure(plan));
   }
   return InternalError("corrupt plan kind");

@@ -100,10 +100,6 @@ struct ExecOptions {
   /// Invoked with virtual nanoseconds as work is performed; may be null.
   /// Inside an OFM process this forwards to Process::ChargeCpu.
   std::function<void(sim::SimTime)> charge;
-  /// Memoize results of structurally identical expensive subtrees (joins,
-  /// aggregates, sorts, closures) within one Execute call — the execution
-  /// side of the optimizer's common-subexpression detection (§2.4).
-  bool enable_subtree_cache = false;
   /// Build a per-operator profile tree (rows, bytes, charged ns) during
   /// Execute; read it back via Executor::profile(). EXPLAIN ANALYZE mode.
   bool profile = false;
@@ -117,8 +113,6 @@ struct ExecStats {
   uint64_t expr_evaluations = 0;
   /// ColumnBatches produced by operators.
   uint64_t batches = 0;
-  /// Subtree-cache hits (common subexpressions evaluated once).
-  uint64_t subtree_cache_hits = 0;
   /// Total virtual CPU time charged for the last Execute call tree.
   sim::SimTime charged_ns = 0;
 };
@@ -187,14 +181,12 @@ class Executor {
   StatusOr<std::vector<ColumnBatch>> Rechunk(
       StatusOr<std::vector<Tuple>> rows) const;
 
-  // The one execution spine: RunBatches wraps profiling, RunBatchesCached
-  // the subtree cache, and RunBatchesUncached dispatches on the plan kind.
-  // Only the batch-kernel operators have dedicated entries; everything
-  // else runs its row logic over batched children and re-chunks its output.
+  // The one execution spine: RunBatches wraps profiling and
+  // DispatchBatches dispatches on the plan kind. Only the batch-kernel
+  // operators have dedicated entries; everything else runs its row logic
+  // over batched children and re-chunks its output.
   StatusOr<std::vector<ColumnBatch>> RunBatches(const algebra::Plan& plan);
-  StatusOr<std::vector<ColumnBatch>> RunBatchesCached(
-      const algebra::Plan& plan);
-  StatusOr<std::vector<ColumnBatch>> RunBatchesUncached(
+  StatusOr<std::vector<ColumnBatch>> DispatchBatches(
       const algebra::Plan& plan);
   StatusOr<std::vector<ColumnBatch>> RunScanBatches(
       const algebra::ScanPlan& plan);
@@ -210,7 +202,6 @@ class Executor {
   const TableResolver* resolver_;
   ExecOptions options_;
   ExecStats stats_;
-  std::map<std::string, std::vector<Tuple>> subtree_cache_;
   // Profiling state (options_.profile): node currently being built and the
   // finished root of the last Execute.
   obs::OperatorProfile* current_profile_ = nullptr;

@@ -48,6 +48,53 @@ bool NumericType(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDouble;
 }
 
+// Lane states of a register (Reg::null, VReg::null): a value, NULL, or a
+// failed evaluation. A failure travels like NULL, skipping the arithmetic
+// downstream, until it reaches the result or an AND/OR that the
+// interpreter would have decided without it (its short-circuit).
+constexpr uint8_t kLaneValue = 0;
+constexpr uint8_t kLaneNull = 1;
+constexpr uint8_t kLaneDivByZero = 2;
+constexpr uint8_t kLaneModByZero = 3;
+
+bool Failed(uint8_t state) { return state >= kLaneDivByZero; }
+
+const char* FailureMessage(uint8_t state) {
+  return state == kLaneModByZero ? "modulo by zero" : "division by zero";
+}
+
+/// State of an operation on two lanes: the left operand's failure, else
+/// the right's (the interpreter evaluates left first), else NULL if
+/// either is NULL.
+uint8_t Merge(uint8_t a, uint8_t b) {
+  if (Failed(a)) return a;
+  if (Failed(b)) return b;
+  return a | b;
+}
+
+/// Kleene AND/OR over two lanes with the interpreter's short-circuit:
+/// the left operand decides alone when it is `decisive`, and a failure
+/// counts only where the interpreter would have evaluated it.
+void Kleene(bool decisive, uint8_t an, bool ab, uint8_t bn, bool bb,
+            uint8_t* dn, bool* db) {
+  if (Failed(an)) {
+    *dn = an;
+  } else if (an == kLaneValue && ab == decisive) {
+    *dn = kLaneValue;
+    *db = decisive;
+  } else if (Failed(bn)) {
+    *dn = bn;
+  } else if (bn == kLaneValue && bb == decisive) {
+    *dn = kLaneValue;
+    *db = decisive;
+  } else if (an != kLaneValue || bn != kLaneValue) {
+    *dn = kLaneNull;
+  } else {
+    *dn = kLaneValue;
+    *db = !decisive;
+  }
+}
+
 /// Comparison opcode family base for a given operand type.
 OpCode CmpOp(BinaryOp op, DataType t) {
   const int off = [&] {
@@ -106,9 +153,14 @@ StatusOr<Slot> CompileBinary(const Expr& expr, Compiler& c) {
   ASSIGN_OR_RETURN(Slot l, CompileNode(*expr.left(), c));
   ASSIGN_OR_RETURN(Slot r, CompileNode(*expr.right(), c));
 
-  // A statically-NULL operand makes arithmetic and comparisons NULL.
+  // A statically-NULL operand makes arithmetic and comparisons NULL: any
+  // op merging the two lanes yields NULL, or the failure an operand
+  // carries (the interpreter evaluates both before it sees the NULL).
   const bool static_null =
       l.type == DataType::kNull || r.type == DataType::kNull;
+  auto null_of_operands = [&] {
+    return Slot{c.Emit(OpCode::kAddI, l.reg, r.reg), DataType::kNull};
+  };
 
   switch (op) {
     case BinaryOp::kAnd:
@@ -123,9 +175,7 @@ StatusOr<Slot> CompileBinary(const Expr& expr, Compiler& c) {
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
-      if (static_null) {
-        return Slot{c.EmitConst(Value::Null()), DataType::kNull};
-      }
+      if (static_null) return null_of_operands();
       if (NumericType(l.type) && NumericType(r.type) && l.type != r.type) {
         l = Widen(l, c);
         r = Widen(r, c);
@@ -144,9 +194,7 @@ StatusOr<Slot> CompileBinary(const Expr& expr, Compiler& c) {
     case BinaryOp::kSub:
     case BinaryOp::kMul:
     case BinaryOp::kDiv: {
-      if (static_null) {
-        return Slot{c.EmitConst(Value::Null()), DataType::kNull};
-      }
+      if (static_null) return null_of_operands();
       const bool dbl =
           l.type == DataType::kDouble || r.type == DataType::kDouble;
       if (dbl) {
@@ -172,9 +220,7 @@ StatusOr<Slot> CompileBinary(const Expr& expr, Compiler& c) {
                   dbl ? DataType::kDouble : DataType::kInt64};
     }
     case BinaryOp::kMod:
-      if (static_null) {
-        return Slot{c.EmitConst(Value::Null()), DataType::kNull};
-      }
+      if (static_null) return null_of_operands();
       return Slot{c.Emit(OpCode::kModI, l.reg, r.reg), DataType::kInt64};
   }
   return InternalError("compiler: bad binary op");
@@ -193,9 +239,7 @@ StatusOr<Slot> CompileNode(const Expr& expr, Compiler& c) {
       ASSIGN_OR_RETURN(Slot a, CompileNode(*expr.operand(), c));
       switch (expr.unary_op()) {
         case UnaryOp::kNeg:
-          if (a.type == DataType::kNull) {
-            return Slot{c.EmitConst(Value::Null()), DataType::kNull};
-          }
+          // A NULL operand's lane (NULL or a failure) passes through.
           return Slot{c.Emit(a.type == DataType::kDouble ? OpCode::kNegD
                                                          : OpCode::kNegI,
                              a.reg),
@@ -353,15 +397,16 @@ Status CompiledExpr::Run(const Tuple& tuple) const {
         break;
       }
       case OpCode::kIsNull: {
-        d.null = false;
-        d.b = regs[in.a].null;
+        const uint8_t state = regs[in.a].null;
+        d.null = Failed(state) ? state : kLaneValue;
+        d.b = state == kLaneNull;
         break;
       }
 #define PRISMA_ARITH(OP, FIELD, EXPR_)                       \
   {                                                          \
     const Reg& a = regs[in.a];                               \
     const Reg& b = regs[in.b];                               \
-    d.null = a.null || b.null;                               \
+    d.null = Merge(a.null, b.null);                          \
     if (!d.null) d.FIELD = (EXPR_);                          \
     break;                                                   \
   }
@@ -374,20 +419,26 @@ Status CompiledExpr::Run(const Tuple& tuple) const {
       case OpCode::kDivI: {
         const Reg& a = regs[in.a];
         const Reg& b = regs[in.b];
-        d.null = a.null || b.null;
+        d.null = Merge(a.null, b.null);
         if (!d.null) {
-          if (b.i == 0) return InvalidArgumentError("division by zero");
-          d.i = a.i / b.i;
+          if (b.i == 0) {
+            d.null = kLaneDivByZero;
+          } else {
+            d.i = a.i / b.i;
+          }
         }
         break;
       }
       case OpCode::kModI: {
         const Reg& a = regs[in.a];
         const Reg& b = regs[in.b];
-        d.null = a.null || b.null;
+        d.null = Merge(a.null, b.null);
         if (!d.null) {
-          if (b.i == 0) return InvalidArgumentError("modulo by zero");
-          d.i = a.i % b.i;
+          if (b.i == 0) {
+            d.null = kLaneModByZero;
+          } else {
+            d.i = a.i % b.i;
+          }
         }
         break;
       }
@@ -400,17 +451,20 @@ Status CompiledExpr::Run(const Tuple& tuple) const {
       case OpCode::kDivD: {
         const Reg& a = regs[in.a];
         const Reg& b = regs[in.b];
-        d.null = a.null || b.null;
+        d.null = Merge(a.null, b.null);
         if (!d.null) {
-          if (b.d == 0.0) return InvalidArgumentError("division by zero");
-          d.d = a.d / b.d;
+          if (b.d == 0.0) {
+            d.null = kLaneDivByZero;
+          } else {
+            d.d = a.d / b.d;
+          }
         }
         break;
       }
       case OpCode::kConcat: {
         const Reg& a = regs[in.a];
         const Reg& b = regs[in.b];
-        d.null = a.null || b.null;
+        d.null = Merge(a.null, b.null);
         if (!d.null) {
           std::string& slot = scratch_[in.aux];
           slot.assign(*a.s);
@@ -460,38 +514,18 @@ Status CompiledExpr::Run(const Tuple& tuple) const {
       case OpCode::kNeB:
         PRISMA_ARITH(kNeB, b, a.b != b.b)
 #undef PRISMA_ARITH
-      case OpCode::kAnd: {
-        const Reg& a = regs[in.a];
-        const Reg& b = regs[in.b];
-        // Kleene: false dominates NULL.
-        if ((!a.null && !a.b) || (!b.null && !b.b)) {
-          d.null = false;
-          d.b = false;
-        } else if (a.null || b.null) {
-          d.null = true;
-        } else {
-          d.null = false;
-          d.b = true;
-        }
-        break;
-      }
+      case OpCode::kAnd:
       case OpCode::kOr: {
+        // Kleene: false dominates NULL under AND, true under OR.
         const Reg& a = regs[in.a];
         const Reg& b = regs[in.b];
-        // Kleene: true dominates NULL.
-        if ((!a.null && a.b) || (!b.null && b.b)) {
-          d.null = false;
-          d.b = true;
-        } else if (a.null || b.null) {
-          d.null = true;
-        } else {
-          d.null = false;
-          d.b = false;
-        }
+        Kleene(in.op == OpCode::kOr, a.null, a.b, b.null, b.b, &d.null, &d.b);
         break;
       }
     }
   }
+  const uint8_t state = regs[result_reg_].null;
+  if (Failed(state)) return InvalidArgumentError(FailureMessage(state));
   return Status::OK();
 }
 
@@ -499,19 +533,6 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
   const size_t rows = batch.num_rows();
   if (vregs_.size() != num_regs_) vregs_.resize(num_regs_);
   if (vscratch_.size() != scratch_.size()) vscratch_.resize(scratch_.size());
-  // First failing row (and its message); mirrors the per-tuple path, whose
-  // outer loop is rows: the error surfaced is the one of the smallest
-  // failing row, and within that row the first failing instruction in
-  // program order — which is how instructions are visited here, so a
-  // same-row later failure never overwrites an earlier one.
-  size_t fail_row = SIZE_MAX;
-  const char* fail_msg = nullptr;
-  auto fail = [&](size_t row, const char* msg) {
-    if (row < fail_row) {
-      fail_row = row;
-      fail_msg = msg;
-    }
-  };
   for (const Instruction& in : code_) {
     VReg& d = vregs_[in.dst];
     switch (in.op) {
@@ -631,8 +652,13 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
       }
       case OpCode::kIsNull: {
         const VReg& a = vregs_[in.a];
-        d.null.assign(rows, 0);
-        d.b = a.null;
+        d.null.resize(rows);
+        d.b.resize(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          const uint8_t state = a.null[r];
+          d.null[r] = Failed(state) ? state : kLaneValue;
+          d.b[r] = state == kLaneNull ? 1 : 0;
+        }
         break;
       }
 #define PRISMA_VARITH(FIELD, EXPR_)                          \
@@ -642,8 +668,8 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
     d.null.resize(rows);                                     \
     d.FIELD.resize(rows);                                    \
     for (size_t r = 0; r < rows; ++r) {                      \
-      const bool n = a.null[r] != 0 || b.null[r] != 0;       \
-      d.null[r] = n ? 1 : 0;                                 \
+      const uint8_t n = Merge(a.null[r], b.null[r]);         \
+      d.null[r] = n;                                         \
       if (!n) d.FIELD[r] = (EXPR_);                          \
     }                                                        \
     break;                                                   \
@@ -660,14 +686,9 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
         d.null.resize(rows);
         d.i.resize(rows);
         for (size_t r = 0; r < rows; ++r) {
-          bool n = a.null[r] != 0 || b.null[r] != 0;
-          if (!n && b.i[r] == 0) {
-            // Poison the lane so downstream instructions skip it; the
-            // recorded error supersedes all of this row's output anyway.
-            fail(r, "division by zero");
-            n = true;
-          }
-          d.null[r] = n ? 1 : 0;
+          uint8_t n = Merge(a.null[r], b.null[r]);
+          if (!n && b.i[r] == 0) n = kLaneDivByZero;
+          d.null[r] = n;
           if (!n) d.i[r] = a.i[r] / b.i[r];
         }
         break;
@@ -678,12 +699,9 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
         d.null.resize(rows);
         d.i.resize(rows);
         for (size_t r = 0; r < rows; ++r) {
-          bool n = a.null[r] != 0 || b.null[r] != 0;
-          if (!n && b.i[r] == 0) {
-            fail(r, "modulo by zero");
-            n = true;
-          }
-          d.null[r] = n ? 1 : 0;
+          uint8_t n = Merge(a.null[r], b.null[r]);
+          if (!n && b.i[r] == 0) n = kLaneModByZero;
+          d.null[r] = n;
           if (!n) d.i[r] = a.i[r] % b.i[r];
         }
         break;
@@ -700,12 +718,9 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
         d.null.resize(rows);
         d.d.resize(rows);
         for (size_t r = 0; r < rows; ++r) {
-          bool n = a.null[r] != 0 || b.null[r] != 0;
-          if (!n && b.d[r] == 0.0) {
-            fail(r, "division by zero");
-            n = true;
-          }
-          d.null[r] = n ? 1 : 0;
+          uint8_t n = Merge(a.null[r], b.null[r]);
+          if (!n && b.d[r] == 0.0) n = kLaneDivByZero;
+          d.null[r] = n;
           if (!n) d.d[r] = a.d[r] / b.d[r];
         }
         break;
@@ -718,8 +733,8 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
         d.null.resize(rows);
         d.s.resize(rows);
         for (size_t r = 0; r < rows; ++r) {
-          const bool n = a.null[r] != 0 || b.null[r] != 0;
-          d.null[r] = n ? 1 : 0;
+          const uint8_t n = Merge(a.null[r], b.null[r]);
+          d.null[r] = n;
           if (!n) {
             slot[r].assign(*a.s[r]);
             slot[r].append(*b.s[r]);
@@ -769,49 +784,31 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
       case OpCode::kNeB:
         PRISMA_VARITH(b, a.b[r] != b.b[r])
 #undef PRISMA_VARITH
-      case OpCode::kAnd: {
-        const VReg& a = vregs_[in.a];
-        const VReg& b = vregs_[in.b];
-        d.null.resize(rows);
-        d.b.resize(rows);
-        for (size_t r = 0; r < rows; ++r) {
-          // Kleene: false dominates NULL.
-          if ((a.null[r] == 0 && a.b[r] == 0) ||
-              (b.null[r] == 0 && b.b[r] == 0)) {
-            d.null[r] = 0;
-            d.b[r] = 0;
-          } else if (a.null[r] != 0 || b.null[r] != 0) {
-            d.null[r] = 1;
-          } else {
-            d.null[r] = 0;
-            d.b[r] = 1;
-          }
-        }
-        break;
-      }
+      case OpCode::kAnd:
       case OpCode::kOr: {
+        // Kleene: false dominates NULL under AND, true under OR.
         const VReg& a = vregs_[in.a];
         const VReg& b = vregs_[in.b];
+        const bool decisive = in.op == OpCode::kOr;
         d.null.resize(rows);
         d.b.resize(rows);
         for (size_t r = 0; r < rows; ++r) {
-          // Kleene: true dominates NULL.
-          if ((a.null[r] == 0 && a.b[r] != 0) ||
-              (b.null[r] == 0 && b.b[r] != 0)) {
-            d.null[r] = 0;
-            d.b[r] = 1;
-          } else if (a.null[r] != 0 || b.null[r] != 0) {
-            d.null[r] = 1;
-          } else {
-            d.null[r] = 0;
-            d.b[r] = 0;
-          }
+          // A lane without a value may have no b entry (a NULL operand).
+          const bool ab = a.null[r] == kLaneValue && a.b[r] != 0;
+          const bool bb = b.null[r] == kLaneValue && b.b[r] != 0;
+          bool value = false;
+          Kleene(decisive, a.null[r], ab, b.null[r], bb, &d.null[r], &value);
+          d.b[r] = value ? 1 : 0;
         }
         break;
       }
     }
   }
-  if (fail_row != SIZE_MAX) return InvalidArgumentError(fail_msg);
+  // The first failing row's failure, as the per-tuple path (whose outer
+  // loop is rows) surfaces it.
+  for (const uint8_t state : vregs_[result_reg_].null) {
+    if (Failed(state)) return InvalidArgumentError(FailureMessage(state));
+  }
   return Status::OK();
 }
 

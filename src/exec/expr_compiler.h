@@ -92,7 +92,8 @@ class CompiledExpr {
   /// sequence column-major over all rows of `batch` at once, returning a
   /// row-aligned result column. Errors (division by zero) reproduce the
   /// per-tuple path exactly: the Status of the first failing row, and
-  /// within it the first failing instruction in program order.
+  /// within it the failure the interpreter would surface (left operand
+  /// first; AND/OR short-circuit).
   StatusOr<ColumnBatch::Column> EvalBatch(const ColumnBatch& batch) const;
 
   /// Vectorized predicate: fills `keep` (one byte per row; 1 = the
@@ -110,9 +111,12 @@ class CompiledExpr {
   friend StatusOr<CompiledExpr> CompileExpr(const algebra::Expr& expr);
 
   /// Unboxed register. Exactly one of b/i/d/s is meaningful, fixed
-  /// statically per register by the compiler.
+  /// statically per register by the compiler. `null` is the lane state:
+  /// 0 holds a value, 1 is NULL, and higher codes carry a failure (division
+  /// or modulo by zero) until an AND/OR decides without it or it reaches
+  /// the result, exactly where the interpreter's short-circuit would.
   struct Reg {
-    bool null = true;
+    uint8_t null = 1;
     bool b = false;
     int64_t i = 0;
     double d = 0;
@@ -120,7 +124,8 @@ class CompiledExpr {
   };
 
   /// Vector register: one value lane per batch row. As with Reg, exactly
-  /// one of b/i/d/s is meaningful per register, fixed statically.
+  /// one of b/i/d/s is meaningful per register, fixed statically, and
+  /// `null` holds each lane's state.
   struct VReg {
     std::vector<uint8_t> null;
     std::vector<uint8_t> b;

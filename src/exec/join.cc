@@ -299,74 +299,4 @@ StatusOr<std::vector<ColumnBatch>> VectorizedNestedLoopJoin(
   return emit.Take();
 }
 
-StatusOr<std::vector<Tuple>> MergeJoin(
-    const std::vector<Tuple>& left, const std::vector<Tuple>& right,
-    const std::vector<std::pair<size_t, size_t>>& keys,
-    const JoinFilter& filter, JoinCounters* counters) {
-  if (keys.empty()) {
-    return InvalidArgumentError("merge join requires equi-join keys");
-  }
-  JoinCounters local;
-  JoinCounters& c = counters != nullptr ? *counters : local;
-  const std::vector<size_t> lcols = LeftCols(keys);
-  const std::vector<size_t> rcols = RightCols(keys);
-
-  auto key_less = [&c](const Tuple& a, const std::vector<size_t>& acols,
-                       const Tuple& b, const std::vector<size_t>& bcols) {
-    for (size_t i = 0; i < acols.size(); ++i) {
-      ++c.compare_ops;
-      const int cmp = a.at(acols[i]).Compare(b.at(bcols[i]));
-      if (cmp != 0) return cmp < 0;
-    }
-    return false;
-  };
-
-  std::vector<Tuple> ls = left;
-  std::vector<Tuple> rs = right;
-  std::sort(ls.begin(), ls.end(), [&](const Tuple& a, const Tuple& b) {
-    return key_less(a, lcols, b, lcols);
-  });
-  std::sort(rs.begin(), rs.end(), [&](const Tuple& a, const Tuple& b) {
-    return key_less(a, rcols, b, rcols);
-  });
-
-  std::vector<Tuple> out;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() && j < rs.size()) {
-    if (HasNullKey(ls[i], lcols)) {
-      ++i;
-      continue;
-    }
-    if (HasNullKey(rs[j], rcols)) {
-      ++j;
-      continue;
-    }
-    if (key_less(ls[i], lcols, rs[j], rcols)) {
-      ++i;
-    } else if (key_less(rs[j], rcols, ls[i], lcols)) {
-      ++j;
-    } else {
-      // Equal-key groups; emit the cross product of the two runs.
-      size_t i_end = i + 1;
-      while (i_end < ls.size() && !key_less(ls[i], lcols, ls[i_end], lcols)) {
-        ++i_end;
-      }
-      size_t j_end = j + 1;
-      while (j_end < rs.size() && !key_less(rs[j], rcols, rs[j_end], rcols)) {
-        ++j_end;
-      }
-      for (size_t a = i; a < i_end; ++a) {
-        for (size_t b = j; b < j_end; ++b) {
-          ++c.pairs_examined;
-          RETURN_IF_ERROR(EmitIfPassing(ls[a], rs[b], filter, &out));
-        }
-      }
-      i = i_end;
-      j = j_end;
-    }
-  }
-  return out;
-}
-
 }  // namespace prisma::exec

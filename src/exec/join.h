@@ -36,12 +36,6 @@ StatusOr<std::vector<Tuple>> NestedLoopJoin(
     const std::vector<Tuple>& left, const std::vector<Tuple>& right,
     const JoinFilter& filter = nullptr, JoinCounters* counters = nullptr);
 
-/// Sort-merge equi-join; sorts copies of both inputs by the key columns.
-StatusOr<std::vector<Tuple>> MergeJoin(
-    const std::vector<Tuple>& left, const std::vector<Tuple>& right,
-    const std::vector<std::pair<size_t, size_t>>& keys,
-    const JoinFilter& filter = nullptr, JoinCounters* counters = nullptr);
-
 /// Vectorized hash equi-join over ColumnBatch inputs (DESIGN.md §12): key
 /// hashes and null-key masks are computed column-wise per batch, then the
 /// build/probe protocol of HashJoin runs over the precomputed lanes.

@@ -310,9 +310,6 @@ void GdhProcess::RpcExhausted(uint64_t request_id,
       " did not answer " + rpc.kind + " after " +
       std::to_string(rpc.attempts) + " attempts (crashed PE?)");
   CountUnavailable(target_pe, TableOfFragment(target));
-  // The OFM may have executed the write and only its reply was lost: a
-  // late reply must still feed the row-count statistics.
-  if (rpc.kind == kMailWrite) NoteDegradedWrite(request_id);
   SettleRpc(request_id, failure);
 }
 
@@ -339,27 +336,6 @@ bool GdhProcess::RetryRpc(uint64_t request_id, const Rpcs::PendingRpc& rpc) {
   // budget would pin decision RPCs (extended budget) for seconds on a
   // target that cannot answer before its PE restarts.
   return !ShedRpc(request_id, rpc.target.replica);
-}
-
-void GdhProcess::NoteDegradedWrite(uint64_t request_id) {
-  degraded_writes_.insert(request_id);
-  degraded_writes_order_.push_back(request_id);
-  if (degraded_writes_order_.size() > kDegradedWriteCap) {
-    // Entries whose late reply already arrived were erased from the set;
-    // the stale deque slot is simply skipped.
-    degraded_writes_.erase(degraded_writes_order_.front());
-    degraded_writes_order_.pop_front();
-  }
-}
-
-sim::SimTime GdhProcess::DedupRetentionNs() const {
-  // Worst-case sender retransmission window: decision-phase RPCs make up
-  // to rpc_attempts + 4 sends, each gap bounded by the larger of the
-  // initial timeout and the backoff cap; doubled for delivery jitter and
-  // duplicates the network may hold back.
-  const RetransmitPolicy& policy = config_.machine.retransmit;
-  const sim::SimTime gap = std::max(policy.timeout_ns, policy.backoff_cap_ns);
-  return 2 * static_cast<sim::SimTime>(policy.attempts + 5) * gap;
 }
 
 void GdhProcess::DoomTxnsInvolving(const std::string& fragment) {
@@ -574,26 +550,26 @@ void GdhProcess::ReplayDecisionLog() {
 
 // ----------------------------------------------------------------- Locks
 
-void GdhProcess::AcquireExclusive(exec::TxnId txn,
-                                  std::vector<std::string> resources,
-                                  size_t index,
-                                  std::function<void(Status)> then) {
+void GdhProcess::AcquireLocks(exec::TxnId txn,
+                              std::vector<std::string> resources,
+                              LockMode mode, size_t index,
+                              std::function<void(Status)> then) {
   if (index >= resources.size()) {
     then(Status::OK());
     return;
   }
   const std::string resource = resources[index];
   locks_->Acquire(
-      txn, resource, LockMode::kExclusive,
-      [this, txn, resources = std::move(resources), index,
+      txn, resource, mode,
+      [this, txn, resources = std::move(resources), mode, index,
        then = std::move(then)](Status status) mutable {
         if (!status.ok()) {
           Inc(m_deadlock_aborts_);
           then(std::move(status));
           return;
         }
-        AcquireExclusive(txn, std::move(resources), index + 1,
-                         std::move(then));
+        AcquireLocks(txn, std::move(resources), mode, index + 1,
+                     std::move(then));
       });
 }
 
@@ -617,10 +593,8 @@ void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
   }
   std::sort(request->resources.begin(), request->resources.end());
   const exec::TxnId txn = request->txn;
-  // Sequentially acquire shared locks; callback-chained like the X path.
   auto respond = [this, requester, request_id, txn, key](Status status) {
     if (!status.ok()) {
-      Inc(m_deadlock_aborts_);
       // A deadlock aborts the whole transaction (the SELECT's statement
       // txn, or the enclosing explicit transaction).
       AbortEverywhere(txn, [this, requester, request_id, key,
@@ -640,31 +614,8 @@ void GdhProcess::HandleLockBatch(const pool::Mail& mail) {
     if (it != lock_replies_.end()) it->second = reply;
     SendMail(requester, kMailLockBatchReply, reply, kControlBits);
   };
-
-  // Recursive shared acquisition.
-  auto resources = std::make_shared<std::vector<std::string>>(
-      std::move(request->resources));
-  auto step = std::make_shared<std::function<void(size_t)>>();
-  // The stored closure must hold itself only weakly: a strong `step`
-  // capture would make the shared_ptr own its own control block and leak.
-  // Each pending Acquire callback keeps a strong reference, so the chain
-  // stays alive exactly until the last lock resolves.
-  std::weak_ptr<std::function<void(size_t)>> weak_step = step;
-  *step = [this, resources, txn, respond, weak_step](size_t index) {
-    if (index >= resources->size()) {
-      respond(Status::OK());
-      return;
-    }
-    locks_->Acquire(txn, (*resources)[index], LockMode::kShared,
-                   [respond, step = weak_step.lock(), index](Status status) {
-                     if (!status.ok()) {
-                       respond(std::move(status));
-                       return;
-                     }
-                     (*step)(index + 1);
-                   });
-  };
-  (*step)(0);
+  AcquireLocks(txn, std::move(request->resources), LockMode::kShared, 0,
+               std::move(respond));
 }
 
 // ------------------------------------------------------------------- 2PC
@@ -997,7 +948,6 @@ pool::ProcessId GdhProcess::SpawnReplicaOfm(const TableInfo& info,
   if (res != config_.resources.end()) {
     ofm_config.ofm.memory = res->second.memory;
   }
-  ofm_config.dedup_retention_ns = DedupRetentionNs();
   ofm_config.recover = recover;
   ofm_config.resync_id = resync_id;
   ofm_config.gdh = self();
@@ -1209,8 +1159,8 @@ void GdhProcess::ExecuteWrite(std::shared_ptr<BoundStatement> bound,
                   resources.end());
 
   const uint64_t client_request = stmt->request_id;
-  AcquireExclusive(
-      txn, resources, 0,
+  AcquireLocks(
+      txn, resources, LockMode::kExclusive, 0,
       [this, txn, implicit, fragments, requests, bound, client,
        client_request, resources](Status lock_status) {
         if (!lock_status.ok()) {
@@ -1322,7 +1272,7 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
   const pool::ProcessId coordinator =
       runtime()->Spawn(pe, std::make_unique<QueryProcess>(std::move(config)));
   (*txns_)[lock_txn].coordinator = coordinator;
-  if (config_.coord_check_ns > 0) {
+  if (config_.machine.retransmit.resend_ns > 0) {
     // Supervise: if the coordinator's PE crashes, the statement must
     // still terminate (locks released, client answered).
     CoordWatch watch;
@@ -1331,7 +1281,7 @@ void GdhProcess::SpawnCoordinator(const std::shared_ptr<ClientStatement>& stmt,
     watch.lock_txn = lock_txn;
     watch.pe = pe;
     watch.timer =
-        SendSelfAfter(config_.coord_check_ns, kMailCoordCheck,
+        SendSelfAfter(kCoordCheckNs, kMailCoordCheck,
                       std::make_shared<pool::ProcessId>(coordinator));
     coords_[coordinator] = watch;
   }
@@ -1360,7 +1310,7 @@ void GdhProcess::HandleCoordCheck(const pool::Mail& mail) {
   if (it == coords_.end()) return;  // Already finished normally.
   if (runtime()->IsAlive(coordinator)) {
     it->second.timer =
-        SendSelfAfter(config_.coord_check_ns, kMailCoordCheck,
+        SendSelfAfter(kCoordCheckNs, kMailCoordCheck,
                       std::make_shared<pool::ProcessId>(coordinator));
     return;
   }
@@ -1407,10 +1357,10 @@ void GdhProcess::HandleWriteReply(const pool::Mail& mail) {
   auto call = rpcs_.calls().find(reply->request_id);
   bool count = true;
   if (call == rpcs_.calls().end()) {
-    // Already settled (a duplicate or a post-degradation reply). If it
-    // was settled by exhausting the retry budget, the OFM did execute the
-    // write after all: its row delta and estimates count exactly once.
-    count = degraded_writes_.erase(reply->request_id) > 0;
+    // Already settled: a duplicate, or a late reply to a write that
+    // degraded to kUnavailable, whose statement was aborted (its rows
+    // were rolled back). Neither feeds the row-count statistics.
+    count = false;
   } else if (DualWrite* dual = call->second.target.dual.get()) {
     // Dual-replica op: whichever replica's OK reply lands first carries
     // the affected count and the row delta; the mirror contributes zero.
@@ -1811,20 +1761,20 @@ void GdhProcess::OnResyncPhaseDone(uint64_t resync_id, bool cutover,
     PRISMA_CHECK(info.ok());
     // Writers lock the base fragment name (covering both replicas).
     const std::string base = (*info)->fragments[rs.fragment].name;
-    AcquireExclusive(rs.cutover_txn, {base}, 0,
-                     [this, resync_id, base](Status lock_status) {
-                       auto it2 = resyncs_.find(resync_id);
-                       if (it2 == resyncs_.end()) return;
-                       if (!lock_status.ok()) {
-                         AbortResync(resync_id);
-                         return;
-                       }
-                       AfterSettled({base}, [this, resync_id] {
-                         if (resyncs_.contains(resync_id)) {
-                           SendResyncPhase(resync_id, /*cutover=*/true);
-                         }
-                       });
-                     });
+    AcquireLocks(rs.cutover_txn, {base}, LockMode::kExclusive, 0,
+                 [this, resync_id, base](Status lock_status) {
+                   auto it2 = resyncs_.find(resync_id);
+                   if (it2 == resyncs_.end()) return;
+                   if (!lock_status.ok()) {
+                     AbortResync(resync_id);
+                     return;
+                   }
+                   AfterSettled({base}, [this, resync_id] {
+                     if (resyncs_.contains(resync_id)) {
+                       SendResyncPhase(resync_id, /*cutover=*/true);
+                     }
+                   });
+                 });
     return;
   }
   // Cutover acknowledged: the target holds the source's exact committed

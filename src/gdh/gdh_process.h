@@ -89,9 +89,6 @@ class GdhProcess : public pool::Process {
     /// one PE is down. Requires at least two fragment PEs and kFull base
     /// OFMs.
     bool replicate_fragments = false;
-    /// The GDH probes spawned coordinators at this period and fails their
-    /// statement with kUnavailable if the process died (0 disables).
-    sim::SimTime coord_check_ns = 0;
     /// The machine's settings, handed whole to every OFM and coordinator
     /// spawned. The GDH invalidates `machine.plan_cache` on DDL, replica
     /// failover and resync cutover (DESIGN.md §15.4).
@@ -258,10 +255,12 @@ class GdhProcess : public pool::Process {
   void ExecuteCheckpoint(const std::shared_ptr<ClientStatement>& stmt,
                          pool::ProcessId client);
 
-  /// Acquires X locks on `resources` one by one, then calls `then` with
-  /// OK or the deadlock abort status.
-  void AcquireExclusive(exec::TxnId txn, std::vector<std::string> resources,
-                        size_t index, std::function<void(Status)> then);
+  /// Acquires `mode` locks on `resources[index..]` one by one, in order,
+  /// then calls `then` with OK or the deadlock abort status (counted in
+  /// `gdh.deadlock_aborts`).
+  void AcquireLocks(exec::TxnId txn, std::vector<std::string> resources,
+                    LockMode mode, size_t index,
+                    std::function<void(Status)> then);
 
   /// Commits `txn` over its involved fragments — in one phase when there
   /// is one, else by presumed-abort 2PC — then releases and calls
@@ -345,14 +344,6 @@ class GdhProcess : public pool::Process {
   /// Marks active transactions that wrote to `fragment` as doomed.
   void DoomTxnsInvolving(const std::string& fragment);
 
-  /// Remembers a write RPC that degraded to kUnavailable, so a late reply
-  /// (the OFM did execute it) still feeds the row-count statistics.
-  void NoteDegradedWrite(uint64_t request_id);
-
-  /// How long OFMs must keep dedup state (cached replies, terminated-txn
-  /// records): past the worst-case sender retransmission window, so no
-  /// entry is dropped while a duplicate can still arrive.
-  sim::SimTime DedupRetentionNs() const;
 
   // ------------------------------------------- Presumed-abort decisions
 
@@ -541,17 +532,16 @@ class GdhProcess : public pool::Process {
   // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=RpcExhausted,
   //                shed=TryFailover)
   RpcClient<Member> rpcs_;  // Fan-out members by request id.
-  /// Write requests settled as kUnavailable whose late reply has not
-  /// arrived (FIFO-capped; only row-count statistics depend on it).
-  static constexpr size_t kDegradedWriteCap = 1024;
-  std::set<uint64_t> degraded_writes_;
-  std::deque<uint64_t> degraded_writes_order_;
 
   /// Active resyncs by resync id.
   std::map<uint64_t, ResyncState> resyncs_;
   uint64_t next_resync_id_ = 1;
 
-  /// Spawned coordinators under supervision (coord_check_ns > 0).
+  /// Under a faulty interconnect (`machine.retransmit.resend_ns` > 0) the
+  /// GDH probes spawned coordinators at this period and fails their
+  /// statement with kUnavailable if the process died.
+  static constexpr sim::SimTime kCoordCheckNs = sim::kNanosPerSecond;
+  /// Spawned coordinators under supervision.
   std::map<pool::ProcessId, CoordWatch> coords_;
   /// Lock-batch dedup: (requester, request_id) -> reply once computed
   /// (null while acquisition is in flight).

@@ -144,7 +144,8 @@ void OfmProcess::EvictExpiredDedupState() {
   // sender's retry window (and any delayed duplicate) has lapsed, or a
   // retransmission would re-execute a non-idempotent write.
   const sim::SimTime cutoff =
-      runtime()->simulator()->now() - config_.dedup_retention_ns;
+      runtime()->simulator()->now() -
+      config_.machine.retransmit.DedupRetentionNs();
   while (!reply_order_.empty() && reply_order_.front().first <= cutoff) {
     replies_->erase(reply_order_.front().second);
     reply_order_.pop_front();

@@ -56,12 +56,6 @@ class OfmProcess : public pool::Process {
     uint64_t resync_id = 0;
     /// Coordinator to consult for in-doubt transactions.
     pool::ProcessId gdh = pool::kNoProcess;
-    /// Dedup horizon: cached replies and terminated-transaction records
-    /// are kept at least this long (virtual time). The spawner sizes it
-    /// past the senders' worst-case retransmission window
-    /// (GdhProcess::DedupRetentionNs), so no entry is evicted while a
-    /// duplicate request or a delayed write can still arrive.
-    sim::SimTime dedup_retention_ns = 120 * sim::kNanosPerSecond;
     /// Secondary indexes to create at start: (name, columns, ordered).
     std::vector<IndexInfo> indexes;
     /// The machine's settings: the OFM registers in `registry`, frames

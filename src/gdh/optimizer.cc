@@ -115,9 +115,8 @@ double Optimizer::EstimateRows(const Plan& plan) const {
     case PlanKind::kTransitiveClosure:
       return EstimateRows(*plan.child()) * 4.0 + 1.0;
     case PlanKind::kExchange:
-    case PlanKind::kFixpoint:
-      // Annotations of already-lowered distributed plans (EXPLAIN output);
-      // the optimizer never costs them.
+      // An annotation of already-lowered distributed plans (EXPLAIN
+      // output); the optimizer never costs it.
       break;
   }
   return kDefaultScanRows;
@@ -537,7 +536,6 @@ void Optimizer::CountCommonSubtrees(const Plan& plan,
   for (const auto& [_, count] : shapes) {
     if (count > 1) report->common_subtrees += count - 1;
   }
-  report->enable_subtree_cache = report->common_subtrees > 0;
 }
 
 // ------------------------------------------------------------------ Drive

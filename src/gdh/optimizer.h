@@ -72,8 +72,6 @@ struct OptimizerReport {
   /// after rewriting — the optimizer's own cost metric.
   double estimated_flow_before = 0;
   double estimated_flow_after = 0;
-  /// Whether the executor should memoize common subtrees.
-  bool enable_subtree_cache = false;
 };
 
 /// Rule-based logical optimizer over the extended relational algebra.

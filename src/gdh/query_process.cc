@@ -1030,7 +1030,6 @@ void QueryProcess::RunGlobalPhase() {
   exec_opts.expr_mode = config_.machine.expr_mode;
   exec_opts.costs = runtime()->costs();
   exec_opts.charge = [this](sim::SimTime ns) { ChargeCpu(ns); };
-  exec_opts.enable_subtree_cache = optimizer_report_.enable_subtree_cache;
   exec_opts.profile = analyze_;
   exec::Executor executor(&resolver, exec_opts);
   auto result = executor.Execute(*split_->global);
@@ -1542,12 +1541,14 @@ void QueryProcess::ReplyFixpointExplain() {
   emit(StrFormat("prismalog: linear recursion over %s detected, evaluated "
                  "as a distributed fixpoint",
                  part.table.c_str()));
-  auto plan = algebra::FixpointPlan::Create(
-      part.plan->Clone(), TcAlgorithmName(config_.machine.fixpoint_algorithm),
-      std::max<size_t>(table.fragments.size(), 1));
-  PRISMA_CHECK(plan.ok());
-  for (const std::string& line : Split((*plan)->ToString(), '\n')) {
-    if (!line.empty()) emit("  " + line);
+  // The round count is a runtime quantity, reported after execution as
+  // the `fixpoint.rounds` metric.
+  emit(StrFormat("  Fixpoint %s over %zu partition(s), rounds until all "
+                 "deltas empty",
+                 TcAlgorithmName(config_.machine.fixpoint_algorithm),
+                 std::max<size_t>(table.fragments.size(), 1)));
+  for (const std::string& line : Split(part.plan->ToString(), '\n')) {
+    if (!line.empty()) emit("    " + line);
   }
   emit(StrFormat("  edge relation: %zu fragment(s), shuffled by "
                  "hash(column 0); pairs owned by hash(second endpoint); "

@@ -43,6 +43,17 @@ struct RetransmitPolicy {
   sim::SimTime Backoff(sim::SimTime delay) const {
     return std::min(delay * 2, backoff_cap_ns);
   }
+
+  /// How long receivers keep dedup state (cached replies, terminated-txn
+  /// records): the worst-case sender retransmission window, so no entry
+  /// is dropped while a duplicate can still arrive. Decision-phase RPCs
+  /// make up to attempts + 4 sends, each gap bounded by the larger of the
+  /// initial timeout and the backoff cap; doubled for delivery jitter and
+  /// duplicates the network may hold back.
+  sim::SimTime DedupRetentionNs() const {
+    const sim::SimTime gap = std::max(timeout_ns, backoff_cap_ns);
+    return 2 * static_cast<sim::SimTime>(attempts + 5) * gap;
+  }
 };
 
 /// Budget of the unacknowledged resends: the coordinator kills the sender

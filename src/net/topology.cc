@@ -153,12 +153,6 @@ void Topology::RouteDimensionOrder(int rows, int cols, bool wrap) {
   }
 }
 
-int Topology::num_directed_links() const {
-  int total = 0;
-  for (const auto& v : adjacency_) total += static_cast<int>(v.size());
-  return total;
-}
-
 int Topology::max_degree() const {
   size_t d = 0;
   for (const auto& v : adjacency_) d = std::max(d, v.size());

@@ -48,9 +48,6 @@ class Topology {
     return adjacency_[node];
   }
 
-  /// Number of directed links (sum of node degrees).
-  int num_directed_links() const;
-
   /// Maximum node degree (the paper's machine caps this at 4).
   int max_degree() const;
 

@@ -52,16 +52,4 @@ std::string Rule::ToString() const {
   return out;
 }
 
-std::string Program::ToString() const {
-  std::string out;
-  for (const Rule& r : rules) {
-    out += r.ToString();
-    out += "\n";
-  }
-  if (query.has_value()) {
-    out += "? " + query->ToString() + ".\n";
-  }
-  return out;
-}
-
 }  // namespace prisma::prismalog

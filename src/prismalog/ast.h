@@ -64,8 +64,6 @@ struct Program {
   std::vector<Rule> rules;
   /// `? p(args).` — the goal. Variables become output columns.
   std::optional<Atom> query;
-
-  std::string ToString() const;
 };
 
 }  // namespace prisma::prismalog

@@ -659,18 +659,152 @@ TEST_F(PrismaDbTest, PrismalogExplainNamesTheFixpointOrTheStratifiedEngine) {
   auto closure =
       db_.ExecutePrismalog(std::string("EXPLAIN ") + kClosureProgram);
   ASSERT_TRUE(closure.ok()) << closure.status().ToString();
-  const std::string fixpoint = render(*closure);
-  EXPECT_NE(fixpoint.find("linear recursion over edge detected, evaluated "
-                          "as a distributed fixpoint"),
-            std::string::npos)
-      << fixpoint;
-  EXPECT_NE(fixpoint.find("edge relation: 3 fragment(s)"), std::string::npos)
-      << fixpoint;
+  EXPECT_EQ(render(*closure),
+            "prismalog: linear recursion over edge detected, evaluated as a "
+            "distributed fixpoint\n"
+            "  Fixpoint seminaive over 3 partition(s), rounds until all "
+            "deltas empty\n"
+            "    Scan edge (s STRING, d STRING)\n"
+            "  edge relation: 3 fragment(s), shuffled by hash(column 0); "
+            "pairs owned by hash(second endpoint); per-round all-to-all "
+            "delta streams over exchange channels; each round's fresh pairs "
+            "stream to the coordinator during the rounds; coordinator "
+            "barrier ends when all deltas are empty\n");
   auto plain = db_.ExecutePrismalog(std::string("EXPLAIN ") + kEdgeProgram);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(render(*plain),
             "prismalog: stratified semi-naive evaluation at the coordinator "
             "(no distributed fixpoint pattern detected)\n");
+}
+
+TEST_F(PrismaDbTest, SelfJoinOfOneLocalPartScattersItOnce) {
+  // Both sides of the self-join split into the same local part (the same
+  // scan and filter of customer), so the coordinator scatters it once and
+  // the global plan reads its result twice (the paper's CSE rule, §2.4).
+  auto run = [](bool cse, std::vector<Tuple>* answers, uint64_t* scanned,
+                std::string* analyzed) {
+    MachineConfig config = SmallMachine();
+    config.rules.detect_common_subexpressions = cse;
+    PrismaDb db(config);
+    auto must = [](auto&& r) {
+      PRISMA_CHECK(r.ok()) << r.status().ToString();
+      return std::forward<decltype(r)>(r).value();
+    };
+    must(db.Execute("CREATE TABLE customer (cid INT, rid INT, active INT) "
+                    "FRAGMENTED BY HASH(cid) INTO 8 FRAGMENTS"));
+    std::string insert = "INSERT INTO customer VALUES ";
+    for (int cid = 0; cid < 100; ++cid) {
+      if (cid > 0) insert += ", ";
+      insert += StrFormat("(%d, %d, %d)", cid, cid % 8, cid % 2);
+    }
+    must(db.Execute(insert));
+    const char* query =
+        "SELECT a.rid, b.rid FROM customer a "
+        "JOIN customer b ON a.cid = b.cid "
+        "WHERE a.active = 1 AND b.active = 1";
+    const uint64_t before = db.metrics().CounterTotal("ofm.tuples_scanned");
+    *answers = must(db.Execute(query)).tuples;
+    *scanned = db.metrics().CounterTotal("ofm.tuples_scanned") - before;
+    std::sort(answers->begin(), answers->end());
+    analyzed->clear();
+    for (const Tuple& line :
+         must(db.Execute(std::string("EXPLAIN ANALYZE ") + query)).tuples) {
+      *analyzed += line.at(0).string_value() + "\n";
+    }
+  };
+  std::vector<Tuple> with_cse;
+  std::vector<Tuple> without_cse;
+  uint64_t scanned_with = 0;
+  uint64_t scanned_without = 0;
+  std::string analyzed_with;
+  std::string analyzed_without;
+  run(true, &with_cse, &scanned_with, &analyzed_with);
+  run(false, &without_cse, &scanned_without, &analyzed_without);
+  ASSERT_EQ(with_cse.size(), 50u);
+  EXPECT_EQ(with_cse, without_cse);
+  EXPECT_LT(scanned_with, scanned_without);
+  EXPECT_NE(analyzed_with.find("part 1 (table customer): reuses part 0 "
+                               "(common subexpression)"),
+            std::string::npos)
+      << analyzed_with;
+  EXPECT_EQ(analyzed_without.find("common subexpression"), std::string::npos)
+      << analyzed_without;
+}
+
+TEST_F(PrismaDbTest, SharedLockDeadlockAbortsTheSecondReader) {
+  // Each transaction holds an X lock on one single-fragment table and then
+  // reads the other's: the second read closes the waits-for cycle, so its
+  // transaction is the victim and the first read goes through.
+  MustExecute("CREATE TABLE a (k INT, v INT) "
+              "FRAGMENTED BY HASH(k) INTO 1 FRAGMENTS");
+  MustExecute("CREATE TABLE b (k INT, v INT) "
+              "FRAGMENTED BY HASH(k) INTO 1 FRAGMENTS");
+  MustExecute("INSERT INTO a VALUES (1, 10)");
+  MustExecute("INSERT INTO b VALUES (1, 20)");
+  const uint64_t aborts_before =
+      db_.metrics().CounterValue("gdh.deadlock_aborts");
+  auto first = db_.OpenSession();
+  auto second = db_.OpenSession();
+  ASSERT_TRUE(first.Execute("BEGIN").ok());
+  ASSERT_TRUE(second.Execute("BEGIN").ok());
+  ASSERT_TRUE(first.Execute("UPDATE a SET v = 11 WHERE k = 1").ok());
+  ASSERT_TRUE(second.Execute("UPDATE b SET v = 21 WHERE k = 1").ok());
+
+  std::optional<gdh::ClientReply> first_read;
+  std::optional<gdh::ClientReply> second_read;
+  db_.Submit("SELECT v FROM b", false, first.txn(),
+             [&](const gdh::ClientReply& reply, sim::SimTime) {
+               first_read = reply;
+             });
+  db_.simulator().RunUntil(db_.simulator().now() + sim::kNanosPerSecond);
+  EXPECT_FALSE(first_read.has_value());  // Waits for the second's X lock.
+  db_.Submit("SELECT v FROM a", false, second.txn(),
+             [&](const gdh::ClientReply& reply, sim::SimTime) {
+               second_read = reply;
+             });
+  db_.Run();
+  ASSERT_TRUE(second_read.has_value());
+  EXPECT_EQ(second_read->status.code(), StatusCode::kAborted)
+      << second_read->status.ToString();
+  ASSERT_TRUE(first_read.has_value());
+  ASSERT_TRUE(first_read->status.ok()) << first_read->status.ToString();
+  ASSERT_EQ(first_read->tuples->size(), 1u);
+  // The victim's update was rolled back with its transaction.
+  EXPECT_EQ(first_read->tuples->front().at(0), Value::Int(20));
+  EXPECT_EQ(db_.metrics().CounterValue("gdh.deadlock_aborts"),
+            aborts_before + 1);
+  ASSERT_TRUE(first.Execute("COMMIT").ok());
+  EXPECT_EQ(MustExecute("SELECT v FROM a").tuples.front().at(0),
+            Value::Int(11));
+  EXPECT_EQ(MustExecute("SELECT v FROM b").tuples.front().at(0),
+            Value::Int(20));
+}
+
+TEST_F(PrismaDbTest, CommitAfterAParticipantLostItsWritesAborts) {
+  MakeEmp(2, 4);
+  auto session = db_.OpenSession();
+  ASSERT_TRUE(session.Execute("BEGIN").ok());
+  // Eight keys over two hash fragments: both fragments take writes.
+  ASSERT_TRUE(session
+                  .Execute("INSERT INTO emp VALUES (100, 'x', 1), "
+                           "(101, 'x', 1), (102, 'x', 1), (103, 'x', 1), "
+                           "(104, 'x', 1), (105, 'x', 1), (106, 'x', 1), "
+                           "(107, 'x', 1)")
+                  .ok());
+  // The fragment's replacement recovers from its WAL, which never held
+  // the unprepared writes: the transaction is doomed.
+  ASSERT_TRUE(db_.CrashFragment("emp", 0).ok());
+  ASSERT_TRUE(db_.RecoverFragment("emp", 0).ok());
+  db_.Run();
+  auto commit = session.Execute("COMMIT");
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.status().code(), StatusCode::kAborted);
+  EXPECT_NE(commit.status().message().find(
+                "a participant crashed and lost its writes"),
+            std::string::npos)
+      << commit.status().ToString();
+  EXPECT_EQ(MustExecute("SELECT * FROM emp").tuples.size(), 4u);
+  EXPECT_TRUE(MustExecute("SELECT * FROM emp WHERE dept = 'x'").tuples.empty());
 }
 
 TEST_F(PrismaDbTest, PrismalogWaitsForAnOpenWriterAndSeesItsCommit) {

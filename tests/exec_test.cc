@@ -93,12 +93,10 @@ TEST(JoinTest, NullKeysNeverJoin) {
   std::vector<Tuple> left = {Tuple({Value::Null(), Value::Int(1)}), Pair(2, 2)};
   std::vector<Tuple> right = {Tuple({Value::Null(), Value::Int(9)}),
                               Pair(2, 9)};
-  for (auto* fn : {&HashJoin, &MergeJoin}) {
-    auto out = (*fn)(left, right, {{0, 0}}, nullptr, nullptr);
-    ASSERT_TRUE(out.ok());
-    ASSERT_EQ(out->size(), 1u) << "null keys joined";
-    EXPECT_EQ(out->front().at(0), Value::Int(2));
-  }
+  auto out = HashJoin(left, right, {{0, 0}});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 1u) << "null keys joined";
+  EXPECT_EQ(out->front().at(0), Value::Int(2));
 }
 
 TEST(JoinTest, NestedLoopCrossProduct) {
@@ -118,15 +116,7 @@ TEST(JoinTest, FilterApplies) {
   EXPECT_EQ(out->front().at(0), Value::Int(2));
 }
 
-TEST(JoinTest, MergeJoinDuplicateRuns) {
-  auto left = Pairs({{1, 1}, {1, 2}, {2, 3}});
-  auto right = Pairs({{1, 7}, {1, 8}, {3, 9}});
-  auto out = MergeJoin(left, right, {{0, 0}});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 4u);  // 2x2 for key 1.
-}
-
-/// Property: the three join algorithms agree on random inputs.
+/// Property: the hash and nested-loop joins agree on random inputs.
 class JoinAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinAgreementTest, AllAlgorithmsAgree) {
@@ -146,15 +136,13 @@ TEST_P(JoinAgreementTest, AllAlgorithmsAgree) {
       return t.at(0).Compare(t.at(2)) == 0;
     };
     auto h = HashJoin(left, right, {{0, 0}});
-    auto m = MergeJoin(left, right, {{0, 0}});
     auto n = NestedLoopJoin(left, right, eq_filter);
-    ASSERT_TRUE(h.ok() && m.ok() && n.ok());
+    ASSERT_TRUE(h.ok() && n.ok());
     auto canon = [](std::vector<Tuple> v) {
       std::sort(v.begin(), v.end());
       return v;
     };
     EXPECT_EQ(canon(*h), canon(*n));
-    EXPECT_EQ(canon(*m), canon(*n));
   }
 }
 

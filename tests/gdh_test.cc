@@ -553,7 +553,6 @@ TEST(OptimizerTest, DetectsCommonSubtrees) {
   auto optimized = optimizer.Optimize(std::move(*join), &report);
   ASSERT_TRUE(optimized.ok());
   EXPECT_GE(report.common_subtrees, 1);
-  EXPECT_TRUE(report.enable_subtree_cache);
 }
 
 TEST(OptimizerTest, RuleTogglesDisableRewrites) {
