@@ -285,6 +285,21 @@ std::unique_ptr<Expr> RandomNumeric(Rng& rng, int depth) {
   if (rng.NextBool(0.15)) {
     return Expr::Unary(UnaryOp::kNeg, RandomNumeric(rng, depth - 1));
   }
+  if (rng.NextBool(0.1)) {
+    // % takes INT operands only; n is often NULL and the literal often 0.
+    auto int_leaf = [&rng]() -> std::unique_ptr<Expr> {
+      switch (rng.Uniform(3)) {
+        case 0:
+          return Col("i");
+        case 1:
+          return Col("n");
+        default:
+          return Lit(rng.UniformInt(0, 3));
+      }
+    };
+    auto dividend = int_leaf();
+    return Expr::Binary(BinaryOp::kMod, std::move(dividend), int_leaf());
+  }
   const BinaryOp ops[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
                           BinaryOp::kDiv};
   return Expr::Binary(ops[rng.Uniform(4)], RandomNumeric(rng, depth - 1),
